@@ -1,72 +1,58 @@
 //! End-to-end pipeline throughput: events/sec through `run_lba` and
-//! `run_live` for all four lifeguards, with the pre-batching per-record
-//! consumption path (`LogConfig::batch_dispatch = false`) kept callable as
-//! the baseline; the sharded `run_live_parallel` series across shard
-//! counts for the lifeguards that support address interleaving; plus an
-//! isolated consumption-path pair that contrasts `pop_record`+`deliver`
-//! against `pop_frame`+`deliver_batch` directly.
+//! `run_live` for all four lifeguards; the sharded `run_live_parallel`
+//! series across shard counts for the lifeguards that support address
+//! interleaving; the epoch-parallel TaintCheck series; plus the isolated
+//! `pop_frame`+`deliver_batch` consumption path.
 //!
 //! `cargo bench -p lba-bench --bench pipeline` prints a best-of-N summary
-//! with the batched-over-per-record speedups before the Criterion samples;
-//! `cargo bench -p lba-bench -- --test` runs everything once as a smoke
-//! check (see the vendored criterion's test mode).
+//! before the Criterion samples; `cargo bench -p lba-bench -- --test` runs
+//! everything once as a smoke check (see the vendored criterion's test
+//! mode).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
 use lba::{
-    run_lba, run_live, run_live_parallel, run_live_taint_parallel, run_taint_parallel, SystemConfig,
+    run_epoch_parallel, run_lba, run_live, run_live_epoch_parallel, run_live_parallel, SystemConfig,
 };
 use lba_bench::pipeline::{self, PipelineRow, EPOCH_WORKER_COUNTS, SHARD_COUNTS};
+use lba_lifeguards::TaintCheck;
 use lba_workloads::Benchmark;
-
-fn config(batched: bool) -> SystemConfig {
-    let mut config = SystemConfig::default();
-    config.log.batch_dispatch = batched;
-    config
-}
 
 fn bench_pipeline(c: &mut Criterion) {
     let samples = if criterion::is_test_mode() { 1 } else { 5 };
 
     // Headline summary, printed before the Criterion samples: best-of-N
-    // events/sec for every mode × lifeguard × path, with the
-    // batched-over-per-record speedup per pair.
+    // events/sec for every mode × lifeguard.
     let rows = pipeline::measure_pipeline(samples);
     println!("{}", pipeline::render_pipeline(&rows));
 
     let records: u64 = rows.iter().find(|r| r.records > 0).map_or(0, |r| r.records);
     let program = Benchmark::Gzip.build();
+    let cfg = SystemConfig::default();
 
     let mut group = c.benchmark_group("pipeline");
     group
         .sample_size(samples)
         .throughput(Throughput::Elements(records));
     for PipelineRow {
-        mode,
-        lifeguard,
-        batched,
-        ..
-    } in rows.iter().filter(|r| {
-        (r.mode == "lba" || r.mode == "live")
-            && r.window == 0
-            && (r.batched || r.lifeguard == "addrcheck")
-    }) {
-        let id = format!(
-            "{mode}_{lifeguard}_{}",
-            if *batched { "batched" } else { "per_record" }
-        );
+        mode, lifeguard, ..
+    } in rows
+        .iter()
+        .filter(|r| (r.mode == "lba" || r.mode == "live") && r.window == 0)
+    {
+        let id = format!("{mode}_{lifeguard}");
         let make = pipeline::lifeguards()
             .into_iter()
             .find(|(name, _)| name == lifeguard)
             .expect("known lifeguard")
             .1;
-        let cfg = config(*batched);
+        let cfg = &cfg;
         let program = &program;
         if *mode == "lba" {
             group.bench_function(id, |b| {
                 b.iter(|| {
                     let mut lg = make();
-                    run_lba(program, lg.as_mut(), &cfg)
+                    run_lba(program, lg.as_mut(), cfg)
                         .expect("runs")
                         .log
                         .records
@@ -76,7 +62,7 @@ fn bench_pipeline(c: &mut Criterion) {
             group.bench_function(id, |b| {
                 b.iter(|| {
                     let mut lg = make();
-                    run_live(program, lg.as_mut(), &cfg)
+                    run_live(program, lg.as_mut(), cfg)
                         .expect("runs")
                         .log
                         .records
@@ -94,14 +80,14 @@ fn bench_pipeline(c: &mut Criterion) {
         .throughput(Throughput::Elements(records));
     for (name, make) in pipeline::sharded_lifeguards() {
         for shards in SHARD_COUNTS {
-            let cfg = config(true);
+            let cfg = &cfg;
             let program = &program;
             group.bench_function(format!("{name}_x{shards}"), |b| {
                 b.iter(|| {
                     // Retired records, not per-shard shipped records: the
                     // group's Throughput::Elements is the single-stream
                     // count, and broadcasts are transport duplication.
-                    run_live_parallel(program, make, shards, &cfg)
+                    run_live_parallel(program, make, shards, cfg)
                         .expect("runs")
                         .trace
                         .instructions()
@@ -121,20 +107,21 @@ fn bench_pipeline(c: &mut Criterion) {
         .sample_size(samples)
         .throughput(Throughput::Elements(records));
     for workers in EPOCH_WORKER_COUNTS {
-        let cfg = config(true);
+        let cfg = &cfg;
         let program = &program;
         group.bench_function(format!("modeled_x{workers}"), |b| {
             b.iter(|| {
-                run_taint_parallel(program, workers, &cfg)
+                run_epoch_parallel(program, &mut TaintCheck::new(), workers, cfg)
                     .expect("runs")
                     .total_cycles
             })
         });
         group.bench_function(format!("live_x{workers}"), |b| {
             b.iter(|| {
-                run_live_taint_parallel(program, workers, &cfg)
+                run_live_epoch_parallel(program, &mut TaintCheck::new(), workers, cfg)
                     .expect("runs")
-                    .total_records()
+                    .log
+                    .records
             })
         });
     }
@@ -151,7 +138,7 @@ fn bench_pipeline(c: &mut Criterion) {
         .into_iter()
         .filter(|(name, _)| *name == "addrcheck" || *name == "memprofile")
     {
-        let mut cfg = config(true);
+        let mut cfg = SystemConfig::default();
         cfg.log.idempotency_window = pipeline::IDEMPOTENT_WINDOW;
         let program = &program;
         group.bench_function(format!("lba_{name}_window"), |b| {
@@ -166,18 +153,15 @@ fn bench_pipeline(c: &mut Criterion) {
     }
     group.finish();
 
-    // The isolated consumption path: same pre-captured stream, channel
-    // filled identically, only the consumption granularity differs.
+    // The isolated consumption path: a pre-captured stream through the
+    // channel fill and the frame-granular consume loop.
     let stream = pipeline::capture_stream();
     let mut group = c.benchmark_group("consume");
     group
         .sample_size(samples)
         .throughput(Throughput::Elements(stream.len() as u64));
-    group.bench_function("addrcheck_per_record", |b| {
-        b.iter(|| pipeline::consume_per_record(&stream))
-    });
-    group.bench_function("addrcheck_batched", |b| {
-        b.iter(|| pipeline::consume_batched(&stream))
+    group.bench_function("addrcheck_frames", |b| {
+        b.iter(|| pipeline::consume_frames(&stream))
     });
     group.finish();
 }

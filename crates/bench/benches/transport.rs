@@ -1,11 +1,8 @@
-//! Live-channel throughput: the framed, compressed transport versus the
-//! legacy per-record raw SPSC path it replaced.
+//! Live-channel throughput: the framed, compressed transport at two frame
+//! sizes.
 //!
 //! The framed channel amortises one queue operation over
-//! `records_per_frame` records and ships < 1 B/record on the wire; the
-//! per-record path pays a queue operation (and 25 raw bytes of struct)
-//! for every record. At batch sizes ≥ 64 the framed channel should meet or
-//! beat the raw baseline in records/second.
+//! `records_per_frame` records and ships < 1 B/record on the wire.
 
 use std::thread;
 
@@ -46,24 +43,6 @@ fn synthetic_stream() -> Vec<EventRecord> {
     out
 }
 
-/// Pumps the stream through the legacy per-record channel; returns the
-/// consumer-side record count.
-fn pump_per_record(records: &[EventRecord]) -> u64 {
-    let (tx, rx) = live::channel(4096);
-    thread::scope(|scope| {
-        scope.spawn(move || {
-            for rec in records {
-                tx.send(*rec);
-            }
-        });
-        let mut seen = 0u64;
-        while rx.recv().is_some() {
-            seen += 1;
-        }
-        seen
-    })
-}
-
 /// Pumps the stream through the framed channel at `records_per_frame`;
 /// returns the consumer-side record count.
 fn pump_framed(records: &[EventRecord], records_per_frame: usize) -> u64 {
@@ -81,8 +60,8 @@ fn pump_framed(records: &[EventRecord], records_per_frame: usize) -> u64 {
             }
         });
         let mut seen = 0u64;
-        while rx.recv_ref().is_some() {
-            seen += 1;
+        while let Some(frame) = rx.recv_batch() {
+            seen += frame.records.len() as u64;
         }
         seen
     })
@@ -91,32 +70,26 @@ fn pump_framed(records: &[EventRecord], records_per_frame: usize) -> u64 {
 fn bench_transport(c: &mut Criterion) {
     let records = synthetic_stream();
 
-    // Best-of-3 sanity comparison, printed alongside the samples (the
-    // min-time estimator is robust to scheduler noise): the framed
-    // channel must not lose to the raw path at batch >= 64.
-    for (label, pump) in [
-        (
-            "per-record raw",
-            Box::new(|| pump_per_record(&records)) as Box<dyn Fn() -> u64>,
-        ),
-        ("framed x64", Box::new(|| pump_framed(&records, 64))),
-        ("framed x256", Box::new(|| pump_framed(&records, 256))),
-    ] {
+    // Best-of-3 rates, printed alongside the samples (the min-time
+    // estimator is robust to scheduler noise).
+    for records_per_frame in [64, 256] {
         let mut best = f64::INFINITY;
         for _ in 0..if criterion::is_test_mode() { 1 } else { 3 } {
             let start = std::time::Instant::now();
-            let seen = pump();
+            let seen = pump_framed(&records, records_per_frame);
             assert_eq!(seen, RECORDS);
             best = best.min(start.elapsed().as_secs_f64());
         }
-        println!("{label:>16}: {:.1} Mrecords/s", RECORDS as f64 / best / 1e6);
+        println!(
+            "framed x{records_per_frame:>3}: {:.1} Mrecords/s",
+            RECORDS as f64 / best / 1e6
+        );
     }
 
     let mut group = c.benchmark_group("live_transport");
     group
         .sample_size(10)
         .throughput(Throughput::Elements(RECORDS));
-    group.bench_function("per_record_raw", |b| b.iter(|| pump_per_record(&records)));
     group.bench_function("framed_compressed_x64", |b| {
         b.iter(|| pump_framed(&records, 64))
     });

@@ -65,16 +65,13 @@ fn record_replay_smoke() -> Result<(), String> {
     if outcome.findings != recorded.findings {
         return Err("replayed findings diverge from the recorded run".into());
     }
-    let RunOutcome::Replay(replay) = &outcome else {
-        return Err("RunMode::Replay produced a non-replay outcome".into());
-    };
-    if replay.total_wire_bits() != recorded.log.wire_bits
-        || replay.total_records() != recorded.log.records
+    if outcome.log.wire_bits != recorded.log.wire_bits
+        || outcome.log.records != recorded.log.records
     {
         return Err(format!(
             "replay accounting diverges: {} wire bits / {} records vs recorded {} / {}",
-            replay.total_wire_bits(),
-            replay.total_records(),
+            outcome.log.wire_bits,
+            outcome.log.records,
             recorded.log.wire_bits,
             recorded.log.records,
         ));
@@ -83,7 +80,7 @@ fn record_replay_smoke() -> Result<(), String> {
         "flight recording at {RECORDING} replays byte-identical \
          ({} wire bits, {} findings)",
         recorded.log.wire_bits,
-        replay.findings.len()
+        outcome.findings.len()
     );
     Ok(())
 }
@@ -236,7 +233,7 @@ fn socket_transport_smoke() -> Result<(), String> {
         "socket transport smoke: {workers} workers over Unix-domain sockets, \
          findings and per-shard wire accounting identical to in-process \
          ({} wire bits, {} findings)",
-        remote.total_wire_bits(),
+        remote.log.wire_bits,
         remote.findings.len()
     );
     Ok(())

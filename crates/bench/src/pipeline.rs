@@ -6,9 +6,7 @@
 //! three places:
 //!
 //! * the `pipeline` Criterion bench (`cargo bench -p lba-bench --bench
-//!   pipeline`), which compares the frame-granular default against the
-//!   pre-batching per-record path kept callable via
-//!   `LogConfig::batch_dispatch = false`;
+//!   pipeline`);
 //! * the `figures` binary, which appends the rows to its report;
 //! * `BENCH_pipeline.json`, the committed trajectory file every future PR
 //!   re-generates to show where host throughput moved.
@@ -16,13 +14,13 @@
 use std::time::Instant;
 
 use lba::{
-    run_lba, run_live, run_live_parallel, run_live_taint_parallel, run_remote, run_replay,
-    run_taint_parallel, AdaptiveConfig, FaultProfile, RecordConfig, SystemConfig,
+    run_epoch_parallel, run_lba, run_live, run_live_epoch_parallel, run_live_parallel, run_remote,
+    run_replay, AdaptiveConfig, FaultProfile, RecordConfig, SystemConfig,
 };
 use lba_cache::{MemSystem, MemSystemConfig};
 use lba_cpu::Machine;
 use lba_lifeguard::{DispatchEngine, Lifeguard};
-use lba_lifeguards::AddrCheck;
+use lba_lifeguards::{AddrCheck, TaintCheck};
 use lba_record::EventRecord;
 use lba_transport::{LogChannel, ModeledFrameChannel};
 use lba_workloads::Benchmark;
@@ -93,9 +91,6 @@ pub struct PipelineRow {
     pub lifeguard: &'static str,
     /// Benchmark program.
     pub benchmark: &'static str,
-    /// Whether consumption was frame-granular (the default) or the
-    /// per-record baseline.
-    pub batched: bool,
     /// Lifeguard shard count (1 for the unsharded modes).
     pub shards: usize,
     /// Capture-side idempotency-window entries (0: unfiltered).
@@ -134,33 +129,24 @@ fn best_of<F: FnMut() -> (u64, u64)>(n: usize, mut body: F) -> (u64, u64, f64) {
     (volume.0, volume.1, best)
 }
 
-fn config(batched: bool) -> SystemConfig {
-    let mut config = SystemConfig::default();
-    config.log.batch_dispatch = batched;
-    config
-}
-
 fn windowed_config(window: usize) -> SystemConfig {
     let mut config = SystemConfig::default();
     config.log.idempotency_window = window;
     config
 }
 
-/// Runs the full measurement matrix: both execution modes, all four
-/// lifeguards on gzip, batched and per-record, the live-parallel series
-/// across shard counts, the filtered-vs-unfiltered idempotency series,
-/// plus the isolated consumption-path pair. `samples` is the best-of-N
-/// count per cell.
+/// Runs the full measurement matrix: both execution modes with all four
+/// lifeguards on gzip, the live-parallel series across shard counts, the
+/// filtered-vs-unfiltered idempotency series, plus the isolated
+/// consumption-path row. `samples` is the best-of-N count per cell.
 #[must_use]
 pub fn measure_pipeline(samples: usize) -> Vec<PipelineRow> {
     let program = Benchmark::Gzip.build();
+    let cfg = SystemConfig::default();
     let mut rows = measure_consume(samples);
     for (name, make) in lifeguards() {
-        for batched in [true, false] {
-            let cfg = config(batched);
-            rows.push(measure_mode("lba", name, &make, &cfg, &program, samples));
-            rows.push(measure_mode("live", name, &make, &cfg, &program, samples));
-        }
+        rows.push(measure_mode("lba", name, &make, &cfg, &program, samples));
+        rows.push(measure_mode("live", name, &make, &cfg, &program, samples));
     }
     rows.extend(measure_live_parallel(samples));
     rows.extend(measure_remote(samples));
@@ -174,9 +160,9 @@ pub fn measure_pipeline(samples: usize) -> Vec<PipelineRow> {
 /// The epoch-parallel TaintCheck series: the one lifeguard the sharded
 /// modes cannot split, parallelised by time-slicing instead — whole
 /// epochs to workers computing symbolic transfer-function summaries, a
-/// merge core stitching them in order (`run_taint_parallel` /
-/// `run_live_taint_parallel`). The worker count rides the `shards`
-/// column. Two sub-series:
+/// merge core stitching them in order (`run_epoch_parallel` /
+/// `run_live_epoch_parallel` over TaintCheck). The worker count rides the
+/// `shards` column. Two sub-series:
 ///
 /// * `taint-parallel` — the modeled mode; `modeled_cycles` carries its
 ///   end-to-end clock, and the trajectory gate demands the 4-worker row
@@ -188,12 +174,13 @@ pub fn measure_pipeline(samples: usize) -> Vec<PipelineRow> {
 #[must_use]
 pub fn measure_taint_parallel(samples: usize) -> Vec<PipelineRow> {
     let program = Benchmark::Gzip.build();
-    let cfg = config(true);
+    let cfg = SystemConfig::default();
     let mut rows = Vec::new();
     for workers in EPOCH_WORKER_COUNTS {
         let mut modeled_cycles = 0;
         let (records, wire_bits, wall) = best_of(samples, || {
-            let report = run_taint_parallel(&program, workers, &cfg).expect("gzip runs clean");
+            let report = run_epoch_parallel(&program, &mut TaintCheck::new(), workers, &cfg)
+                .expect("gzip runs clean");
             modeled_cycles = report.total_cycles;
             (report.log.records, report.log.wire_bits)
         });
@@ -201,7 +188,6 @@ pub fn measure_taint_parallel(samples: usize) -> Vec<PipelineRow> {
             mode: "taint-parallel",
             lifeguard: "taintcheck",
             benchmark: "gzip",
-            batched: true,
             shards: workers,
             window: 0,
             records,
@@ -214,14 +200,14 @@ pub fn measure_taint_parallel(samples: usize) -> Vec<PipelineRow> {
     }
     for workers in EPOCH_WORKER_COUNTS {
         let (records, wire_bits, wall) = best_of(samples, || {
-            let report = run_live_taint_parallel(&program, workers, &cfg).expect("gzip runs clean");
-            (report.total_records(), report.total_wire_bits())
+            let report = run_live_epoch_parallel(&program, &mut TaintCheck::new(), workers, &cfg)
+                .expect("gzip runs clean");
+            (report.log.records, report.log.wire_bits)
         });
         rows.push(PipelineRow {
             mode: "live-taint-parallel",
             lifeguard: "taintcheck",
             benchmark: "gzip",
-            batched: true,
             shards: workers,
             window: 0,
             records,
@@ -258,17 +244,15 @@ pub fn measure_replay(samples: usize) -> Vec<PipelineRow> {
         let (records, wire_bits, wall) = best_of(samples, || {
             let replay = run_replay(&dir, make, &cfg).expect("recording replays clean");
             assert_eq!(
-                replay.total_wire_bits(),
-                recorded.log.wire_bits,
+                replay.log.wire_bits, recorded.log.wire_bits,
                 "replay wire accounting must be byte-identical to the recording"
             );
-            (replay.total_records(), replay.total_wire_bits())
+            (replay.log.records, replay.log.wire_bits)
         });
         rows.push(PipelineRow {
             mode: "replay",
             lifeguard: name,
             benchmark: "gzip",
-            batched: true,
             shards: 1,
             window: 0,
             records,
@@ -382,7 +366,6 @@ pub fn measure_degraded(samples: usize) -> Vec<PipelineRow> {
                     },
                     lifeguard: name,
                     benchmark: "gzip",
-                    batched: true,
                     shards: 1,
                     window: 0,
                     records,
@@ -445,7 +428,6 @@ fn measure_mode(
         mode,
         lifeguard: name,
         benchmark: "gzip",
-        batched: cfg.log.batch_dispatch,
         shards: 1,
         window: cfg.log.idempotency_window,
         records,
@@ -481,25 +463,23 @@ pub fn measure_idempotent(samples: usize) -> Vec<PipelineRow> {
 /// rate is comparable across shard counts and with the unsharded live
 /// series. (Broadcast records are shipped once per shard, but that is
 /// transport duplication, not new events; counting it would manufacture
-/// phantom speedup from duplicated work.) Consumption stays on the
-/// default frame-granular path.
+/// phantom speedup from duplicated work.)
 #[must_use]
 pub fn measure_live_parallel(samples: usize) -> Vec<PipelineRow> {
     let program = Benchmark::Gzip.build();
-    let cfg = config(true);
+    let cfg = SystemConfig::default();
     let mut rows = Vec::new();
     for (name, make) in sharded_lifeguards() {
         for shards in SHARD_COUNTS {
             let (records, wire_bits, wall) = best_of(samples, || {
                 let report =
                     run_live_parallel(&program, make, shards, &cfg).expect("gzip runs clean");
-                (report.trace.instructions(), report.total_wire_bits())
+                (report.trace.instructions(), report.log.wire_bits)
             });
             rows.push(PipelineRow {
                 mode: "live-parallel",
                 lifeguard: name,
                 benchmark: "gzip",
-                batched: true,
                 shards,
                 window: 0,
                 records,
@@ -526,19 +506,18 @@ pub fn measure_live_parallel(samples: usize) -> Vec<PipelineRow> {
 #[must_use]
 pub fn measure_remote(samples: usize) -> Vec<PipelineRow> {
     let program = Benchmark::Gzip.build();
-    let cfg = config(true);
+    let cfg = SystemConfig::default();
     let mut rows = Vec::new();
     for (name, make) in sharded_lifeguards() {
         for workers in SHARD_COUNTS {
             let (records, wire_bits, wall) = best_of(samples, || {
                 let report = run_remote(&program, make, workers, &cfg).expect("gzip runs clean");
-                (report.trace.instructions(), report.total_wire_bits())
+                (report.trace.instructions(), report.log.wire_bits)
             });
             rows.push(PipelineRow {
                 mode: "remote",
                 lifeguard: name,
                 benchmark: "gzip",
-                batched: true,
                 shards: workers,
                 window: 0,
                 records,
@@ -567,16 +546,10 @@ pub fn capture_stream() -> Vec<EventRecord> {
     records
 }
 
-/// Fills a channel with the whole stream. The per-record baseline decodes
-/// on pop, so it gets the software-decoding channel; the batched path gets
-/// the zero-copy one — the same pairing `run_lba` wires up.
-fn fill_channel(records: &[EventRecord], batched: bool) -> ModeledFrameChannel {
+/// Fills a modeled channel with the whole stream.
+fn fill_channel(records: &[EventRecord]) -> ModeledFrameChannel {
     let fc = SystemConfig::default().log.frame_config();
-    let mut ch = if batched {
-        ModeledFrameChannel::zero_copy(1 << 26, fc, false)
-    } else {
-        ModeledFrameChannel::new(1 << 26, fc, false)
-    };
+    let mut ch = ModeledFrameChannel::new(1 << 26, fc, false);
     for (i, rec) in records.iter().enumerate() {
         ch.push_record(rec, i as u64);
     }
@@ -584,27 +557,11 @@ fn fill_channel(records: &[EventRecord], batched: bool) -> ModeledFrameChannel {
     ch
 }
 
-/// Pushes the stream and consumes it per-record (`pop_record` +
-/// `deliver`); returns the lifeguard cycles charged.
-#[must_use]
-pub fn consume_per_record(records: &[EventRecord]) -> u64 {
-    let mut ch = fill_channel(records, false);
-    let engine = DispatchEngine::default();
-    let mut mem = MemSystem::new(MemSystemConfig::dual_core());
-    let mut lg = AddrCheck::new();
-    let mut findings = Vec::new();
-    let mut cycles = 0;
-    while let Some(popped) = ch.pop_record() {
-        cycles += engine.deliver(&mut lg, &popped.record, &mut mem, 1, &mut findings);
-    }
-    cycles
-}
-
 /// Pushes the stream and consumes it frame-at-a-time (`pop_frame` +
 /// `deliver_batch`); returns the lifeguard cycles charged.
 #[must_use]
-pub fn consume_batched(records: &[EventRecord]) -> u64 {
-    let mut ch = fill_channel(records, true);
+pub fn consume_frames(records: &[EventRecord]) -> u64 {
+    let mut ch = fill_channel(records);
     let engine = DispatchEngine::default();
     let mut mem = MemSystem::new(MemSystemConfig::dual_core());
     let mut lg = AddrCheck::new();
@@ -616,66 +573,32 @@ pub fn consume_batched(records: &[EventRecord]) -> u64 {
     cycles
 }
 
-/// The isolated consumption-path cells: identical pre-captured stream and
-/// channel fill, only the consumption granularity differs — the purest
-/// contrast between the batched path and the pre-change per-record path.
+/// The isolated consumption-path cell: a pre-captured stream through the
+/// channel fill and the frame-granular consume loop, with no machine
+/// stepping or capture in the timing.
 #[must_use]
 pub fn measure_consume(samples: usize) -> Vec<PipelineRow> {
     let stream = capture_stream();
-    assert_eq!(
-        consume_per_record(&stream),
-        consume_batched(&stream),
-        "consumption paths must charge identical cycles"
-    );
     let n = stream.len() as u64;
-    let wire_bits = fill_channel(&stream, true).stats().wire_bits;
-    let mut rows = Vec::new();
-    for batched in [true, false] {
-        let (_, _, wall) = best_of(samples, || {
-            if batched {
-                (consume_batched(&stream), 0)
-            } else {
-                (consume_per_record(&stream), 0)
-            }
-        });
-        rows.push(PipelineRow {
-            mode: "consume",
-            lifeguard: "addrcheck",
-            benchmark: "gzip",
-            batched,
-            shards: 1,
-            window: 0,
-            records: n,
-            wire_bits,
-            wall_seconds: wall,
-            events_per_sec: n as f64 / wall,
-            modeled_cycles: 0,
-            sampled_out_fraction: 0.0,
-        });
-    }
-    rows
-}
-
-/// The headline ratio: batched over per-record events/sec for one
-/// mode+lifeguard pair (unfiltered rows only), if both are present.
-#[must_use]
-pub fn speedup(rows: &[PipelineRow], mode: &str, lifeguard: &str) -> Option<f64> {
-    let find = |batched: bool| {
-        rows.iter().find(|r| {
-            r.mode == mode
-                && r.lifeguard == lifeguard
-                && r.batched == batched
-                && r.window == 0
-                && r.records > 0
-        })
-    };
-    let batched = find(true)?;
-    let baseline = find(false)?;
-    Some(batched.events_per_sec / baseline.events_per_sec)
+    let wire_bits = fill_channel(&stream).stats().wire_bits;
+    let (_, _, wall) = best_of(samples, || (consume_frames(&stream), 0));
+    vec![PipelineRow {
+        mode: "consume",
+        lifeguard: "addrcheck",
+        benchmark: "gzip",
+        shards: 1,
+        window: 0,
+        records: n,
+        wire_bits,
+        wall_seconds: wall,
+        events_per_sec: n as f64 / wall,
+        modeled_cycles: 0,
+        sampled_out_fraction: 0.0,
+    }]
 }
 
 /// The filtered ratio: a windowed row's events/sec over the unfiltered
-/// (window 0, batched) row of the same mode and lifeguard. The fraction
+/// (window 0) row of the same mode and lifeguard. The fraction
 /// of the log the window removed is deterministic; this rate ratio is
 /// the wall-clock echo of it.
 #[must_use]
@@ -684,7 +607,6 @@ pub fn dedup_speedup(rows: &[PipelineRow], mode: &str, lifeguard: &str) -> Optio
         rows.iter().find(|r| {
             r.mode == mode
                 && r.lifeguard == lifeguard
-                && r.batched
                 && (r.window == 0) == window0
                 && r.records > 0
         })
@@ -702,11 +624,7 @@ pub fn dedup_speedup(rows: &[PipelineRow], mode: &str, lifeguard: &str) -> Optio
 #[must_use]
 pub fn epoch_speedup(rows: &[PipelineRow], workers: usize) -> Option<f64> {
     let sequential = rows.iter().find(|r| {
-        r.mode == "lba"
-            && r.lifeguard == "taintcheck"
-            && r.batched
-            && r.window == 0
-            && r.modeled_cycles > 0
+        r.mode == "lba" && r.lifeguard == "taintcheck" && r.window == 0 && r.modeled_cycles > 0
     })?;
     let parallel = rows
         .iter()
@@ -753,7 +671,6 @@ pub fn render_pipeline(rows: &[PipelineRow]) -> String {
         "mode",
         "lifeguard",
         "benchmark",
-        "path",
         "shards",
         "window",
         "records",
@@ -773,16 +690,9 @@ pub fn render_pipeline(rows: &[PipelineRow]) -> String {
         } else if row.mode == "taint-parallel" {
             epoch_speedup(rows, row.shards)
                 .map_or(String::new(), |s| format!("{s:.2}x vs sequential"))
-        } else if row.mode == "live-taint-parallel" {
-            String::new()
         } else if let Some(base) = row.mode.strip_suffix("-degraded") {
             degraded_speedup(rows, base, row.lifeguard)
                 .map_or(String::new(), |s| format!("{s:.2}x vs uncontrolled"))
-        } else if row.mode.ends_with("-faulted") {
-            String::new()
-        } else if row.batched {
-            speedup(rows, row.mode, row.lifeguard)
-                .map_or(String::new(), |s| format!("{s:.2}x vs per-record"))
         } else {
             String::new()
         };
@@ -790,11 +700,6 @@ pub fn render_pipeline(rows: &[PipelineRow]) -> String {
             row.mode.to_string(),
             row.lifeguard.to_string(),
             row.benchmark.to_string(),
-            if row.batched {
-                "frame-batched".to_string()
-            } else {
-                "per-record".to_string()
-            },
             row.shards.to_string(),
             row.window.to_string(),
             row.records.to_string(),
@@ -815,8 +720,8 @@ pub fn pipeline_json(rows: &[PipelineRow]) -> String {
     for (i, row) in rows.iter().enumerate() {
         let sep = if i + 1 == rows.len() { "" } else { "," };
         out.push_str(&format!(
-            "    {{\"mode\": \"{}\", \"lifeguard\": \"{}\", \"benchmark\": \"{}\", \"batched\": {}, \"shards\": {}, \"window\": {}, \"records\": {}, \"wire_bits\": {}, \"modeled_cycles\": {}, \"sampled_out_fraction\": {:.6}, \"wall_seconds\": {:.6}, \"events_per_sec\": {:.0}}}{sep}\n",
-            row.mode, row.lifeguard, row.benchmark, row.batched, row.shards, row.window, row.records, row.wire_bits, row.modeled_cycles, row.sampled_out_fraction, row.wall_seconds, row.events_per_sec,
+            "    {{\"mode\": \"{}\", \"lifeguard\": \"{}\", \"benchmark\": \"{}\", \"shards\": {}, \"window\": {}, \"records\": {}, \"wire_bits\": {}, \"modeled_cycles\": {}, \"sampled_out_fraction\": {:.6}, \"wall_seconds\": {:.6}, \"events_per_sec\": {:.0}}}{sep}\n",
+            row.mode, row.lifeguard, row.benchmark, row.shards, row.window, row.records, row.wire_bits, row.modeled_cycles, row.sampled_out_fraction, row.wall_seconds, row.events_per_sec,
         ));
     }
     out.push_str("  ]\n}\n");
@@ -860,14 +765,7 @@ pub fn trajectory_keys(json: &str) -> Result<std::collections::BTreeSet<String>,
     let mut keys = std::collections::BTreeSet::new();
     for line in json.lines().filter(|l| l.contains("\"mode\"")) {
         let mut key = String::new();
-        for field in [
-            "mode",
-            "lifeguard",
-            "benchmark",
-            "batched",
-            "shards",
-            "window",
-        ] {
+        for field in ["mode", "lifeguard", "benchmark", "shards", "window"] {
             let value =
                 row_field(line, field).ok_or_else(|| format!("row missing {field}: {line}"))?;
             key.push_str(value);
@@ -955,7 +853,7 @@ pub fn validate_trajectory(json: &str) -> Result<(), String> {
             for shards in SHARD_COUNTS {
                 let row = format!(
                     "\"mode\": \"live-parallel\", \"lifeguard\": \"{}\", \
-                     \"benchmark\": \"gzip\", \"batched\": true, \"shards\": {shards}",
+                     \"benchmark\": \"gzip\", \"shards\": {shards}",
                     monitor.name
                 );
                 if !json.contains(&row) {
@@ -986,7 +884,7 @@ pub fn validate_trajectory(json: &str) -> Result<(), String> {
             for workers in SHARD_COUNTS {
                 let tag = format!(
                     "\"mode\": \"remote\", \"lifeguard\": \"{}\", \
-                     \"benchmark\": \"gzip\", \"batched\": true, \"shards\": {workers}",
+                     \"benchmark\": \"gzip\", \"shards\": {workers}",
                     monitor.name
                 );
                 let Some(remote_row) = json.lines().find(|l| l.contains(&tag)) else {
@@ -997,7 +895,7 @@ pub fn validate_trajectory(json: &str) -> Result<(), String> {
                 };
                 let lp_tag = format!(
                     "\"mode\": \"live-parallel\", \"lifeguard\": \"{}\", \
-                     \"benchmark\": \"gzip\", \"batched\": true, \"shards\": {workers}",
+                     \"benchmark\": \"gzip\", \"shards\": {workers}",
                     monitor.name
                 );
                 let lp_row = json.lines().find(|l| l.contains(&lp_tag)).ok_or_else(|| {
@@ -1031,7 +929,7 @@ pub fn validate_trajectory(json: &str) -> Result<(), String> {
         for workers in EPOCH_WORKER_COUNTS {
             let row = format!(
                 "\"mode\": \"{mode}\", \"lifeguard\": \"taintcheck\", \
-                 \"benchmark\": \"gzip\", \"batched\": true, \"shards\": {workers}"
+                 \"benchmark\": \"gzip\", \"shards\": {workers}"
             );
             if !json.contains(&row) {
                 return Err(format!("missing {mode} at {workers} workers"));
@@ -1046,7 +944,7 @@ pub fn validate_trajectory(json: &str) -> Result<(), String> {
         .find(|l| {
             l.contains(
                 "\"mode\": \"lba\", \"lifeguard\": \"taintcheck\", \"benchmark\": \"gzip\", \
-                 \"batched\": true, \"shards\": 1, \"window\": 0,",
+                 \"shards\": 1, \"window\": 0,",
             )
         })
         .ok_or("missing sequential lba/taintcheck row")?;
@@ -1077,7 +975,7 @@ pub fn validate_trajectory(json: &str) -> Result<(), String> {
     let find_row = |mode: &str, lifeguard: &str, window: usize| -> Result<&str, String> {
         let tag = format!(
             "\"mode\": \"{mode}\", \"lifeguard\": \"{lifeguard}\", \"benchmark\": \"gzip\", \
-             \"batched\": true, \"shards\": 1, \"window\": {window},"
+             \"shards\": 1, \"window\": {window},"
         );
         json.lines()
             .find(|l| l.contains(&tag))
@@ -1222,12 +1120,11 @@ pub fn validate_trajectory(json: &str) -> Result<(), String> {
 mod tests {
     use super::*;
 
-    fn row(mode: &'static str, batched: bool, shards: usize, events_per_sec: f64) -> PipelineRow {
+    fn row(mode: &'static str, shards: usize, events_per_sec: f64) -> PipelineRow {
         PipelineRow {
             mode,
             lifeguard: "addrcheck",
             benchmark: "gzip",
-            batched,
             shards,
             window: 0,
             records: 10,
@@ -1241,7 +1138,7 @@ mod tests {
 
     #[test]
     fn json_document_is_well_formed_enough() {
-        let rows = vec![row("lba", true, 1, 20.0), row("lba", false, 1, 10.0)];
+        let rows = vec![row("lba", 1, 20.0), row("live", 1, 10.0)];
         let json = pipeline_json(&rows);
         assert!(json.starts_with('{') && json.trim_end().ends_with('}'));
         assert_eq!(json.matches("\"mode\"").count(), 2, "one per row");
@@ -1251,18 +1148,19 @@ mod tests {
             "every row carries its shard count"
         );
         assert!(!json.contains(",\n  ]"), "no trailing comma");
-        assert_eq!(speedup(&rows, "lba", "addrcheck"), Some(2.0));
         let table = render_pipeline(&rows);
-        assert!(table.contains("frame-batched"));
-        assert!(table.contains("2.00x vs per-record"));
+        assert!(
+            table.contains("lba") && table.contains("live"),
+            "got:\n{table}"
+        );
     }
 
     #[test]
     fn shard_speedup_compares_against_one_shard() {
         let rows = vec![
-            row("live-parallel", true, 1, 10.0),
-            row("live-parallel", true, 2, 15.0),
-            row("live-parallel", true, 4, 30.0),
+            row("live-parallel", 1, 10.0),
+            row("live-parallel", 2, 15.0),
+            row("live-parallel", 4, 30.0),
         ];
         assert_eq!(shard_speedup(&rows, "addrcheck", 4), Some(3.0));
         assert_eq!(shard_speedup(&rows, "lockset", 4), None);
@@ -1272,10 +1170,7 @@ mod tests {
 
     #[test]
     fn socket_overhead_compares_against_the_in_process_twin() {
-        let rows = vec![
-            row("live-parallel", true, 2, 20.0),
-            row("remote", true, 2, 15.0),
-        ];
+        let rows = vec![row("live-parallel", 2, 20.0), row("remote", 2, 15.0)];
         assert_eq!(socket_overhead(&rows, "addrcheck", 2), Some(0.75));
         assert_eq!(
             socket_overhead(&rows, "addrcheck", 4),
@@ -1288,27 +1183,25 @@ mod tests {
 
     #[test]
     fn dedup_speedup_compares_against_the_unfiltered_cell() {
-        let mut filtered = row("lba", true, 1, 30.0);
+        let mut filtered = row("lba", 1, 30.0);
         filtered.window = IDEMPOTENT_WINDOW;
         filtered.records = 4;
-        let rows = vec![row("lba", true, 1, 10.0), filtered];
+        let rows = vec![row("lba", 1, 10.0), filtered];
         assert_eq!(dedup_speedup(&rows, "lba", "addrcheck"), Some(3.0));
         assert_eq!(dedup_speedup(&rows, "live", "addrcheck"), None);
         let table = render_pipeline(&rows);
         assert!(table.contains("3.00x vs unfiltered"));
-        // The batched-vs-per-record speedup must ignore windowed rows.
-        assert_eq!(speedup(&rows, "lba", "addrcheck"), None);
     }
 
     #[test]
     fn epoch_speedup_compares_modeled_cycles_against_sequential() {
-        let mut sequential = row("lba", true, 1, 10.0);
+        let mut sequential = row("lba", 1, 10.0);
         sequential.lifeguard = "taintcheck";
         sequential.modeled_cycles = 3000;
-        let mut two = row("taint-parallel", true, 2, 10.0);
+        let mut two = row("taint-parallel", 2, 10.0);
         two.lifeguard = "taintcheck";
         two.modeled_cycles = 2000;
-        let mut four = row("taint-parallel", true, 4, 10.0);
+        let mut four = row("taint-parallel", 4, 10.0);
         four.lifeguard = "taintcheck";
         four.modeled_cycles = 1500;
         let rows = vec![sequential, two, four];
@@ -1335,9 +1228,9 @@ mod tests {
 
     #[test]
     fn trajectory_keys_identify_rows() {
-        let mut filtered = row("lba", true, 1, 30.0);
+        let mut filtered = row("lba", 1, 30.0);
         filtered.window = IDEMPOTENT_WINDOW;
-        let rows = vec![row("lba", true, 1, 10.0), filtered];
+        let rows = vec![row("lba", 1, 10.0), filtered];
         let keys = trajectory_keys(&pipeline_json(&rows)).expect("well-formed");
         assert_eq!(keys.len(), 2, "window distinguishes the rows");
         // Same schema, different numbers: keys are equal.
@@ -1357,7 +1250,7 @@ mod tests {
     #[test]
     fn validate_trajectory_rejects_malformed_documents() {
         assert!(validate_trajectory("{}").is_err(), "no headers");
-        let rows = vec![row("lba", true, 1, 10.0)];
+        let rows = vec![row("lba", 1, 10.0)];
         let err = validate_trajectory(&pipeline_json(&rows)).unwrap_err();
         assert!(err.contains("missing series"), "got: {err}");
     }

@@ -166,6 +166,15 @@ pub enum FrameDecodeError {
         /// The offending length.
         len: usize,
     },
+    /// The header claims more records than its payload can hold: every
+    /// compressed record costs at least one bit, every raw record
+    /// [`RAW_RECORD_BYTES`]. Rejected before anything is allocated.
+    TooManyRecords {
+        /// Records the header claims.
+        records: u32,
+        /// The most records the payload can hold.
+        max: usize,
+    },
     /// The compressed payload failed to decode.
     Codec(DecodeStreamError),
     /// A raw-mode record failed to decode.
@@ -184,6 +193,10 @@ impl fmt::Display for FrameDecodeError {
                     "frame length {len} is not a multiple of {FRAME_LINE_BYTES}"
                 )
             }
+            FrameDecodeError::TooManyRecords { records, max } => write!(
+                f,
+                "frame header claims {records} records, but its payload holds at most {max}"
+            ),
             FrameDecodeError::Codec(e) => write!(f, "frame payload: {e}"),
             FrameDecodeError::RawRecord(e) => write!(f, "raw frame payload: {e}"),
         }
@@ -440,7 +453,9 @@ impl FrameDecoder {
     /// # Errors
     ///
     /// Returns [`FrameDecodeError`] on a truncated, misaligned, or corrupt
-    /// frame.
+    /// frame, and on a header claiming more records than the payload can
+    /// hold (the count is untrusted input: it bounds the reservation only
+    /// after this check).
     pub fn decode_frame(
         &mut self,
         bytes: &[u8],
@@ -465,6 +480,14 @@ impl FrameDecoder {
             });
         }
         let payload = &bytes[FRAME_HEADER_BYTES..need];
+        let max = if self.config.compress {
+            payload_len * 8
+        } else {
+            payload_len / RAW_RECORD_BYTES
+        };
+        if records as usize > max {
+            return Err(FrameDecodeError::TooManyRecords { records, max });
+        }
 
         if self.config.compress {
             let mut reader = BitReader::new(payload);
@@ -741,15 +764,50 @@ mod tests {
             size: 7,
         });
         let mut frame = enc.flush().expect("frame");
-        // Claim far more records than the payload holds: the bit stream
-        // runs dry mid-record.
-        frame.bytes[0..4].copy_from_slice(&1000u32.to_le_bytes());
+        // Claim one record per payload bit — the most the decoder accepts:
+        // the real record takes several bits, so the stream runs dry.
+        let payload_len = u32::from_le_bytes(frame.bytes[4..8].try_into().unwrap());
+        frame.bytes[0..4].copy_from_slice(&(payload_len * 8).to_le_bytes());
         let mut dec = FrameDecoder::new(config);
         let mut out = Vec::new();
         assert!(matches!(
             dec.decode_frame(&frame.bytes, &mut out),
             Err(FrameDecodeError::Codec(DecodeStreamError::UnexpectedEof))
         ));
+    }
+
+    #[test]
+    fn hostile_record_count_is_rejected_before_allocating() {
+        // Regression: a 64-byte frame claiming 2^30 - 1 records used to
+        // reserve 34 GB for them and abort the process.
+        let mut bytes = vec![0u8; FRAME_LINE_BYTES];
+        bytes[0..4].copy_from_slice(&((1u32 << 30) - 1).to_le_bytes());
+        bytes[4..8].copy_from_slice(&56u32.to_le_bytes());
+        let mut out = Vec::new();
+        let err = FrameDecoder::new(FrameConfig::default())
+            .decode_frame(&bytes, &mut out)
+            .unwrap_err();
+        assert_eq!(
+            err,
+            FrameDecodeError::TooManyRecords {
+                records: (1 << 30) - 1,
+                max: 56 * 8
+            }
+        );
+        assert!(err.to_string().contains("holds at most 448"), "got: {err}");
+        // Raw mode caps at whole raw records: 56 bytes hold two.
+        let raw = FrameConfig {
+            records_per_frame: 4,
+            compress: false,
+        };
+        let err = FrameDecoder::new(raw)
+            .decode_frame(&bytes, &mut out)
+            .unwrap_err();
+        assert!(matches!(
+            err,
+            FrameDecodeError::TooManyRecords { max: 2, .. }
+        ));
+        assert!(out.is_empty());
     }
 
     #[test]

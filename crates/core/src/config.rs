@@ -90,13 +90,6 @@ pub struct LogConfig {
     /// `false` the application waits for the lifeguard after *every*
     /// record (the lock-step ablation).
     pub decoupled: bool,
-    /// Whether the lifeguard consumes the log frame-at-a-time
-    /// ([`LogChannel::pop_frame`](lba_transport::LogChannel::pop_frame) +
-    /// `DispatchEngine::deliver_batch`) instead of record-at-a-time. Both
-    /// paths produce identical findings, wire bits and modeled cycle
-    /// totals; the per-record path is kept as the throughput-benchmark
-    /// baseline (`false`).
-    pub batch_dispatch: bool,
     /// Optional capture-side address-range filter (§3 future work).
     pub filter: Option<AddrRangeFilter>,
     /// Entries in the capture-side idempotency window that suppresses
@@ -117,7 +110,9 @@ pub struct LogConfig {
     /// boundary, where the log is flushed anyway — and additionally after
     /// this many records, so long syscall-free stretches still
     /// parallelise. Smaller epochs expose more parallelism but pay more
-    /// per-epoch summary/stitch overhead. Ignored by every other mode.
+    /// per-epoch summary/stitch overhead. Must be non-zero (the
+    /// [`Run`](crate::Run) builder rejects zero); ignored by every other
+    /// mode.
     pub epoch_records: usize,
     /// Validate compressor/decompressor round-trip at end of run
     /// (test/debug aid; costs memory proportional to the trace).
@@ -275,7 +270,6 @@ impl Default for LogConfig {
             line_transfer_cycles: 4,
             syscall_stall: true,
             decoupled: true,
-            batch_dispatch: true,
             filter: None,
             idempotency_window: 0,
             epoch_records: 1024,
@@ -337,10 +331,6 @@ mod tests {
         assert_eq!(c.log.records_per_frame, 256);
         assert!(c.log.syscall_stall);
         assert!(c.log.decoupled);
-        assert!(
-            c.log.batch_dispatch,
-            "frame-granular dispatch is the default"
-        );
         assert_eq!(c.log.idempotency_window, 0, "capture-side dedup is opt-in");
         assert_eq!(c.log.epoch_records, 1024);
         assert!(c.log.record_to.is_none(), "flight recording is opt-in");

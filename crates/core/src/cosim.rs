@@ -7,7 +7,7 @@ use lba_cpu::{Machine, RunError, StepOutcome};
 use lba_isa::Program;
 use lba_lifeguard::{DegradationRequest, DispatchEngine, Finding, Lifeguard};
 use lba_record::EventRecord;
-use lba_transport::{modeled_channel, FaultInjector, LoadSample, LogChannel, PushOutcome};
+use lba_transport::{FaultInjector, LoadSample, LogChannel, ModeledFrameChannel, PushOutcome};
 
 use crate::config::SystemConfig;
 use crate::pipeline::{Producer, ProducerLink};
@@ -35,8 +35,6 @@ struct Cosim<'a, C: LogChannel> {
     /// Lifeguard-core clock (cycles).
     t_lg: u64,
     line_transfer_cycles: u64,
-    /// Frame-granular consumption (default) versus the per-record baseline.
-    batch: bool,
     stalls: StallBreakdown,
     /// The latest analysis-side degradation request polled off the
     /// lifeguard after a delivery, awaiting pickup by the producer.
@@ -54,35 +52,13 @@ impl<C: LogChannel> Cosim<'_, C> {
         cycles
     }
 
-    /// Consumes one channel record on the lifeguard core, advancing its
-    /// clock. Returns `false` when the channel is empty.
-    fn consume_one(&mut self) -> bool {
-        let Some(popped) = self.channel.pop_record() else {
-            return false;
-        };
-        // The lifeguard cannot read a record before its frame shipped.
-        self.t_lg = self.t_lg.max(popped.ready_at);
-        self.t_lg += self.engine.deliver(
-            self.lifeguard,
-            &popped.record,
-            &mut self.mem,
-            LG_CORE,
-            &mut self.findings,
-        );
-        if let Some(req) = self.engine.poll_degradation(self.lifeguard) {
-            self.pending_request = Some(req);
-        }
-        true
-    }
-
     /// Consumes one whole frame on the lifeguard core, advancing its clock.
     /// Returns `false` when the channel is empty.
     ///
-    /// Cycle-equivalent to popping the frame's records one at a time: every
-    /// record of a frame shares its `ready_at` (so the clock catch-up
-    /// happens once), handler costs are additive, and the frame's buffer
-    /// lines free at the same point — after its last record is consumed.
-    fn consume_frame(&mut self) -> bool {
+    /// Every record of a frame shares its `ready_at` (the frame ships as a
+    /// unit), so the clock catches up once per frame; handler costs are
+    /// additive, and the frame's buffer lines free when it is popped.
+    fn consume(&mut self) -> bool {
         let Some(frame) = self.channel.pop_frame() else {
             return false;
         };
@@ -100,17 +76,7 @@ impl<C: LogChannel> Cosim<'_, C> {
         true
     }
 
-    /// Consumes the next unit of log — a frame or a record, per the
-    /// configured granularity.
-    fn consume(&mut self) -> bool {
-        if self.batch {
-            self.consume_frame()
-        } else {
-            self.consume_one()
-        }
-    }
-
-    /// Resolves producer back-pressure: the lifeguard drains records until
+    /// Resolves producer back-pressure: the lifeguard drains frames until
     /// the parked frame is admitted, and the application clock absorbs the
     /// wait.
     fn resolve_back_pressure(&mut self) {
@@ -237,12 +203,10 @@ impl<C: LogChannel> ProducerLink for Cosim<'_, C> {
 /// [`ModeledFrameChannel`](lba_transport::ModeledFrameChannel), which runs the real frame codec so the timing
 /// model ships the same wire bytes as the live mode.
 ///
-/// Consumption is frame-granular by default: the lifeguard takes each
-/// frame as one slice ([`LogChannel::pop_frame`]) and the dispatch engine
-/// delivers it as a batch, amortising per-record bookkeeping without
-/// changing findings, wire bits or cycle totals (pinned by the
-/// `tests/batching.rs` proptest). `config.log.batch_dispatch = false`
-/// selects the per-record baseline path.
+/// Consumption is frame-granular: the lifeguard takes each frame as one
+/// slice ([`LogChannel::pop_frame`]) and the dispatch engine delivers it as
+/// a batch, charging exactly what per-record delivery would (pinned by the
+/// `tests/batching.rs` proptest against `DispatchEngine::deliver`).
 ///
 /// Capture runs one filter pass per retired record
 /// ([`LogConfig::capture_filter`](crate::LogConfig::capture_filter)): the
@@ -252,10 +216,6 @@ impl<C: LogChannel> ProducerLink for Cosim<'_, C> {
 /// verdict — before they cost compression, wire, or dispatch. Findings
 /// are proptest-pinned identical to unfiltered runs
 /// (`tests/idempotency.rs`).
-///
-/// New code should prefer the unified [`Run`](crate::Run) builder
-/// (`RunMode::Lba`), which validates mode/monitor pairings against the
-/// registry; this free function remains the mode's direct entry point.
 ///
 /// # Errors
 ///
@@ -286,15 +246,11 @@ pub fn run_lba(
     // the adaptive controller when configured, and syscall containment.
     let mut producer = Producer::single(lifeguard, config);
 
-    // Batched consumption pairs with the zero-copy channel (the hardware
-    // decompressor's work is modeled, not re-run in host software); the
-    // per-record baseline keeps the software-decoding channel. Both ship
-    // identical wire bytes; `verify_compression` decodes and cross-checks
-    // either way.
-    let mut channel = modeled_channel(
+    // The hardware decompressor's work is modeled, not re-run in host
+    // software; `verify_compression` decodes and cross-checks every frame.
+    let mut channel = ModeledFrameChannel::new(
         config.log.buffer_bytes,
         config.log.frame_config(),
-        config.log.batch_dispatch,
         config.log.verify_compression,
     );
     // Flight recorder: mirror every sealed frame into stream 0 of the
@@ -315,7 +271,6 @@ pub fn run_lba(
         t_app: 0,
         t_lg: 0,
         line_transfer_cycles: config.log.line_transfer_cycles,
-        batch: config.log.batch_dispatch,
         stalls: StallBreakdown::default(),
         pending_request: None,
     };

@@ -48,9 +48,8 @@ use lba_cache::{MemSystem, MemSystemConfig};
 use lba_cpu::{Machine, RunError, StepOutcome};
 use lba_isa::Program;
 use lba_lifeguard::{DispatchEngine, EpochLifeguard, EpochSummarizer, Finding, HandlerCtx};
-use lba_lifeguards::TaintCheck;
 use lba_record::{EventRecord, TraceStats};
-use lba_transport::live::{shard_frame_channels, FrameReceiver};
+use lba_transport::live::shard_frame_channels;
 use lba_transport::{ChannelStats, LogChannel, ModeledFrameChannel};
 
 use crate::config::SystemConfig;
@@ -127,21 +126,6 @@ pub struct LiveEpochParallelReport {
 }
 
 crate::report::deref_pipeline!(LiveEpochParallelReport);
-
-impl LiveEpochParallelReport {
-    /// Records carried across all workers — exactly the shipped stream,
-    /// since epochs partition it.
-    #[must_use]
-    pub fn total_records(&self) -> u64 {
-        self.worker_log.iter().map(|s| s.records).sum()
-    }
-
-    /// Wire bits shipped across all workers.
-    #[must_use]
-    pub fn total_wire_bits(&self) -> u64 {
-        self.worker_log.iter().map(|s| s.wire_bits).sum()
-    }
-}
 
 /// One modeled worker: its channel, summarizer, clock, and the summaries
 /// it has sealed (with their completion times), oldest first.
@@ -252,10 +236,6 @@ impl<E: EpochLifeguard> ProducerLink for EpochModelLink<'_, E> {
 /// Epoch boundaries come from [`LogConfig::epoch_records`](crate::LogConfig)
 /// and syscalls; see [`EpochRouted`].
 ///
-/// New code driving [`TaintCheck`] should prefer the unified
-/// [`Run`](crate::Run) builder (`RunMode::EpochParallel`); this generic
-/// function remains the entry point for custom [`EpochLifeguard`]s.
-///
 /// # Errors
 ///
 /// Propagates any [`RunError`] from the machine.
@@ -274,11 +254,7 @@ pub fn run_epoch_parallel<E: EpochLifeguard>(
     let mut machine = Machine::new(program, config.machine);
     let mut pool: Vec<ModeledWorker<E::Summarizer>> = (0..workers)
         .map(|_| ModeledWorker {
-            channel: if config.log.batch_dispatch {
-                ModeledFrameChannel::zero_copy(EPOCH_BUFFER_BYTES, config.log.frame_config(), false)
-            } else {
-                ModeledFrameChannel::new(EPOCH_BUFFER_BYTES, config.log.frame_config(), false)
-            },
+            channel: ModeledFrameChannel::new(EPOCH_BUFFER_BYTES, config.log.frame_config(), false),
             summarizer: master.summarizer(),
             clock: 0,
             open: false,
@@ -405,11 +381,6 @@ impl ProducerLink for LiveEpochLink {
 /// Functional, not timed (like the other live modes); findings and final
 /// master state are byte-identical to the sequential run.
 ///
-/// New code driving [`TaintCheck`] should prefer the unified
-/// [`Run`](crate::Run) builder (`RunMode::LiveEpochParallel`); this
-/// generic function remains the entry point for custom
-/// [`EpochLifeguard`]s.
-///
 /// # Errors
 ///
 /// Propagates any [`RunError`] from the machine thread.
@@ -460,20 +431,20 @@ where
                     // the summarizer counts them, yet the router counts
                     // every record toward the epoch).
                     let mut open = false;
-                    epoch_consume(&mut rx, |records, epoch_end| {
-                        open = open || !records.is_empty();
+                    while let Some(frame) = rx.recv_batch() {
+                        open = open || !frame.records.is_empty();
                         engine.deliver_batch(
                             &mut summarizer,
-                            records,
+                            frame.records,
                             &mut mem,
                             1,
                             &mut no_findings,
                         );
-                        if epoch_end {
+                        if frame.epoch_end {
                             let _ = sum_tx.send(summarizer.finish_epoch());
                             open = false;
                         }
-                    });
+                    }
                     // The stream tail ships unmarked: finalise the open
                     // epoch once the channel closes.
                     if open || summarizer.is_open() {
@@ -557,14 +528,6 @@ where
     })
 }
 
-/// Drives one live worker's receive loop: whole frames with their
-/// epoch-end marks, until the channel closes.
-fn epoch_consume(rx: &mut FrameReceiver, mut consume: impl FnMut(&[EventRecord], bool)) {
-    while let Some((records, epoch_end)) = rx.recv_batch_epoch() {
-        consume(records, epoch_end);
-    }
-}
-
 /// Replays a recorded epoch-parallel stream set (one stream per worker,
 /// left behind by [`run_epoch_parallel`] or [`run_live_epoch_parallel`]
 /// with [`LogConfig::record_to`](crate::LogConfig) set) through a fresh
@@ -578,10 +541,6 @@ fn epoch_consume(rx: &mut FrameReceiver, mut consume: impl FnMut(&[EventRecord],
 ///
 /// Findings and final `master` state are byte-identical to the recording
 /// run's (and therefore to the sequential run's).
-///
-/// New code driving [`TaintCheck`] should prefer the unified
-/// [`Run`](crate::Run) builder (`RunMode::ReplayEpoch`); this generic
-/// function remains the entry point for custom [`EpochLifeguard`]s.
 ///
 /// # Errors
 ///
@@ -691,49 +650,21 @@ pub fn run_replay_epoch<E: EpochLifeguard>(
     })
 }
 
-/// [`run_epoch_parallel`] instantiated for [`TaintCheck`] — the DIFT
-/// lifeguard the epoch technique was built for. Returns the report; use
-/// the generic runner with your own `TaintCheck` master to inspect final
-/// taint state.
-///
-/// # Errors
-///
-/// Propagates any [`RunError`] from the machine.
-pub fn run_taint_parallel(
-    program: &Program,
-    workers: usize,
-    config: &SystemConfig,
-) -> Result<EpochParallelReport, RunError> {
-    // Equivalent to `Run::new(program).mode(RunMode::EpochParallel)
-    //     .monitor(LifeguardKind::TaintCheck)`, which new code should
-    // prefer; kept as the registry hooks' direct entry point.
-    let mut master = TaintCheck::new();
-    run_epoch_parallel(program, &mut master, workers, config)
-}
-
-/// [`run_live_epoch_parallel`] instantiated for [`TaintCheck`].
-///
-/// # Errors
-///
-/// Propagates any [`RunError`] from the machine thread.
-pub fn run_live_taint_parallel(
-    program: &Program,
-    workers: usize,
-    config: &SystemConfig,
-) -> Result<LiveEpochParallelReport, RunError> {
-    // Equivalent to `Run::new(program).mode(RunMode::LiveEpochParallel)
-    //     .monitor(LifeguardKind::TaintCheck)`, which new code should
-    // prefer; kept as the registry hooks' direct entry point.
-    let mut master = TaintCheck::new();
-    run_live_epoch_parallel(program, &mut master, workers, config)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cosim::run_lba;
     use lba_lifeguard::FindingKind;
+    use lba_lifeguards::TaintCheck;
     use lba_workloads::{bugs, Benchmark};
+
+    fn run_taint(
+        program: &Program,
+        workers: usize,
+        config: &SystemConfig,
+    ) -> Result<EpochParallelReport, RunError> {
+        run_epoch_parallel(program, &mut TaintCheck::new(), workers, config)
+    }
 
     #[test]
     fn epoch_parallel_taint_matches_sequential_on_the_exploit() {
@@ -762,7 +693,7 @@ mod tests {
         let config = SystemConfig::default();
         let mut seq = TaintCheck::new();
         let sequential = run_lba(&program, &mut seq, &config).unwrap();
-        let report = run_taint_parallel(&program, 4, &config).unwrap();
+        let report = run_taint(&program, 4, &config).unwrap();
         // Epochs partition the stream: no broadcast, no duplication.
         assert_eq!(report.log.records, sequential.log.records);
         assert!(report.epochs >= 2, "gzip must decompose into epochs");
@@ -774,8 +705,8 @@ mod tests {
         let program = Benchmark::Gzip.build();
         let mut config = SystemConfig::default();
         config.log.epoch_records = 256;
-        let one = run_taint_parallel(&program, 1, &config).unwrap();
-        let four = run_taint_parallel(&program, 4, &config).unwrap();
+        let one = run_taint(&program, 1, &config).unwrap();
+        let four = run_taint(&program, 4, &config).unwrap();
         assert_eq!(one.findings, four.findings);
         let speedup = one.total_cycles as f64 / four.total_cycles as f64;
         assert!(
@@ -799,13 +730,13 @@ mod tests {
             master.tainted_bytes_introduced(),
             seq.tainted_bytes_introduced()
         );
-        assert_eq!(report.total_records(), sequential.log.records);
+        assert_eq!(report.log.records, sequential.log.records);
     }
 
     #[test]
     #[should_panic(expected = "at least one epoch worker")]
     fn zero_workers_rejected() {
         let program = bugs::exploit();
-        let _ = run_taint_parallel(&program, 0, &SystemConfig::default());
+        let _ = run_taint(&program, 0, &SystemConfig::default());
     }
 }

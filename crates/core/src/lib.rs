@@ -71,22 +71,22 @@ pub use config::{LogConfig, RecordConfig, SystemConfig, MAX_LIVE_CHANNEL_FRAMES}
 pub use controller::{AdaptiveConfig, CaptureController, Transition, Verdict};
 pub use cosim::run_lba;
 pub use epoch_parallel::{
-    run_epoch_parallel, run_live_epoch_parallel, run_live_taint_parallel, run_replay_epoch,
-    run_taint_parallel, EpochParallelReport, LiveEpochParallelReport,
+    run_epoch_parallel, run_live_epoch_parallel, run_replay_epoch, EpochParallelReport,
+    LiveEpochParallelReport,
 };
 pub use error::LbaError;
 pub use kind::LifeguardKind;
 pub use live::run_live;
 pub use live_parallel::run_live_parallel;
 pub use pipeline::{
-    ConsumerTopology, EpochRouted, Execution, ModeOutcome, MonitorSpec, Producer, ProducerFinish,
-    ProducerLink, ReplaySource, Route, RunModeSpec, ShardedByLine, SingleConsumer, TopologyKind,
-    MONITORS, RUN_MODES,
+    ConsumerTopology, EpochRouted, Execution, MonitorSpec, Producer, ProducerFinish, ProducerLink,
+    ReplaySource, Route, RunModeSpec, ShardedByLine, SingleConsumer, TopologyKind, MONITORS,
+    RUN_MODES,
 };
 pub use remote::run_remote;
 pub use replay::{run_replay, run_replay_with, ReplayError, ReplayMode};
 pub use report::{
-    LiveParallelReport, LiveReport, LogStats, Mode, PipelineReport, RemoteReport, ReplayReport,
+    LiveParallelReport, LiveReport, LogStats, Mode, PipelineReport, ReplayReport,
     ReplayStreamStats, RunReport, SalvagedTail, StallBreakdown,
 };
 pub use run::{run_dbi, run_unmonitored};

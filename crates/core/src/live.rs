@@ -94,10 +94,6 @@ impl ProducerLink for LiveLink<'_> {
 /// syscall seals the open frame so the lifeguard can observe everything
 /// that precedes it.
 ///
-/// New code should prefer the unified [`Run`](crate::Run) builder
-/// (`RunMode::Live`); this free function remains the mode's direct entry
-/// point.
-///
 /// # Errors
 ///
 /// Propagates any [`RunError`] from the machine thread.
@@ -178,27 +174,16 @@ pub fn run_live(
             },
         );
 
-        // Consume on this thread: shadow-cost accounting still needs a
-        // MemSystem, but live mode is functional — timing is not reported.
-        // Frame-granular by default (one blocking receive and one dispatch
-        // setup per frame); the per-record path is the bench baseline.
+        // Consume on this thread, one blocking receive and one dispatch
+        // setup per frame: shadow-cost accounting still needs a MemSystem,
+        // but live mode is functional — timing is not reported.
         let mut mem = MemSystem::new(config.mem_dual());
         let mut findings = Vec::new();
-        if config.log.batch_dispatch {
-            while let Some(batch) = rx.recv_batch() {
-                engine.deliver_batch(lifeguard, batch, &mut mem, 1, &mut findings);
-                finding_count.store(findings.len() as u64, Ordering::Relaxed);
-                if let Some(req) = engine.poll_degradation(lifeguard) {
-                    dial.store(encode_dial(req), Ordering::Relaxed);
-                }
-            }
-        } else {
-            while let Some(record) = rx.recv_ref() {
-                engine.deliver(lifeguard, record, &mut mem, 1, &mut findings);
-                finding_count.store(findings.len() as u64, Ordering::Relaxed);
-                if let Some(req) = engine.poll_degradation(lifeguard) {
-                    dial.store(encode_dial(req), Ordering::Relaxed);
-                }
+        while let Some(frame) = rx.recv_batch() {
+            engine.deliver_batch(lifeguard, frame.records, &mut mem, 1, &mut findings);
+            finding_count.store(findings.len() as u64, Ordering::Relaxed);
+            if let Some(req) = engine.poll_degradation(lifeguard) {
+                dial.store(encode_dial(req), Ordering::Relaxed);
             }
         }
         engine.finish(lifeguard, &mut mem, 1, &mut findings);

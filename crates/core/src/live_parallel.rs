@@ -25,7 +25,7 @@
 //! Like the modeled mode, TaintCheck is unsupported: its register state is
 //! a sequential dependence chain through every instruction, so address
 //! interleaving is unsound for it — use the epoch-parallel mode
-//! ([`crate::run_live_taint_parallel`]) for taint on real threads.
+//! ([`crate::run_live_epoch_parallel`]) for taint on real threads.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::thread;
@@ -119,10 +119,6 @@ impl ProducerLink for LiveShardLink<'_> {
 /// identical pass, which keeps each shard's wire stream byte-identical
 /// between the two modes.
 ///
-/// New code should prefer the unified [`Run`](crate::Run) builder
-/// (`RunMode::LiveParallel`); this free function remains the mode's
-/// direct entry point.
-///
 /// # Errors
 ///
 /// Propagates any [`RunError`] from the machine thread.
@@ -178,34 +174,18 @@ pub fn run_live_parallel(
                     let mut mem = MemSystem::new(config.mem_dual());
                     let mut findings = Vec::new();
                     let mut published = 0usize;
-                    let publish = |findings: &Vec<Finding>, published: &mut usize| {
-                        if findings.len() > *published {
+                    while let Some(frame) = rx.recv_batch() {
+                        engine.deliver_batch(
+                            lifeguard.as_mut(),
+                            frame.records,
+                            &mut mem,
+                            LG_CORE,
+                            &mut findings,
+                        );
+                        if findings.len() > published {
                             finding_count
-                                .fetch_add((findings.len() - *published) as u64, Ordering::Relaxed);
-                            *published = findings.len();
-                        }
-                    };
-                    if config.log.batch_dispatch {
-                        while let Some(batch) = rx.recv_batch() {
-                            engine.deliver_batch(
-                                lifeguard.as_mut(),
-                                batch,
-                                &mut mem,
-                                LG_CORE,
-                                &mut findings,
-                            );
-                            publish(&findings, &mut published);
-                        }
-                    } else {
-                        while let Some(record) = rx.recv_ref() {
-                            engine.deliver(
-                                lifeguard.as_mut(),
-                                record,
-                                &mut mem,
-                                LG_CORE,
-                                &mut findings,
-                            );
-                            publish(&findings, &mut published);
+                                .fetch_add((findings.len() - published) as u64, Ordering::Relaxed);
+                            published = findings.len();
                         }
                     }
                     engine.finish(lifeguard.as_mut(), &mut mem, LG_CORE, &mut findings);
@@ -318,7 +298,7 @@ mod tests {
         assert_eq!(report.shard_log.len(), 3);
         // Broadcast records count once per shard, so together the shards
         // carry at least the retired event stream.
-        assert!(report.total_records() >= report.trace.instructions());
+        assert!(report.log.records >= report.trace.instructions());
         for stats in &report.shard_log {
             assert!(stats.frames > 0, "every shard must ship frames");
             assert!(stats.wire_bits >= stats.payload_bits);

@@ -25,7 +25,7 @@
 //! TaintCheck is deliberately not supported: its register state forms a
 //! sequential dependence chain through every instruction, so address
 //! interleaving is unsound for it. Its parallel mode is the epoch
-//! design instead — [`crate::run_taint_parallel`] cuts the stream into
+//! design instead — [`crate::run_epoch_parallel`] cuts the stream into
 //! *time* slices and stitches symbolic per-epoch summaries in order.
 
 use std::collections::HashSet;
@@ -100,10 +100,9 @@ pub(crate) fn merge_shard_findings(
     findings
 }
 
-/// Delivers every currently-available frame (or record, in the per-record
-/// baseline) of one shard's channel into its lifeguard.
+/// Delivers every currently-available frame of one shard's channel into
+/// its lifeguard.
 fn drain_shard(
-    batch: bool,
     channel: &mut dyn LogChannel,
     engine: &DispatchEngine,
     lifeguard: &mut dyn Lifeguard,
@@ -112,14 +111,8 @@ fn drain_shard(
     findings: &mut Vec<Finding>,
 ) -> u64 {
     let mut cycles = 0u64;
-    if batch {
-        while let Some(frame) = channel.pop_frame() {
-            cycles += engine.deliver_batch(lifeguard, frame.records, mem, core, findings);
-        }
-    } else {
-        while let Some(popped) = channel.pop_record() {
-            cycles += engine.deliver(lifeguard, &popped.record, mem, core, findings);
-        }
+    while let Some(frame) = channel.pop_frame() {
+        cycles += engine.deliver_batch(lifeguard, frame.records, mem, core, findings);
     }
     cycles
 }
@@ -131,7 +124,6 @@ fn drain_shard(
 /// their no-op dispatch cost and opportunistically drain sealed frames.
 struct ParallelLink {
     topology: ShardedByLine,
-    batch: bool,
     app_cycles: u64,
     channels: Vec<FaultInjector<ModeledFrameChannel>>,
     engine: DispatchEngine,
@@ -158,7 +150,6 @@ impl ProducerLink for ParallelLink {
                 }
             }
             self.shard_cycles[idx] += drain_shard(
-                self.batch,
                 &mut self.channels[idx],
                 &self.engine,
                 self.lifeguards[idx].as_mut(),
@@ -203,10 +194,6 @@ impl ProducerLink for ParallelLink {
 ///
 /// `make_lifeguard` builds one (identical) lifeguard instance per shard.
 ///
-/// New code should prefer the unified [`Run`](crate::Run) builder
-/// (`RunMode::LbaParallel`); this free function remains the mode's
-/// direct entry point.
-///
 /// # Errors
 ///
 /// Propagates any [`RunError`] from the machine.
@@ -225,15 +212,7 @@ pub fn run_lba_parallel(
     let mut machine = Machine::new(program, config.machine);
     let lifeguards: Vec<Box<dyn Lifeguard>> = (0..shards).map(|_| make_lifeguard()).collect();
     let mut channels: Vec<ModeledFrameChannel> = (0..shards)
-        .map(|_| {
-            if config.log.batch_dispatch {
-                // Frame-granular consumption pairs with the zero-copy
-                // channel (see `run_lba`); the wire stream is identical.
-                ModeledFrameChannel::zero_copy(SHARD_BUFFER_BYTES, config.log.frame_config(), false)
-            } else {
-                ModeledFrameChannel::new(SHARD_BUFFER_BYTES, config.log.frame_config(), false)
-            }
-        })
+        .map(|_| ModeledFrameChannel::new(SHARD_BUFFER_BYTES, config.log.frame_config(), false))
         .collect();
     // Flight recorder: one segmented stream per shard, so replay can
     // rebuild each shard's independent predictor stream.
@@ -255,7 +234,6 @@ pub fn run_lba_parallel(
     let mut producer = Producer::sharded(lifeguards[0].as_ref(), config);
     let mut link = ParallelLink {
         topology: ShardedByLine::new(shards),
-        batch: config.log.batch_dispatch,
         app_cycles: 0,
         channels,
         engine: DispatchEngine::new(config.dispatch),
@@ -290,7 +268,6 @@ pub fn run_lba_parallel(
         // bounded, so the loop terminates.
         loop {
             link.shard_cycles[idx] += drain_shard(
-                link.batch,
                 &mut link.channels[idx],
                 &link.engine,
                 link.lifeguards[idx].as_mut(),

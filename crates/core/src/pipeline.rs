@@ -18,7 +18,8 @@
 //!   live execution model by the corresponding runners;
 //! * [`MONITORS`] / [`RUN_MODES`] — the single registry the experiment
 //!   layer, the benchmarks and the cross-mode equivalence suite derive
-//!   their mode and lifeguard enumerations from.
+//!   their mode and lifeguard enumerations from. Each `RUN_MODES` row's
+//!   `run` hook is the [`Run`] builder's dispatch for that mode.
 //!
 //! The runners (`cosim.rs`, `live.rs`, `parallel.rs`, `live_parallel.rs`,
 //! `epoch_parallel.rs`, `replay.rs`) are thin compositions over these
@@ -26,11 +27,14 @@
 //! is bit-for-bit what the hand-rolled loops produced.
 
 use lba_lifeguard::{CaptureFilter, CaptureStats, DegradationRequest, DegradationStats, Lifeguard};
+use lba_lifeguards::TaintCheck;
 use lba_record::{EventKind, EventRecord, TraceStats};
 use lba_transport::{shard_of, EpochRouter, LoadSample};
 
 use crate::config::SystemConfig;
 use crate::controller::{CaptureController, Transition, Verdict};
+use crate::error::LbaError;
+use crate::runner::{Run, RunMode, RunOutcome};
 
 /// What one run mode plugs under the [`Producer`]: the transport-facing
 /// half of the capture pipeline. The producer decides *what* ships and
@@ -573,27 +577,16 @@ pub enum TopologyKind {
     Replay,
 }
 
-/// The wire- and finding-level accounting one registry run hands back,
-/// for cross-mode equivalence pinning.
-#[derive(Debug, Clone)]
-pub struct ModeOutcome {
-    /// Findings as the mode reports them (merged and deduplicated in the
-    /// fan-out modes).
-    pub findings: Vec<lba_lifeguard::Finding>,
-    /// Records shipped, summed over the mode's channels.
-    pub records: u64,
-    /// Wire bits shipped, summed over the mode's channels.
-    pub wire_bits: u64,
-}
-
 /// One run mode in the registry: how it executes, what topology it
 /// instantiates, which lifeguards it supports, how its outcome relates
-/// to the sequential `run_lba` baseline, and which benchmark trajectory
-/// series it owns.
+/// to the sequential `run_lba` baseline, which benchmark trajectory
+/// series it owns, and how the [`Run`] builder dispatches it.
 #[derive(Debug, Clone, Copy)]
 pub struct RunModeSpec {
     /// Stable mode name.
     pub name: &'static str,
+    /// The builder mode this row dispatches.
+    pub mode: RunMode,
     /// Execution substrate.
     pub execution: Execution,
     /// Consumer topology shape.
@@ -607,164 +600,13 @@ pub struct RunModeSpec {
     pub exact_wire: bool,
     /// Whether this lifeguard can run under this mode.
     pub supports: fn(&MonitorSpec) -> bool,
-    /// Runs the mode (fan-out modes use 2 consumers) and returns its
-    /// outcome. Errors are stringified so one hook type covers run and
-    /// replay errors.
-    pub run: fn(&lba_isa::Program, &MonitorSpec, &SystemConfig) -> Result<ModeOutcome, String>,
+    /// Runs a request for this mode. [`Run::run`] checks the `supports`
+    /// predicate and the request's worker and epoch settings first, then
+    /// hands the request here.
+    pub run: fn(&Run<'_>) -> Result<RunOutcome, LbaError>,
     /// Benchmark trajectory series (`BENCH_pipeline.json`) this mode
     /// owns, in committed order.
     pub bench_series: &'static [&'static str],
-}
-
-/// A scratch recording directory for the replay-backed registry hooks.
-fn replay_scratch_dir(tag: &str) -> std::path::PathBuf {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    static SEQ: AtomicU64 = AtomicU64::new(0);
-    let seq = SEQ.fetch_add(1, Ordering::Relaxed);
-    std::env::temp_dir().join(format!("lba-mode-{tag}-{}-{seq}", std::process::id()))
-}
-
-fn mode_lba(
-    program: &lba_isa::Program,
-    spec: &MonitorSpec,
-    config: &SystemConfig,
-) -> Result<ModeOutcome, String> {
-    let mut lg = (spec.make)();
-    let report = crate::cosim::run_lba(program, lg.as_mut(), config).map_err(|e| e.to_string())?;
-    Ok(ModeOutcome {
-        records: report.log.records,
-        wire_bits: report.log.wire_bits,
-        findings: report.pipeline.findings,
-    })
-}
-
-fn mode_live(
-    program: &lba_isa::Program,
-    spec: &MonitorSpec,
-    config: &SystemConfig,
-) -> Result<ModeOutcome, String> {
-    let mut lg = (spec.make)();
-    let report = crate::live::run_live(program, lg.as_mut(), config).map_err(|e| e.to_string())?;
-    Ok(ModeOutcome {
-        records: report.log.records,
-        wire_bits: report.log.wire_bits,
-        findings: report.pipeline.findings,
-    })
-}
-
-fn mode_lba_parallel(
-    program: &lba_isa::Program,
-    spec: &MonitorSpec,
-    config: &SystemConfig,
-) -> Result<ModeOutcome, String> {
-    let report = crate::parallel::run_lba_parallel(program, spec.make, 2, config)
-        .map_err(|e| e.to_string())?;
-    Ok(ModeOutcome {
-        records: report.log.records,
-        wire_bits: report.log.wire_bits,
-        findings: report.pipeline.findings,
-    })
-}
-
-fn mode_live_parallel(
-    program: &lba_isa::Program,
-    spec: &MonitorSpec,
-    config: &SystemConfig,
-) -> Result<ModeOutcome, String> {
-    let report = crate::live_parallel::run_live_parallel(program, spec.make, 2, config)
-        .map_err(|e| e.to_string())?;
-    Ok(ModeOutcome {
-        records: report.log.records,
-        wire_bits: report.log.wire_bits,
-        findings: report.pipeline.findings,
-    })
-}
-
-fn mode_remote(
-    program: &lba_isa::Program,
-    spec: &MonitorSpec,
-    config: &SystemConfig,
-) -> Result<ModeOutcome, String> {
-    let report =
-        crate::remote::run_remote(program, spec.make, 2, config).map_err(|e| e.to_string())?;
-    Ok(ModeOutcome {
-        records: report.log.records,
-        wire_bits: report.log.wire_bits,
-        findings: report.pipeline.findings,
-    })
-}
-
-fn mode_epoch(
-    program: &lba_isa::Program,
-    _spec: &MonitorSpec,
-    config: &SystemConfig,
-) -> Result<ModeOutcome, String> {
-    let report =
-        crate::epoch_parallel::run_taint_parallel(program, 2, config).map_err(|e| e.to_string())?;
-    Ok(ModeOutcome {
-        records: report.log.records,
-        wire_bits: report.log.wire_bits,
-        findings: report.pipeline.findings,
-    })
-}
-
-fn mode_live_epoch(
-    program: &lba_isa::Program,
-    _spec: &MonitorSpec,
-    config: &SystemConfig,
-) -> Result<ModeOutcome, String> {
-    let report = crate::epoch_parallel::run_live_taint_parallel(program, 2, config)
-        .map_err(|e| e.to_string())?;
-    Ok(ModeOutcome {
-        records: report.log.records,
-        wire_bits: report.log.wire_bits,
-        findings: report.pipeline.findings,
-    })
-}
-
-fn mode_replay(
-    program: &lba_isa::Program,
-    spec: &MonitorSpec,
-    config: &SystemConfig,
-) -> Result<ModeOutcome, String> {
-    let dir = replay_scratch_dir(spec.name);
-    let mut recording = config.clone();
-    recording.log.record_to = Some(crate::config::RecordConfig::new(&dir));
-    let mut lg = (spec.make)();
-    let recorded = crate::cosim::run_lba(program, lg.as_mut(), &recording);
-    let replayed = recorded.map_err(|e| e.to_string()).and_then(|_| {
-        crate::replay::run_replay(&dir, spec.make, config).map_err(|e| e.to_string())
-    });
-    let _ = std::fs::remove_dir_all(&dir);
-    let report = replayed?;
-    Ok(ModeOutcome {
-        records: report.log.records,
-        wire_bits: report.log.wire_bits,
-        findings: report.pipeline.findings,
-    })
-}
-
-fn mode_replay_epoch(
-    program: &lba_isa::Program,
-    _spec: &MonitorSpec,
-    config: &SystemConfig,
-) -> Result<ModeOutcome, String> {
-    let dir = replay_scratch_dir("epoch");
-    let mut recording = config.clone();
-    recording.log.record_to = Some(crate::config::RecordConfig::new(&dir));
-    let recorded = crate::epoch_parallel::run_taint_parallel(program, 2, &recording);
-    let replayed = recorded.map_err(|e| e.to_string()).and_then(|_| {
-        let mut master = lba_lifeguards::TaintCheck::new();
-        crate::epoch_parallel::run_replay_epoch(&dir, &mut master, config)
-            .map_err(|e| e.to_string())
-    });
-    let _ = std::fs::remove_dir_all(&dir);
-    let report = replayed?;
-    Ok(ModeOutcome {
-        records: report.log.records,
-        wire_bits: report.log.wire_bits,
-        findings: report.pipeline.findings,
-    })
 }
 
 fn supports_all(_spec: &MonitorSpec) -> bool {
@@ -780,109 +622,179 @@ fn supports_epoch(spec: &MonitorSpec) -> bool {
 }
 
 /// Every run mode the harnesses drive, with its topology, support
-/// predicate and baseline-equivalence contract. `experiment.rs`,
-/// `lba_bench::pipeline` and `tests/equivalence.rs` derive their mode
-/// enumerations from this table; the union of `bench_series` (plus the
-/// consumption-only `"consume"` series) is exactly the committed
-/// `BENCH_pipeline.json` trajectory.
+/// predicate, baseline-equivalence contract and dispatch hook. The [`Run`]
+/// builder dispatches through this table, and `lba_bench::pipeline` and
+/// `tests/equivalence.rs` derive their mode enumerations from it; the
+/// union of `bench_series` (plus the consumption-only `"consume"` series)
+/// is exactly the committed `BENCH_pipeline.json` trajectory.
 pub const RUN_MODES: [RunModeSpec; 9] = [
     RunModeSpec {
         name: "lba",
+        mode: RunMode::Lba,
         execution: Execution::Modeled,
         topology: TopologyKind::Single,
         merged_findings: false,
         exact_records: true,
         exact_wire: true,
         supports: supports_all,
-        run: mode_lba,
+        run: |run| {
+            let mut lifeguard = (run.monitor.make)();
+            let report = crate::cosim::run_lba(run.program, lifeguard.as_mut(), &run.config)?;
+            Ok(RunOutcome::Run(report))
+        },
         bench_series: &["lba", "lba-faulted", "lba-degraded"],
     },
     RunModeSpec {
         name: "live",
+        mode: RunMode::Live,
         execution: Execution::Live,
         topology: TopologyKind::Single,
         merged_findings: false,
         exact_records: true,
         exact_wire: true,
         supports: supports_all,
-        run: mode_live,
+        run: |run| {
+            let mut lifeguard = (run.monitor.make)();
+            let report = crate::live::run_live(run.program, lifeguard.as_mut(), &run.config)?;
+            Ok(RunOutcome::Live(report))
+        },
         bench_series: &["live", "live-faulted", "live-degraded"],
     },
     RunModeSpec {
         name: "lba-parallel",
+        mode: RunMode::LbaParallel,
         execution: Execution::Modeled,
         topology: TopologyKind::Sharded,
         merged_findings: true,
         exact_records: false,
         exact_wire: false,
         supports: supports_shardable,
-        run: mode_lba_parallel,
+        run: |run| {
+            let report = crate::parallel::run_lba_parallel(
+                run.program,
+                run.monitor.make,
+                run.workers,
+                &run.config,
+            )?;
+            Ok(RunOutcome::Parallel(report))
+        },
         bench_series: &[],
     },
     RunModeSpec {
         name: "live-parallel",
+        mode: RunMode::LiveParallel,
         execution: Execution::Live,
         topology: TopologyKind::Sharded,
         merged_findings: true,
         exact_records: false,
         exact_wire: false,
         supports: supports_shardable,
-        run: mode_live_parallel,
+        run: |run| {
+            let report = crate::live_parallel::run_live_parallel(
+                run.program,
+                run.monitor.make,
+                run.workers,
+                &run.config,
+            )?;
+            Ok(RunOutcome::LiveParallel(report))
+        },
         bench_series: &["live-parallel"],
     },
     RunModeSpec {
         name: "remote",
+        mode: RunMode::Remote,
         execution: Execution::Live,
         topology: TopologyKind::Sharded,
         merged_findings: true,
         exact_records: false,
         exact_wire: false,
         supports: supports_shardable,
-        run: mode_remote,
+        run: |run| {
+            let report =
+                crate::remote::run_remote(run.program, run.monitor.make, run.workers, &run.config)?;
+            Ok(RunOutcome::Remote(report))
+        },
         bench_series: &["remote"],
     },
+    // The epoch rows admit only epoch-capable monitors, and TaintCheck is
+    // the one epoch summariser implemented.
     RunModeSpec {
         name: "epoch-parallel",
+        mode: RunMode::EpochParallel,
         execution: Execution::Modeled,
         topology: TopologyKind::Epoch,
         merged_findings: false,
         exact_records: true,
         exact_wire: false,
         supports: supports_epoch,
-        run: mode_epoch,
+        run: |run| {
+            let report = crate::epoch_parallel::run_epoch_parallel(
+                run.program,
+                &mut TaintCheck::new(),
+                run.workers,
+                &run.config,
+            )?;
+            Ok(RunOutcome::Epoch(report))
+        },
         bench_series: &["taint-parallel"],
     },
     RunModeSpec {
         name: "live-epoch-parallel",
+        mode: RunMode::LiveEpochParallel,
         execution: Execution::Live,
         topology: TopologyKind::Epoch,
         merged_findings: false,
         exact_records: true,
         exact_wire: false,
         supports: supports_epoch,
-        run: mode_live_epoch,
+        run: |run| {
+            let report = crate::epoch_parallel::run_live_epoch_parallel(
+                run.program,
+                &mut TaintCheck::new(),
+                run.workers,
+                &run.config,
+            )?;
+            Ok(RunOutcome::LiveEpoch(report))
+        },
         bench_series: &["live-taint-parallel"],
     },
     RunModeSpec {
         name: "replay",
+        mode: RunMode::Replay,
         execution: Execution::Replay,
         topology: TopologyKind::Replay,
         merged_findings: false,
         exact_records: true,
         exact_wire: true,
         supports: supports_all,
-        run: mode_replay,
+        run: |run| {
+            let report = crate::replay::run_replay_with(
+                run.replay_dir()?,
+                run.monitor.make,
+                &run.config,
+                run.replay_mode,
+            )?;
+            Ok(RunOutcome::Replay(report))
+        },
         bench_series: &["replay"],
     },
     RunModeSpec {
         name: "replay-epoch",
+        mode: RunMode::ReplayEpoch,
         execution: Execution::Replay,
         topology: TopologyKind::Replay,
         merged_findings: false,
         exact_records: true,
         exact_wire: false,
         supports: supports_epoch,
-        run: mode_replay_epoch,
+        run: |run| {
+            let report = crate::epoch_parallel::run_replay_epoch(
+                run.replay_dir()?,
+                &mut TaintCheck::new(),
+                &run.config,
+            )?;
+            Ok(RunOutcome::Replay(report))
+        },
         bench_series: &[],
     },
 ];
@@ -924,6 +836,11 @@ mod tests {
         let mut names = HashSet::new();
         for mode in &RUN_MODES {
             assert!(names.insert(mode.name), "duplicate mode {}", mode.name);
+            assert_eq!(
+                mode.mode.registry_name(),
+                Some(mode.name),
+                "the mode column must map back to its own row"
+            );
             assert!(
                 MONITORS.iter().any(|m| (mode.supports)(m)),
                 "{} supports no monitor at all",

@@ -28,7 +28,7 @@
 //! worker counts.
 //!
 //! Like the other sharded modes, TaintCheck is unsupported here (use
-//! [`crate::run_live_taint_parallel`]); the registry's capability flags
+//! [`crate::run_live_epoch_parallel`]); the registry's capability flags
 //! enforce this through the unified [`Run`](crate::Run) entry point.
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -47,7 +47,7 @@ use crate::config::SystemConfig;
 use crate::error::LbaError;
 use crate::pipeline::{ConsumerTopology, Producer, ProducerLink, Route, ShardedByLine};
 use crate::replay::ReplayError;
-use crate::report::{LogStats, PipelineReport, RemoteReport};
+use crate::report::{LiveParallelReport, LogStats, PipelineReport};
 
 /// The lifeguard-core MemSystem index used by every worker (shadow-cost
 /// accounting only; the socket modes report no modeled clocks).
@@ -136,7 +136,7 @@ pub fn run_remote(
     make_lifeguard: impl Fn() -> Box<dyn Lifeguard> + Sync,
     workers: usize,
     config: &SystemConfig,
-) -> Result<RemoteReport, LbaError> {
+) -> Result<LiveParallelReport, LbaError> {
     assert!(workers > 0, "need at least one remote worker");
     config.log.validate_framing()?;
     let window = u32::try_from(config.log.live_channel_frames()).expect("window fits u32");
@@ -225,9 +225,9 @@ pub fn run_remote(
             return Err(e);
         }
         let findings = crate::parallel::merge_shard_findings(shard_findings);
-        Ok(RemoteReport {
+        Ok(LiveParallelReport {
             program: program.name().to_string(),
-            workers,
+            shards: workers,
             pipeline: PipelineReport {
                 findings,
                 log: LogStats::from_channels(

@@ -150,10 +150,6 @@ pub enum ReplayMode {
 /// Replay is functional, not timed: records are delivered frame-at-a-time
 /// at maximum speed, with no transport model in the loop.
 ///
-/// New code should prefer the unified [`Run`](crate::Run) builder
-/// (`RunMode::Replay` with `replay_from(dir)`); this free function
-/// remains the mode's direct entry point.
-///
 /// # Errors
 ///
 /// See [`ReplayError`]: stream-layer damage, a codec-version mismatch,
@@ -176,10 +172,6 @@ pub fn run_replay(
 /// reported in [`ReplayReport::salvaged`]. Errors that precede any frame
 /// (unopenable stream, codec mismatch, no streams at all) and decode
 /// failures of *intact* frames remain fatal in both modes.
-///
-/// New code should prefer the unified [`Run`](crate::Run) builder
-/// (`RunMode::Replay` with `replay_mode(mode)`); this free function
-/// remains the mode's direct entry point.
 pub fn run_replay_with(
     dir: impl AsRef<Path>,
     make_lifeguard: impl Fn() -> Box<dyn Lifeguard>,

@@ -205,129 +205,36 @@ fn write_degradation(f: &mut fmt::Formatter<'_>, d: &DegradationStats) -> fmt::R
     )
 }
 
-/// The result of a sharded live run (`run_live_parallel`): one producer
-/// thread fanning the log out to `shards` consumer threads, each decoding
-/// its own compressed frame stream. Findings are merged and deduplicated
-/// across shards; the transport statistics stay per shard, because each
-/// shard is an independent wire stream with its own predictor state. No
-/// modeled clocks — for timing, see
+/// The result of a sharded live run: one producer thread fanning the log
+/// out to `shards` consumers, each decoding its own compressed frame
+/// stream — consumer threads behind in-process channels
+/// ([`run_live_parallel`](crate::run_live_parallel)) or workers behind
+/// Unix-domain sockets ([`run_remote`](crate::run_remote)). Both modes
+/// route, seal and merge identically, so their reports are too. Findings
+/// are merged and deduplicated across shards; the transport statistics
+/// stay per shard, because each shard is an independent wire stream with
+/// its own predictor state. No modeled clocks — for timing, see
 /// [`ParallelReport`](crate::parallel::ParallelReport).
 #[derive(Debug, Clone)]
 pub struct LiveParallelReport {
     /// Program name.
     pub program: String,
-    /// Shard count (consumer threads).
+    /// Shard count (consumer threads or socket workers).
     pub shards: usize,
     /// Retired-instruction statistics, gathered on the producer thread.
     pub trace: TraceStats,
     /// Per-shard transport statistics (records, frames, wire bits), in
-    /// shard order.
+    /// shard order, from the producer side of each stream.
     pub shard_log: Vec<ChannelStats>,
     /// The shared pipeline core: findings merged over shards
     /// (deduplicated on `(kind, pc, addr, tid)` — broadcast events
     /// surface the same finding on every shard), shard-aggregated log
-    /// statistics, the producer-side capture ledger, and the degradation
-    /// ledger.
+    /// statistics (broadcast records count once per shard), the
+    /// producer-side capture ledger, and the degradation ledger.
     pub pipeline: PipelineReport,
 }
 
 deref_pipeline!(LiveParallelReport);
-
-impl LiveParallelReport {
-    /// Records carried across all shards. Broadcast records are counted
-    /// once per shard, so this is at least the retired event count.
-    #[must_use]
-    pub fn total_records(&self) -> u64 {
-        self.shard_log.iter().map(|s| s.records).sum()
-    }
-
-    /// Wire bits shipped across all shards.
-    #[must_use]
-    pub fn total_wire_bits(&self) -> u64 {
-        self.shard_log.iter().map(|s| s.wire_bits).sum()
-    }
-}
-
-impl fmt::Display for LiveParallelReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "{} [live x{} shards]: {} instructions; log: {} records, {} frames, {} wire bits across shards",
-            self.program,
-            self.shards,
-            self.trace.instructions(),
-            self.total_records(),
-            self.shard_log.iter().map(|s| s.frames).sum::<u64>(),
-            self.total_wire_bits(),
-        )?;
-        write_degradation(f, &self.degradation)?;
-        for finding in &self.findings {
-            writeln!(f, "  {finding}")?;
-        }
-        Ok(())
-    }
-}
-
-/// The result of a remote-workers run ([`run_remote`](crate::run_remote)):
-/// one producer thread fanning sealed frames over per-shard Unix-domain
-/// sockets to `workers` lifeguard workers, each decoding its own stream
-/// behind the credit window. Routing, frame boundaries, and the capture
-/// pass are identical to [`run_live_parallel`](crate::run_live_parallel),
-/// so each shard's wire stream — and the merged findings — match the
-/// in-process sharded live mode byte for byte; only the transport differs.
-#[derive(Debug, Clone)]
-pub struct RemoteReport {
-    /// Program name.
-    pub program: String,
-    /// Worker count (one socket stream per worker).
-    pub workers: usize,
-    /// Retired-instruction statistics, gathered on the producer thread.
-    pub trace: TraceStats,
-    /// Per-worker transport statistics (records, frames, wire bits), in
-    /// shard order, from the producer side of each socket.
-    pub shard_log: Vec<ChannelStats>,
-    /// The shared pipeline core: findings merged over workers exactly as
-    /// the sharded modes merge theirs, shard-aggregated log statistics,
-    /// the producer-side capture ledger, and the degradation ledger.
-    pub pipeline: PipelineReport,
-}
-
-deref_pipeline!(RemoteReport);
-
-impl RemoteReport {
-    /// Records carried across all worker sockets. Broadcast records are
-    /// counted once per worker, so this is at least the retired count.
-    #[must_use]
-    pub fn total_records(&self) -> u64 {
-        self.shard_log.iter().map(|s| s.records).sum()
-    }
-
-    /// Wire bits shipped across all worker sockets.
-    #[must_use]
-    pub fn total_wire_bits(&self) -> u64 {
-        self.shard_log.iter().map(|s| s.wire_bits).sum()
-    }
-}
-
-impl fmt::Display for RemoteReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "{} [remote x{} workers]: {} instructions; log: {} records, {} frames, {} wire bits across sockets",
-            self.program,
-            self.workers,
-            self.trace.instructions(),
-            self.total_records(),
-            self.shard_log.iter().map(|s| s.frames).sum::<u64>(),
-            self.total_wire_bits(),
-        )?;
-        write_degradation(f, &self.degradation)?;
-        for finding in &self.findings {
-            writeln!(f, "  {finding}")?;
-        }
-        Ok(())
-    }
-}
 
 /// Per-stream accounting of an offline replay
 /// ([`run_replay`](crate::run_replay)).
@@ -410,20 +317,6 @@ impl ReplayReport {
             degradation: DegradationStats::default(),
         }
     }
-}
-
-impl ReplayReport {
-    /// Records decoded across all streams.
-    #[must_use]
-    pub fn total_records(&self) -> u64 {
-        self.streams.iter().map(|s| s.records).sum()
-    }
-
-    /// Wire bits replayed across all streams.
-    #[must_use]
-    pub fn total_wire_bits(&self) -> u64 {
-        self.streams.iter().map(|s| s.wire_bits).sum()
-    }
 
     /// Frames that sealed while the recording run was degraded, across
     /// all streams.
@@ -447,8 +340,8 @@ impl fmt::Display for ReplayReport {
             self.dir,
             self.codec_version,
             self.streams.len(),
-            self.total_records(),
-            self.total_wire_bits(),
+            self.log.records,
+            self.log.wire_bits,
         )?;
         if self.total_degraded_frames() > 0 {
             writeln!(

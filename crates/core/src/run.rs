@@ -13,10 +13,6 @@ use crate::report::{Mode, PipelineReport, RunReport, StallBreakdown};
 /// Runs `program` with no monitoring: the paper's normalisation baseline
 /// (the denominator of every bar in Figure 2).
 ///
-/// New code should prefer the unified [`Run`](crate::Run) builder
-/// (`RunMode::Unmonitored`); this free function remains the mode's
-/// direct entry point.
-///
 /// # Errors
 ///
 /// Propagates any [`RunError`] from the machine.
@@ -40,10 +36,6 @@ pub fn run_unmonitored(program: &Program, config: &SystemConfig) -> Result<RunRe
 /// Runs `program` under the Valgrind-style DBI baseline: every retired
 /// instruction is instrumented inline on the application core, with the
 /// lifeguard's shadow traffic sharing the application's caches.
-///
-/// New code should prefer the unified [`Run`](crate::Run) builder
-/// (`RunMode::Dbi`); this free function remains the mode's direct entry
-/// point.
 ///
 /// # Errors
 ///

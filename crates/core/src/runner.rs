@@ -1,11 +1,5 @@
 //! One entry point for every execution model: the [`Run`] builder.
 //!
-//! The run modes accreted as free functions — thirteen of them by the
-//! time the socket transport landed — each with its own argument shape
-//! (`&mut dyn Lifeguard` here, a factory closure there, a hardwired
-//! `TaintCheck` in the epoch modes) and its own error type. [`Run`]
-//! collapses them behind one registry-driven builder:
-//!
 //! ```
 //! use lba::{LifeguardKind, Run, RunMode};
 //! use lba_workloads::bugs;
@@ -23,29 +17,33 @@
 //! flags in [`pipeline::MONITORS`](crate::MONITORS) and
 //! [`pipeline::RUN_MODES`](crate::RUN_MODES) *before* running anything —
 //! sharding TaintCheck is an [`LbaError::Unsupported`] with the reason,
-//! not a wrong answer — and folds every mode's failure into [`LbaError`].
+//! not a wrong answer — then hands the request to the mode's `RUN_MODES`
+//! row, whose `run` hook calls the mode's `run_*` implementation and folds
+//! its failure into [`LbaError`]. The `run_*` functions stay public for
+//! what the builder cannot express: a custom lifeguard instance (the
+//! degradation suite's dial-requesting lifeguard) or a caller-owned epoch
+//! master whose final state is inspected afterwards.
+//!
 //! The mode-shaped reports survive unchanged inside [`RunOutcome`], which
 //! [`Deref`]s to the shared [`PipelineReport`] so mode-generic callers
 //! (the bench harness, the equivalence grid) read findings and log
 //! statistics without matching on the shape.
 
+use std::borrow::Cow;
 use std::fmt;
 use std::ops::Deref;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use lba_isa::Program;
-use lba_lifeguards::TaintCheck;
 
 use crate::config::SystemConfig;
 use crate::epoch_parallel::{EpochParallelReport, LiveEpochParallelReport};
 use crate::error::LbaError;
 use crate::kind::LifeguardKind;
 use crate::parallel::ParallelReport;
-use crate::pipeline::{MonitorSpec, RunModeSpec, MONITORS, RUN_MODES};
+use crate::pipeline::{MonitorSpec, RunModeSpec, TopologyKind, MONITORS, RUN_MODES};
 use crate::replay::ReplayMode;
-use crate::report::{
-    LiveParallelReport, LiveReport, PipelineReport, RemoteReport, ReplayReport, RunReport,
-};
+use crate::report::{LiveParallelReport, LiveReport, PipelineReport, ReplayReport, RunReport};
 
 /// Every execution model the builder can drive: the nine registry modes
 /// (see [`RUN_MODES`]) plus the two unmonitored/inline baselines, which
@@ -64,10 +62,10 @@ pub enum RunMode {
     /// Sharded lifeguards behind real sockets ([`crate::run_remote`]).
     Remote,
     /// Modeled epoch-parallel taint tracking
-    /// ([`crate::run_taint_parallel`]).
+    /// ([`crate::run_epoch_parallel`]).
     EpochParallel,
     /// Epoch-parallel taint tracking on real threads
-    /// ([`crate::run_live_taint_parallel`]).
+    /// ([`crate::run_live_epoch_parallel`]).
     LiveEpochParallel,
     /// Offline replay of a flight-recorder stream set
     /// ([`crate::run_replay`]); needs [`Run::replay_from`].
@@ -103,18 +101,7 @@ impl RunMode {
     /// baseline modes that stand outside the registry.
     #[must_use]
     pub fn registry_name(self) -> Option<&'static str> {
-        match self {
-            RunMode::Lba => Some("lba"),
-            RunMode::Live => Some("live"),
-            RunMode::LbaParallel => Some("lba-parallel"),
-            RunMode::LiveParallel => Some("live-parallel"),
-            RunMode::Remote => Some("remote"),
-            RunMode::EpochParallel => Some("epoch-parallel"),
-            RunMode::LiveEpochParallel => Some("live-epoch-parallel"),
-            RunMode::Replay => Some("replay"),
-            RunMode::ReplayEpoch => Some("replay-epoch"),
-            RunMode::Unmonitored | RunMode::Dbi => None,
-        }
+        self.registry_spec().map(|spec| spec.name)
     }
 
     /// Stable name: the registry row's for registry modes, `unmonitored`
@@ -129,8 +116,7 @@ impl RunMode {
     }
 
     fn registry_spec(self) -> Option<&'static RunModeSpec> {
-        let name = self.registry_name()?;
-        RUN_MODES.iter().find(|m| m.name == name)
+        RUN_MODES.iter().find(|spec| spec.mode == self)
     }
 }
 
@@ -167,13 +153,13 @@ impl From<LifeguardKind> for MonitorChoice {
 /// shape. Defaults: [`RunMode::Lba`], AddrCheck, 2 workers,
 /// [`SystemConfig::default`], [`ReplayMode::Strict`].
 pub struct Run<'a> {
-    program: &'a Program,
+    pub(crate) program: &'a Program,
     mode: RunMode,
-    monitor: MonitorChoice,
-    workers: usize,
-    config: Option<&'a SystemConfig>,
+    pub(crate) monitor: &'static MonitorSpec,
+    pub(crate) workers: usize,
+    pub(crate) config: Cow<'a, SystemConfig>,
     replay_from: Option<PathBuf>,
-    replay_mode: ReplayMode,
+    pub(crate) replay_mode: ReplayMode,
 }
 
 impl<'a> Run<'a> {
@@ -184,9 +170,9 @@ impl<'a> Run<'a> {
         Run {
             program,
             mode: RunMode::Lba,
-            monitor: MonitorChoice::from(LifeguardKind::AddrCheck),
+            monitor: MonitorChoice::from(LifeguardKind::AddrCheck).0,
             workers: 2,
-            config: None,
+            config: Cow::Owned(SystemConfig::default()),
             replay_from: None,
             replay_mode: ReplayMode::Strict,
         }
@@ -204,7 +190,7 @@ impl<'a> Run<'a> {
     /// [`RunMode::Unmonitored`].
     #[must_use]
     pub fn monitor(mut self, monitor: impl Into<MonitorChoice>) -> Self {
-        self.monitor = monitor.into();
+        self.monitor = monitor.into().0;
         self
     }
 
@@ -219,7 +205,7 @@ impl<'a> Run<'a> {
     /// Uses `config` instead of [`SystemConfig::default`].
     #[must_use]
     pub fn config(mut self, config: &'a SystemConfig) -> Self {
-        self.config = Some(config);
+        self.config = Cow::Borrowed(config);
         self
     }
 
@@ -239,133 +225,59 @@ impl<'a> Run<'a> {
     }
 
     /// Validates the request against the registry capability flags and
-    /// executes it.
+    /// executes it through the mode's [`RUN_MODES`] row.
     ///
     /// # Errors
     ///
     /// [`LbaError::Unsupported`] when the mode's `supports` predicate
     /// rejects the monitor (before anything runs);
     /// [`LbaError::InvalidRequest`] for a replay mode with no
-    /// [`replay_from`](Self::replay_from) directory or a fan-out mode
-    /// with zero workers; otherwise whatever the underlying mode reports,
-    /// folded into [`LbaError`].
+    /// [`replay_from`](Self::replay_from) directory, a fan-out mode with
+    /// zero workers, or an epoch mode with zero
+    /// [`LogConfig::epoch_records`](crate::LogConfig::epoch_records);
+    /// otherwise whatever the underlying mode reports, folded into
+    /// [`LbaError`].
     pub fn run(self) -> Result<RunOutcome, LbaError> {
-        let monitor = self.monitor.0;
-        if let Some(spec) = self.mode.registry_spec() {
-            if !(spec.supports)(monitor) {
-                return Err(LbaError::Unsupported {
-                    mode: spec.name,
-                    monitor: monitor.name.to_string(),
-                });
-            }
-        }
-        let fan_out = matches!(
-            self.mode,
-            RunMode::LbaParallel
-                | RunMode::LiveParallel
-                | RunMode::Remote
-                | RunMode::EpochParallel
-                | RunMode::LiveEpochParallel
-        );
-        if fan_out && self.workers == 0 {
-            return Err(LbaError::InvalidRequest {
-                detail: format!("mode `{}` needs at least one worker", self.mode),
+        let Some(spec) = self.mode.registry_spec() else {
+            // The two baselines ship no log and stand outside the registry.
+            let report = if self.mode == RunMode::Unmonitored {
+                crate::run::run_unmonitored(self.program, &self.config)?
+            } else {
+                let mut lifeguard = (self.monitor.make)();
+                crate::run::run_dbi(self.program, lifeguard.as_mut(), &self.config)?
+            };
+            return Ok(RunOutcome::Run(report));
+        };
+        if !(spec.supports)(self.monitor) {
+            return Err(LbaError::Unsupported {
+                mode: spec.name,
+                monitor: self.monitor.name.to_string(),
             });
         }
-        let default_config;
-        let config = match self.config {
-            Some(config) => config,
-            None => {
-                default_config = SystemConfig::default();
-                &default_config
-            }
-        };
-        let replay_dir = |dir: Option<PathBuf>| {
-            dir.ok_or_else(|| LbaError::InvalidRequest {
+        let invalid = |detail: String| Err(LbaError::InvalidRequest { detail });
+        let fan_out = matches!(spec.topology, TopologyKind::Sharded | TopologyKind::Epoch);
+        if fan_out && self.workers == 0 {
+            return invalid(format!("mode `{}` needs at least one worker", spec.name));
+        }
+        if spec.topology == TopologyKind::Epoch && self.config.log.epoch_records == 0 {
+            return invalid(format!(
+                "mode `{}` cuts the stream into epochs: `log.epoch_records` must be at least 1",
+                spec.name
+            ));
+        }
+        (spec.run)(&self)
+    }
+
+    /// The recording directory a replay mode consumes.
+    pub(crate) fn replay_dir(&self) -> Result<&Path, LbaError> {
+        self.replay_from
+            .as_deref()
+            .ok_or_else(|| LbaError::InvalidRequest {
                 detail: format!(
                     "mode `{}` replays a recording: set `replay_from(dir)`",
                     self.mode
                 ),
             })
-        };
-        match self.mode {
-            RunMode::Lba => {
-                let mut lifeguard = (monitor.make)();
-                let report = crate::cosim::run_lba(self.program, lifeguard.as_mut(), config)?;
-                Ok(RunOutcome::Run(report))
-            }
-            RunMode::Live => {
-                let mut lifeguard = (monitor.make)();
-                let report = crate::live::run_live(self.program, lifeguard.as_mut(), config)?;
-                Ok(RunOutcome::Live(report))
-            }
-            RunMode::LbaParallel => {
-                let report = crate::parallel::run_lba_parallel(
-                    self.program,
-                    monitor.make,
-                    self.workers,
-                    config,
-                )?;
-                Ok(RunOutcome::Parallel(report))
-            }
-            RunMode::LiveParallel => {
-                let report = crate::live_parallel::run_live_parallel(
-                    self.program,
-                    monitor.make,
-                    self.workers,
-                    config,
-                )?;
-                Ok(RunOutcome::LiveParallel(report))
-            }
-            RunMode::Remote => {
-                let report =
-                    crate::remote::run_remote(self.program, monitor.make, self.workers, config)?;
-                Ok(RunOutcome::Remote(report))
-            }
-            RunMode::EpochParallel => {
-                // The supports check admitted only epoch-capable monitors,
-                // and TaintCheck is the one epoch summariser implemented.
-                let mut master = TaintCheck::new();
-                let report = crate::epoch_parallel::run_epoch_parallel(
-                    self.program,
-                    &mut master,
-                    self.workers,
-                    config,
-                )?;
-                Ok(RunOutcome::Epoch(report))
-            }
-            RunMode::LiveEpochParallel => {
-                let mut master = TaintCheck::new();
-                let report = crate::epoch_parallel::run_live_epoch_parallel(
-                    self.program,
-                    &mut master,
-                    self.workers,
-                    config,
-                )?;
-                Ok(RunOutcome::LiveEpoch(report))
-            }
-            RunMode::Replay => {
-                let dir = replay_dir(self.replay_from)?;
-                let report =
-                    crate::replay::run_replay_with(dir, monitor.make, config, self.replay_mode)?;
-                Ok(RunOutcome::Replay(report))
-            }
-            RunMode::ReplayEpoch => {
-                let dir = replay_dir(self.replay_from)?;
-                let mut master = TaintCheck::new();
-                let report = crate::epoch_parallel::run_replay_epoch(dir, &mut master, config)?;
-                Ok(RunOutcome::Replay(report))
-            }
-            RunMode::Unmonitored => {
-                let report = crate::run::run_unmonitored(self.program, config)?;
-                Ok(RunOutcome::Run(report))
-            }
-            RunMode::Dbi => {
-                let mut lifeguard = (monitor.make)();
-                let report = crate::run::run_dbi(self.program, lifeguard.as_mut(), config)?;
-                Ok(RunOutcome::Run(report))
-            }
-        }
     }
 }
 
@@ -387,7 +299,7 @@ pub enum RunOutcome {
     /// [`RunMode::LiveParallel`].
     LiveParallel(LiveParallelReport),
     /// [`RunMode::Remote`].
-    Remote(RemoteReport),
+    Remote(LiveParallelReport),
     /// [`RunMode::EpochParallel`].
     Epoch(EpochParallelReport),
     /// [`RunMode::LiveEpochParallel`].
@@ -415,8 +327,8 @@ impl Deref for RunOutcome {
 
 impl fmt::Display for RunOutcome {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        // The modeled fan-out reports define no Display of their own;
-        // summarise them from the shared pipeline fields.
+        // The fan-out reports define no Display of their own; summarise
+        // them from the shared pipeline fields.
         let summary = |f: &mut fmt::Formatter<'_>, mode: &str, report: &PipelineReport| {
             writeln!(
                 f,
@@ -430,8 +342,8 @@ impl fmt::Display for RunOutcome {
             RunOutcome::Run(r) => r.fmt(f),
             RunOutcome::Live(r) => r.fmt(f),
             RunOutcome::Parallel(r) => summary(f, "lba-parallel", r),
-            RunOutcome::LiveParallel(r) => r.fmt(f),
-            RunOutcome::Remote(r) => r.fmt(f),
+            RunOutcome::LiveParallel(r) => summary(f, "live-parallel", r),
+            RunOutcome::Remote(r) => summary(f, "remote", r),
             RunOutcome::Epoch(r) => summary(f, "epoch-parallel", r),
             RunOutcome::LiveEpoch(r) => summary(f, "live-epoch-parallel", r),
             RunOutcome::Replay(r) => r.fmt(f),
@@ -559,6 +471,25 @@ mod tests {
             .run()
             .unwrap_err();
         assert!(matches!(err, LbaError::InvalidRequest { .. }));
+    }
+
+    #[test]
+    fn zero_epoch_records_is_an_invalid_request_not_a_panic() {
+        // Regression: this configuration used to reach `EpochRouter::new`
+        // and panic there.
+        let program = bugs::tainted_syscall();
+        let mut config = SystemConfig::default();
+        config.log.epoch_records = 0;
+        for mode in [RunMode::EpochParallel, RunMode::LiveEpochParallel] {
+            let err = Run::new(&program)
+                .mode(mode)
+                .monitor(LifeguardKind::TaintCheck)
+                .config(&config)
+                .run()
+                .unwrap_err();
+            assert!(matches!(err, LbaError::InvalidRequest { .. }), "{mode}");
+            assert!(err.to_string().contains("epoch_records"), "{mode}: {err}");
+        }
     }
 
     #[test]

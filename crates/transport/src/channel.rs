@@ -3,27 +3,21 @@
 //!
 //! The paper's log transport is a stream of compressed cache-line-multiple
 //! frames flowing from the capture engine to the dispatch engine. This
-//! trait captures that contract at record granularity — push on the
-//! producer side, pop on the consumer side, statistics in wire bytes — so
-//! the co-simulation and the live two-thread pipeline drive the identical
-//! interface and differ only in *how* frames move:
-//!
-//! * [`ModeledFrameChannel`](crate::ModeledFrameChannel) — deterministic:
-//!   frames are timestamped and queued against a byte budget, giving exact
-//!   back-pressure and lag accounting;
-//! * [`LiveFrameChannel`](crate::live::LiveFrameChannel) — real: frame byte
-//!   buffers cross an SPSC queue between OS threads, one queue operation
-//!   per frame instead of per record.
+//! trait captures that contract — records pushed on the producer side,
+//! whole frames popped on the consumer side, statistics in wire bytes —
+//! for the deterministic co-simulation, whose
+//! [`ModeledFrameChannel`](crate::ModeledFrameChannel) timestamps frames and
+//! queues them against a byte budget, giving exact back-pressure and lag
+//! accounting. The live threads consume the same frame shape
+//! ([`PoppedFrame`]) from [`FrameReceiver::recv_batch`](crate::live::FrameReceiver::recv_batch).
 //!
 //! # Back-pressure protocol
 //!
 //! [`push_record`](LogChannel::push_record) returning
 //! [`PushOutcome::BackPressure`] means a sealed frame did not fit and is
-//! *parked*. The producer must free space — pop records via
-//! [`pop_record`](LogChannel::pop_record) — and call
-//! [`retry_parked`](LogChannel::retry_parked) until it succeeds. Channels
-//! that resolve back-pressure internally by blocking (the live channel)
-//! never return `BackPressure`.
+//! *parked*. The producer must free space — pop frames via
+//! [`pop_frame`](LogChannel::pop_frame) — and call
+//! [`retry_parked`](LogChannel::retry_parked) until it succeeds.
 
 use lba_record::{EventKind, EventRecord};
 
@@ -213,20 +207,8 @@ impl ChannelStats {
     }
 }
 
-/// A record handed to the consumer, with the producer-clock cycle at which
-/// its frame was shipped (zero for live channels, which have no modeled
-/// clock).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PoppedRecord {
-    /// The event record.
-    pub record: EventRecord,
-    /// Producer-core cycle at which the record's frame became visible.
-    pub ready_at: u64,
-}
-
 /// A frame's worth of decoded records handed to the consumer in one call,
-/// borrowed from the channel's decode buffer — the batch counterpart of
-/// [`PoppedRecord`].
+/// borrowed from the channel's decode buffer.
 ///
 /// All records in a frame became visible at the same instant (the frame
 /// ships as a unit), so one `ready_at` stamp covers the whole slice. The
@@ -236,7 +218,8 @@ pub struct PoppedRecord {
 pub struct PoppedFrame<'a> {
     /// The frame's records, in capture order.
     pub records: &'a [EventRecord],
-    /// Producer-core cycle at which the frame became visible.
+    /// Producer-core cycle at which the frame became visible (zero for
+    /// live receivers, which have no modeled clock).
     pub ready_at: u64,
     /// Whether this frame carries the epoch-end mark in its wire header —
     /// sealed by `FrameEncoder::push_epoch` at an epoch boundary. Always
@@ -265,7 +248,7 @@ pub enum PushOutcome {
 /// The framed log transport contract (see the module docs).
 pub trait LogChannel {
     /// Pushes one captured record. `now` is the producer-core cycle used to
-    /// timestamp the frame this record ends up in; live channels ignore it.
+    /// timestamp the frame this record ends up in.
     fn push_record(&mut self, record: &EventRecord, now: u64) -> PushOutcome;
 
     /// Seals the open partial frame so every pushed record becomes visible
@@ -273,22 +256,9 @@ pub trait LogChannel {
     /// program.
     fn flush(&mut self, now: u64) -> PushOutcome;
 
-    /// Pops the next record on the consumer side. `None` means no record is
-    /// currently available (modeled: buffer empty; live: channel closed and
-    /// drained).
-    ///
-    /// This is the record-granular legacy path, kept callable as the
-    /// benchmark baseline; batch consumers use
-    /// [`pop_frame`](LogChannel::pop_frame).
-    fn pop_record(&mut self) -> Option<PoppedRecord>;
-
-    /// Pops everything left of the oldest available frame as one slice with
-    /// a single `ready_at` stamp, consuming the frame whole (its buffer
-    /// space frees immediately). `None` means exactly what it means for
-    /// [`pop_record`](LogChannel::pop_record): nothing available right now.
-    ///
-    /// Mixing granularities is allowed: after `k` `pop_record` calls into a
-    /// frame of `n` records, `pop_frame` yields the remaining `n - k`.
+    /// Pops the oldest available frame as one slice with a single
+    /// `ready_at` stamp, consuming the frame whole (its buffer space frees
+    /// immediately). `None` means no frame is currently available.
     fn pop_frame(&mut self) -> Option<PoppedFrame<'_>>;
 
     /// Whether a sealed frame is parked awaiting space.
@@ -301,30 +271,18 @@ pub trait LogChannel {
     /// Lifetime statistics over sealed frames.
     fn stats(&self) -> ChannelStats;
 
-    /// Whether nothing remains for the consumer — no queued, parked, or
-    /// partially-consumed frame. Drain loops use this to tell a transient
-    /// pop refusal (fault injection modeling a stalled consumer) from a
-    /// truly empty channel, so injected stalls can never truncate an
-    /// end-of-run drain. The default `true` matches channels that resolve
-    /// availability by blocking instead of refusing.
-    fn drained(&self) -> bool {
-        true
-    }
+    /// Whether nothing remains for the consumer — no queued or parked
+    /// frame. Drain loops use this to tell a transient pop refusal (fault
+    /// injection modeling a stalled consumer) from a truly empty channel,
+    /// so injected stalls can never truncate an end-of-run drain.
+    fn drained(&self) -> bool;
 
     /// A cheap occupancy snapshot for the adaptive capture controller.
-    /// Channels that cannot measure load return the default (empty)
-    /// sample, which reads as zero occupancy — the controller never
-    /// engages on them.
-    fn load_sample(&self) -> LoadSample {
-        LoadSample::default()
-    }
+    fn load_sample(&self) -> LoadSample;
 
     /// Sets or clears the degraded-capture mark carried by subsequently
     /// sealed frames (`FrameEncoder::set_degraded`), so degraded spans
     /// survive the flight recorder and replay. Callers flush before
-    /// toggling, keeping the mark frame-accurate. Channels without a real
-    /// encoder ignore the call.
-    fn mark_degraded(&mut self, on: bool) {
-        let _ = on;
-    }
+    /// toggling, keeping the mark frame-accurate.
+    fn mark_degraded(&mut self, on: bool);
 }

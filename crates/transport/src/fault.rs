@@ -28,9 +28,7 @@
 
 use lba_record::EventRecord;
 
-use crate::channel::{
-    ChannelStats, LoadSample, LogChannel, PoppedFrame, PoppedRecord, PushOutcome,
-};
+use crate::channel::{ChannelStats, LoadSample, LogChannel, PoppedFrame, PushOutcome};
 use crate::sink::{FrameSink, SealedFrame, SinkError};
 
 /// A deterministic fault schedule, shared by the channel and sink
@@ -214,13 +212,6 @@ impl<C: LogChannel> LogChannel for FaultInjector<C> {
 
     fn flush(&mut self, now: u64) -> PushOutcome {
         self.inner.flush(now)
-    }
-
-    fn pop_record(&mut self) -> Option<PoppedRecord> {
-        if self.stall_gate() {
-            return None;
-        }
-        self.inner.pop_record()
     }
 
     fn pop_frame(&mut self) -> Option<PoppedFrame<'_>> {
@@ -414,9 +405,9 @@ mod tests {
             let mut pattern = Vec::new();
             let mut seen = 0;
             while seen < 32 {
-                match ch.pop_record() {
-                    Some(_) => {
-                        seen += 1;
+                match ch.pop_frame() {
+                    Some(frame) => {
+                        seen += frame.records.len();
                         pattern.push(true);
                     }
                     None => pattern.push(false),
@@ -449,16 +440,18 @@ mod tests {
         }
         assert!(ch.has_parked(), "second frame must park");
         assert!(
-            ch.pop_record().is_some(),
+            ch.pop_frame().is_some(),
             "drain pops pass through while parked"
         );
-        assert!(ch.pop_record().is_some());
         assert!(ch.retry_parked(10).is_some());
         assert!(!ch.has_parked());
         // No longer parked: the first pop succeeds (arming the episode),
-        // then the schedule fires again.
-        assert!(ch.pop_record().is_some());
-        assert!(ch.pop_record().is_none(), "stall resumes once unparked");
+        // then the schedule fires again even with a frame queued.
+        assert!(ch.pop_frame().is_some());
+        ch.push_record(&rec(4), 11);
+        ch.push_record(&rec(5), 12);
+        assert!(!ch.drained());
+        assert!(ch.pop_frame().is_none(), "stall resumes once unparked");
     }
 
     #[test]
@@ -471,8 +464,8 @@ mod tests {
         }
         ch.flush(20);
         let mut seen = 0;
-        while ch.pop_record().is_some() {
-            seen += 1;
+        while let Some(frame) = ch.pop_frame() {
+            seen += frame.records.len();
         }
         assert_eq!(seen, 16);
         assert_eq!(ch.stalled_pops(), 0);

@@ -4,24 +4,26 @@
 //! the two cores are deliberately not synchronised and coordinate only
 //! through the log buffer. Since the wire unit is a cache line, transport
 //! here moves **frames** — cache-line-multiple byte buffers produced by
-//! `lba_compress::FrameEncoder` — not individual records. The
-//! [`LogChannel`] trait is the single contract both execution models drive:
+//! `lba_compress::FrameEncoder` — not individual records, and consumers
+//! take them a frame at a time:
 //!
 //! * [`ModeledFrameChannel`] — the deterministic timing model used by the
-//!   co-simulation: a real encoder/decoder pair around [`LogBufferModel`],
-//!   a bounded byte-budget frame queue whose entries carry their production
-//!   timestamps, giving exact back-pressure (producer stalls on full) and
-//!   lag (consumer waits on empty) behaviour.
-//! * [`live::LiveFrameChannel`] — a real single-producer/single-consumer
-//!   channel for the "live monitoring" mode, where application and
+//!   co-simulation, driven through the [`LogChannel`] trait: a real
+//!   encoder around [`LogBufferModel`], a bounded byte-budget frame queue
+//!   whose entries carry their production timestamps, giving exact
+//!   back-pressure (producer stalls on full) and lag (consumer waits on
+//!   empty) behaviour. [`LogChannel::pop_frame`] lends a whole frame out
+//!   as one slice with a single `ready_at` stamp.
+//! * [`live::frame_channel`] — a real single-producer/single-consumer
+//!   channel for the "live monitoring" modes, where application and
 //!   lifeguard genuinely run on different OS threads and each frame is one
-//!   queue operation (amortised over `records_per_frame` records).
+//!   queue operation (amortised over `records_per_frame` records);
+//!   [`live::FrameReceiver::recv_batch`] hands out the same [`PoppedFrame`]
+//!   shape.
+//! * [`socket`] — the same sealed frames over Unix-domain sockets, with a
+//!   credit window carrying the back-pressure across the wire.
 //!
-//! Consumption is frame-granular by default: [`LogChannel::pop_frame`]
-//! lends a whole decoded frame out as one slice with a single `ready_at`
-//! stamp, and the dispatch engine delivers it as a batch. The per-record
-//! [`LogChannel::pop_record`] path is kept callable as the benchmark
-//! baseline.
+//! Either way the dispatch engine delivers each frame as a batch.
 //!
 //! # Examples
 //!
@@ -34,8 +36,9 @@
 //! let rec = EventRecord::alu(0x1000, 0, None, None, Some(1));
 //! assert_eq!(ch.push_record(&rec, 100), PushOutcome::Buffered);
 //! assert!(matches!(ch.flush(120), PushOutcome::Sealed { .. }));
-//! let popped = ch.pop_record().expect("one record queued");
-//! assert_eq!(popped.ready_at, 120); // visible when its frame shipped
+//! let frame = ch.pop_frame().expect("one frame queued");
+//! assert_eq!(frame.records, [rec]);
+//! assert_eq!(frame.ready_at, 120); // visible when the frame shipped
 //! ```
 
 mod channel;
@@ -47,14 +50,10 @@ pub mod socket;
 
 pub use channel::{
     shard_of, ChannelStats, EpochRoute, EpochRouter, LoadSample, LogChannel, PoppedFrame,
-    PoppedRecord, PushOutcome,
+    PushOutcome,
 };
 pub use fault::{FaultInjector, FaultProfile, FaultSink, RetrySink};
-pub use live::LiveFrameChannel;
-pub use model::{
-    modeled_channel, modeled_channel_set, BufferFullError, LogBufferModel, ModeledFrameChannel,
-    TimedFrame, TransportStats,
-};
+pub use model::{BufferFullError, LogBufferModel, ModeledFrameChannel, TimedFrame, TransportStats};
 pub use sink::{
     ChannelTee, FrameSink, FrameSource, SealedFrame, SinkError, StreamSink, StreamSource, TeeSink,
     VecSink,

@@ -2,18 +2,14 @@
 //!
 //! The deterministic [`ModeledFrameChannel`](crate::ModeledFrameChannel)
 //! gives exact timing; this module gives the *functional* equivalent with
-//! genuine parallelism. Two transports live here:
-//!
-//! * [`channel`] — the legacy per-record SPSC queue: one queue operation
-//!   per [`EventRecord`]. Kept as the uninstrumented baseline the framed
-//!   channel is benchmarked against.
-//! * [`frame_channel`] / [`LiveFrameChannel`] — the framed transport: the
-//!   producer compresses records into cache-line-multiple frames
-//!   ([`FrameEncoder`]) and ships each frame as one byte buffer, amortising
-//!   a queue operation over `records_per_frame` records; the consumer
-//!   decompresses on its own thread. This is the live analogue of the
-//!   paper's compressed log moving through the cache hierarchy, and it
-//!   measures real wire bytes per record.
+//! genuine parallelism: [`frame_channel`] is a framed SPSC transport. The
+//! producer compresses records into cache-line-multiple frames
+//! ([`FrameEncoder`]) and ships each frame as one byte buffer, amortising a
+//! queue operation over `records_per_frame` records; the consumer
+//! decompresses on its own thread and takes one frame per
+//! [`recv_batch`](FrameReceiver::recv_batch). This is the live analogue of
+//! the paper's compressed log moving through the cache hierarchy, and it
+//! measures real wire bytes per record.
 //!
 //! # Examples
 //!
@@ -30,8 +26,8 @@
 //!     // tx dropped here: flushes the partial frame and closes the channel
 //! });
 //! let mut seen = 0;
-//! while let Some(_rec) = rx.recv() {
-//!     seen += 1;
+//! while let Some(frame) = rx.recv_batch() {
+//!     seen += frame.records.len();
 //! }
 //! writer.join().unwrap();
 //! assert_eq!(seen, 100);
@@ -48,9 +44,7 @@ use crossbeam::queue::ArrayQueue;
 use lba_compress::{Frame, FrameConfig, FrameDecoder, FrameEncoder};
 use lba_record::EventRecord;
 
-use crate::channel::{
-    ChannelStats, LoadSample, LogChannel, PoppedFrame, PoppedRecord, PushOutcome,
-};
+use crate::channel::{ChannelStats, LoadSample, PoppedFrame};
 use crate::sink::{ChannelTee, FrameSink, FrameSource, SealedFrame, SinkError};
 
 /// Spin briefly before yielding to the scheduler: the peer is typically
@@ -62,110 +56,6 @@ fn backoff(spins: &mut u32) {
         std::hint::spin_loop();
     } else {
         thread::yield_now();
-    }
-}
-
-struct Shared {
-    queue: ArrayQueue<EventRecord>,
-    closed: AtomicBool,
-    /// Set when the consumer is dropped, so a producer blocked on a full
-    /// queue can bail out instead of spinning forever.
-    consumer_gone: AtomicBool,
-}
-
-/// The application-side handle: pushes records, blocking on back-pressure.
-pub struct LiveProducer {
-    shared: Arc<Shared>,
-}
-
-/// The lifeguard-side handle: pops records, blocking until data or close.
-pub struct LiveConsumer {
-    shared: Arc<Shared>,
-}
-
-/// Creates a bounded SPSC log channel holding up to `capacity_records`
-/// in-flight records — one queue operation per record.
-///
-/// Dropping the [`LiveProducer`] closes the channel; [`LiveConsumer::recv`]
-/// then drains the remaining records and returns `None`.
-///
-/// # Panics
-///
-/// Panics if `capacity_records` is zero.
-#[must_use]
-pub fn channel(capacity_records: usize) -> (LiveProducer, LiveConsumer) {
-    assert!(
-        capacity_records > 0,
-        "live channel capacity must be non-zero"
-    );
-    let shared = Arc::new(Shared {
-        queue: ArrayQueue::new(capacity_records),
-        closed: AtomicBool::new(false),
-        consumer_gone: AtomicBool::new(false),
-    });
-    (
-        LiveProducer {
-            shared: Arc::clone(&shared),
-        },
-        LiveConsumer { shared },
-    )
-}
-
-impl LiveProducer {
-    /// Sends one record, spinning (with yields) while the buffer is full —
-    /// the live analogue of the model's back-pressure stall. The record is
-    /// dropped if the consumer has gone away (e.g. panicked), so the
-    /// producer cannot hang.
-    pub fn send(&self, record: EventRecord) {
-        let mut rec = record;
-        let mut spins = 0;
-        loop {
-            match self.shared.queue.push(rec) {
-                Ok(()) => return,
-                Err(back) => {
-                    if self.shared.consumer_gone.load(Ordering::Acquire) {
-                        return;
-                    }
-                    rec = back;
-                    backoff(&mut spins);
-                }
-            }
-        }
-    }
-}
-
-impl Drop for LiveProducer {
-    fn drop(&mut self) {
-        self.shared.closed.store(true, Ordering::Release);
-    }
-}
-
-impl LiveConsumer {
-    /// Receives the next record, blocking until one is available. Returns
-    /// `None` once the producer is dropped and the queue is drained.
-    pub fn recv(&self) -> Option<EventRecord> {
-        let mut spins = 0;
-        loop {
-            if let Some(rec) = self.shared.queue.pop() {
-                return Some(rec);
-            }
-            if self.shared.closed.load(Ordering::Acquire) {
-                // Drain anything that raced with the close flag.
-                return self.shared.queue.pop();
-            }
-            backoff(&mut spins);
-        }
-    }
-
-    /// Non-blocking receive.
-    pub fn try_recv(&self) -> Option<EventRecord> {
-        self.shared.queue.pop()
-    }
-}
-
-impl Drop for LiveConsumer {
-    fn drop(&mut self) {
-        self.shared.consumer_gone.store(true, Ordering::Release);
     }
 }
 
@@ -419,12 +309,9 @@ impl Drop for FrameSender {
 /// Consumer half of the framed live channel: owns the decompressor.
 pub struct FrameReceiver {
     decoder: FrameDecoder,
-    /// Decoded records of the current frame, served from `cursor`; the
-    /// buffer is reused across frames to avoid a per-frame allocation.
+    /// Decoded records of the current frame; the buffer is reused across
+    /// frames to avoid a per-frame allocation.
     pending: Vec<EventRecord>,
-    cursor: usize,
-    /// Whether the most recently decoded frame carried the epoch-end mark.
-    frame_epoch_end: bool,
     /// Fault injection: spin iterations burned before each frame receive,
     /// simulating a lifeguard core that drains slowly (see
     /// [`set_drag`](Self::set_drag)).
@@ -441,98 +328,31 @@ impl FrameReceiver {
         self.drag = spins;
     }
 
-    /// Burns the configured drag (no-op when disabled).
-    fn apply_drag(&self) {
-        for _ in 0..self.drag {
-            std::hint::spin_loop();
-        }
-    }
-
-    /// Receives the next record, blocking until a frame arrives. Returns
-    /// `None` once the producer is dropped and the queue is drained.
+    /// Receives the next frame's records as one slice, blocking until a
+    /// frame arrives — one queue operation and one decode per
+    /// `records_per_frame` records. The frame's epoch-end mark rides along
+    /// (see [`EpochRouter`](crate::EpochRouter) and
+    /// [`FrameSender::push_epoch`]); `ready_at` is always zero, since live
+    /// threads have no modeled clock. Returns `None` once the producer is
+    /// dropped and the queue drained.
     ///
     /// # Panics
     ///
     /// Panics if a frame fails to decode — the producer is in-process, so
     /// corruption is a codec bug, not an I/O condition.
-    pub fn recv(&mut self) -> Option<EventRecord> {
-        self.recv_ref().copied()
-    }
-
-    /// Like [`recv`](Self::recv), but lends the record out of the decode
-    /// buffer instead of copying it — for consumers (like the lifeguard
-    /// dispatch) that only need `&EventRecord`.
-    pub fn recv_ref(&mut self) -> Option<&EventRecord> {
-        loop {
-            if self.cursor < self.pending.len() {
-                self.cursor += 1;
-                return self.pending.get(self.cursor - 1);
-            }
-            let bytes = self.recv_frame()?;
-            self.decode(&bytes);
-            let _ = self.shared.pool.push(bytes); // return for reuse
-        }
-    }
-
-    /// Receives a frame's worth of records as one slice, blocking until a
-    /// frame arrives — the batch counterpart of [`recv`](Self::recv), one
-    /// queue operation and one decode per `records_per_frame` records.
-    /// Returns `None` once the producer is dropped and the queue drained.
-    ///
-    /// Mixing with [`recv`](Self::recv) is allowed: records already served
-    /// record-by-record are not repeated.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a frame fails to decode (see [`recv`](Self::recv)).
-    pub fn recv_batch(&mut self) -> Option<&[EventRecord]> {
-        if self.cursor >= self.pending.len() {
-            let bytes = self.recv_frame()?;
-            self.ingest(bytes);
-        }
-        Some(self.serve_rest())
-    }
-
-    /// Like [`recv_batch`](Self::recv_batch), but also reports whether the
-    /// served frame carried the epoch-end mark — the consumer half of the
-    /// epoch-parallel transport (see [`EpochRouter`](crate::EpochRouter)
-    /// and [`FrameSender::push_epoch`]). Epoch workers drive this method
-    /// exclusively, so every call serves exactly one frame and the flag
-    /// describes that frame.
-    pub fn recv_batch_epoch(&mut self) -> Option<(&[EventRecord], bool)> {
-        if self.cursor >= self.pending.len() {
-            let bytes = self.recv_frame()?;
-            self.ingest(bytes);
-        }
-        let epoch_end = self.frame_epoch_end;
-        Some((self.serve_rest(), epoch_end))
-    }
-
-    /// Decodes a received frame buffer and returns it to the buffer pool.
-    fn ingest(&mut self, bytes: Vec<u8>) {
-        self.decode(&bytes);
+    pub fn recv_batch(&mut self) -> Option<PoppedFrame<'_>> {
+        let bytes = self.recv_frame()?;
+        let epoch_end = Frame::header_epoch_end(&bytes);
+        self.pending.clear();
+        self.decoder
+            .decode_frame(&bytes, &mut self.pending)
+            .unwrap_or_else(|e| panic!("live frame failed to decode: {e}"));
         let _ = self.shared.pool.push(bytes); // return for reuse
-    }
-
-    /// Hands out every decoded-but-unserved record as one slice.
-    fn serve_rest(&mut self) -> &[EventRecord] {
-        let start = self.cursor;
-        self.cursor = self.pending.len();
-        &self.pending[start..]
-    }
-
-    /// Non-blocking receive: `None` when no complete frame has arrived.
-    pub fn try_recv(&mut self) -> Option<EventRecord> {
-        loop {
-            if let Some(rec) = self.next_pending() {
-                return Some(rec);
-            }
-            self.apply_drag();
-            let bytes = self.shared.queue.pop()?;
-            self.shared.account_pop(&bytes);
-            self.decode(&bytes);
-            let _ = self.shared.pool.push(bytes); // return for reuse
-        }
+        Some(PoppedFrame {
+            records: &self.pending,
+            ready_at: 0,
+            epoch_end,
+        })
     }
 
     /// Channel statistics (complete once the producer has been dropped).
@@ -541,15 +361,10 @@ impl FrameReceiver {
         self.shared.snapshot()
     }
 
-    #[inline]
-    fn next_pending(&mut self) -> Option<EventRecord> {
-        let rec = self.pending.get(self.cursor).copied()?;
-        self.cursor += 1;
-        Some(rec)
-    }
-
     fn recv_frame(&self) -> Option<Vec<u8>> {
-        self.apply_drag();
+        for _ in 0..self.drag {
+            std::hint::spin_loop();
+        }
         let mut spins = 0;
         loop {
             if let Some(bytes) = self.shared.queue.pop() {
@@ -565,17 +380,6 @@ impl FrameReceiver {
             backoff(&mut spins);
         }
     }
-
-    fn decode(&mut self, bytes: &[u8]) {
-        // Drop only the consumed prefix: the unsplit channel can decode a
-        // frame to make room while earlier records are still unread.
-        self.pending.drain(..self.cursor);
-        self.cursor = 0;
-        self.frame_epoch_end = Frame::header_epoch_end(bytes);
-        self.decoder
-            .decode_frame(bytes, &mut self.pending)
-            .unwrap_or_else(|e| panic!("live frame failed to decode: {e}"));
-    }
 }
 
 impl Drop for FrameReceiver {
@@ -586,8 +390,8 @@ impl Drop for FrameReceiver {
 
 /// The consumer half as a raw frame drain: blocks for the next sealed
 /// wire image, `Ok(None)` once the producer closed and the queue drained.
-/// A raw drain bypasses the record-level decode — do not interleave with
-/// [`recv`](FrameReceiver::recv) and friends mid-frame.
+/// A raw drain bypasses the decode — do not interleave with
+/// [`recv_batch`](FrameReceiver::recv_batch).
 impl FrameSource for FrameReceiver {
     fn next_frame_bytes(&mut self) -> Result<Option<Vec<u8>>, SinkError> {
         Ok(self.recv_frame())
@@ -598,8 +402,8 @@ impl FrameSource for FrameReceiver {
 /// in-flight frames.
 ///
 /// Dropping the [`FrameSender`] flushes the partial frame and closes the
-/// channel; [`FrameReceiver::recv`] then drains what remains and returns
-/// `None`.
+/// channel; [`FrameReceiver::recv_batch`] then drains what remains and
+/// returns `None`.
 ///
 /// # Panics
 ///
@@ -629,8 +433,6 @@ pub fn frame_channel(capacity_frames: usize, config: FrameConfig) -> (FrameSende
         FrameReceiver {
             decoder: FrameDecoder::new(config),
             pending: Vec::new(),
-            cursor: 0,
-            frame_epoch_end: false,
             drag: 0,
             shared,
         },
@@ -662,143 +464,6 @@ pub fn shard_frame_channels(
         .unzip()
 }
 
-/// Both halves of the framed live channel as one [`LogChannel`].
-///
-/// [`split`](LiveFrameChannel::split) yields the two thread-safe halves for
-/// the genuine two-thread pipeline; unsplit, the channel implements the
-/// trait for single-threaded drivers (tests, benches, and any code written
-/// against `dyn LogChannel`). In unsplit use a full queue is resolved by
-/// decoding the oldest frame in place, so pushes never block.
-pub struct LiveFrameChannel {
-    // Field order matters: the receiver must drop before the sender so the
-    // sender's flush-on-drop sees `consumer_gone` and cannot spin on a
-    // full queue with nobody left to pop it.
-    receiver: FrameReceiver,
-    sender: FrameSender,
-}
-
-impl LiveFrameChannel {
-    /// Creates the channel; see [`frame_channel`] for parameters.
-    #[must_use]
-    pub fn new(capacity_frames: usize, config: FrameConfig) -> Self {
-        let (sender, receiver) = frame_channel(capacity_frames, config);
-        LiveFrameChannel { sender, receiver }
-    }
-
-    /// Splits into the producer and consumer halves for cross-thread use.
-    #[must_use]
-    pub fn split(self) -> (FrameSender, FrameReceiver) {
-        (self.sender, self.receiver)
-    }
-
-    /// Mirrors every subsequently shipped frame into `sink`; see
-    /// [`FrameSender::tee_into`].
-    pub fn tee_into(&mut self, sink: Box<dyn FrameSink + Send>) {
-        self.sender.tee_into(sink);
-    }
-
-    /// Takes the tee sink back; see [`FrameSender::take_tee`].
-    ///
-    /// # Errors
-    ///
-    /// The first error a mirror write hit.
-    pub fn take_tee(&mut self) -> Result<Option<Box<dyn FrameSink + Send>>, SinkError> {
-        self.sender.take_tee()
-    }
-
-    fn ship_nonblocking(&mut self, frame: Frame) -> PushOutcome {
-        let wire_bits = frame.wire_bits();
-        self.sender.tee.mirror(&SealedFrame {
-            bytes: &frame.bytes,
-            records: frame.records,
-            sealed_at: 0,
-        });
-        let ticket = self.sender.shared.begin_ship(&frame);
-        let mut bytes = frame.bytes;
-        loop {
-            match self.sender.shared.queue.push(bytes) {
-                Ok(()) => break,
-                Err(back) => {
-                    bytes = back;
-                    // We own the consumer half: make room by decoding the
-                    // oldest frame instead of spinning against ourselves.
-                    let oldest = self
-                        .sender
-                        .shared
-                        .queue
-                        .pop()
-                        .expect("full queue has a frame");
-                    self.receiver.shared.account_pop(&oldest);
-                    self.receiver.decode(&oldest);
-                    let _ = self.receiver.shared.pool.push(oldest);
-                }
-            }
-        }
-        self.sender.shared.commit_ship(ticket);
-        self.sender.refill();
-        PushOutcome::Sealed { wire_bits }
-    }
-}
-
-impl LogChannel for LiveFrameChannel {
-    fn push_record(&mut self, record: &EventRecord, _now: u64) -> PushOutcome {
-        match self.sender.encoder.push(record) {
-            Some(frame) => self.ship_nonblocking(frame),
-            None => PushOutcome::Buffered,
-        }
-    }
-
-    fn flush(&mut self, _now: u64) -> PushOutcome {
-        match self.sender.encoder.flush() {
-            Some(frame) => self.ship_nonblocking(frame),
-            None => PushOutcome::Buffered,
-        }
-    }
-
-    fn pop_record(&mut self) -> Option<PoppedRecord> {
-        self.receiver.try_recv().map(|record| PoppedRecord {
-            record,
-            ready_at: 0,
-        })
-    }
-
-    fn pop_frame(&mut self) -> Option<PoppedFrame<'_>> {
-        let rx = &mut self.receiver;
-        if rx.cursor >= rx.pending.len() {
-            // Non-blocking like pop_record: only a frame already queued.
-            let bytes = rx.shared.queue.pop()?;
-            rx.shared.account_pop(&bytes);
-            rx.ingest(bytes);
-        }
-        let epoch_end = rx.frame_epoch_end;
-        Some(PoppedFrame {
-            records: rx.serve_rest(),
-            ready_at: 0,
-            epoch_end,
-        })
-    }
-
-    fn has_parked(&self) -> bool {
-        false // back-pressure is resolved inside push_record
-    }
-
-    fn retry_parked(&mut self, _now: u64) -> Option<u64> {
-        None
-    }
-
-    fn stats(&self) -> ChannelStats {
-        self.sender.shared.snapshot()
-    }
-
-    fn load_sample(&self) -> LoadSample {
-        self.sender.load_sample()
-    }
-
-    fn mark_degraded(&mut self, on: bool) {
-        self.sender.set_degraded(on);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -807,83 +472,46 @@ mod tests {
         EventRecord::alu(pc, 0, None, None, None)
     }
 
-    #[test]
-    fn records_arrive_in_order() {
-        let (tx, rx) = channel(8);
-        let writer = thread::spawn(move || {
-            for i in 0..1000 {
-                tx.send(rec(i));
-            }
-        });
-        let mut expected = 0;
-        while let Some(r) = rx.recv() {
-            assert_eq!(r.pc, expected);
-            expected += 1;
+    fn config(records_per_frame: usize, compress: bool) -> FrameConfig {
+        FrameConfig {
+            records_per_frame,
+            compress,
         }
-        writer.join().unwrap();
-        assert_eq!(expected, 1000);
     }
 
-    #[test]
-    fn small_buffer_exerts_back_pressure_without_loss() {
-        let (tx, rx) = channel(1);
-        let writer = thread::spawn(move || {
-            for i in 0..100 {
-                tx.send(rec(i));
-            }
-        });
-        let mut count = 0;
-        while rx.recv().is_some() {
-            count += 1;
+    /// Drains the receiver frame by frame, returning every record's pc.
+    fn drain_pcs(rx: &mut FrameReceiver) -> Vec<u64> {
+        let mut pcs = Vec::new();
+        while let Some(frame) = rx.recv_batch() {
+            pcs.extend(frame.records.iter().map(|r| r.pc));
         }
-        writer.join().unwrap();
-        assert_eq!(count, 100);
-    }
-
-    #[test]
-    fn close_with_empty_queue_returns_none() {
-        let (tx, rx) = channel(4);
-        drop(tx);
-        assert_eq!(rx.recv(), None);
-    }
-
-    #[test]
-    fn try_recv_is_nonblocking() {
-        let (tx, rx) = channel(4);
-        assert_eq!(rx.try_recv(), None);
-        tx.send(rec(1));
-        assert_eq!(rx.try_recv().map(|r| r.pc), Some(1));
+        pcs
     }
 
     #[test]
     #[should_panic(expected = "non-zero")]
     fn zero_capacity_rejected() {
-        let _ = channel(0);
+        let _ = frame_channel(0, FrameConfig::default());
+    }
+
+    #[test]
+    fn close_with_empty_queue_returns_none() {
+        let (tx, mut rx) = frame_channel(4, FrameConfig::default());
+        drop(tx);
+        assert!(rx.recv_batch().is_none());
     }
 
     #[test]
     fn framed_records_arrive_in_order_across_threads() {
-        let (mut tx, mut rx) = frame_channel(
-            4,
-            FrameConfig {
-                records_per_frame: 64,
-                compress: true,
-            },
-        );
+        let (mut tx, mut rx) = frame_channel(4, config(64, true));
         let writer = thread::spawn(move || {
             for i in 0..5000 {
                 tx.push(&rec(0x1000 + i * 8));
             }
         });
-        let mut expected = 0x1000;
-        let mut count = 0u64;
-        while let Some(r) = rx.recv() {
-            assert_eq!(r.pc, expected);
-            expected += 8;
-            count += 1;
-        }
+        let pcs = drain_pcs(&mut rx);
         writer.join().unwrap();
-        assert_eq!(count, 5000);
+        assert_eq!(pcs, (0..5000).map(|i| 0x1000 + i * 8).collect::<Vec<_>>());
         let stats = rx.stats();
         assert_eq!(stats.records, 5000);
         // 5000 records at 64/frame, plus the flush-on-drop partial frame.
@@ -894,64 +522,43 @@ mod tests {
 
     #[test]
     fn framed_tiny_queue_exerts_back_pressure_without_loss() {
-        let (mut tx, mut rx) = frame_channel(
-            1,
-            FrameConfig {
-                records_per_frame: 8,
-                compress: true,
-            },
-        );
+        let (mut tx, mut rx) = frame_channel(1, config(8, true));
         let writer = thread::spawn(move || {
             for i in 0..500 {
                 tx.push(&rec(0x1000 + i * 8));
             }
         });
-        let mut count = 0;
-        while rx.recv().is_some() {
-            count += 1;
-        }
+        let pcs = drain_pcs(&mut rx);
         writer.join().unwrap();
-        assert_eq!(count, 500);
+        assert_eq!(pcs.len(), 500);
     }
 
     #[test]
     fn framed_raw_mode_round_trips() {
-        let (mut tx, mut rx) = frame_channel(
-            4,
-            FrameConfig {
-                records_per_frame: 16,
-                compress: false,
-            },
-        );
+        let (mut tx, mut rx) = frame_channel(4, config(16, false));
         let writer = thread::spawn(move || {
             for i in 0..100 {
                 tx.push(&rec(0x2000 + i * 4));
             }
         });
-        let mut count = 0;
-        while rx.recv().is_some() {
-            count += 1;
-        }
+        let pcs = drain_pcs(&mut rx);
         writer.join().unwrap();
-        assert_eq!(count, 100);
+        assert_eq!(pcs, (0..100).map(|i| 0x2000 + i * 4).collect::<Vec<_>>());
     }
 
     #[test]
     fn flush_makes_partial_frames_visible() {
-        let (mut tx, mut rx) = frame_channel(
-            4,
-            FrameConfig {
-                records_per_frame: 1000,
-                compress: true,
-            },
-        );
+        let (mut tx, mut rx) = frame_channel(4, config(1000, true));
         tx.push(&rec(0x1000));
         tx.push(&rec(0x1008));
-        assert_eq!(rx.try_recv(), None, "partial frame not visible yet");
+        assert_eq!(tx.stats().frames, 0, "partial frame not shipped yet");
         tx.flush();
-        assert_eq!(rx.try_recv().map(|r| r.pc), Some(0x1000));
-        assert_eq!(rx.try_recv().map(|r| r.pc), Some(0x1008));
-        assert_eq!(rx.try_recv(), None);
+        assert_eq!(tx.stats().frames, 1);
+        let frame = rx.recv_batch().expect("the flushed frame");
+        let pcs: Vec<u64> = frame.records.iter().map(|r| r.pc).collect();
+        assert_eq!(pcs, [0x1000, 0x1008]);
+        assert_eq!(frame.ready_at, 0, "live frames carry no modeled clock");
+        assert!(!frame.epoch_end);
     }
 
     #[test]
@@ -960,13 +567,7 @@ mod tests {
         // add in-flight occupancy) *before* the enqueue, so a frame
         // discarded because the receiver vanished inflated the statistics
         // and leaked `inflight_bits`, skewing `high_water_bits` forever.
-        let (mut tx, rx) = frame_channel(
-            1,
-            FrameConfig {
-                records_per_frame: 4,
-                compress: true,
-            },
-        );
+        let (mut tx, rx) = frame_channel(1, config(4, true));
         // Seal one frame: it occupies the queue's only slot.
         for i in 0..4 {
             tx.push(&rec(0x1000 + i * 8));
@@ -992,13 +593,7 @@ mod tests {
 
     #[test]
     fn epoch_marks_cross_the_live_channel() {
-        let (mut tx, mut rx) = frame_channel(
-            8,
-            FrameConfig {
-                records_per_frame: 4,
-                compress: true,
-            },
-        );
+        let (mut tx, mut rx) = frame_channel(8, config(4, true));
         let writer = thread::spawn(move || {
             for i in 0..20u64 {
                 // Epochs of 7: boundaries after records 6 and 13; the tail
@@ -1008,9 +603,9 @@ mod tests {
         });
         let mut epochs = Vec::new();
         let mut current = 0u64;
-        while let Some((records, epoch_end)) = rx.recv_batch_epoch() {
-            current += records.len() as u64;
-            if epoch_end {
+        while let Some(frame) = rx.recv_batch() {
+            current += frame.records.len() as u64;
+            if frame.epoch_end {
                 epochs.push(current);
                 current = 0;
             }
@@ -1025,11 +620,7 @@ mod tests {
 
     #[test]
     fn shard_channels_are_independent_streams() {
-        let config = FrameConfig {
-            records_per_frame: 8,
-            compress: true,
-        };
-        let (txs, rxs) = shard_frame_channels(3, 4, config);
+        let (txs, rxs) = shard_frame_channels(3, 4, config(8, true));
         assert_eq!(txs.len(), 3);
         let writers: Vec<_> = txs
             .into_iter()
@@ -1043,14 +634,13 @@ mod tests {
             })
             .collect();
         for (shard, mut rx) in rxs.into_iter().enumerate() {
-            let mut expected = 0x1000 * (shard as u64 + 1);
-            let mut count = 0;
-            while let Some(r) = rx.recv() {
-                assert_eq!(r.pc, expected, "shard {shard} stream stays in order");
-                expected += 8;
-                count += 1;
-            }
-            assert_eq!(count, 100);
+            let base = 0x1000 * (shard as u64 + 1);
+            let pcs = drain_pcs(&mut rx);
+            assert_eq!(
+                pcs,
+                (0..100).map(|i| base + i * 8).collect::<Vec<_>>(),
+                "shard {shard} stream stays in order"
+            );
             let stats = rx.stats();
             assert_eq!(stats.records, 100);
             assert!(stats.frames >= 100 / 8);
@@ -1063,13 +653,7 @@ mod tests {
 
     #[test]
     fn stall_timeout_latches_instead_of_spinning_forever() {
-        let (mut tx, rx) = frame_channel(
-            1,
-            FrameConfig {
-                records_per_frame: 2,
-                compress: true,
-            },
-        );
+        let (mut tx, rx) = frame_channel(1, config(2, true));
         tx.set_stall_timeout(Some(Duration::from_millis(5)));
         // Fill the queue's only slot; the consumer never drains it.
         tx.push(&rec(0x1000));
@@ -1095,51 +679,15 @@ mod tests {
 
     #[test]
     fn receiver_drag_slows_the_drain() {
-        let (mut tx, mut rx) = frame_channel(
-            4,
-            FrameConfig {
-                records_per_frame: 4,
-                compress: true,
-            },
-        );
+        let (mut tx, mut rx) = frame_channel(4, config(4, true));
         rx.set_drag(10_000);
         let writer = thread::spawn(move || {
             for i in 0..40 {
                 tx.push(&rec(0x1000 + i * 8));
             }
         });
-        let mut count = 0;
-        while rx.recv().is_some() {
-            count += 1;
-        }
+        let pcs = drain_pcs(&mut rx);
         writer.join().unwrap();
-        assert_eq!(count, 40, "drag slows the drain but loses nothing");
-    }
-
-    #[test]
-    fn unsplit_channel_implements_the_trait_without_blocking() {
-        // Queue of one frame, frames of two records: pushes must make
-        // progress by decoding in place rather than deadlocking.
-        let mut ch = LiveFrameChannel::new(
-            1,
-            FrameConfig {
-                records_per_frame: 2,
-                compress: true,
-            },
-        );
-        let mut popped = Vec::new();
-        for i in 0..100 {
-            match ch.push_record(&rec(0x1000 + i * 8), i) {
-                PushOutcome::BackPressure { .. } => panic!("live channel never parks"),
-                PushOutcome::Buffered | PushOutcome::Sealed { .. } => {}
-            }
-        }
-        ch.flush(100);
-        while let Some(p) = ch.pop_record() {
-            popped.push(p.record.pc);
-        }
-        assert_eq!(popped.len(), 100);
-        assert!(popped.windows(2).all(|w| w[0] < w[1]), "in order");
-        assert_eq!(ch.stats().records, 100);
+        assert_eq!(pcs.len(), 40, "drag slows the drain but loses nothing");
     }
 }

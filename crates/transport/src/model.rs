@@ -6,9 +6,7 @@ use std::fmt;
 use lba_compress::{Frame, FrameConfig, FrameDecoder, FrameEncoder, FRAME_LINE_BYTES};
 use lba_record::EventRecord;
 
-use crate::channel::{
-    ChannelStats, LoadSample, LogChannel, PoppedFrame, PoppedRecord, PushOutcome,
-};
+use crate::channel::{ChannelStats, LoadSample, LogChannel, PoppedFrame, PushOutcome};
 use crate::sink::{ChannelTee, FrameSink, FrameSource, SealedFrame, SinkError};
 
 /// A sealed log frame annotated with its production time.
@@ -187,26 +185,18 @@ impl LogBufferModel {
 }
 
 /// The deterministic [`LogChannel`]: a real [`FrameEncoder`] feeding a
-/// [`LogBufferModel`], with frames decoded back to records on the consumer
-/// side by a [`FrameDecoder`].
+/// [`LogBufferModel`], consumed frame-at-a-time by the dispatch engine.
 ///
-/// The co-simulation drives this channel; because the encoder and decoder
-/// are the genuine codec, the modeled path exercises the same wire format
-/// as the live path, and `verify` cross-checks every decoded record against
-/// the pushed original (with memory bounded by the frames in flight).
-///
-/// # Consume modes
-///
-/// The paper's decompressor is a *hardware* engine on the lifeguard core —
-/// its cost is part of the dispatch cycle model, not host work. The
-/// default constructor ([`new`](Self::new)) nevertheless software-decodes
-/// every popped frame, which is the pre-batching behaviour and the
-/// throughput-benchmark baseline. [`zero_copy`](Self::zero_copy) skips the
-/// redundant host decode: sealed frames carry their records alongside the
-/// wire bytes, so consuming hands back the originals while the wire
-/// accounting (and back-pressure timing) still comes from the genuinely
-/// encoded frames. Losslessness stays enforced by `verify` mode, the live
-/// channel (which always decodes for real), and the round-trip suites.
+/// The co-simulation drives this channel. The paper's decompressor is a
+/// *hardware* engine on the lifeguard core — its cost is part of the
+/// dispatch cycle model, not host work — so popping a frame hands back the
+/// pushed records instead of re-running the decoder in software: sealed
+/// frames carry their records alongside the wire bytes, while the wire
+/// accounting (and back-pressure timing) comes from the genuinely encoded
+/// frames. With `verify` set, every popped frame is additionally decoded
+/// with the real codec and cross-checked against the pushed records;
+/// losslessness is further enforced by the live channel (which always
+/// decodes for real) and the round-trip suites.
 #[derive(Debug)]
 pub struct ModeledFrameChannel {
     encoder: FrameEncoder,
@@ -214,32 +204,18 @@ pub struct ModeledFrameChannel {
     buffer: LogBufferModel,
     /// Sealed frames awaiting space, oldest first.
     parked: VecDeque<Frame>,
-    /// Records of the frame currently being consumed.
-    open: VecDeque<EventRecord>,
-    open_ready_at: u64,
-    /// Whether the open frame carried the epoch-end mark.
-    open_epoch_end: bool,
-    /// Wire bits of the open frame: its buffer space stays occupied until
-    /// the consumer takes its last record (the dispatch engine reads the
-    /// frame's lines out of the buffer as it processes them).
-    open_held_bits: u64,
-    /// Originals awaiting verification (only populated when `verify`).
-    originals: VecDeque<EventRecord>,
     verify: bool,
     scratch: Vec<EventRecord>,
-    /// Decode buffer for [`pop_frame`](LogChannel::pop_frame): frames are
-    /// decoded straight into it and lent out as a slice, so the batch path
-    /// never copies records through the `open` queue.
+    /// The popped frame's records, lent out by
+    /// [`pop_frame`](LogChannel::pop_frame).
     batch: Vec<EventRecord>,
-    /// Zero-copy consume mode (see the type docs).
-    zero_copy: bool,
-    /// Zero-copy: records of the frame currently being staged (not yet
-    /// sealed by the encoder).
+    /// Records of the frame currently being staged (not yet sealed by the
+    /// encoder).
     staging: Vec<EventRecord>,
-    /// Zero-copy: sealed frames' record batches in seal order, which is
-    /// also pop order (parked frames preserve FIFO).
+    /// Sealed frames' record batches in seal order, which is also pop
+    /// order (parked frames preserve FIFO).
     ready: VecDeque<Vec<EventRecord>>,
-    /// Zero-copy: spent record batches recycled to avoid per-frame allocs.
+    /// Spent record batches recycled to avoid per-frame allocations.
     batch_pool: Vec<Vec<EventRecord>>,
     /// Optional mirror of every sealed frame into a [`FrameSink`] (the
     /// flight recorder); see [`tee_into`](Self::tee_into).
@@ -247,9 +223,9 @@ pub struct ModeledFrameChannel {
 }
 
 impl ModeledFrameChannel {
-    /// Creates a channel with a `capacity_bytes` buffer budget that
-    /// software-decodes every popped frame (the benchmark-baseline mode;
-    /// see the type docs).
+    /// Creates a channel with a `capacity_bytes` buffer budget. With
+    /// `verify` set, every popped frame is decoded with the real codec and
+    /// cross-checked against the pushed records.
     ///
     /// # Panics
     ///
@@ -258,24 +234,6 @@ impl ModeledFrameChannel {
     /// with a proper error first.
     #[must_use]
     pub fn new(capacity_bytes: u64, config: FrameConfig, verify: bool) -> Self {
-        Self::build(capacity_bytes, config, verify, false)
-    }
-
-    /// Creates a channel in zero-copy consume mode: popped frames hand
-    /// back the pushed records, skipping the redundant host decode while
-    /// shipping the identical wire bytes (see the type docs). With
-    /// `verify` set, every frame is additionally decoded with the real
-    /// codec and cross-checked.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity_bytes` is smaller than one cache-line frame.
-    #[must_use]
-    pub fn zero_copy(capacity_bytes: u64, config: FrameConfig, verify: bool) -> Self {
-        Self::build(capacity_bytes, config, verify, true)
-    }
-
-    fn build(capacity_bytes: u64, config: FrameConfig, verify: bool, zero_copy: bool) -> Self {
         assert!(
             capacity_bytes >= FRAME_LINE_BYTES as u64,
             "log buffer of {capacity_bytes} B cannot hold a single {FRAME_LINE_BYTES} B frame"
@@ -285,15 +243,9 @@ impl ModeledFrameChannel {
             decoder: FrameDecoder::new(config),
             buffer: LogBufferModel::new(capacity_bytes),
             parked: VecDeque::new(),
-            open: VecDeque::new(),
-            open_ready_at: 0,
-            open_epoch_end: false,
-            open_held_bits: 0,
-            originals: VecDeque::new(),
             verify,
             scratch: Vec::new(),
             batch: Vec::new(),
-            zero_copy,
             staging: Vec::new(),
             ready: VecDeque::new(),
             batch_pool: Vec::new(),
@@ -328,83 +280,44 @@ impl ModeledFrameChannel {
         &self.buffer
     }
 
-    /// Whether a frame of `wire_bits` fits, counting the open frame's
-    /// still-held space. The oversized escape hatch only applies when the
-    /// channel is completely drained.
-    fn frame_fits(&self, wire_bits: u64) -> bool {
-        self.open_held_bits + self.buffer.occupied_bits() + wire_bits <= self.buffer.capacity_bits()
-            || (self.buffer.is_empty() && self.open.is_empty())
-    }
-
-    /// Cross-checks freshly decoded records against the pushed originals
-    /// (only called when `verify` is set).
-    fn verify_decoded(originals: &mut VecDeque<EventRecord>, decoded: &[EventRecord]) {
-        for decoded in decoded {
-            let original = originals
-                .pop_front()
-                .expect("more decoded records than were pushed");
-            assert_eq!(
-                *decoded, original,
-                "frame round-trip mismatch: decoded {decoded:?}, pushed {original:?}"
-            );
-        }
-    }
-
-    /// Zero-copy bookkeeping at frame seal: the staged records become the
-    /// sealed frame's batch (pop order equals seal order, parked or not).
-    fn seal_staging(&mut self) {
-        if !self.zero_copy {
-            return;
-        }
+    /// Frame-seal bookkeeping: the staged records become the sealed
+    /// frame's batch (pop order equals seal order, parked or not), and the
+    /// wire image is mirrored into the tee before admission.
+    fn seal(&mut self, frame: Frame, now: u64) -> PushOutcome {
         let empty = self.batch_pool.pop().unwrap_or_default();
         let batch = std::mem::replace(&mut self.staging, empty);
         self.ready.push_back(batch);
+        self.tee.mirror(&SealedFrame {
+            bytes: &frame.bytes,
+            records: frame.records,
+            sealed_at: now,
+        });
+        self.admit_or_park(frame, now)
     }
 
-    /// Produces the records of a just-popped frame as an owned batch:
-    /// zero-copy mode hands back the pushed originals (decoding only to
-    /// cross-check under `verify`); decode mode runs the real decoder.
+    /// The records of a just-popped frame: the pushed originals, decoded
+    /// and cross-checked under `verify`.
     fn take_frame_records(&mut self, frame: &TimedFrame) -> Vec<EventRecord> {
-        if self.zero_copy {
-            let records = self
-                .ready
-                .pop_front()
-                .expect("a popped frame has a staged record batch");
-            assert_eq!(
-                records.len(),
-                frame.records as usize,
-                "staged batch must match the frame's record count"
-            );
-            if self.verify {
-                self.scratch.clear();
-                self.decoder
-                    .decode_frame(&frame.bytes, &mut self.scratch)
-                    .unwrap_or_else(|e| panic!("modeled frame failed to decode: {e}"));
-                assert_eq!(
-                    self.scratch, records,
-                    "frame round-trip mismatch between decoded and pushed records"
-                );
-            }
-            records
-        } else {
-            let mut records = self.batch_pool.pop().unwrap_or_default();
-            records.clear();
+        let records = self
+            .ready
+            .pop_front()
+            .expect("a popped frame has a staged record batch");
+        assert_eq!(
+            records.len(),
+            frame.records as usize,
+            "staged batch must match the frame's record count"
+        );
+        if self.verify {
+            self.scratch.clear();
             self.decoder
-                .decode_frame(&frame.bytes, &mut records)
+                .decode_frame(&frame.bytes, &mut self.scratch)
                 .unwrap_or_else(|e| panic!("modeled frame failed to decode: {e}"));
-            if self.verify {
-                Self::verify_decoded(&mut self.originals, &records);
-            }
-            records
+            assert_eq!(
+                self.scratch, records,
+                "frame round-trip mismatch between decoded and pushed records"
+            );
         }
-    }
-
-    /// Returns a spent record batch to the pool for reuse.
-    fn recycle(&mut self, mut batch: Vec<EventRecord>) {
-        if self.batch_pool.len() < 4 {
-            batch.clear();
-            self.batch_pool.push(batch);
-        }
+        records
     }
 
     /// Like [`push_record`](LogChannel::push_record), but seals the open
@@ -418,34 +331,17 @@ impl ModeledFrameChannel {
         now: u64,
         end_epoch: bool,
     ) -> PushOutcome {
-        if self.verify && !self.zero_copy {
-            self.originals.push_back(*record);
-        }
-        if self.zero_copy {
-            self.staging.push(*record);
-        }
+        self.staging.push(*record);
         match self.encoder.push_epoch(record, end_epoch) {
-            Some(frame) => {
-                self.seal_staging();
-                self.tee.mirror(&SealedFrame {
-                    bytes: &frame.bytes,
-                    records: frame.records,
-                    sealed_at: now,
-                });
-                self.admit_or_park(frame, now)
-            }
+            Some(frame) => self.seal(frame, now),
             None => PushOutcome::Buffered,
         }
     }
 
     fn admit_or_park(&mut self, frame: Frame, now: u64) -> PushOutcome {
         let wire_bits = frame.wire_bits();
-        if !self.parked.is_empty() {
-            // Preserve frame order behind earlier parked frames.
-            self.parked.push_back(frame);
-            return PushOutcome::BackPressure { wire_bits };
-        }
-        if !self.frame_fits(wire_bits) {
+        // Preserve frame order behind earlier parked frames.
+        if !self.parked.is_empty() || !self.buffer.fits(wire_bits) {
             self.parked.push_back(frame);
             return PushOutcome::BackPressure { wire_bits };
         }
@@ -454,7 +350,7 @@ impl ModeledFrameChannel {
             records: frame.records,
             ready_at: now,
         };
-        self.buffer.try_push(timed).expect("frame_fits was checked");
+        self.buffer.try_push(timed).expect("fits was checked");
         PushOutcome::Sealed { wire_bits }
     }
 }
@@ -466,62 +362,21 @@ impl LogChannel for ModeledFrameChannel {
 
     fn flush(&mut self, now: u64) -> PushOutcome {
         match self.encoder.flush() {
-            Some(frame) => {
-                self.seal_staging();
-                self.tee.mirror(&SealedFrame {
-                    bytes: &frame.bytes,
-                    records: frame.records,
-                    sealed_at: now,
-                });
-                self.admit_or_park(frame, now)
-            }
+            Some(frame) => self.seal(frame, now),
             None => PushOutcome::Buffered,
         }
     }
 
-    fn pop_record(&mut self) -> Option<PoppedRecord> {
-        loop {
-            if let Some(record) = self.open.pop_front() {
-                if self.open.is_empty() {
-                    // Last record consumed: the frame's lines are free.
-                    self.open_held_bits = 0;
-                }
-                return Some(PoppedRecord {
-                    record,
-                    ready_at: self.open_ready_at,
-                });
-            }
-            let frame = self.buffer.pop()?;
-            self.open_held_bits = frame.wire_bits();
-            self.open_epoch_end = Frame::header_epoch_end(&frame.bytes);
-            let records = self.take_frame_records(&frame);
-            self.open.extend(records.iter().copied());
-            self.recycle(records);
-            self.open_ready_at = frame.ready_at;
-        }
-    }
-
     fn pop_frame(&mut self) -> Option<PoppedFrame<'_>> {
-        if !self.open.is_empty() {
-            // Remainder of a frame partially consumed through pop_record:
-            // hand it out whole and release the frame's lines.
-            self.batch.clear();
-            self.batch.extend(self.open.drain(..));
-            self.open_held_bits = 0;
-            return Some(PoppedFrame {
-                records: &self.batch,
-                ready_at: self.open_ready_at,
-                epoch_end: self.open_epoch_end,
-            });
-        }
+        // The whole frame is consumed in one step, so its lines free now.
         let frame = self.buffer.pop()?;
-        // The whole frame is consumed in one step, so its lines free now —
-        // the same release point the per-record path reaches when the
-        // frame's last record is popped.
         let epoch_end = Frame::header_epoch_end(&frame.bytes);
-        let records = self.take_frame_records(&frame);
-        let spent = std::mem::replace(&mut self.batch, records);
-        self.recycle(spent);
+        let mut spent = self.take_frame_records(&frame);
+        std::mem::swap(&mut self.batch, &mut spent);
+        if self.batch_pool.len() < 4 {
+            spent.clear();
+            self.batch_pool.push(spent);
+        }
         Some(PoppedFrame {
             records: &self.batch,
             ready_at: frame.ready_at,
@@ -534,12 +389,12 @@ impl LogChannel for ModeledFrameChannel {
     }
 
     fn drained(&self) -> bool {
-        self.parked.is_empty() && self.buffer.is_empty() && self.open.is_empty()
+        self.parked.is_empty() && self.buffer.is_empty()
     }
 
     fn retry_parked(&mut self, now: u64) -> Option<u64> {
         let frame = self.parked.front()?;
-        if !self.frame_fits(frame.wire_bits()) {
+        if !self.buffer.fits(frame.wire_bits()) {
             return None;
         }
         let frame = self.parked.pop_front().expect("checked above");
@@ -570,7 +425,7 @@ impl LogChannel for ModeledFrameChannel {
         // (occupancy reads over 1000 permille while anything is parked).
         let parked_bits: u64 = self.parked.iter().map(Frame::wire_bits).sum();
         LoadSample {
-            inflight: self.open_held_bits + self.buffer.occupied_bits() + parked_bits,
+            inflight: self.buffer.occupied_bits() + parked_bits,
             capacity: self.buffer.capacity_bits(),
         }
     }
@@ -581,9 +436,7 @@ impl LogChannel for ModeledFrameChannel {
 }
 
 /// The consumer half as a raw frame drain: sealed wire images in seal
-/// order, admitted frames first, then parked ones. A raw drain bypasses
-/// the record-level bookkeeping — do not interleave with
-/// [`pop_record`](LogChannel::pop_record) /
+/// order, admitted frames first, then parked ones. Do not interleave with
 /// [`pop_frame`](LogChannel::pop_frame).
 impl FrameSource for ModeledFrameChannel {
     fn next_frame_bytes(&mut self) -> Result<Option<Vec<u8>>, SinkError> {
@@ -592,57 +445,12 @@ impl FrameSource for ModeledFrameChannel {
         } else {
             self.parked.pop_front().map(|frame| frame.bytes)
         };
-        if bytes.is_some() && self.zero_copy {
+        if bytes.is_some() {
             // Keep the staged record batches aligned with the frames.
             self.ready.pop_front();
         }
         Ok(bytes)
     }
-}
-
-/// Builds one modeled channel for a producer→consumer edge of a topology:
-/// zero-copy consume mode when the run dispatches whole frames (the
-/// hardware decompressor's work is modeled, not re-run in host software),
-/// software-decode mode for the per-record baseline. Both ship identical
-/// wire bytes; `verify` decodes and cross-checks either way.
-///
-/// # Panics
-///
-/// Panics if `capacity_bytes` is smaller than one cache-line frame
-/// ([`FRAME_LINE_BYTES`]) — callers should reject such configurations
-/// with a proper error first.
-#[must_use]
-pub fn modeled_channel(
-    capacity_bytes: u64,
-    config: FrameConfig,
-    batch_dispatch: bool,
-    verify: bool,
-) -> ModeledFrameChannel {
-    if batch_dispatch {
-        ModeledFrameChannel::zero_copy(capacity_bytes, config, verify)
-    } else {
-        ModeledFrameChannel::new(capacity_bytes, config, verify)
-    }
-}
-
-/// Builds the per-consumer channel set for a fanned-out modeled topology
-/// (one independent framed stream per shard or epoch worker), each with
-/// the same byte budget and codec settings — the modeled counterpart of
-/// [`live::shard_frame_channels`](crate::live::shard_frame_channels).
-///
-/// # Panics
-///
-/// As [`modeled_channel`], per channel.
-#[must_use]
-pub fn modeled_channel_set(
-    consumers: usize,
-    capacity_bytes: u64,
-    config: FrameConfig,
-    batch_dispatch: bool,
-) -> Vec<ModeledFrameChannel> {
-    (0..consumers)
-        .map(|_| modeled_channel(capacity_bytes, config, batch_dispatch, false))
-        .collect()
 }
 
 #[cfg(test)]
@@ -741,6 +549,16 @@ mod tests {
             }
         }
 
+        /// Pops every available frame, returning `(records, ready_at)`
+        /// per frame.
+        fn drain(ch: &mut ModeledFrameChannel) -> Vec<(Vec<EventRecord>, u64)> {
+            let mut frames = Vec::new();
+            while let Some(frame) = ch.pop_frame() {
+                frames.push((frame.records.to_vec(), frame.ready_at));
+            }
+            frames
+        }
+
         #[test]
         fn push_pop_round_trips_with_frame_timestamps() {
             let mut ch = ModeledFrameChannel::new(1 << 16, config(4), true);
@@ -748,19 +566,12 @@ mod tests {
                 ch.push_record(&rec(i), 100 + i);
             }
             assert!(matches!(ch.flush(200), PushOutcome::Sealed { .. }));
-            let mut seen = 0u64;
-            while let Some(popped) = ch.pop_record() {
-                assert_eq!(popped.record, rec(seen));
-                // Records 0..3 sealed when record 3 was pushed (t=103), etc.
-                let expected_ready = match seen {
-                    0..=3 => 103,
-                    4..=7 => 107,
-                    _ => 200,
-                };
-                assert_eq!(popped.ready_at, expected_ready, "record {seen}");
-                seen += 1;
-            }
-            assert_eq!(seen, 10);
+            // Records 0..3 sealed when record 3 was pushed (t=103), etc.
+            let frames = drain(&mut ch);
+            let stamps: Vec<u64> = frames.iter().map(|(_, t)| *t).collect();
+            assert_eq!(stamps, [103, 107, 200]);
+            let records: Vec<EventRecord> = frames.into_iter().flat_map(|(r, _)| r).collect();
+            assert_eq!(records, (0..10).map(rec).collect::<Vec<_>>());
             let stats = ch.stats();
             assert_eq!(stats.records, 10);
             assert_eq!(stats.frames, 3);
@@ -780,20 +591,17 @@ mod tests {
             let outcome = ch.push_record(&rec(3), 3);
             assert!(matches!(outcome, PushOutcome::BackPressure { .. }));
             assert!(ch.has_parked());
+            assert!(!ch.drained());
             assert!(ch.retry_parked(4).is_none(), "no space freed yet");
-            // The frame's space stays occupied until its *last* record is
-            // consumed, so draining one record is not enough.
-            assert_eq!(ch.pop_record().unwrap().record, rec(0));
-            assert!(
-                ch.retry_parked(4).is_none(),
-                "open frame still holds its lines"
-            );
-            assert_eq!(ch.pop_record().unwrap().record, rec(1));
+            // Popping the first frame frees its lines.
+            assert_eq!(ch.pop_frame().unwrap().records, [rec(0), rec(1)]);
             assert!(ch.retry_parked(4).is_some());
             assert!(!ch.has_parked());
-            assert_eq!(ch.pop_record().unwrap().record, rec(2));
-            assert_eq!(ch.pop_record().unwrap().record, rec(3));
-            assert!(ch.pop_record().is_none());
+            let frame = ch.pop_frame().unwrap();
+            assert_eq!(frame.records, [rec(2), rec(3)]);
+            assert_eq!(frame.ready_at, 4, "stamped when admitted");
+            assert!(ch.pop_frame().is_none());
+            assert!(ch.drained());
         }
 
         #[test]
@@ -810,11 +618,8 @@ mod tests {
                 ch.push_record(&rec(i), i);
             }
             ch.flush(7);
-            let mut n = 0;
-            while ch.pop_record().is_some() {
-                n += 1;
-            }
-            assert_eq!(n, 7);
+            let records: usize = drain(&mut ch).iter().map(|(r, _)| r.len()).sum();
+            assert_eq!(records, 7);
         }
 
         #[test]
@@ -827,28 +632,22 @@ mod tests {
         fn epoch_marks_survive_the_modeled_channel() {
             // Boundary after records 2 and 6; frames of 3 records, so the
             // epoch seals cut frames early and the marks must pop back out.
-            for zero_copy in [false, true] {
-                let mut ch = if zero_copy {
-                    ModeledFrameChannel::zero_copy(1 << 16, config(3), true)
-                } else {
-                    ModeledFrameChannel::new(1 << 16, config(3), true)
-                };
-                for i in 0..10 {
-                    let end = i == 2 || i == 6;
-                    ch.push_record_epoch(&rec(i), i, end);
-                }
-                ch.flush(20);
-                let mut marks = Vec::new();
-                let mut total = 0;
-                while let Some(frame) = ch.pop_frame() {
-                    total += frame.records.len();
-                    marks.push(frame.epoch_end);
-                }
-                assert_eq!(total, 10);
-                // Frames: [0,1,2]*, [3,4,5], [6]*, [7,8,9] (capacity seal,
-                // unmarked).
-                assert_eq!(marks, [true, false, true, false]);
+            let mut ch = ModeledFrameChannel::new(1 << 16, config(3), true);
+            for i in 0..10 {
+                let end = i == 2 || i == 6;
+                ch.push_record_epoch(&rec(i), i, end);
             }
+            ch.flush(20);
+            let mut marks = Vec::new();
+            let mut total = 0;
+            while let Some(frame) = ch.pop_frame() {
+                total += frame.records.len();
+                marks.push(frame.epoch_end);
+            }
+            assert_eq!(total, 10);
+            // Frames: [0,1,2]*, [3,4,5], [6]*, [7,8,9] (capacity seal,
+            // unmarked).
+            assert_eq!(marks, [true, false, true, false]);
         }
     }
 }

@@ -45,11 +45,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 3. Fidelity check: the replayed wire bits equal the live transport's
     //    accounting bit for bit.
-    assert_eq!(replay.total_wire_bits(), recorded.log.wire_bits);
-    assert_eq!(replay.total_records(), recorded.log.records);
+    assert_eq!(replay.log.wire_bits, recorded.log.wire_bits);
+    assert_eq!(replay.log.records, recorded.log.records);
     println!(
         "replay accounted {} wire bits — byte-identical to the live run",
-        replay.total_wire_bits()
+        replay.log.wire_bits
     );
 
     std::fs::remove_dir_all(&dir).ok();

@@ -20,9 +20,9 @@
 //!  │   capture      │                            │ frame-granular │
 //!  │ (lba-record)   │                            │    dispatch    │
 //!  │       │        │                            │ (lba-lifeguard:│
-//!  │  CaptureFilter─┼─ VPC compression + frame ──┼─▶ pop_frame +  │
-//!  │  addr ranges + │  packing (lba-compress)    │ deliver_batch) │
-//!  │  idempotency   │                            │        │       │
+//!  │  CaptureFilter─┼─ VPC compression + frame ──┼─▶ pop_frame or │
+//!  │  addr ranges + │  packing (lba-compress)    │ recv_batch ->  │
+//!  │  idempotency   │                            │ deliver_batch) │
 //!  │  window (drops │                            │  lba-lifeguards│
 //!  │  duplicates,   │                            │  AddrCheck ·   │
 //!  │  folds counts  │                            │  TaintCheck ·  │
@@ -74,11 +74,10 @@
 //!                 │  socket (lba-transport::    │
 //!                 │  socket)                    │
 //!                 └─────────────────────────────┘
-//!         consumption is frame-at-a-time: one
-//!         ready_at stamp, one HandlerCtx and one
-//!         subscription-mask fetch per frame (the
-//!         per-record path stays as the bench
-//!         baseline, LogConfig::batch_dispatch);
+//!         consumption is frame-at-a-time in every
+//!         mode: one ready_at stamp, one HandlerCtx
+//!         and one subscription-mask fetch per
+//!         frame;
 //!         capture is filter-then-compress: the
 //!         idempotency window suppresses cleared
 //!         re-checks before they cost any wire
@@ -95,12 +94,12 @@
 //! | `lba-cache`      | set-associative caches and the two-core memory system |
 //! | `lba-record`     | the typed event-record vocabulary the log carries (incl. `Repeat` fold summaries) + the segmented `lbas/1` flight-recorder stream format (rotation, retention, End records) |
 //! | `lba-compress`   | value-prediction log compression + chunked frame codec (< 1 byte/instr on the wire), `CODEC_VERSION` stamped into recordings |
-//! | `lba-transport`  | `LogChannel` trait: framed buffer timing model + live cross-thread frame channel, frame-granular `pop_frame`, `shard_of` routing and per-shard channel fan-out, `EpochRouter` time-slicing with epoch-end marks in the frame header; `FrameSink`/`FrameSource` seam with tee mirroring into recordings; the `socket` module speaking `lbas/1` over Unix-domain sockets (TCP-ready via `WireStream`) with an explicit credit window so back-pressure survives the wire; the producer-visible `LoadSample` occupancy signal (the feedback arrow above) and the seeded `FaultInjector`/`FaultSink` fault-injection wrappers |
-//! | `lba-lifeguard`  | dispatch engine (batch + per-record), capture filters (`AddrRangeFilter` + per-contract idempotency window in one `CaptureFilter` pass), findings, flat paged shadow memory, the `EpochSummary`/`EpochSummarizer`/`EpochLifeguard` trait triple behind the epoch-parallel modes, and the `DegradationPolicy`/`RegionClassifier` graceful-degradation contracts |
+//! | `lba-transport`  | `LogChannel` trait over the framed buffer timing model + live cross-thread frame channel, both consumed a frame at a time (`pop_frame` / `recv_batch`), `shard_of` routing and per-shard channel fan-out, `EpochRouter` time-slicing with epoch-end marks in the frame header; `FrameSink`/`FrameSource` seam with tee mirroring into recordings; the `socket` module speaking `lbas/1` over Unix-domain sockets (TCP-ready via `WireStream`) with an explicit credit window so back-pressure survives the wire; the producer-visible `LoadSample` occupancy signal (the feedback arrow above) and the seeded `FaultInjector`/`FaultSink` fault-injection wrappers |
+//! | `lba-lifeguard`  | dispatch engine (`deliver_batch` for the log, per-record `deliver` for DBI), capture filters (`AddrRangeFilter` + per-contract idempotency window in one `CaptureFilter` pass), findings, flat paged shadow memory, the `EpochSummary`/`EpochSummarizer`/`EpochLifeguard` trait triple behind the epoch-parallel modes, and the `DegradationPolicy`/`RegionClassifier` graceful-degradation contracts |
 //! | `lba-lifeguards` | the paper's four lifeguards + `TaintCheck`'s symbolic epoch summaries (`taint_summary`); each declares its degradation tolerance next to its idempotency story |
 //! | `lba-dbi`        | Valgrind-style inline instrumentation baseline        |
 //! | `lba-workloads`  | deterministic benchmark programs                      |
-//! | `lba-core`       | ties it together: the staged capture pipeline (`pipeline::Producer` over a `pipeline::ConsumerTopology`), the run-mode/monitor registry (`pipeline::RUN_MODES` / `pipeline::MONITORS`), the unified `Run` builder dispatching every mode behind one validated entry point (the mode-shaped `run_*` functions remain as direct shims), the `LbaError` hierarchy folding every layer's failures, experiments, the shared `PipelineReport` core every report derefs to, and the adaptive `CaptureController` closing the back-pressure feedback loop |
+//! | `lba-core`       | ties it together: the staged capture pipeline (`pipeline::Producer` over a `pipeline::ConsumerTopology`), the run-mode/monitor registry (`pipeline::RUN_MODES` / `pipeline::MONITORS`), the unified `Run` builder dispatching every mode through its `RUN_MODES` row behind one validated entry point (the `run_*` functions are the per-mode implementations), the `LbaError` hierarchy folding every layer's failures, experiments, the shared `PipelineReport` core every report derefs to, and the adaptive `CaptureController` closing the back-pressure feedback loop |
 //! | `lba-bench`      | table rendering, Criterion benches, `figures` binary  |
 //!
 //! ## Execution models
@@ -108,9 +107,11 @@
 //! All of them drive through the unified [`Run`] builder —
 //! `Run::new(&program).mode(RunMode::Live).monitor(LifeguardKind::AddrCheck).run()`
 //! — which validates the mode/monitor pairing against the registry
-//! capability flags before running and returns a [`RunOutcome`] that
-//! derefs to the shared [`PipelineReport`]. The mode-shaped free
-//! functions below remain as direct entry points:
+//! capability flags, dispatches through the mode's [`RUN_MODES`] row and
+//! returns a [`RunOutcome`] that derefs to the shared [`PipelineReport`].
+//! The rows call the per-mode implementations below, which stay public
+//! for what the builder does not express — a custom lifeguard instance,
+//! or an epoch master whose final state the caller inspects:
 //!
 //! * [`run_unmonitored`] — the baseline: the program alone on one core;
 //! * [`run_lba`] — the proposed system: capture → compression → framed log
@@ -130,13 +131,12 @@
 //!   back-pressure and adaptive-degradation semantics across the wire;
 //!   per-shard wire streams and merged findings are byte-identical to
 //!   [`run_live_parallel`]'s;
-//! * [`run_taint_parallel`] / [`run_epoch_parallel`] — the epoch-parallel
-//!   mode for *order-sensitive* lifeguards that sharding cannot split:
-//!   the stream is cut into whole epochs at syscall boundaries, workers
-//!   compute symbolic transfer-function summaries in parallel, and a
-//!   merge core stitches them in order — findings byte-identical to the
-//!   sequential run ([`run_live_taint_parallel`] runs it on real
-//!   threads);
+//! * [`run_epoch_parallel`] — the epoch-parallel mode for
+//!   *order-sensitive* lifeguards that sharding cannot split: the stream
+//!   is cut into whole epochs at syscall boundaries, workers compute
+//!   symbolic transfer-function summaries in parallel, and a merge core
+//!   stitches them in order — findings byte-identical to the sequential
+//!   run ([`run_live_epoch_parallel`] runs it on real threads);
 //! * [`run_dbi`] — the comparison point: the lifeguard inlined via dynamic
 //!   binary instrumentation on the application core;
 //! * [`run_replay`] — offline replay: any of the modes above records its
@@ -211,27 +211,26 @@ pub use lba_core::{
     epoch_parallel, experiment, live_parallel, parallel, pipeline, remote, replay, report, runner,
     table, CaptureFilter, CaptureStats, ChannelStats, EpochParallelReport, IdempotencyClass,
     LifeguardKind, LiveEpochParallelReport, LiveParallelReport, LiveReport, LogConfig, LogStats,
-    Mode, PipelineReport, RecordConfig, RemoteReport, ReplayError, ReplayReport, ReplayStreamStats,
-    RunError, RunReport, StallBreakdown, SystemConfig, WindowSpec,
+    Mode, PipelineReport, RecordConfig, ReplayError, ReplayReport, ReplayStreamStats, RunError,
+    RunReport, StallBreakdown, SystemConfig, WindowSpec,
 };
 // The unified entry point: one builder for every execution model, the
 // outcome type every mode-shaped report folds into, and the error
 // hierarchy every layer's failures convert into.
 pub use lba_core::{LbaError, MonitorChoice, Run, RunMode, RunOutcome};
-// The staged capture pipeline and the run-mode/monitor registry: every
-// `run_*` entry point above is a thin composition of `Producer` over a
-// `ConsumerTopology`, and MONITORS/RUN_MODES are the single source the
-// benchmarks, experiments and equivalence suites derive their
-// enumerations from.
+// The per-mode implementations the builder dispatches to, the staged
+// capture pipeline they compose (`Producer` over a `ConsumerTopology`),
+// and the run-mode/monitor registry: MONITORS/RUN_MODES are the single
+// source the builder, the benchmarks and the equivalence suites derive
+// their enumerations from.
 pub use lba_core::{
     run_dbi, run_epoch_parallel, run_lba, run_live, run_live_epoch_parallel, run_live_parallel,
-    run_live_taint_parallel, run_remote, run_replay, run_replay_epoch, run_replay_with,
-    run_taint_parallel, run_unmonitored,
+    run_remote, run_replay, run_replay_epoch, run_replay_with, run_unmonitored,
 };
 pub use lba_core::{
-    ConsumerTopology, EpochRouted, Execution, ModeOutcome, MonitorSpec, Producer, ProducerFinish,
-    ProducerLink, ReplaySource, Route, RunModeSpec, ShardedByLine, SingleConsumer, TopologyKind,
-    MONITORS, RUN_MODES,
+    ConsumerTopology, EpochRouted, Execution, MonitorSpec, Producer, ProducerFinish, ProducerLink,
+    ReplaySource, Route, RunModeSpec, ShardedByLine, SingleConsumer, TopologyKind, MONITORS,
+    RUN_MODES,
 };
 // Adaptive capture under back-pressure: the controller and its knobs, the
 // per-lifeguard degradation contracts, the transport load signal, the
@@ -283,10 +282,14 @@ mod facade_smoke {
         .expect("parallel run completes");
         assert_eq!(sharded.shards, 2);
 
-        let epoch = crate::run_taint_parallel(&program, 2, &config).expect("epoch run completes");
+        let mut master = lba_lifeguards::TaintCheck::new();
+        let epoch = crate::run_epoch_parallel(&program, &mut master, 2, &config)
+            .expect("epoch run completes");
         assert_eq!(epoch.workers, 2);
+        let mut master = lba_lifeguards::TaintCheck::new();
         let live_epoch: crate::LiveEpochParallelReport =
-            crate::run_live_taint_parallel(&program, 2, &config).expect("live epoch completes");
+            crate::run_live_epoch_parallel(&program, &mut master, 2, &config)
+                .expect("live epoch completes");
         assert_eq!(live_epoch.findings, epoch.findings);
 
         let live_sharded = crate::run_live_parallel(
@@ -336,7 +339,7 @@ mod facade_smoke {
         let replay: crate::ReplayReport =
             crate::run_replay(&dir, || kind.make_lba(), &config).expect("replay runs");
         assert_eq!(replay.findings, recorded.findings);
-        assert_eq!(replay.total_wire_bits(), recorded.log.wire_bits);
+        assert_eq!(replay.log.wire_bits, recorded.log.wire_bits);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -1,198 +1,127 @@
-//! Batched-vs-per-record equivalence: frame-granular consumption
-//! (`pop_frame` + `deliver_batch`, the default) must be observationally
-//! identical to the per-record baseline (`batch_dispatch = false`) — same
-//! findings, same modeled cycle totals, same wire stream — across
-//! programs, lifeguards, frame sizes and buffer budgets.
+//! Frame-granular dispatch against its per-record oracle. The log is only
+//! ever consumed a frame at a time (`pop_frame` / `recv_batch` feeding
+//! `DispatchEngine::deliver_batch`); `DispatchEngine::deliver` — the
+//! per-record call the DBI baseline makes — is the oracle it must equal.
+//! For every lifeguard in `lba::MONITORS`, over the retired streams of the
+//! planted-bug programs and of gzip cut into frames at arbitrary sizes,
+//! both must report the same findings and charge the same summed cycles.
 
 use proptest::prelude::*;
 
-use lba::parallel::run_lba_parallel;
-use lba::{run_lba, run_live, LogStats, SystemConfig};
+use lba::{run_lba, SystemConfig, MONITORS};
+use lba_cache::MemSystem;
+use lba_cpu::Machine;
 use lba_isa::Program;
-use lba_lifeguard::Lifeguard;
-use lba_lifeguards::{AddrCheck, LockSet, MemProfile, TaintCheck};
+use lba_lifeguard::DispatchEngine;
+use lba_lifeguards::AddrCheck;
+use lba_record::EventRecord;
 use lba_workloads::{bugs, Benchmark};
 
-fn make_lifeguard(idx: usize) -> Box<dyn Lifeguard> {
-    match idx {
-        0 => Box::new(AddrCheck::new()),
-        1 => Box::new(TaintCheck::new()),
-        2 => Box::new(LockSet::new()),
-        _ => Box::new(MemProfile::new()),
-    }
-}
+/// The lifeguard core's `MemSystem` index, as in the runners.
+const LG_CORE: usize = 1;
 
-fn make_program(idx: usize) -> Program {
+fn bug_program(idx: usize) -> Program {
     match idx {
         0 => bugs::memory_bugs(),
         1 => bugs::exploit(),
         2 => bugs::data_race(),
-        3 => bugs::tainted_syscall(),
-        _ => Benchmark::Bc.build(),
+        _ => bugs::tainted_syscall(),
     }
 }
 
-/// The log statistics that must be bit-identical between the two paths.
-fn wire_view(log: &LogStats) -> (u64, u64, u64, u64, u64) {
-    (
-        log.records,
-        log.filtered,
-        log.frames,
-        log.compressed_bits,
-        log.wire_bits,
-    )
+/// Every record `program` retires, in order.
+fn retired_stream(program: &Program) -> Vec<EventRecord> {
+    let config = SystemConfig::default();
+    let mut machine = Machine::new(program, config.machine);
+    let mut mem = MemSystem::new(config.mem_single());
+    let mut records = Vec::new();
+    machine
+        .run(&mut mem, |r| records.push(r.record))
+        .expect("program runs clean");
+    records
 }
 
-fn assert_paths_equivalent(
-    program: &Program,
-    lifeguard_idx: usize,
-    records_per_frame: usize,
-    buffer_bytes: u64,
-) {
-    let mut batched_cfg = SystemConfig::default();
-    batched_cfg.log.records_per_frame = records_per_frame;
-    batched_cfg.log.buffer_bytes = buffer_bytes;
-    batched_cfg.log.batch_dispatch = true;
-    let mut per_record_cfg = batched_cfg.clone();
-    per_record_cfg.log.batch_dispatch = false;
-
-    let mut lg = make_lifeguard(lifeguard_idx);
-    let batched = run_lba(program, lg.as_mut(), &batched_cfg).expect("batched run");
-    let mut lg = make_lifeguard(lifeguard_idx);
-    let per_record = run_lba(program, lg.as_mut(), &per_record_cfg).expect("per-record run");
-
-    let what = format!(
-        "{} / lifeguard {lifeguard_idx} / frame {records_per_frame} / buffer {buffer_bytes}",
-        program.name()
+/// Delivers `stream` to a fresh instance of every registered lifeguard
+/// twice — record by record through `deliver`, and in frames of
+/// `frame_sizes` (cycled) through `deliver_batch` — and requires the same
+/// findings and the same summed cycles, end-of-log hook included.
+fn assert_frames_match_records(what: &str, stream: &[EventRecord], frame_sizes: &[usize]) {
+    assert!(!stream.is_empty(), "{what} retires records");
+    assert!(
+        frame_sizes.iter().all(|&size| size > 0),
+        "frames hold records"
     );
-    assert_eq!(batched.findings, per_record.findings, "findings: {what}");
-    assert_eq!(
-        batched.total_cycles, per_record.total_cycles,
-        "total_cycles: {what}"
-    );
-    assert_eq!(
-        batched.app_cycles, per_record.app_cycles,
-        "app_cycles: {what}"
-    );
-    assert_eq!(
-        batched.lifeguard_cycles, per_record.lifeguard_cycles,
-        "lifeguard_cycles: {what}"
-    );
-    assert_eq!(batched.stalls, per_record.stalls, "stalls: {what}");
-    assert_eq!(
-        wire_view(&batched.log),
-        wire_view(&per_record.log),
-        "channel stats: {what}"
-    );
-}
-
-/// The sharded counterpart of [`assert_paths_equivalent`]: frame-granular
-/// and per-record consumption must be observationally identical through
-/// `run_lba_parallel` too — per-shard cycles, merged findings, and
-/// per-shard `ChannelStats` (the modeled channel is deterministic, so the
-/// high-water mark must match as well).
-fn assert_parallel_paths_equivalent(
-    program: &Program,
-    lifeguard_idx: usize,
-    shards: usize,
-    records_per_frame: usize,
-) {
-    let mut batched_cfg = SystemConfig::default();
-    batched_cfg.log.records_per_frame = records_per_frame;
-    batched_cfg.log.batch_dispatch = true;
-    let mut per_record_cfg = batched_cfg.clone();
-    per_record_cfg.log.batch_dispatch = false;
-
-    let make = || make_lifeguard(lifeguard_idx);
-    let batched = run_lba_parallel(program, make, shards, &batched_cfg).expect("batched run");
-    let per_record =
-        run_lba_parallel(program, make, shards, &per_record_cfg).expect("per-record run");
-
-    let what = format!(
-        "{} / lifeguard {lifeguard_idx} / {shards} shards / frame {records_per_frame}",
-        program.name()
-    );
-    assert_eq!(batched.findings, per_record.findings, "findings: {what}");
-    assert_eq!(
-        batched.app_cycles, per_record.app_cycles,
-        "app_cycles: {what}"
-    );
-    assert_eq!(
-        batched.shard_cycles, per_record.shard_cycles,
-        "shard_cycles: {what}"
-    );
-    assert_eq!(
-        batched.total_cycles, per_record.total_cycles,
-        "total_cycles: {what}"
-    );
-    assert_eq!(
-        batched.shard_log, per_record.shard_log,
-        "shard stats: {what}"
-    );
+    let config = SystemConfig::default();
+    let engine = DispatchEngine::new(config.dispatch);
+    for monitor in &MONITORS {
+        let consume = |framed: bool| {
+            let mut lifeguard = (monitor.make)();
+            let mut mem = MemSystem::new(config.mem_dual());
+            let mut findings = Vec::new();
+            let mut cycles = 0;
+            if framed {
+                let mut rest = stream;
+                for &size in frame_sizes.iter().cycle() {
+                    if rest.is_empty() {
+                        break;
+                    }
+                    let (frame, tail) = rest.split_at(size.min(rest.len()));
+                    cycles += engine.deliver_batch(
+                        lifeguard.as_mut(),
+                        frame,
+                        &mut mem,
+                        LG_CORE,
+                        &mut findings,
+                    );
+                    rest = tail;
+                }
+            } else {
+                for record in stream {
+                    cycles += engine.deliver(
+                        lifeguard.as_mut(),
+                        record,
+                        &mut mem,
+                        LG_CORE,
+                        &mut findings,
+                    );
+                }
+            }
+            cycles += engine.finish(lifeguard.as_mut(), &mut mem, LG_CORE, &mut findings);
+            (findings, cycles)
+        };
+        let (frame_findings, frame_cycles) = consume(true);
+        let (record_findings, record_cycles) = consume(false);
+        let what = format!("{what} / {} / frames {frame_sizes:?}", monitor.name);
+        assert_eq!(frame_findings, record_findings, "findings: {what}");
+        assert_eq!(frame_cycles, record_cycles, "cycles: {what}");
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The core equivalence property over random programs, lifeguards,
-    /// frame sizes and buffer budgets (small budgets force parked-frame
-    /// back-pressure through the batched consume path too).
+    /// The core equivalence property: any program, any framing (sizes
+    /// vary frame to frame, as syscall flushes and epoch marks make them
+    /// in the runners), every lifeguard.
     #[test]
     fn batched_consumption_is_observationally_identical(
         program_idx in 0usize..4,
-        lifeguard_idx in 0usize..4,
-        records_per_frame in 1usize..400,
-        buffer_shift in 6u32..17,
+        frame_sizes in proptest::collection::vec(1usize..400, 1..6),
     ) {
-        let program = make_program(program_idx);
-        assert_paths_equivalent(&program, lifeguard_idx, records_per_frame, 1 << buffer_shift);
-    }
-
-    /// The same property through the sharded mode: consumption
-    /// granularity must not change per-shard cycles, findings, or channel
-    /// statistics, whatever the shard count or frame size. (Sharding
-    /// TaintCheck is unsound versus the sequential run, but both
-    /// granularities of the *same* sharded computation are still
-    /// deterministic and must agree.)
-    #[test]
-    fn batched_parallel_consumption_is_observationally_identical(
-        program_idx in 0usize..4,
-        lifeguard_idx in 0usize..4,
-        shards in 1usize..5,
-        records_per_frame in 1usize..400,
-    ) {
-        let program = make_program(program_idx);
-        assert_parallel_paths_equivalent(&program, lifeguard_idx, shards, records_per_frame);
+        let program = bug_program(program_idx);
+        let stream = retired_stream(&program);
+        assert_frames_match_records(program.name(), &stream, &frame_sizes);
     }
 }
 
 #[test]
 fn batched_consumption_matches_on_a_real_benchmark() {
-    // One deterministic heavyweight case outside proptest: a real
-    // workload with syscall flushes, odd frame size, tight buffer.
-    let program = make_program(4);
-    assert_paths_equivalent(&program, 0, 7, 1 << 10);
-    assert_paths_equivalent(&program, 1, 256, 64 << 10);
-    assert_parallel_paths_equivalent(&program, 0, 4, 7);
-    assert_parallel_paths_equivalent(&program, 2, 3, 256);
-}
-
-#[test]
-fn live_mode_agrees_across_consumption_granularities() {
-    // The live pipeline has no modeled clock; findings and wire stream
-    // must still be identical between the two consumption paths.
-    let program = bugs::memory_bugs();
-    let mut batched_cfg = SystemConfig::default();
-    batched_cfg.log.batch_dispatch = true;
-    let mut per_record_cfg = batched_cfg.clone();
-    per_record_cfg.log.batch_dispatch = false;
-
-    let mut lg = AddrCheck::new();
-    let batched = run_live(&program, &mut lg, &batched_cfg).expect("live batched");
-    let mut lg = AddrCheck::new();
-    let per_record = run_live(&program, &mut lg, &per_record_cfg).expect("live per-record");
-    assert_eq!(batched.findings, per_record.findings);
-    assert_eq!(wire_view(&batched.log), wire_view(&per_record.log));
+    // One heavyweight deterministic case outside proptest: a real
+    // workload at an odd frame size and at the default frame size.
+    let program = Benchmark::Gzip.build();
+    let stream = retired_stream(&program);
+    assert_frames_match_records("gzip", &stream, &[7]);
+    assert_frames_match_records("gzip", &stream, &[256, 1, 63]);
 }
 
 #[test]
@@ -200,7 +129,7 @@ fn zero_copy_channel_survives_verified_round_trip() {
     // verify_compression decodes every frame with the real codec and
     // cross-checks it against the zero-copy records — a codec regression
     // panics here.
-    let program = make_program(4);
+    let program = Benchmark::Bc.build();
     let mut config = SystemConfig::default();
     config.log.verify_compression = true;
     let mut lg = AddrCheck::new();

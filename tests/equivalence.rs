@@ -2,10 +2,16 @@
 //! co-simulation, the live (two-OS-thread) pipeline, the DBI baseline and
 //! the sharded parallel runner must all agree on *what* they detect.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+
 use proptest::prelude::*;
 
 use lba::parallel::run_lba_parallel;
-use lba::{run_dbi, run_lba, run_live, LifeguardKind, SystemConfig};
+use lba::{
+    run_dbi, run_lba, run_live, LifeguardKind, MonitorSpec, RecordConfig, Run, RunMode,
+    RunModeSpec, RunOutcome, SystemConfig,
+};
+use lba_isa::Program;
 use lba_workloads::{bugs, Benchmark};
 
 fn config() -> SystemConfig {
@@ -180,6 +186,54 @@ fn finding_keys(findings: &[lba_lifeguard::Finding]) -> std::collections::BTreeS
         .collect()
 }
 
+/// Runs one registry row through the `Run` builder, with two workers for
+/// the fan-out modes. The replay rows need a recording first, made by the
+/// topology they replay: a co-simulation for `replay`, the modeled epoch
+/// mode for `replay-epoch`.
+fn run_row(
+    program: &Program,
+    row: &RunModeSpec,
+    monitor: &'static MonitorSpec,
+    config: &SystemConfig,
+) -> RunOutcome {
+    let recorder = match row.mode {
+        RunMode::Replay => RunMode::Lba,
+        RunMode::ReplayEpoch => RunMode::EpochParallel,
+        mode => {
+            return Run::new(program)
+                .mode(mode)
+                .monitor(monitor)
+                .workers(2)
+                .config(config)
+                .run()
+                .unwrap_or_else(|e| panic!("{}/{}: {e}", row.name, monitor.name));
+        }
+    };
+    static SEQ: AtomicUsize = AtomicUsize::new(0);
+    let dir = std::env::temp_dir().join(format!(
+        "lba-registry-grid-{}-{}",
+        std::process::id(),
+        SEQ.fetch_add(1, Ordering::Relaxed)
+    ));
+    let mut recording = config.clone();
+    recording.log.record_to = Some(RecordConfig::new(&dir));
+    Run::new(program)
+        .mode(recorder)
+        .monitor(monitor)
+        .workers(2)
+        .config(&recording)
+        .run()
+        .unwrap_or_else(|e| panic!("recording for {}/{}: {e}", row.name, monitor.name));
+    let replayed = Run::new(program)
+        .mode(row.mode)
+        .monitor(monitor)
+        .config(config)
+        .replay_from(&dir)
+        .run();
+    std::fs::remove_dir_all(&dir).ok();
+    replayed.unwrap_or_else(|e| panic!("{}/{}: {e}", row.name, monitor.name))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
@@ -200,18 +254,18 @@ proptest! {
             _ => bugs::data_race(),
         };
         let config = config();
-        let baseline_mode = lba::RUN_MODES
-            .iter()
-            .find(|m| m.name == "lba")
-            .expect("the sequential baseline is registered");
         for monitor in &lba::MONITORS {
-            let baseline =
-                (baseline_mode.run)(&program, monitor, &config).expect("baseline runs");
+            let baseline = Run::new(&program)
+                .mode(RunMode::Lba)
+                .monitor(monitor)
+                .config(&config)
+                .run()
+                .expect("baseline runs");
             for mode in &lba::RUN_MODES {
                 if !(mode.supports)(monitor) {
                     continue;
                 }
-                let outcome = (mode.run)(&program, monitor, &config).expect("mode runs");
+                let outcome = run_row(&program, mode, monitor, &config);
                 let what = format!("{}/{} on {}", mode.name, monitor.name, program.name());
                 if mode.merged_findings {
                     prop_assert_eq!(
@@ -230,14 +284,14 @@ proptest! {
                 }
                 if mode.exact_records {
                     prop_assert_eq!(
-                        outcome.records, baseline.records,
+                        outcome.log.records, baseline.log.records,
                         "{}: record accounting diverges from the baseline",
                         what
                     );
                 }
                 if mode.exact_wire {
                     prop_assert_eq!(
-                        outcome.wire_bits, baseline.wire_bits,
+                        outcome.log.wire_bits, baseline.log.wire_bits,
                         "{}: wire accounting diverges from the baseline",
                         what
                     );

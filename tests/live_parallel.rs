@@ -66,22 +66,3 @@ fn live_parallel_matches_modeled_parallel_on_a_clean_benchmark() {
     }
     assert_eq!(live.trace.instructions(), modeled.trace.instructions());
 }
-
-#[test]
-fn live_parallel_consumption_granularities_agree() {
-    // The per-record consumption baseline must see the same stream the
-    // frame-batched default does — per shard.
-    let program = bugs::memory_bugs();
-    let mut batched_cfg = SystemConfig::default();
-    batched_cfg.log.batch_dispatch = true;
-    let mut per_record_cfg = batched_cfg.clone();
-    per_record_cfg.log.batch_dispatch = false;
-
-    let make = || LifeguardKind::AddrCheck.make_lba();
-    let batched = run_live_parallel(&program, make, 3, &batched_cfg).unwrap();
-    let per_record = run_live_parallel(&program, make, 3, &per_record_cfg).unwrap();
-    assert_eq!(batched.findings, per_record.findings);
-    for (b, p) in batched.shard_log.iter().zip(&per_record.shard_log) {
-        assert_eq!(wire_view(b), wire_view(p));
-    }
-}

@@ -81,5 +81,5 @@ fn builder_remote_mode_is_the_same_run() {
     let RunOutcome::Remote(report) = &built else {
         panic!("RunMode::Remote produced a non-remote outcome");
     };
-    assert_eq!(report.workers, 2);
+    assert_eq!(report.shards, 2);
 }

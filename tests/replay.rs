@@ -44,26 +44,8 @@ fn cosim_recording_replays_byte_identical() {
     let replay = run_replay(&dir, || kind.make_lba(), &config).unwrap();
     assert_eq!(replay.findings, original.findings);
     assert_eq!(replay.streams.len(), 1, "cosim records one stream");
-    assert_eq!(replay.total_wire_bits(), original.log.wire_bits);
-    assert_eq!(replay.total_records(), original.log.records);
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn per_record_dispatch_recording_replays_byte_identical() {
-    // The software-decode (non-zero-copy) channel seals the identical
-    // wire stream; its recording must too.
-    let program = bugs::data_race();
-    let dir = temp_dir("per-record");
-    let mut config = recording_config(&dir);
-    config.log.batch_dispatch = false;
-    let kind = LifeguardKind::LockSet;
-    let mut lg = kind.make_lba();
-    let original = run_lba(&program, lg.as_mut(), &config).unwrap();
-
-    let replay = run_replay(&dir, || kind.make_lba(), &config).unwrap();
-    assert_eq!(replay.findings, original.findings);
-    assert_eq!(replay.total_wire_bits(), original.log.wire_bits);
+    assert_eq!(replay.log.wire_bits, original.log.wire_bits);
+    assert_eq!(replay.log.records, original.log.records);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -79,8 +61,8 @@ fn live_recording_replays_byte_identical() {
     let replay = run_replay(&dir, || kind.make_lba(), &config).unwrap();
     assert_eq!(replay.findings, original.findings);
     assert_eq!(replay.streams.len(), 1, "live records one stream");
-    assert_eq!(replay.total_wire_bits(), original.log.wire_bits);
-    assert_eq!(replay.total_records(), original.log.records);
+    assert_eq!(replay.log.wire_bits, original.log.wire_bits);
+    assert_eq!(replay.log.records, original.log.records);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -278,7 +260,7 @@ fn salvage_prefix_replays_checksummed_prefix_of_torn_tail() {
         tail.frames_salvaged < original.log.frames,
         "the torn frame must not be delivered"
     );
-    assert!(report.total_records() < original.log.records);
+    assert!(report.log.records < original.log.records);
     assert!(report.to_string().contains("tail lost"), "got: {report}");
 
     // Missing End record (cut exactly at the record boundary).
@@ -335,7 +317,7 @@ fn salvage_prefix_on_a_multi_segment_tear_keeps_earlier_segments() {
         report.salvaged[0].frames_salvaged > 0,
         "frames from intact segments must survive the tear"
     );
-    assert!(report.total_records() < original.log.records);
+    assert!(report.log.records < original.log.records);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -414,8 +396,8 @@ fn degraded_spans_ride_the_recording_into_replay() {
     );
     assert!(replay.total_degraded_frames() <= replay.streams[0].frames);
     assert_eq!(replay.findings, original.findings);
-    assert_eq!(replay.total_records(), original.log.records);
-    assert_eq!(replay.total_wire_bits(), original.log.wire_bits);
+    assert_eq!(replay.log.records, original.log.records);
+    assert_eq!(replay.log.wire_bits, original.log.wire_bits);
     assert!(
         !replay.is_lossy(),
         "degradation is not loss at the recorder"
@@ -457,8 +439,8 @@ proptest! {
 
         let replay = run_replay(&dir, || kind.make_lba(), &config).unwrap();
         prop_assert_eq!(&replay.findings, &original.findings);
-        prop_assert_eq!(replay.total_wire_bits(), original.log.wire_bits);
-        prop_assert_eq!(replay.total_records(), original.log.records);
+        prop_assert_eq!(replay.log.wire_bits, original.log.wire_bits);
+        prop_assert_eq!(replay.log.records, original.log.records);
         std::fs::remove_dir_all(&dir).ok();
     }
 }
