@@ -60,7 +60,7 @@ fn pump_framed(records: &[EventRecord], records_per_frame: usize) -> u64 {
             }
         });
         let mut seen = 0u64;
-        while let Some(frame) = rx.recv_batch() {
+        while let Some(frame) = rx.recv_batch().expect("in-process frames decode") {
             seen += frame.records.len() as u64;
         }
         seen

@@ -300,7 +300,7 @@ pub fn fault_config(mode: &str, adaptive: bool) -> SystemConfig {
         });
     }
     if mode == "lba" {
-        config.log.fault = Some(FaultProfile::slow_drain(42));
+        config.log.fault = Some(FaultProfile::slow_drain());
         config.log.buffer_bytes = 2 << 10;
     } else {
         config.log.fault = Some(FaultProfile {

@@ -126,6 +126,16 @@ impl Frame {
         self.bytes.len() as u64 * 8
     }
 
+    /// Reads the record count straight from a frame's wire image, marks
+    /// masked off, without decoding the payload (0 for an image too short
+    /// to hold the count) — what a receiver counts before it decodes.
+    #[must_use]
+    pub fn header_records(bytes: &[u8]) -> u32 {
+        bytes
+            .first_chunk::<4>()
+            .map_or(0, |word| u32::from_le_bytes(*word) & !HEADER_MARKS)
+    }
+
     /// Reads the epoch-end mark straight from a frame's wire image,
     /// without decoding the payload — the live receivers and offline
     /// replay use this to reassemble epochs from marked frames.
@@ -470,7 +480,7 @@ impl FrameDecoder {
         if !bytes.len().is_multiple_of(FRAME_LINE_BYTES) {
             return Err(FrameDecodeError::Misaligned { len: bytes.len() });
         }
-        let records = u32::from_le_bytes(bytes[0..4].try_into().expect("4 bytes")) & !HEADER_MARKS;
+        let records = Frame::header_records(bytes);
         let payload_len = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes")) as usize;
         let need = FRAME_HEADER_BYTES + payload_len;
         if bytes.len() < need {

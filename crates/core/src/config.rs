@@ -132,19 +132,20 @@ pub struct LogConfig {
     /// controller-free build; so does any setting when the lifeguard's
     /// policy is [`DegradationPolicy::none`](lba_lifeguard::DegradationPolicy::none).
     pub adaptive: Option<AdaptiveConfig>,
-    /// When set, the run's transport is wrapped in a deterministic
+    /// When set, the run's consumers drain slowly on purpose: the modeled
+    /// transport is wrapped in a deterministic
     /// [`FaultInjector`](lba_transport::FaultInjector) reproducing this
-    /// profile (consumer stalls, slow drain, flaky sink). `None` (the
-    /// default) injects nothing and adds no wrapper overhead beyond a
-    /// pass-through branch.
+    /// profile's consumer stalls, and the live receivers drag per frame.
+    /// `None` (the default) injects nothing and adds no wrapper overhead
+    /// beyond a pass-through branch.
     pub fault: Option<FaultProfile>,
-    /// How long the live producer may spin on a full channel before it
-    /// latches a stall and the run fails with
+    /// How long the live producer may wait on a full queue or an
+    /// exhausted credit window before it latches a stall and the run
+    /// fails with
     /// [`RunError::ChannelStalled`](lba_cpu::RunError::ChannelStalled)
-    /// instead of spinning forever on a wedged consumer. `None` (the
-    /// default) preserves the original unbounded-spin behaviour. Only
-    /// the live modes consult it; the modeled transport has no wall
-    /// clock.
+    /// instead of waiting forever on a wedged consumer. `None` (the
+    /// default) preserves the original unbounded wait. Only the live
+    /// modes consult it; the modeled transport has no wall clock.
     pub channel_stall_timeout: Option<Duration>,
 }
 

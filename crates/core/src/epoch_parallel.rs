@@ -6,8 +6,8 @@
 //! dependence chain through every instruction. This module closes that gap
 //! with the follow-up LBA literature's *epoch* technique:
 //!
-//! * the producer — [`Producer::passthrough`] driving an [`EpochRouted`]
-//!   topology — cuts the record stream into contiguous **epochs** at
+//! * the producer — [`Producer::passthrough`] routing through an
+//!   [`EpochRouter`] — cuts the record stream into contiguous **epochs** at
 //!   every syscall (the natural containment point, where the log flushes
 //!   anyway) and every `epoch_records` records; whole epochs fan out
 //!   to `workers` workers round-robin, riding the existing framed
@@ -50,10 +50,10 @@ use lba_isa::Program;
 use lba_lifeguard::{DispatchEngine, EpochLifeguard, EpochSummarizer, Finding, HandlerCtx};
 use lba_record::{EventRecord, TraceStats};
 use lba_transport::live::shard_frame_channels;
-use lba_transport::{ChannelStats, LogChannel, ModeledFrameChannel};
+use lba_transport::{ChannelStats, EpochRouter, LogChannel, ModeledFrameChannel};
 
 use crate::config::SystemConfig;
-use crate::pipeline::{ConsumerTopology, EpochRouted, Producer, ProducerLink, Route};
+use crate::pipeline::{Producer, ProducerLink};
 use crate::replay::ReplayError;
 use crate::report::{LogStats, PipelineReport, ReplayReport, ReplayStreamStats};
 
@@ -169,13 +169,13 @@ impl<S: EpochSummarizer> ModeledWorker<S> {
     }
 }
 
-/// The modeled epoch mode's [`ProducerLink`]: the [`EpochRouted`]
-/// topology fans whole epochs out to the modeled workers, each ship
+/// The modeled epoch mode's [`ProducerLink`]: the [`EpochRouter`] fans
+/// whole epochs out to the modeled workers, each ship
 /// opportunistically drains sealed frames into the owning summarizer, and
 /// the merge core stitches completed summaries into the master in global
 /// epoch order as soon as they become available.
 struct EpochModelLink<'m, E: EpochLifeguard> {
-    topology: EpochRouted,
+    router: EpochRouter,
     pool: Vec<ModeledWorker<E::Summarizer>>,
     engine: DispatchEngine,
     mem: MemSystem,
@@ -206,16 +206,13 @@ impl<E: EpochLifeguard> EpochModelLink<'_, E> {
 
 impl<E: EpochLifeguard> ProducerLink for EpochModelLink<'_, E> {
     fn ship(&mut self, rec: &EventRecord) {
-        match self.topology.route(rec) {
-            Route::Epoch { worker, end_epoch } => {
-                self.pool[worker]
-                    .channel
-                    .push_record_epoch(rec, self.app_cycles, end_epoch);
-                self.pool[worker].drain(&self.engine, &mut self.mem, 1 + worker);
-                self.stitch();
-            }
-            _ => unreachable!("EpochRouted only yields epoch routes"),
-        }
+        let route = self.router.route(rec);
+        let worker = &mut self.pool[route.worker];
+        worker
+            .channel
+            .push_record_epoch(rec, self.app_cycles, route.end_epoch);
+        worker.drain(&self.engine, &mut self.mem, 1 + route.worker);
+        self.stitch();
     }
 }
 
@@ -234,7 +231,7 @@ impl<E: EpochLifeguard> ProducerLink for EpochModelLink<'_, E> {
 /// is `max(app, stitch)`.
 ///
 /// Epoch boundaries come from [`LogConfig::epoch_records`](crate::LogConfig)
-/// and syscalls; see [`EpochRouted`].
+/// and syscalls; see [`EpochRouter`].
 ///
 /// # Errors
 ///
@@ -276,7 +273,7 @@ pub fn run_epoch_parallel<E: EpochLifeguard>(
     // computed over the full stream), so no filter or controller.
     let mut producer = Producer::passthrough();
     let mut link = EpochModelLink::<E> {
-        topology: EpochRouted::new(workers, config.log.epoch_records),
+        router: EpochRouter::new(workers, config.log.epoch_records),
         pool,
         engine: DispatchEngine::new(config.dispatch),
         // Core 0: application. Cores 1..=workers: summarizers. Last: merge.
@@ -317,7 +314,7 @@ pub fn run_epoch_parallel<E: EpochLifeguard>(
     link.stitch();
     debug_assert_eq!(
         link.next_epoch,
-        link.topology.epochs(),
+        link.router.epochs(),
         "every epoch stitched"
     );
     let mut findings = link.findings;
@@ -337,7 +334,7 @@ pub fn run_epoch_parallel<E: EpochLifeguard>(
     Ok(EpochParallelReport {
         program: program.name().to_string(),
         workers,
-        epochs: link.topology.epochs(),
+        epochs: link.router.epochs(),
         app_cycles,
         worker_cycles,
         stitch_cycles: stitch_clock,
@@ -353,20 +350,18 @@ pub fn run_epoch_parallel<E: EpochLifeguard>(
     })
 }
 
-/// The live epoch mode's [`ProducerLink`]: the [`EpochRouted`] topology
-/// fans whole epochs out over one framed SPSC sender per worker thread,
-/// with the epoch-end mark riding the sealed frame's wire header.
+/// The live epoch mode's [`ProducerLink`]: the [`EpochRouter`] fans whole
+/// epochs out over one framed SPSC sender per worker thread, with the
+/// epoch-end mark riding the sealed frame's wire header.
 struct LiveEpochLink {
-    topology: EpochRouted,
+    router: EpochRouter,
     senders: Vec<lba_transport::live::FrameSender>,
 }
 
 impl ProducerLink for LiveEpochLink {
     fn ship(&mut self, rec: &EventRecord) {
-        match self.topology.route(rec) {
-            Route::Epoch { worker, end_epoch } => self.senders[worker].push_epoch(rec, end_epoch),
-            _ => unreachable!("EpochRouted only yields epoch routes"),
-        }
+        let route = self.router.route(rec);
+        self.senders[route.worker].push_epoch(rec, route.end_epoch);
     }
 }
 
@@ -423,7 +418,7 @@ where
             .map(|((mut rx, mut summarizer), sum_tx)| {
                 let engine = &engine;
                 let config = &*config;
-                scope.spawn(move || -> ChannelStats {
+                scope.spawn(move || {
                     let mut mem = MemSystem::new(config.mem_dual());
                     let mut no_findings = Vec::new();
                     // Tail-epoch openness is tracked over *all* records
@@ -431,7 +426,8 @@ where
                     // the summarizer counts them, yet the router counts
                     // every record toward the epoch).
                     let mut open = false;
-                    while let Some(frame) = rx.recv_batch() {
+                    // In-process frames only fail to decode on a codec bug.
+                    while let Some(frame) = rx.recv_batch().expect("in-process frames decode") {
                         open = open || !frame.records.is_empty();
                         engine.deliver_batch(
                             &mut summarizer,
@@ -451,7 +447,6 @@ where
                         let _ = sum_tx.send(summarizer.finish_epoch());
                     }
                     debug_assert!(no_findings.is_empty(), "summarizers never report");
-                    rx.stats()
                 })
             })
             .collect();
@@ -485,29 +480,32 @@ where
         // link — and every sender — drops when this closure returns,
         // closing the worker streams so the consumers and merge finish
         // whether or not the run errored.
-        let produced = (|| -> Result<crate::pipeline::ProducerFinish, RunError> {
-            let mut machine = Machine::new(program, config.machine);
-            let mut mem = MemSystem::new(config.mem_single());
-            let mut producer = Producer::passthrough();
-            let mut link = LiveEpochLink {
-                topology: EpochRouted::new(workers, config.log.epoch_records),
-                senders,
-            };
-            machine.run(&mut mem, |r| producer.observe(&r.record, &mut link))?;
-            let finish = producer.finish(&mut link);
-            for tx in link.senders.iter_mut() {
-                tx.flush();
-                crate::recorder::finish_tee(tx.take_tee())?;
-            }
-            Ok(finish)
-        })();
+        let produced =
+            (|| -> Result<(crate::pipeline::ProducerFinish, Vec<ChannelStats>), RunError> {
+                let mut machine = Machine::new(program, config.machine);
+                let mut mem = MemSystem::new(config.mem_single());
+                let mut producer = Producer::passthrough();
+                let mut link = LiveEpochLink {
+                    router: EpochRouter::new(workers, config.log.epoch_records),
+                    senders,
+                };
+                machine.run(&mut mem, |r| producer.observe(&r.record, &mut link))?;
+                let finish = producer.finish(&mut link);
+                let mut worker_log = Vec::with_capacity(workers);
+                for mut tx in link.senders.drain(..) {
+                    tx.flush();
+                    crate::recorder::finish_tee(tx.take_tee())?;
+                    let Ok(stats) = tx.finish();
+                    worker_log.push(stats);
+                }
+                Ok((finish, worker_log))
+            })();
 
-        let worker_log: Vec<ChannelStats> = consumers
-            .into_iter()
-            .map(|h| h.join().expect("worker thread must not panic"))
-            .collect();
+        for handle in consumers {
+            handle.join().expect("worker thread must not panic");
+        }
         let (findings, epochs) = merge.join().expect("merge thread must not panic");
-        let finish = produced?;
+        let (finish, worker_log) = produced?;
         Ok(LiveEpochParallelReport {
             program: program.name().to_string(),
             workers,
@@ -536,8 +534,8 @@ where
 /// mark is the run's final, open epoch), then the summaries are stitched
 /// into `master` in global epoch order — worker count equals stream
 /// count, epochs round-robin, exactly as they were recorded. This is the
-/// [`ReplaySource`](crate::pipeline::ReplaySource) topology: the recorded
-/// streams *are* the producer.
+/// [`TopologyKind::Replay`](crate::pipeline::TopologyKind::Replay)
+/// topology: the recorded streams *are* the producer.
 ///
 /// Findings and final `master` state are byte-identical to the recording
 /// run's (and therefore to the sequential run's).

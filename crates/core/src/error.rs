@@ -9,10 +9,12 @@
 //! several modes, like the bench harness — propagates failures with `?`
 //! and reports them uniformly, whichever layer they started in.
 
+use std::convert::Infallible;
 use std::fmt;
 
 use lba_cpu::RunError;
 use lba_record::StreamError;
+use lba_transport::live::RecvError;
 use lba_transport::{SinkError, SocketError};
 
 use crate::replay::ReplayError;
@@ -33,8 +35,7 @@ pub enum LbaError {
     /// The durable stream layer failed outside a replay (creating or
     /// finishing a flight-recorder stream).
     Stream(StreamError),
-    /// The socket transport failed (torn wire, stalled credit window,
-    /// protocol violation).
+    /// The socket transport failed (torn wire, protocol violation).
     Socket(SocketError),
     /// The requested mode/monitor combination is outside the registry's
     /// declared capabilities (e.g. sharding TaintCheck, whose register
@@ -108,6 +109,33 @@ impl From<SocketError> for LbaError {
     }
 }
 
+/// A live receiver's failure: a wire error keeps its own layer, and an
+/// undecodable frame names its stream and frame as a replayed one does.
+impl From<RecvError> for LbaError {
+    fn from(e: RecvError) -> Self {
+        match e {
+            RecvError::Wire(e) => LbaError::from_sink(e),
+            RecvError::Decode {
+                stream,
+                frame,
+                source,
+            } => LbaError::Replay(ReplayError::Decode {
+                stream,
+                frame,
+                source,
+            }),
+        }
+    }
+}
+
+/// The in-process queue cannot fail; this lets code generic over the
+/// live wires propagate their errors with `?`.
+impl From<Infallible> for LbaError {
+    fn from(e: Infallible) -> Self {
+        match e {}
+    }
+}
+
 impl LbaError {
     /// Folds a type-erased [`SinkError`] from the `FrameSink` /
     /// `FrameSource` seam into the hierarchy: socket and stream errors
@@ -162,12 +190,15 @@ mod tests {
 
     #[test]
     fn sink_errors_recover_their_concrete_layer() {
-        let sink: SinkError = Box::new(SocketError::Stalled {
+        let sink: SinkError = Box::new(SocketError::Torn {
             endpoint: "uds:worker-0".to_string(),
-            timeout: std::time::Duration::from_millis(50),
+            frames: 3,
         });
         let err = LbaError::from_sink(sink);
-        assert!(matches!(err, LbaError::Socket(SocketError::Stalled { .. })));
+        assert!(matches!(
+            err,
+            LbaError::Socket(SocketError::Torn { frames: 3, .. })
+        ));
 
         let sink: SinkError = Box::new(std::io::Error::other("disk gone"));
         let err = LbaError::from_sink(sink);

@@ -79,8 +79,7 @@ pub use kind::LifeguardKind;
 pub use live::run_live;
 pub use live_parallel::run_live_parallel;
 pub use pipeline::{
-    ConsumerTopology, EpochRouted, Execution, MonitorSpec, Producer, ProducerFinish, ProducerLink,
-    ReplaySource, Route, RunModeSpec, ShardedByLine, SingleConsumer, TopologyKind, MONITORS,
+    MonitorSpec, Producer, ProducerFinish, ProducerLink, RunModeSpec, TopologyKind, MONITORS,
     RUN_MODES,
 };
 pub use remote::run_remote;

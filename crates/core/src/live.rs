@@ -142,7 +142,7 @@ pub fn run_live(
         let finding_count = &finding_count;
         let dial = &dial;
         let producer = scope.spawn(
-            move || -> Result<crate::pipeline::ProducerFinish, RunError> {
+            move || -> Result<(crate::pipeline::ProducerFinish, lba_transport::ChannelStats), RunError> {
                 let mut machine = Machine::new(program, machine_config);
                 let mut mem = MemSystem::new(config.mem_single());
                 let mut link = LiveLink {
@@ -161,16 +161,15 @@ pub fn run_live(
                 // tail — the shared epilogue.
                 let finish = stage.finish(&mut link);
                 // Seal the final partial frame *before* taking the tee back,
-                // so the recording carries the complete wire stream; the
-                // drop-flush below then has nothing left to ship.
+                // so the recording carries the complete wire stream.
                 link.tx.flush();
                 if link.tx.stalled() {
                     return Err(RunError::ChannelStalled);
                 }
                 crate::recorder::finish_tee(link.tx.take_tee())?;
-                Ok(finish)
-                // `link.tx` drops here: flushes the final partial frame and
-                // closes the channel.
+                // Finishing drops the sender, closing the channel.
+                let Ok(stats) = link.tx.finish();
+                Ok((finish, stats))
             },
         );
 
@@ -179,7 +178,8 @@ pub fn run_live(
         // but live mode is functional — timing is not reported.
         let mut mem = MemSystem::new(config.mem_dual());
         let mut findings = Vec::new();
-        while let Some(frame) = rx.recv_batch() {
+        // In-process frames only fail to decode on a codec bug.
+        while let Some(frame) = rx.recv_batch().expect("in-process frames decode") {
             engine.deliver_batch(lifeguard, frame.records, &mut mem, 1, &mut findings);
             finding_count.store(findings.len() as u64, Ordering::Relaxed);
             if let Some(req) = engine.poll_degradation(lifeguard) {
@@ -188,8 +188,7 @@ pub fn run_live(
         }
         engine.finish(lifeguard, &mut mem, 1, &mut findings);
 
-        let finish = producer.join().expect("producer thread must not panic")?;
-        let stats = rx.stats();
+        let (finish, stats) = producer.join().expect("producer thread must not panic")?;
         Ok(LiveReport {
             program: program.name().to_string(),
             pipeline: PipelineReport {

@@ -5,9 +5,9 @@
 //! splitting a lifeguard across cores; this module actually does it on OS
 //! threads. The producer runs the machine and routes each load/store
 //! record to the shard owning its cache line (broadcasting everything
-//! else — the identical [`ShardedByLine`] topology the modeled mode uses),
-//! pushing into one [`FrameSender`](lba_transport::live::FrameSender) per
-//! shard. Because every shard owns a full compressor/decompressor pair,
+//! else — the identical [`shard_of`] routing the modeled mode uses),
+//! pushing into one [`FrameSender`] per shard. Because every shard owns a
+//! full compressor/decompressor pair,
 //! the value predictors never thread state across shards, and the N
 //! consumer threads decode their frame streams *concurrently* — closing
 //! the ROADMAP's "parallel value decompression" item as a by-product of
@@ -22,6 +22,12 @@
 //! `run_lba_parallel`'s shard byte for byte, and the merged findings are
 //! equal. Integration tests pin both.
 //!
+//! The wire under each shard is a parameter of the one runner here:
+//! [`run_live_parallel`] connects producer and consumers with in-process
+//! queues, [`run_remote`](crate::run_remote) with Unix-domain sockets.
+//! Everything else — routing, capture, recording, stall handling,
+//! consumption and the merge — is the same code.
+//!
 //! Like the modeled mode, TaintCheck is unsupported: its register state is
 //! a sequential dependence chain through every instruction, so address
 //! interleaving is unsound for it — use the epoch-parallel mode
@@ -33,13 +39,14 @@ use std::thread;
 use lba_cache::MemSystem;
 use lba_cpu::{Machine, RunError};
 use lba_isa::Program;
-use lba_lifeguard::{DispatchEngine, Finding, Lifeguard};
+use lba_lifeguard::{DispatchEngine, Lifeguard};
 use lba_record::EventRecord;
-use lba_transport::live::shard_frame_channels;
-use lba_transport::{ChannelStats, LoadSample};
+use lba_transport::live::{shard_frame_channels, FrameReceiver, FrameSender, FrameWire};
+use lba_transport::{shard_of, FrameSource, LoadSample};
 
 use crate::config::SystemConfig;
-use crate::pipeline::{ConsumerTopology, Producer, ProducerLink, Route, ShardedByLine};
+use crate::error::LbaError;
+use crate::pipeline::{Producer, ProducerLink};
 use crate::report::{LiveParallelReport, LogStats, PipelineReport};
 
 /// The lifeguard-core MemSystem index used by every consumer thread (each
@@ -47,20 +54,19 @@ use crate::report::{LiveParallelReport, LogStats, PipelineReport};
 /// modeled clocks, so the geometry only feeds shadow-cost accounting).
 const LG_CORE: usize = 1;
 
-/// The live sharded mode's [`ProducerLink`]: one framed SPSC sender per
-/// shard, the [`ShardedByLine`] topology deciding routed-vs-broadcast,
-/// and the consumers' published finding count as the snapback signal.
-struct LiveShardLink<'a> {
-    topology: ShardedByLine,
-    senders: Vec<lba_transport::live::FrameSender>,
+/// The sharded live modes' [`ProducerLink`]: one frame sender per shard
+/// over either wire, [`shard_of`] deciding routed-vs-broadcast, and the
+/// consumers' published finding count as the snapback signal.
+struct ShardLink<'a, W: FrameWire> {
+    senders: Vec<FrameSender<W>>,
     finding_count: &'a AtomicU64,
 }
 
-impl ProducerLink for LiveShardLink<'_> {
+impl<W: FrameWire> ProducerLink for ShardLink<'_, W> {
     fn ship(&mut self, rec: &EventRecord) {
-        match self.topology.route(rec) {
-            Route::Shard(owner) => self.senders[owner].push(rec),
-            _ => {
+        match shard_of(rec, self.senders.len()) {
+            Some(owner) => self.senders[owner].push(rec),
+            None => {
                 for tx in self.senders.iter_mut() {
                     tx.push(rec);
                 }
@@ -83,11 +89,11 @@ impl ProducerLink for LiveShardLink<'_> {
     }
 
     fn load_sample(&self) -> LoadSample {
-        // The sharded producer's load signal: the fullest shard's queue —
+        // The sharded producer's load signal: the fullest shard's wire —
         // one overloaded shard is what blocks the producer.
         self.senders
             .iter()
-            .map(|tx| tx.load_sample())
+            .map(FrameSender::load_sample)
             .max_by_key(LoadSample::occupancy_permille)
             .unwrap_or_default()
     }
@@ -117,11 +123,15 @@ impl ProducerLink for LiveShardLink<'_> {
 /// the same shard as its first occurrence, so the per-lifeguard soundness
 /// contract carries over unchanged — and `run_lba_parallel` runs the
 /// identical pass, which keeps each shard's wire stream byte-identical
-/// between the two modes.
+/// between the two modes. The adaptive controller applies on the
+/// producer, `record_to` tees each shard's stream to disk,
+/// `channel_stall_timeout` bounds how long the producer waits on a full
+/// shard, and `fault.drain_drag` slows the consumers' drain.
 ///
 /// # Errors
 ///
-/// Propagates any [`RunError`] from the machine thread.
+/// [`LbaError::Run`] for machine/config failures and a stalled shard
+/// ([`RunError::ChannelStalled`]).
 ///
 /// # Panics
 ///
@@ -132,24 +142,41 @@ pub fn run_live_parallel(
     make_lifeguard: impl Fn() -> Box<dyn Lifeguard> + Sync,
     shards: usize,
     config: &SystemConfig,
-) -> Result<LiveParallelReport, RunError> {
+) -> Result<LiveParallelReport, LbaError> {
     assert!(shards > 0, "need at least one shard");
     config.log.validate_framing()?;
-    let (mut senders, mut receivers) = shard_frame_channels(
+    let (senders, receivers) = shard_frame_channels(
         shards,
         config.log.live_channel_frames(),
         config.log.frame_config(),
     );
-    // Flight recorder: one segmented stream per shard, mirrored on the
-    // producer as each shard's frames ship.
-    if let Some(record) = &config.log.record_to {
-        for (idx, tx) in senders.iter_mut().enumerate() {
+    run_sharded(program, make_lifeguard, senders, receivers, config)
+}
+
+/// The sharded live runner both [`run_live_parallel`] and
+/// [`run_remote`](crate::run_remote) are: one producer on this thread
+/// fanning records out over `senders`, one consumer thread per
+/// `receivers` entry, whichever wire connects them.
+pub(crate) fn run_sharded<W, S>(
+    program: &Program,
+    make_lifeguard: impl Fn() -> Box<dyn Lifeguard> + Sync,
+    mut senders: Vec<FrameSender<W>>,
+    mut receivers: Vec<FrameReceiver<S>>,
+    config: &SystemConfig,
+) -> Result<LiveParallelReport, LbaError>
+where
+    W: FrameWire,
+    S: FrameSource + Send,
+    LbaError: From<W::Error>,
+{
+    let shards = senders.len();
+    for (idx, tx) in senders.iter_mut().enumerate() {
+        // Flight recorder: one segmented stream per shard, mirrored on
+        // the producer as each shard's frames ship.
+        if let Some(record) = &config.log.record_to {
             let stream = u32::try_from(idx).expect("shard count fits u32");
             tx.tee_into(crate::recorder::open_sink(record, stream)?);
         }
-    }
-    // Stall detection and fault injection, per shard (see `run_live`).
-    for tx in senders.iter_mut() {
         tx.set_stall_timeout(config.log.channel_stall_timeout);
     }
     if let Some(fault) = &config.log.fault {
@@ -168,13 +195,13 @@ pub fn run_live_parallel(
         let consumers: Vec<_> = receivers
             .into_iter()
             .map(|mut rx| {
-                scope.spawn(move || -> (Vec<Finding>, ChannelStats) {
+                scope.spawn(move || -> Result<_, LbaError> {
                     let mut lifeguard = make_lifeguard();
                     let engine = DispatchEngine::new(config.dispatch);
                     let mut mem = MemSystem::new(config.mem_dual());
                     let mut findings = Vec::new();
                     let mut published = 0usize;
-                    while let Some(frame) = rx.recv_batch() {
+                    while let Some(frame) = rx.recv_batch()? {
                         engine.deliver_batch(
                             lifeguard.as_mut(),
                             frame.records,
@@ -189,7 +216,7 @@ pub fn run_live_parallel(
                         }
                     }
                     engine.finish(lifeguard.as_mut(), &mut mem, LG_CORE, &mut findings);
-                    (findings, rx.stats())
+                    Ok(findings)
                 })
             })
             .collect();
@@ -197,48 +224,56 @@ pub fn run_live_parallel(
         // Produce on this thread: run the machine, apply the shared
         // capture pass (identical to `run_lba_parallel`'s) and fan the
         // log out. The link — and with it every sender — drops when this
-        // closure returns, closing the shard streams so the consumers can
+        // closure returns, ending the shard streams so the consumers can
         // finish whether or not the run errored.
-        let produced = (|| -> Result<crate::pipeline::ProducerFinish, RunError> {
+        let produced = (|| -> Result<_, LbaError> {
             let mut machine = Machine::new(program, config.machine);
             let mut mem = MemSystem::new(config.mem_single());
             let seed = make_lifeguard();
             let mut producer = Producer::sharded(seed.as_ref(), config);
             drop(seed);
-            let mut link = LiveShardLink {
-                topology: ShardedByLine::new(shards),
+            let mut link = ShardLink {
                 senders,
                 finding_count,
             };
             machine.run(&mut mem, |r| producer.observe(&r.record, &mut link))?;
-            if link.senders.iter().any(|tx| tx.stalled()) {
-                return Err(RunError::ChannelStalled);
+            if link.senders.iter().any(FrameSender::stalled) {
+                return Err(RunError::ChannelStalled.into());
             }
             // Snap back out of degradation, settle fold counts, ship the
-            // tail.
+            // tail, then end each shard's stream: seal the final partial
+            // frame before taking the recording tee back, so the
+            // recording carries the complete stream.
             let finish = producer.finish(&mut link);
-            // Seal each shard's final partial frame before taking the
-            // tees back, so the recordings carry the complete per-shard
-            // wire streams (the drop-flush below then ships nothing).
-            for tx in link.senders.iter_mut() {
+            let mut shard_log = Vec::with_capacity(shards);
+            for mut tx in link.senders.drain(..) {
                 tx.flush();
                 crate::recorder::finish_tee(tx.take_tee())?;
+                if tx.stalled() {
+                    return Err(RunError::ChannelStalled.into());
+                }
+                shard_log.push(tx.finish()?);
             }
-            if link.senders.iter().any(|tx| tx.stalled()) {
-                return Err(RunError::ChannelStalled);
-            }
-            Ok(finish)
+            Ok((finish, shard_log))
         })();
 
         let mut shard_findings = Vec::with_capacity(shards);
-        let mut shard_log = Vec::with_capacity(shards);
+        let mut consumer_err: Option<LbaError> = None;
         for handle in consumers {
-            let (findings, stats) = handle.join().expect("consumer thread must not panic");
-            shard_findings.push(findings);
-            shard_log.push(stats);
+            match handle.join().expect("consumer thread must not panic") {
+                Ok(findings) => shard_findings.push(findings),
+                Err(e) => {
+                    consumer_err.get_or_insert(e);
+                }
+            }
+        }
+        // A producer-side error explains any consumer-side tear, so it
+        // wins.
+        let (finish, shard_log) = produced?;
+        if let Some(e) = consumer_err {
+            return Err(e);
         }
         let findings = crate::parallel::merge_shard_findings(shard_findings);
-        let finish = produced?;
         Ok(LiveParallelReport {
             program: program.name().to_string(),
             shards,
@@ -357,6 +392,9 @@ mod tests {
         config.log.records_per_frame = 0;
         let err = run_live_parallel(&program, || LifeguardKind::AddrCheck.make_lba(), 2, &config)
             .unwrap_err();
-        assert_eq!(err, RunError::ZeroRecordsPerFrame);
+        assert!(
+            matches!(err, LbaError::Run(RunError::ZeroRecordsPerFrame)),
+            "got: {err}"
+        );
     }
 }

@@ -7,7 +7,7 @@
 //! per-address state is independent (AddrCheck, LockSet):
 //!
 //! * load/store events are **routed** to the shard owning their cache
-//!   line (the [`ShardedByLine`] topology);
+//!   line ([`shard_of`]);
 //! * all other events (alloc/free, lock/unlock, …) are **broadcast**,
 //!   because they update state every shard needs;
 //! * each shard is fed through its own framed [`LogChannel`] — the same
@@ -36,10 +36,12 @@ use lba_cpu::{Machine, RunError, StepOutcome};
 use lba_isa::Program;
 use lba_lifeguard::{DispatchEngine, Finding, Lifeguard};
 use lba_record::{EventRecord, TraceStats};
-use lba_transport::{ChannelStats, FaultInjector, LoadSample, LogChannel, ModeledFrameChannel};
+use lba_transport::{
+    shard_of, ChannelStats, FaultInjector, LoadSample, LogChannel, ModeledFrameChannel,
+};
 
 use crate::config::SystemConfig;
-use crate::pipeline::{ConsumerTopology, Producer, ProducerLink, Route, ShardedByLine};
+use crate::pipeline::{Producer, ProducerLink};
 use crate::report::{LogStats, PipelineReport};
 
 /// Per-shard channel byte budget. The parallel study isolates
@@ -118,12 +120,11 @@ fn drain_shard(
 }
 
 /// The modeled sharded mode's [`ProducerLink`]: one framed channel,
-/// lifeguard instance and clock per shard, with the [`ShardedByLine`]
-/// topology deciding routed-vs-broadcast per record. It owns the whole
+/// lifeguard instance and clock per shard, with [`shard_of`] deciding
+/// routed-vs-broadcast per record. It owns the whole
 /// consumer side so a single record's ship can charge non-owner shards
 /// their no-op dispatch cost and opportunistically drain sealed frames.
 struct ParallelLink {
-    topology: ShardedByLine,
     app_cycles: u64,
     channels: Vec<FaultInjector<ModeledFrameChannel>>,
     engine: DispatchEngine,
@@ -135,12 +136,12 @@ struct ParallelLink {
 
 impl ProducerLink for ParallelLink {
     fn ship(&mut self, rec: &EventRecord) {
-        // Address-interleaved routing, shared with the live mode
-        // (`Broadcast` reaches every shard).
-        let route = self.topology.route(rec);
+        // Address-interleaved routing, shared with the live mode (`None`
+        // broadcasts to every shard).
+        let owner = shard_of(rec, self.channels.len());
         for idx in 0..self.channels.len() {
-            match route {
-                Route::Shard(owner) if owner != idx => {
+            match owner {
+                Some(owner) if owner != idx => {
                     // Routed elsewhere: this shard skips the record
                     // (its dispatch sees a no-op entry).
                     self.shard_cycles[idx] += self.engine.config().unsubscribed_cycles;
@@ -233,7 +234,6 @@ pub fn run_lba_parallel(
     // the adaptive controller, pre-routing on the producer.
     let mut producer = Producer::sharded(lifeguards[0].as_ref(), config);
     let mut link = ParallelLink {
-        topology: ShardedByLine::new(shards),
         app_cycles: 0,
         channels,
         engine: DispatchEngine::new(config.dispatch),

@@ -12,10 +12,10 @@
 //! * [`ProducerLink`] — what a run mode must plug in: where shipped
 //!   records go, what a flush-and-mark transition does to its transport,
 //!   and which load/finding signals feed the controller;
-//! * [`ConsumerTopology`] — how shipped records map onto consumers:
-//!   [`SingleConsumer`], [`ShardedByLine`], [`EpochRouted`], and
-//!   [`ReplaySource`], each instantiated over both the modeled and the
-//!   live execution model by the corresponding runners;
+//! * [`TopologyKind`] — how shipped records map onto consumers: one
+//!   consumer, address-interleaved shards ([`lba_transport::shard_of`]),
+//!   epoch fan-out ([`lba_transport::EpochRouter`]), or recorded streams;
+//!   each runner's link routes with those functions directly;
 //! * [`MONITORS`] / [`RUN_MODES`] — the single registry the experiment
 //!   layer, the benchmarks and the cross-mode equivalence suite derive
 //!   their mode and lifeguard enumerations from. Each `RUN_MODES` row's
@@ -29,7 +29,7 @@
 use lba_lifeguard::{CaptureFilter, CaptureStats, DegradationRequest, DegradationStats, Lifeguard};
 use lba_lifeguards::TaintCheck;
 use lba_record::{EventKind, EventRecord, TraceStats};
-use lba_transport::{shard_of, EpochRouter, LoadSample};
+use lba_transport::LoadSample;
 
 use crate::config::SystemConfig;
 use crate::controller::{CaptureController, Transition, Verdict};
@@ -315,195 +315,6 @@ impl Producer {
     }
 }
 
-/// Where one shipped record goes under a [`ConsumerTopology`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Route {
-    /// The single consumer (or, for a replay source, the consumer bound
-    /// to the record's stream).
-    Single,
-    /// Exactly one shard owns the record.
-    Shard(usize),
-    /// Every shard must see the record (allocation-shaped events whose
-    /// effect spans addresses).
-    Broadcast,
-    /// The record belongs to an epoch assigned to `worker`.
-    Epoch {
-        /// Worker index the record's whole epoch is assigned to.
-        worker: usize,
-        /// Whether this record closes its epoch — the producer must seal
-        /// the worker's frame with the epoch-end mark.
-        end_epoch: bool,
-    },
-}
-
-/// How shipped records map onto consumers — the consumer-side half of the
-/// pipeline, with one implementation per consumption shape. Each shape is
-/// instantiated over both execution models by its runners: the modeled
-/// runner simulates its consumers' clocks on one thread, the live runner
-/// gives each consumer an OS thread.
-pub trait ConsumerTopology {
-    /// Number of consumers the topology fans out to.
-    fn consumers(&self) -> usize;
-
-    /// Routes one shipped record. Stateful where order matters
-    /// ([`EpochRouted`]), pure elsewhere.
-    fn route(&mut self, rec: &EventRecord) -> Route;
-}
-
-/// One lifeguard consumes the full stream in order — the paper's base
-/// design.
-///
-/// Execution models: `run_lba` interleaves the consumer's modeled clock
-/// with the producer's on one thread (consumption happens at
-/// back-pressure, syscall containment and end of stream); `run_live` runs
-/// the consumer on its own OS thread against the SPSC frame channel.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SingleConsumer;
-
-impl ConsumerTopology for SingleConsumer {
-    fn consumers(&self) -> usize {
-        1
-    }
-
-    fn route(&mut self, _rec: &EventRecord) -> Route {
-        Route::Single
-    }
-}
-
-/// Address-interleaved sharding at 64-byte cache-line granularity: memory
-/// records go to the shard owning their line ([`shard_of`]), everything
-/// else broadcasts. Sound only for lifeguards whose per-address state is
-/// independent (AddrCheck, LockSet) — TaintCheck's register state forms a
-/// sequential dependence chain and uses [`EpochRouted`] instead.
-///
-/// Execution models: `run_lba_parallel` simulates the N lifeguard cores
-/// on one thread against a shared [`lba_cache::MemSystem`] (cores `1..=N`,
-/// application on 0), draining every shard after each route so the modeled
-/// clocks interleave like hardware would; `run_live_parallel` runs one
-/// consumer OS thread per shard, each with its own channel, and merges
-/// findings (deduplicated) at join.
-#[derive(Debug, Clone, Copy)]
-pub struct ShardedByLine {
-    shards: usize,
-}
-
-impl ShardedByLine {
-    /// A topology fanning memory records over `shards` shards.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is zero.
-    #[must_use]
-    pub fn new(shards: usize) -> Self {
-        assert!(shards > 0, "need at least one shard");
-        ShardedByLine { shards }
-    }
-}
-
-impl ConsumerTopology for ShardedByLine {
-    fn consumers(&self) -> usize {
-        self.shards
-    }
-
-    fn route(&mut self, rec: &EventRecord) -> Route {
-        match shard_of(rec, self.shards) {
-            Some(shard) => Route::Shard(shard),
-            None => Route::Broadcast,
-        }
-    }
-}
-
-/// Time-sliced fan-out: the stream is cut into contiguous epochs (at
-/// every syscall and every `epoch_records` records) and whole epochs go
-/// to workers round-robin; a stitch stage folds per-epoch summaries back
-/// in global epoch order. Sound for summarizable lifeguards (TaintCheck's
-/// transfer-function summaries) whose state composes across epochs.
-///
-/// Execution models: `run_epoch_parallel` models each worker's clock and
-/// the merge core's stitch on one thread; `run_live_epoch_parallel` runs
-/// one consumer OS thread per worker plus a merge thread that stitches
-/// summaries round-robin as workers finish epochs.
-#[derive(Debug, Clone)]
-pub struct EpochRouted {
-    workers: usize,
-    router: EpochRouter,
-}
-
-impl EpochRouted {
-    /// A topology fanning epochs over `workers` workers, closing an epoch
-    /// at every syscall and after every `epoch_records` records.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `workers` or `epoch_records` is zero.
-    #[must_use]
-    pub fn new(workers: usize, epoch_records: usize) -> Self {
-        EpochRouted {
-            workers,
-            router: EpochRouter::new(workers, epoch_records),
-        }
-    }
-
-    /// Total epochs routed so far, the open tail epoch included.
-    #[must_use]
-    pub fn epochs(&self) -> u64 {
-        self.router.epochs()
-    }
-
-    /// Whether the current epoch has routed records but no closing mark
-    /// yet — the stream tail, which ships via a plain (unmarked) flush.
-    #[must_use]
-    pub fn open(&self) -> bool {
-        self.router.open()
-    }
-}
-
-impl ConsumerTopology for EpochRouted {
-    fn consumers(&self) -> usize {
-        self.workers
-    }
-
-    fn route(&mut self, rec: &EventRecord) -> Route {
-        let route = self.router.route(rec);
-        Route::Epoch {
-            worker: route.worker,
-            end_epoch: route.end_epoch,
-        }
-    }
-}
-
-/// Offline replay: the consumers' inputs are flight-recorder streams, one
-/// per original channel, so routing was fixed when the recording was made
-/// — every frame already sits in its stream and each consumer replays its
-/// stream independently ([`Route::Single`] per stream).
-///
-/// Execution models: `run_replay` (and `run_replay_epoch` for epoch-mode
-/// recordings) replay the streams sequentially on the host with modeled
-/// lifeguard clocks; there is no live variant because replay has no
-/// producer to decouple from.
-#[derive(Debug, Clone, Copy)]
-pub struct ReplaySource {
-    streams: usize,
-}
-
-impl ReplaySource {
-    /// A replay source over `streams` recorded streams.
-    #[must_use]
-    pub fn new(streams: usize) -> Self {
-        ReplaySource { streams }
-    }
-}
-
-impl ConsumerTopology for ReplaySource {
-    fn consumers(&self) -> usize {
-        self.streams
-    }
-
-    fn route(&mut self, _rec: &EventRecord) -> Route {
-        Route::Single
-    }
-}
-
 /// One lifeguard in the mode/monitor registry: its stable name, a
 /// factory, and which consumer topologies are sound for it. The
 /// experiment layer, the benchmarks (`lba_bench::pipeline::lifeguards`)
@@ -516,10 +327,10 @@ pub struct MonitorSpec {
     pub name: &'static str,
     /// Builds a fresh instance.
     pub make: fn() -> Box<dyn Lifeguard>,
-    /// Whether address-interleaved sharding ([`ShardedByLine`]) is sound
-    /// and benchmarked for this lifeguard (per-address state only).
+    /// Whether address-interleaved sharding ([`TopologyKind::Sharded`]) is
+    /// sound and benchmarked for this lifeguard (per-address state only).
     pub shardable: bool,
-    /// Whether epoch-parallel summarisation ([`EpochRouted`]) is
+    /// Whether epoch-parallel summarisation ([`TopologyKind::Epoch`]) is
     /// implemented for this lifeguard.
     pub epoch: bool,
 }
@@ -553,32 +364,29 @@ pub const MONITORS: [MonitorSpec; 4] = [
     },
 ];
 
-/// Which execution substrate a run mode drives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Execution {
-    /// Deterministic co-simulation with modeled clocks, on one thread.
-    Modeled,
-    /// Real OS threads over real channels; no modeled clocks.
-    Live,
-    /// Offline replay of a flight-recorder stream set.
-    Replay,
-}
-
-/// Which [`ConsumerTopology`] shape a run mode instantiates.
+/// How a run mode maps shipped records onto its consumers. The modeled
+/// runners simulate their consumers' clocks on one thread; the live
+/// runners give each consumer an OS thread.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TopologyKind {
-    /// [`SingleConsumer`].
+    /// One lifeguard consumes the full stream in order — the paper's base
+    /// design.
     Single,
-    /// [`ShardedByLine`].
+    /// Memory records go to the shard owning their cache line
+    /// ([`lba_transport::shard_of`]), everything else broadcasts; findings
+    /// merge (deduplicated) at the end. Sound only for lifeguards whose
+    /// per-address state is independent.
     Sharded,
-    /// [`EpochRouted`].
+    /// Whole epochs go to workers round-robin
+    /// ([`lba_transport::EpochRouter`]) and a stitch stage folds their
+    /// summaries back in epoch order. Sound for summarizable lifeguards.
     Epoch,
-    /// [`ReplaySource`].
+    /// The consumers' inputs are recorded streams, one per original
+    /// channel, so routing was fixed when the recording was made.
     Replay,
 }
 
-/// One run mode in the registry: how it executes, what topology it
-/// instantiates, which lifeguards it supports, how its outcome relates
+/// One run mode in the registry: what topology it instantiates, which lifeguards it supports, how its outcome relates
 /// to the sequential `run_lba` baseline, which benchmark trajectory
 /// series it owns, and how the [`Run`] builder dispatches it.
 #[derive(Debug, Clone, Copy)]
@@ -587,8 +395,6 @@ pub struct RunModeSpec {
     pub name: &'static str,
     /// The builder mode this row dispatches.
     pub mode: RunMode,
-    /// Execution substrate.
-    pub execution: Execution,
     /// Consumer topology shape.
     pub topology: TopologyKind,
     /// Whether the mode's findings are a dedup-merge over consumers
@@ -631,7 +437,6 @@ pub const RUN_MODES: [RunModeSpec; 9] = [
     RunModeSpec {
         name: "lba",
         mode: RunMode::Lba,
-        execution: Execution::Modeled,
         topology: TopologyKind::Single,
         merged_findings: false,
         exact_records: true,
@@ -647,7 +452,6 @@ pub const RUN_MODES: [RunModeSpec; 9] = [
     RunModeSpec {
         name: "live",
         mode: RunMode::Live,
-        execution: Execution::Live,
         topology: TopologyKind::Single,
         merged_findings: false,
         exact_records: true,
@@ -663,7 +467,6 @@ pub const RUN_MODES: [RunModeSpec; 9] = [
     RunModeSpec {
         name: "lba-parallel",
         mode: RunMode::LbaParallel,
-        execution: Execution::Modeled,
         topology: TopologyKind::Sharded,
         merged_findings: true,
         exact_records: false,
@@ -683,7 +486,6 @@ pub const RUN_MODES: [RunModeSpec; 9] = [
     RunModeSpec {
         name: "live-parallel",
         mode: RunMode::LiveParallel,
-        execution: Execution::Live,
         topology: TopologyKind::Sharded,
         merged_findings: true,
         exact_records: false,
@@ -703,7 +505,6 @@ pub const RUN_MODES: [RunModeSpec; 9] = [
     RunModeSpec {
         name: "remote",
         mode: RunMode::Remote,
-        execution: Execution::Live,
         topology: TopologyKind::Sharded,
         merged_findings: true,
         exact_records: false,
@@ -721,7 +522,6 @@ pub const RUN_MODES: [RunModeSpec; 9] = [
     RunModeSpec {
         name: "epoch-parallel",
         mode: RunMode::EpochParallel,
-        execution: Execution::Modeled,
         topology: TopologyKind::Epoch,
         merged_findings: false,
         exact_records: true,
@@ -741,7 +541,6 @@ pub const RUN_MODES: [RunModeSpec; 9] = [
     RunModeSpec {
         name: "live-epoch-parallel",
         mode: RunMode::LiveEpochParallel,
-        execution: Execution::Live,
         topology: TopologyKind::Epoch,
         merged_findings: false,
         exact_records: true,
@@ -761,7 +560,6 @@ pub const RUN_MODES: [RunModeSpec; 9] = [
     RunModeSpec {
         name: "replay",
         mode: RunMode::Replay,
-        execution: Execution::Replay,
         topology: TopologyKind::Replay,
         merged_findings: false,
         exact_records: true,
@@ -781,7 +579,6 @@ pub const RUN_MODES: [RunModeSpec; 9] = [
     RunModeSpec {
         name: "replay-epoch",
         mode: RunMode::ReplayEpoch,
-        execution: Execution::Replay,
         topology: TopologyKind::Replay,
         merged_findings: false,
         exact_records: true,

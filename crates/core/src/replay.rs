@@ -10,8 +10,9 @@
 //! *different*) analysis — the paper's retroactive-monitoring story, and
 //! the shape Jahier & Ducassé's one-trace-many-analyses monitor takes.
 //! In pipeline terms this is the
-//! [`ReplaySource`](crate::pipeline::ReplaySource) topology: the recorded
-//! streams stand in for the producer, one consumer per stream.
+//! [`TopologyKind::Replay`](crate::pipeline::TopologyKind::Replay)
+//! topology: the recorded streams stand in for the producer, one consumer
+//! per stream.
 //!
 //! Fidelity contract: the recorded frames are the sealed wire images, so
 //! the replay's per-stream wire-bit totals equal the recording run's

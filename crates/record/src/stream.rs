@@ -36,6 +36,14 @@
 //!   identified as truncated (crash or disk-full mid-write) rather than
 //!   silently short.
 //!
+//! The socket transport (`lba_transport::socket`) speaks the same format
+//! over a connection — the same header (its word at offset 16 is the
+//! credit window instead of a sequence number), the same frame records and
+//! the same End record — and reads and writes it through the helpers here
+//! ([`check_ident`], [`StreamHeader`], [`FrameRecordHeader`],
+//! [`end_record`], [`verify_end`]), so a torn wire and a torn recording
+//! fail alike.
+//!
 //! # Segment naming, rotation, retention
 //!
 //! Segments are named `shard-SS.NNNNNN.lbas` (stream id, then sequence
@@ -61,28 +69,32 @@ pub const STREAM_FORMAT: &str = "lbas/1";
 /// The 8-byte on-disk form of [`STREAM_FORMAT`].
 const IDENT: [u8; 8] = *b"lbas/1\n\0";
 
-/// Segment header size in bytes (identifier + codec version + stream id +
-/// sequence number + reserved word).
+/// Size of the header opening every `lbas/1` byte stream (identifier +
+/// codec version + stream id + carrier word + reserved word): a segment
+/// file's header, a socket connection's hello.
 pub const SEGMENT_HEADER_BYTES: usize = 24;
 
-/// Record tags.
-const TAG_FRAME: u8 = 0x01;
-const TAG_END: u8 = 0x02;
+/// Tag of a frame record.
+pub const TAG_FRAME: u8 = 0x01;
+/// Tag of an End record.
+pub const TAG_END: u8 = 0x02;
 
-/// On-disk size of a frame record's fixed part (tag + timestamp + record
-/// count + payload length + checksum).
-const FRAME_RECORD_HEADER_BYTES: u64 = 1 + 8 + 4 + 4 + 4;
+/// Size of a frame record's fixed part (tag + timestamp + record count +
+/// payload length + checksum).
+pub const FRAME_RECORD_HEADER_BYTES: usize = 1 + 8 + 4 + 4 + 4;
 
-/// On-disk size of an End record (tag + frame count).
-const END_RECORD_BYTES: u64 = 1 + 8;
+/// Size of an End record (tag + frame count).
+pub const END_RECORD_BYTES: usize = 1 + 8;
+
+/// Header-word bits of a sealed frame image that are marks, not record
+/// count: the epoch-end mark (bit 31, codec v3) and the degraded mark
+/// (bit 30, codec v4) — see `lba_compress`.
+const FRAME_IMAGE_MARKS: u32 = (1 << 31) | (1 << 30);
 
 /// FNV-1a over the payload, folded to 32 bits — cheap enough to run at
 /// capture (the tee's only per-byte work) yet positively identifies
-/// mid-frame corruption that length checks cannot see. Public because the
-/// socket transport frames its wire records with the same checksum, so a
-/// recorded stream and a socket stream corrupt (and salvage) identically.
-#[must_use]
-pub fn payload_checksum(bytes: &[u8]) -> u32 {
+/// mid-frame corruption that length checks cannot see.
+fn payload_checksum(bytes: &[u8]) -> u32 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         h ^= u64::from(b);
@@ -91,6 +103,180 @@ pub fn payload_checksum(bytes: &[u8]) -> u32 {
     #[allow(clippy::cast_possible_truncation)]
     {
         (h ^ (h >> 32)) as u32
+    }
+}
+
+/// Why bytes that should open an `lbas/1` stream do not.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum IdentError {
+    /// The bytes do not open with the `lbas/` identifier.
+    NotAStream,
+    /// An `lbas/` stream of a format version this reader does not
+    /// understand; carries the version string found after `lbas/`.
+    UnknownVersion(String),
+}
+
+/// Checks that `head` opens with the `lbas/1` identifier, telling a
+/// foreign byte stream apart from a future format version.
+///
+/// # Errors
+///
+/// [`IdentError::NotAStream`] without the `lbas/` prefix,
+/// [`IdentError::UnknownVersion`] for any version but 1.
+pub fn check_ident(head: &[u8]) -> Result<(), IdentError> {
+    if head.len() < IDENT.len() || head[0..5] != IDENT[0..5] {
+        return Err(IdentError::NotAStream);
+    }
+    let version_end = head[5..8]
+        .iter()
+        .position(|&b| b == b'\n')
+        .map_or(8, |p| 5 + p);
+    let version = String::from_utf8_lossy(&head[5..version_end]).into_owned();
+    if version != "1" {
+        return Err(IdentError::UnknownVersion(version));
+    }
+    Ok(())
+}
+
+/// The header opening every `lbas/1` byte stream, after the identifier.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct StreamHeader {
+    /// Codec version the frame payloads were sealed under.
+    pub codec_version: u32,
+    /// Stream id: the shard index, 0 for unsharded modes.
+    pub stream: u32,
+    /// The carrier's own word: a segment's sequence number, a socket
+    /// connection's credit window.
+    pub word: u32,
+}
+
+impl StreamHeader {
+    /// Encodes the header: identifier, the three words as `u32` LE, then
+    /// a reserved zero word.
+    #[must_use]
+    pub fn encode(&self) -> [u8; SEGMENT_HEADER_BYTES] {
+        let mut bytes = [0u8; SEGMENT_HEADER_BYTES];
+        bytes[0..8].copy_from_slice(&IDENT);
+        bytes[8..12].copy_from_slice(&self.codec_version.to_le_bytes());
+        bytes[12..16].copy_from_slice(&self.stream.to_le_bytes());
+        bytes[16..20].copy_from_slice(&self.word.to_le_bytes());
+        bytes
+    }
+
+    /// Decodes the words of a header whose identifier [`check_ident`]
+    /// accepted.
+    #[must_use]
+    pub fn decode(bytes: &[u8; SEGMENT_HEADER_BYTES]) -> Self {
+        let word = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4 bytes"));
+        StreamHeader {
+            codec_version: word(8),
+            stream: word(12),
+            word: word(16),
+        }
+    }
+}
+
+/// The fixed part of a frame record: everything between the tag and the
+/// payload.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FrameRecordHeader {
+    /// Seal timestamp (producer-core cycle; 0 on live transports).
+    pub timestamp: u64,
+    /// Records the frame carries.
+    pub records: u32,
+    /// Payload length in bytes. Untrusted on read: a reader bounds its
+    /// allocation by the bytes that actually arrive, not by this.
+    pub len: u32,
+    /// FNV-1a checksum of the payload.
+    pub checksum: u32,
+}
+
+impl FrameRecordHeader {
+    /// The header of a record carrying `payload`, a sealed frame image.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `payload` is 4 GiB or longer (sealed frames are a few
+    /// cache lines).
+    #[must_use]
+    pub fn new(timestamp: u64, records: u32, payload: &[u8]) -> Self {
+        FrameRecordHeader {
+            timestamp,
+            records,
+            len: u32::try_from(payload.len()).expect("a sealed frame is far below 4 GiB"),
+            checksum: payload_checksum(payload),
+        }
+    }
+
+    /// Encodes the record's fixed part, tag included.
+    #[must_use]
+    pub fn encode(&self) -> [u8; FRAME_RECORD_HEADER_BYTES] {
+        let mut bytes = [0u8; FRAME_RECORD_HEADER_BYTES];
+        bytes[0] = TAG_FRAME;
+        bytes[1..9].copy_from_slice(&self.timestamp.to_le_bytes());
+        bytes[9..13].copy_from_slice(&self.records.to_le_bytes());
+        bytes[13..17].copy_from_slice(&self.len.to_le_bytes());
+        bytes[17..21].copy_from_slice(&self.checksum.to_le_bytes());
+        bytes
+    }
+
+    /// Decodes the fields that follow a frame record's tag.
+    #[must_use]
+    pub fn decode(fields: &[u8; FRAME_RECORD_HEADER_BYTES - 1]) -> Self {
+        let word = |at: usize| u32::from_le_bytes(fields[at..at + 4].try_into().expect("4 bytes"));
+        FrameRecordHeader {
+            timestamp: u64::from_le_bytes(fields[0..8].try_into().expect("8 bytes")),
+            records: word(8),
+            len: word(12),
+            checksum: word(16),
+        }
+    }
+
+    /// Checks a received payload against this header: its checksum, and
+    /// the record count, which the sealed frame image repeats in its
+    /// first word (marks masked off).
+    ///
+    /// # Errors
+    ///
+    /// What disagreed, for the reader's corruption error.
+    pub fn verify(&self, payload: &[u8]) -> Result<(), String> {
+        if payload_checksum(payload) != self.checksum {
+            return Err("frame payload checksum mismatch".to_string());
+        }
+        if let Some(word) = payload.get(0..4) {
+            let embedded =
+                u32::from_le_bytes(word.try_into().expect("4 bytes")) & !FRAME_IMAGE_MARKS;
+            if embedded != self.records {
+                return Err(format!(
+                    "frame record says {} records, frame image says {embedded}",
+                    self.records
+                ));
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Encodes an End record closing a run of `frames` frame records.
+#[must_use]
+pub fn end_record(frames: u64) -> [u8; END_RECORD_BYTES] {
+    let mut bytes = [0u8; END_RECORD_BYTES];
+    bytes[0] = TAG_END;
+    bytes[1..9].copy_from_slice(&frames.to_le_bytes());
+    bytes
+}
+
+/// Checks an End record's frame count against the frame records the
+/// reader saw before it.
+///
+/// # Errors
+///
+/// The disagreement, for the reader's corruption error.
+pub fn verify_end(count: u64, seen: u64) -> Result<(), String> {
+    if count == seen {
+        Ok(())
+    } else {
+        Err(format!("End record says {count} frames, {seen} arrived"))
     }
 }
 
@@ -398,12 +584,12 @@ impl SegmentWriter {
         let path = self.segment_path(self.seq);
         let file = File::create(&path).map_err(|e| StreamError::io(&path, e))?;
         let mut file = BufWriter::new(file);
-        let mut header = [0u8; SEGMENT_HEADER_BYTES];
-        header[0..8].copy_from_slice(&IDENT);
-        header[8..12].copy_from_slice(&self.codec_version.to_le_bytes());
-        header[12..16].copy_from_slice(&self.stream.to_le_bytes());
-        header[16..20].copy_from_slice(&self.seq.to_le_bytes());
-        file.write_all(&header)
+        let header = StreamHeader {
+            codec_version: self.codec_version,
+            stream: self.stream,
+            word: self.seq,
+        };
+        file.write_all(&header.encode())
             .map_err(|e| StreamError::io(&path, e))?;
         self.file = Some(file);
         self.segment_bytes = SEGMENT_HEADER_BYTES as u64;
@@ -416,14 +602,11 @@ impl SegmentWriter {
     fn close_segment(&mut self) -> Result<(), StreamError> {
         let path = self.segment_path(self.seq);
         let mut file = self.file.take().expect("segment open");
-        let mut end = [0u8; END_RECORD_BYTES as usize];
-        end[0] = TAG_END;
-        end[1..9].copy_from_slice(&self.segment_frames.to_le_bytes());
-        file.write_all(&end)
+        file.write_all(&end_record(self.segment_frames))
             .map_err(|e| StreamError::io(&path, e))?;
         file.flush().map_err(|e| StreamError::io(&path, e))?;
-        self.segment_bytes += END_RECORD_BYTES;
-        self.total_bytes += END_RECORD_BYTES;
+        self.segment_bytes += END_RECORD_BYTES as u64;
+        self.total_bytes += END_RECORD_BYTES as u64;
         self.retained.push_back((self.seq, self.segment_bytes));
         self.segment_bytes = 0; // now accounted under `retained`
         Ok(())
@@ -473,11 +656,12 @@ impl SegmentWriter {
         records: u32,
         frame: &[u8],
     ) -> Result<(), StreamError> {
-        let record_bytes = FRAME_RECORD_HEADER_BYTES + frame.len() as u64;
+        let record_bytes = (FRAME_RECORD_HEADER_BYTES + frame.len()) as u64;
         // Rotate when this frame would overflow the segment — unless the
         // segment is still empty (an oversized frame lands whole).
         if self.segment_frames > 0
-            && self.segment_bytes + record_bytes + END_RECORD_BYTES > self.config.segment_bytes
+            && self.segment_bytes + record_bytes + END_RECORD_BYTES as u64
+                > self.config.segment_bytes
         {
             self.close_segment()?;
             self.seq += 1;
@@ -485,14 +669,8 @@ impl SegmentWriter {
         }
         let path = self.segment_path(self.seq);
         let file = self.file.as_mut().expect("segment open");
-        let mut header = [0u8; FRAME_RECORD_HEADER_BYTES as usize];
-        header[0] = TAG_FRAME;
-        header[1..9].copy_from_slice(&timestamp.to_le_bytes());
-        header[9..13].copy_from_slice(&records.to_le_bytes());
-        #[allow(clippy::cast_possible_truncation)]
-        header[13..17].copy_from_slice(&(frame.len() as u32).to_le_bytes());
-        header[17..21].copy_from_slice(&payload_checksum(frame).to_le_bytes());
-        file.write_all(&header)
+        let header = FrameRecordHeader::new(timestamp, records, frame);
+        file.write_all(&header.encode())
             .and_then(|()| file.write_all(frame))
             .map_err(|e| StreamError::io(&path, e))?;
         self.segment_bytes += record_bytes;
@@ -634,31 +812,26 @@ impl SegmentReader {
         let path = self.dir.join(segment_file_name(self.stream, seq));
         let bytes = fs::read(&path).map_err(|e| StreamError::io(&path, e))?;
         self.path = path;
-        if bytes.len() < 8 || bytes[0..5] != IDENT[0..5] {
-            return Err(StreamError::NotAStream {
+        check_ident(&bytes).map_err(|e| match e {
+            IdentError::NotAStream => StreamError::NotAStream {
                 path: self.path.clone(),
-            });
-        }
-        let version_end = bytes[5..8]
-            .iter()
-            .position(|&b| b == b'\n')
-            .map_or(8, |p| 5 + p);
-        let version = String::from_utf8_lossy(&bytes[5..version_end]).into_owned();
-        if version != "1" {
-            return Err(StreamError::UnknownVersion {
+            },
+            IdentError::UnknownVersion(version) => StreamError::UnknownVersion {
                 path: self.path.clone(),
                 version,
-            });
-        }
-        if bytes.len() < SEGMENT_HEADER_BYTES {
+            },
+        })?;
+        let Some(header) = bytes.first_chunk::<SEGMENT_HEADER_BYTES>() else {
             return Err(StreamError::Truncated {
                 path: self.path.clone(),
                 offset: bytes.len() as u64,
             });
-        }
-        let codec = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
-        let header_stream = u32::from_le_bytes(bytes[12..16].try_into().expect("4 bytes"));
-        let header_seq = u32::from_le_bytes(bytes[16..20].try_into().expect("4 bytes"));
+        };
+        let StreamHeader {
+            codec_version: codec,
+            stream: header_stream,
+            word: header_seq,
+        } = StreamHeader::decode(header);
         if header_stream != self.stream || header_seq != seq {
             return Err(self.corrupt(
                 8,
@@ -720,55 +893,24 @@ impl SegmentReader {
             self.cursor += 1;
             match tag {
                 TAG_FRAME => {
-                    let header = self.take(20, start)?;
-                    let timestamp = u64::from_le_bytes(header[0..8].try_into().expect("8 bytes"));
-                    let records = u32::from_le_bytes(header[8..12].try_into().expect("4 bytes"));
-                    let len =
-                        u32::from_le_bytes(header[12..16].try_into().expect("4 bytes")) as usize;
-                    let sum = u32::from_le_bytes(header[16..20].try_into().expect("4 bytes"));
-                    let payload = self.take(len, start)?.to_vec();
-                    if payload_checksum(&payload) != sum {
-                        return Err(self.corrupt(start, "frame payload checksum mismatch"));
-                    }
-                    // The payload is a sealed frame image whose first word
-                    // is its record count; the stream record repeats it,
-                    // so the two must agree. Since codec v3 the word's top
-                    // bit is the epoch-end mark and since v4 bit 30 is the
-                    // degraded mark (see `lba_compress`), not part of the
-                    // count — mask both before comparing.
-                    if payload.len() >= 4 {
-                        let embedded =
-                            u32::from_le_bytes(payload[0..4].try_into().expect("4 bytes"))
-                                & !((1 << 31) | (1 << 30));
-                        if embedded != records {
-                            return Err(self.corrupt(
-                                start,
-                                format!(
-                                    "stream record says {records} records, \
-                                     frame image says {embedded}"
-                                ),
-                            ));
-                        }
-                    }
+                    let fields = self.take(FRAME_RECORD_HEADER_BYTES - 1, start)?;
+                    let header = FrameRecordHeader::decode(fields.try_into().expect("sized take"));
+                    let payload = self.take(header.len as usize, start)?.to_vec();
+                    header
+                        .verify(&payload)
+                        .map_err(|detail| self.corrupt(start, detail))?;
                     self.segment_frames += 1;
                     return Ok(Some(StreamFrame {
-                        timestamp,
-                        records,
+                        timestamp: header.timestamp,
+                        records: header.records,
                         bytes: payload,
                     }));
                 }
                 TAG_END => {
                     let count =
                         u64::from_le_bytes(self.take(8, start)?.try_into().expect("8 bytes"));
-                    if count != self.segment_frames {
-                        return Err(self.corrupt(
-                            start,
-                            format!(
-                                "End record says {count} frames, segment held {}",
-                                self.segment_frames
-                            ),
-                        ));
-                    }
+                    verify_end(count, self.segment_frames)
+                        .map_err(|detail| self.corrupt(start, detail))?;
                     if self.cursor != self.bytes.len() {
                         return Err(self.corrupt(start, "data after the End record"));
                     }
@@ -907,7 +1049,7 @@ mod tests {
         writer.finish().unwrap();
         let path = dir.join(segment_file_name(0, 0));
         let mut bytes = fs::read(&path).unwrap();
-        bytes.truncate(bytes.len() - END_RECORD_BYTES as usize);
+        bytes.truncate(bytes.len() - END_RECORD_BYTES);
         fs::write(&path, &bytes).unwrap();
 
         let mut reader = SegmentReader::open(&dir, 0).unwrap();
@@ -952,7 +1094,7 @@ mod tests {
         writer.finish().unwrap();
         let path = dir.join(segment_file_name(0, 0));
         let mut bytes = fs::read(&path).unwrap();
-        let flip = SEGMENT_HEADER_BYTES + FRAME_RECORD_HEADER_BYTES as usize + 40;
+        let flip = SEGMENT_HEADER_BYTES + FRAME_RECORD_HEADER_BYTES + 40;
         bytes[flip] ^= 0xFF; // flip one payload byte
         fs::write(&path, &bytes).unwrap();
 

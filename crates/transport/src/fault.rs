@@ -2,8 +2,8 @@
 //!
 //! The adaptive capture controller exists to survive transport overload —
 //! so its tests, benchmarks and regression suites need overload *on
-//! demand*, reproducibly. This module injects three fault families at the
-//! two seams the transport already exposes:
+//! demand*, reproducibly. One [`FaultProfile`] describes the injected
+//! slowness for both execution models:
 //!
 //! * [`FaultInjector`] wraps any [`LogChannel`] and stalls the consumer on
 //!   a deterministic schedule (every `stall_period` pops, the next
@@ -13,32 +13,23 @@
 //!   back-pressure and the run loop must drain to make progress, so the
 //!   injector passes those pops through untouched.
 //! * [`FrameReceiver::set_drag`](crate::live::FrameReceiver::set_drag) is
-//!   the live-thread analogue: the consumer burns spin cycles per frame,
-//!   so the queue genuinely fills and the producer's
-//!   [`LoadSample`] climbs.
-//! * [`FaultSink`] wraps any [`FrameSink`] with seeded transient write
-//!   failures (a probability per frame, in failure bursts of a configured
-//!   length); [`RetrySink`] composes on top with bounded retry and spin
-//!   backoff, which is how the flight recorder rides out transient sink
-//!   faults without losing frames.
+//!   the live-thread analogue on either wire: the consumer burns spin
+//!   cycles per frame, so the queue (or the socket's credit window)
+//!   genuinely fills and the producer's [`LoadSample`] climbs.
 //!
-//! Everything is seeded and deterministic — the same [`FaultProfile`]
-//! produces the same fault schedule, so a failure found under injection
+//! The stall schedule is periodic, not random, so throughput comparisons
+//! see identical drain patterns and a failure found under injection
 //! replays exactly.
 
 use lba_record::EventRecord;
 
 use crate::channel::{ChannelStats, LoadSample, LogChannel, PoppedFrame, PushOutcome};
-use crate::sink::{FrameSink, SealedFrame, SinkError};
 
-/// A deterministic fault schedule, shared by the channel and sink
-/// injectors so one profile describes one experiment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// A deterministic fault schedule, shared by the modeled channel's
+/// injector and the live receivers' drag so one profile describes one
+/// experiment.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultProfile {
-    /// Seed for the injector's private RNG (sink failures only — the
-    /// consumer-stall schedule is periodic, not random, so throughput
-    /// comparisons see identical drain patterns).
-    pub seed: u64,
     /// Modeled consumer stall: after every `stall_period` successful
     /// pops, the next [`stall_burst`](Self::stall_burst) pops yield
     /// nothing. Zero disables the stall schedule.
@@ -51,25 +42,6 @@ pub struct FaultProfile {
     ///
     /// [`FrameReceiver::set_drag`]: crate::live::FrameReceiver::set_drag
     pub drain_drag: u32,
-    /// Per-frame probability (in permille) that a sink write fails
-    /// transiently. Zero disables sink faults.
-    pub sink_fail_permille: u32,
-    /// Consecutive failures per triggered sink-fault episode — the
-    /// injected failure's "duration", which bounded retry must outlast.
-    pub sink_fail_burst: u32,
-}
-
-impl Default for FaultProfile {
-    fn default() -> Self {
-        FaultProfile {
-            seed: 0x5eed_f417,
-            stall_period: 0,
-            stall_burst: 0,
-            drain_drag: 0,
-            sink_fail_permille: 0,
-            sink_fail_burst: 0,
-        }
-    }
 }
 
 impl FaultProfile {
@@ -78,52 +50,18 @@ impl FaultProfile {
     /// next 24 (a 3:1 overload), and live consumers drag 2000 spins per
     /// frame.
     #[must_use]
-    pub fn slow_drain(seed: u64) -> Self {
+    pub fn slow_drain() -> Self {
         FaultProfile {
-            seed,
             stall_period: 8,
             stall_burst: 24,
             drain_drag: 2000,
-            sink_fail_permille: 0,
-            sink_fail_burst: 0,
-        }
-    }
-
-    /// A flaky-sink profile: roughly one frame in ten hits a transient
-    /// write failure lasting `burst` attempts.
-    #[must_use]
-    pub fn flaky_sink(seed: u64, burst: u32) -> Self {
-        FaultProfile {
-            seed,
-            sink_fail_permille: 100,
-            sink_fail_burst: burst,
-            ..FaultProfile::default()
         }
     }
 
     /// Whether the profile injects any fault at all.
     #[must_use]
     pub fn is_quiet(&self) -> bool {
-        self.stall_period == 0 && self.drain_drag == 0 && self.sink_fail_permille == 0
-    }
-}
-
-/// SplitMix64 — a tiny deterministic generator; statistical quality is
-/// irrelevant here, reproducibility is everything.
-#[derive(Debug, Clone)]
-struct SplitMix(u64);
-
-impl SplitMix {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    fn permille(&mut self) -> u32 {
-        (self.next() % 1000) as u32
+        self.stall_period == 0 && self.drain_drag == 0
     }
 }
 
@@ -155,22 +93,10 @@ impl<C: LogChannel> FaultInjector<C> {
         }
     }
 
-    /// The wrapped channel.
-    #[must_use]
-    pub fn inner(&self) -> &C {
-        &self.inner
-    }
-
     /// The wrapped channel, mutably — for channel-specific calls
     /// (tee installation, widen-aware helpers) the trait does not carry.
     pub fn inner_mut(&mut self) -> &mut C {
         &mut self.inner
-    }
-
-    /// Unwraps the injector.
-    #[must_use]
-    pub fn into_inner(self) -> C {
-        self.inner
     }
 
     /// Total pops the injector refused.
@@ -246,135 +172,10 @@ impl<C: LogChannel> LogChannel for FaultInjector<C> {
     }
 }
 
-/// A [`FrameSink`] wrapper that injects seeded transient write failures.
-#[derive(Debug)]
-pub struct FaultSink<S> {
-    inner: S,
-    rng: SplitMix,
-    fail_permille: u32,
-    fail_burst: u32,
-    /// Failures still to serve in the current episode.
-    burst_left: u32,
-    /// Total injected failures.
-    injected: u64,
-}
-
-impl<S: FrameSink> FaultSink<S> {
-    /// Wraps `inner` under `profile`'s sink-failure schedule.
-    #[must_use]
-    pub fn new(inner: S, profile: &FaultProfile) -> Self {
-        FaultSink {
-            inner,
-            rng: SplitMix(profile.seed),
-            fail_permille: profile.sink_fail_permille,
-            fail_burst: profile.sink_fail_burst.max(1),
-            burst_left: 0,
-            injected: 0,
-        }
-    }
-
-    /// Total write failures injected so far.
-    #[must_use]
-    pub fn injected_failures(&self) -> u64 {
-        self.injected
-    }
-
-    /// Unwraps the sink.
-    #[must_use]
-    pub fn into_inner(self) -> S {
-        self.inner
-    }
-}
-
-impl<S: FrameSink> FrameSink for FaultSink<S> {
-    fn put_frame(&mut self, frame: &SealedFrame<'_>) -> Result<(), SinkError> {
-        if self.burst_left > 0 {
-            self.burst_left -= 1;
-            self.injected += 1;
-            return Err("injected transient sink failure (continuing burst)".into());
-        }
-        if self.fail_permille > 0 && self.rng.permille() < self.fail_permille {
-            self.burst_left = self.fail_burst - 1;
-            self.injected += 1;
-            return Err("injected transient sink failure".into());
-        }
-        self.inner.put_frame(frame)
-    }
-
-    fn finish_sink(&mut self) -> Result<(), SinkError> {
-        self.inner.finish_sink()
-    }
-}
-
-/// Bounded retry with spin backoff over any [`FrameSink`] — the flight
-/// recorder's defence against transient sink failures. A frame is retried
-/// up to `max_retries` times (with an escalating pause between attempts);
-/// only a failure outlasting every retry propagates, at which point the
-/// channel tee latches it and stops mirroring as before.
-#[derive(Debug)]
-pub struct RetrySink<S> {
-    inner: S,
-    max_retries: u32,
-    /// Retries actually spent (successful recoveries included).
-    retries: u64,
-}
-
-impl<S: FrameSink> RetrySink<S> {
-    /// Wraps `inner`, retrying each failed frame up to `max_retries`
-    /// times.
-    #[must_use]
-    pub fn new(inner: S, max_retries: u32) -> Self {
-        RetrySink {
-            inner,
-            max_retries,
-            retries: 0,
-        }
-    }
-
-    /// Retries spent over the sink's lifetime.
-    #[must_use]
-    pub fn retries(&self) -> u64 {
-        self.retries
-    }
-
-    /// Unwraps the sink.
-    #[must_use]
-    pub fn into_inner(self) -> S {
-        self.inner
-    }
-}
-
-impl<S: FrameSink> FrameSink for RetrySink<S> {
-    fn put_frame(&mut self, frame: &SealedFrame<'_>) -> Result<(), SinkError> {
-        let mut last = match self.inner.put_frame(frame) {
-            Ok(()) => return Ok(()),
-            Err(e) => e,
-        };
-        for attempt in 0..self.max_retries {
-            // Escalating pause: transient faults (another thread holding
-            // the disk, a queue hiccup) usually clear within microseconds.
-            for _ in 0..(1u32 << attempt.min(10)) {
-                std::hint::spin_loop();
-            }
-            self.retries += 1;
-            match self.inner.put_frame(frame) {
-                Ok(()) => return Ok(()),
-                Err(e) => last = e,
-            }
-        }
-        Err(last)
-    }
-
-    fn finish_sink(&mut self) -> Result<(), SinkError> {
-        self.inner.finish_sink()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::model::ModeledFrameChannel;
-    use crate::sink::VecSink;
     use lba_compress::FrameConfig;
 
     fn rec(i: u64) -> EventRecord {
@@ -469,83 +270,5 @@ mod tests {
         }
         assert_eq!(seen, 16);
         assert_eq!(ch.stalled_pops(), 0);
-    }
-
-    #[test]
-    fn retry_outlasts_bounded_sink_fault_bursts() {
-        let profile = FaultProfile {
-            seed: 7,
-            sink_fail_permille: 100,
-            sink_fail_burst: 3,
-            ..FaultProfile::default()
-        };
-        let fault = FaultSink::new(VecSink::default(), &profile);
-        // Retry budget generously exceeds the burst length (retries can
-        // land on a freshly rolled episode and must outlast that too).
-        let mut sink = RetrySink::new(fault, 12);
-        let image = vec![0u8; 64];
-        for i in 0..200u64 {
-            sink.put_frame(&SealedFrame {
-                bytes: &image,
-                records: 4,
-                sealed_at: i,
-            })
-            .expect("bounded retry must outlast the burst");
-        }
-        sink.finish_sink().unwrap();
-        assert!(sink.retries() > 0, "faults must actually have fired");
-        let fault = sink.into_inner();
-        assert!(fault.injected_failures() > 0);
-        let inner = fault.into_inner();
-        assert_eq!(inner.frames.len(), 200, "no frame lost");
-        assert!(inner.finished);
-    }
-
-    #[test]
-    fn retry_exhaustion_propagates_the_error() {
-        let profile = FaultProfile {
-            seed: 7,
-            sink_fail_permille: 1000, // every frame faults
-            sink_fail_burst: 10,
-            ..FaultProfile::default()
-        };
-        let fault = FaultSink::new(VecSink::default(), &profile);
-        let mut sink = RetrySink::new(fault, 2); // burst outlasts retries
-        let image = vec![0u8; 64];
-        let err = sink
-            .put_frame(&SealedFrame {
-                bytes: &image,
-                records: 1,
-                sealed_at: 0,
-            })
-            .unwrap_err();
-        assert!(err.to_string().contains("injected"));
-    }
-
-    #[test]
-    fn sink_fault_schedule_is_seed_deterministic() {
-        let run = |seed: u64| {
-            let profile = FaultProfile {
-                seed,
-                sink_fail_permille: 250,
-                sink_fail_burst: 1,
-                ..FaultProfile::default()
-            };
-            let mut sink = FaultSink::new(VecSink::default(), &profile);
-            let image = vec![0u8; 64];
-            let results: Vec<bool> = (0..64u64)
-                .map(|i| {
-                    sink.put_frame(&SealedFrame {
-                        bytes: &image,
-                        records: 1,
-                        sealed_at: i,
-                    })
-                    .is_ok()
-                })
-                .collect();
-            results
-        };
-        assert_eq!(run(42), run(42), "same seed, same failures");
-        assert_ne!(run(42), run(43), "different seed, different failures");
     }
 }

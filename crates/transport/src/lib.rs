@@ -14,16 +14,20 @@
 //!   back-pressure (producer stalls on full) and lag (consumer waits on
 //!   empty) behaviour. [`LogChannel::pop_frame`] lends a whole frame out
 //!   as one slice with a single `ready_at` stamp.
-//! * [`live::frame_channel`] — a real single-producer/single-consumer
-//!   channel for the "live monitoring" modes, where application and
-//!   lifeguard genuinely run on different OS threads and each frame is one
-//!   queue operation (amortised over `records_per_frame` records);
-//!   [`live::FrameReceiver::recv_batch`] hands out the same [`PoppedFrame`]
-//!   shape.
-//! * [`socket`] — the same sealed frames over Unix-domain sockets, with a
-//!   credit window carrying the back-pressure across the wire.
+//! * [`live`] — the transport of the "live monitoring" modes, where
+//!   application and lifeguard genuinely run on different OS threads: one
+//!   [`live::FrameSender`] and one [`live::FrameReceiver`] over either of
+//!   two wires. [`live::frame_channel`] builds the in-process
+//!   single-producer/single-consumer queue (one queue operation per frame,
+//!   amortised over `records_per_frame` records);
+//!   [`socket::socket_pair`] builds the [`socket`] wire, the same sealed
+//!   frames over a Unix-domain socket with a credit window carrying the
+//!   back-pressure across it. [`live::FrameReceiver::recv_batch`] hands
+//!   out the same [`PoppedFrame`] shape on both.
 //!
-//! Either way the dispatch engine delivers each frame as a batch.
+//! Either way the dispatch engine delivers each frame as a batch. The
+//! [`sink`] seam mirrors sealed frames into flight recordings, and
+//! [`fault`] injects a slow consumer on demand.
 //!
 //! # Examples
 //!
@@ -52,10 +56,9 @@ pub use channel::{
     shard_of, ChannelStats, EpochRoute, EpochRouter, LoadSample, LogChannel, PoppedFrame,
     PushOutcome,
 };
-pub use fault::{FaultInjector, FaultProfile, FaultSink, RetrySink};
+pub use fault::{FaultInjector, FaultProfile};
 pub use model::{BufferFullError, LogBufferModel, ModeledFrameChannel, TimedFrame, TransportStats};
 pub use sink::{
-    ChannelTee, FrameSink, FrameSource, SealedFrame, SinkError, StreamSink, StreamSource, TeeSink,
-    VecSink,
+    ChannelTee, FrameSink, FrameSource, SealedFrame, SinkError, StreamSink, StreamSource,
 };
 pub use socket::{socket_pair, SocketError, SocketSender, SocketSink, SocketSource, WireStream};

@@ -1,15 +1,26 @@
-//! Real cross-thread log transport for live monitoring.
+//! The live transport: sealed frames between threads, or across a socket.
 //!
 //! The deterministic [`ModeledFrameChannel`](crate::ModeledFrameChannel)
 //! gives exact timing; this module gives the *functional* equivalent with
-//! genuine parallelism: [`frame_channel`] is a framed SPSC transport. The
-//! producer compresses records into cache-line-multiple frames
-//! ([`FrameEncoder`]) and ships each frame as one byte buffer, amortising a
-//! queue operation over `records_per_frame` records; the consumer
-//! decompresses on its own thread and takes one frame per
-//! [`recv_batch`](FrameReceiver::recv_batch). This is the live analogue of
-//! the paper's compressed log moving through the cache hierarchy, and it
-//! measures real wire bytes per record.
+//! genuine parallelism. A [`FrameSender`] compresses records into
+//! cache-line-multiple frames ([`FrameEncoder`]) and ships each frame as
+//! one byte buffer over a [`FrameWire`]; a [`FrameReceiver`] takes one
+//! frame at a time from a [`FrameSource`] and decodes it on its own thread
+//! ([`recv_batch`](FrameReceiver::recv_batch)). Two wires plug in under the
+//! same sender and receiver:
+//!
+//! * the in-process SPSC queue ([`QueueSink`] / [`QueueSource`], built by
+//!   [`frame_channel`]) — the live analogue of the paper's compressed log
+//!   moving through the cache hierarchy, one queue operation per frame;
+//! * a socket ([`SocketSink`] / [`SocketSource`](crate::SocketSource),
+//!   built by [`socket_pair`](crate::socket_pair)) — the same frames as
+//!   `lbas/1` records under a credit window, for lifeguards in other
+//!   processes ([`SocketSender`](crate::SocketSender) names that sender).
+//!
+//! The sender owns everything above the wire exactly once: the encoder,
+//! the recording tee, the degraded and epoch marks, the stall latch and the
+//! statistics. The receiver owns the decoder, its buffer and the drain
+//! drag. Either way the measured wire bytes are real.
 //!
 //! # Examples
 //!
@@ -26,26 +37,30 @@
 //!     // tx dropped here: flushes the partial frame and closes the channel
 //! });
 //! let mut seen = 0;
-//! while let Some(frame) = rx.recv_batch() {
+//! while let Some(frame) = rx.recv_batch()? {
 //!     seen += frame.records.len();
 //! }
 //! writer.join().unwrap();
 //! assert_eq!(seen, 100);
 //! assert!(rx.stats().frames >= 1);
+//! # Ok::<(), live::RecvError>(())
 //! ```
 
+use std::convert::Infallible;
+use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
 use crossbeam::queue::ArrayQueue;
 
-use lba_compress::{Frame, FrameConfig, FrameDecoder, FrameEncoder};
+use lba_compress::{Frame, FrameConfig, FrameDecodeError, FrameDecoder, FrameEncoder};
 use lba_record::EventRecord;
 
 use crate::channel::{ChannelStats, LoadSample, PoppedFrame};
 use crate::sink::{ChannelTee, FrameSink, FrameSource, SealedFrame, SinkError};
+use crate::socket::{SocketSink, WireStream};
 
 /// Spin briefly before yielding to the scheduler: the peer is typically
 /// mid-frame (microseconds away), so burning a few dozen pause
@@ -59,105 +74,254 @@ fn backoff(spins: &mut u32) {
     }
 }
 
-struct FrameShared {
-    queue: ArrayQueue<Vec<u8>>,
+/// Where a [`FrameSender`] ships its sealed frames: the in-process queue
+/// ([`QueueSink`]) or a socket ([`SocketSink`]). A wire only moves frames
+/// and reports room; everything above it belongs to the sender.
+pub trait FrameWire {
+    /// What can go wrong on this wire.
+    type Error: std::error::Error + Send + Sync + 'static;
+
+    /// Ships one sealed frame, waiting while the wire is full. A wait
+    /// longer than `stall_timeout` gives the frame up as
+    /// [`Shipped::Stalled`]; `None` waits as long as it takes.
+    ///
+    /// # Errors
+    ///
+    /// The wire's own failures, such as a torn socket.
+    fn ship(
+        &mut self,
+        frame: Frame,
+        stall_timeout: Option<Duration>,
+    ) -> Result<Shipped, Self::Error>;
+
+    /// Frames in flight against the wire's capacity: the load signal the
+    /// capture controller steers by.
+    fn load_sample(&self) -> LoadSample;
+
+    /// A spent frame buffer for the encoder to fill next, if one is free.
+    fn spare(&mut self) -> Option<Vec<u8>>;
+
+    /// Ends the stream cleanly after its last frame.
+    ///
+    /// # Errors
+    ///
+    /// The wire's own failures.
+    fn close(&mut self) -> Result<(), Self::Error>;
+}
+
+/// What became of a frame offered to a [`FrameWire`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Shipped {
+    /// The frame is on the wire.
+    Sent {
+        /// Wire bits in flight right after the send, this frame's
+        /// included: the high-water candidate.
+        inflight_bits: u64,
+    },
+    /// The consumer is gone, so the frame was dropped.
+    Dropped,
+    /// The wait for room outlasted the stall timeout; the frame was
+    /// dropped.
+    Stalled,
+}
+
+/// The in-process queue both ends share.
+struct Queue {
+    frames: ArrayQueue<Vec<u8>>,
     /// Spent wire buffers returned by the consumer for the producer to
     /// refill, sparing an allocation (and a cross-thread free) per frame.
     pool: ArrayQueue<Vec<u8>>,
+    /// Set when the sink is dropped: the consumer drains what is left.
     closed: AtomicBool,
-    /// Set when the receiver is dropped, so a sender blocked on a full
+    /// Set when the source is dropped, so a sender blocked on a full
     /// queue (including the flush in its own Drop) cannot hang.
     consumer_gone: AtomicBool,
     /// Wire bits currently queued (producer adds, consumer subtracts); a
     /// lone relaxed counter so the consumer's pop path stays lock-free.
     inflight_bits: AtomicU64,
-    /// Cumulative statistics, written by the producer once per frame.
-    stats: Mutex<ChannelStats>,
 }
 
-/// A sealed frame's metadata, captured before its byte buffer moves into
-/// the queue so the accounting can be committed (or abandoned) after the
-/// enqueue attempt resolves.
-#[derive(Clone, Copy)]
-struct ShipTicket {
-    records: u32,
-    payload_bits: u64,
-    wire_bits: u64,
-    /// In-flight wire bits the instant this frame was sealed (the
-    /// high-water candidate).
-    inflight_bits: u64,
+/// The in-process wire's producer end: a bounded lock-free SPSC queue of
+/// sealed frames. Dropping it closes the stream; the consumer drains what
+/// is queued and then ends.
+pub struct QueueSink {
+    queue: Arc<Queue>,
 }
 
-impl FrameShared {
-    fn snapshot(&self) -> ChannelStats {
-        *self.stats.lock().expect("stats lock")
-    }
+/// The in-process wire's consumer end. Dropping it tells a producer
+/// waiting on a full queue that nobody will drain it.
+pub struct QueueSource {
+    queue: Arc<Queue>,
+}
 
-    /// Marks a sealed frame in flight and captures its accounting ticket.
-    /// Must be called before the enqueue attempt (so the consumer's
-    /// [`account_pop`](Self::account_pop) can never run first and underflow
-    /// the counter); pair with [`commit_ship`](Self::commit_ship) once the
-    /// frame is queued, or [`abort_ship`](Self::abort_ship) if it is
-    /// discarded — cumulative statistics must only ever describe frames the
-    /// consumer can actually receive.
-    fn begin_ship(&self, frame: &Frame) -> ShipTicket {
+fn queue(capacity_frames: usize) -> (QueueSink, QueueSource) {
+    assert!(
+        capacity_frames > 0,
+        "live channel capacity must be non-zero"
+    );
+    let queue = Arc::new(Queue {
+        frames: ArrayQueue::new(capacity_frames),
+        pool: ArrayQueue::new(capacity_frames),
+        closed: AtomicBool::new(false),
+        consumer_gone: AtomicBool::new(false),
+        inflight_bits: AtomicU64::new(0),
+    });
+    (
+        QueueSink {
+            queue: Arc::clone(&queue),
+        },
+        QueueSource { queue },
+    )
+}
+
+impl FrameWire for QueueSink {
+    type Error = Infallible;
+
+    /// Spins (with yields) while the queue is full.
+    fn ship(
+        &mut self,
+        frame: Frame,
+        stall_timeout: Option<Duration>,
+    ) -> Result<Shipped, Infallible> {
+        let queue = &*self.queue;
         let wire_bits = frame.wire_bits();
-        let inflight = self.inflight_bits.fetch_add(wire_bits, Ordering::Relaxed) + wire_bits;
-        ShipTicket {
-            records: frame.records,
-            payload_bits: frame.payload_bits,
-            wire_bits,
-            inflight_bits: inflight,
+        // In flight before the enqueue, so the consumer's pop can never
+        // subtract first and underflow the counter.
+        let inflight_bits = queue.inflight_bits.fetch_add(wire_bits, Ordering::Relaxed) + wire_bits;
+        let mut bytes = frame.bytes;
+        let mut spins = 0;
+        // The stall clock starts at the first failed push, so the fast
+        // path never reads the OS clock.
+        let mut stall_start: Option<Instant> = None;
+        loop {
+            let Err(back) = queue.frames.push(bytes) else {
+                return Ok(Shipped::Sent { inflight_bits });
+            };
+            let outcome = if queue.consumer_gone.load(Ordering::Acquire) {
+                Shipped::Dropped
+            } else if stall_timeout.is_some_and(|limit| {
+                stall_start.get_or_insert_with(Instant::now).elapsed() >= limit
+            }) {
+                Shipped::Stalled
+            } else {
+                bytes = back;
+                backoff(&mut spins);
+                continue;
+            };
+            // A dropped frame leaves nothing in flight.
+            queue.inflight_bits.fetch_sub(wire_bits, Ordering::Relaxed);
+            return Ok(outcome);
         }
     }
 
-    /// Folds a successfully enqueued frame into the cumulative statistics.
-    fn commit_ship(&self, ticket: ShipTicket) {
-        let mut guard = self.stats.lock().expect("stats lock");
-        guard.records += u64::from(ticket.records);
-        guard.frames += 1;
-        guard.payload_bits += ticket.payload_bits;
-        guard.wire_bits += ticket.wire_bits;
-        guard.high_water_bits = guard.high_water_bits.max(ticket.inflight_bits);
+    /// Queued frames against the queue's slot capacity: one relaxed
+    /// length read, cheap enough for every capture-controller step.
+    fn load_sample(&self) -> LoadSample {
+        LoadSample {
+            inflight: self.queue.frames.len() as u64,
+            capacity: self.queue.frames.capacity() as u64,
+        }
     }
 
-    /// Releases a discarded frame's in-flight occupancy without touching
-    /// the cumulative statistics.
-    fn abort_ship(&self, ticket: ShipTicket) {
-        self.inflight_bits
-            .fetch_sub(ticket.wire_bits, Ordering::Relaxed);
+    fn spare(&mut self) -> Option<Vec<u8>> {
+        self.queue.pool.pop()
     }
 
-    fn account_pop(&self, bytes: &[u8]) {
-        self.inflight_bits
-            .fetch_sub(bytes.len() as u64 * 8, Ordering::Relaxed);
+    /// Nothing to write: dropping the sink closes the queue.
+    fn close(&mut self) -> Result<(), Infallible> {
+        Ok(())
     }
 }
 
-/// Producer half of the framed live channel: owns the compressor.
-pub struct FrameSender {
+impl Drop for QueueSink {
+    fn drop(&mut self) {
+        self.queue.closed.store(true, Ordering::Release);
+    }
+}
+
+impl FrameSource for QueueSource {
+    /// Blocks for the next frame; `Ok(None)` once the sink is dropped and
+    /// the queue drained.
+    fn next_frame_bytes(&mut self) -> Result<Option<Vec<u8>>, SinkError> {
+        let queue = &*self.queue;
+        let taken = |bytes: Vec<u8>| {
+            queue
+                .inflight_bits
+                .fetch_sub(bytes.len() as u64 * 8, Ordering::Relaxed);
+            bytes
+        };
+        let mut spins = 0;
+        loop {
+            if let Some(bytes) = queue.frames.pop() {
+                return Ok(Some(taken(bytes)));
+            }
+            if queue.closed.load(Ordering::Acquire) {
+                // Drain anything that raced with the close flag.
+                return Ok(queue.frames.pop().map(taken));
+            }
+            backoff(&mut spins);
+        }
+    }
+
+    fn recycle(&mut self, spent: Vec<u8>) {
+        let _ = self.queue.pool.push(spent);
+    }
+}
+
+impl Drop for QueueSource {
+    fn drop(&mut self) {
+        self.queue.consumer_gone.store(true, Ordering::Release);
+    }
+}
+
+/// The producer half of the live transport: owns the compressor and ships
+/// each sealed frame over its wire `W` — the in-process queue by default,
+/// a socket as [`SocketSender`](crate::SocketSender).
+///
+/// Dropping a sender seals and ships its open partial frame. A dropped
+/// queue sender then closes the queue cleanly; a socket sender must be
+/// [`finish`](Self::finish)ed, and one dropped unfinished never writes the
+/// End record, so its consumer sees a torn stream.
+pub struct FrameSender<W: FrameWire = QueueSink> {
     encoder: FrameEncoder,
-    shared: Arc<FrameShared>,
+    wire: W,
     /// Optional mirror of every shipped frame into a [`FrameSink`] (the
     /// flight recorder); see [`tee_into`](Self::tee_into).
     tee: ChannelTee,
-    /// How long [`ship`](Self::ship) may spin against a full queue before
-    /// declaring the consumer stalled; `None` (the default) spins forever,
-    /// the pre-timeout behaviour.
+    /// How long a ship may wait for room before the consumer is declared
+    /// stalled; `None` (the default) waits forever.
     stall_timeout: Option<Duration>,
-    /// Latched once a ship attempt exceeded `stall_timeout`. Every later
-    /// frame is discarded immediately — the run is reporting a fatal
-    /// stall, so there is no consumer left worth waiting for.
+    /// Latched once a ship outlasted `stall_timeout`. Every later frame
+    /// is discarded immediately — the run is reporting a fatal stall, so
+    /// there is no consumer left worth waiting for.
     stalled: bool,
+    stats: ChannelStats,
+    /// The first wire error, latched: pushes cannot return errors, so
+    /// [`finish`](Self::finish) reports it.
+    error: Option<W::Error>,
 }
 
-impl FrameSender {
+impl<W: FrameWire> FrameSender<W> {
+    /// A sender with a fresh encoder over `wire`.
+    #[must_use]
+    pub fn new(wire: W, config: FrameConfig) -> Self {
+        FrameSender {
+            encoder: FrameEncoder::new(config),
+            wire,
+            tee: ChannelTee::default(),
+            stall_timeout: None,
+            stalled: false,
+            stats: ChannelStats::default(),
+            error: None,
+        }
+    }
+
     /// Mirrors every subsequently shipped frame into `sink` — the
-    /// flight-recorder hook. Frames are mirrored before entering the
-    /// queue, so the recording is the exact wire traffic in ship order
+    /// flight-recorder hook. Frames are mirrored before they enter the
+    /// wire, so the recording is the exact wire traffic in ship order
     /// with `sealed_at` 0 (the live transport has no modeled clock). A
-    /// failing sink never disturbs the channel: the first error is
-    /// latched, the sink dropped, and the error surfaces from
+    /// failing sink never disturbs the wire: the first error is latched,
+    /// the sink dropped, and the error surfaces from
     /// [`take_tee`](Self::take_tee).
     pub fn tee_into(&mut self, sink: Box<dyn FrameSink + Send>) {
         self.tee.install(sink);
@@ -173,30 +337,25 @@ impl FrameSender {
         self.tee.take()
     }
 
-    /// Bounds how long a ship may spin against a full queue before the
-    /// consumer is declared stalled (see [`stalled`](Self::stalled)).
-    /// `None` restores the unbounded spin.
+    /// Bounds how long a ship may wait for room before the consumer is
+    /// declared stalled (see [`stalled`](Self::stalled)). `None` restores
+    /// the unbounded wait.
     pub fn set_stall_timeout(&mut self, timeout: Option<Duration>) {
         self.stall_timeout = timeout;
     }
 
-    /// Whether a ship attempt exceeded the stall timeout. Once set, the
-    /// sender discards every further frame; the driver surfaces the
-    /// condition as a run error.
+    /// Whether a ship outlasted the stall timeout. Once set, the sender
+    /// discards every further frame; the driver surfaces the condition as
+    /// a run error.
     #[must_use]
     pub fn stalled(&self) -> bool {
         self.stalled
     }
 
-    /// The producer-visible transport load: queued frames against the
-    /// queue's slot capacity. One relaxed length read — cheap enough to
-    /// sample on every capture-controller step.
+    /// The producer-visible transport load (see [`FrameWire::load_sample`]).
     #[must_use]
     pub fn load_sample(&self) -> LoadSample {
-        LoadSample {
-            inflight: self.shared.queue.len() as u64,
-            capacity: self.shared.queue.capacity() as u64,
-        }
+        self.wire.load_sample()
     }
 
     /// Sets or clears the degraded-capture mark on subsequently sealed
@@ -206,7 +365,7 @@ impl FrameSender {
     }
 
     /// Appends one record; when it completes a frame, ships the frame,
-    /// spinning (with yields) while the queue is full.
+    /// waiting while the wire is full.
     pub fn push(&mut self, record: &EventRecord) {
         if let Some(frame) = self.encoder.push(record) {
             self.ship(frame);
@@ -224,26 +383,33 @@ impl FrameSender {
         }
     }
 
-    /// Hands a consumer-returned buffer to the encoder for the next frame.
-    fn refill(&mut self) {
-        if let Some(buf) = self.shared.pool.pop() {
-            self.encoder.recycle(buf);
-        }
-    }
-
     /// Seals and ships the open partial frame — call at syscalls so the
-    /// consumer sees every preceding record (containment), and rely on
-    /// [`Drop`] for the end-of-program flush.
+    /// consumer sees every preceding record (containment).
     pub fn flush(&mut self) {
         if let Some(frame) = self.encoder.flush() {
             self.ship(frame);
         }
     }
 
-    /// Producer-side statistics over shipped frames.
+    /// Producer-side statistics over the frames that reached the wire.
     #[must_use]
     pub fn stats(&self) -> ChannelStats {
-        self.shared.snapshot()
+        self.stats
+    }
+
+    /// Ends the stream: ships the partial frame, closes the wire cleanly,
+    /// and returns the final producer-side statistics.
+    ///
+    /// # Errors
+    ///
+    /// The first wire error, including one latched by an earlier push.
+    pub fn finish(mut self) -> Result<ChannelStats, W::Error> {
+        self.flush();
+        if let Some(e) = self.error.take() {
+            return Err(e);
+        }
+        self.wire.close()?;
+        Ok(self.stats)
     }
 
     fn ship(&mut self, frame: Frame) {
@@ -258,56 +424,97 @@ impl FrameSender {
             records: frame.records,
             sealed_at: 0,
         });
-        let ticket = self.shared.begin_ship(&frame);
-        let mut bytes = frame.bytes;
-        let mut spins = 0;
-        // The stall clock starts at the first failed push, so the fast
-        // path never reads the OS clock.
-        let mut stall_start: Option<Instant> = None;
-        loop {
-            match self.shared.queue.push(bytes) {
-                Ok(()) => break,
-                Err(back) => {
-                    if self.shared.consumer_gone.load(Ordering::Acquire) {
-                        // Receiver dropped (e.g. panicked): discard rather
-                        // than spin forever — and back the accounting out,
-                        // so the statistics describe only frames that
-                        // actually shipped.
-                        self.shared.abort_ship(ticket);
-                        return;
-                    }
-                    if let Some(limit) = self.stall_timeout {
-                        let start = stall_start.get_or_insert_with(Instant::now);
-                        if start.elapsed() >= limit {
-                            // Consumer alive but not draining: latch the
-                            // stall instead of spinning unboundedly. The
-                            // frame is discarded with its accounting
-                            // backed out, exactly like the
-                            // consumer-gone path.
-                            self.shared.abort_ship(ticket);
-                            self.stalled = true;
-                            return;
-                        }
-                    }
-                    bytes = back;
-                    backoff(&mut spins);
-                }
+        if self.error.is_some() {
+            return; // the wire already failed; the error is latched
+        }
+        let (records, payload_bits, wire_bits) =
+            (frame.records, frame.payload_bits, frame.wire_bits());
+        match self.wire.ship(frame, self.stall_timeout) {
+            Ok(Shipped::Sent { inflight_bits }) => {
+                self.stats.records += u64::from(records);
+                self.stats.frames += 1;
+                self.stats.payload_bits += payload_bits;
+                self.stats.wire_bits += wire_bits;
+                self.stats.high_water_bits = self.stats.high_water_bits.max(inflight_bits);
+            }
+            Ok(Shipped::Dropped) => {}
+            Ok(Shipped::Stalled) => self.stalled = true,
+            Err(e) => self.error = Some(e),
+        }
+        if let Some(buf) = self.wire.spare() {
+            self.encoder.recycle(buf);
+        }
+    }
+}
+
+impl<S: WireStream> FrameSender<SocketSink<S>> {
+    /// Absorbs the credits already on the wire without blocking, so
+    /// [`load_sample`](Self::load_sample) tracks the consumer's drain
+    /// between ships; a broken credit channel is latched like a push-path
+    /// error.
+    pub fn poll_credits(&mut self) {
+        if self.error.is_none() {
+            if let Err(e) = self.wire.read_credits(None) {
+                self.error = Some(e);
             }
         }
-        self.shared.commit_ship(ticket);
-        self.refill();
     }
 }
 
-impl Drop for FrameSender {
+impl<W: FrameWire> Drop for FrameSender<W> {
     fn drop(&mut self) {
         self.flush();
-        self.shared.closed.store(true, Ordering::Release);
     }
 }
 
-/// Consumer half of the framed live channel: owns the decompressor.
-pub struct FrameReceiver {
+/// Why [`FrameReceiver::recv_batch`] could not hand out a frame.
+#[derive(Debug)]
+pub enum RecvError {
+    /// The source failed: a socket tore or carried inconsistent bytes.
+    Wire(SinkError),
+    /// A frame arrived whole but does not decode.
+    Decode {
+        /// The stream the frame belongs to.
+        stream: u32,
+        /// Zero-based index of the frame within its stream.
+        frame: u64,
+        /// The decoder's error.
+        source: FrameDecodeError,
+    },
+}
+
+impl fmt::Display for RecvError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            RecvError::Wire(e) => write!(f, "{e}"),
+            RecvError::Decode {
+                stream,
+                frame,
+                source,
+            } => write!(
+                f,
+                "frame {frame} of stream {stream} failed to decode: {source}"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for RecvError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            RecvError::Wire(e) => Some(e.as_ref()),
+            RecvError::Decode { source, .. } => Some(source),
+        }
+    }
+}
+
+/// The consumer half of the live transport: takes one sealed frame at a
+/// time from its source `S` — the in-process queue by default, a
+/// [`SocketSource`](crate::SocketSource) for a socket — and decodes it.
+pub struct FrameReceiver<S: FrameSource = QueueSource> {
+    source: S,
+    /// The stream id decode errors name: the shard index, 0 unsharded.
+    stream: u32,
     decoder: FrameDecoder,
     /// Decoded records of the current frame; the buffer is reused across
     /// frames to avoid a per-frame allocation.
@@ -316,134 +523,133 @@ pub struct FrameReceiver {
     /// simulating a lifeguard core that drains slowly (see
     /// [`set_drag`](Self::set_drag)).
     drag: u32,
-    shared: Arc<FrameShared>,
+    stats: ChannelStats,
 }
 
-impl FrameReceiver {
+impl<S: FrameSource> FrameReceiver<S> {
+    /// A receiver with a fresh decoder over `source`, the frames of
+    /// stream `stream`.
+    #[must_use]
+    pub fn new(source: S, stream: u32, config: FrameConfig) -> Self {
+        FrameReceiver {
+            source,
+            stream,
+            decoder: FrameDecoder::new(config),
+            pending: Vec::new(),
+            drag: 0,
+            stats: ChannelStats::default(),
+        }
+    }
+
     /// Fault injection: burn `spins` pause iterations before every frame
-    /// receive, simulating a slow-draining consumer so the queue fills
-    /// and the producer's [`LoadSample`] climbs. Zero (the default)
-    /// disables the drag.
+    /// receive, simulating a slow-draining consumer so the wire fills and
+    /// the producer's [`LoadSample`] climbs. Zero (the default) disables
+    /// the drag.
     pub fn set_drag(&mut self, spins: u32) {
         self.drag = spins;
     }
 
     /// Receives the next frame's records as one slice, blocking until a
-    /// frame arrives — one queue operation and one decode per
+    /// frame arrives — one wire operation and one decode per
     /// `records_per_frame` records. The frame's epoch-end mark rides along
     /// (see [`EpochRouter`](crate::EpochRouter) and
     /// [`FrameSender::push_epoch`]); `ready_at` is always zero, since live
-    /// threads have no modeled clock. Returns `None` once the producer is
-    /// dropped and the queue drained.
+    /// threads have no modeled clock. Returns `Ok(None)` at the clean end
+    /// of the stream.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if a frame fails to decode — the producer is in-process, so
-    /// corruption is a codec bug, not an I/O condition.
-    pub fn recv_batch(&mut self) -> Option<PoppedFrame<'_>> {
-        let bytes = self.recv_frame()?;
+    /// [`RecvError::Wire`] when the source fails, and
+    /// [`RecvError::Decode`], naming the stream and frame, when a frame
+    /// does not decode.
+    pub fn recv_batch(&mut self) -> Result<Option<PoppedFrame<'_>>, RecvError> {
+        let Some(bytes) = self.next_bytes().map_err(RecvError::Wire)? else {
+            return Ok(None);
+        };
         let epoch_end = Frame::header_epoch_end(&bytes);
         self.pending.clear();
-        self.decoder
-            .decode_frame(&bytes, &mut self.pending)
-            .unwrap_or_else(|e| panic!("live frame failed to decode: {e}"));
-        let _ = self.shared.pool.push(bytes); // return for reuse
-        Some(PoppedFrame {
+        let decoded = self.decoder.decode_frame(&bytes, &mut self.pending);
+        self.source.recycle(bytes);
+        if let Err(source) = decoded {
+            return Err(RecvError::Decode {
+                stream: self.stream,
+                frame: self.stats.frames - 1,
+                source,
+            });
+        }
+        Ok(Some(PoppedFrame {
             records: &self.pending,
             ready_at: 0,
             epoch_end,
-        })
+        }))
     }
 
-    /// Channel statistics (complete once the producer has been dropped).
+    /// Consumer-side statistics over the frames received so far: records
+    /// (as their headers count them), frames and wire bits. Payload bits
+    /// and the high-water mark are producer-side figures; see
+    /// [`FrameSender::stats`].
     #[must_use]
     pub fn stats(&self) -> ChannelStats {
-        self.shared.snapshot()
+        self.stats
     }
 
-    fn recv_frame(&self) -> Option<Vec<u8>> {
+    fn next_bytes(&mut self) -> Result<Option<Vec<u8>>, SinkError> {
         for _ in 0..self.drag {
             std::hint::spin_loop();
         }
-        let mut spins = 0;
-        loop {
-            if let Some(bytes) = self.shared.queue.pop() {
-                self.shared.account_pop(&bytes);
-                return Some(bytes);
-            }
-            if self.shared.closed.load(Ordering::Acquire) {
-                // Drain anything that raced with the close flag.
-                let bytes = self.shared.queue.pop()?;
-                self.shared.account_pop(&bytes);
-                return Some(bytes);
-            }
-            backoff(&mut spins);
+        let bytes = self.source.next_frame_bytes()?;
+        if let Some(bytes) = &bytes {
+            self.stats.records += u64::from(Frame::header_records(bytes));
+            self.stats.frames += 1;
+            self.stats.wire_bits += bytes.len() as u64 * 8;
         }
-    }
-}
-
-impl Drop for FrameReceiver {
-    fn drop(&mut self) {
-        self.shared.consumer_gone.store(true, Ordering::Release);
+        Ok(bytes)
     }
 }
 
 /// The consumer half as a raw frame drain: blocks for the next sealed
-/// wire image, `Ok(None)` once the producer closed and the queue drained.
-/// A raw drain bypasses the decode — do not interleave with
+/// wire image, `Ok(None)` at the clean end of the stream. A raw drain
+/// bypasses the decode — do not interleave with
 /// [`recv_batch`](FrameReceiver::recv_batch).
-impl FrameSource for FrameReceiver {
+impl<S: FrameSource> FrameSource for FrameReceiver<S> {
     fn next_frame_bytes(&mut self) -> Result<Option<Vec<u8>>, SinkError> {
-        Ok(self.recv_frame())
+        self.next_bytes()
     }
 }
 
+fn queue_channel(
+    stream: u32,
+    capacity_frames: usize,
+    config: FrameConfig,
+) -> (FrameSender, FrameReceiver) {
+    let (sink, source) = queue(capacity_frames);
+    (
+        FrameSender::new(sink, config),
+        FrameReceiver::new(source, stream, config),
+    )
+}
+
 /// Creates the framed SPSC channel holding up to `capacity_frames`
-/// in-flight frames.
+/// in-flight frames (stream 0).
 ///
 /// Dropping the [`FrameSender`] flushes the partial frame and closes the
 /// channel; [`FrameReceiver::recv_batch`] then drains what remains and
-/// returns `None`.
+/// returns `Ok(None)`.
 ///
 /// # Panics
 ///
 /// Panics if `capacity_frames` is zero.
 #[must_use]
 pub fn frame_channel(capacity_frames: usize, config: FrameConfig) -> (FrameSender, FrameReceiver) {
-    assert!(
-        capacity_frames > 0,
-        "live channel capacity must be non-zero"
-    );
-    let shared = Arc::new(FrameShared {
-        queue: ArrayQueue::new(capacity_frames),
-        pool: ArrayQueue::new(capacity_frames),
-        closed: AtomicBool::new(false),
-        consumer_gone: AtomicBool::new(false),
-        inflight_bits: AtomicU64::new(0),
-        stats: Mutex::new(ChannelStats::default()),
-    });
-    (
-        FrameSender {
-            encoder: FrameEncoder::new(config),
-            shared: Arc::clone(&shared),
-            tee: ChannelTee::default(),
-            stall_timeout: None,
-            stalled: false,
-        },
-        FrameReceiver {
-            decoder: FrameDecoder::new(config),
-            pending: Vec::new(),
-            drag: 0,
-            shared,
-        },
-    )
+    queue_channel(0, capacity_frames, config)
 }
 
 /// Creates `shards` independent framed SPSC channels — the live-parallel
-/// fan-out. Each pair is a [`frame_channel`] of its own: its own compressor
-/// and decompressor (so predictor state never crosses shards and the shard
-/// streams decode concurrently on different cores), its own frame queue of
-/// `capacity_frames`, and its own [`ChannelStats`].
+/// fan-out. Each pair is a [`frame_channel`] of its own, carrying stream
+/// id `shard`: its own compressor and decompressor (so predictor state
+/// never crosses shards and the shard streams decode concurrently on
+/// different cores), its own frame queue of `capacity_frames`, and its own
+/// statistics.
 ///
 /// Routing records to shards is the caller's job; see
 /// [`shard_of`](crate::shard_of) for the address-interleaved policy both
@@ -460,7 +666,10 @@ pub fn shard_frame_channels(
 ) -> (Vec<FrameSender>, Vec<FrameReceiver>) {
     assert!(shards > 0, "need at least one shard");
     (0..shards)
-        .map(|_| frame_channel(capacity_frames, config))
+        .map(|shard| {
+            let stream = u32::try_from(shard).expect("shard count fits u32");
+            queue_channel(stream, capacity_frames, config)
+        })
         .unzip()
 }
 
@@ -482,7 +691,7 @@ mod tests {
     /// Drains the receiver frame by frame, returning every record's pc.
     fn drain_pcs(rx: &mut FrameReceiver) -> Vec<u64> {
         let mut pcs = Vec::new();
-        while let Some(frame) = rx.recv_batch() {
+        while let Some(frame) = rx.recv_batch().unwrap() {
             pcs.extend(frame.records.iter().map(|r| r.pc));
         }
         pcs
@@ -498,7 +707,7 @@ mod tests {
     fn close_with_empty_queue_returns_none() {
         let (tx, mut rx) = frame_channel(4, FrameConfig::default());
         drop(tx);
-        assert!(rx.recv_batch().is_none());
+        assert!(rx.recv_batch().unwrap().is_none());
     }
 
     #[test]
@@ -508,16 +717,22 @@ mod tests {
             for i in 0..5000 {
                 tx.push(&rec(0x1000 + i * 8));
             }
+            tx.finish().unwrap()
         });
         let pcs = drain_pcs(&mut rx);
-        writer.join().unwrap();
+        let sent = writer.join().unwrap();
         assert_eq!(pcs, (0..5000).map(|i| 0x1000 + i * 8).collect::<Vec<_>>());
-        let stats = rx.stats();
-        assert_eq!(stats.records, 5000);
-        // 5000 records at 64/frame, plus the flush-on-drop partial frame.
-        assert_eq!(stats.frames, 5000 / 64 + 1);
-        assert!(stats.wire_bits >= stats.payload_bits);
-        assert!(stats.high_water_bits > 0);
+        assert_eq!(sent.records, 5000);
+        // 5000 records at 64/frame, plus the flushed partial frame.
+        assert_eq!(sent.frames, 5000 / 64 + 1);
+        assert!(sent.wire_bits >= sent.payload_bits);
+        assert!(sent.high_water_bits > 0);
+        // The consumer counts the same stream from its side.
+        let received = rx.stats();
+        assert_eq!(
+            (received.records, received.frames, received.wire_bits),
+            (sent.records, sent.frames, sent.wire_bits)
+        );
     }
 
     #[test]
@@ -554,7 +769,7 @@ mod tests {
         assert_eq!(tx.stats().frames, 0, "partial frame not shipped yet");
         tx.flush();
         assert_eq!(tx.stats().frames, 1);
-        let frame = rx.recv_batch().expect("the flushed frame");
+        let frame = rx.recv_batch().unwrap().expect("the flushed frame");
         let pcs: Vec<u64> = frame.records.iter().map(|r| r.pc).collect();
         assert_eq!(pcs, [0x1000, 0x1008]);
         assert_eq!(frame.ready_at, 0, "live frames carry no modeled clock");
@@ -603,7 +818,7 @@ mod tests {
         });
         let mut epochs = Vec::new();
         let mut current = 0u64;
-        while let Some(frame) = rx.recv_batch() {
+        while let Some(frame) = rx.recv_batch().unwrap() {
             current += frame.records.len() as u64;
             if frame.epoch_end {
                 epochs.push(current);
@@ -644,7 +859,6 @@ mod tests {
             let stats = rx.stats();
             assert_eq!(stats.records, 100);
             assert!(stats.frames >= 100 / 8);
-            assert!(stats.wire_bits >= stats.payload_bits);
         }
         for w in writers {
             w.join().unwrap();

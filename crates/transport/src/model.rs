@@ -7,7 +7,7 @@ use lba_compress::{Frame, FrameConfig, FrameDecoder, FrameEncoder, FRAME_LINE_BY
 use lba_record::EventRecord;
 
 use crate::channel::{ChannelStats, LoadSample, LogChannel, PoppedFrame, PushOutcome};
-use crate::sink::{ChannelTee, FrameSink, FrameSource, SealedFrame, SinkError};
+use crate::sink::{ChannelTee, FrameSink, SealedFrame, SinkError};
 
 /// A sealed log frame annotated with its production time.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -432,24 +432,6 @@ impl LogChannel for ModeledFrameChannel {
 
     fn mark_degraded(&mut self, on: bool) {
         self.encoder.set_degraded(on);
-    }
-}
-
-/// The consumer half as a raw frame drain: sealed wire images in seal
-/// order, admitted frames first, then parked ones. Do not interleave with
-/// [`pop_frame`](LogChannel::pop_frame).
-impl FrameSource for ModeledFrameChannel {
-    fn next_frame_bytes(&mut self) -> Result<Option<Vec<u8>>, SinkError> {
-        let bytes = if let Some(timed) = self.buffer.pop() {
-            Some(timed.bytes)
-        } else {
-            self.parked.pop_front().map(|frame| frame.bytes)
-        };
-        if bytes.is_some() {
-            // Keep the staged record batches aligned with the frames.
-            self.ready.pop_front();
-        }
-        Ok(bytes)
     }
 }
 

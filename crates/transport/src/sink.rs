@@ -1,24 +1,16 @@
 //! The sink/source seam: where sealed frames *go* and where frames *come
 //! from*, as first-class traits.
 //!
-//! Both execution models move sealed compressed frames — the modeled
-//! channel through its timed buffer, the live channel through a lock-free
-//! queue. [`FrameSink`] and [`FrameSource`] name those two directions so
-//! that new backends (an on-disk flight recorder today, a socket tomorrow)
-//! plug in without touching the capture or dispatch paths:
-//!
-//! * [`StreamSink`] / [`StreamSource`] adapt `lba_record`'s segmented
-//!   `lbas/1` stream writer/reader to the seam, making any run durable.
-//! * [`TeeSink`] fans one sealed frame out to two sinks, which is how a
-//!   run *mirrors* its wire traffic into a recording while the normal
-//!   in-memory transport keeps flowing — the tee costs one `memcpy`-free
-//!   borrow per sealed frame plus whatever the secondary sink does.
-//! * The channels themselves participate: both `ModeledFrameChannel` and
-//!   the live `FrameSender` accept a tee sink
-//!   ([`ModeledFrameChannel::tee_into`](crate::ModeledFrameChannel::tee_into),
-//!   [`FrameSender::tee_into`](crate::live::FrameSender::tee_into)) and
-//!   mirror every frame at the moment it seals, and the consumer halves
-//!   implement [`FrameSource`] to drain raw sealed frames.
+//! [`FrameSink`] is where a recording goes: the channels mirror every
+//! frame into one at the moment it seals, through their tee
+//! ([`ModeledFrameChannel::tee_into`](crate::ModeledFrameChannel::tee_into),
+//! [`FrameSender::tee_into`](crate::live::FrameSender::tee_into)), which
+//! costs one `memcpy`-free borrow per sealed frame plus whatever the sink
+//! does. [`FrameSource`] is where a consumer's frames come from: the live
+//! in-process queue, a socket, or a recording — a
+//! [`FrameReceiver`](crate::live::FrameReceiver) decodes any of them.
+//! [`StreamSink`] / [`StreamSource`] adapt `lba_record`'s segmented
+//! `lbas/1` stream writer/reader to the seam, making any run durable.
 //!
 //! Sink failures (disk full, permissions) must not take down the
 //! monitored application: the channels latch the *first* sink error, stop
@@ -82,6 +74,12 @@ pub trait FrameSource {
     ///
     /// Backend-specific (e.g. a truncated or corrupt recording).
     fn next_frame_bytes(&mut self) -> Result<Option<Vec<u8>>, SinkError>;
+
+    /// Takes back a frame buffer its consumer is done with, for reuse.
+    /// Sources that cannot reuse buffers drop it (the default).
+    fn recycle(&mut self, spent: Vec<u8>) {
+        drop(spent);
+    }
 }
 
 /// The tee slot a channel embeds: an optional mirror sink plus a
@@ -133,46 +131,6 @@ impl ChannelTee {
             return Err(e);
         }
         Ok(self.sink.take())
-    }
-
-    /// Whether a sink is installed and healthy.
-    #[must_use]
-    pub fn is_active(&self) -> bool {
-        self.sink.is_some()
-    }
-}
-
-/// Fans each sealed frame out to two sinks — the adapter that lets any
-/// run mode mirror its wire traffic into a recording.
-#[derive(Debug)]
-pub struct TeeSink<A, B> {
-    first: A,
-    second: B,
-}
-
-impl<A: FrameSink, B: FrameSink> TeeSink<A, B> {
-    /// Builds a tee over two sinks.
-    pub fn new(first: A, second: B) -> Self {
-        TeeSink { first, second }
-    }
-
-    /// Takes the two sinks back.
-    pub fn into_inner(self) -> (A, B) {
-        (self.first, self.second)
-    }
-}
-
-impl<A: FrameSink, B: FrameSink> FrameSink for TeeSink<A, B> {
-    fn put_frame(&mut self, frame: &SealedFrame<'_>) -> Result<(), SinkError> {
-        self.first.put_frame(frame)?;
-        self.second.put_frame(frame)
-    }
-
-    fn finish_sink(&mut self) -> Result<(), SinkError> {
-        let first = self.first.finish_sink();
-        let second = self.second.finish_sink();
-        first?;
-        second
     }
 }
 
@@ -250,29 +208,6 @@ impl FrameSource for StreamSource {
     }
 }
 
-/// A sink that keeps every frame in memory — handy for tests and for
-/// fan-out experiments where the secondary consumer is in-process.
-#[derive(Debug, Default)]
-pub struct VecSink {
-    /// The mirrored frames as `(sealed_at, records, wire image)`.
-    pub frames: Vec<(u64, u32, Vec<u8>)>,
-    /// Whether `finish_sink` ran.
-    pub finished: bool,
-}
-
-impl FrameSink for VecSink {
-    fn put_frame(&mut self, frame: &SealedFrame<'_>) -> Result<(), SinkError> {
-        self.frames
-            .push((frame.sealed_at, frame.records, frame.bytes.to_vec()));
-        Ok(())
-    }
-
-    fn finish_sink(&mut self) -> Result<(), SinkError> {
-        self.finished = true;
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -295,23 +230,6 @@ mod tests {
         let mut bytes = vec![0u8; 64];
         bytes[0..4].copy_from_slice(&records.to_le_bytes());
         bytes
-    }
-
-    #[test]
-    fn tee_fans_out_to_both_sinks_and_finishes_both() {
-        let mut tee = TeeSink::new(VecSink::default(), VecSink::default());
-        let img = image(3);
-        let frame = SealedFrame {
-            bytes: &img,
-            records: 3,
-            sealed_at: 42,
-        };
-        tee.put_frame(&frame).unwrap();
-        tee.finish_sink().unwrap();
-        let (a, b) = tee.into_inner();
-        assert_eq!(a.frames, b.frames);
-        assert_eq!(a.frames, vec![(42, 3, img)]);
-        assert!(a.finished && b.finished);
     }
 
     #[test]

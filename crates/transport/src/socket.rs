@@ -1,18 +1,22 @@
-//! Socket transport: sealed frames over a Unix-domain (TCP-ready) wire.
+//! The socket wire: sealed frames over a Unix-domain (TCP-ready)
+//! connection.
 //!
-//! The in-process transports ship frames between threads; this module
-//! ships them between *processes* (and, by construction, between hosts):
-//! the production topology where one monitored application fans frame
-//! streams out to a pool of lifeguard workers. It plugs into the existing
-//! [`FrameSink`]/[`FrameSource`] seam, so everything upstream of the wire
-//! (encoder, capture controller, flight-recorder tee) and everything
-//! downstream (decoder, dispatch, lifeguards) is unchanged.
+//! The in-process queue ships frames between threads; this wire ships them
+//! between *processes* (and, by construction, between hosts): the
+//! production topology where one monitored application fans frame streams
+//! out to a pool of lifeguard workers. It is a second wire under the one
+//! live transport, not a second transport: [`SocketSink`] is a
+//! [`FrameWire`] under a [`FrameSender`] ([`SocketSender`] names that
+//! pairing), and [`SocketSource`] is a [`FrameSource`] under a
+//! [`FrameReceiver`](crate::live::FrameReceiver). The encoder, recording
+//! tee, marks, stall latch and statistics above the sink, and the decoder
+//! and drain drag above the source, are the live transport's own.
 //!
 //! # Wire protocol
 //!
-//! A connection is one frame stream, framed exactly like the durable
-//! `lbas/1` segment format (`lba_record::stream`) so torn wires and torn
-//! recordings corrupt — and salvage — identically:
+//! A connection is one frame stream in the durable `lbas/1` format, read
+//! and written with the codec in `lba_record` that the segment files use,
+//! so torn wires and torn recordings fail alike:
 //!
 //! ```text
 //! hello (24 B): b"lbas/1\n\0" | codec version u32 | stream id u32 |
@@ -28,41 +32,50 @@
 //! both [`UnixStream`] and [`std::net::TcpStream`], so moving a worker to
 //! another host is a connect call, not a protocol change.
 //!
+//! Neither end trusts the other's bytes. The consumer checks each payload
+//! against its checksum and its record count against the frame image, and
+//! reserves at most 64 KiB for a payload before its bytes arrive, so a
+//! header claiming 4 GiB costs no more until 4 GiB do arrive. The producer
+//! treats any byte on the credit channel that is not a credit as
+//! corruption.
+//!
 //! # Credit window: `buffer_bytes` semantics survive the wire
 //!
-//! The in-process channels bound in-flight frames by queue capacity, which
-//! is how `LogConfig::buffer_bytes` back-pressure reaches the producer. A
+//! The in-process queue bounds in-flight frames by its capacity, which is
+//! how `LogConfig::buffer_bytes` back-pressure reaches the producer. A
 //! kernel socket buffer would hide that bound, so the wire carries an
 //! explicit **credit window**: the producer may have at most `window`
 //! un-acknowledged frames outstanding; the consumer returns one credit per
-//! frame it drains; a producer out of credits parks, exactly like a push
-//! against a full queue. [`SocketSink::load_sample`] reports
-//! outstanding-frames/window, so [`crate::LoadSample`]-driven adaptive
-//! degradation keeps working end-to-end across the socket. A consumer that
-//! stops returning credits is detected by the same stall-timeout discipline
-//! as the live channel: the sink latches [`SocketSink::stalled`] instead
-//! of spinning forever.
+//! frame it drains; a producer out of credits waits, exactly like a push
+//! against a full queue. The sink's load sample is outstanding frames
+//! against the window, so [`crate::LoadSample`]-driven adaptive
+//! degradation keeps working across the socket, and a consumer that stops
+//! returning credits trips the sender's stall timeout like a full queue
+//! does.
 //!
 //! # Examples
 //!
 //! ```
 //! use lba_compress::FrameConfig;
 //! use lba_record::EventRecord;
+//! use lba_transport::live::FrameReceiver;
 //! use lba_transport::socket::{socket_pair, SocketSender};
-//! use lba_transport::FrameSource;
 //!
-//! let (sink, mut source) = socket_pair(0, 8).unwrap();
-//! let mut tx = SocketSender::new(sink, FrameConfig::default());
+//! let config = FrameConfig::default();
+//! let (sink, source) = socket_pair(0, 8)?;
+//! let mut tx = SocketSender::new(sink, config);
 //! for i in 0..100 {
 //!     tx.push(&EventRecord::alu(0x1000 + i * 8, 0, None, None, None));
 //! }
-//! let stats = tx.finish().unwrap();
-//! let mut frames = 0;
-//! while let Some(_bytes) = source.next_frame_bytes().unwrap() {
-//!     frames += 1;
+//! let sent = tx.finish()?;
+//! let mut rx = FrameReceiver::new(source, 0, config);
+//! let mut records = 0;
+//! while let Some(frame) = rx.recv_batch()? {
+//!     records += frame.records.len();
 //! }
-//! assert_eq!(stats.frames, frames);
-//! assert_eq!(source.stats().records, 100);
+//! assert_eq!(records, 100);
+//! assert_eq!(rx.stats().frames, sent.frames);
+//! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
 use std::collections::VecDeque;
@@ -71,34 +84,31 @@ use std::io::{self, Read, Write};
 use std::os::unix::net::UnixStream;
 use std::time::{Duration, Instant};
 
-use lba_compress::{Frame, FrameConfig, FrameEncoder};
-use lba_record::{payload_checksum, EventRecord};
+use lba_compress::Frame;
+use lba_record::{
+    check_ident, end_record, verify_end, FrameRecordHeader, IdentError, StreamHeader,
+    FRAME_RECORD_HEADER_BYTES, SEGMENT_HEADER_BYTES, TAG_END, TAG_FRAME,
+};
 
-use crate::channel::{ChannelStats, LoadSample};
-use crate::sink::{ChannelTee, FrameSink, FrameSource, SealedFrame, SinkError};
+use crate::channel::LoadSample;
+use crate::live::{FrameSender, FrameWire, Shipped};
+use crate::sink::{FrameSource, SinkError};
 
-/// The 8-byte stream identifier opening every connection — the same ident
-/// the durable segment format uses, so `head -c8` tells you what is
-/// talking on either wire.
-const IDENT: [u8; 8] = *b"lbas/1\n\0";
+/// Size of the connection hello: the `lbas/1` stream header, with the
+/// credit window in the word a segment file uses for its sequence number.
+pub const SOCKET_HELLO_BYTES: usize = SEGMENT_HEADER_BYTES;
 
-/// Size of the connection hello (ident + codec version + stream id +
-/// credit window + reserved word).
-pub const SOCKET_HELLO_BYTES: usize = 24;
-
-/// Record tags, shared with the segment format.
-const TAG_FRAME: u8 = 0x01;
-const TAG_END: u8 = 0x02;
 /// The credit byte the consumer returns per drained frame (ASCII ACK).
 const CREDIT: u8 = 0x06;
 
-/// Fixed part of a frame record (tag + timestamp + record count + payload
-/// length + checksum).
-const FRAME_HEADER_BYTES: usize = 1 + 8 + 4 + 4 + 4;
-
 /// How long a credit wait blocks per read before re-checking the stall
-/// clock — the socket analogue of the live channel's spin-then-yield.
+/// clock — the socket analogue of the queue's spin-then-yield.
 const CREDIT_POLL: Duration = Duration::from_millis(5);
+
+/// Payload bytes a frame record's claimed length may reserve before they
+/// arrive: sealed frames are a few cache lines, so this covers every real
+/// one in a single read, and a hostile length buys no more than this.
+const PAYLOAD_RESERVE: usize = 64 << 10;
 
 /// A full-duplex byte stream the socket transport can run over.
 ///
@@ -160,7 +170,9 @@ impl WireStream for std::net::TcpStream {
 /// Everything that can go wrong on the socket wire. Every variant names
 /// the endpoint involved and, where it matters, how many frames made it
 /// across first — the same descriptive discipline as
-/// [`lba_record::StreamError`].
+/// [`lba_record::StreamError`]. A consumer that stops returning credits is
+/// not among them: the sender latches it as a stall, as it does for a
+/// full queue.
 #[derive(Debug)]
 pub enum SocketError {
     /// An underlying socket operation failed.
@@ -188,12 +200,13 @@ pub enum SocketError {
     Torn {
         /// Peer whose stream tore.
         endpoint: String,
-        /// Complete frames received before the tear (the salvageable
-        /// prefix — the credit protocol guarantees these were whole).
+        /// Complete frames received before the tear (the credit protocol
+        /// guarantees these were whole).
         frames: u64,
     },
-    /// The wire's bytes are internally inconsistent (bad tag, checksum
-    /// mismatch, End-count disagreement).
+    /// The wire's bytes are internally inconsistent (bad tag, checksum or
+    /// record-count mismatch, End-count disagreement, a stray byte on the
+    /// credit channel).
     Corrupt {
         /// Offending peer.
         endpoint: String,
@@ -201,14 +214,6 @@ pub enum SocketError {
         frame: u64,
         /// What exactly disagreed.
         detail: String,
-    },
-    /// The consumer stopped returning credits: the producer waited out
-    /// the stall timeout with the window exhausted.
-    Stalled {
-        /// Peer that stopped draining.
-        endpoint: String,
-        /// The timeout that elapsed.
-        timeout: Duration,
     },
 }
 
@@ -247,13 +252,6 @@ impl fmt::Display for SocketError {
                     "stream from {endpoint} is corrupt at frame {frame}: {detail}"
                 )
             }
-            SocketError::Stalled { endpoint, timeout } => {
-                write!(
-                    f,
-                    "consumer {endpoint} returned no credit for {timeout:?} with the \
-                     window exhausted: lifeguard worker stalled"
-                )
-            }
         }
     }
 }
@@ -276,10 +274,9 @@ impl SocketError {
     }
 }
 
-/// Producer half of the socket transport: ships sealed frames over the
-/// wire under the credit window. Implements [`FrameSink`], so it drops
-/// into every seam a flight-recorder sink fits — including the live
-/// channel's tee.
+/// Producer end of the socket wire: ships sealed frames as `lbas/1`
+/// records under the credit window. Drive it through a
+/// [`SocketSender`].
 pub struct SocketSink<W: WireStream = UnixStream> {
     stream: W,
     endpoint: String,
@@ -292,19 +289,11 @@ pub struct SocketSink<W: WireStream = UnixStream> {
     /// FIFO, so popping the front converts a credit back into bits.
     outstanding_bits: VecDeque<u64>,
     inflight_bits: u64,
-    stats: ChannelStats,
-    /// How long a credit wait may block before the consumer is declared
-    /// stalled; `None` waits forever.
-    stall_timeout: Option<Duration>,
-    /// Latched once a credit wait exceeded `stall_timeout`. Every later
-    /// frame is discarded immediately, mirroring the live channel's
-    /// [`crate::live::FrameSender`]: the run is reporting a fatal stall,
-    /// so there is no consumer left worth waiting for.
-    stalled: bool,
     /// Latched when the peer disappears (EOF on the credit channel or a
-    /// broken-pipe write); later frames are discarded silently.
+    /// broken-pipe write).
     consumer_gone: bool,
-    finished: bool,
+    /// The last shipped frame's buffer, handed back to the encoder.
+    spare: Option<Vec<u8>>,
 }
 
 impl<W: WireStream> SocketSink<W> {
@@ -312,7 +301,7 @@ impl<W: WireStream> SocketSink<W> {
     /// (stream id, codec version, credit window) and returns the sink.
     ///
     /// `window` is the credit window in frames — derive it from the same
-    /// budget as the live channel's queue capacity
+    /// budget as the in-process queue's capacity
     /// (`LogConfig::live_channel_frames`) and `buffer_bytes` back-pressure
     /// semantics survive the wire.
     ///
@@ -339,59 +328,23 @@ impl<W: WireStream> SocketSink<W> {
             acked: 0,
             outstanding_bits: VecDeque::new(),
             inflight_bits: 0,
-            stats: ChannelStats::default(),
-            stall_timeout: None,
-            stalled: false,
             consumer_gone: false,
-            finished: false,
+            spare: None,
         };
-        let mut hello = [0u8; SOCKET_HELLO_BYTES];
-        hello[0..8].copy_from_slice(&IDENT);
-        hello[8..12].copy_from_slice(&codec_version.to_le_bytes());
-        hello[12..16].copy_from_slice(&stream_id.to_le_bytes());
-        hello[16..20].copy_from_slice(&window.to_le_bytes());
-        sink.write_wire(&hello)?;
+        let hello = StreamHeader {
+            codec_version,
+            stream: stream_id,
+            word: window,
+        };
+        sink.write_wire(&hello.encode())?;
         Ok(sink)
     }
 
-    /// Bounds how long a credit wait may block before the consumer is
-    /// declared stalled (see [`stalled`](Self::stalled)). `None` restores
-    /// the unbounded wait.
-    pub fn set_stall_timeout(&mut self, timeout: Option<Duration>) {
-        self.stall_timeout = timeout;
-    }
-
-    /// Whether a credit wait exceeded the stall timeout. Once set, the
-    /// sink discards every further frame; the driver surfaces the
-    /// condition as a run error, exactly like the live channel.
-    #[must_use]
-    pub fn stalled(&self) -> bool {
-        self.stalled
-    }
-
-    /// The producer-visible transport load: un-acknowledged frames against
-    /// the credit window — the socket analogue of queued-frames/capacity,
-    /// which is what keeps [`crate::LoadSample`]-driven adaptive
-    /// degradation working across the wire.
-    #[must_use]
-    pub fn load_sample(&self) -> LoadSample {
-        LoadSample {
-            inflight: self.sent - self.acked,
-            capacity: u64::from(self.window),
+    fn torn(&self) -> SocketError {
+        SocketError::Torn {
+            endpoint: self.endpoint.clone(),
+            frames: self.sent,
         }
-    }
-
-    /// Producer-side statistics over shipped frames, in the same shape as
-    /// the in-process channels' so `LogStats` reads uniformly.
-    #[must_use]
-    pub fn stats(&self) -> ChannelStats {
-        self.stats
-    }
-
-    /// The peer's name, as used in this sink's error messages.
-    #[must_use]
-    pub fn endpoint(&self) -> &str {
-        &self.endpoint
     }
 
     fn write_wire(&mut self, bytes: &[u8]) -> Result<(), SocketError> {
@@ -399,38 +352,40 @@ impl<W: WireStream> SocketSink<W> {
             Ok(()) => Ok(()),
             Err(e) if e.kind() == io::ErrorKind::BrokenPipe => {
                 self.consumer_gone = true;
-                Err(SocketError::Torn {
-                    endpoint: self.endpoint.clone(),
-                    frames: self.sent,
-                })
+                Err(self.torn())
             }
             Err(e) => Err(SocketError::io(&self.endpoint, e)),
         }
     }
 
-    /// Consumes one credit per byte read. EOF means the peer is gone.
-    fn absorb_credits(&mut self, buf: &[u8], n: usize) {
-        for &b in &buf[..n] {
-            debug_assert_eq!(b, CREDIT, "unexpected byte on the credit channel");
+    /// Consumes one credit per byte read; any other byte means the peer
+    /// is not speaking the credit protocol.
+    fn absorb_credits(&mut self, bytes: &[u8]) -> Result<(), SocketError> {
+        for &b in bytes {
+            if b != CREDIT {
+                return Err(SocketError::Corrupt {
+                    endpoint: self.endpoint.clone(),
+                    frame: self.acked,
+                    detail: format!("byte {b:#04x} on the credit channel is not a credit"),
+                });
+            }
             self.acked += 1;
             if let Some(bits) = self.outstanding_bits.pop_front() {
                 self.inflight_bits -= bits;
             }
         }
+        Ok(())
     }
 
-    /// Drains any credits already on the wire without blocking, keeping
-    /// the occupancy sample fresh — the ship path calls this before every
-    /// frame, and a run loop may call it between ships so
-    /// [`load_sample`](Self::load_sample) tracks the consumer's drain.
-    ///
-    /// # Errors
-    ///
-    /// [`SocketError::Io`] when the credit channel breaks.
-    pub fn poll_credits(&mut self) -> Result<(), SocketError> {
-        self.stream
-            .set_nonblocking(true)
-            .map_err(|e| SocketError::io(&self.endpoint, e))?;
+    /// Absorbs the credits on the wire: every one already there when
+    /// `wait` is `None` (a non-blocking drain, run before every ship), or
+    /// the next batch to arrive within `wait`.
+    pub(crate) fn read_credits(&mut self, wait: Option<Duration>) -> Result<(), SocketError> {
+        let mode = match wait {
+            None => self.stream.set_nonblocking(true),
+            Some(limit) => self.stream.set_read_timeout(Some(limit)),
+        };
+        mode.map_err(|e| SocketError::io(&self.endpoint, e))?;
         let mut buf = [0u8; 64];
         let outcome = loop {
             match self.stream.read(&mut buf) {
@@ -438,141 +393,124 @@ impl<W: WireStream> SocketSink<W> {
                     self.consumer_gone = true;
                     break Ok(());
                 }
-                Ok(n) => self.absorb_credits(&buf, n),
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break Ok(()),
+                Ok(n) => {
+                    let absorbed = self.absorb_credits(&buf[..n]);
+                    if absorbed.is_err() || wait.is_some() {
+                        break absorbed;
+                    }
+                }
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                    ) =>
+                {
+                    break Ok(())
+                }
                 Err(e) => break Err(SocketError::io(&self.endpoint, e)),
             }
         };
-        self.stream
-            .set_nonblocking(false)
-            .map_err(|e| SocketError::io(&self.endpoint, e))?;
-        outcome
+        let restored = match wait {
+            None => self.stream.set_nonblocking(false),
+            Some(_) => self.stream.set_read_timeout(None),
+        };
+        outcome?;
+        restored.map_err(|e| SocketError::io(&self.endpoint, e))
     }
 
-    /// Parks until at least one credit is free, honouring the stall
-    /// timeout. Returns `false` when the frame should be discarded
-    /// (consumer gone, or stall latched).
-    fn wait_for_credit(&mut self) -> Result<bool, SocketError> {
+    /// Waits until at least one credit is free, honouring the stall
+    /// timeout. Returns `false` when the wait outlasted it.
+    fn wait_for_credit(&mut self, stall_timeout: Option<Duration>) -> Result<bool, SocketError> {
         // The stall clock starts at the first exhausted-window check, so
         // the fast path never reads the OS clock.
         let mut stall_start: Option<Instant> = None;
         while self.sent - self.acked >= u64::from(self.window) {
             if self.consumer_gone {
-                return Ok(false);
+                return Err(self.torn());
             }
-            if let Some(limit) = self.stall_timeout {
-                let start = stall_start.get_or_insert_with(Instant::now);
-                if start.elapsed() >= limit {
-                    self.stalled = true;
+            if let Some(limit) = stall_timeout {
+                if stall_start.get_or_insert_with(Instant::now).elapsed() >= limit {
                     return Ok(false);
                 }
             }
-            self.stream
-                .set_read_timeout(Some(CREDIT_POLL))
-                .map_err(|e| SocketError::io(&self.endpoint, e))?;
-            let mut buf = [0u8; 64];
-            match self.stream.read(&mut buf) {
-                Ok(0) => self.consumer_gone = true,
-                Ok(n) => self.absorb_credits(&buf, n),
-                Err(e)
-                    if e.kind() == io::ErrorKind::WouldBlock
-                        || e.kind() == io::ErrorKind::TimedOut => {}
-                Err(e) => {
-                    let err = SocketError::io(&self.endpoint, e);
-                    self.stream.set_read_timeout(None).ok();
-                    return Err(err);
-                }
-            }
-            self.stream
-                .set_read_timeout(None)
-                .map_err(|e| SocketError::io(&self.endpoint, e))?;
+            self.read_credits(Some(CREDIT_POLL))?;
         }
         Ok(true)
     }
+}
 
-    /// Ships one sealed frame under the credit window.
-    fn ship(&mut self, frame: &SealedFrame<'_>) -> Result<(), SocketError> {
-        if self.stalled || self.consumer_gone || self.finished {
-            // Mirror the live channel: once the consumer is written off,
-            // discard instead of re-paying the timeout per frame (the
-            // Drop-driven flush included). The first tear already
-            // surfaced as an error.
-            return Ok(());
+impl<W: WireStream> FrameWire for SocketSink<W> {
+    type Error = SocketError;
+
+    /// Waits for a credit, then writes the frame record.
+    fn ship(
+        &mut self,
+        frame: Frame,
+        stall_timeout: Option<Duration>,
+    ) -> Result<Shipped, SocketError> {
+        self.read_credits(None)?;
+        if !self.wait_for_credit(stall_timeout)? {
+            return Ok(Shipped::Stalled);
         }
-        self.poll_credits()?;
-        if !self.wait_for_credit()? {
-            if self.consumer_gone {
-                return Err(SocketError::Torn {
-                    endpoint: self.endpoint.clone(),
-                    frames: self.sent,
-                });
-            }
-            return Ok(()); // stall latched; driver reads `stalled()`
-        }
-        let mut header = [0u8; FRAME_HEADER_BYTES];
-        header[0] = TAG_FRAME;
-        header[1..9].copy_from_slice(&frame.sealed_at.to_le_bytes());
-        header[9..13].copy_from_slice(&frame.records.to_le_bytes());
-        #[allow(clippy::cast_possible_truncation)]
-        header[13..17].copy_from_slice(&(frame.bytes.len() as u32).to_le_bytes());
-        header[17..21].copy_from_slice(&payload_checksum(frame.bytes).to_le_bytes());
-        self.write_wire(&header)?;
-        self.write_wire(frame.bytes)?;
+        let header = FrameRecordHeader::new(0, frame.records, &frame.bytes);
+        self.write_wire(&header.encode())?;
+        self.write_wire(&frame.bytes)?;
         let wire_bits = frame.wire_bits();
         self.sent += 1;
         self.outstanding_bits.push_back(wire_bits);
         self.inflight_bits += wire_bits;
-        self.stats.records += u64::from(frame.records);
-        self.stats.frames += 1;
-        self.stats.wire_bits += wire_bits;
-        self.stats.high_water_bits = self.stats.high_water_bits.max(self.inflight_bits);
-        Ok(())
-    }
-}
-
-impl<W: WireStream> FrameSink for SocketSink<W> {
-    fn put_frame(&mut self, frame: &SealedFrame<'_>) -> Result<(), SinkError> {
-        self.ship(frame).map_err(Into::into)
+        self.spare = Some(frame.bytes);
+        Ok(Shipped::Sent {
+            inflight_bits: self.inflight_bits,
+        })
     }
 
-    /// Writes the End record and flushes the wire. The connection stays
-    /// open for late credits; dropping the sink closes it.
-    fn finish_sink(&mut self) -> Result<(), SinkError> {
-        if self.finished || self.consumer_gone {
+    /// Un-acknowledged frames against the credit window. Credits are
+    /// absorbed at every ship, so the sample is at most one frame stale.
+    fn load_sample(&self) -> LoadSample {
+        LoadSample {
+            inflight: self.sent - self.acked,
+            capacity: u64::from(self.window),
+        }
+    }
+
+    fn spare(&mut self) -> Option<Vec<u8>> {
+        self.spare.take()
+    }
+
+    /// Writes the End record and flushes the wire; a consumer already
+    /// gone is owed nothing. The connection stays open for late credits;
+    /// dropping the sink closes it.
+    fn close(&mut self) -> Result<(), SocketError> {
+        if self.consumer_gone {
             return Ok(());
         }
-        let mut end = [0u8; 9];
-        end[0] = TAG_END;
-        end[1..9].copy_from_slice(&self.sent.to_le_bytes());
-        self.write_wire(&end)?;
+        self.write_wire(&end_record(self.sent))?;
         self.stream
             .flush()
-            .map_err(|e| SocketError::io(&self.endpoint, e))?;
-        self.finished = true;
-        Ok(())
+            .map_err(|e| SocketError::io(&self.endpoint, e))
     }
 }
 
-/// Consumer half of the socket transport: validates the hello, drains
-/// frame records, and returns one credit per frame — a [`FrameSource`]
-/// that a decoder/dispatch/lifeguard stack drives exactly like a replayed
-/// recording.
+/// A [`FrameSender`] over a socket: the same encoder, recording tee,
+/// marks, stall latch and statistics as the in-process sender, shipping
+/// under the credit window. End it with [`finish`](FrameSender::finish):
+/// a sender dropped unfinished never writes the End record, so its
+/// consumer sees a torn stream.
+pub type SocketSender<W = UnixStream> = FrameSender<SocketSink<W>>;
+
+/// Consumer end of the socket wire: validates the hello, drains frame
+/// records, and returns one credit per frame — a [`FrameSource`] that a
+/// [`FrameReceiver`](crate::live::FrameReceiver) decodes exactly like the
+/// in-process queue.
 #[derive(Debug)]
 pub struct SocketSource<W: WireStream = UnixStream> {
     stream: W,
     endpoint: String,
-    codec_version: u32,
-    stream_id: u32,
-    window: u32,
+    hello: StreamHeader,
     /// Complete frames drained so far.
     frames: u64,
-    stats: ChannelStats,
     finished: bool,
-    /// `SalvagePrefix` analogue: when set, a torn wire ends the stream
-    /// cleanly after its last complete frame instead of erroring, and the
-    /// tear is reported via [`torn_tail`](Self::torn_tail).
-    salvage: bool,
-    torn_tail: Option<SocketError>,
 }
 
 impl<W: WireStream> SocketSource<W> {
@@ -590,36 +528,22 @@ impl<W: WireStream> SocketSource<W> {
         let mut source = SocketSource {
             stream,
             endpoint,
-            codec_version: 0,
-            stream_id: 0,
-            window: 0,
+            hello: StreamHeader::default(),
             frames: 0,
-            stats: ChannelStats::default(),
             finished: false,
-            salvage: false,
-            torn_tail: None,
         };
         let mut hello = [0u8; SOCKET_HELLO_BYTES];
         source.read_wire(&mut hello)?;
-        if hello[0..5] != IDENT[0..5] {
-            return Err(SocketError::NotAStream {
-                endpoint: source.endpoint,
+        if let Err(e) = check_ident(&hello) {
+            let endpoint = source.endpoint;
+            return Err(match e {
+                IdentError::NotAStream => SocketError::NotAStream { endpoint },
+                IdentError::UnknownVersion(version) => {
+                    SocketError::UnknownVersion { endpoint, version }
+                }
             });
         }
-        let version_end = hello[5..8]
-            .iter()
-            .position(|&b| b == b'\n')
-            .map_or(8, |p| 5 + p);
-        let version = String::from_utf8_lossy(&hello[5..version_end]).into_owned();
-        if version != "1" {
-            return Err(SocketError::UnknownVersion {
-                endpoint: source.endpoint,
-                version,
-            });
-        }
-        source.codec_version = u32::from_le_bytes(hello[8..12].try_into().expect("4 bytes"));
-        source.stream_id = u32::from_le_bytes(hello[12..16].try_into().expect("4 bytes"));
-        source.window = u32::from_le_bytes(hello[16..20].try_into().expect("4 bytes"));
+        source.hello = StreamHeader::decode(&hello);
         Ok(source)
     }
 
@@ -627,57 +551,33 @@ impl<W: WireStream> SocketSource<W> {
     /// against the running decoder's, as replay does.
     #[must_use]
     pub fn codec_version(&self) -> u32 {
-        self.codec_version
+        self.hello.codec_version
     }
 
     /// The stream id the producer announced (the shard index in the
     /// remote-workers topology).
     #[must_use]
     pub fn stream_id(&self) -> u32 {
-        self.stream_id
+        self.hello.stream
     }
 
     /// The credit window the producer announced.
     #[must_use]
     pub fn window(&self) -> u32 {
-        self.window
+        self.hello.word
     }
 
-    /// Consumer-side statistics over drained frames.
-    #[must_use]
-    pub fn stats(&self) -> ChannelStats {
-        self.stats
-    }
-
-    /// Salvage mode: a torn wire ends the stream after its last complete
-    /// frame instead of erroring — the socket analogue of replay's
-    /// `SalvagePrefix`. The credit protocol guarantees every frame served
-    /// before the tear arrived whole (length + checksum verified), so the
-    /// prefix is sound. The tear itself is kept in
-    /// [`torn_tail`](Self::torn_tail).
-    pub fn set_salvage(&mut self, on: bool) {
-        self.salvage = on;
-    }
-
-    /// The tear a salvaged stream ended on, if any.
-    #[must_use]
-    pub fn torn_tail(&self) -> Option<&SocketError> {
-        self.torn_tail.as_ref()
-    }
-
-    /// The peer's name, as used in this source's error messages.
-    #[must_use]
-    pub fn endpoint(&self) -> &str {
-        &self.endpoint
+    fn torn(&self) -> SocketError {
+        SocketError::Torn {
+            endpoint: self.endpoint.clone(),
+            frames: self.frames,
+        }
     }
 
     fn read_wire(&mut self, buf: &mut [u8]) -> Result<(), SocketError> {
         match self.stream.read_exact(buf) {
             Ok(()) => Ok(()),
-            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => Err(SocketError::Torn {
-                endpoint: self.endpoint.clone(),
-                frames: self.frames,
-            }),
+            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => Err(self.torn()),
             Err(e) => Err(SocketError::io(&self.endpoint, e)),
         }
     }
@@ -698,23 +598,26 @@ impl<W: WireStream> SocketSource<W> {
         self.read_wire(&mut tag)?;
         match tag[0] {
             TAG_FRAME => {
-                let mut header = [0u8; FRAME_HEADER_BYTES - 1];
-                self.read_wire(&mut header)?;
-                let records = u32::from_le_bytes(header[8..12].try_into().expect("4 bytes"));
-                let len = u32::from_le_bytes(header[12..16].try_into().expect("4 bytes")) as usize;
-                let sum = u32::from_le_bytes(header[16..20].try_into().expect("4 bytes"));
-                let mut payload = vec![0u8; len];
-                self.read_wire(&mut payload)?;
-                if payload_checksum(&payload) != sum {
-                    return Err(self.corrupt("frame payload checksum mismatch"));
+                let mut fields = [0u8; FRAME_RECORD_HEADER_BYTES - 1];
+                self.read_wire(&mut fields)?;
+                let header = FrameRecordHeader::decode(&fields);
+                // The length is the peer's claim: past the reserve, the
+                // buffer grows only as bytes arrive.
+                let mut payload = Vec::with_capacity((header.len as usize).min(PAYLOAD_RESERVE));
+                (&mut self.stream)
+                    .take(u64::from(header.len))
+                    .read_to_end(&mut payload)
+                    .map_err(|e| SocketError::io(&self.endpoint, e))?;
+                if payload.len() < header.len as usize {
+                    return Err(self.torn());
                 }
+                header
+                    .verify(&payload)
+                    .map_err(|detail| self.corrupt(detail))?;
                 self.frames += 1;
-                self.stats.records += u64::from(records);
-                self.stats.frames += 1;
-                self.stats.wire_bits += payload.len() as u64 * 8;
                 // Return the credit *after* the frame is whole: a credit
                 // promises the producer this slot of the window is truly
-                // free, which is what makes the salvaged prefix sound.
+                // free.
                 if let Err(e) = self.stream.write_all(&[CREDIT]) {
                     // A producer that already left does not need credits.
                     if e.kind() != io::ErrorKind::BrokenPipe {
@@ -726,13 +629,8 @@ impl<W: WireStream> SocketSource<W> {
             TAG_END => {
                 let mut count = [0u8; 8];
                 self.read_wire(&mut count)?;
-                let count = u64::from_le_bytes(count);
-                if count != self.frames {
-                    return Err(self.corrupt(format!(
-                        "End record says {count} frames, wire carried {}",
-                        self.frames
-                    )));
-                }
+                verify_end(u64::from_le_bytes(count), self.frames)
+                    .map_err(|detail| self.corrupt(detail))?;
                 self.finished = true;
                 Ok(None)
             }
@@ -743,15 +641,7 @@ impl<W: WireStream> SocketSource<W> {
 
 impl<W: WireStream> FrameSource for SocketSource<W> {
     fn next_frame_bytes(&mut self) -> Result<Option<Vec<u8>>, SinkError> {
-        match self.next_wire_frame() {
-            Ok(frame) => Ok(frame),
-            Err(err @ SocketError::Torn { .. }) if self.salvage => {
-                self.finished = true;
-                self.torn_tail = Some(err);
-                Ok(None)
-            }
-            Err(e) => Err(e.into()),
-        }
+        self.next_wire_frame().map_err(Into::into)
     }
 }
 
@@ -776,178 +666,51 @@ pub fn socket_pair(
     Ok((sink, source))
 }
 
-/// Record-level producer over a [`SocketSink`]: owns the compressor, so
-/// its sealed frames are byte-identical to the in-process live channel's
-/// — the same [`FrameEncoder`] over the same record stream. The API
-/// mirrors [`crate::live::FrameSender`], which is what lets the
-/// remote-workers run mode reuse the sharded producer link unchanged.
-pub struct SocketSender<W: WireStream = UnixStream> {
-    encoder: FrameEncoder,
-    sink: SocketSink<W>,
-    /// Optional mirror of every shipped frame into a [`FrameSink`] (the
-    /// flight recorder), exactly like the live channel's tee.
-    tee: ChannelTee,
-    /// First wire error, latched: the push path cannot surface errors
-    /// (it mirrors the infallible channel push), so the driver collects
-    /// it via [`take_error`](Self::take_error) after the run.
-    error: Option<SocketError>,
-}
-
-impl<W: WireStream> SocketSender<W> {
-    /// Wraps `sink` with a fresh encoder.
-    #[must_use]
-    pub fn new(sink: SocketSink<W>, config: FrameConfig) -> Self {
-        SocketSender {
-            encoder: FrameEncoder::new(config),
-            sink,
-            tee: ChannelTee::default(),
-            error: None,
-        }
-    }
-
-    /// Mirrors every subsequently shipped frame into `sink` — the
-    /// flight-recorder hook, identical to the live channel's.
-    pub fn tee_into(&mut self, sink: Box<dyn FrameSink + Send>) {
-        self.tee.install(sink);
-    }
-
-    /// Takes the tee sink back (for finishing), or reports the first
-    /// mirror error if the sink failed mid-run.
-    ///
-    /// # Errors
-    ///
-    /// The first error a mirror write hit.
-    pub fn take_tee(&mut self) -> Result<Option<Box<dyn FrameSink + Send>>, SinkError> {
-        self.tee.take()
-    }
-
-    /// See [`SocketSink::set_stall_timeout`].
-    pub fn set_stall_timeout(&mut self, timeout: Option<Duration>) {
-        self.sink.set_stall_timeout(timeout);
-    }
-
-    /// See [`SocketSink::stalled`].
-    #[must_use]
-    pub fn stalled(&self) -> bool {
-        self.sink.stalled()
-    }
-
-    /// See [`SocketSink::load_sample`].
-    #[must_use]
-    pub fn load_sample(&self) -> LoadSample {
-        self.sink.load_sample()
-    }
-
-    /// See [`SocketSink::poll_credits`]; a broken credit channel is
-    /// latched like a push-path error.
-    pub fn poll_credits(&mut self) {
-        if self.error.is_none() {
-            if let Err(e) = self.sink.poll_credits() {
-                self.error = Some(e);
-            }
-        }
-    }
-
-    /// Sets or clears the degraded-capture mark on subsequently sealed
-    /// frames; callers flush first so the mark is frame-accurate.
-    pub fn set_degraded(&mut self, on: bool) {
-        self.encoder.set_degraded(on);
-    }
-
-    /// Appends one record; when it completes a frame, ships the frame
-    /// over the wire under the credit window.
-    pub fn push(&mut self, record: &EventRecord) {
-        if let Some(frame) = self.encoder.push(record) {
-            self.ship(&frame);
-        }
-    }
-
-    /// Like [`push`](Self::push) with the epoch-end mark (see
-    /// [`crate::live::FrameSender::push_epoch`]).
-    pub fn push_epoch(&mut self, record: &EventRecord, end_epoch: bool) {
-        if let Some(frame) = self.encoder.push_epoch(record, end_epoch) {
-            self.ship(&frame);
-        }
-    }
-
-    /// Seals and ships the open partial frame — call at syscalls for
-    /// containment.
-    pub fn flush(&mut self) {
-        if let Some(frame) = self.encoder.flush() {
-            self.ship(&frame);
-        }
-    }
-
-    /// Producer-side statistics over shipped frames.
-    #[must_use]
-    pub fn stats(&self) -> ChannelStats {
-        self.sink.stats()
-    }
-
-    /// The first wire error the push path hit, if any.
-    pub fn take_error(&mut self) -> Option<SocketError> {
-        self.error.take()
-    }
-
-    fn ship(&mut self, frame: &Frame) {
-        let sealed = SealedFrame {
-            bytes: &frame.bytes,
-            records: frame.records,
-            sealed_at: 0,
-        };
-        self.tee.mirror(&sealed);
-        if self.error.is_some() {
-            return; // wire already torn; drop frames like a gone consumer
-        }
-        // The socket sink tracks payload bits itself only at frame
-        // granularity; fold the encoder's exact payload accounting in so
-        // `LogStats` compression ratios match the in-process channels.
-        if let Err(e) = self.sink.ship(&sealed) {
-            self.error = Some(e);
-            return;
-        }
-        self.sink.stats.payload_bits += frame.payload_bits;
-    }
-
-    /// Finishes the stream: flushes the partial frame, writes the End
-    /// record, and returns the final producer-side statistics.
-    ///
-    /// # Errors
-    ///
-    /// The first wire error the connection hit, including one latched by
-    /// an earlier push.
-    pub fn finish(mut self) -> Result<ChannelStats, SocketError> {
-        self.flush();
-        if let Some(e) = self.error.take() {
-            return Err(e);
-        }
-        self.sink
-            .finish_sink()
-            .map_err(|e| match e.downcast::<SocketError>() {
-                Ok(sock) => *sock,
-                Err(other) => SocketError::Io {
-                    endpoint: self.sink.endpoint.clone(),
-                    source: io::Error::other(other.to_string()),
-                },
-            })?;
-        Ok(self.sink.stats())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lba_compress::{FrameDecoder, CODEC_VERSION};
+    use crate::live::{FrameReceiver, RecvError};
+    use lba_compress::{FrameConfig, FrameDecoder, FrameEncoder, CODEC_VERSION};
+    use lba_record::EventRecord;
     use std::thread;
 
     fn record(i: u64) -> EventRecord {
         EventRecord::load(0x1000 + i * 8, 0, None, Some(1), 0x10_0000 + i * 8, 8)
     }
 
+    fn small_frames() -> FrameConfig {
+        FrameConfig {
+            records_per_frame: 4,
+            ..FrameConfig::default()
+        }
+    }
+
+    /// One frame record around `image`, claiming `records` records.
+    fn frame_record(records: u32, image: &[u8]) -> Vec<u8> {
+        let mut wire = FrameRecordHeader::new(0, records, image).encode().to_vec();
+        wire.extend_from_slice(image);
+        wire
+    }
+
+    /// A consumer over a connection spoken by hand: the hello for
+    /// `stream`, then `wire`, then EOF.
+    fn source_over(stream: u32, wire: &[u8]) -> SocketSource {
+        let (mut a, b) = UnixStream::pair().unwrap();
+        let hello = StreamHeader {
+            codec_version: CODEC_VERSION,
+            stream,
+            word: 4,
+        };
+        a.write_all(&hello.encode()).unwrap();
+        a.write_all(wire).unwrap();
+        drop(a);
+        SocketSource::accept(b).unwrap()
+    }
+
     #[test]
     fn frames_round_trip_bit_identically_over_the_wire() {
         let config = FrameConfig::default();
-        let (sink, mut source) = socket_pair(3, 8).unwrap();
+        let (sink, source) = socket_pair(3, 8).unwrap();
         assert_eq!(source.stream_id(), 3);
         assert_eq!(source.codec_version(), CODEC_VERSION);
         assert_eq!(source.window(), 8);
@@ -962,11 +725,12 @@ mod tests {
             }
         }
         let consumer = thread::spawn(move || {
+            let mut rx = FrameReceiver::new(source, 3, config);
             let mut frames = Vec::new();
-            while let Some(bytes) = source.next_frame_bytes().unwrap() {
+            while let Some(bytes) = rx.next_frame_bytes().unwrap() {
                 frames.push(bytes);
             }
-            (frames, source.stats())
+            (frames, rx.stats())
         });
         let stats = tx.finish().unwrap();
         if let Some(frame) = reference.flush() {
@@ -991,15 +755,11 @@ mod tests {
 
     #[test]
     fn credit_window_bounds_inflight_and_stall_latches_instead_of_hanging() {
-        let config = FrameConfig {
-            records_per_frame: 4,
-            ..FrameConfig::default()
-        };
-        let (mut sink, _source) = socket_pair(0, 2).unwrap();
-        sink.set_stall_timeout(Some(Duration::from_millis(50)));
-        let mut tx = SocketSender::new(sink, config);
+        let (sink, _source) = socket_pair(0, 2).unwrap();
+        let mut tx = SocketSender::new(sink, small_frames());
+        tx.set_stall_timeout(Some(Duration::from_millis(50)));
         // The consumer never drains, so never returns a credit: the first
-        // two frames ship on the window, the third must park and then
+        // two frames ship on the window, the third must wait and then
         // latch the stall instead of hanging.
         let start = Instant::now();
         for i in 0..64 {
@@ -1022,12 +782,8 @@ mod tests {
 
     #[test]
     fn consumer_disconnect_is_a_descriptive_error_not_a_hang() {
-        let config = FrameConfig {
-            records_per_frame: 4,
-            ..FrameConfig::default()
-        };
         let (sink, source) = socket_pair(0, 2).unwrap();
-        let mut tx = SocketSender::new(sink, config);
+        let mut tx = SocketSender::new(sink, small_frames());
         drop(source); // worker dies mid-run
         let start = Instant::now();
         for i in 0..64 {
@@ -1044,23 +800,34 @@ mod tests {
     }
 
     #[test]
-    fn torn_wire_surfaces_descriptively_and_salvages_the_complete_prefix() {
-        let config = FrameConfig {
-            records_per_frame: 4,
-            ..FrameConfig::default()
-        };
-        // Strict: the consumer reports the tear with the salvageable count.
+    fn dropped_sender_tears_instead_of_ending_cleanly() {
+        // Only `finish` writes the End record: a producer that dies
+        // unfinished leaves its consumer a tear, not a short clean stream.
         let (sink, mut source) = socket_pair(0, 16).unwrap();
-        let mut tx = SocketSender::new(sink, config);
+        let mut tx = SocketSender::new(sink, small_frames());
         for i in 0..12 {
             tx.push(&record(i)); // 3 complete frames
         }
+        drop(tx);
+        for _ in 0..3 {
+            assert!(source.next_frame_bytes().unwrap().is_some());
+        }
+        let err = source.next_frame_bytes().unwrap_err();
+        assert!(err.to_string().contains("tore mid-stream"), "got: {err}");
+    }
+
+    #[test]
+    fn torn_wire_surfaces_descriptively_after_the_complete_prefix() {
+        let mut encoder = FrameEncoder::new(small_frames());
+        let mut wire = Vec::new();
+        for i in 0..12 {
+            if let Some(frame) = encoder.push(&record(i)) {
+                wire.extend(frame_record(frame.records, &frame.bytes)); // 3 frames
+            }
+        }
         // Tear the wire mid-frame: a frame header with no payload behind it.
-        let mut half = [0u8; FRAME_HEADER_BYTES];
-        half[0] = TAG_FRAME;
-        half[13..17].copy_from_slice(&512u32.to_le_bytes());
-        tx.sink.write_wire(&half).unwrap();
-        drop(tx); // producer dies without the End record
+        wire.extend_from_slice(&FrameRecordHeader::new(0, 4, &[0u8; 512]).encode());
+        let mut source = source_over(0, &wire);
         for _ in 0..3 {
             assert!(source.next_frame_bytes().unwrap().is_some());
         }
@@ -1068,67 +835,138 @@ mod tests {
         let msg = err.to_string();
         assert!(
             msg.contains("after 3 complete frame(s)"),
-            "tear must name the salvageable prefix: {msg}"
+            "tear must name the complete prefix: {msg}"
         );
-
-        // Salvage: the same tear ends the stream cleanly after the prefix.
-        let (sink, mut source) = socket_pair(0, 16).unwrap();
-        source.set_salvage(true);
-        let mut tx = SocketSender::new(sink, config);
-        for i in 0..12 {
-            tx.push(&record(i));
-        }
-        let mut half = [0u8; FRAME_HEADER_BYTES];
-        half[0] = TAG_FRAME;
-        half[13..17].copy_from_slice(&512u32.to_le_bytes());
-        tx.sink.write_wire(&half).unwrap();
-        drop(tx);
-        let mut salvaged = 0;
-        while let Some(_bytes) = source.next_frame_bytes().unwrap() {
-            salvaged += 1;
-        }
-        assert_eq!(salvaged, 3, "every complete frame salvages");
-        let tail = source.torn_tail().expect("tear recorded");
-        assert!(matches!(tail, SocketError::Torn { frames: 3, .. }));
     }
 
     #[test]
     fn corrupt_payload_and_end_count_are_descriptive_errors() {
-        // Flip a payload byte on the wire by speaking the protocol by hand.
-        let (mut a, b) = UnixStream::pair().unwrap();
-        let consumer = thread::spawn(move || {
-            let mut source = SocketSource::accept(b).unwrap();
-            source.next_frame_bytes().unwrap_err().to_string()
-        });
-        let mut hello = [0u8; SOCKET_HELLO_BYTES];
-        hello[0..8].copy_from_slice(&IDENT);
-        hello[8..12].copy_from_slice(&CODEC_VERSION.to_le_bytes());
-        hello[16..20].copy_from_slice(&4u32.to_le_bytes());
-        a.write_all(&hello).unwrap();
+        // Flip the checksum of a payload on the wire by speaking the
+        // protocol by hand.
         let payload = vec![0xABu8; 64];
-        let mut header = [0u8; FRAME_HEADER_BYTES];
-        header[0] = TAG_FRAME;
-        header[9..13].copy_from_slice(&1u32.to_le_bytes());
-        header[13..17].copy_from_slice(&64u32.to_le_bytes());
-        header[17..21].copy_from_slice(&(payload_checksum(&payload) ^ 1).to_le_bytes());
-        a.write_all(&header).unwrap();
-        a.write_all(&payload).unwrap();
-        let msg = consumer.join().unwrap();
+        let mut header = FrameRecordHeader::new(0, 1, &payload);
+        header.checksum ^= 1;
+        let mut wire = header.encode().to_vec();
+        wire.extend_from_slice(&payload);
+        let msg = source_over(0, &wire)
+            .next_frame_bytes()
+            .unwrap_err()
+            .to_string();
         assert!(msg.contains("checksum mismatch"), "got: {msg}");
 
         // An End record whose count disagrees with the wire.
-        let (mut a, b) = UnixStream::pair().unwrap();
-        let consumer = thread::spawn(move || {
-            let mut source = SocketSource::accept(b).unwrap();
-            source.next_frame_bytes().unwrap_err().to_string()
-        });
-        a.write_all(&hello).unwrap();
-        let mut end = [0u8; 9];
-        end[0] = TAG_END;
-        end[1..9].copy_from_slice(&7u64.to_le_bytes());
-        a.write_all(&end).unwrap();
-        let msg = consumer.join().unwrap();
+        let msg = source_over(0, &end_record(7))
+            .next_frame_bytes()
+            .unwrap_err()
+            .to_string();
         assert!(msg.contains("End record says 7"), "got: {msg}");
+    }
+
+    #[test]
+    fn record_count_disagreeing_with_the_frame_image_is_corrupt() {
+        // Regression: the reader used to add the record header's count to
+        // its statistics unchecked. A header claiming a million records
+        // around a 10-record frame must be refused, not believed.
+        let mut encoder = FrameEncoder::new(FrameConfig::default());
+        for i in 0..10 {
+            assert!(encoder.push(&record(i)).is_none());
+        }
+        let frame = encoder.flush().expect("ten records pending");
+        let mut source = source_over(0, &frame_record(1_000_000, &frame.bytes));
+        let err = source.next_wire_frame().unwrap_err();
+        assert!(
+            matches!(&err, SocketError::Corrupt { frame: 0, .. }),
+            "got: {err}"
+        );
+        assert!(
+            err.to_string()
+                .contains("says 1000000 records, frame image says 10"),
+            "got: {err}"
+        );
+    }
+
+    #[test]
+    fn oversized_length_claim_tears_without_allocating_it() {
+        // Regression: a frame header claiming u32::MAX payload bytes used
+        // to allocate 4 GiB up front. With the allocation bounded by what
+        // arrives, the 45-byte connection below ends as a tear after zero
+        // frames.
+        let header = FrameRecordHeader {
+            timestamp: 0,
+            records: 1,
+            len: u32::MAX,
+            checksum: 0,
+        };
+        let mut source = source_over(0, &header.encode());
+        let err = source.next_wire_frame().unwrap_err();
+        assert!(
+            matches!(err, SocketError::Torn { frames: 0, .. }),
+            "got: {err}"
+        );
+    }
+
+    #[test]
+    fn a_stray_byte_on_the_credit_channel_is_an_error() {
+        // Regression: any byte used to count as a credit in release
+        // builds. A peer answering with something else is not speaking
+        // the protocol.
+        let (a, mut b) = UnixStream::pair().unwrap();
+        let sink = SocketSink::connect(a, 0, CODEC_VERSION, 4).unwrap();
+        let mut hello = [0u8; SOCKET_HELLO_BYTES];
+        b.read_exact(&mut hello).unwrap();
+        b.write_all(b"X").unwrap();
+        let mut tx = SocketSender::new(sink, small_frames());
+        for i in 0..8 {
+            tx.push(&record(i));
+        }
+        let err = tx.finish().unwrap_err();
+        assert!(matches!(err, SocketError::Corrupt { .. }), "got: {err}");
+        assert!(err.to_string().contains("not a credit"), "got: {err}");
+        drop(b);
+    }
+
+    #[test]
+    fn undecodable_frame_is_an_error_naming_stream_and_frame() {
+        // A frame that crosses the wire intact — valid checksum, record
+        // header agreeing with the image — but whose image claims more
+        // records than its payload holds. The receiver over a socket must
+        // report it, not panic.
+        let mut encoder = FrameEncoder::new(small_frames());
+        let mut wire = Vec::new();
+        for i in 0..4 {
+            if let Some(frame) = encoder.push(&record(i)) {
+                wire.extend(frame_record(frame.records, &frame.bytes));
+            }
+        }
+        let mut image = vec![0u8; 64];
+        image[0..4].copy_from_slice(&1000u32.to_le_bytes()); // 1000 records...
+        image[4..8].copy_from_slice(&8u32.to_le_bytes()); // ...in 8 payload bytes
+        wire.extend(frame_record(1000, &image));
+        let mut rx = FrameReceiver::new(source_over(5, &wire), 5, small_frames());
+        assert_eq!(
+            rx.recv_batch()
+                .unwrap()
+                .expect("a good frame")
+                .records
+                .len(),
+            4
+        );
+        let err = rx.recv_batch().unwrap_err();
+        assert!(
+            matches!(
+                err,
+                RecvError::Decode {
+                    stream: 5,
+                    frame: 1,
+                    ..
+                }
+            ),
+            "got: {err}"
+        );
+        assert!(
+            err.to_string().contains("frame 1 of stream 5"),
+            "got: {err}"
+        );
     }
 
     #[test]
@@ -1152,12 +990,8 @@ mod tests {
 
     #[test]
     fn credits_refresh_the_load_sample_as_the_consumer_drains() {
-        let config = FrameConfig {
-            records_per_frame: 4,
-            ..FrameConfig::default()
-        };
         let (sink, mut source) = socket_pair(0, 4).unwrap();
-        let mut tx = SocketSender::new(sink, config);
+        let mut tx = SocketSender::new(sink, small_frames());
         for i in 0..8 {
             tx.push(&record(i)); // 2 frames, window 4
         }

@@ -59,20 +59,21 @@
 //!                 │  lifeguard, byte-identical  │
 //!                 │  (LogConfig::record_to)     │
 //!                 ├─────────────────────────────┤
-//!                 │  socket transport (lbas/1   │
-//!                 │  frames over UDS, TCP-ready)│
-//!                 │  SocketSink ⇄ SocketSource: │
-//!                 │  an explicit credit window  │
-//!                 │  (one credit per drained    │
-//!                 │  frame, sized like the live │
-//!                 │  channel depth) carries the │
-//!                 │  buffer_bytes back-pressure │
-//!                 │  + LoadSample degradation   │
-//!                 │  loop across the wire;      │
-//!                 │  run_remote puts one shard's│
-//!                 │  lifeguard behind each      │
-//!                 │  socket (lba-transport::    │
-//!                 │  socket)                    │
+//!                 │  socket wire (lbas/1 records│
+//!                 │  over UDS, TCP-ready): the  │
+//!                 │  live FrameSender/Receiver  │
+//!                 │  over SocketSink ⇄ Socket-  │
+//!                 │  Source instead of the SPSC │
+//!                 │  queue; an explicit credit  │
+//!                 │  window (one credit per     │
+//!                 │  drained frame, sized like  │
+//!                 │  the queue depth) carries   │
+//!                 │  the buffer_bytes back-     │
+//!                 │  pressure + LoadSample loop │
+//!                 │  across it; run_remote is   │
+//!                 │  run_live_parallel with one │
+//!                 │  socket per shard (lba-     │
+//!                 │  transport::socket)         │
 //!                 └─────────────────────────────┘
 //!         consumption is frame-at-a-time in every
 //!         mode: one ready_at stamp, one HandlerCtx
@@ -94,12 +95,12 @@
 //! | `lba-cache`      | set-associative caches and the two-core memory system |
 //! | `lba-record`     | the typed event-record vocabulary the log carries (incl. `Repeat` fold summaries) + the segmented `lbas/1` flight-recorder stream format (rotation, retention, End records) |
 //! | `lba-compress`   | value-prediction log compression + chunked frame codec (< 1 byte/instr on the wire), `CODEC_VERSION` stamped into recordings |
-//! | `lba-transport`  | `LogChannel` trait over the framed buffer timing model + live cross-thread frame channel, both consumed a frame at a time (`pop_frame` / `recv_batch`), `shard_of` routing and per-shard channel fan-out, `EpochRouter` time-slicing with epoch-end marks in the frame header; `FrameSink`/`FrameSource` seam with tee mirroring into recordings; the `socket` module speaking `lbas/1` over Unix-domain sockets (TCP-ready via `WireStream`) with an explicit credit window so back-pressure survives the wire; the producer-visible `LoadSample` occupancy signal (the feedback arrow above) and the seeded `FaultInjector`/`FaultSink` fault-injection wrappers |
+//! | `lba-transport`  | `LogChannel` trait over the framed buffer timing model; the live transport — one `FrameSender` (encoder, recording tee, marks, stall latch, stats) and one `FrameReceiver` (decoder, drain drag) over two wires, the in-process SPSC queue or the `socket` module's `lbas/1` records over Unix-domain sockets (TCP-ready via `WireStream`) with an explicit credit window so back-pressure survives the wire; both consumed a frame at a time (`pop_frame` / `recv_batch`); `shard_of` routing and per-shard channel fan-out, `EpochRouter` time-slicing with epoch-end marks in the frame header; `FrameSink`/`FrameSource` seam with tee mirroring into recordings; the producer-visible `LoadSample` occupancy signal (the feedback arrow above) and the `FaultInjector`/drain-drag slow-consumer injection |
 //! | `lba-lifeguard`  | dispatch engine (`deliver_batch` for the log, per-record `deliver` for DBI), capture filters (`AddrRangeFilter` + per-contract idempotency window in one `CaptureFilter` pass), findings, flat paged shadow memory, the `EpochSummary`/`EpochSummarizer`/`EpochLifeguard` trait triple behind the epoch-parallel modes, and the `DegradationPolicy`/`RegionClassifier` graceful-degradation contracts |
 //! | `lba-lifeguards` | the paper's four lifeguards + `TaintCheck`'s symbolic epoch summaries (`taint_summary`); each declares its degradation tolerance next to its idempotency story |
 //! | `lba-dbi`        | Valgrind-style inline instrumentation baseline        |
 //! | `lba-workloads`  | deterministic benchmark programs                      |
-//! | `lba-core`       | ties it together: the staged capture pipeline (`pipeline::Producer` over a `pipeline::ConsumerTopology`), the run-mode/monitor registry (`pipeline::RUN_MODES` / `pipeline::MONITORS`), the unified `Run` builder dispatching every mode through its `RUN_MODES` row behind one validated entry point (the `run_*` functions are the per-mode implementations), the `LbaError` hierarchy folding every layer's failures, experiments, the shared `PipelineReport` core every report derefs to, and the adaptive `CaptureController` closing the back-pressure feedback loop |
+//! | `lba-core`       | ties it together: the staged capture pipeline (`pipeline::Producer` driving each mode's `pipeline::ProducerLink`), the run-mode/monitor registry (`pipeline::RUN_MODES` / `pipeline::MONITORS`), the unified `Run` builder dispatching every mode through its `RUN_MODES` row behind one validated entry point (the `run_*` functions are the per-mode implementations), the `LbaError` hierarchy folding every layer's failures, experiments, the shared `PipelineReport` core every report derefs to, and the adaptive `CaptureController` closing the back-pressure feedback loop |
 //! | `lba-bench`      | table rendering, Criterion benches, `figures` binary  |
 //!
 //! ## Execution models
@@ -124,12 +125,13 @@
 //!   route to the shard owning their cache line, every shard is its own
 //!   compressed frame stream with its own predictor bank, and N consumer
 //!   threads decode and dispatch concurrently;
-//! * [`run_remote`] — the networked twin of the sharded live mode: each
-//!   shard's sealed frames cross a real Unix-domain socket (`lbas/1`
-//!   framing, TCP-ready) to a worker owning a full decoder + dispatch +
-//!   lifeguard stack, with an explicit credit window carrying the
-//!   back-pressure and adaptive-degradation semantics across the wire;
-//!   per-shard wire streams and merged findings are byte-identical to
+//! * [`run_remote`] — [`run_live_parallel`] over sockets: the same
+//!   runner, frame sender and receiver, with each shard's queue replaced
+//!   by a real Unix-domain socket (`lbas/1` framing, TCP-ready) to a
+//!   worker owning a full decoder + dispatch + lifeguard stack, and an
+//!   explicit credit window carrying the back-pressure and
+//!   adaptive-degradation semantics across the wire; per-shard wire
+//!   streams and merged findings are byte-identical to
 //!   [`run_live_parallel`]'s;
 //! * [`run_epoch_parallel`] — the epoch-parallel mode for
 //!   *order-sensitive* lifeguards that sharding cannot split: the stream
@@ -155,9 +157,9 @@
 //! adaptive [`CaptureController`] verdicts → recording tee → epoch
 //! marking → channel push, with degradation ledgering and syscall-flush
 //! containment written exactly once in `lba-core/src/pipeline.rs`)
-//! composed with one of four [`ConsumerTopology`]
-//! shapes — single consumer, sharded-by-cache-line, epoch-routed
-//! fan-out/stitch, or replay source — instantiated over either the
+//! driving the mode's [`ProducerLink`] into one of four
+//! [`TopologyKind`] shapes — single consumer, sharded-by-cache-line,
+//! epoch-routed fan-out/stitch, or replay source — over either the
 //! modeled or the live transport. The [`MONITORS`]
 //! and [`RUN_MODES`] registries enumerate the
 //! lifeguards and modes once; the benchmark matrix, the experiment
@@ -169,9 +171,9 @@
 //! strictly within each lifeguard's declared [`DegradationPolicy`] —
 //! and snapping back to full fidelity on any finding or syscall. Every
 //! degraded span is accounted in the report's [`DegradationStats`] and
-//! marked on the wire, so replays see it too. The seeded
+//! marked on the wire, so replays see it too. The deterministic
 //! [`FaultProfile`] injectors ([`LogConfig::fault`]) exist to prove all
-//! of this deterministically in `tests/degradation.rs`.
+//! of this in `tests/degradation.rs`.
 //!
 //! The [`experiment`] module regenerates every table and figure in the paper
 //! (`cargo run --release -p lba-bench --bin figures`), and the [`parallel`]
@@ -219,7 +221,7 @@ pub use lba_core::{
 // hierarchy every layer's failures convert into.
 pub use lba_core::{LbaError, MonitorChoice, Run, RunMode, RunOutcome};
 // The per-mode implementations the builder dispatches to, the staged
-// capture pipeline they compose (`Producer` over a `ConsumerTopology`),
+// capture pipeline they compose (a `Producer` driving a `ProducerLink`),
 // and the run-mode/monitor registry: MONITORS/RUN_MODES are the single
 // source the builder, the benchmarks and the equivalence suites derive
 // their enumerations from.
@@ -228,13 +230,12 @@ pub use lba_core::{
     run_remote, run_replay, run_replay_epoch, run_replay_with, run_unmonitored,
 };
 pub use lba_core::{
-    ConsumerTopology, EpochRouted, Execution, MonitorSpec, Producer, ProducerFinish, ProducerLink,
-    ReplaySource, Route, RunModeSpec, ShardedByLine, SingleConsumer, TopologyKind, MONITORS,
+    MonitorSpec, Producer, ProducerFinish, ProducerLink, RunModeSpec, TopologyKind, MONITORS,
     RUN_MODES,
 };
 // Adaptive capture under back-pressure: the controller and its knobs, the
 // per-lifeguard degradation contracts, the transport load signal, the
-// seeded fault injector that drives the acceptance tests, and the replay
+// deterministic fault injector that drives the acceptance tests, and the replay
 // salvage mode for torn recordings.
 pub use lba_core::{
     AdaptiveConfig, CaptureController, DegradationPolicy, DegradationRequest, DegradationStats,
@@ -263,11 +264,7 @@ mod facade_smoke {
         assert_eq!(crate::RUN_MODES.len(), 9);
         let _monitor: &crate::MonitorSpec = &crate::MONITORS[0];
         let _mode: &crate::RunModeSpec = &crate::RUN_MODES[0];
-        let _exec: crate::Execution = crate::RUN_MODES[0].execution;
         let _topo: crate::TopologyKind = crate::RUN_MODES[0].topology;
-        let _route: crate::Route = crate::Route::Single;
-        let _single: crate::SingleConsumer = crate::SingleConsumer;
-        let _sharded: crate::ShardedByLine = crate::ShardedByLine::new(2);
         let _producer: crate::Producer = crate::Producer::passthrough();
 
         let config = crate::SystemConfig::default();

@@ -30,10 +30,10 @@ fn aggressive() -> AdaptiveConfig {
     }
 }
 
-fn degraded_config(seed: u64) -> SystemConfig {
+fn degraded_config() -> SystemConfig {
     let mut config = SystemConfig::default();
     config.log.adaptive = Some(aggressive());
-    config.log.fault = Some(FaultProfile::slow_drain(seed));
+    config.log.fault = Some(FaultProfile::slow_drain());
     // A small buffer makes back-pressure real: the modeled channel only
     // drains under pressure, so occupancy genuinely climbs past the
     // engage threshold (and the injected stalls keep it there).
@@ -97,7 +97,7 @@ fn controller_off_runs_lose_nothing_under_injected_faults() {
     let mut lg = AddrCheck::new();
     let clean = run_lba(&program, &mut lg, &SystemConfig::default()).unwrap();
     let mut config = SystemConfig::default();
-    config.log.fault = Some(FaultProfile::slow_drain(7));
+    config.log.fault = Some(FaultProfile::slow_drain());
     let mut lg = AddrCheck::new();
     let faulted = run_lba(&program, &mut lg, &config).unwrap();
     assert_eq!(faulted.findings, clean.findings);
@@ -115,7 +115,7 @@ fn controller_engages_under_slow_drain_and_findings_are_identical() {
     let program = Benchmark::Gzip.build();
     let mut lg = AddrCheck::new();
     let clean = run_lba(&program, &mut lg, &SystemConfig::default()).unwrap();
-    let config = degraded_config(42);
+    let config = degraded_config();
     let mut lg = AddrCheck::new();
     let degraded = run_lba(&program, &mut lg, &config).unwrap();
     assert!(
@@ -147,7 +147,7 @@ fn memprofile_sampling_is_fully_accounted() {
     // MemProfile samples unconditionally (AlwaysSettled) and drops every
     // profile-irrelevant kind, so it exercises both ledgers at once.
     let program = Benchmark::Gzip.build();
-    let config = degraded_config(9);
+    let config = degraded_config();
     let mut lg = MemProfile::new();
     let degraded = run_lba(&program, &mut lg, &config).unwrap();
     assert!(!degraded.degradation.is_empty());
@@ -165,7 +165,7 @@ fn taintcheck_is_provably_untouched() {
     let program = bugs::exploit();
     let mut lg = TaintCheck::new();
     let clean = run_lba(&program, &mut lg, &SystemConfig::default()).unwrap();
-    let config = degraded_config(42);
+    let config = degraded_config();
     let mut lg = TaintCheck::new();
     let faulted = run_lba(&program, &mut lg, &config).unwrap();
     assert!(faulted.degradation.is_empty());
@@ -182,7 +182,7 @@ fn live_mode_engages_and_findings_are_identical() {
     let program = Benchmark::Gzip.build();
     let mut lg = AddrCheck::new();
     let clean = run_live(&program, &mut lg, &SystemConfig::default()).unwrap();
-    let mut config = degraded_config(42);
+    let mut config = degraded_config();
     config.log.buffer_bytes = 64;
     config.log.fault = Some(FaultProfile {
         drain_drag: 20_000,
@@ -261,7 +261,6 @@ proptest! {
         program_idx in 0usize..3,
         kind_idx in 0usize..3,
         mode_idx in 0usize..4,
-        seed in 1u64..1_000,
     ) {
         let program = match program_idx {
             0 => bugs::memory_bugs(),
@@ -269,7 +268,7 @@ proptest! {
             _ => bugs::exploit(),
         };
         let clean_config = SystemConfig::default();
-        let degraded_config = degraded_config(seed);
+        let degraded_config = degraded_config();
         let (clean_findings, degraded_findings, stats) = match mode_idx {
             0 => {
                 let mut lg = make_kind(kind_idx);

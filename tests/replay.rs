@@ -379,7 +379,7 @@ fn degraded_spans_ride_the_recording_into_replay() {
         sample_stride: 16,
         ..AdaptiveConfig::default()
     });
-    config.log.fault = Some(FaultProfile::slow_drain(42));
+    config.log.fault = Some(FaultProfile::slow_drain());
     config.log.buffer_bytes = 2 << 10;
     let kind = LifeguardKind::AddrCheck;
     let mut lg = kind.make_lba();
