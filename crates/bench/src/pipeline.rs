@@ -15,7 +15,7 @@ use std::time::Instant;
 
 use lba::{
     run_epoch_parallel, run_lba, run_live, run_live_epoch_parallel, run_live_parallel, run_remote,
-    run_replay, AdaptiveConfig, FaultProfile, RecordConfig, SystemConfig,
+    run_replay, AdaptiveConfig, FaultProfile, LbaError, LiveReport, RecordConfig, SystemConfig,
 };
 use lba_cache::{MemSystem, MemSystemConfig};
 use lba_cpu::Machine;
@@ -148,8 +148,7 @@ pub fn measure_pipeline(samples: usize) -> Vec<PipelineRow> {
         rows.push(measure_mode("lba", name, &make, &cfg, &program, samples));
         rows.push(measure_mode("live", name, &make, &cfg, &program, samples));
     }
-    rows.extend(measure_live_parallel(samples));
-    rows.extend(measure_remote(samples));
+    rows.extend(measure_sharded_live(samples));
     rows.extend(measure_taint_parallel(samples));
     rows.extend(measure_idempotent(samples));
     rows.extend(measure_replay(samples));
@@ -457,76 +456,53 @@ pub fn measure_idempotent(samples: usize) -> Vec<PipelineRow> {
     rows
 }
 
-/// The live-parallel series: events/sec through `run_live_parallel` on
-/// gzip for every supported lifeguard at each shard count. Events are
-/// *retired records* — the same work whatever the shard count — so the
-/// rate is comparable across shard counts and with the unsharded live
-/// series. (Broadcast records are shipped once per shard, but that is
-/// transport duplication, not new events; counting it would manufacture
-/// phantom speedup from duplicated work.)
+/// The two sharded live series, events/sec on gzip for every supported
+/// lifeguard at each shard count: `live-parallel` (`run_live_parallel`),
+/// then `remote` (`run_remote`, the same runner over Unix-domain sockets).
+/// Events are *retired records*, the same work whatever the shard count,
+/// so rates compare across shard counts and with the unsharded live
+/// series; broadcast records shipped once per shard are transport
+/// duplication, and counting them would manufacture phantom speedup. The
+/// trajectory gate asserts each remote row's wire bits byte-identical to
+/// the matching live-parallel row: the socket moves the exact same stream.
 #[must_use]
-pub fn measure_live_parallel(samples: usize) -> Vec<PipelineRow> {
+pub fn measure_sharded_live(samples: usize) -> Vec<PipelineRow> {
+    type Runner = fn(
+        &lba_isa::Program,
+        LifeguardFactory,
+        usize,
+        &SystemConfig,
+    ) -> Result<LiveReport, LbaError>;
+    let runners: [(&str, Runner); 2] = [
+        ("live-parallel", |p, make, n, cfg| {
+            run_live_parallel(p, make, n, cfg)
+        }),
+        ("remote", |p, make, n, cfg| run_remote(p, make, n, cfg)),
+    ];
     let program = Benchmark::Gzip.build();
     let cfg = SystemConfig::default();
     let mut rows = Vec::new();
-    for (name, make) in sharded_lifeguards() {
-        for shards in SHARD_COUNTS {
-            let (records, wire_bits, wall) = best_of(samples, || {
-                let report =
-                    run_live_parallel(&program, make, shards, &cfg).expect("gzip runs clean");
-                (report.trace.instructions(), report.log.wire_bits)
-            });
-            rows.push(PipelineRow {
-                mode: "live-parallel",
-                lifeguard: name,
-                benchmark: "gzip",
-                shards,
-                window: 0,
-                records,
-                wire_bits,
-                wall_seconds: wall,
-                events_per_sec: records as f64 / wall,
-                modeled_cycles: 0,
-                sampled_out_fraction: 0.0,
-            });
-        }
-    }
-    rows
-}
-
-/// The remote series: events/sec through `run_remote` on gzip for every
-/// supported lifeguard at each worker count — the same sharded pipeline
-/// as `live-parallel`, with each shard's frames crossing a real
-/// Unix-domain socket under the credit window instead of an in-process
-/// queue. The events/sec convention matches `measure_live_parallel`
-/// (retired records, comparable across counts), and the trajectory gate
-/// asserts the wire bits byte-identical to the matching live-parallel
-/// row: the socket must move the exact same stream, paying only wall
-/// clock for the kernel round-trips.
-#[must_use]
-pub fn measure_remote(samples: usize) -> Vec<PipelineRow> {
-    let program = Benchmark::Gzip.build();
-    let cfg = SystemConfig::default();
-    let mut rows = Vec::new();
-    for (name, make) in sharded_lifeguards() {
-        for workers in SHARD_COUNTS {
-            let (records, wire_bits, wall) = best_of(samples, || {
-                let report = run_remote(&program, make, workers, &cfg).expect("gzip runs clean");
-                (report.trace.instructions(), report.log.wire_bits)
-            });
-            rows.push(PipelineRow {
-                mode: "remote",
-                lifeguard: name,
-                benchmark: "gzip",
-                shards: workers,
-                window: 0,
-                records,
-                wire_bits,
-                wall_seconds: wall,
-                events_per_sec: records as f64 / wall,
-                modeled_cycles: 0,
-                sampled_out_fraction: 0.0,
-            });
+    for (mode, run) in runners {
+        for (name, make) in sharded_lifeguards() {
+            for shards in SHARD_COUNTS {
+                let (records, wire_bits, wall) = best_of(samples, || {
+                    let report = run(&program, make, shards, &cfg).expect("gzip runs clean");
+                    (report.trace.instructions(), report.log.wire_bits)
+                });
+                rows.push(PipelineRow {
+                    mode,
+                    lifeguard: name,
+                    benchmark: "gzip",
+                    shards,
+                    window: 0,
+                    records,
+                    wire_bits,
+                    wall_seconds: wall,
+                    events_per_sec: records as f64 / wall,
+                    modeled_cycles: 0,
+                    sampled_out_fraction: 0.0,
+                });
+            }
         }
     }
     rows

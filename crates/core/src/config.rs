@@ -80,15 +80,13 @@ pub struct LogConfig {
     /// the 8-byte header and cache-line padding over more records; smaller
     /// frames bound the lifeguard's lag more tightly.
     pub records_per_frame: usize,
-    /// Shared-L2 occupancy cycles charged per 64-byte line of log data
-    /// moved (written by the capture engine, read by the dispatch engine).
-    pub line_transfer_cycles: u64,
     /// Whether the OS stalls each application syscall until the lifeguard
     /// drains the preceding log entries (§2 containment policy).
     pub syscall_stall: bool,
     /// Whether the application and lifeguard cores run decoupled. When
     /// `false` the application waits for the lifeguard after *every*
-    /// record (the lock-step ablation).
+    /// record (the lock-step ablation). Only the co-simulation models the
+    /// ablation; the live modes always run decoupled.
     pub decoupled: bool,
     /// Optional capture-side address-range filter (§3 future work).
     pub filter: Option<AddrRangeFilter>,
@@ -133,11 +131,11 @@ pub struct LogConfig {
     /// policy is [`DegradationPolicy::none`](lba_lifeguard::DegradationPolicy::none).
     pub adaptive: Option<AdaptiveConfig>,
     /// When set, the run's consumers drain slowly on purpose: the modeled
-    /// transport is wrapped in a deterministic
-    /// [`FaultInjector`](lba_transport::FaultInjector) reproducing this
-    /// profile's consumer stalls, and the live receivers drag per frame.
-    /// `None` (the default) injects nothing and adds no wrapper overhead
-    /// beyond a pass-through branch.
+    /// channels refuse pops on this profile's deterministic stall schedule
+    /// ([`ModeledFrameChannel::set_fault`](lba_transport::ModeledFrameChannel::set_fault)),
+    /// and the live receivers drag per frame
+    /// ([`FrameReceiver::set_drag`](lba_transport::live::FrameReceiver::set_drag)).
+    /// `None` (the default) injects nothing.
     pub fault: Option<FaultProfile>,
     /// How long the live producer may wait on a full queue or an
     /// exhausted credit window before it latches a stall and the run
@@ -172,8 +170,9 @@ impl LogConfig {
     /// astronomical `buffer_bytes` must not translate into an
     /// astronomical allocation.
     ///
-    /// Shared by `run_live` (one channel) and `run_live_parallel` (one
-    /// channel per shard), so shrinking `buffer_bytes` tightens live
+    /// Every live mode sizes each shard's wire with it — the queue depth
+    /// of `run_live` (one shard) and `run_live_parallel`, and the credit
+    /// window of `run_remote` — so shrinking `buffer_bytes` tightens live
     /// back-pressure the same way it does in the co-simulation.
     #[must_use]
     pub fn live_channel_frames(&self) -> usize {
@@ -181,15 +180,6 @@ impl LogConfig {
         usize::try_from(self.buffer_bytes / frame_bytes)
             .unwrap_or(usize::MAX)
             .clamp(1, MAX_LIVE_CHANNEL_FRAMES)
-    }
-
-    /// The single capture-pass predicate for the single-lifeguard modes:
-    /// the address-range filter composed with the idempotency window
-    /// under the lifeguard's declared `class`. `run_lba` and `run_live`
-    /// build their filter here so the two cannot drift.
-    #[must_use]
-    pub fn capture_filter(&self, class: IdempotencyClass) -> CaptureFilter {
-        CaptureFilter::new(self.filter.clone(), self.idempotency_window, class)
     }
 
     /// The reserve capacity the capture filter's window may widen to
@@ -203,10 +193,11 @@ impl LogConfig {
         }
     }
 
-    /// [`capture_filter`](Self::capture_filter) with the widen reserve
-    /// the adaptive controller needs for this lifeguard's degradation
-    /// policy. Degenerates to the plain filter whenever `adaptive` is
-    /// unset or the policy forbids widening.
+    /// The capture pass of the single-lifeguard modes (`run_lba` and
+    /// `run_live` build it here, so the two cannot drift): the address-range
+    /// filter and the idempotency window under the lifeguard's `class`,
+    /// with the widen reserve the adaptive controller needs for its
+    /// `policy` (none when `adaptive` is unset or the policy forbids it).
     #[must_use]
     pub fn adaptive_capture_filter(
         &self,
@@ -221,8 +212,12 @@ impl LogConfig {
         )
     }
 
-    /// [`shard_capture_filter`](Self::shard_capture_filter) with the
-    /// widen reserve for the sharded modes.
+    /// The capture filter for the sharded modes, which mirror the modeled
+    /// parallel study and deliberately ignore the address-range filter
+    /// (see `run_lba_parallel`) but do run the idempotency window — the
+    /// suppression happens before routing, so both sharded modes ship
+    /// identical per-shard streams. The widen reserve is
+    /// [`adaptive_capture_filter`](Self::adaptive_capture_filter)'s.
     #[must_use]
     pub fn adaptive_shard_capture_filter(
         &self,
@@ -235,16 +230,6 @@ impl LogConfig {
             self.widen_entries(policy),
             class,
         )
-    }
-
-    /// The capture filter for the sharded modes, which mirror the modeled
-    /// parallel study and deliberately ignore the address-range filter
-    /// (see `run_lba_parallel`) but do run the idempotency window — the
-    /// suppression happens before routing, so both sharded modes ship
-    /// identical per-shard streams.
-    #[must_use]
-    pub fn shard_capture_filter(&self, class: IdempotencyClass) -> CaptureFilter {
-        CaptureFilter::new(None, self.idempotency_window, class)
     }
 
     /// Validates the transport-related fields, returning a descriptive
@@ -268,7 +253,6 @@ impl Default for LogConfig {
             buffer_bytes: 64 << 10,
             compression: true,
             records_per_frame: 256,
-            line_transfer_cycles: 4,
             syscall_stall: true,
             decoupled: true,
             filter: None,

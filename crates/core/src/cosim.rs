@@ -7,7 +7,7 @@ use lba_cpu::{Machine, RunError, StepOutcome};
 use lba_isa::Program;
 use lba_lifeguard::{DegradationRequest, DispatchEngine, Finding, Lifeguard};
 use lba_record::EventRecord;
-use lba_transport::{FaultInjector, LoadSample, LogChannel, ModeledFrameChannel, PushOutcome};
+use lba_transport::{LoadSample, LogChannel, ModeledFrameChannel, PushOutcome};
 
 use crate::config::SystemConfig;
 use crate::pipeline::{Producer, ProducerLink};
@@ -19,6 +19,10 @@ const LG_CORE: usize = 1;
 
 /// Bits per transferred cache line of log data.
 const LINE_BITS: u64 = FRAME_LINE_BYTES as u64 * 8;
+
+/// Shared-L2 occupancy cycles charged per line of log data moved
+/// (written by the capture engine, read by the dispatch engine).
+const LINE_TRANSFER_CYCLES: u64 = 4;
 
 /// Generic over the channel so the hot loop devirtualises: `run_lba`
 /// instantiates it with [`ModeledFrameChannel`] and the codec inlines into
@@ -34,7 +38,6 @@ struct Cosim<'a, C: LogChannel> {
     t_app: u64,
     /// Lifeguard-core clock (cycles).
     t_lg: u64,
-    line_transfer_cycles: u64,
     stalls: StallBreakdown,
     /// The latest analysis-side degradation request polled off the
     /// lifeguard after a delivery, awaiting pickup by the producer.
@@ -46,7 +49,7 @@ impl<C: LogChannel> Cosim<'_, C> {
     /// written line by line by the capture engine, later read by dispatch.
     /// Returns the cycles charged to each clock.
     fn charge_lines(&mut self, wire_bits: u64) -> u64 {
-        let cycles = (wire_bits / LINE_BITS) * self.line_transfer_cycles;
+        let cycles = (wire_bits / LINE_BITS) * LINE_TRANSFER_CYCLES;
         self.t_app += cycles;
         self.t_lg += cycles;
         cycles
@@ -209,7 +212,7 @@ impl<C: LogChannel> ProducerLink for Cosim<'_, C> {
 /// `tests/batching.rs` proptest against `DispatchEngine::deliver`).
 ///
 /// Capture runs one filter pass per retired record
-/// ([`LogConfig::capture_filter`](crate::LogConfig::capture_filter)): the
+/// ([`LogConfig::adaptive_capture_filter`](crate::LogConfig::adaptive_capture_filter)): the
 /// optional address-range filter composed with the idempotency window,
 /// which drops duplicate load/stores the lifeguard's declared contract
 /// (`Lifeguard::idempotency`) proves re-derive an already-reached
@@ -258,10 +261,9 @@ pub fn run_lba(
     if let Some(record) = &config.log.record_to {
         channel.tee_into(crate::recorder::open_sink(record, 0)?);
     }
-    // The transport always runs behind the fault injector; the default
-    // profile is quiet (pure delegation), so an uninjected run pays one
-    // pass-through branch per pop and nothing else.
-    let channel = FaultInjector::new(channel, config.log.fault.unwrap_or_default());
+    if let Some(fault) = config.log.fault {
+        channel.set_fault(fault);
+    }
     let mut sim = Cosim {
         mem: MemSystem::new(config.mem_dual()),
         channel,
@@ -270,7 +272,6 @@ pub fn run_lba(
         findings: Vec::new(),
         t_app: 0,
         t_lg: 0,
-        line_transfer_cycles: config.log.line_transfer_cycles,
         stalls: StallBreakdown::default(),
         pending_request: None,
     };
@@ -302,7 +303,7 @@ pub fn run_lba(
 
     // Close the flight recording (End record + flush) and surface any
     // mirror error the channel latched mid-run.
-    crate::recorder::finish_tee(sim.channel.inner_mut().take_tee())?;
+    crate::recorder::finish_tee(sim.channel.take_tee())?;
 
     let stats = sim.channel.stats();
     Ok(RunReport {
@@ -313,7 +314,7 @@ pub fn run_lba(
         lifeguard_cycles: sim.t_lg,
         pipeline: PipelineReport {
             findings: sim.findings,
-            log: LogStats::from_channel(stats, finish.capture, finish.trace.instructions()),
+            log: LogStats::from_channels(&[stats], finish.capture, finish.trace.instructions()),
             capture: finish.capture,
             degradation: finish.degradation,
         },
@@ -482,8 +483,11 @@ mod tests {
         let err = run_lba(&program, &mut lg, &config).unwrap_err();
         assert_eq!(err, RunError::ZeroRecordsPerFrame);
         let mut lg = AddrCheck::new();
-        let err = crate::live::run_live(&program, &mut lg, &config).unwrap_err();
-        assert_eq!(err, RunError::ZeroRecordsPerFrame);
+        let err = crate::run_live(&program, &mut lg, &config).unwrap_err();
+        assert!(
+            matches!(err, crate::LbaError::Run(RunError::ZeroRecordsPerFrame)),
+            "got: {err}"
+        );
     }
 
     #[test]

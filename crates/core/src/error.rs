@@ -37,6 +37,14 @@ pub enum LbaError {
     Stream(StreamError),
     /// The socket transport failed (torn wire, protocol violation).
     Socket(SocketError),
+    /// A thread of a live run panicked (a lifeguard bug on a consumer, or
+    /// a bug on the producer); the run's other threads still ended.
+    Panicked {
+        /// The producer thread, or a shard's consumer and its lifeguard.
+        thread: String,
+        /// The panic message.
+        message: String,
+    },
     /// The requested mode/monitor combination is outside the registry's
     /// declared capabilities (e.g. sharding TaintCheck, whose register
     /// state is a sequential dependence chain).
@@ -61,6 +69,7 @@ impl fmt::Display for LbaError {
             LbaError::Replay(e) => write!(f, "{e}"),
             LbaError::Stream(e) => write!(f, "{e}"),
             LbaError::Socket(e) => write!(f, "{e}"),
+            LbaError::Panicked { thread, message } => write!(f, "{thread} panicked: {message}"),
             LbaError::Unsupported { mode, monitor } => write!(
                 f,
                 "run mode `{mode}` does not support monitor `{monitor}` \
@@ -80,7 +89,9 @@ impl std::error::Error for LbaError {
             LbaError::Replay(e) => Some(e),
             LbaError::Stream(e) => Some(e),
             LbaError::Socket(e) => Some(e),
-            LbaError::Unsupported { .. } | LbaError::InvalidRequest { .. } => None,
+            LbaError::Panicked { .. }
+            | LbaError::Unsupported { .. }
+            | LbaError::InvalidRequest { .. } => None,
         }
     }
 }

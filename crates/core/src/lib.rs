@@ -55,7 +55,6 @@ pub mod epoch_parallel;
 mod error;
 pub mod experiment;
 mod kind;
-mod live;
 pub mod live_parallel;
 pub mod parallel;
 pub mod pipeline;
@@ -76,8 +75,7 @@ pub use epoch_parallel::{
 };
 pub use error::LbaError;
 pub use kind::LifeguardKind;
-pub use live::run_live;
-pub use live_parallel::run_live_parallel;
+pub use live_parallel::{run_live, run_live_parallel};
 pub use pipeline::{
     MonitorSpec, Producer, ProducerFinish, ProducerLink, RunModeSpec, TopologyKind, MONITORS,
     RUN_MODES,
@@ -85,17 +83,17 @@ pub use pipeline::{
 pub use remote::run_remote;
 pub use replay::{run_replay, run_replay_with, ReplayError, ReplayMode};
 pub use report::{
-    LiveParallelReport, LiveReport, LogStats, Mode, PipelineReport, ReplayReport,
-    ReplayStreamStats, RunReport, SalvagedTail, StallBreakdown,
+    LiveReport, LogStats, Mode, PipelineReport, ReplayReport, ReplayStreamStats, RunReport,
+    SalvagedTail, StallBreakdown,
 };
 pub use run::{run_dbi, run_unmonitored};
 pub use runner::{MonitorChoice, Run, RunMode, RunOutcome};
 
-// Per-shard transport statistics appear in the parallel reports; re-export
-// the type so downstream code can name it without a direct lba-transport
-// dependency. The load/fault types parameterize `LogConfig` and the
-// degradation experiments.
-pub use lba_transport::{ChannelStats, FaultInjector, FaultProfile, LoadSample};
+// Per-shard transport statistics appear in the parallel and live reports;
+// re-export the type so downstream code can name it without a direct
+// lba-transport dependency. The load/fault types parameterize `LogConfig`
+// and the degradation experiments.
+pub use lba_transport::{ChannelStats, FaultProfile, LoadSample};
 
 // Capture-pass types: the stats appear in run reports, and the class/spec
 // pair is what custom lifeguards implement `Lifeguard::idempotency` with.

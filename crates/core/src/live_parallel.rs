@@ -1,96 +1,112 @@
-//! Sharded live lifeguards: one producer thread, N consumer threads, N
-//! independent compressed frame streams.
+//! The live runner: the application and its lifeguards on real OS
+//! threads, one compressed frame stream per shard.
 //!
-//! [`run_lba_parallel`](crate::parallel::run_lba_parallel) *models*
-//! splitting a lifeguard across cores; this module actually does it on OS
-//! threads. The producer runs the machine and routes each load/store
-//! record to the shard owning its cache line (broadcasting everything
-//! else — the identical [`shard_of`] routing the modeled mode uses),
-//! pushing into one [`FrameSender`] per shard. Because every shard owns a
-//! full compressor/decompressor pair,
-//! the value predictors never thread state across shards, and the N
-//! consumer threads decode their frame streams *concurrently* — closing
-//! the ROADMAP's "parallel value decompression" item as a by-product of
-//! sharding: the per-stream codec stays sequential, but there are now N
-//! streams.
+//! The timing results come from the deterministic co-simulation
+//! ([`run_lba`](crate::run_lba)) and its sharded model
+//! ([`run_lba_parallel`](crate::parallel::run_lba_parallel)); this module
+//! runs the same pipeline with genuine parallelism. The paper's single
+//! lifeguard core and a lifeguard "split across multiple cores" are one
+//! design at two widths, so one runner serves every live mode:
+//! [`run_live`] is its one-shard case (with the co-simulation's capture
+//! pass and syscall containment, and the lifeguard's findings verbatim),
+//! [`run_live_parallel`] shards the log N ways, and
+//! [`run_remote`](crate::run_remote) puts a Unix-domain socket under each
+//! shard instead of an in-process queue.
 //!
-//! Fidelity contract with the modeled mode: the router, the per-shard
-//! record order, and the frame boundaries (seal every
-//! `records_per_frame`, flush only at end of program; no range filter,
-//! mirroring the modeled parallel study) are identical — both modes drive
-//! [`Producer::sharded`] — so each shard's wire stream matches
-//! `run_lba_parallel`'s shard byte for byte, and the merged findings are
-//! equal. Integration tests pin both.
+//! Sharding routes each load/store record to the shard owning its cache
+//! line and broadcasts everything else ([`shard_of`]). Every shard owns a
+//! full compressor/decompressor pair, so the value predictors never thread
+//! state across shards and the consumers decode concurrently; findings
+//! merge, deduplicated. Routing, per-shard record order and frame
+//! boundaries are the modeled mode's — both drive [`Producer::sharded`] —
+//! so each shard's wire stream matches `run_lba_parallel`'s byte for byte.
+//! TaintCheck does not shard (its register state is a sequential
+//! dependence chain): [`crate::run_live_epoch_parallel`] runs it live.
 //!
-//! The wire under each shard is a parameter of the one runner here:
-//! [`run_live_parallel`] connects producer and consumers with in-process
-//! queues, [`run_remote`](crate::run_remote) with Unix-domain sockets.
-//! Everything else — routing, capture, recording, stall handling,
-//! consumption and the merge — is the same code.
+//! # Thread layout
 //!
-//! Like the modeled mode, TaintCheck is unsupported: its register state is
-//! a sequential dependence chain through every instruction, so address
-//! interleaving is unsound for it — use the epoch-parallel mode
-//! ([`crate::run_live_epoch_parallel`]) for taint on real threads.
+//! The calling thread consumes shard 0 with the lifeguard it holds —
+//! `run_live`'s borrowed one, or the one a sharded mode builds there to
+//! configure its producer. The producer (machine, capture pass, encoders)
+//! and the consumers of shards 1..N run on spawned threads; each spawned
+//! consumer builds its own lifeguard, so no lifeguard crosses a thread.
+//! A panic on any thread becomes [`LbaError::Panicked`], and the other
+//! threads still end: a dead consumer's wire tells the producer nobody
+//! drains it, and the producer's wires close when it returns or unwinds.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::any::Any;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::thread;
 
 use lba_cache::MemSystem;
 use lba_cpu::{Machine, RunError};
 use lba_isa::Program;
-use lba_lifeguard::{DispatchEngine, Lifeguard};
+use lba_lifeguard::{DegradationRequest, DispatchEngine, Finding, Lifeguard};
 use lba_record::EventRecord;
 use lba_transport::live::{shard_frame_channels, FrameReceiver, FrameSender, FrameWire};
-use lba_transport::{shard_of, FrameSource, LoadSample};
+use lba_transport::{shard_of, FrameSource, LoadSample, SocketError};
 
 use crate::config::SystemConfig;
 use crate::error::LbaError;
+use crate::parallel::merge_shard_findings;
 use crate::pipeline::{Producer, ProducerLink};
-use crate::report::{LiveParallelReport, LogStats, PipelineReport};
+use crate::report::{LiveReport, LogStats, PipelineReport};
 
-/// The lifeguard-core MemSystem index used by every consumer thread (each
-/// thread owns a private dual-core memory system; live mode reports no
-/// modeled clocks, so the geometry only feeds shadow-cost accounting).
+/// The lifeguard-core MemSystem index of every consumer's private
+/// dual-core memory system (it only feeds shadow-cost accounting).
 const LG_CORE: usize = 1;
 
-/// The sharded live modes' [`ProducerLink`]: one frame sender per shard
-/// over either wire, [`shard_of`] deciding routed-vs-broadcast, and the
-/// consumers' published finding count as the snapback signal.
+/// What the consumers publish for the producer's capture controller.
+#[derive(Default)]
+struct Signals {
+    /// Findings so far, over all shards: growth snaps capture back.
+    findings: AtomicU64,
+    /// The analysis-side dial: the latest lifeguard request the producer
+    /// has not taken yet (0 none, 1 engage, 2 disengage).
+    dial: AtomicU8,
+}
+
+/// The live modes' [`ProducerLink`]: one frame sender per shard over
+/// either wire, [`shard_of`] deciding routed-vs-broadcast, and the
+/// consumers' [`Signals`] steering the controller.
 struct ShardLink<'a, W: FrameWire> {
     senders: Vec<FrameSender<W>>,
-    finding_count: &'a AtomicU64,
+    signals: &'a Signals,
 }
 
 impl<W: FrameWire> ProducerLink for ShardLink<'_, W> {
     fn ship(&mut self, rec: &EventRecord) {
-        match shard_of(rec, self.senders.len()) {
-            Some(owner) => self.senders[owner].push(rec),
-            None => {
-                for tx in self.senders.iter_mut() {
-                    tx.push(rec);
-                }
-            }
+        match self.senders.as_mut_slice() {
+            // One shard owns every record, as `shard_of` would route it.
+            // Pushing directly measured 2.7% and 6.2% more events/s than
+            // routing (medians of two sets of ten perfbench `live-record`
+            // pairs, better in 7/10 and 9/10; 2-vCPU Xeon VM).
+            [only] => only.push(rec),
+            senders => match shard_of(rec, senders.len()) {
+                Some(owner) => senders[owner].push(rec),
+                None => senders.iter_mut().for_each(|tx| tx.push(rec)),
+            },
         }
     }
 
     fn on_engage(&mut self) {
-        for tx in self.senders.iter_mut() {
+        for tx in &mut self.senders {
             tx.flush();
             tx.set_degraded(true);
         }
     }
 
     fn on_disengage(&mut self) {
-        for tx in self.senders.iter_mut() {
+        for tx in &mut self.senders {
             tx.flush();
             tx.set_degraded(false);
         }
     }
 
     fn load_sample(&self) -> LoadSample {
-        // The sharded producer's load signal: the fullest shard's wire —
-        // one overloaded shard is what blocks the producer.
+        // The fullest shard's wire: one overloaded shard is what blocks
+        // the producer.
         self.senders
             .iter()
             .map(FrameSender::load_sample)
@@ -99,73 +115,140 @@ impl<W: FrameWire> ProducerLink for ShardLink<'_, W> {
     }
 
     fn finding_count(&self) -> u64 {
-        self.finding_count.load(Ordering::Relaxed)
+        self.signals.findings.load(Ordering::Relaxed)
     }
+
+    fn contain_syscall(&mut self) {
+        // Real threads cannot stall a modeled clock; containment reduces
+        // to sealing the open frames so the consumers observe everything
+        // that precedes the syscall.
+        self.senders.iter_mut().for_each(FrameSender::flush);
+    }
+
+    fn take_degradation_request(&mut self) -> Option<DegradationRequest> {
+        match self.signals.dial.swap(0, Ordering::Relaxed) {
+            1 => Some(DegradationRequest::Engage),
+            2 => Some(DegradationRequest::Disengage),
+            _ => None,
+        }
+    }
+}
+
+/// Runs `program` on one thread and the lifeguard on another (this one),
+/// returning its findings with the measured wire statistics: the
+/// one-shard case of [`run_live_parallel`]. The capture pass and syscall
+/// containment are the co-simulation's: filtered records never reach the
+/// channel, and each syscall seals the open frame so the lifeguard sees
+/// everything that precedes it. `decoupled` has no effect.
+///
+/// # Errors
+///
+/// [`LbaError::Run`] for machine/config failures and a stalled consumer
+/// ([`RunError::ChannelStalled`]); [`LbaError::Panicked`] when the
+/// lifeguard or the producer panics.
+pub fn run_live(
+    program: &Program,
+    lifeguard: &mut dyn Lifeguard,
+    config: &SystemConfig,
+) -> Result<LiveReport, LbaError> {
+    config.log.validate_framing()?;
+    let depth = config.log.live_channel_frames();
+    let wires = shard_frame_channels(1, depth, config.log.frame_config());
+    let producer = Producer::single(lifeguard, config);
+    run_sharded(program, lifeguard, None, producer, wires, config)
 }
 
 /// Runs `program` on one thread with the lifeguard sharded `shards` ways
 /// by address, each shard on its own OS thread with its own framed
 /// compressed channel, dispatch engine, and lifeguard instance.
 ///
-/// `make_lifeguard` builds one (identical) lifeguard instance per shard;
-/// it is called on each consumer thread, so the instances never migrate.
-/// The channel depth per shard comes from
+/// `make_lifeguard` builds one (identical) lifeguard instance per shard,
+/// on the thread that consumes it, so the instances never migrate. The
+/// channel depth per shard comes from
 /// [`LogConfig::live_channel_frames`](crate::LogConfig::live_channel_frames),
 /// the same budget-derived depth `run_live` uses.
 ///
-/// Unlike [`run_live`](crate::run_live), this mode mirrors the modeled
-/// parallel study exactly, so two `LogConfig` fields are deliberately
-/// **ignored**: `filter` (the address-range filter has no sharded
-/// soundness story) and `syscall_stall` (frames seal only when full or at
-/// end of program; there is no containment flush). The
-/// `idempotency_window` **does** apply: the capture pass runs on the
-/// producer before routing — a suppressed duplicate would have landed on
-/// the same shard as its first occurrence, so the per-lifeguard soundness
-/// contract carries over unchanged — and `run_lba_parallel` runs the
-/// identical pass, which keeps each shard's wire stream byte-identical
-/// between the two modes. The adaptive controller applies on the
-/// producer, `record_to` tees each shard's stream to disk,
-/// `channel_stall_timeout` bounds how long the producer waits on a full
-/// shard, and `fault.drain_drag` slows the consumers' drain.
+/// Unlike [`run_live`], this mode mirrors the modeled parallel study
+/// exactly, so two `LogConfig` fields are deliberately **ignored**:
+/// `filter` (the address-range filter has no sharded soundness story) and
+/// `syscall_stall` (frames seal only when full or at end of program;
+/// there is no containment flush). The `idempotency_window` **does**
+/// apply: the capture pass runs on the producer before routing — a
+/// suppressed duplicate would have landed on the same shard as its first
+/// occurrence, so the per-lifeguard soundness contract carries over
+/// unchanged — and `run_lba_parallel` runs the identical pass, which
+/// keeps each shard's wire stream byte-identical between the two modes.
+/// The adaptive controller applies on the producer, `record_to` tees each
+/// shard's stream to disk, `channel_stall_timeout` bounds how long the
+/// producer waits on a full shard, and `fault.drain_drag` slows the
+/// consumers' drain.
 ///
 /// # Errors
 ///
 /// [`LbaError::Run`] for machine/config failures and a stalled shard
-/// ([`RunError::ChannelStalled`]).
+/// ([`RunError::ChannelStalled`]); [`LbaError::Panicked`] when a
+/// lifeguard or the producer panics.
 ///
 /// # Panics
 ///
-/// Panics if `shards` is zero, or if a consumer thread panics (a codec or
-/// lifeguard bug, not an I/O condition).
+/// Panics if `shards` is zero.
 pub fn run_live_parallel(
     program: &Program,
     make_lifeguard: impl Fn() -> Box<dyn Lifeguard> + Sync,
     shards: usize,
     config: &SystemConfig,
-) -> Result<LiveParallelReport, LbaError> {
+) -> Result<LiveReport, LbaError> {
     assert!(shards > 0, "need at least one shard");
     config.log.validate_framing()?;
-    let (senders, receivers) = shard_frame_channels(
-        shards,
-        config.log.live_channel_frames(),
-        config.log.frame_config(),
-    );
-    run_sharded(program, make_lifeguard, senders, receivers, config)
+    let depth = config.log.live_channel_frames();
+    let wires = shard_frame_channels(shards, depth, config.log.frame_config());
+    run_sharded_from(program, &make_lifeguard, wires, config)
 }
 
-/// The sharded live runner both [`run_live_parallel`] and
-/// [`run_remote`](crate::run_remote) are: one producer on this thread
-/// fanning records out over `senders`, one consumer thread per
-/// `receivers` entry, whichever wire connects them.
-pub(crate) fn run_sharded<W, S>(
+/// The sharded modes' entry to [`run_sharded`] (`run_live_parallel` over
+/// in-process queues, `run_remote` over sockets): shard 0's lifeguard is
+/// built here, on the calling thread that consumes it, and configures the
+/// [`Producer::sharded`] capture pass; handing the runner the factory too
+/// gives shards 1..N their lifeguards and merges the shards' findings.
+pub(crate) fn run_sharded_from<W, S>(
     program: &Program,
-    make_lifeguard: impl Fn() -> Box<dyn Lifeguard> + Sync,
-    mut senders: Vec<FrameSender<W>>,
-    mut receivers: Vec<FrameReceiver<S>>,
+    make_lifeguard: &(dyn Fn() -> Box<dyn Lifeguard> + Sync),
+    wires: (Vec<FrameSender<W>>, Vec<FrameReceiver<S>>),
     config: &SystemConfig,
-) -> Result<LiveParallelReport, LbaError>
+) -> Result<LiveReport, LbaError>
 where
-    W: FrameWire,
+    W: FrameWire + Send,
+    S: FrameSource + Send,
+    LbaError: From<W::Error>,
+{
+    let mut first = make_lifeguard();
+    let producer = Producer::sharded(first.as_ref(), config);
+    run_sharded(
+        program,
+        first.as_mut(),
+        Some(make_lifeguard),
+        producer,
+        wires,
+        config,
+    )
+}
+
+/// The live runner every live mode is (see the [module docs](self)):
+/// `producer` fans the log out over each shard's sender on a spawned
+/// thread, the calling thread consumes shard 0 with `lifeguard`, and each
+/// further shard gets a spawned consumer whose lifeguard `make_lifeguard`
+/// builds. `None` there is `run_live`: one shard, whose findings are
+/// reported verbatim rather than merged.
+fn run_sharded<W, S>(
+    program: &Program,
+    lifeguard: &mut dyn Lifeguard,
+    make_lifeguard: Option<&(dyn Fn() -> Box<dyn Lifeguard> + Sync)>,
+    mut producer: Producer,
+    (mut senders, receivers): (Vec<FrameSender<W>>, Vec<FrameReceiver<S>>),
+    config: &SystemConfig,
+) -> Result<LiveReport, LbaError>
+where
+    W: FrameWire + Send,
     S: FrameSource + Send,
     LbaError: From<W::Error>,
 {
@@ -177,73 +260,30 @@ where
             let stream = u32::try_from(idx).expect("shard count fits u32");
             tx.tee_into(crate::recorder::open_sink(record, stream)?);
         }
+        // Bound the producer's wait on a full wire: a consumer that stops
+        // draining surfaces as `RunError::ChannelStalled`, not a livelock.
         tx.set_stall_timeout(config.log.channel_stall_timeout);
     }
-    if let Some(fault) = &config.log.fault {
-        for rx in receivers.iter_mut() {
-            rx.set_drag(fault.drain_drag);
-        }
-    }
-    let make_lifeguard = &make_lifeguard;
-    // The finding-snapback signal: consumers accumulate their finding
-    // counts here; any growth the producer's controller observes snaps
-    // capture back to full fidelity.
-    let finding_count = AtomicU64::new(0);
-    let finding_count = &finding_count;
+    let mut receivers = receivers.into_iter();
+    let name = lifeguard.name();
+    let signals = &Signals::default();
 
-    thread::scope(|scope| {
-        let consumers: Vec<_> = receivers
-            .into_iter()
-            .map(|mut rx| {
-                scope.spawn(move || -> Result<_, LbaError> {
-                    let mut lifeguard = make_lifeguard();
-                    let engine = DispatchEngine::new(config.dispatch);
-                    let mut mem = MemSystem::new(config.mem_dual());
-                    let mut findings = Vec::new();
-                    let mut published = 0usize;
-                    while let Some(frame) = rx.recv_batch()? {
-                        engine.deliver_batch(
-                            lifeguard.as_mut(),
-                            frame.records,
-                            &mut mem,
-                            LG_CORE,
-                            &mut findings,
-                        );
-                        if findings.len() > published {
-                            finding_count
-                                .fetch_add((findings.len() - published) as u64, Ordering::Relaxed);
-                            published = findings.len();
-                        }
-                    }
-                    engine.finish(lifeguard.as_mut(), &mut mem, LG_CORE, &mut findings);
-                    Ok(findings)
-                })
-            })
-            .collect();
-
-        // Produce on this thread: run the machine, apply the shared
-        // capture pass (identical to `run_lba_parallel`'s) and fan the
-        // log out. The link — and with it every sender — drops when this
-        // closure returns, ending the shard streams so the consumers can
-        // finish whether or not the run errored.
-        let produced = (|| -> Result<_, LbaError> {
+    let (produced, consumed) = thread::scope(|scope| {
+        // The producer ends every shard's stream, and its senders drop
+        // when it returns, errs or unwinds, so the consumers always end.
+        let producer_thread = scope.spawn(move || -> Result<_, LbaError> {
+            let mut link = ShardLink { senders, signals };
             let mut machine = Machine::new(program, config.machine);
             let mut mem = MemSystem::new(config.mem_single());
-            let seed = make_lifeguard();
-            let mut producer = Producer::sharded(seed.as_ref(), config);
-            drop(seed);
-            let mut link = ShardLink {
-                senders,
-                finding_count,
-            };
             machine.run(&mut mem, |r| producer.observe(&r.record, &mut link))?;
+            // A latched stall means frames were silently discarded past
+            // the timeout: the run is no longer lossless and must fail.
             if link.senders.iter().any(FrameSender::stalled) {
                 return Err(RunError::ChannelStalled.into());
             }
             // Snap back out of degradation, settle fold counts, ship the
-            // tail, then end each shard's stream: seal the final partial
-            // frame before taking the recording tee back, so the
-            // recording carries the complete stream.
+            // tail, then seal each shard's final frame before taking the
+            // recording tee back, so the recording is the complete stream.
             let finish = producer.finish(&mut link);
             let mut shard_log = Vec::with_capacity(shards);
             for mut tx in link.senders.drain(..) {
@@ -255,50 +295,221 @@ where
                 shard_log.push(tx.finish()?);
             }
             Ok((finish, shard_log))
-        })();
+        });
+        let first = receivers.next().expect("every live run has a shard");
+        let others: Vec<_> = receivers
+            .map(|rx| {
+                let make = make_lifeguard.expect("only the sharded modes run more shards");
+                scope.spawn(move || consume(rx, make().as_mut(), signals, config))
+            })
+            .collect();
+        let mut consumed = vec![panic::catch_unwind(AssertUnwindSafe(|| {
+            consume(first, lifeguard, signals, config)
+        }))];
+        let produced = producer_thread.join();
+        consumed.extend(others.into_iter().map(|handle| handle.join()));
+        (produced, consumed)
+    });
 
-        let mut shard_findings = Vec::with_capacity(shards);
-        let mut consumer_err: Option<LbaError> = None;
-        for handle in consumers {
-            match handle.join().expect("consumer thread must not panic") {
-                Ok(findings) => shard_findings.push(findings),
-                Err(e) => {
-                    consumer_err.get_or_insert(e);
-                }
-            }
-        }
-        // A producer-side error explains any consumer-side tear, so it
-        // wins.
-        let (finish, shard_log) = produced?;
-        if let Some(e) = consumer_err {
-            return Err(e);
-        }
-        let findings = crate::parallel::merge_shard_findings(shard_findings);
-        Ok(LiveParallelReport {
-            program: program.name().to_string(),
-            shards,
-            pipeline: PipelineReport {
-                findings,
-                log: LogStats::from_channels(
-                    &shard_log,
-                    finish.capture,
-                    finish.trace.instructions(),
-                ),
-                capture: finish.capture,
-                degradation: finish.degradation,
-            },
-            trace: finish.trace,
-            shard_log,
+    let produced = produced.unwrap_or_else(|payload| Err(panicked("the producer thread", payload)));
+    let consumed = (consumed.into_iter().enumerate())
+        .map(|(shard, consumed)| {
+            let thread = || format!("shard {shard} consumer (lifeguard `{name}`)");
+            consumed.unwrap_or_else(|payload| Err(panicked(&thread(), payload)))
         })
+        .collect();
+    let ((finish, shard_log), shard_findings) = settle(produced, consumed)?;
+    let findings = match make_lifeguard {
+        Some(_) => merge_shard_findings(shard_findings),
+        None => shard_findings.into_iter().flatten().collect(),
+    };
+    Ok(LiveReport {
+        program: program.name().to_string(),
+        shards,
+        pipeline: PipelineReport {
+            findings,
+            log: LogStats::from_channels(&shard_log, finish.capture, finish.trace.instructions()),
+            capture: finish.capture,
+            degradation: finish.degradation,
+        },
+        trace: finish.trace,
+        shard_log,
     })
+}
+
+/// The run's result from its threads' results: the producer's, and each
+/// shard consumer's in shard order. A producer-side error explains the
+/// tear (a wire that ended mid-stream) it leaves on the consumers' wires,
+/// so it wins — except a socket error when a consumer failed in its own
+/// right: a consumer that dies tears the producer's wire too, and its own
+/// error says why. Among the consumers, the first failure that is not a
+/// tear wins.
+fn settle<T>(
+    produced: Result<T, LbaError>,
+    consumed: Vec<Result<Vec<Finding>, LbaError>>,
+) -> Result<(T, Vec<Vec<Finding>>), LbaError> {
+    let is_tear = |e: &LbaError| matches!(e, LbaError::Socket(SocketError::Torn { .. }));
+    let mut shard_findings = Vec::with_capacity(consumed.len());
+    let mut failures = Vec::new();
+    for result in consumed {
+        match result {
+            Ok(findings) => shard_findings.push(findings),
+            Err(e) => failures.push(e),
+        }
+    }
+    // A stable sort: shard order holds among the failures and the tears.
+    failures.sort_by_key(is_tear);
+    match (produced, failures.into_iter().next()) {
+        (Ok(done), None) => Ok((done, shard_findings)),
+        (Err(LbaError::Socket(_)), Some(consumer)) if !is_tear(&consumer) => Err(consumer),
+        (Ok(_), Some(consumer)) => Err(consumer),
+        (Err(producer), _) => Err(producer),
+    }
+}
+
+/// One shard's consumer: a blocking receive, decode and batch dispatch
+/// per frame, publishing the lifeguard's findings count and dial requests,
+/// until the stream ends.
+fn consume<S: FrameSource>(
+    mut rx: FrameReceiver<S>,
+    lifeguard: &mut dyn Lifeguard,
+    signals: &Signals,
+    config: &SystemConfig,
+) -> Result<Vec<Finding>, LbaError> {
+    if let Some(fault) = &config.log.fault {
+        rx.set_drag(fault.drain_drag);
+    }
+    let engine = DispatchEngine::new(config.dispatch);
+    let mut mem = MemSystem::new(config.mem_dual());
+    let mut findings = Vec::new();
+    while let Some(frame) = rx.recv_batch()? {
+        let before = findings.len();
+        engine.deliver_batch(lifeguard, frame.records, &mut mem, LG_CORE, &mut findings);
+        let found = (findings.len() - before) as u64;
+        if found > 0 {
+            signals.findings.fetch_add(found, Ordering::Relaxed);
+        }
+        if let Some(request) = engine.poll_degradation(lifeguard) {
+            let slot = match request {
+                DegradationRequest::Engage => 1,
+                DegradationRequest::Disengage => 2,
+            };
+            signals.dial.store(slot, Ordering::Relaxed);
+        }
+    }
+    engine.finish(lifeguard, &mut mem, LG_CORE, &mut findings);
+    Ok(findings)
+}
+
+/// The error for a `thread` that panicked, carrying the panic message
+/// (the payload of a `panic!` with a message is a `&str` or a `String`).
+fn panicked(thread: &str, payload: Box<dyn Any + Send>) -> LbaError {
+    let message = (payload.downcast_ref::<String>().map(String::as_str))
+        .or_else(|| payload.downcast_ref::<&str>().copied())
+        .unwrap_or("(no message)");
+    LbaError::Panicked {
+        thread: thread.to_string(),
+        message: message.to_string(),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cosim::run_lba;
     use crate::kind::LifeguardKind;
     use lba_lifeguard::FindingKind;
+    use lba_lifeguards::{AddrCheck, TaintCheck};
     use lba_workloads::{bugs, Benchmark};
+
+    #[test]
+    fn live_mode_detects_bugs() {
+        let program = bugs::memory_bugs();
+        let mut lg = AddrCheck::new();
+        let report = run_live(&program, &mut lg, &SystemConfig::default()).unwrap();
+        assert_eq!(report.shards, 1);
+        assert!(report
+            .findings
+            .iter()
+            .any(|f| f.kind == FindingKind::DoubleFree));
+    }
+
+    #[test]
+    fn live_findings_match_deterministic_mode() {
+        let config = SystemConfig::default();
+        let program = bugs::exploit();
+        let mut lg = TaintCheck::new();
+        let live = run_live(&program, &mut lg, &config).unwrap();
+        let mut lg = TaintCheck::new();
+        let cosim = run_lba(&program, &mut lg, &config).unwrap();
+        assert_eq!(live.findings, cosim.findings);
+    }
+
+    #[test]
+    fn live_mode_measures_sub_byte_wire_traffic() {
+        // The acceptance bar for the framed transport: with compression
+        // on, the *live* path ships less than one real byte per
+        // instruction, padding and headers included.
+        let program = Benchmark::Gzip.build();
+        let config = SystemConfig::default();
+        let mut lg = AddrCheck::new();
+        let report = run_live(&program, &mut lg, &config).unwrap();
+        assert!(report.log.records > 0);
+        assert!(report.log.frames > 0);
+        assert!(
+            report.log.wire_bytes_per_instruction < 1.0,
+            "live wire traffic {:.3} B/inst must stay below one byte",
+            report.log.wire_bytes_per_instruction
+        );
+        // And it agrees with the modeled channel's accounting of the same
+        // program (both run the identical frame codec).
+        let mut lg = AddrCheck::new();
+        let cosim = run_lba(&program, &mut lg, &config).unwrap();
+        assert_eq!(report.log.records, cosim.log.records);
+        assert_eq!(report.log.compressed_bits, cosim.log.compressed_bits);
+        assert_eq!(report.log.frames, cosim.log.frames);
+        assert_eq!(report.log.wire_bits, cosim.log.wire_bits);
+    }
+
+    #[test]
+    fn live_back_pressure_depth_follows_the_buffer_budget() {
+        // Regression: the live mode used to hard-code a 64-frame queue and
+        // silently ignore `buffer_bytes`. A sub-frame budget now means a
+        // one-deep queue — maximal back-pressure — and the pipeline must
+        // still complete, lossless, with the same wire stream the default
+        // budget ships.
+        let program = bugs::memory_bugs();
+        let mut tight = SystemConfig::default();
+        tight.log.buffer_bytes = 64;
+        assert_eq!(tight.log.live_channel_frames(), 1);
+        let mut lg = AddrCheck::new();
+        let constrained = run_live(&program, &mut lg, &tight).unwrap();
+        let mut lg = AddrCheck::new();
+        let roomy = run_live(&program, &mut lg, &SystemConfig::default()).unwrap();
+        assert_eq!(constrained.findings, roomy.findings);
+        assert_eq!(constrained.log.records, roomy.log.records);
+        assert_eq!(constrained.log.wire_bits, roomy.log.wire_bits);
+    }
+
+    #[test]
+    fn live_mode_honours_the_capture_filter() {
+        let program = Benchmark::Gzip.build();
+        let mut config = SystemConfig::default();
+        config.log.filter = Some(lba_lifeguard::AddrRangeFilter::new(vec![(
+            lba_mem::layout::HEAP_BASE,
+            lba_mem::layout::HEAP_END,
+        )]));
+        let mut lg = AddrCheck::new();
+        let live = run_live(&program, &mut lg, &config).unwrap();
+        assert!(
+            live.log.filtered > 0,
+            "filter must drop events in live mode too"
+        );
+        let mut lg = AddrCheck::new();
+        let cosim = run_lba(&program, &mut lg, &config).unwrap();
+        assert_eq!(live.findings, cosim.findings);
+        assert_eq!(live.log.filtered, cosim.log.filtered);
+    }
 
     #[test]
     fn sharded_live_addrcheck_detects_bugs_once() {
@@ -383,6 +594,58 @@ mod tests {
             0,
             &SystemConfig::default(),
         );
+    }
+
+    #[test]
+    fn a_consumer_failure_outranks_a_producer_socket_error_but_a_tear_does_not() {
+        let socket = |e| Err(LbaError::Socket(e));
+        let endpoint = || "shard 0".to_string();
+        let torn = || {
+            socket(SocketError::Torn {
+                endpoint: endpoint(),
+                frames: 3,
+            })
+        };
+        let source = || std::io::ErrorKind::BrokenPipe.into();
+        let write_failed = || {
+            socket(SocketError::Io {
+                endpoint: endpoint(),
+                source: source(),
+            })
+        };
+        let panic = || {
+            Err(LbaError::Panicked {
+                thread: "shard 1".into(),
+                message: "bug".into(),
+            })
+        };
+        // Which of the threads' results the run reports.
+        let winner =
+            |produced: Result<Vec<Finding>, LbaError>, consumed| match settle(produced, consumed) {
+                Ok(_) => "none",
+                Err(LbaError::Socket(SocketError::Torn { .. })) => "tear",
+                Err(LbaError::Socket(_)) => "producer write",
+                Err(LbaError::Run(_)) => "producer stall",
+                Err(LbaError::Panicked { .. }) => "consumer panic",
+                Err(e) => panic!("unexpected error: {e}"),
+            };
+        // The producer's own write failure tore the consumer's stream.
+        assert_eq!(winner(write_failed(), vec![torn()]), "producer write");
+        // A dead consumer tore the producer's wire, and the producer's early
+        // return tore shard 0's stream: the consumer's own error says why.
+        assert_eq!(winner(torn(), vec![torn(), panic()]), "consumer panic");
+        assert_eq!(
+            winner(write_failed(), vec![Ok(vec![]), panic()]),
+            "consumer panic"
+        );
+        // Any other producer error wins; a consumer error fails a finished run.
+        let stalled = Err(RunError::ChannelStalled.into());
+        assert_eq!(winner(stalled, vec![panic()]), "producer stall");
+        assert_eq!(
+            winner(Ok(vec![]), vec![Ok(vec![]), panic()]),
+            "consumer panic"
+        );
+        assert_eq!(winner(Ok(vec![]), vec![Ok(vec![]), Ok(vec![])]), "none");
     }
 
     #[test]

@@ -36,9 +36,7 @@ use lba_cpu::{Machine, RunError, StepOutcome};
 use lba_isa::Program;
 use lba_lifeguard::{DispatchEngine, Finding, Lifeguard};
 use lba_record::{EventRecord, TraceStats};
-use lba_transport::{
-    shard_of, ChannelStats, FaultInjector, LoadSample, LogChannel, ModeledFrameChannel,
-};
+use lba_transport::{shard_of, ChannelStats, LoadSample, LogChannel, ModeledFrameChannel};
 
 use crate::config::SystemConfig;
 use crate::pipeline::{Producer, ProducerLink};
@@ -126,7 +124,7 @@ fn drain_shard(
 /// their no-op dispatch cost and opportunistically drain sealed frames.
 struct ParallelLink {
     app_cycles: u64,
-    channels: Vec<FaultInjector<ModeledFrameChannel>>,
+    channels: Vec<ModeledFrameChannel>,
     engine: DispatchEngine,
     lifeguards: Vec<Box<dyn Lifeguard>>,
     mem: MemSystem,
@@ -215,21 +213,19 @@ pub fn run_lba_parallel(
     let mut channels: Vec<ModeledFrameChannel> = (0..shards)
         .map(|_| ModeledFrameChannel::new(SHARD_BUFFER_BYTES, config.log.frame_config(), false))
         .collect();
-    // Flight recorder: one segmented stream per shard, so replay can
-    // rebuild each shard's independent predictor stream.
-    if let Some(record) = &config.log.record_to {
-        for (idx, channel) in channels.iter_mut().enumerate() {
+    for (idx, channel) in channels.iter_mut().enumerate() {
+        // Flight recorder: one segmented stream per shard, so replay can
+        // rebuild each shard's independent predictor stream.
+        if let Some(record) = &config.log.record_to {
             let stream = u32::try_from(idx).expect("shard count fits u32");
             channel.tee_into(crate::recorder::open_sink(record, stream)?);
         }
+        // Fault injection: each shard gets its own deterministic stall
+        // schedule from the shared profile.
+        if let Some(fault) = config.log.fault {
+            channel.set_fault(fault);
+        }
     }
-    // Every shard channel runs behind the fault injector (quiet profile =
-    // pure delegation); each shard gets its own deterministic stall
-    // schedule from the shared profile.
-    let channels: Vec<FaultInjector<ModeledFrameChannel>> = channels
-        .into_iter()
-        .map(|c| FaultInjector::new(c, config.log.fault.unwrap_or_default()))
-        .collect();
     // The shared capture pass (idempotency window, no range filter) plus
     // the adaptive controller, pre-routing on the producer.
     let mut producer = Producer::sharded(lifeguards[0].as_ref(), config);
@@ -289,7 +285,7 @@ pub fn run_lba_parallel(
 
     // Close each shard's flight recording (End records + flush).
     for channel in &mut link.channels {
-        crate::recorder::finish_tee(channel.inner_mut().take_tee())?;
+        crate::recorder::finish_tee(channel.take_tee())?;
     }
 
     let findings = merge_shard_findings(link.shard_findings);

@@ -21,18 +21,20 @@
 //!   their mode and lifeguard enumerations from. Each `RUN_MODES` row's
 //!   `run` hook is the [`Run`] builder's dispatch for that mode.
 //!
-//! The runners (`cosim.rs`, `live.rs`, `parallel.rs`, `live_parallel.rs`,
+//! The runners (`cosim.rs`, `parallel.rs`, `live_parallel.rs`,
 //! `epoch_parallel.rs`, `replay.rs`) are thin compositions over these
 //! pieces; the cross-mode equivalence proptests pin that the composition
 //! is bit-for-bit what the hand-rolled loops produced.
 
-use lba_lifeguard::{CaptureFilter, CaptureStats, DegradationRequest, DegradationStats, Lifeguard};
+use lba_lifeguard::{
+    CaptureFilter, CaptureStats, DegradationPolicy, DegradationRequest, DegradationStats, Lifeguard,
+};
 use lba_lifeguards::TaintCheck;
 use lba_record::{EventKind, EventRecord, TraceStats};
 use lba_transport::LoadSample;
 
 use crate::config::SystemConfig;
-use crate::controller::{CaptureController, Transition, Verdict};
+use crate::controller::{AdaptiveConfig, CaptureController, Transition, Verdict};
 use crate::error::LbaError;
 use crate::runner::{Run, RunMode, RunOutcome};
 
@@ -129,10 +131,12 @@ pub struct Producer {
 }
 
 impl Producer {
+    /// A producer shipping through `filter`, with the adaptive controller
+    /// (when `adaptive` is set) steering within `policy`.
     fn build(
         filter: CaptureFilter,
-        controller: Option<CaptureController>,
-        policy_widen: bool,
+        policy: DegradationPolicy,
+        adaptive: Option<AdaptiveConfig>,
         syscall_stall: bool,
         decoupled: bool,
     ) -> Self {
@@ -140,80 +144,47 @@ impl Producer {
             trace: TraceStats::new(),
             filter,
             shipping: Vec::new(),
-            controller,
-            policy_widen,
+            controller: adaptive.and_then(|a| CaptureController::new(a, policy)),
+            policy_widen: policy.widen_window,
             syscall_stall,
             decoupled,
         }
     }
 
-    /// The single-consumer co-simulation producer (`run_lba`): the full
+    /// The single-consumer producer (`run_lba`, `run_live`): the full
     /// capture pass
     /// ([`LogConfig::adaptive_capture_filter`](crate::LogConfig::adaptive_capture_filter)),
     /// the adaptive controller when configured, syscall containment per
     /// `config.log.syscall_stall`, and the lock-step ablation per
-    /// `config.log.decoupled`.
+    /// `config.log.decoupled` (a no-op on real threads, whose link keeps
+    /// the default [`ProducerLink::lockstep`]).
     #[must_use]
     pub fn single(lifeguard: &dyn Lifeguard, config: &SystemConfig) -> Self {
         let policy = lifeguard.degradation();
-        let filter = config
-            .log
-            .adaptive_capture_filter(lifeguard.idempotency(), &policy);
-        let controller = config
-            .log
-            .adaptive
-            .and_then(|a| CaptureController::new(a, policy));
+        let log = &config.log;
+        let filter = log.adaptive_capture_filter(lifeguard.idempotency(), &policy);
         Producer::build(
             filter,
-            controller,
-            policy.widen_window,
-            config.log.syscall_stall,
-            config.log.decoupled,
-        )
-    }
-
-    /// The live single-consumer producer (`run_live`): same capture pass
-    /// as [`single`](Self::single), but the cores are real OS threads —
-    /// lock-step is meaningless (the link's flush is the only
-    /// synchronisation), so the producer is always decoupled and syscall
-    /// containment reduces to the link's flush.
-    #[must_use]
-    pub fn live(lifeguard: &dyn Lifeguard, config: &SystemConfig) -> Self {
-        let policy = lifeguard.degradation();
-        let filter = config
-            .log
-            .adaptive_capture_filter(lifeguard.idempotency(), &policy);
-        let controller = config
-            .log
-            .adaptive
-            .and_then(|a| CaptureController::new(a, policy));
-        Producer::build(
-            filter,
-            controller,
-            policy.widen_window,
-            config.log.syscall_stall,
-            true,
+            policy,
+            log.adaptive,
+            log.syscall_stall,
+            log.decoupled,
         )
     }
 
     /// The sharded-mode producer (`run_lba_parallel`,
-    /// `run_live_parallel`): the shard capture filter (idempotency window
-    /// but no address-range filter, so every shard ships an identical
-    /// stream — see
-    /// [`LogConfig::shard_capture_filter`](crate::LogConfig::shard_capture_filter)),
+    /// `run_live_parallel`, `run_remote`): the shard capture filter
+    /// (idempotency window but no address-range filter, so every shard
+    /// ships an identical stream — see
+    /// [`LogConfig::adaptive_shard_capture_filter`](crate::LogConfig::adaptive_shard_capture_filter)),
     /// the adaptive controller when configured, and no syscall
     /// containment (the sharded study measures steady-state capture).
     #[must_use]
     pub fn sharded(lifeguard: &dyn Lifeguard, config: &SystemConfig) -> Self {
         let policy = lifeguard.degradation();
-        let filter = config
-            .log
-            .adaptive_shard_capture_filter(lifeguard.idempotency(), &policy);
-        let controller = config
-            .log
-            .adaptive
-            .and_then(|a| CaptureController::new(a, policy));
-        Producer::build(filter, controller, policy.widen_window, false, true)
+        let log = &config.log;
+        let filter = log.adaptive_shard_capture_filter(lifeguard.idempotency(), &policy);
+        Producer::build(filter, policy, log.adaptive, false, true)
     }
 
     /// The epoch-mode producer (`run_epoch_parallel` and friends): a pure
@@ -223,13 +194,8 @@ impl Producer {
     /// summaries. Every retired record ships (captured == shipped).
     #[must_use]
     pub fn passthrough() -> Self {
-        Producer::build(
-            CaptureFilter::new(None, 0, lba_lifeguard::IdempotencyClass::None),
-            None,
-            false,
-            false,
-            true,
-        )
+        let filter = CaptureFilter::new(None, 0, lba_lifeguard::IdempotencyClass::None);
+        Producer::build(filter, DegradationPolicy::none(), None, false, true)
     }
 
     /// Observes one retired record: trace accounting, any pending
@@ -459,7 +425,8 @@ pub const RUN_MODES: [RunModeSpec; 9] = [
         supports: supports_all,
         run: |run| {
             let mut lifeguard = (run.monitor.make)();
-            let report = crate::live::run_live(run.program, lifeguard.as_mut(), &run.config)?;
+            let report =
+                crate::live_parallel::run_live(run.program, lifeguard.as_mut(), &run.config)?;
             Ok(RunOutcome::Live(report))
         },
         bench_series: &["live", "live-faulted", "live-degraded"],

@@ -2,28 +2,18 @@
 //! lifeguard worker per shard — the production topology for heavy
 //! traffic.
 //!
-//! [`run_remote`] is [`run_live_parallel`](crate::run_live_parallel) with
-//! each shard's in-process queue replaced by a Unix-domain socket speaking
-//! the `lbas/1` wire protocol ([`lba_transport::socket`]) — the shape where
-//! capture and lifeguards run in different *processes* (and, with the TCP
-//! `WireStream`, on different hosts). The socket is a wire under the same
-//! live transport: the same frame sender and receiver, the same sharded
-//! runner, only the pair each shard is built from differs.
-//!
-//! Back-pressure crosses the wire as an explicit credit window sized from
-//! [`LogConfig::live_channel_frames`](crate::LogConfig::live_channel_frames)
-//! — the same budget-derived depth the in-process queues use — so
-//! `buffer_bytes` semantics, `LoadSample`-driven adaptive degradation,
-//! and the stall-timeout discipline all survive the socket hop.
-//!
-//! Fidelity contract: routing, per-shard record order, frame boundaries
-//! and the capture pass are the sharded live runner's, so each shard's
-//! wire stream is byte-identical to [`run_live_parallel`]'s and the merged
-//! findings are equal. `tests/remote.rs` pins both across worker counts.
-//!
-//! Like the other sharded modes, TaintCheck is unsupported here (use
-//! [`crate::run_live_epoch_parallel`]); the registry's capability flags
-//! enforce this through the unified [`Run`](crate::Run) entry point.
+//! [`run_remote`] is [`run_live_parallel`] with each shard's in-process
+//! queue replaced by a Unix-domain socket speaking the `lbas/1` wire
+//! protocol ([`lba_transport::socket`]) — the shape where capture and
+//! lifeguards run in different *processes*. Everything else is the live
+//! runner's: routing, capture, frame boundaries, threads and the findings
+//! merge, so each shard's wire stream is byte-identical to
+//! [`run_live_parallel`]'s and the merged findings are equal
+//! (`tests/remote.rs` pins both). Back-pressure crosses the wire as an
+//! explicit credit window sized like the in-process queue
+//! ([`LogConfig::live_channel_frames`](crate::LogConfig::live_channel_frames)),
+//! so `buffer_bytes`, adaptive degradation and the stall timeout all
+//! survive the socket hop.
 //!
 //! [`run_live_parallel`]: crate::run_live_parallel
 
@@ -34,7 +24,7 @@ use lba_transport::socket::{socket_pair, SocketSender};
 
 use crate::config::SystemConfig;
 use crate::error::LbaError;
-use crate::report::LiveParallelReport;
+use crate::report::LiveReport;
 
 /// Runs `program` on one thread with the lifeguard sharded `workers` ways
 /// by address, each shard's sealed frames crossing a Unix-domain socket
@@ -43,8 +33,8 @@ use crate::report::LiveParallelReport;
 ///
 /// The workers here are threads for test determinism, but they speak the
 /// real socket protocol end to end — handing a listener-accepted
-/// [`UnixStream`](std::os::unix::net::UnixStream) (or `TcpStream`) from
-/// another process to the same receiver is deployment, not new code.
+/// [`UnixStream`](std::os::unix::net::UnixStream) from another process to
+/// the same receiver is deployment, not new code.
 ///
 /// Configuration is [`run_live_parallel`](crate::run_live_parallel)'s;
 /// `channel_stall_timeout` bounds how long the producer waits on an
@@ -54,32 +44,33 @@ use crate::report::LiveParallelReport;
 ///
 /// [`LbaError::Run`] for machine/config failures and a stalled credit
 /// window ([`RunError::ChannelStalled`](lba_cpu::RunError::ChannelStalled));
-/// [`LbaError::Socket`] when a wire tears (a worker died mid-run) or
-/// carries inconsistent bytes; [`LbaError::Replay`] when a frame that
-/// crossed the wire intact fails to decode.
+/// [`LbaError::Socket`] when a wire tears or carries inconsistent bytes;
+/// [`LbaError::Replay`] when a frame that crossed the wire intact fails to
+/// decode; [`LbaError::Panicked`] when a lifeguard or the producer panics.
+/// A worker's own error wins over the tear its death leaves on the
+/// producer's side of the wire.
 ///
 /// # Panics
 ///
-/// Panics if `workers` is zero, or if a worker thread panics.
+/// Panics if `workers` is zero.
 pub fn run_remote(
     program: &Program,
     make_lifeguard: impl Fn() -> Box<dyn Lifeguard> + Sync,
     workers: usize,
     config: &SystemConfig,
-) -> Result<LiveParallelReport, LbaError> {
+) -> Result<LiveReport, LbaError> {
     assert!(workers > 0, "need at least one remote worker");
     config.log.validate_framing()?;
     let window = u32::try_from(config.log.live_channel_frames()).expect("window fits u32");
     let frames = config.log.frame_config();
-    let mut senders = Vec::with_capacity(workers);
-    let mut receivers = Vec::with_capacity(workers);
+    let mut wires = (Vec::with_capacity(workers), Vec::with_capacity(workers));
     for shard in 0..workers {
         let stream = u32::try_from(shard).expect("worker count fits u32");
         let (sink, source) = socket_pair(stream, window)?;
-        senders.push(SocketSender::new(sink, frames));
-        receivers.push(FrameReceiver::new(source, stream, frames));
+        wires.0.push(SocketSender::new(sink, frames));
+        wires.1.push(FrameReceiver::new(source, stream, frames));
     }
-    crate::live_parallel::run_sharded(program, make_lifeguard, senders, receivers, config)
+    crate::live_parallel::run_sharded_from(program, &make_lifeguard, wires, config)
 }
 
 #[cfg(test)]

@@ -81,40 +81,27 @@ pub struct LogStats {
 }
 
 impl LogStats {
-    /// The single-channel accounting every unsharded mode reports: the
-    /// channel's shipped-record/frame/bit counters joined with the
-    /// capture filter's ledger, normalised per retired instruction.
+    /// The log accounting every mode reports: the shipped-record, frame
+    /// and bit counters summed over its channels (one unsharded; broadcast
+    /// records count once per receiving channel), joined with the
+    /// producer-side capture ledger and normalised per retired instruction.
     #[must_use]
-    pub fn from_channel(stats: ChannelStats, capture: CaptureStats, instructions: u64) -> Self {
-        let instructions = instructions.max(1);
+    pub fn from_channels(stats: &[ChannelStats], capture: CaptureStats, instructions: u64) -> Self {
+        let instructions = instructions.max(1) as f64;
+        let sum = |bits: fn(&ChannelStats) -> u64| stats.iter().map(bits).sum::<u64>();
+        let (payload_bits, wire_bits) = (sum(|s| s.payload_bits), sum(|s| s.wire_bits));
         LogStats {
-            records: stats.records,
+            records: sum(|s| s.records),
             captured: capture.captured,
             filtered: capture.range_filtered,
             deduped: capture.deduped,
             folded: capture.folded,
-            frames: stats.frames,
-            compressed_bits: stats.payload_bits,
-            wire_bits: stats.wire_bits,
-            bytes_per_instruction: stats.payload_bits as f64 / 8.0 / instructions as f64,
-            wire_bytes_per_instruction: stats.wire_bits as f64 / 8.0 / instructions as f64,
+            frames: sum(|s| s.frames),
+            compressed_bits: payload_bits,
+            wire_bits,
+            bytes_per_instruction: payload_bits as f64 / 8.0 / instructions,
+            wire_bytes_per_instruction: wire_bits as f64 / 8.0 / instructions,
         }
-    }
-
-    /// The aggregate accounting of a fan-out mode: per-channel counters
-    /// summed over shards or workers (broadcast records count once per
-    /// receiving channel), joined with the producer-side capture ledger.
-    #[must_use]
-    pub fn from_channels(stats: &[ChannelStats], capture: CaptureStats, instructions: u64) -> Self {
-        let mut sum = ChannelStats::default();
-        for s in stats {
-            sum.records += s.records;
-            sum.frames += s.frames;
-            sum.payload_bits += s.payload_bits;
-            sum.wire_bits += s.wire_bits;
-            sum.high_water_bits = sum.high_water_bits.max(s.high_water_bits);
-        }
-        LogStats::from_channel(sum, capture, instructions)
     }
 }
 
@@ -158,16 +145,30 @@ macro_rules! deref_pipeline {
 }
 pub(crate) use deref_pipeline;
 
-/// The result of a live (two-OS-thread) run: functional findings plus real
-/// wire statistics; no modeled clocks.
+/// The result of the live runner behind [`run_live`](crate::run_live) (one
+/// shard), [`run_live_parallel`](crate::run_live_parallel) and
+/// [`run_remote`](crate::run_remote): functional findings plus real wire
+/// statistics, kept per shard because each shard is an independent wire
+/// stream with its own predictor state. No modeled clocks — for timing,
+/// see [`RunReport`] and [`ParallelReport`](crate::parallel::ParallelReport).
 #[derive(Debug, Clone)]
 pub struct LiveReport {
     /// Program name.
     pub program: String,
+    /// Shard count: 1 for `run_live`, else consumer threads or socket
+    /// workers.
+    pub shards: usize,
     /// Retired-instruction statistics, gathered on the producer thread.
     pub trace: TraceStats,
-    /// The shared pipeline core: findings, log statistics measured on the
-    /// real framed channel, capture ledger, degradation ledger.
+    /// Per-shard transport statistics (records, frames, wire bits), in
+    /// shard order, from the producer side of each stream.
+    pub shard_log: Vec<ChannelStats>,
+    /// The shared pipeline core: the findings (`run_live`'s exactly as its
+    /// lifeguard reported them; the sharded modes' merged over shards and
+    /// deduplicated on `(kind, pc, addr, tid)`, since broadcast events
+    /// surface the same finding on every shard), log statistics summed
+    /// over the shards (broadcast records count once per shard), the
+    /// producer-side capture ledger, and the degradation ledger.
     pub pipeline: PipelineReport,
 }
 
@@ -204,37 +205,6 @@ fn write_degradation(f: &mut fmt::Formatter<'_>, d: &DegradationStats) -> fmt::R
         d.engagements, d.sampled_out, d.kind_dropped, d.snapbacks,
     )
 }
-
-/// The result of a sharded live run: one producer thread fanning the log
-/// out to `shards` consumers, each decoding its own compressed frame
-/// stream — consumer threads behind in-process channels
-/// ([`run_live_parallel`](crate::run_live_parallel)) or workers behind
-/// Unix-domain sockets ([`run_remote`](crate::run_remote)). Both modes
-/// route, seal and merge identically, so their reports are too. Findings
-/// are merged and deduplicated across shards; the transport statistics
-/// stay per shard, because each shard is an independent wire stream with
-/// its own predictor state. No modeled clocks — for timing, see
-/// [`ParallelReport`](crate::parallel::ParallelReport).
-#[derive(Debug, Clone)]
-pub struct LiveParallelReport {
-    /// Program name.
-    pub program: String,
-    /// Shard count (consumer threads or socket workers).
-    pub shards: usize,
-    /// Retired-instruction statistics, gathered on the producer thread.
-    pub trace: TraceStats,
-    /// Per-shard transport statistics (records, frames, wire bits), in
-    /// shard order, from the producer side of each stream.
-    pub shard_log: Vec<ChannelStats>,
-    /// The shared pipeline core: findings merged over shards
-    /// (deduplicated on `(kind, pc, addr, tid)` — broadcast events
-    /// surface the same finding on every shard), shard-aggregated log
-    /// statistics (broadcast records count once per shard), the
-    /// producer-side capture ledger, and the degradation ledger.
-    pub pipeline: PipelineReport,
-}
-
-deref_pipeline!(LiveParallelReport);
 
 /// Per-stream accounting of an offline replay
 /// ([`run_replay`](crate::run_replay)).

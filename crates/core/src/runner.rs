@@ -43,7 +43,7 @@ use crate::kind::LifeguardKind;
 use crate::parallel::ParallelReport;
 use crate::pipeline::{MonitorSpec, RunModeSpec, TopologyKind, MONITORS, RUN_MODES};
 use crate::replay::ReplayMode;
-use crate::report::{LiveParallelReport, LiveReport, PipelineReport, ReplayReport, RunReport};
+use crate::report::{LiveReport, PipelineReport, ReplayReport, RunReport};
 
 /// Every execution model the builder can drive: the nine registry modes
 /// (see [`RUN_MODES`]) plus the two unmonitored/inline baselines, which
@@ -297,9 +297,9 @@ pub enum RunOutcome {
     /// [`RunMode::LbaParallel`].
     Parallel(ParallelReport),
     /// [`RunMode::LiveParallel`].
-    LiveParallel(LiveParallelReport),
+    LiveParallel(LiveReport),
     /// [`RunMode::Remote`].
-    Remote(LiveParallelReport),
+    Remote(LiveReport),
     /// [`RunMode::EpochParallel`].
     Epoch(EpochParallelReport),
     /// [`RunMode::LiveEpochParallel`].
@@ -314,10 +314,8 @@ impl Deref for RunOutcome {
     fn deref(&self) -> &PipelineReport {
         match self {
             RunOutcome::Run(r) => r,
-            RunOutcome::Live(r) => r,
+            RunOutcome::Live(r) | RunOutcome::LiveParallel(r) | RunOutcome::Remote(r) => r,
             RunOutcome::Parallel(r) => r,
-            RunOutcome::LiveParallel(r) => r,
-            RunOutcome::Remote(r) => r,
             RunOutcome::Epoch(r) => r,
             RunOutcome::LiveEpoch(r) => r,
             RunOutcome::Replay(r) => r,
@@ -327,8 +325,8 @@ impl Deref for RunOutcome {
 
 impl fmt::Display for RunOutcome {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        // The fan-out reports define no Display of their own; summarise
-        // them from the shared pipeline fields.
+        // The fan-out modes are summarised from the shared pipeline
+        // fields under their own mode name.
         let summary = |f: &mut fmt::Formatter<'_>, mode: &str, report: &PipelineReport| {
             writeln!(
                 f,

@@ -5,28 +5,25 @@
 //! demand*, reproducibly. One [`FaultProfile`] describes the injected
 //! slowness for both execution models:
 //!
-//! * [`FaultInjector`] wraps any [`LogChannel`] and stalls the consumer on
-//!   a deterministic schedule (every `stall_period` pops, the next
-//!   `stall_burst` pops yield nothing), modelling a lifeguard core that
-//!   falls behind. The injection is *liveness-preserving*: while the
-//!   producer has a parked frame the channel is already under real
-//!   back-pressure and the run loop must drain to make progress, so the
-//!   injector passes those pops through untouched.
+//! * [`ModeledFrameChannel::set_fault`](crate::ModeledFrameChannel::set_fault)
+//!   stalls the modeled consumer on a deterministic schedule (every
+//!   `stall_period` pops, the next `stall_burst` pops yield nothing),
+//!   modelling a lifeguard core that falls behind. The injection is
+//!   *liveness-preserving*: while the producer has a parked frame the
+//!   channel is already under real back-pressure and the run loop must
+//!   drain to make progress, so those pops pass through untouched.
 //! * [`FrameReceiver::set_drag`](crate::live::FrameReceiver::set_drag) is
 //!   the live-thread analogue on either wire: the consumer burns spin
 //!   cycles per frame, so the queue (or the socket's credit window)
-//!   genuinely fills and the producer's [`LoadSample`] climbs.
+//!   genuinely fills and the producer's [`LoadSample`](crate::LoadSample)
+//!   climbs.
 //!
 //! The stall schedule is periodic, not random, so throughput comparisons
 //! see identical drain patterns and a failure found under injection
 //! replays exactly.
 
-use lba_record::EventRecord;
-
-use crate::channel::{ChannelStats, LoadSample, LogChannel, PoppedFrame, PushOutcome};
-
-/// A deterministic fault schedule, shared by the modeled channel's
-/// injector and the live receivers' drag so one profile describes one
+/// A deterministic fault schedule, shared by the modeled channel's stall
+/// schedule and the live receivers' drag so one profile describes one
 /// experiment.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultProfile {
@@ -65,57 +62,36 @@ impl FaultProfile {
     }
 }
 
-/// A [`LogChannel`] wrapper that injects deterministic consumer stalls
-/// (see the module docs). Push-side calls pass straight through — faults
-/// model a slow *drain*, never a lossy capture.
-#[derive(Debug)]
-pub struct FaultInjector<C> {
-    inner: C,
+/// The modeled consumer's stall schedule under a [`FaultProfile`]
+/// ([`ModeledFrameChannel::set_fault`](crate::ModeledFrameChannel::set_fault)).
+/// Faults model a slow *drain*, never a lossy capture: only pops ask it.
+#[derive(Debug, Default)]
+pub(crate) struct StallSchedule {
     profile: FaultProfile,
     /// Successful pops since the last stall episode.
     pops: u64,
     /// Pops still to refuse in the current stall episode.
     stall_left: u32,
-    /// Total pops refused — the experiment's injected-fault ledger.
-    stalled_pops: u64,
 }
 
-impl<C: LogChannel> FaultInjector<C> {
-    /// Wraps `inner` under `profile`'s stall schedule.
-    #[must_use]
-    pub fn new(inner: C, profile: FaultProfile) -> Self {
-        FaultInjector {
-            inner,
+impl StallSchedule {
+    pub(crate) fn new(profile: FaultProfile) -> Self {
+        StallSchedule {
             profile,
-            pops: 0,
-            stall_left: 0,
-            stalled_pops: 0,
+            ..StallSchedule::default()
         }
     }
 
-    /// The wrapped channel, mutably — for channel-specific calls
-    /// (tee installation, widen-aware helpers) the trait does not carry.
-    pub fn inner_mut(&mut self) -> &mut C {
-        &mut self.inner
-    }
-
-    /// Total pops the injector refused.
-    #[must_use]
-    pub fn stalled_pops(&self) -> u64 {
-        self.stalled_pops
-    }
-
     /// Whether this pop should be refused. Never stalls while a frame is
-    /// parked: the producer is already blocked on real back-pressure and
+    /// `parked`: the producer is already blocked on real back-pressure and
     /// the run loop drains through pops — refusing them would deadlock
     /// the co-simulation instead of slowing it.
-    fn stall_gate(&mut self) -> bool {
-        if self.profile.stall_period == 0 || self.inner.has_parked() {
+    pub(crate) fn refuse(&mut self, parked: bool) -> bool {
+        if self.profile.stall_period == 0 || parked {
             return false;
         }
         if self.stall_left > 0 {
             self.stall_left -= 1;
-            self.stalled_pops += 1;
             return true;
         }
         self.pops += 1;
@@ -131,52 +107,13 @@ impl<C: LogChannel> FaultInjector<C> {
     }
 }
 
-impl<C: LogChannel> LogChannel for FaultInjector<C> {
-    fn push_record(&mut self, record: &EventRecord, now: u64) -> PushOutcome {
-        self.inner.push_record(record, now)
-    }
-
-    fn flush(&mut self, now: u64) -> PushOutcome {
-        self.inner.flush(now)
-    }
-
-    fn pop_frame(&mut self) -> Option<PoppedFrame<'_>> {
-        if self.stall_gate() {
-            return None;
-        }
-        self.inner.pop_frame()
-    }
-
-    fn has_parked(&self) -> bool {
-        self.inner.has_parked()
-    }
-
-    fn drained(&self) -> bool {
-        self.inner.drained()
-    }
-
-    fn retry_parked(&mut self, now: u64) -> Option<u64> {
-        self.inner.retry_parked(now)
-    }
-
-    fn stats(&self) -> ChannelStats {
-        self.inner.stats()
-    }
-
-    fn load_sample(&self) -> LoadSample {
-        self.inner.load_sample()
-    }
-
-    fn mark_degraded(&mut self, on: bool) {
-        self.inner.mark_degraded(on);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::channel::LogChannel;
     use crate::model::ModeledFrameChannel;
     use lba_compress::FrameConfig;
+    use lba_record::EventRecord;
 
     fn rec(i: u64) -> EventRecord {
         EventRecord::load(0x1000, 0, Some(1), None, 0x4000_0000 + i * 8, 8)
@@ -197,8 +134,8 @@ mod tests {
             ..FaultProfile::default()
         };
         let run = || {
-            let inner = ModeledFrameChannel::new(1 << 16, config(2), false);
-            let mut ch = FaultInjector::new(inner, profile);
+            let mut ch = ModeledFrameChannel::new(1 << 16, config(2), false);
+            ch.set_fault(profile);
             for i in 0..32 {
                 ch.push_record(&rec(i), i);
             }
@@ -214,13 +151,11 @@ mod tests {
                     None => pattern.push(false),
                 }
             }
-            (pattern, ch.stalled_pops())
+            pattern
         };
-        let (a, stalled_a) = run();
-        let (b, stalled_b) = run();
-        assert_eq!(a, b, "same profile, same schedule");
-        assert_eq!(stalled_a, stalled_b);
-        assert!(stalled_a > 0, "the schedule must actually fire");
+        let a = run();
+        assert_eq!(a, run(), "same profile, same schedule");
+        assert!(a.contains(&false), "the schedule must actually fire");
         // Every 4 successful pops are followed by 2 refusals.
         assert_eq!(&a[0..6], &[true, true, true, true, false, false]);
     }
@@ -234,8 +169,8 @@ mod tests {
             stall_burst: 1000,
             ..FaultProfile::default()
         };
-        let inner = ModeledFrameChannel::new(64, config(2), false);
-        let mut ch = FaultInjector::new(inner, profile);
+        let mut ch = ModeledFrameChannel::new(64, config(2), false);
+        ch.set_fault(profile);
         for i in 0..4 {
             ch.push_record(&rec(i), i);
         }
@@ -257,8 +192,8 @@ mod tests {
 
     #[test]
     fn quiet_profile_is_transparent() {
-        let inner = ModeledFrameChannel::new(1 << 16, config(4), true);
-        let mut ch = FaultInjector::new(inner, FaultProfile::default());
+        let mut ch = ModeledFrameChannel::new(1 << 16, config(4), true);
+        ch.set_fault(FaultProfile::default());
         assert!(FaultProfile::default().is_quiet());
         for i in 0..16 {
             ch.push_record(&rec(i), i);
@@ -268,7 +203,6 @@ mod tests {
         while let Some(frame) = ch.pop_frame() {
             seen += frame.records.len();
         }
-        assert_eq!(seen, 16);
-        assert_eq!(ch.stalled_pops(), 0);
+        assert_eq!(seen, 16, "no pop is refused");
     }
 }

@@ -56,9 +56,9 @@ pub use channel::{
     shard_of, ChannelStats, EpochRoute, EpochRouter, LoadSample, LogChannel, PoppedFrame,
     PushOutcome,
 };
-pub use fault::{FaultInjector, FaultProfile};
+pub use fault::FaultProfile;
 pub use model::{BufferFullError, LogBufferModel, ModeledFrameChannel, TimedFrame, TransportStats};
 pub use sink::{
     ChannelTee, FrameSink, FrameSource, SealedFrame, SinkError, StreamSink, StreamSource,
 };
-pub use socket::{socket_pair, SocketError, SocketSender, SocketSink, SocketSource, WireStream};
+pub use socket::{socket_pair, SocketError, SocketSender, SocketSink, SocketSource};

@@ -60,7 +60,7 @@ use lba_record::EventRecord;
 
 use crate::channel::{ChannelStats, LoadSample, PoppedFrame};
 use crate::sink::{ChannelTee, FrameSink, FrameSource, SealedFrame, SinkError};
-use crate::socket::{SocketSink, WireStream};
+use crate::socket::SocketSink;
 
 /// Spin briefly before yielding to the scheduler: the peer is typically
 /// mid-frame (microseconds away), so burning a few dozen pause
@@ -447,7 +447,7 @@ impl<W: FrameWire> FrameSender<W> {
     }
 }
 
-impl<S: WireStream> FrameSender<SocketSink<S>> {
+impl FrameSender<SocketSink> {
     /// Absorbs the credits already on the wire without blocking, so
     /// [`load_sample`](Self::load_sample) tracks the consumer's drain
     /// between ships; a broken credit channel is latched like a push-path
@@ -617,18 +617,6 @@ impl<S: FrameSource> FrameSource for FrameReceiver<S> {
     }
 }
 
-fn queue_channel(
-    stream: u32,
-    capacity_frames: usize,
-    config: FrameConfig,
-) -> (FrameSender, FrameReceiver) {
-    let (sink, source) = queue(capacity_frames);
-    (
-        FrameSender::new(sink, config),
-        FrameReceiver::new(source, stream, config),
-    )
-}
-
 /// Creates the framed SPSC channel holding up to `capacity_frames`
 /// in-flight frames (stream 0).
 ///
@@ -641,19 +629,16 @@ fn queue_channel(
 /// Panics if `capacity_frames` is zero.
 #[must_use]
 pub fn frame_channel(capacity_frames: usize, config: FrameConfig) -> (FrameSender, FrameReceiver) {
-    queue_channel(0, capacity_frames, config)
+    let (mut senders, mut receivers) = shard_frame_channels(1, capacity_frames, config);
+    (senders.remove(0), receivers.remove(0))
 }
 
-/// Creates `shards` independent framed SPSC channels — the live-parallel
-/// fan-out. Each pair is a [`frame_channel`] of its own, carrying stream
-/// id `shard`: its own compressor and decompressor (so predictor state
-/// never crosses shards and the shard streams decode concurrently on
-/// different cores), its own frame queue of `capacity_frames`, and its own
-/// statistics.
-///
-/// Routing records to shards is the caller's job; see
-/// [`shard_of`](crate::shard_of) for the address-interleaved policy both
-/// sharded run modes use.
+/// Creates `shards` independent framed SPSC channels, one per shard of a
+/// live run. Each is a [`frame_channel`] of its own carrying stream id
+/// `shard` — its own compressor, decompressor, queue and statistics — so
+/// predictor state never crosses shards and the streams decode
+/// concurrently. Routing records to shards is the caller's job (see
+/// [`shard_of`](crate::shard_of)).
 ///
 /// # Panics
 ///
@@ -668,7 +653,9 @@ pub fn shard_frame_channels(
     (0..shards)
         .map(|shard| {
             let stream = u32::try_from(shard).expect("shard count fits u32");
-            queue_channel(stream, capacity_frames, config)
+            let (sink, source) = queue(capacity_frames);
+            let receiver = FrameReceiver::new(source, stream, config);
+            (FrameSender::new(sink, config), receiver)
         })
         .unzip()
 }

@@ -7,6 +7,7 @@ use lba_compress::{Frame, FrameConfig, FrameDecoder, FrameEncoder, FRAME_LINE_BY
 use lba_record::EventRecord;
 
 use crate::channel::{ChannelStats, LoadSample, LogChannel, PoppedFrame, PushOutcome};
+use crate::fault::{FaultProfile, StallSchedule};
 use crate::sink::{ChannelTee, FrameSink, SealedFrame, SinkError};
 
 /// A sealed log frame annotated with its production time.
@@ -220,6 +221,8 @@ pub struct ModeledFrameChannel {
     /// Optional mirror of every sealed frame into a [`FrameSink`] (the
     /// flight recorder); see [`tee_into`](Self::tee_into).
     tee: ChannelTee,
+    /// Pops refused on purpose; see [`set_fault`](Self::set_fault).
+    stalls: StallSchedule,
 }
 
 impl ModeledFrameChannel {
@@ -250,7 +253,16 @@ impl ModeledFrameChannel {
             ready: VecDeque::new(),
             batch_pool: Vec::new(),
             tee: ChannelTee::default(),
+            stalls: StallSchedule::default(),
         }
+    }
+
+    /// Fault injection: refuse pops on `profile`'s deterministic stall
+    /// schedule, simulating a lifeguard core that falls behind. Pops pass
+    /// while a frame is parked, so the drain slows but never deadlocks.
+    /// The quiet default profile (the initial state) refuses nothing.
+    pub fn set_fault(&mut self, profile: FaultProfile) {
+        self.stalls = StallSchedule::new(profile);
     }
 
     /// Mirrors every subsequently sealed frame into `sink` — the
@@ -368,6 +380,9 @@ impl LogChannel for ModeledFrameChannel {
     }
 
     fn pop_frame(&mut self) -> Option<PoppedFrame<'_>> {
+        if self.stalls.refuse(!self.parked.is_empty()) {
+            return None;
+        }
         // The whole frame is consumed in one step, so its lines free now.
         let frame = self.buffer.pop()?;
         let epoch_end = Frame::header_epoch_end(&frame.bytes);

@@ -1,10 +1,8 @@
-//! The socket wire: sealed frames over a Unix-domain (TCP-ready)
-//! connection.
+//! The socket wire: sealed frames over a Unix-domain connection.
 //!
 //! The in-process queue ships frames between threads; this wire ships them
-//! between *processes* (and, by construction, between hosts): the
-//! production topology where one monitored application fans frame streams
-//! out to a pool of lifeguard workers. It is a second wire under the one
+//! between *processes*: the production topology where one monitored
+//! application fans frame streams out to a pool of lifeguard workers. It is a second wire under the one
 //! live transport, not a second transport: [`SocketSink`] is a
 //! [`FrameWire`] under a [`FrameSender`] ([`SocketSender`] names that
 //! pairing), and [`SocketSource`] is a [`FrameSource`] under a
@@ -27,10 +25,9 @@
 //! credit:       one 0x06 byte per drained frame         (consumer→producer)
 //! ```
 //!
-//! All integers are little-endian. The wire is a plain byte stream over
-//! any full-duplex socket — the [`WireStream`] trait is implemented for
-//! both [`UnixStream`] and [`std::net::TcpStream`], so moving a worker to
-//! another host is a connect call, not a protocol change.
+//! All integers are little-endian. The wire is a plain byte stream; the
+//! credit protocol needs only a full-duplex [`UnixStream`] with read
+//! timeouts and non-blocking reads.
 //!
 //! Neither end trusts the other's bytes. The consumer checks each payload
 //! against its checksum and its record count against the frame image, and
@@ -110,60 +107,14 @@ const CREDIT_POLL: Duration = Duration::from_millis(5);
 /// one in a single read, and a hostile length buys no more than this.
 const PAYLOAD_RESERVE: usize = 64 << 10;
 
-/// A full-duplex byte stream the socket transport can run over.
-///
-/// Implemented for [`UnixStream`] (the in-machine deployment) and
-/// [`std::net::TcpStream`] (the multi-host one) — both expose the same
-/// read-timeout and non-blocking controls, which the credit protocol
-/// needs. Nothing in the transport names a socket family beyond this
-/// trait, which is what makes the protocol TCP-ready by construction.
-pub trait WireStream: Read + Write + Send {
-    /// Bounds how long a blocking read may wait; `None` restores blocking.
-    ///
-    /// # Errors
-    ///
-    /// The underlying socket option call's error.
-    fn set_read_timeout(&self, timeout: Option<Duration>) -> io::Result<()>;
-    /// Switches the stream between blocking and non-blocking reads.
-    ///
-    /// # Errors
-    ///
-    /// The underlying socket option call's error.
-    fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()>;
-    /// A human-readable name for the peer, used in error messages.
-    fn endpoint(&self) -> String;
-}
-
-impl WireStream for UnixStream {
-    fn set_read_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
-        UnixStream::set_read_timeout(self, timeout)
-    }
-    fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()> {
-        UnixStream::set_nonblocking(self, nonblocking)
-    }
-    fn endpoint(&self) -> String {
-        match self.peer_addr() {
-            Ok(addr) => match addr.as_pathname() {
-                Some(path) => format!("uds:{}", path.display()),
-                None => "uds:<unnamed>".to_string(),
-            },
-            Err(_) => "uds:<disconnected>".to_string(),
-        }
-    }
-}
-
-impl WireStream for std::net::TcpStream {
-    fn set_read_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
-        std::net::TcpStream::set_read_timeout(self, timeout)
-    }
-    fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()> {
-        std::net::TcpStream::set_nonblocking(self, nonblocking)
-    }
-    fn endpoint(&self) -> String {
-        match self.peer_addr() {
-            Ok(addr) => format!("tcp:{addr}"),
-            Err(_) => "tcp:<disconnected>".to_string(),
-        }
+/// A human-readable name for the peer, used in error messages.
+fn endpoint(stream: &UnixStream) -> String {
+    match stream.peer_addr() {
+        Ok(addr) => match addr.as_pathname() {
+            Some(path) => format!("uds:{}", path.display()),
+            None => "uds:<unnamed>".to_string(),
+        },
+        Err(_) => "uds:<disconnected>".to_string(),
     }
 }
 
@@ -277,8 +228,8 @@ impl SocketError {
 /// Producer end of the socket wire: ships sealed frames as `lbas/1`
 /// records under the credit window. Drive it through a
 /// [`SocketSender`].
-pub struct SocketSink<W: WireStream = UnixStream> {
-    stream: W,
+pub struct SocketSink {
+    stream: UnixStream,
     endpoint: String,
     /// Maximum un-acknowledged frames in flight.
     window: u32,
@@ -296,7 +247,7 @@ pub struct SocketSink<W: WireStream = UnixStream> {
     spare: Option<Vec<u8>>,
 }
 
-impl<W: WireStream> SocketSink<W> {
+impl SocketSink {
     /// Opens the producer side over `stream`: writes the connection hello
     /// (stream id, codec version, credit window) and returns the sink.
     ///
@@ -313,13 +264,13 @@ impl<W: WireStream> SocketSink<W> {
     ///
     /// Panics if `window` is zero — a zero window could never ship.
     pub fn connect(
-        stream: W,
+        stream: UnixStream,
         stream_id: u32,
         codec_version: u32,
         window: u32,
     ) -> Result<Self, SocketError> {
         assert!(window > 0, "socket credit window must be non-zero");
-        let endpoint = stream.endpoint();
+        let endpoint = endpoint(&stream);
         let mut sink = SocketSink {
             stream,
             endpoint,
@@ -439,7 +390,7 @@ impl<W: WireStream> SocketSink<W> {
     }
 }
 
-impl<W: WireStream> FrameWire for SocketSink<W> {
+impl FrameWire for SocketSink {
     type Error = SocketError;
 
     /// Waits for a credit, then writes the frame record.
@@ -497,15 +448,15 @@ impl<W: WireStream> FrameWire for SocketSink<W> {
 /// under the credit window. End it with [`finish`](FrameSender::finish):
 /// a sender dropped unfinished never writes the End record, so its
 /// consumer sees a torn stream.
-pub type SocketSender<W = UnixStream> = FrameSender<SocketSink<W>>;
+pub type SocketSender = FrameSender<SocketSink>;
 
 /// Consumer end of the socket wire: validates the hello, drains frame
 /// records, and returns one credit per frame — a [`FrameSource`] that a
 /// [`FrameReceiver`](crate::live::FrameReceiver) decodes exactly like the
 /// in-process queue.
 #[derive(Debug)]
-pub struct SocketSource<W: WireStream = UnixStream> {
-    stream: W,
+pub struct SocketSource {
+    stream: UnixStream,
     endpoint: String,
     hello: StreamHeader,
     /// Complete frames drained so far.
@@ -513,7 +464,7 @@ pub struct SocketSource<W: WireStream = UnixStream> {
     finished: bool,
 }
 
-impl<W: WireStream> SocketSource<W> {
+impl SocketSource {
     /// Opens the consumer side over `stream`: reads and validates the
     /// connection hello.
     ///
@@ -523,8 +474,8 @@ impl<W: WireStream> SocketSource<W> {
     /// `lbas/` identifier, [`SocketError::UnknownVersion`] for a protocol
     /// version this side does not speak, [`SocketError::Io`] when the
     /// hello cannot be read.
-    pub fn accept(stream: W) -> Result<Self, SocketError> {
-        let endpoint = stream.endpoint();
+    pub fn accept(stream: UnixStream) -> Result<Self, SocketError> {
+        let endpoint = endpoint(&stream);
         let mut source = SocketSource {
             stream,
             endpoint,
@@ -639,7 +590,7 @@ impl<W: WireStream> SocketSource<W> {
     }
 }
 
-impl<W: WireStream> FrameSource for SocketSource<W> {
+impl FrameSource for SocketSource {
     fn next_frame_bytes(&mut self) -> Result<Option<Vec<u8>>, SinkError> {
         self.next_wire_frame().map_err(Into::into)
     }
@@ -656,10 +607,7 @@ impl<W: WireStream> FrameSource for SocketSource<W> {
 ///
 /// [`SocketError::Io`] when the socket pair cannot be created, plus any
 /// hello exchange error.
-pub fn socket_pair(
-    stream_id: u32,
-    window: u32,
-) -> Result<(SocketSink<UnixStream>, SocketSource<UnixStream>), SocketError> {
+pub fn socket_pair(stream_id: u32, window: u32) -> Result<(SocketSink, SocketSource), SocketError> {
     let (a, b) = UnixStream::pair().map_err(|e| SocketError::io("uds:<socketpair>", e))?;
     let sink = SocketSink::connect(a, stream_id, lba_compress::CODEC_VERSION, window)?;
     let source = SocketSource::accept(b)?;

@@ -60,7 +60,7 @@
 //!                 │  (LogConfig::record_to)     │
 //!                 ├─────────────────────────────┤
 //!                 │  socket wire (lbas/1 records│
-//!                 │  over UDS, TCP-ready): the  │
+//!                 │  over UDS): the             │
 //!                 │  live FrameSender/Receiver  │
 //!                 │  over SocketSink ⇄ Socket-  │
 //!                 │  Source instead of the SPSC │
@@ -95,12 +95,12 @@
 //! | `lba-cache`      | set-associative caches and the two-core memory system |
 //! | `lba-record`     | the typed event-record vocabulary the log carries (incl. `Repeat` fold summaries) + the segmented `lbas/1` flight-recorder stream format (rotation, retention, End records) |
 //! | `lba-compress`   | value-prediction log compression + chunked frame codec (< 1 byte/instr on the wire), `CODEC_VERSION` stamped into recordings |
-//! | `lba-transport`  | `LogChannel` trait over the framed buffer timing model; the live transport — one `FrameSender` (encoder, recording tee, marks, stall latch, stats) and one `FrameReceiver` (decoder, drain drag) over two wires, the in-process SPSC queue or the `socket` module's `lbas/1` records over Unix-domain sockets (TCP-ready via `WireStream`) with an explicit credit window so back-pressure survives the wire; both consumed a frame at a time (`pop_frame` / `recv_batch`); `shard_of` routing and per-shard channel fan-out, `EpochRouter` time-slicing with epoch-end marks in the frame header; `FrameSink`/`FrameSource` seam with tee mirroring into recordings; the producer-visible `LoadSample` occupancy signal (the feedback arrow above) and the `FaultInjector`/drain-drag slow-consumer injection |
+//! | `lba-transport`  | `LogChannel` trait over the framed buffer timing model; the live transport — one `FrameSender` (encoder, recording tee, marks, stall latch, stats) and one `FrameReceiver` (decoder, drain drag) over two wires, the in-process SPSC queue or the `socket` module's `lbas/1` records over Unix-domain sockets with an explicit credit window so back-pressure survives the wire; both consumed a frame at a time (`pop_frame` / `recv_batch`); `shard_of` routing and per-shard channel fan-out, `EpochRouter` time-slicing with epoch-end marks in the frame header; `FrameSink`/`FrameSource` seam with tee mirroring into recordings; the producer-visible `LoadSample` occupancy signal (the feedback arrow above) and the `FaultProfile` slow-consumer injection (the modeled channel's stall schedule, the live receivers' drain drag) |
 //! | `lba-lifeguard`  | dispatch engine (`deliver_batch` for the log, per-record `deliver` for DBI), capture filters (`AddrRangeFilter` + per-contract idempotency window in one `CaptureFilter` pass), findings, flat paged shadow memory, the `EpochSummary`/`EpochSummarizer`/`EpochLifeguard` trait triple behind the epoch-parallel modes, and the `DegradationPolicy`/`RegionClassifier` graceful-degradation contracts |
 //! | `lba-lifeguards` | the paper's four lifeguards + `TaintCheck`'s symbolic epoch summaries (`taint_summary`); each declares its degradation tolerance next to its idempotency story |
 //! | `lba-dbi`        | Valgrind-style inline instrumentation baseline        |
 //! | `lba-workloads`  | deterministic benchmark programs                      |
-//! | `lba-core`       | ties it together: the staged capture pipeline (`pipeline::Producer` driving each mode's `pipeline::ProducerLink`), the run-mode/monitor registry (`pipeline::RUN_MODES` / `pipeline::MONITORS`), the unified `Run` builder dispatching every mode through its `RUN_MODES` row behind one validated entry point (the `run_*` functions are the per-mode implementations), the `LbaError` hierarchy folding every layer's failures, experiments, the shared `PipelineReport` core every report derefs to, and the adaptive `CaptureController` closing the back-pressure feedback loop |
+//! | `lba-core`       | ties it together: the staged capture pipeline (`pipeline::Producer` driving each mode's `pipeline::ProducerLink`), the run-mode/monitor registry (`pipeline::RUN_MODES` / `pipeline::MONITORS`), the unified `Run` builder dispatching every mode through its `RUN_MODES` row behind one validated entry point (the `run_*` functions are the per-mode implementations), one live runner behind `run_live`, `run_live_parallel` and `run_remote` (one shard or N, queue or socket wires), the `LbaError` hierarchy folding every layer's failures (a panicking live thread included), experiments, the shared `PipelineReport` core every report derefs to, and the adaptive `CaptureController` closing the back-pressure feedback loop |
 //! | `lba-bench`      | table rendering, Criterion benches, `figures` binary  |
 //!
 //! ## Execution models
@@ -118,21 +118,21 @@
 //! * [`run_lba`] — the proposed system: capture → compression → framed log
 //!   channel → dispatch → lifeguard on a second core, with decoupled
 //!   clocks, back-pressure, and syscall-stall containment;
-//! * [`run_live`] — the same framed pipeline over a real SPSC channel
-//!   between OS threads instead of the deterministic timing model: one
-//!   queue operation per frame, real wire bytes measured and reported;
-//! * [`run_live_parallel`] — the sharded live mode: load/store records
-//!   route to the shard owning their cache line, every shard is its own
-//!   compressed frame stream with its own predictor bank, and N consumer
-//!   threads decode and dispatch concurrently;
-//! * [`run_remote`] — [`run_live_parallel`] over sockets: the same
-//!   runner, frame sender and receiver, with each shard's queue replaced
-//!   by a real Unix-domain socket (`lbas/1` framing, TCP-ready) to a
-//!   worker owning a full decoder + dispatch + lifeguard stack, and an
-//!   explicit credit window carrying the back-pressure and
-//!   adaptive-degradation semantics across the wire; per-shard wire
-//!   streams and merged findings are byte-identical to
-//!   [`run_live_parallel`]'s;
+//! * [`run_live`] — the live runner with one shard: the same framed
+//!   pipeline over a real SPSC channel between OS threads instead of the
+//!   deterministic timing model, with [`run_lba`]'s syscall containment
+//!   and address-range filter; one queue operation per frame, real wire
+//!   bytes measured and reported;
+//! * [`run_live_parallel`] — the same runner N shards wide: load/store
+//!   records route to the shard owning their cache line, every shard is
+//!   its own compressed frame stream with its own predictor bank, and N
+//!   consumer threads decode and dispatch concurrently;
+//! * [`run_remote`] — [`run_live_parallel`] with each shard's queue
+//!   replaced by a real Unix-domain socket (`lbas/1` framing) to a worker
+//!   owning a full decoder + dispatch + lifeguard stack; a credit window
+//!   carries the back-pressure and adaptive-degradation semantics across
+//!   the wire, and per-shard wire streams and merged findings are
+//!   byte-identical to [`run_live_parallel`]'s;
 //! * [`run_epoch_parallel`] — the epoch-parallel mode for
 //!   *order-sensitive* lifeguards that sharding cannot split: the stream
 //!   is cut into whole epochs at syscall boundaries, workers compute
@@ -212,9 +212,9 @@
 pub use lba_core::{
     epoch_parallel, experiment, live_parallel, parallel, pipeline, remote, replay, report, runner,
     table, CaptureFilter, CaptureStats, ChannelStats, EpochParallelReport, IdempotencyClass,
-    LifeguardKind, LiveEpochParallelReport, LiveParallelReport, LiveReport, LogConfig, LogStats,
-    Mode, PipelineReport, RecordConfig, ReplayError, ReplayReport, ReplayStreamStats, RunError,
-    RunReport, StallBreakdown, SystemConfig, WindowSpec,
+    LifeguardKind, LiveEpochParallelReport, LiveReport, LogConfig, LogStats, Mode, PipelineReport,
+    RecordConfig, ReplayError, ReplayReport, ReplayStreamStats, RunError, RunReport,
+    StallBreakdown, SystemConfig, WindowSpec,
 };
 // The unified entry point: one builder for every execution model, the
 // outcome type every mode-shaped report folds into, and the error
@@ -235,12 +235,12 @@ pub use lba_core::{
 };
 // Adaptive capture under back-pressure: the controller and its knobs, the
 // per-lifeguard degradation contracts, the transport load signal, the
-// deterministic fault injector that drives the acceptance tests, and the replay
-// salvage mode for torn recordings.
+// deterministic fault profile that drives the acceptance tests, and the
+// replay salvage mode for torn recordings.
 pub use lba_core::{
     AdaptiveConfig, CaptureController, DegradationPolicy, DegradationRequest, DegradationStats,
-    DegradedInterval, FaultInjector, FaultProfile, LoadSample, RegionClassifier, ReplayMode,
-    SalvagedTail, SamplingSpec, Transition, Verdict, MAX_RECORDED_INTERVALS,
+    DegradedInterval, FaultProfile, LoadSample, RegionClassifier, ReplayMode, SalvagedTail,
+    SamplingSpec, Transition, Verdict, MAX_RECORDED_INTERVALS,
 };
 
 #[cfg(test)]

@@ -12,7 +12,7 @@ use proptest::prelude::*;
 
 use lba::{
     parallel::run_lba_parallel, run_lba, run_live, run_live_parallel, AdaptiveConfig,
-    DegradationStats, FaultProfile, RunError, SystemConfig, MAX_RECORDED_INTERVALS,
+    DegradationStats, FaultProfile, LbaError, RunError, SystemConfig, MAX_RECORDED_INTERVALS,
 };
 use lba_lifeguard::Lifeguard;
 use lba_lifeguards::{AddrCheck, LockSet, MemProfile, TaintCheck};
@@ -215,7 +215,10 @@ fn stalled_live_consumer_surfaces_as_channel_stalled() {
     });
     let mut lg = AddrCheck::new();
     let err = run_live(&program, &mut lg, &config).unwrap_err();
-    assert!(matches!(err, RunError::ChannelStalled), "got: {err:?}");
+    assert!(
+        matches!(err, LbaError::Run(RunError::ChannelStalled)),
+        "got: {err:?}"
+    );
     assert!(err.to_string().contains("stall"));
 }
 
@@ -403,4 +406,42 @@ fn lifeguard_dial_request_engages_and_is_ledgered() {
     let quiet = run_lba(&program, &mut undialed, &config).unwrap();
     assert_eq!(quiet.pipeline.degradation.lifeguard_requests, 0);
     assert!(quiet.pipeline.degradation.is_empty());
+}
+
+#[test]
+fn live_dial_requests_engage_and_are_ledgered() {
+    // The live flavour of the dial: each consumer polls its lifeguard
+    // after every frame and publishes the request for the producer
+    // thread's controller. Sharded, every shard requests once, and a
+    // request the producer has not taken yet can be overwritten.
+    let program = Benchmark::Gzip.build();
+    let mut config = SystemConfig::default();
+    config.log.adaptive = Some(AdaptiveConfig::default());
+    let clean = SystemConfig::default();
+    let dialed = || -> Box<dyn Lifeguard> { Box::new(DialAddrCheck::new(1_000)) };
+    let cases = [
+        (
+            run_live(&program, dialed().as_mut(), &config).unwrap(),
+            run_live(&program, &mut AddrCheck::new(), &clean).unwrap(),
+            1..=1,
+        ),
+        (
+            run_live_parallel(&program, dialed, 2, &config).unwrap(),
+            run_live_parallel(&program, || Box::new(AddrCheck::new()), 2, &clean).unwrap(),
+            1..=2,
+        ),
+    ];
+    for (report, baseline, requests) in cases {
+        let stats = &report.pipeline.degradation;
+        assert!(
+            requests.contains(&stats.lifeguard_requests),
+            "one dial request per shard (take semantics): {stats:?}"
+        );
+        assert!(stats.engagements >= 1, "the request must engage: {stats:?}");
+        assert_stats_consistent(stats);
+        assert_eq!(
+            report.pipeline.findings, baseline.pipeline.findings,
+            "a dial-driven degradation span must not change findings"
+        );
+    }
 }
