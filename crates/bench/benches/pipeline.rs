@@ -1,8 +1,8 @@
 //! End-to-end pipeline throughput: events/sec through `run_lba` and
 //! `run_live` for all four lifeguards; the sharded `run_live_parallel`
 //! series across shard counts for the lifeguards that support address
-//! interleaving; the epoch-parallel TaintCheck series; plus the isolated
-//! `pop_frame`+`deliver_batch` consumption path.
+//! interleaving; plus the isolated `pop_frame`+`deliver_batch`
+//! consumption path.
 //!
 //! `cargo bench -p lba-bench --bench pipeline` prints a best-of-N summary
 //! before the Criterion samples; `cargo bench -p lba-bench -- --test` runs
@@ -11,11 +11,8 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
-use lba::{
-    run_epoch_parallel, run_lba, run_live, run_live_epoch_parallel, run_live_parallel, SystemConfig,
-};
-use lba_bench::pipeline::{self, PipelineRow, EPOCH_WORKER_COUNTS, SHARD_COUNTS};
-use lba_lifeguards::TaintCheck;
+use lba::{run_lba, run_live, run_live_parallel, SystemConfig};
+use lba_bench::pipeline::{self, PipelineRow, SHARD_COUNTS};
 use lba_workloads::Benchmark;
 
 fn bench_pipeline(c: &mut Criterion) {
@@ -94,36 +91,6 @@ fn bench_pipeline(c: &mut Criterion) {
                 })
             });
         }
-    }
-    group.finish();
-
-    // The epoch-parallel TaintCheck pipeline: whole epochs to summarizer
-    // workers, symbolic transfer functions stitched in order on a merge
-    // core — the one lifeguard address sharding cannot split. Both the
-    // modeled mode (whose deterministic clocks carry the speedup claim)
-    // and the real-thread mode ride the same router and summarizer.
-    let mut group = c.benchmark_group("epoch_taint");
-    group
-        .sample_size(samples)
-        .throughput(Throughput::Elements(records));
-    for workers in EPOCH_WORKER_COUNTS {
-        let cfg = &cfg;
-        let program = &program;
-        group.bench_function(format!("modeled_x{workers}"), |b| {
-            b.iter(|| {
-                run_epoch_parallel(program, &mut TaintCheck::new(), workers, cfg)
-                    .expect("runs")
-                    .total_cycles
-            })
-        });
-        group.bench_function(format!("live_x{workers}"), |b| {
-            b.iter(|| {
-                run_live_epoch_parallel(program, &mut TaintCheck::new(), workers, cfg)
-                    .expect("runs")
-                    .log
-                    .records
-            })
-        });
     }
     group.finish();
 

@@ -106,8 +106,8 @@ fn bench_transport(c: &mut Criterion) {
 /// nonzero counters — clean pages are dismissed with one counter load —
 /// where the general `range_is(.., 0)` must scan every byte to prove the
 /// same thing. TaintCheck's syscall handler asks this question over a
-/// mostly-clean heap on every syscall, so the sweep sits on the epoch
-/// workers' critical path.
+/// mostly-clean heap on every syscall, so the sweep sits on the
+/// lifeguard's critical path.
 fn bench_shadow_range(c: &mut Criterion) {
     const SPAN: u64 = 1 << 20;
     let mut shadow: ShadowMemory<u8> = ShadowMemory::new();

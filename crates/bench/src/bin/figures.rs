@@ -19,8 +19,11 @@
 //! with the same `lba_bench::pipeline::validate_trajectory` shape check
 //! `tests/figures_smoke.rs` runs on the committed file, and fails if the
 //! emitted *schema* (the set of series/cells) diverges from the
-//! committed one — so a PR cannot silently drop or mutate a series
-//! without regenerating the trajectory.
+//! committed one, or if any row's deterministic columns (`records`,
+//! `wire_bits`, `modeled_cycles`) differ from its committed twin
+//! (`lba_bench::pipeline::check_deterministic_columns`) — so a change cannot
+//! silently drop a series or move what the pipeline ships without
+//! regenerating the trajectory.
 
 use lba::experiment;
 use lba::{LifeguardKind, RecordConfig, ReplayMode, Run, RunMode, RunOutcome, SystemConfig};
@@ -299,10 +302,19 @@ fn bench_smoke() -> i32 {
             );
             1
         }
-        Ok(_) => {
-            println!("emitted schema matches the committed trajectory");
-            0
-        }
+        Ok(_) => match pipeline::check_deterministic_columns(&committed, &json) {
+            Err(e) => {
+                eprintln!(
+                    "{e}\na behaviour change must regenerate the trajectory with \
+                     `cargo run --release -p lba-bench --bin figures`"
+                );
+                1
+            }
+            Ok(()) => {
+                println!("emitted schema and deterministic columns match the committed trajectory");
+                0
+            }
+        },
     }
 }
 

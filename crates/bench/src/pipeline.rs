@@ -14,13 +14,13 @@
 use std::time::Instant;
 
 use lba::{
-    run_epoch_parallel, run_lba, run_live, run_live_epoch_parallel, run_live_parallel, run_remote,
-    run_replay, AdaptiveConfig, FaultProfile, LbaError, LiveReport, RecordConfig, SystemConfig,
+    run_lba, run_live, run_live_parallel, run_remote, run_replay, AdaptiveConfig, FaultProfile,
+    LbaError, LiveReport, RecordConfig, SystemConfig,
 };
 use lba_cache::{MemSystem, MemSystemConfig};
 use lba_cpu::Machine;
 use lba_lifeguard::{DispatchEngine, Lifeguard};
-use lba_lifeguards::{AddrCheck, TaintCheck};
+use lba_lifeguards::AddrCheck;
 use lba_record::EventRecord;
 use lba_transport::{LogChannel, ModeledFrameChannel};
 use lba_workloads::Benchmark;
@@ -41,8 +41,7 @@ pub fn lifeguards() -> Vec<(&'static str, LifeguardFactory)> {
 /// registry row declares address-interleaved sharding sound (per-address
 /// state only). TaintCheck is excluded: its register state forms a
 /// sequential dependence chain through every instruction (same soundness
-/// note as the modeled `run_lba_parallel`); it gets its own
-/// "taint-parallel" epoch series instead (see [`epoch_speedup`]).
+/// note as the modeled `run_lba_parallel`).
 #[must_use]
 pub fn sharded_lifeguards() -> Vec<(&'static str, LifeguardFactory)> {
     lba::MONITORS
@@ -54,14 +53,6 @@ pub fn sharded_lifeguards() -> Vec<(&'static str, LifeguardFactory)> {
 
 /// Shard counts the live-parallel series measures.
 pub const SHARD_COUNTS: [usize; 3] = [1, 2, 4];
-
-/// Worker counts the epoch-parallel TaintCheck series measures.
-pub const EPOCH_WORKER_COUNTS: [usize; 3] = [1, 2, 4];
-
-/// Modeled-cycle speedup the 4-worker epoch-parallel TaintCheck row must
-/// show over the sequential `run_lba` TaintCheck row — the trajectory
-/// gate for the epoch mode's reason to exist.
-pub const EPOCH_SPEEDUP_FLOOR: f64 = 1.5;
 
 /// Idempotency-window size (entries) used by the filtered series.
 pub const IDEMPOTENT_WINDOW: usize = 4096;
@@ -105,10 +96,8 @@ pub struct PipelineRow {
     /// Records per wall-clock second.
     pub events_per_sec: f64,
     /// Modeled end-to-end cycles, for the modes with a deterministic
-    /// clock model (`lba` and the modeled `taint-parallel` series); 0 for
-    /// the host-wall-clock-only modes. The epoch-parallel speedup claim
-    /// is made on this column — wall clock cannot show scaling on a
-    /// 1-vCPU box, modeled cycles can.
+    /// clock model (the `lba` series); 0 for the host-wall-clock-only
+    /// modes.
     pub modeled_cycles: u64,
     /// Fraction of captured events the adaptive controller sampled out
     /// (the `*-degraded` series; 0 everywhere else).
@@ -149,74 +138,9 @@ pub fn measure_pipeline(samples: usize) -> Vec<PipelineRow> {
         rows.push(measure_mode("live", name, &make, &cfg, &program, samples));
     }
     rows.extend(measure_sharded_live(samples));
-    rows.extend(measure_taint_parallel(samples));
     rows.extend(measure_idempotent(samples));
     rows.extend(measure_replay(samples));
     rows.extend(measure_degraded(samples));
-    rows
-}
-
-/// The epoch-parallel TaintCheck series: the one lifeguard the sharded
-/// modes cannot split, parallelised by time-slicing instead — whole
-/// epochs to workers computing symbolic transfer-function summaries, a
-/// merge core stitching them in order (`run_epoch_parallel` /
-/// `run_live_epoch_parallel` over TaintCheck). The worker count rides the
-/// `shards` column. Two sub-series:
-///
-/// * `taint-parallel` — the modeled mode; `modeled_cycles` carries its
-///   end-to-end clock, and the trajectory gate demands the 4-worker row
-///   beat the sequential `lba`/`taintcheck` row by
-///   [`EPOCH_SPEEDUP_FLOOR`] on that column (wall clock cannot show
-///   scaling on a 1-vCPU host; the deterministic clock model can);
-/// * `live-taint-parallel` — the same pipeline on real threads,
-///   wall-clock only.
-#[must_use]
-pub fn measure_taint_parallel(samples: usize) -> Vec<PipelineRow> {
-    let program = Benchmark::Gzip.build();
-    let cfg = SystemConfig::default();
-    let mut rows = Vec::new();
-    for workers in EPOCH_WORKER_COUNTS {
-        let mut modeled_cycles = 0;
-        let (records, wire_bits, wall) = best_of(samples, || {
-            let report = run_epoch_parallel(&program, &mut TaintCheck::new(), workers, &cfg)
-                .expect("gzip runs clean");
-            modeled_cycles = report.total_cycles;
-            (report.log.records, report.log.wire_bits)
-        });
-        rows.push(PipelineRow {
-            mode: "taint-parallel",
-            lifeguard: "taintcheck",
-            benchmark: "gzip",
-            shards: workers,
-            window: 0,
-            records,
-            wire_bits,
-            wall_seconds: wall,
-            events_per_sec: records as f64 / wall,
-            modeled_cycles,
-            sampled_out_fraction: 0.0,
-        });
-    }
-    for workers in EPOCH_WORKER_COUNTS {
-        let (records, wire_bits, wall) = best_of(samples, || {
-            let report = run_live_epoch_parallel(&program, &mut TaintCheck::new(), workers, &cfg)
-                .expect("gzip runs clean");
-            (report.log.records, report.log.wire_bits)
-        });
-        rows.push(PipelineRow {
-            mode: "live-taint-parallel",
-            lifeguard: "taintcheck",
-            benchmark: "gzip",
-            shards: workers,
-            window: 0,
-            records,
-            wire_bits,
-            wall_seconds: wall,
-            events_per_sec: records as f64 / wall,
-            modeled_cycles: 0,
-            sampled_out_fraction: 0.0,
-        });
-    }
     rows
 }
 
@@ -592,22 +516,6 @@ pub fn dedup_speedup(rows: &[PipelineRow], mode: &str, lifeguard: &str) -> Optio
     Some(filtered.events_per_sec / baseline.events_per_sec)
 }
 
-/// The epoch-parallel ratio: the sequential `lba`/`taintcheck` row's
-/// modeled cycles over the modeled `taint-parallel` row's at `workers`
-/// workers, if both are present. Computed on the deterministic clock
-/// model, not wall clock — the host may not have the cores to show the
-/// overlap, the model does.
-#[must_use]
-pub fn epoch_speedup(rows: &[PipelineRow], workers: usize) -> Option<f64> {
-    let sequential = rows.iter().find(|r| {
-        r.mode == "lba" && r.lifeguard == "taintcheck" && r.window == 0 && r.modeled_cycles > 0
-    })?;
-    let parallel = rows
-        .iter()
-        .find(|r| r.mode == "taint-parallel" && r.shards == workers && r.modeled_cycles > 0)?;
-    Some(sequential.modeled_cycles as f64 / parallel.modeled_cycles as f64)
-}
-
 /// The sharded ratio: a live-parallel row's events/sec over the one-shard
 /// row of the same lifeguard, if both are present. On genuinely parallel
 /// hardware this is the scaling curve; on a 1-vCPU box it hovers near (or
@@ -663,9 +571,6 @@ pub fn render_pipeline(rows: &[PipelineRow]) -> String {
         } else if row.mode == "remote" {
             socket_overhead(rows, row.lifeguard, row.shards)
                 .map_or(String::new(), |s| format!("{s:.2}x vs in-process"))
-        } else if row.mode == "taint-parallel" {
-            epoch_speedup(rows, row.shards)
-                .map_or(String::new(), |s| format!("{s:.2}x vs sequential"))
         } else if let Some(base) = row.mode.strip_suffix("-degraded") {
             degraded_speedup(rows, base, row.lifeguard)
                 .map_or(String::new(), |s| format!("{s:.2}x vs uncontrolled"))
@@ -730,6 +635,22 @@ fn row_f64(line: &str, key: &str) -> Result<f64, String> {
         .map_err(|e| format!("bad {key} in {line}: {e}"))
 }
 
+/// The result-row lines of a trajectory document.
+fn row_lines(json: &str) -> impl Iterator<Item = &str> {
+    json.lines().filter(|l| l.contains("\"mode\""))
+}
+
+/// A row's identity: everything but the measurements.
+fn row_key(line: &str) -> Result<String, String> {
+    let mut key = String::new();
+    for field in ["mode", "lifeguard", "benchmark", "shards", "window"] {
+        let value = row_field(line, field).ok_or_else(|| format!("row missing {field}: {line}"))?;
+        key.push_str(value);
+        key.push('/');
+    }
+    Ok(key)
+}
+
 /// The identity of every result row — everything but the measurements.
 /// Two trajectory documents with equal key sets have the same *schema*
 /// (same series, same cells); only the numbers moved.
@@ -739,19 +660,68 @@ fn row_f64(line: &str, key: &str) -> Result<f64, String> {
 /// Returns a description of the first malformed row.
 pub fn trajectory_keys(json: &str) -> Result<std::collections::BTreeSet<String>, String> {
     let mut keys = std::collections::BTreeSet::new();
-    for line in json.lines().filter(|l| l.contains("\"mode\"")) {
-        let mut key = String::new();
-        for field in ["mode", "lifeguard", "benchmark", "shards", "window"] {
-            let value =
-                row_field(line, field).ok_or_else(|| format!("row missing {field}: {line}"))?;
-            key.push_str(value);
-            key.push('/');
-        }
+    for line in row_lines(json) {
+        let key = row_key(line)?;
         if !keys.insert(key.clone()) {
             return Err(format!("duplicate row {key}"));
         }
     }
     Ok(keys)
+}
+
+/// Checks that every row of `emitted` carries the same deterministic
+/// columns (`records`, `wire_bits`, `modeled_cycles`) as its `committed`
+/// twin. These columns do not depend on the host, so a difference is a
+/// behaviour change, and making one means regenerating the trajectory.
+/// The `live-faulted` and `live-degraded` rows are exempt: the live
+/// controller engages when the real queue fills, so their columns depend
+/// on thread timing. Rows without a committed twin are left to the
+/// key-set comparison.
+///
+/// # Errors
+///
+/// Names every row whose columns moved, or the first malformed row.
+pub fn check_deterministic_columns(committed: &str, emitted: &str) -> Result<(), String> {
+    let mut twins = std::collections::BTreeMap::new();
+    for line in row_lines(committed) {
+        twins.insert(row_key(line)?, line);
+    }
+    let mut moved = String::new();
+    for line in row_lines(emitted) {
+        if matches!(
+            row_field(line, "mode"),
+            Some("live-faulted" | "live-degraded")
+        ) {
+            continue;
+        }
+        let key = row_key(line)?;
+        let Some(twin) = twins.get(&key) else {
+            continue;
+        };
+        for column in ["records", "wire_bits", "modeled_cycles"] {
+            let (was, now) = (row_u64(twin, column)?, row_u64(line, column)?);
+            if was != now {
+                moved.push_str(&format!("\n  {key}: {column} {was} -> {now}"));
+            }
+        }
+    }
+    if moved.is_empty() {
+        Ok(())
+    } else {
+        Err(format!("deterministic columns moved:{moved}"))
+    }
+}
+
+/// Every series the trajectory holds: the consumption-only `consume`
+/// series plus the series each `lba::RUN_MODES` row owns.
+fn trajectory_series() -> Vec<&'static str> {
+    std::iter::once("consume")
+        .chain(
+            lba::RUN_MODES
+                .iter()
+                .flat_map(|m| m.bench_series.iter().copied()),
+        )
+        .collect()
 }
 
 /// Validates a `BENCH_pipeline.json` document's shape: every series the
@@ -799,16 +769,17 @@ pub fn validate_trajectory(json: &str) -> Result<(), String> {
     // committed trajectory and the registry cannot drift apart (a mode
     // added to or dropped from the registry fails this check until the
     // trajectory is regenerated).
-    let series: Vec<&'static str> = std::iter::once("consume")
-        .chain(
-            lba::RUN_MODES
-                .iter()
-                .flat_map(|m| m.bench_series.iter().copied()),
-        )
-        .collect();
-    for mode in series {
+    let series = trajectory_series();
+    for mode in &series {
         if !json.contains(&format!("\"mode\": \"{mode}\"")) {
             return Err(format!("missing series {mode}"));
+        }
+    }
+    // …and nothing the registry doesn't know about lingers.
+    for line in row_lines(json) {
+        let mode = row_field(line, "mode").ok_or_else(|| format!("row missing mode: {line}"))?;
+        if !series.contains(&mode) {
+            return Err(format!("stale series {mode}: no run mode owns it"));
         }
     }
     // Single-lifeguard modes cover every registered lifeguard…
@@ -899,52 +870,6 @@ pub fn validate_trajectory(json: &str) -> Result<(), String> {
         }
     }
 
-    // …the epoch-parallel series covers both execution models at every
-    // worker count (workers ride the shards column)…
-    for mode in ["taint-parallel", "live-taint-parallel"] {
-        for workers in EPOCH_WORKER_COUNTS {
-            let row = format!(
-                "\"mode\": \"{mode}\", \"lifeguard\": \"taintcheck\", \
-                 \"benchmark\": \"gzip\", \"shards\": {workers}"
-            );
-            if !json.contains(&row) {
-                return Err(format!("missing {mode} at {workers} workers"));
-            }
-        }
-    }
-    // …and the 4-worker modeled row delivers the speedup the epoch mode
-    // exists for: at least EPOCH_SPEEDUP_FLOOR fewer modeled cycles than
-    // the sequential TaintCheck co-simulation.
-    let sequential_row = json
-        .lines()
-        .find(|l| {
-            l.contains(
-                "\"mode\": \"lba\", \"lifeguard\": \"taintcheck\", \"benchmark\": \"gzip\", \
-                 \"shards\": 1, \"window\": 0,",
-            )
-        })
-        .ok_or("missing sequential lba/taintcheck row")?;
-    let parallel_row = json
-        .lines()
-        .find(|l| {
-            l.contains("\"mode\": \"taint-parallel\", \"lifeguard\": \"taintcheck\"")
-                && l.contains("\"shards\": 4,")
-        })
-        .ok_or("missing taint-parallel row at 4 workers")?;
-    let sequential_cycles = row_u64(sequential_row, "modeled_cycles")?;
-    let parallel_cycles = row_u64(parallel_row, "modeled_cycles")?;
-    if parallel_cycles == 0 {
-        return Err("taint-parallel row carries no modeled cycles".into());
-    }
-    let speedup = sequential_cycles as f64 / parallel_cycles as f64;
-    if speedup < EPOCH_SPEEDUP_FLOOR {
-        return Err(format!(
-            "epoch-parallel TaintCheck at 4 workers must be >= {EPOCH_SPEEDUP_FLOOR}x the \
-             sequential modeled cycles, got {speedup:.2}x \
-             ({sequential_cycles} vs {parallel_cycles})"
-        ));
-    }
-
     // …and the filtered-vs-unfiltered series covers every lifeguard whose
     // soundness contract participates in capture-side dedup, through both
     // single-lifeguard modes, demonstrably shrinking the shipped log.
@@ -1010,9 +935,8 @@ pub fn validate_trajectory(json: &str) -> Result<(), String> {
     //   contract, whose whole relief is the widened dedup window;
     // * the cosim pair is judged on *modeled* cycles — the slow drain
     //   there is modeled, so its cost is invisible to the host wall
-    //   clock (the same reason the epoch-parallel gate uses this
-    //   column), while the modeled producer stalls it causes are
-    //   exactly what shipping fewer bits relieves;
+    //   clock, while the modeled producer stalls it causes are exactly
+    //   what shipping fewer bits relieves;
     // * the live pairs whose contracts sample are judged on host
     //   events/sec — the drag there burns real consumer time per frame,
     //   so thinning the stream must buy real throughput.
@@ -1114,8 +1038,10 @@ mod tests {
 
     #[test]
     fn json_document_is_well_formed_enough() {
-        let rows = vec![row("lba", 1, 20.0), row("live", 1, 10.0)];
+        let mut rows = vec![row("lba", 1, 20.0), row("live", 1, 10.0)];
+        rows[0].modeled_cycles = 1500;
         let json = pipeline_json(&rows);
+        assert!(json.contains("\"modeled_cycles\": 1500"));
         assert!(json.starts_with('{') && json.trim_end().ends_with('}'));
         assert_eq!(json.matches("\"mode\"").count(), 2, "one per row");
         assert_eq!(
@@ -1170,28 +1096,6 @@ mod tests {
     }
 
     #[test]
-    fn epoch_speedup_compares_modeled_cycles_against_sequential() {
-        let mut sequential = row("lba", 1, 10.0);
-        sequential.lifeguard = "taintcheck";
-        sequential.modeled_cycles = 3000;
-        let mut two = row("taint-parallel", 2, 10.0);
-        two.lifeguard = "taintcheck";
-        two.modeled_cycles = 2000;
-        let mut four = row("taint-parallel", 4, 10.0);
-        four.lifeguard = "taintcheck";
-        four.modeled_cycles = 1500;
-        let rows = vec![sequential, two, four];
-        assert_eq!(epoch_speedup(&rows, 2), Some(1.5));
-        assert_eq!(epoch_speedup(&rows, 4), Some(2.0));
-        assert_eq!(epoch_speedup(&rows, 8), None, "unmeasured worker count");
-        let table = render_pipeline(&rows);
-        assert!(table.contains("2.00x vs sequential"), "got:\n{table}");
-        // The json round-trips the modeled cycles for the gate to read.
-        let json = pipeline_json(&rows);
-        assert!(json.contains("\"modeled_cycles\": 1500"));
-    }
-
-    #[test]
     fn row_field_extracts_values() {
         let line = "    {\"mode\": \"lba\", \"lifeguard\": \"addrcheck\", \"window\": 4096, \
                     \"records\": 12, \"events_per_sec\": 17}";
@@ -1229,5 +1133,43 @@ mod tests {
         let rows = vec![row("lba", 1, 10.0)];
         let err = validate_trajectory(&pipeline_json(&rows)).unwrap_err();
         assert!(err.contains("missing series"), "got: {err}");
+    }
+
+    #[test]
+    fn validate_trajectory_rejects_stale_series() {
+        let mut rows: Vec<PipelineRow> = trajectory_series()
+            .into_iter()
+            .map(|mode| row(mode, 1, 10.0))
+            .collect();
+        // Every owned series is present: later checks fail, staleness not.
+        let err = validate_trajectory(&pipeline_json(&rows)).unwrap_err();
+        assert!(!err.contains("stale"), "got: {err}");
+        rows.push(row("retired-series", 1, 10.0));
+        let err = validate_trajectory(&pipeline_json(&rows)).unwrap_err();
+        assert!(err.contains("stale series retired-series"), "got: {err}");
+    }
+
+    #[test]
+    fn deterministic_columns_must_match_except_in_timing_dependent_rows() {
+        let committed = vec![row("lba", 1, 10.0), row("live-degraded", 1, 10.0)];
+        let committed_json = pipeline_json(&committed);
+        let check = |rows: &[PipelineRow]| {
+            check_deterministic_columns(&committed_json, &pipeline_json(rows))
+        };
+        // The timing columns move freely…
+        let mut moved = committed.clone();
+        moved[0].events_per_sec *= 2.0;
+        assert_eq!(check(&moved), Ok(()));
+        // …a one-bit wire difference in an `lba` row fails…
+        moved[0].wire_bits += 1;
+        let err = check(&moved).unwrap_err();
+        assert!(
+            err.contains("lba/addrcheck/gzip/1/0/: wire_bits 800 -> 801"),
+            "got: {err}"
+        );
+        // …and the same difference in a `live-degraded` row passes.
+        let mut moved = committed;
+        moved[1].wire_bits += 1;
+        assert_eq!(check(&moved), Ok(()));
     }
 }

@@ -512,6 +512,9 @@ pub enum DecodeStreamError {
     UnexpectedEof,
     /// A static payload named an invalid event-kind code.
     BadKind(u8),
+    /// A record claimed its static fields were already known for a PC
+    /// whose static fields the stream never carried.
+    UnknownPc(u64),
 }
 
 impl fmt::Display for DecodeStreamError {
@@ -519,6 +522,9 @@ impl fmt::Display for DecodeStreamError {
         match self {
             DecodeStreamError::UnexpectedEof => write!(f, "compressed stream ended mid-record"),
             DecodeStreamError::BadKind(k) => write!(f, "invalid event kind code {k} in stream"),
+            DecodeStreamError::UnknownPc(pc) => {
+                write!(f, "record reuses static fields never sent for pc {pc:#x}")
+            }
         }
     }
 }
@@ -625,7 +631,9 @@ impl LogDecompressor {
         s.last_pc[tid_idx] = pc;
 
         let entry: &mut PcEntry = if header_hit || r.read_bit().ok_or(EOF)? {
-            s.entries.get_mut(pc).expect("static hit implies known pc")
+            s.entries
+                .get_mut(pc)
+                .ok_or(DecodeStreamError::UnknownPc(pc))?
         } else {
             let statics = read_statics(r)?;
             s.entries.insert(pc, PcEntry::new(statics))

@@ -18,8 +18,10 @@
 //! └───────────────┴───────────────┴──────────────────┴─────────────┘
 //! ```
 //!
-//! Every frame's total length is a multiple of [`FRAME_LINE_BYTES`]; the
-//! minimum frame is one line.
+//! The record-count word is a [`FrameCountWord`]: the count in the low
+//! 30 bits, the degraded-capture mark in bit 30. Every frame's total
+//! length is a multiple of [`FRAME_LINE_BYTES`]; the minimum frame is one
+//! line.
 //!
 //! # Predictor-state policy
 //!
@@ -35,7 +37,7 @@
 
 use std::fmt;
 
-use lba_record::{DecodeRecordError, EventRecord, RAW_RECORD_BYTES};
+use lba_record::{DecodeRecordError, EventRecord, FrameCountWord, RAW_RECORD_BYTES};
 
 use crate::bits::{BitReader, BitWriter};
 use crate::compressor::{CompressionStats, DecodeStreamError, LogCompressor, LogDecompressor};
@@ -45,24 +47,6 @@ pub const FRAME_LINE_BYTES: usize = 64;
 
 /// Bytes of frame header (record count + payload length, both `u32` LE).
 pub const FRAME_HEADER_BYTES: usize = 8;
-
-/// Top bit of the header's record-count word: set when this frame closes
-/// an *epoch* (the unit the epoch-parallel lifeguard modes stitch in
-/// order). The record count occupies the low 31 bits, so the mark costs
-/// no wire bytes; introducing it bumped [`crate::CODEC_VERSION`].
-const EPOCH_END_MARK: u32 = 1 << 31;
-
-/// Second-from-top bit of the header's record-count word: set when this
-/// frame was sealed while the capture controller held degraded capture
-/// engaged. Degraded spans thereby ride the wire — and the flight
-/// recorder — frame-accurately (the controller seals the open frame at
-/// every engage/disengage transition), so offline replay can report them
-/// without any side channel. The record count keeps the low 30 bits;
-/// introducing this mark bumped [`crate::CODEC_VERSION`] to 4.
-const DEGRADED_MARK: u32 = 1 << 30;
-
-/// Bits of the header count word that carry marks, not record count.
-const HEADER_MARKS: u32 = EPOCH_END_MARK | DEGRADED_MARK;
 
 /// Configuration shared by [`FrameEncoder`] and [`FrameDecoder`].
 ///
@@ -109,13 +93,11 @@ pub struct Frame {
     pub bytes: Vec<u8>,
     /// Payload bits before framing (excludes header and padding).
     pub payload_bits: u64,
-    /// Whether this frame closes an epoch (sealed via
-    /// [`FrameEncoder::push_epoch`] with `end_epoch`); carried on the
-    /// wire as the header's top record-count bit.
-    pub epoch_end: bool,
     /// Whether this frame was sealed while degraded capture was engaged
-    /// (see [`FrameEncoder::set_degraded`]); carried on the wire as the
-    /// header's second-from-top record-count bit.
+    /// (see [`FrameEncoder::set_degraded`]). Degraded spans thereby ride
+    /// the wire, and the flight recorder, frame-accurately, so offline
+    /// replay can report them without any side channel. Carried on the
+    /// wire as the [`FrameCountWord`]'s degraded mark.
     pub degraded: bool,
 }
 
@@ -126,23 +108,13 @@ impl Frame {
         self.bytes.len() as u64 * 8
     }
 
-    /// Reads the record count straight from a frame's wire image, marks
-    /// masked off, without decoding the payload (0 for an image too short
-    /// to hold the count) — what a receiver counts before it decodes.
+    /// Reads the record count straight from a frame's wire image, the
+    /// degraded mark masked off, without decoding the payload (0 for an
+    /// image too short to hold the count) — what a receiver counts before
+    /// it decodes.
     #[must_use]
     pub fn header_records(bytes: &[u8]) -> u32 {
-        bytes
-            .first_chunk::<4>()
-            .map_or(0, |word| u32::from_le_bytes(*word) & !HEADER_MARKS)
-    }
-
-    /// Reads the epoch-end mark straight from a frame's wire image,
-    /// without decoding the payload — the live receivers and offline
-    /// replay use this to reassemble epochs from marked frames.
-    #[must_use]
-    pub fn header_epoch_end(bytes: &[u8]) -> bool {
-        bytes.len() >= 4
-            && u32::from_le_bytes(bytes[0..4].try_into().expect("4 bytes")) & EPOCH_END_MARK != 0
+        FrameCountWord::read(bytes).map_or(0, |word| word.records)
     }
 
     /// Reads the degraded-capture mark straight from a frame's wire
@@ -150,8 +122,7 @@ impl Frame {
     /// reconstruct degraded spans from the flight-recorder stream.
     #[must_use]
     pub fn header_degraded(bytes: &[u8]) -> bool {
-        bytes.len() >= 4
-            && u32::from_le_bytes(bytes[0..4].try_into().expect("4 bytes")) & DEGRADED_MARK != 0
+        FrameCountWord::read(bytes).is_some_and(|word| word.degraded)
     }
 
     /// Cache lines this frame occupies in transit.
@@ -291,12 +262,13 @@ impl FrameEncoder {
     ///
     /// # Panics
     ///
-    /// Panics if `config.records_per_frame` is zero.
+    /// Panics if `config.records_per_frame` is zero or more than a
+    /// [`FrameCountWord`] can count.
     #[must_use]
     pub fn new(config: FrameConfig) -> Self {
         assert!(
-            config.records_per_frame > 0,
-            "records_per_frame must be non-zero"
+            (1..=FrameCountWord::MAX_RECORDS as usize).contains(&config.records_per_frame),
+            "records_per_frame must be non-zero and fit the frame count word"
         );
         let mut enc = FrameEncoder {
             config,
@@ -332,28 +304,18 @@ impl FrameEncoder {
     /// Appends one record; returns the sealed frame when this record
     /// completes one.
     pub fn push(&mut self, record: &EventRecord) -> Option<Frame> {
-        self.push_epoch(record, false)
-    }
-
-    /// Appends one record; seals when the frame fills *or* when
-    /// `end_epoch` marks this record as the last of an epoch. An
-    /// epoch-closing seal carries the wire-level epoch-end mark, so
-    /// frames never straddle an epoch boundary and a consumer can
-    /// reassemble whole epochs from marked frames alone.
-    pub fn push_epoch(&mut self, record: &EventRecord, end_epoch: bool) -> Option<Frame> {
         if self.config.compress {
             self.compressor.encode(record, &mut self.writer);
         } else {
             self.raw.extend_from_slice(&record.encode_raw());
         }
         self.pending += 1;
-        (end_epoch || self.pending as usize >= self.config.records_per_frame)
-            .then(|| self.seal(end_epoch))
+        (self.pending as usize >= self.config.records_per_frame).then(|| self.seal())
     }
 
     /// Seals the current partial frame, if any records are pending.
     pub fn flush(&mut self) -> Option<Frame> {
-        (self.pending > 0).then(|| self.seal(false))
+        (self.pending > 0).then(|| self.seal())
     }
 
     /// Records buffered in the open (unsealed) frame.
@@ -389,7 +351,7 @@ impl FrameEncoder {
         self.compressor.stats()
     }
 
-    fn seal(&mut self, epoch_end: bool) -> Frame {
+    fn seal(&mut self) -> Frame {
         let records = self.pending;
         self.pending = 0;
 
@@ -411,10 +373,11 @@ impl FrameEncoder {
         } else {
             payload_len as u64 * 8
         };
-        let header = records
-            | if epoch_end { EPOCH_END_MARK } else { 0 }
-            | if self.degraded { DEGRADED_MARK } else { 0 };
-        bytes[0..4].copy_from_slice(&header.to_le_bytes());
+        let word = FrameCountWord {
+            records,
+            degraded: self.degraded,
+        };
+        bytes[0..4].copy_from_slice(&word.encode());
         bytes[4..8].copy_from_slice(&(payload_len as u32).to_le_bytes());
         let padded = bytes.len().div_ceil(FRAME_LINE_BYTES) * FRAME_LINE_BYTES;
         bytes.resize(padded, 0);
@@ -424,7 +387,6 @@ impl FrameEncoder {
             records,
             bytes,
             payload_bits,
-            epoch_end,
             degraded: self.degraded,
         };
         self.stats.records += u64::from(records);
@@ -655,44 +617,6 @@ mod tests {
     }
 
     #[test]
-    fn epoch_marks_ride_the_header_and_round_trip() {
-        let config = FrameConfig {
-            records_per_frame: 4,
-            compress: true,
-        };
-        let mut enc = FrameEncoder::new(config);
-        let records = stream(6); // 12 records
-        let mut frames = Vec::new();
-        for (i, rec) in records.iter().enumerate() {
-            // Epoch boundaries after records 2 and 9 (0-based): the first
-            // seals a short frame early, the second seals mid-stream after
-            // a full frame already sealed at record 6.
-            frames.extend(enc.push_epoch(rec, i == 2 || i == 9));
-        }
-        frames.extend(enc.flush());
-        let marks: Vec<bool> = frames.iter().map(|f| f.epoch_end).collect();
-        assert_eq!(marks, [true, false, true, false]);
-        assert_eq!(
-            frames.iter().map(|f| f.records).sum::<u32>() as usize,
-            records.len()
-        );
-        // The mark is readable straight off the wire image, and decoding
-        // masks it back out of the record count.
-        let mut dec = FrameDecoder::new(config);
-        let mut out = Vec::new();
-        for frame in &frames {
-            assert_eq!(Frame::header_epoch_end(&frame.bytes), frame.epoch_end);
-            let n = dec.decode_frame(&frame.bytes, &mut out).expect("decodes");
-            assert_eq!(n, frame.records);
-        }
-        assert_eq!(out, records);
-        assert!(
-            !Frame::header_epoch_end(&[0u8; 2]),
-            "short buffer is unmarked"
-        );
-    }
-
-    #[test]
     fn degraded_marks_ride_the_header_and_round_trip() {
         let config = FrameConfig {
             records_per_frame: 4,
@@ -713,13 +637,12 @@ mod tests {
         frames.extend(enc.flush());
         let marks: Vec<bool> = frames.iter().map(|f| f.degraded).collect();
         assert_eq!(marks, [false, true, false]);
-        // The mark is readable off the wire image, independent of the
-        // epoch mark, and decoding masks it out of the record count.
+        // The mark is readable off the wire image, and decoding masks it
+        // out of the record count.
         let mut dec = FrameDecoder::new(config);
         let mut out = Vec::new();
         for frame in &frames {
             assert_eq!(Frame::header_degraded(&frame.bytes), frame.degraded);
-            assert!(!Frame::header_epoch_end(&frame.bytes));
             let n = dec.decode_frame(&frame.bytes, &mut out).expect("decodes");
             assert_eq!(n, frame.records);
         }
@@ -817,6 +740,35 @@ mod tests {
             err,
             FrameDecodeError::TooManyRecords { max: 2, .. }
         ));
+        assert!(out.is_empty());
+    }
+
+    #[test]
+    fn retired_top_count_bit_is_rejected_as_too_many_records() {
+        // Bit 31 of the count word was codec v3's epoch-end mark. No
+        // encoder sets it; a frame carrying it reads as 2^31 + n records.
+        let config = FrameConfig::default();
+        let mut enc = FrameEncoder::new(config);
+        for rec in stream(3) {
+            enc.push(&rec);
+        }
+        let mut frame = enc.flush().expect("partial frame seals");
+        assert_eq!(frame.records, 6);
+        frame.bytes[3] ^= 0x80;
+        let mut out = Vec::new();
+        let err = FrameDecoder::new(config)
+            .decode_frame(&frame.bytes, &mut out)
+            .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                FrameDecodeError::TooManyRecords {
+                    records: 0x8000_0006,
+                    ..
+                }
+            ),
+            "got: {err:?}"
+        );
         assert!(out.is_empty());
     }
 

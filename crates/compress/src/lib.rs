@@ -61,11 +61,14 @@ mod predictors;
 /// predictor rule changes (version 1 was the single-entry successor
 /// table; version 2 is the dedup-aware MRU successor stack with unary
 /// depth codes, the two-bit alternate fast path, and the simplified
-/// address escape; version 3 reserves the top bit of the frame header's
-/// record-count word as the epoch-end mark the epoch-parallel modes
-/// stitch by; version 4 reserves the second-from-top bit as the
-/// degraded-capture mark, so degraded spans survive the flight recorder
-/// and replay can report them).
+/// address escape; version 3 reserved the top bit of the frame header's
+/// record-count word as an epoch-end mark; version 4 reserves the
+/// second-from-top bit as the degraded-capture mark, so degraded spans
+/// survive the flight recorder and replay can report them). Version 3's
+/// bit is retired: no encoder sets it, and a frame that carries it is
+/// rejected as claiming more records than its payload holds (see
+/// [`lba_record::FrameCountWord`]). Streams written without it are
+/// bit-identical to before, so retiring it kept the version at 4.
 pub const CODEC_VERSION: u32 = 4;
 
 pub use bits::{BitReader, BitWriter};

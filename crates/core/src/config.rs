@@ -102,16 +102,6 @@ pub struct LogConfig {
     /// [`IdempotencyClass::None`](lba_lifeguard::IdempotencyClass::None)
     /// is never filtered regardless of this setting.
     pub idempotency_window: usize,
-    /// Record-count cap per epoch in the epoch-parallel modes
-    /// ([`run_epoch_parallel`](crate::run_epoch_parallel) and friends):
-    /// an epoch closes at every syscall — the natural containment
-    /// boundary, where the log is flushed anyway — and additionally after
-    /// this many records, so long syscall-free stretches still
-    /// parallelise. Smaller epochs expose more parallelism but pay more
-    /// per-epoch summary/stitch overhead. Must be non-zero (the
-    /// [`Run`](crate::Run) builder rejects zero); ignored by every other
-    /// mode.
-    pub epoch_records: usize,
     /// Validate compressor/decompressor round-trip at end of run
     /// (test/debug aid; costs memory proportional to the trace).
     pub verify_compression: bool,
@@ -257,7 +247,6 @@ impl Default for LogConfig {
             decoupled: true,
             filter: None,
             idempotency_window: 0,
-            epoch_records: 1024,
             verify_compression: false,
             record_to: None,
             adaptive: None,
@@ -317,7 +306,6 @@ mod tests {
         assert!(c.log.syscall_stall);
         assert!(c.log.decoupled);
         assert_eq!(c.log.idempotency_window, 0, "capture-side dedup is opt-in");
-        assert_eq!(c.log.epoch_records, 1024);
         assert!(c.log.record_to.is_none(), "flight recording is opt-in");
         assert!(c.log.adaptive.is_none(), "adaptive capture is opt-in");
         assert!(c.log.fault.is_none(), "fault injection is opt-in");

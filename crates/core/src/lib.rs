@@ -51,7 +51,6 @@
 mod config;
 pub mod controller;
 mod cosim;
-pub mod epoch_parallel;
 mod error;
 pub mod experiment;
 mod kind;
@@ -69,10 +68,6 @@ pub mod table;
 pub use config::{LogConfig, RecordConfig, SystemConfig, MAX_LIVE_CHANNEL_FRAMES};
 pub use controller::{AdaptiveConfig, CaptureController, Transition, Verdict};
 pub use cosim::run_lba;
-pub use epoch_parallel::{
-    run_epoch_parallel, run_live_epoch_parallel, run_replay_epoch, EpochParallelReport,
-    LiveEpochParallelReport,
-};
 pub use error::LbaError;
 pub use kind::LifeguardKind;
 pub use live_parallel::{run_live, run_live_parallel};

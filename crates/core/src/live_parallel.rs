@@ -21,7 +21,7 @@
 //! boundaries are the modeled mode's — both drive [`Producer::sharded`] —
 //! so each shard's wire stream matches `run_lba_parallel`'s byte for byte.
 //! TaintCheck does not shard (its register state is a sequential
-//! dependence chain): [`crate::run_live_epoch_parallel`] runs it live.
+//! dependence chain), so it runs live only under [`run_live`].
 //!
 //! # Thread layout
 //!

@@ -24,9 +24,7 @@
 //!
 //! TaintCheck is deliberately not supported: its register state forms a
 //! sequential dependence chain through every instruction, so address
-//! interleaving is unsound for it. Its parallel mode is the epoch
-//! design instead — [`crate::run_epoch_parallel`] cuts the stream into
-//! *time* slices and stitches symbolic per-epoch summaries in order.
+//! interleaving is unsound for it, and it runs on one lifeguard core.
 
 use std::collections::HashSet;
 

@@ -1,6 +1,6 @@
 //! The staged capture pipeline every run mode is a composition of.
 //!
-//! The nine `run_*` entry points used to each hand-roll the producer side
+//! The `run_*` entry points used to each hand-roll the producer side
 //! of the pipeline — machine stepping, capture filtering, adaptive
 //! controller transitions, syscall containment — and its own consumer
 //! shape. The capture logic now lives here exactly once:
@@ -14,22 +14,21 @@
 //!   and which load/finding signals feed the controller;
 //! * [`TopologyKind`] — how shipped records map onto consumers: one
 //!   consumer, address-interleaved shards ([`lba_transport::shard_of`]),
-//!   epoch fan-out ([`lba_transport::EpochRouter`]), or recorded streams;
-//!   each runner's link routes with those functions directly;
+//!   or recorded streams; each runner's link routes with `shard_of`
+//!   directly;
 //! * [`MONITORS`] / [`RUN_MODES`] — the single registry the experiment
 //!   layer, the benchmarks and the cross-mode equivalence suite derive
 //!   their mode and lifeguard enumerations from. Each `RUN_MODES` row's
 //!   `run` hook is the [`Run`] builder's dispatch for that mode.
 //!
 //! The runners (`cosim.rs`, `parallel.rs`, `live_parallel.rs`,
-//! `epoch_parallel.rs`, `replay.rs`) are thin compositions over these
-//! pieces; the cross-mode equivalence proptests pin that the composition
-//! is bit-for-bit what the hand-rolled loops produced.
+//! `replay.rs`) are thin compositions over these pieces; the cross-mode
+//! equivalence proptests pin that the composition is bit-for-bit what
+//! the hand-rolled loops produced.
 
 use lba_lifeguard::{
     CaptureFilter, CaptureStats, DegradationPolicy, DegradationRequest, DegradationStats, Lifeguard,
 };
-use lba_lifeguards::TaintCheck;
 use lba_record::{EventKind, EventRecord, TraceStats};
 use lba_transport::LoadSample;
 
@@ -81,7 +80,7 @@ pub trait ProducerLink {
     /// Enforces the syscall containment policy (§2): flush the open
     /// frame and — where the mode models it — stall the application
     /// until the lifeguard drains the preceding log. Default: no-op
-    /// (the sharded and epoch modes do not contain syscalls).
+    /// (the sharded modes do not contain syscalls).
     fn contain_syscall(&mut self) {}
 
     /// Synchronises the cores after one record (the lock-step ablation).
@@ -187,17 +186,6 @@ impl Producer {
         Producer::build(filter, policy, log.adaptive, false, true)
     }
 
-    /// The epoch-mode producer (`run_epoch_parallel` and friends): a pure
-    /// passthrough — no range filter, no idempotency window, no
-    /// controller — because epoch summaries are computed over the *full*
-    /// stream and stitched in order; dropping records would change the
-    /// summaries. Every retired record ships (captured == shipped).
-    #[must_use]
-    pub fn passthrough() -> Self {
-        let filter = CaptureFilter::new(None, 0, lba_lifeguard::IdempotencyClass::None);
-        Producer::build(filter, DegradationPolicy::none(), None, false, true)
-    }
-
     /// Observes one retired record: trace accounting, any pending
     /// analysis-side dial request, the controller's transition and
     /// verdict, the capture-filter pass on shipped records, and syscall
@@ -296,9 +284,6 @@ pub struct MonitorSpec {
     /// Whether address-interleaved sharding ([`TopologyKind::Sharded`]) is
     /// sound and benchmarked for this lifeguard (per-address state only).
     pub shardable: bool,
-    /// Whether epoch-parallel summarisation ([`TopologyKind::Epoch`]) is
-    /// implemented for this lifeguard.
-    pub epoch: bool,
 }
 
 /// Every lifeguard the harnesses drive, in figure order: the paper's
@@ -308,25 +293,21 @@ pub const MONITORS: [MonitorSpec; 4] = [
         name: "addrcheck",
         make: || Box::new(lba_lifeguards::AddrCheck::new()),
         shardable: true,
-        epoch: false,
     },
     MonitorSpec {
         name: "taintcheck",
         make: || Box::new(lba_lifeguards::TaintCheck::new()),
         shardable: false,
-        epoch: true,
     },
     MonitorSpec {
         name: "lockset",
         make: || Box::new(lba_lifeguards::LockSet::new()),
         shardable: true,
-        epoch: false,
     },
     MonitorSpec {
         name: "memprofile",
         make: || Box::new(lba_lifeguards::MemProfile::new()),
         shardable: false,
-        epoch: false,
     },
 ];
 
@@ -343,10 +324,6 @@ pub enum TopologyKind {
     /// merge (deduplicated) at the end. Sound only for lifeguards whose
     /// per-address state is independent.
     Sharded,
-    /// Whole epochs go to workers round-robin
-    /// ([`lba_transport::EpochRouter`]) and a stitch stage folds their
-    /// summaries back in epoch order. Sound for summarizable lifeguards.
-    Epoch,
     /// The consumers' inputs are recorded streams, one per original
     /// channel, so routing was fixed when the recording was made.
     Replay,
@@ -373,8 +350,8 @@ pub struct RunModeSpec {
     /// Whether this lifeguard can run under this mode.
     pub supports: fn(&MonitorSpec) -> bool,
     /// Runs a request for this mode. [`Run::run`] checks the `supports`
-    /// predicate and the request's worker and epoch settings first, then
-    /// hands the request here.
+    /// predicate and the request's worker count first, then hands the
+    /// request here.
     pub run: fn(&Run<'_>) -> Result<RunOutcome, LbaError>,
     /// Benchmark trajectory series (`BENCH_pipeline.json`) this mode
     /// owns, in committed order.
@@ -389,17 +366,13 @@ fn supports_shardable(spec: &MonitorSpec) -> bool {
     spec.shardable
 }
 
-fn supports_epoch(spec: &MonitorSpec) -> bool {
-    spec.epoch
-}
-
 /// Every run mode the harnesses drive, with its topology, support
 /// predicate, baseline-equivalence contract and dispatch hook. The [`Run`]
 /// builder dispatches through this table, and `lba_bench::pipeline` and
 /// `tests/equivalence.rs` derive their mode enumerations from it; the
 /// union of `bench_series` (plus the consumption-only `"consume"` series)
 /// is exactly the committed `BENCH_pipeline.json` trajectory.
-pub const RUN_MODES: [RunModeSpec; 9] = [
+pub const RUN_MODES: [RunModeSpec; 6] = [
     RunModeSpec {
         name: "lba",
         mode: RunMode::Lba,
@@ -484,46 +457,6 @@ pub const RUN_MODES: [RunModeSpec; 9] = [
         },
         bench_series: &["remote"],
     },
-    // The epoch rows admit only epoch-capable monitors, and TaintCheck is
-    // the one epoch summariser implemented.
-    RunModeSpec {
-        name: "epoch-parallel",
-        mode: RunMode::EpochParallel,
-        topology: TopologyKind::Epoch,
-        merged_findings: false,
-        exact_records: true,
-        exact_wire: false,
-        supports: supports_epoch,
-        run: |run| {
-            let report = crate::epoch_parallel::run_epoch_parallel(
-                run.program,
-                &mut TaintCheck::new(),
-                run.workers,
-                &run.config,
-            )?;
-            Ok(RunOutcome::Epoch(report))
-        },
-        bench_series: &["taint-parallel"],
-    },
-    RunModeSpec {
-        name: "live-epoch-parallel",
-        mode: RunMode::LiveEpochParallel,
-        topology: TopologyKind::Epoch,
-        merged_findings: false,
-        exact_records: true,
-        exact_wire: false,
-        supports: supports_epoch,
-        run: |run| {
-            let report = crate::epoch_parallel::run_live_epoch_parallel(
-                run.program,
-                &mut TaintCheck::new(),
-                run.workers,
-                &run.config,
-            )?;
-            Ok(RunOutcome::LiveEpoch(report))
-        },
-        bench_series: &["live-taint-parallel"],
-    },
     RunModeSpec {
         name: "replay",
         mode: RunMode::Replay,
@@ -542,24 +475,6 @@ pub const RUN_MODES: [RunModeSpec; 9] = [
             Ok(RunOutcome::Replay(report))
         },
         bench_series: &["replay"],
-    },
-    RunModeSpec {
-        name: "replay-epoch",
-        mode: RunMode::ReplayEpoch,
-        topology: TopologyKind::Replay,
-        merged_findings: false,
-        exact_records: true,
-        exact_wire: false,
-        supports: supports_epoch,
-        run: |run| {
-            let report = crate::epoch_parallel::run_replay_epoch(
-                run.replay_dir()?,
-                &mut TaintCheck::new(),
-                &run.config,
-            )?;
-            Ok(RunOutcome::Replay(report))
-        },
-        bench_series: &[],
     },
 ];
 
@@ -611,19 +526,13 @@ mod tests {
                 mode.name
             );
             // The support predicate must agree with the topology: the
-            // sharded shapes admit exactly the shardable monitors, the
-            // epoch shapes exactly the epoch-capable ones.
+            // sharded shapes admit exactly the shardable monitors.
             for monitor in &MONITORS {
                 let supported = (mode.supports)(monitor);
                 match mode.topology {
                     TopologyKind::Sharded => assert_eq!(
                         supported, monitor.shardable,
                         "{}/{}: sharded support must track the shardable flag",
-                        mode.name, monitor.name
-                    ),
-                    TopologyKind::Epoch => assert_eq!(
-                        supported, monitor.epoch,
-                        "{}/{}: epoch support must track the epoch flag",
                         mode.name, monitor.name
                     ),
                     TopologyKind::Single | TopologyKind::Replay => {}

@@ -77,7 +77,6 @@ pub fn run_remote(
 mod tests {
     use super::*;
     use crate::kind::LifeguardKind;
-    use crate::live_parallel::run_live_parallel;
     use lba_cpu::RunError;
     use lba_lifeguard::FindingKind;
     use lba_workloads::bugs;
@@ -101,25 +100,6 @@ mod tests {
             .filter(|f| f.kind == DoubleFree)
             .count();
         assert_eq!(doubles, 1, "broadcast duplicates must merge away");
-    }
-
-    #[test]
-    fn per_shard_wire_streams_match_the_in_process_live_mode() {
-        let program = bugs::data_race();
-        let config = SystemConfig::default();
-        let remote =
-            run_remote(&program, || LifeguardKind::LockSet.make_lba(), 2, &config).unwrap();
-        let live =
-            run_live_parallel(&program, || LifeguardKind::LockSet.make_lba(), 2, &config).unwrap();
-        assert_eq!(remote.shard_log.len(), live.shard_log.len());
-        for (shard, (r, l)) in remote.shard_log.iter().zip(&live.shard_log).enumerate() {
-            assert_eq!(
-                (r.records, r.frames, r.wire_bits, r.payload_bits),
-                (l.records, l.frames, l.wire_bits, l.payload_bits),
-                "shard {shard} wire must be byte-identical to live-parallel"
-            );
-        }
-        assert_eq!(remote.trace.instructions(), live.trace.instructions());
     }
 
     #[test]

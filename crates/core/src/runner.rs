@@ -21,8 +21,8 @@
 //! row, whose `run` hook calls the mode's `run_*` implementation and folds
 //! its failure into [`LbaError`]. The `run_*` functions stay public for
 //! what the builder cannot express: a custom lifeguard instance (the
-//! degradation suite's dial-requesting lifeguard) or a caller-owned epoch
-//! master whose final state is inspected afterwards.
+//! degradation suite's dial-requesting lifeguard) or a caller-owned
+//! lifeguard whose final state is inspected afterwards.
 //!
 //! The mode-shaped reports survive unchanged inside [`RunOutcome`], which
 //! [`Deref`]s to the shared [`PipelineReport`] so mode-generic callers
@@ -37,7 +37,6 @@ use std::path::{Path, PathBuf};
 use lba_isa::Program;
 
 use crate::config::SystemConfig;
-use crate::epoch_parallel::{EpochParallelReport, LiveEpochParallelReport};
 use crate::error::LbaError;
 use crate::kind::LifeguardKind;
 use crate::parallel::ParallelReport;
@@ -45,7 +44,7 @@ use crate::pipeline::{MonitorSpec, RunModeSpec, TopologyKind, MONITORS, RUN_MODE
 use crate::replay::ReplayMode;
 use crate::report::{LiveReport, PipelineReport, ReplayReport, RunReport};
 
-/// Every execution model the builder can drive: the nine registry modes
+/// Every execution model the builder can drive: the six registry modes
 /// (see [`RUN_MODES`]) plus the two unmonitored/inline baselines, which
 /// stand outside the registry because they ship no log.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -61,18 +60,9 @@ pub enum RunMode {
     LiveParallel,
     /// Sharded lifeguards behind real sockets ([`crate::run_remote`]).
     Remote,
-    /// Modeled epoch-parallel taint tracking
-    /// ([`crate::run_epoch_parallel`]).
-    EpochParallel,
-    /// Epoch-parallel taint tracking on real threads
-    /// ([`crate::run_live_epoch_parallel`]).
-    LiveEpochParallel,
     /// Offline replay of a flight-recorder stream set
     /// ([`crate::run_replay`]); needs [`Run::replay_from`].
     Replay,
-    /// Epoch-parallel replay of a sharded recording
-    /// ([`crate::run_replay_epoch`]); needs [`Run::replay_from`].
-    ReplayEpoch,
     /// The program alone, no monitoring ([`crate::run_unmonitored`]).
     Unmonitored,
     /// The lifeguard inline via dynamic binary instrumentation
@@ -83,16 +73,13 @@ pub enum RunMode {
 impl RunMode {
     /// Every mode, registry rows first in table order, then the two
     /// baselines.
-    pub const ALL: [RunMode; 11] = [
+    pub const ALL: [RunMode; 8] = [
         RunMode::Lba,
         RunMode::Live,
         RunMode::LbaParallel,
         RunMode::LiveParallel,
         RunMode::Remote,
-        RunMode::EpochParallel,
-        RunMode::LiveEpochParallel,
         RunMode::Replay,
-        RunMode::ReplayEpoch,
         RunMode::Unmonitored,
         RunMode::Dbi,
     ];
@@ -209,8 +196,8 @@ impl<'a> Run<'a> {
         self
     }
 
-    /// The recording directory the replay modes consume — required by
-    /// [`RunMode::Replay`] and [`RunMode::ReplayEpoch`].
+    /// The recording directory [`RunMode::Replay`] consumes (required
+    /// there).
     #[must_use]
     pub fn replay_from(mut self, dir: impl Into<PathBuf>) -> Self {
         self.replay_from = Some(dir.into());
@@ -231,12 +218,10 @@ impl<'a> Run<'a> {
     ///
     /// [`LbaError::Unsupported`] when the mode's `supports` predicate
     /// rejects the monitor (before anything runs);
-    /// [`LbaError::InvalidRequest`] for a replay mode with no
-    /// [`replay_from`](Self::replay_from) directory, a fan-out mode with
-    /// zero workers, or an epoch mode with zero
-    /// [`LogConfig::epoch_records`](crate::LogConfig::epoch_records);
-    /// otherwise whatever the underlying mode reports, folded into
-    /// [`LbaError`].
+    /// [`LbaError::InvalidRequest`] for a replay with no
+    /// [`replay_from`](Self::replay_from) directory or a fan-out mode with
+    /// zero workers; otherwise whatever the underlying mode reports,
+    /// folded into [`LbaError`].
     pub fn run(self) -> Result<RunOutcome, LbaError> {
         let Some(spec) = self.mode.registry_spec() else {
             // The two baselines ship no log and stand outside the registry.
@@ -254,16 +239,10 @@ impl<'a> Run<'a> {
                 monitor: self.monitor.name.to_string(),
             });
         }
-        let invalid = |detail: String| Err(LbaError::InvalidRequest { detail });
-        let fan_out = matches!(spec.topology, TopologyKind::Sharded | TopologyKind::Epoch);
-        if fan_out && self.workers == 0 {
-            return invalid(format!("mode `{}` needs at least one worker", spec.name));
-        }
-        if spec.topology == TopologyKind::Epoch && self.config.log.epoch_records == 0 {
-            return invalid(format!(
-                "mode `{}` cuts the stream into epochs: `log.epoch_records` must be at least 1",
-                spec.name
-            ));
+        if spec.topology == TopologyKind::Sharded && self.workers == 0 {
+            return Err(LbaError::InvalidRequest {
+                detail: format!("mode `{}` needs at least one worker", spec.name),
+            });
         }
         (spec.run)(&self)
     }
@@ -300,11 +279,7 @@ pub enum RunOutcome {
     LiveParallel(LiveReport),
     /// [`RunMode::Remote`].
     Remote(LiveReport),
-    /// [`RunMode::EpochParallel`].
-    Epoch(EpochParallelReport),
-    /// [`RunMode::LiveEpochParallel`].
-    LiveEpoch(LiveEpochParallelReport),
-    /// [`RunMode::Replay`] and [`RunMode::ReplayEpoch`].
+    /// [`RunMode::Replay`].
     Replay(ReplayReport),
 }
 
@@ -316,8 +291,6 @@ impl Deref for RunOutcome {
             RunOutcome::Run(r) => r,
             RunOutcome::Live(r) | RunOutcome::LiveParallel(r) | RunOutcome::Remote(r) => r,
             RunOutcome::Parallel(r) => r,
-            RunOutcome::Epoch(r) => r,
-            RunOutcome::LiveEpoch(r) => r,
             RunOutcome::Replay(r) => r,
         }
     }
@@ -342,8 +315,6 @@ impl fmt::Display for RunOutcome {
             RunOutcome::Parallel(r) => summary(f, "lba-parallel", r),
             RunOutcome::LiveParallel(r) => summary(f, "live-parallel", r),
             RunOutcome::Remote(r) => summary(f, "remote", r),
-            RunOutcome::Epoch(r) => summary(f, "epoch-parallel", r),
-            RunOutcome::LiveEpoch(r) => summary(f, "live-epoch-parallel", r),
             RunOutcome::Replay(r) => r.fmt(f),
         }
     }
@@ -376,48 +347,28 @@ mod tests {
 
     #[test]
     fn every_registry_mode_runs_through_the_builder() {
-        let memory = bugs::memory_bugs();
-        let tainted = bugs::tainted_syscall();
+        let program = bugs::memory_bugs();
         let config = SystemConfig::default();
         let recording =
             std::env::temp_dir().join(format!("lba-runner-grid-{}", std::process::id()));
+        // Every mode is exercised with AddrCheck here (the grid in
+        // tests/equivalence.rs sweeps the full monitor set).
         for mode in RunMode::ALL {
-            // The epoch modes support only TaintCheck, which needs the
-            // tainted workload; everything else is exercised with
-            // AddrCheck here (the grid in tests/equivalence.rs sweeps the
-            // full monitor set).
-            let (program, monitor) = match mode {
-                RunMode::EpochParallel | RunMode::LiveEpochParallel => {
-                    (&tainted, LifeguardKind::TaintCheck)
-                }
-                _ => (&memory, LifeguardKind::AddrCheck),
-            };
-            let mut request = Run::new(program)
+            let mut request = Run::new(&program)
                 .mode(mode)
-                .monitor(monitor)
+                .monitor(LifeguardKind::AddrCheck)
                 .config(&config);
-            if matches!(mode, RunMode::Replay | RunMode::ReplayEpoch) {
-                // Record with a matching topology first, then point the
-                // builder at the recording.
+            if mode == RunMode::Replay {
+                // Record first, then point the builder at the recording.
                 let mut rec = config.clone();
                 rec.log.record_to = Some(crate::config::RecordConfig::new(&recording));
                 let _ = std::fs::remove_dir_all(&recording);
-                if mode == RunMode::ReplayEpoch {
-                    Run::new(&tainted)
-                        .mode(RunMode::EpochParallel)
-                        .monitor(LifeguardKind::TaintCheck)
-                        .config(&rec)
-                        .run()
-                        .expect("recording run");
-                    request = request.monitor(LifeguardKind::TaintCheck);
-                } else {
-                    Run::new(&memory)
-                        .mode(RunMode::Lba)
-                        .monitor(LifeguardKind::AddrCheck)
-                        .config(&rec)
-                        .run()
-                        .expect("recording run");
-                }
+                Run::new(&program)
+                    .mode(RunMode::Lba)
+                    .monitor(LifeguardKind::AddrCheck)
+                    .config(&rec)
+                    .run()
+                    .expect("recording run");
                 request = request.replay_from(&recording);
             }
             let outcome = request.run().unwrap_or_else(|e| panic!("{mode}: {e}"));
@@ -469,25 +420,6 @@ mod tests {
             .run()
             .unwrap_err();
         assert!(matches!(err, LbaError::InvalidRequest { .. }));
-    }
-
-    #[test]
-    fn zero_epoch_records_is_an_invalid_request_not_a_panic() {
-        // Regression: this configuration used to reach `EpochRouter::new`
-        // and panic there.
-        let program = bugs::tainted_syscall();
-        let mut config = SystemConfig::default();
-        config.log.epoch_records = 0;
-        for mode in [RunMode::EpochParallel, RunMode::LiveEpochParallel] {
-            let err = Run::new(&program)
-                .mode(mode)
-                .monitor(LifeguardKind::TaintCheck)
-                .config(&config)
-                .run()
-                .unwrap_err();
-            assert!(matches!(err, LbaError::InvalidRequest { .. }), "{mode}");
-            assert!(err.to_string().contains("epoch_records"), "{mode}: {err}");
-        }
     }
 
     #[test]

@@ -64,7 +64,6 @@
 mod cost;
 mod degradation;
 mod dispatch;
-mod epoch;
 mod filter;
 mod finding;
 pub mod history;
@@ -77,7 +76,6 @@ pub use degradation::{
     RegionClassifier, RegionSampler, SamplingSpec, MAX_RECORDED_INTERVALS,
 };
 pub use dispatch::{DispatchConfig, DispatchEngine, Lifeguard};
-pub use epoch::{EpochLifeguard, EpochSummarizer, EpochSummary};
 pub use filter::AddrRangeFilter;
 pub use finding::{Finding, FindingKind};
 pub use idempotency::{

@@ -46,8 +46,6 @@ pub struct ShadowMemory<T> {
     dir: PageDirectory,
     /// Page arena; directory entries index into it and never move.
     pages: Vec<Box<[T]>>,
-    /// Page number of each arena slot (for [`pages`](Self::pages)).
-    numbers: Vec<u64>,
     /// Non-default cell count per arena slot — the
     /// [`range_any_nonzero`](Self::range_any_nonzero) fast path answers
     /// full-page chunks from this counter without touching the page.
@@ -61,7 +59,6 @@ impl<T: Copy + Default + PartialEq> ShadowMemory<T> {
         ShadowMemory {
             dir: PageDirectory::new(),
             pages: Vec::new(),
-            numbers: Vec::new(),
             nonzero: Vec::new(),
         }
     }
@@ -81,7 +78,6 @@ impl<T: Copy + Default + PartialEq> ShadowMemory<T> {
                 let idx = u32::try_from(self.pages.len()).expect("fewer than 2^32 shadow pages");
                 self.pages
                     .push(vec![T::default(); PAGE_CELLS].into_boxed_slice());
-                self.numbers.push(index >> PAGE_SHIFT);
                 self.nonzero.push(0);
                 self.dir.insert(index >> PAGE_SHIFT, idx);
                 idx
@@ -208,17 +204,6 @@ impl<T: Copy + Default + PartialEq> ShadowMemory<T> {
             remaining -= chunk;
         }
         false
-    }
-
-    /// Iterates the resident pages as `(first granule index, cells)`
-    /// pairs, in allocation order (deterministic for a deterministic
-    /// write sequence). The epoch-parallel stitch walks a summary's
-    /// touched shadow ranges through this.
-    pub fn pages(&self) -> impl Iterator<Item = (u64, &[T])> + '_ {
-        self.numbers
-            .iter()
-            .zip(self.pages.iter())
-            .map(|(number, page)| (number << PAGE_SHIFT, &page[..]))
     }
 
     /// Number of resident shadow pages (memory-footprint introspection).
@@ -464,22 +449,6 @@ mod tests {
         assert!(s.range_any_nonzero(0, 12));
         s.set_range(0, 12, 0);
         assert!(!s.range_any_nonzero(0, PAGE_CELLS as u64));
-    }
-
-    #[test]
-    fn pages_iterates_resident_pages_with_bases() {
-        let mut s: ShadowMemory<u8> = ShadowMemory::new();
-        s.set(5, 1);
-        s.set(3 * PAGE_CELLS as u64 + 9, 2);
-        let pages: Vec<(u64, Vec<u8>)> = s
-            .pages()
-            .map(|(base, cells)| (base, cells.to_vec()))
-            .collect();
-        assert_eq!(pages.len(), 2);
-        assert_eq!(pages[0].0, 0);
-        assert_eq!(pages[0].1[5], 1);
-        assert_eq!(pages[1].0, 3 * PAGE_CELLS as u64);
-        assert_eq!(pages[1].1[9], 2);
     }
 
     #[test]

@@ -40,13 +40,10 @@
 //!   every total exact.
 //! * [`TaintCheck`] — **opts out entirely.** Every access propagates
 //!   taint state, so no record is a pure re-check; the filter provably
-//!   never drops from its stream (mirroring its exclusion from
-//!   address-interleaved sharding). Its parallelism story is *epoch
-//!   summaries* instead: [`taint_summary`] computes per-epoch symbolic
-//!   transfer functions over unknown epoch-entry state, which a merge
-//!   step resolves sequentially — byte-identical findings, summarize
-//!   work off the critical path (see the module's soundness argument
-//!   and `lba_core::run_epoch_parallel`).
+//!   never drops from its stream. For the same reason it is excluded
+//!   from address-interleaved sharding: register taint is one sequential
+//!   dependence chain through every instruction, so it runs on a single
+//!   lifeguard core, as in the paper.
 //!
 //! # Degradation contracts
 //!
@@ -89,11 +86,9 @@
 mod addrcheck;
 mod lockset;
 mod memprofile;
-pub mod taint_summary;
 mod taintcheck;
 
 pub use addrcheck::{AddrCheck, AllocSettled};
 pub use lockset::{LockSet, LockSetConfig};
 pub use memprofile::{MemProfile, MemoryProfile};
-pub use taint_summary::{SymTaint, TaintDep, TaintSummarizer, TaintSummary};
 pub use taintcheck::TaintCheck;

@@ -3,12 +3,10 @@
 use std::collections::HashSet;
 
 use lba_lifeguard::{
-    DegradationPolicy, EpochLifeguard, Finding, FindingKind, HandlerCtx, IdempotencyClass,
-    Lifeguard, ShadowMemory, ShadowRegs,
+    DegradationPolicy, Finding, FindingKind, HandlerCtx, IdempotencyClass, Lifeguard, ShadowMemory,
+    ShadowRegs,
 };
 use lba_record::{EventKind, EventMask, EventRecord};
-
-use crate::taint_summary::{PendingFinding, SymTaint, TaintDep, TaintSummarizer, TaintSummary};
 
 /// Shadow region base for TaintCheck's per-byte taint map.
 const SHADOW_BASE: u64 = 0x20_0000_0000;
@@ -67,7 +65,7 @@ impl TaintCheck {
         self.mem_taint.get(addr) != 0
     }
 
-    pub(crate) fn shadow_addr(addr: u64) -> u64 {
+    fn shadow_addr(addr: u64) -> u64 {
         SHADOW_BASE + addr
     }
 
@@ -94,129 +92,6 @@ impl TaintCheck {
                 message,
             });
         }
-    }
-
-    /// Concretizes a symbolic value against the *current* (epoch-entry)
-    /// state: definite taint, or any dep register/range tainted.
-    fn resolve(&self, value: &SymTaint) -> bool {
-        value.definite
-            || value.deps.iter().any(|dep| match *dep {
-                TaintDep::Reg { tid, reg } => self.reg_taint.get(tid, reg),
-                TaintDep::Mem { addr, len } => self.mem_taint.range_any_nonzero(addr, len),
-            })
-    }
-}
-
-/// The merge-thread half of epoch-parallel TaintCheck: resolve the
-/// summary's conditional findings and symbolic out-state against the
-/// concrete epoch-entry state (all of it *before* applying any write),
-/// then apply the writes. See `taint_summary` for why this equals
-/// running the epoch sequentially.
-impl EpochLifeguard for TaintCheck {
-    type Summarizer = TaintSummarizer;
-
-    fn summarizer(&self) -> TaintSummarizer {
-        TaintSummarizer::new()
-    }
-
-    fn absorb(&mut self, summary: TaintSummary, ctx: &mut HandlerCtx<'_>) {
-        // Phase 1: resolve every symbolic value against the entry state.
-        // Conditional findings fire (or not) and report through the same
-        // per-(pc, kind, tid) dedup as the sequential run, in program
-        // order; the syscall case picks the first firing guard of r1..r3
-        // exactly as the sequential `(1..=3).find(..)` does.
-        for pending in &summary.findings {
-            ctx.alu(2);
-            match pending {
-                PendingFinding::Jump {
-                    pc,
-                    tid,
-                    addr,
-                    guard,
-                } => {
-                    if self.resolve(guard)
-                        && self.reported.insert((*pc, FindingKind::TaintedJump, *tid))
-                    {
-                        ctx.report(Finding {
-                            lifeguard: "taintcheck",
-                            kind: FindingKind::TaintedJump,
-                            pc: *pc,
-                            tid: *tid,
-                            addr: *addr,
-                            message: format!(
-                                "indirect control transfer to {addr:#x} through tainted register"
-                            ),
-                        });
-                    }
-                }
-                PendingFinding::Syscall {
-                    pc,
-                    tid,
-                    addr,
-                    size,
-                    guards,
-                } => {
-                    let tainted_arg = (1..=3u8).find(|&r| self.resolve(&guards[r as usize - 1]));
-                    if let Some(reg) = tainted_arg {
-                        if self
-                            .reported
-                            .insert((*pc, FindingKind::TaintedSyscallArg, *tid))
-                        {
-                            ctx.report(Finding {
-                                lifeguard: "taintcheck",
-                                kind: FindingKind::TaintedSyscallArg,
-                                pc: *pc,
-                                tid: *tid,
-                                addr: *addr,
-                                message: format!(
-                                    "syscall {size} with tainted argument register r{reg}"
-                                ),
-                            });
-                        }
-                    }
-                }
-            }
-        }
-        let regs: Vec<((u8, u8), bool)> = summary
-            .reg_out
-            .iter()
-            .map(|(key, value)| {
-                ctx.alu(1);
-                (*key, self.resolve(value))
-            })
-            .collect();
-        let values: Vec<u8> = summary
-            .values
-            .iter()
-            .map(|value| {
-                ctx.alu(1);
-                u8::from(self.resolve(value))
-            })
-            .collect();
-
-        // Phase 2: apply the resolved out-state. Touched shadow bytes are
-        // walked as runs of equal value ids per resident summary page.
-        for ((tid, reg), tainted) in regs {
-            self.reg_taint.set(tid, reg, tainted);
-        }
-        for (base, cells) in summary.mem_out.pages() {
-            let mut i = 0;
-            while i < cells.len() {
-                let id = cells[i];
-                let mut run = 1;
-                while i + run < cells.len() && cells[i + run] == id {
-                    run += 1;
-                }
-                if id != 0 {
-                    let addr = base.wrapping_add(i as u64);
-                    ctx.shadow_write(Self::shadow_addr(addr), run as u32);
-                    self.mem_taint
-                        .set_range(addr, run as u64, values[(id - 1) as usize]);
-                }
-                i += run;
-            }
-        }
-        self.tainted_bytes_introduced += summary.tainted_bytes;
     }
 }
 
@@ -582,108 +457,6 @@ mod tests {
         assert_eq!(rig.findings.len(), 2, "one report per thread");
         assert_eq!(rig.findings[0].tid, 0);
         assert_eq!(rig.findings[1].tid, 1);
-    }
-
-    /// Drives `records` sequentially through one TaintCheck, and in
-    /// epoch-sized chunks through summarize-then-absorb; both must land
-    /// on identical findings, register/memory taint, and diagnostics.
-    fn check_epoch_equivalence(records: &[EventRecord], epoch_len: usize) {
-        let mut seq = Rig::new();
-        for rec in records {
-            seq.deliver(*rec);
-        }
-
-        let mut mem = MemSystem::new(MemSystemConfig::dual_core());
-        let engine = DispatchEngine::default();
-        let mut master = TaintCheck::new();
-        let mut summarizer = master.summarizer();
-        let mut findings = Vec::new();
-        let mut summaries = Vec::new();
-        for chunk in records.chunks(epoch_len) {
-            let mut scratch = Vec::new();
-            engine.deliver_batch(&mut summarizer, chunk, &mut mem, 1, &mut scratch);
-            assert!(scratch.is_empty(), "summarizers never report directly");
-            summaries.push(summarizer.finish_epoch());
-        }
-        use lba_lifeguard::EpochSummarizer as _;
-        assert!(!summarizer.is_open());
-        for summary in summaries {
-            let mut ctx = HandlerCtx::new(&mut mem, 1, &mut findings);
-            master.absorb(summary, &mut ctx);
-        }
-
-        assert_eq!(findings, seq.findings, "epoch {epoch_len}");
-        assert_eq!(
-            master.tainted_bytes_introduced(),
-            seq.lg.tainted_bytes_introduced()
-        );
-        for tid in 0..2u8 {
-            for reg in 0..16u8 {
-                assert_eq!(
-                    master.reg_is_tainted(tid, reg),
-                    seq.lg.reg_is_tainted(tid, reg),
-                    "t{tid}.r{reg} at epoch {epoch_len}"
-                );
-            }
-        }
-        for addr in BUF..BUF + 0x200 {
-            assert_eq!(
-                master.byte_is_tainted(addr),
-                seq.lg.byte_is_tainted(addr),
-                "byte {addr:#x} at epoch {epoch_len}"
-            );
-        }
-    }
-
-    #[test]
-    fn summarize_then_absorb_equals_sequential() {
-        // A stream exercising every rule: recv taint, loads/stores with
-        // partial overlap, alu merges and clears, alloc clears, a clean
-        // and a tainted jump, syscalls with first-tainted-register
-        // selection, and cross-epoch taint flow through registers and
-        // memory.
-        let syscall = |pc: u64| EventRecord {
-            pc,
-            kind: EventKind::Syscall,
-            tid: 0,
-            in1: None,
-            in2: None,
-            out: None,
-            addr: 0,
-            size: 7,
-        };
-        let records = vec![
-            recv(BUF, 16),
-            EventRecord::load(0x1008, 0, Some(2), Some(3), BUF, 8),
-            alu(4, Some(3), Some(5)),
-            EventRecord::store(0x1010, 0, Some(4), Some(6), BUF + 0x40, 8),
-            syscall(0x1014),
-            EventRecord::load(0x1018, 0, Some(6), Some(1), BUF + 0x40, 4),
-            syscall(0x101c),                                       // r1 now tainted
-            syscall(0x101c),                                       // deduped
-            EventRecord::alu(0x1020, 0, None, None, Some(3)),      // clear r3
-            ijump(3, 0x3000),                                      // clean jump
-            EventRecord::store(0x1024, 0, Some(3), None, BUF, 16), // clean store over taint
-            EventRecord::load(0x1028, 0, Some(2), Some(7), BUF + 8, 8),
-            ijump(7, 0x3000), // tainted jump
-            ijump(7, 0x3008), // deduped (same pc via helper), different target
-            EventRecord {
-                pc: 0x1030,
-                kind: EventKind::Alloc,
-                tid: 0,
-                in1: Some(1),
-                in2: None,
-                out: Some(7),
-                addr: BUF + 0x100,
-                size: 32,
-            },
-            ijump(7, 0x3000), // r7 cleared by alloc: clean again (pc differs per helper? no — same pc, deduped anyway)
-            EventRecord::load(0x1034, 0, Some(2), Some(5), BUF + 0x44, 2),
-            EventRecord::store(0x1038, 0, Some(5), None, BUF + 0x180, 4),
-        ];
-        for epoch_len in [1, 2, 3, 5, 7, records.len()] {
-            check_epoch_equivalence(&records, epoch_len);
-        }
     }
 
     #[test]

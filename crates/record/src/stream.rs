@@ -86,10 +86,52 @@ pub const FRAME_RECORD_HEADER_BYTES: usize = 1 + 8 + 4 + 4 + 4;
 /// Size of an End record (tag + frame count).
 pub const END_RECORD_BYTES: usize = 1 + 8;
 
-/// Header-word bits of a sealed frame image that are marks, not record
-/// count: the epoch-end mark (bit 31, codec v3) and the degraded mark
-/// (bit 30, codec v4) — see `lba_compress`.
-const FRAME_IMAGE_MARKS: u32 = (1 << 31) | (1 << 30);
+/// The first word of a sealed frame image (`u32` LE, see
+/// `lba_compress`): the record count in the low 30 bits and the
+/// degraded-capture mark in bit 30 (codec v4). Bit 31 was codec v3's
+/// epoch-end mark; it is retired and no encoder sets it. Readers mask off
+/// only the degraded mark, so a set bit 31 reads as a count of at least
+/// 2^31 records, which no frame payload can hold: the frame decoder
+/// rejects it as too many records, and [`FrameRecordHeader::verify`] as a
+/// count mismatch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FrameCountWord {
+    /// Records the frame carries.
+    pub records: u32,
+    /// Whether the frame was sealed while degraded capture was engaged.
+    pub degraded: bool,
+}
+
+impl FrameCountWord {
+    const DEGRADED_MARK: u32 = 1 << 30;
+
+    /// The most records one frame can carry: the count's 30 bits.
+    pub const MAX_RECORDS: u32 = Self::DEGRADED_MARK - 1;
+
+    /// The word's wire form; `records` must be at most
+    /// [`MAX_RECORDS`](Self::MAX_RECORDS).
+    #[must_use]
+    pub fn encode(self) -> [u8; 4] {
+        debug_assert!(self.records <= Self::MAX_RECORDS);
+        let mark = if self.degraded {
+            Self::DEGRADED_MARK
+        } else {
+            0
+        };
+        (self.records | mark).to_le_bytes()
+    }
+
+    /// Reads the word opening a frame image, or `None` when the image is
+    /// shorter than the word.
+    #[must_use]
+    pub fn read(image: &[u8]) -> Option<Self> {
+        let word = u32::from_le_bytes(*image.first_chunk::<4>()?);
+        Some(FrameCountWord {
+            records: word & !Self::DEGRADED_MARK,
+            degraded: word & Self::DEGRADED_MARK != 0,
+        })
+    }
+}
 
 /// FNV-1a over the payload, folded to 32 bits — cheap enough to run at
 /// capture (the tee's only per-byte work) yet positively identifies
@@ -234,7 +276,7 @@ impl FrameRecordHeader {
 
     /// Checks a received payload against this header: its checksum, and
     /// the record count, which the sealed frame image repeats in its
-    /// first word (marks masked off).
+    /// [`FrameCountWord`].
     ///
     /// # Errors
     ///
@@ -243,13 +285,11 @@ impl FrameRecordHeader {
         if payload_checksum(payload) != self.checksum {
             return Err("frame payload checksum mismatch".to_string());
         }
-        if let Some(word) = payload.get(0..4) {
-            let embedded =
-                u32::from_le_bytes(word.try_into().expect("4 bytes")) & !FRAME_IMAGE_MARKS;
-            if embedded != self.records {
+        if let Some(word) = FrameCountWord::read(payload) {
+            if word.records != self.records {
                 return Err(format!(
-                    "frame record says {} records, frame image says {embedded}",
-                    self.records
+                    "frame record says {} records, frame image says {}",
+                    self.records, word.records
                 ));
             }
         }

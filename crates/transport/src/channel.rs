@@ -47,107 +47,6 @@ pub fn shard_of(record: &EventRecord, shards: usize) -> Option<usize> {
     }
 }
 
-/// Where one record goes under epoch routing: its worker, its epoch
-/// number, and whether it is the epoch's last record.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EpochRoute {
-    /// Worker index in `0..workers` (epochs go round-robin).
-    pub worker: usize,
-    /// Global epoch number, starting at zero.
-    pub epoch: u64,
-    /// Whether this record closes its epoch — the producer must seal the
-    /// worker's frame with the epoch-end mark so the boundary survives the
-    /// wire (`FrameEncoder::push_epoch`).
-    pub end_epoch: bool,
-}
-
-/// Routes a sequential record stream to epoch workers — the
-/// order-sensitive counterpart of [`shard_of`].
-///
-/// Where address-interleaved sharding splits by *address* (sound only for
-/// lifeguards whose state is address-local), epoch routing splits by
-/// *time*: the stream is cut into contiguous epochs at every syscall —
-/// the natural containment point, where the log is flushed anyway — and
-/// additionally every `epoch_records` records, so long syscall-free
-/// stretches still parallelise. Whole epochs go to workers round-robin
-/// (`epoch % workers`), so each worker sees complete epochs in increasing
-/// epoch order and a merge thread can stitch summaries back in global
-/// order by polling workers round-robin.
-///
-/// # Examples
-///
-/// ```
-/// use lba_record::{EventKind, EventRecord};
-/// use lba_transport::EpochRouter;
-///
-/// let mut router = EpochRouter::new(2, 4);
-/// let rec = EventRecord::alu(0x1000, 0, None, None, None);
-/// let route = router.route(&rec);
-/// assert_eq!((route.worker, route.epoch), (0, 0));
-/// assert!(!route.end_epoch);
-/// let mut sys = rec;
-/// sys.kind = EventKind::Syscall;
-/// assert!(router.route(&sys).end_epoch, "syscalls close epochs");
-/// assert_eq!(router.route(&rec).worker, 1, "next epoch, next worker");
-/// ```
-#[derive(Debug, Clone)]
-pub struct EpochRouter {
-    workers: usize,
-    epoch_records: usize,
-    epoch: u64,
-    in_epoch: usize,
-}
-
-impl EpochRouter {
-    /// Creates a router fanning epochs over `workers` workers, closing an
-    /// epoch at every syscall and after every `epoch_records` records.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `workers` or `epoch_records` is zero.
-    #[must_use]
-    pub fn new(workers: usize, epoch_records: usize) -> Self {
-        assert!(workers > 0, "need at least one epoch worker");
-        assert!(epoch_records > 0, "epochs must hold at least one record");
-        EpochRouter {
-            workers,
-            epoch_records,
-            epoch: 0,
-            in_epoch: 0,
-        }
-    }
-
-    /// Routes the next record of the sequential stream.
-    pub fn route(&mut self, record: &EventRecord) -> EpochRoute {
-        self.in_epoch += 1;
-        let end_epoch = record.kind == EventKind::Syscall || self.in_epoch >= self.epoch_records;
-        let route = EpochRoute {
-            worker: (self.epoch % self.workers as u64) as usize,
-            epoch: self.epoch,
-            end_epoch,
-        };
-        if end_epoch {
-            self.epoch += 1;
-            self.in_epoch = 0;
-        }
-        route
-    }
-
-    /// Total epochs the routed stream decomposes into so far, the open
-    /// tail epoch (if any) included.
-    #[must_use]
-    pub fn epochs(&self) -> u64 {
-        self.epoch + u64::from(self.in_epoch > 0)
-    }
-
-    /// Whether the current epoch has routed records but no closing mark
-    /// yet — the stream tail, which ships via a plain (unmarked) flush.
-    #[must_use]
-    pub fn open(&self) -> bool {
-        self.in_epoch > 0
-    }
-}
-
 /// A cheap producer-side snapshot of transport occupancy — the load
 /// signal the adaptive capture controller steers by.
 ///
@@ -221,10 +120,6 @@ pub struct PoppedFrame<'a> {
     /// Producer-core cycle at which the frame became visible (zero for
     /// live receivers, which have no modeled clock).
     pub ready_at: u64,
-    /// Whether this frame carries the epoch-end mark in its wire header —
-    /// sealed by `FrameEncoder::push_epoch` at an epoch boundary. Always
-    /// `false` on streams produced without epoch routing.
-    pub epoch_end: bool,
 }
 
 /// Result of a producer-side push or flush.

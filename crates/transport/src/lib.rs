@@ -52,10 +52,7 @@ mod model;
 pub mod sink;
 pub mod socket;
 
-pub use channel::{
-    shard_of, ChannelStats, EpochRoute, EpochRouter, LoadSample, LogChannel, PoppedFrame,
-    PushOutcome,
-};
+pub use channel::{shard_of, ChannelStats, LoadSample, LogChannel, PoppedFrame, PushOutcome};
 pub use fault::FaultProfile;
 pub use model::{BufferFullError, LogBufferModel, ModeledFrameChannel, TimedFrame, TransportStats};
 pub use sink::{

@@ -18,7 +18,7 @@
 //!   processes ([`SocketSender`](crate::SocketSender) names that sender).
 //!
 //! The sender owns everything above the wire exactly once: the encoder,
-//! the recording tee, the degraded and epoch marks, the stall latch and the
+//! the recording tee, the degraded mark, the stall latch and the
 //! statistics. The receiver owns the decoder, its buffer and the drain
 //! drag. Either way the measured wire bytes are real.
 //!
@@ -372,17 +372,6 @@ impl<W: FrameWire> FrameSender<W> {
         }
     }
 
-    /// Like [`push`](Self::push), but seals and ships the open frame
-    /// immediately — with the epoch-end mark in its wire header — when
-    /// `end_epoch` is set, so frames never straddle epoch boundaries (see
-    /// [`EpochRouter`](crate::EpochRouter)). With `end_epoch` false this
-    /// is exactly `push`.
-    pub fn push_epoch(&mut self, record: &EventRecord, end_epoch: bool) {
-        if let Some(frame) = self.encoder.push_epoch(record, end_epoch) {
-            self.ship(frame);
-        }
-    }
-
     /// Seals and ships the open partial frame — call at syscalls so the
     /// consumer sees every preceding record (containment).
     pub fn flush(&mut self) {
@@ -551,9 +540,7 @@ impl<S: FrameSource> FrameReceiver<S> {
 
     /// Receives the next frame's records as one slice, blocking until a
     /// frame arrives — one wire operation and one decode per
-    /// `records_per_frame` records. The frame's epoch-end mark rides along
-    /// (see [`EpochRouter`](crate::EpochRouter) and
-    /// [`FrameSender::push_epoch`]); `ready_at` is always zero, since live
+    /// `records_per_frame` records. `ready_at` is always zero, since live
     /// threads have no modeled clock. Returns `Ok(None)` at the clean end
     /// of the stream.
     ///
@@ -566,7 +553,6 @@ impl<S: FrameSource> FrameReceiver<S> {
         let Some(bytes) = self.next_bytes().map_err(RecvError::Wire)? else {
             return Ok(None);
         };
-        let epoch_end = Frame::header_epoch_end(&bytes);
         self.pending.clear();
         let decoded = self.decoder.decode_frame(&bytes, &mut self.pending);
         self.source.recycle(bytes);
@@ -580,7 +566,6 @@ impl<S: FrameSource> FrameReceiver<S> {
         Ok(Some(PoppedFrame {
             records: &self.pending,
             ready_at: 0,
-            epoch_end,
         }))
     }
 
@@ -760,7 +745,6 @@ mod tests {
         let pcs: Vec<u64> = frame.records.iter().map(|r| r.pc).collect();
         assert_eq!(pcs, [0x1000, 0x1008]);
         assert_eq!(frame.ready_at, 0, "live frames carry no modeled clock");
-        assert!(!frame.epoch_end);
     }
 
     #[test]
@@ -791,33 +775,6 @@ mod tests {
         tx.push(&rec(0x3000));
         tx.flush();
         assert_eq!(tx.stats(), queued);
-    }
-
-    #[test]
-    fn epoch_marks_cross_the_live_channel() {
-        let (mut tx, mut rx) = frame_channel(8, config(4, true));
-        let writer = thread::spawn(move || {
-            for i in 0..20u64 {
-                // Epochs of 7: boundaries after records 6 and 13; the tail
-                // (14..20) ships unmarked via the flush-on-drop.
-                tx.push_epoch(&rec(0x1000 + i * 8), i % 7 == 6);
-            }
-        });
-        let mut epochs = Vec::new();
-        let mut current = 0u64;
-        while let Some(frame) = rx.recv_batch().unwrap() {
-            current += frame.records.len() as u64;
-            if frame.epoch_end {
-                epochs.push(current);
-                current = 0;
-            }
-        }
-        if current > 0 {
-            epochs.push(current); // the unmarked tail epoch
-        }
-        writer.join().unwrap();
-        assert_eq!(epochs, [7, 7, 6]);
-        assert_eq!(rx.stats().records, 20);
     }
 
     #[test]

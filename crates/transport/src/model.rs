@@ -332,24 +332,6 @@ impl ModeledFrameChannel {
         records
     }
 
-    /// Like [`push_record`](LogChannel::push_record), but seals the open
-    /// frame immediately — with the epoch-end mark in its wire header —
-    /// when `end_epoch` is set, so frames never straddle epoch boundaries
-    /// (see [`EpochRouter`](crate::EpochRouter)). With `end_epoch` false
-    /// this is exactly `push_record`.
-    pub fn push_record_epoch(
-        &mut self,
-        record: &EventRecord,
-        now: u64,
-        end_epoch: bool,
-    ) -> PushOutcome {
-        self.staging.push(*record);
-        match self.encoder.push_epoch(record, end_epoch) {
-            Some(frame) => self.seal(frame, now),
-            None => PushOutcome::Buffered,
-        }
-    }
-
     fn admit_or_park(&mut self, frame: Frame, now: u64) -> PushOutcome {
         let wire_bits = frame.wire_bits();
         // Preserve frame order behind earlier parked frames.
@@ -369,7 +351,11 @@ impl ModeledFrameChannel {
 
 impl LogChannel for ModeledFrameChannel {
     fn push_record(&mut self, record: &EventRecord, now: u64) -> PushOutcome {
-        self.push_record_epoch(record, now, false)
+        self.staging.push(*record);
+        match self.encoder.push(record) {
+            Some(frame) => self.seal(frame, now),
+            None => PushOutcome::Buffered,
+        }
     }
 
     fn flush(&mut self, now: u64) -> PushOutcome {
@@ -385,7 +371,6 @@ impl LogChannel for ModeledFrameChannel {
         }
         // The whole frame is consumed in one step, so its lines free now.
         let frame = self.buffer.pop()?;
-        let epoch_end = Frame::header_epoch_end(&frame.bytes);
         let mut spent = self.take_frame_records(&frame);
         std::mem::swap(&mut self.batch, &mut spent);
         if self.batch_pool.len() < 4 {
@@ -395,7 +380,6 @@ impl LogChannel for ModeledFrameChannel {
         Some(PoppedFrame {
             records: &self.batch,
             ready_at: frame.ready_at,
-            epoch_end,
         })
     }
 
@@ -623,28 +607,6 @@ mod tests {
         #[should_panic(expected = "cannot hold a single")]
         fn sub_line_budget_rejected() {
             let _ = ModeledFrameChannel::new(1, config(4), false);
-        }
-
-        #[test]
-        fn epoch_marks_survive_the_modeled_channel() {
-            // Boundary after records 2 and 6; frames of 3 records, so the
-            // epoch seals cut frames early and the marks must pop back out.
-            let mut ch = ModeledFrameChannel::new(1 << 16, config(3), true);
-            for i in 0..10 {
-                let end = i == 2 || i == 6;
-                ch.push_record_epoch(&rec(i), i, end);
-            }
-            ch.flush(20);
-            let mut marks = Vec::new();
-            let mut total = 0;
-            while let Some(frame) = ch.pop_frame() {
-                total += frame.records.len();
-                marks.push(frame.epoch_end);
-            }
-            assert_eq!(total, 10);
-            // Frames: [0,1,2]*, [3,4,5], [6]*, [7,8,9] (capacity seal,
-            // unmarked).
-            assert_eq!(marks, [true, false, true, false]);
         }
     }
 }

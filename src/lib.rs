@@ -33,18 +33,16 @@
 //!  │  shard_of ─────┼─▶ hierarchy (lba-transport,│  capture-dedup │
 //!  │  fan-out: one  │   modelled or live SPSC;   │  soundness     │
 //!  │  stream/shard  │   sharded: N streams, one  │  contract via  │
-//!  │  EpochRouter ──┼─▶ predictor bank + decoder │  idempotency())│
-//!  │  whole-epoch   │   thread per shard; epoch  │                │
-//!  │  fan-out (DIFT)│   boundaries ride a frame- ┼─▶ epoch merge: │
-//!  │       │        │   header mark, so whole    │  stitch sym-   │
-//!  │  Capture-      │   epochs land per worker   │  bolic taint   │
-//!  │  Controller ◀──┼── LoadSample: occupancy ───┼─ summaries in  │
-//!  │  (degrades     │   feeds *back* from the    │  global epoch  │
-//!  │  capture per   │   channel; hysteresis      │  order; any    │
-//!  │  each lifeguard's  widens/samples/drops     │  finding snaps │
-//!  │  DegradationPolicy per contract only)       │  capture back  │
-//!  │       │        │                            │  to full       │
-//!  │  lba-cache     │                            │  fidelity      │
+//!  │       │        │   predictor bank + decoder │  idempotency())│
+//!  │       │        │   thread per shard         │                │
+//!  │  Capture-      │                            │                │
+//!  │  Controller ◀──┼── LoadSample: occupancy ───┼─ any finding   │
+//!  │  (degrades     │   feeds *back* from the    │  snaps capture │
+//!  │  capture per   │   channel; hysteresis      │  back to full  │
+//!  │  each lifeguard's  widens/samples/drops     │  fidelity      │
+//!  │  DegradationPolicy per contract only)       │                │
+//!  │       │        │                            │                │
+//!  │  lba-cache     │                            │                │
 //!  │  lba-mem       │                            │                │
 //!  └────────────────┘          │ tee             │                │
 //!                              │                 └────────────────┘
@@ -95,9 +93,9 @@
 //! | `lba-cache`      | set-associative caches and the two-core memory system |
 //! | `lba-record`     | the typed event-record vocabulary the log carries (incl. `Repeat` fold summaries) + the segmented `lbas/1` flight-recorder stream format (rotation, retention, End records) |
 //! | `lba-compress`   | value-prediction log compression + chunked frame codec (< 1 byte/instr on the wire), `CODEC_VERSION` stamped into recordings |
-//! | `lba-transport`  | `LogChannel` trait over the framed buffer timing model; the live transport — one `FrameSender` (encoder, recording tee, marks, stall latch, stats) and one `FrameReceiver` (decoder, drain drag) over two wires, the in-process SPSC queue or the `socket` module's `lbas/1` records over Unix-domain sockets with an explicit credit window so back-pressure survives the wire; both consumed a frame at a time (`pop_frame` / `recv_batch`); `shard_of` routing and per-shard channel fan-out, `EpochRouter` time-slicing with epoch-end marks in the frame header; `FrameSink`/`FrameSource` seam with tee mirroring into recordings; the producer-visible `LoadSample` occupancy signal (the feedback arrow above) and the `FaultProfile` slow-consumer injection (the modeled channel's stall schedule, the live receivers' drain drag) |
-//! | `lba-lifeguard`  | dispatch engine (`deliver_batch` for the log, per-record `deliver` for DBI), capture filters (`AddrRangeFilter` + per-contract idempotency window in one `CaptureFilter` pass), findings, flat paged shadow memory, the `EpochSummary`/`EpochSummarizer`/`EpochLifeguard` trait triple behind the epoch-parallel modes, and the `DegradationPolicy`/`RegionClassifier` graceful-degradation contracts |
-//! | `lba-lifeguards` | the paper's four lifeguards + `TaintCheck`'s symbolic epoch summaries (`taint_summary`); each declares its degradation tolerance next to its idempotency story |
+//! | `lba-transport`  | `LogChannel` trait over the framed buffer timing model; the live transport — one `FrameSender` (encoder, recording tee, degraded mark, stall latch, stats) and one `FrameReceiver` (decoder, drain drag) over two wires, the in-process SPSC queue or the `socket` module's `lbas/1` records over Unix-domain sockets with an explicit credit window so back-pressure survives the wire; both consumed a frame at a time (`pop_frame` / `recv_batch`); `shard_of` routing and per-shard channel fan-out; `FrameSink`/`FrameSource` seam with tee mirroring into recordings; the producer-visible `LoadSample` occupancy signal (the feedback arrow above) and the `FaultProfile` slow-consumer injection (the modeled channel's stall schedule, the live receivers' drain drag) |
+//! | `lba-lifeguard`  | dispatch engine (`deliver_batch` for the log, per-record `deliver` for DBI), capture filters (`AddrRangeFilter` + per-contract idempotency window in one `CaptureFilter` pass), findings, flat paged shadow memory, and the `DegradationPolicy`/`RegionClassifier` graceful-degradation contracts |
+//! | `lba-lifeguards` | the four lifeguards (the paper's three + `MemProfile`); each declares its degradation tolerance next to its idempotency story |
 //! | `lba-dbi`        | Valgrind-style inline instrumentation baseline        |
 //! | `lba-workloads`  | deterministic benchmark programs                      |
 //! | `lba-core`       | ties it together: the staged capture pipeline (`pipeline::Producer` driving each mode's `pipeline::ProducerLink`), the run-mode/monitor registry (`pipeline::RUN_MODES` / `pipeline::MONITORS`), the unified `Run` builder dispatching every mode through its `RUN_MODES` row behind one validated entry point (the `run_*` functions are the per-mode implementations), one live runner behind `run_live`, `run_live_parallel` and `run_remote` (one shard or N, queue or socket wires), the `LbaError` hierarchy folding every layer's failures (a panicking live thread included), experiments, the shared `PipelineReport` core every report derefs to, and the adaptive `CaptureController` closing the back-pressure feedback loop |
@@ -112,7 +110,7 @@
 //! returns a [`RunOutcome`] that derefs to the shared [`PipelineReport`].
 //! The rows call the per-mode implementations below, which stay public
 //! for what the builder does not express — a custom lifeguard instance,
-//! or an epoch master whose final state the caller inspects:
+//! or a lifeguard whose final state the caller inspects:
 //!
 //! * [`run_unmonitored`] — the baseline: the program alone on one core;
 //! * [`run_lba`] — the proposed system: capture → compression → framed log
@@ -133,12 +131,6 @@
 //!   carries the back-pressure and adaptive-degradation semantics across
 //!   the wire, and per-shard wire streams and merged findings are
 //!   byte-identical to [`run_live_parallel`]'s;
-//! * [`run_epoch_parallel`] — the epoch-parallel mode for
-//!   *order-sensitive* lifeguards that sharding cannot split: the stream
-//!   is cut into whole epochs at syscall boundaries, workers compute
-//!   symbolic transfer-function summaries in parallel, and a merge core
-//!   stitches them in order — findings byte-identical to the sequential
-//!   run ([`run_live_epoch_parallel`] runs it on real threads);
 //! * [`run_dbi`] — the comparison point: the lifeguard inlined via dynamic
 //!   binary instrumentation on the application core;
 //! * [`run_replay`] — offline replay: any of the modes above records its
@@ -146,21 +138,18 @@
 //!   ([`LogConfig::record_to`]), and replay re-decodes the recording
 //!   through any lifeguard — findings and wire-bit accounting
 //!   byte-identical to the original run, no re-simulation
-//!   ([`run_replay_epoch`] replays an epoch recording through the
-//!   summarize-then-stitch pipeline, epochs rebuilt from the frame
-//!   marks; [`run_replay_with`] in [`ReplayMode::SalvagePrefix`]
-//!   additionally survives a torn tail segment, replaying the
-//!   checksummed prefix and reporting exactly what was lost).
+//!   ([`run_replay_with`] in [`ReplayMode::SalvagePrefix`] additionally
+//!   survives a torn tail segment, replaying the checksummed prefix and
+//!   reporting exactly what was lost).
 //!
 //! Every one of these modes is the *same* producer: a
 //! [`Producer`] stage chain (capture filter →
-//! adaptive [`CaptureController`] verdicts → recording tee → epoch
-//! marking → channel push, with degradation ledgering and syscall-flush
-//! containment written exactly once in `lba-core/src/pipeline.rs`)
-//! driving the mode's [`ProducerLink`] into one of four
-//! [`TopologyKind`] shapes — single consumer, sharded-by-cache-line,
-//! epoch-routed fan-out/stitch, or replay source — over either the
-//! modeled or the live transport. The [`MONITORS`]
+//! adaptive [`CaptureController`] verdicts → recording tee → channel
+//! push, with degradation ledgering and syscall-flush containment
+//! written exactly once in `lba-core/src/pipeline.rs`) driving the
+//! mode's [`ProducerLink`] into one of three [`TopologyKind`] shapes —
+//! single consumer, sharded-by-cache-line, or replay source — over
+//! either the modeled or the live transport. The [`MONITORS`]
 //! and [`RUN_MODES`] registries enumerate the
 //! lifeguards and modes once; the benchmark matrix, the experiment
 //! layer and the cross-mode equivalence suite all derive from them.
@@ -210,11 +199,10 @@
 //! ```
 
 pub use lba_core::{
-    epoch_parallel, experiment, live_parallel, parallel, pipeline, remote, replay, report, runner,
-    table, CaptureFilter, CaptureStats, ChannelStats, EpochParallelReport, IdempotencyClass,
-    LifeguardKind, LiveEpochParallelReport, LiveReport, LogConfig, LogStats, Mode, PipelineReport,
-    RecordConfig, ReplayError, ReplayReport, ReplayStreamStats, RunError, RunReport,
-    StallBreakdown, SystemConfig, WindowSpec,
+    experiment, live_parallel, parallel, pipeline, remote, replay, report, runner, table,
+    CaptureFilter, CaptureStats, ChannelStats, IdempotencyClass, LifeguardKind, LiveReport,
+    LogConfig, LogStats, Mode, PipelineReport, RecordConfig, ReplayError, ReplayReport,
+    ReplayStreamStats, RunError, RunReport, StallBreakdown, SystemConfig, WindowSpec,
 };
 // The unified entry point: one builder for every execution model, the
 // outcome type every mode-shaped report folds into, and the error
@@ -226,8 +214,8 @@ pub use lba_core::{LbaError, MonitorChoice, Run, RunMode, RunOutcome};
 // source the builder, the benchmarks and the equivalence suites derive
 // their enumerations from.
 pub use lba_core::{
-    run_dbi, run_epoch_parallel, run_lba, run_live, run_live_epoch_parallel, run_live_parallel,
-    run_remote, run_replay, run_replay_epoch, run_replay_with, run_unmonitored,
+    run_dbi, run_lba, run_live, run_live_parallel, run_remote, run_replay, run_replay_with,
+    run_unmonitored,
 };
 pub use lba_core::{
     MonitorSpec, Producer, ProducerFinish, ProducerLink, RunModeSpec, TopologyKind, MONITORS,
@@ -259,13 +247,14 @@ mod facade_smoke {
         ) -> Result<crate::RunReport, crate::RunError> = crate::run_lba;
 
         // The pipeline registry survives under its advertised names: four
-        // monitors, nine run modes, and the topology/producer types.
+        // monitors, six run modes, and the topology/producer types.
         assert_eq!(crate::MONITORS.len(), 4);
-        assert_eq!(crate::RUN_MODES.len(), 9);
+        assert_eq!(crate::RUN_MODES.len(), 6);
         let _monitor: &crate::MonitorSpec = &crate::MONITORS[0];
         let _mode: &crate::RunModeSpec = &crate::RUN_MODES[0];
         let _topo: crate::TopologyKind = crate::RUN_MODES[0].topology;
-        let _producer: crate::Producer = crate::Producer::passthrough();
+        let _producer: fn(&dyn lba_lifeguard::Lifeguard, &crate::SystemConfig) -> crate::Producer =
+            crate::Producer::single;
 
         let config = crate::SystemConfig::default();
         let program = lba_workloads::bugs::memory_bugs();
@@ -278,16 +267,6 @@ mod facade_smoke {
         )
         .expect("parallel run completes");
         assert_eq!(sharded.shards, 2);
-
-        let mut master = lba_lifeguards::TaintCheck::new();
-        let epoch = crate::run_epoch_parallel(&program, &mut master, 2, &config)
-            .expect("epoch run completes");
-        assert_eq!(epoch.workers, 2);
-        let mut master = lba_lifeguards::TaintCheck::new();
-        let live_epoch: crate::LiveEpochParallelReport =
-            crate::run_live_epoch_parallel(&program, &mut master, 2, &config)
-                .expect("live epoch completes");
-        assert_eq!(live_epoch.findings, epoch.findings);
 
         let live_sharded = crate::run_live_parallel(
             &program,

@@ -101,8 +101,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// The core equivalence property: any program, any framing (sizes
-    /// vary frame to frame, as syscall flushes and epoch marks make them
-    /// in the runners), every lifeguard.
+    /// vary frame to frame, as syscall flushes and degradation
+    /// transitions make them in the runners), every lifeguard.
     #[test]
     fn batched_consumption_is_observationally_identical(
         program_idx in 0usize..4,

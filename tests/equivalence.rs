@@ -187,9 +187,8 @@ fn finding_keys(findings: &[lba_lifeguard::Finding]) -> std::collections::BTreeS
 }
 
 /// Runs one registry row through the `Run` builder, with two workers for
-/// the fan-out modes. The replay rows need a recording first, made by the
-/// topology they replay: a co-simulation for `replay`, the modeled epoch
-/// mode for `replay-epoch`.
+/// the fan-out modes. The replay row needs a recording first, made by a
+/// co-simulation.
 fn run_row(
     program: &Program,
     row: &RunModeSpec,
@@ -198,7 +197,6 @@ fn run_row(
 ) -> RunOutcome {
     let recorder = match row.mode {
         RunMode::Replay => RunMode::Lba,
-        RunMode::ReplayEpoch => RunMode::EpochParallel,
         mode => {
             return Run::new(program)
                 .mode(mode)

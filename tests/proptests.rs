@@ -12,7 +12,7 @@ use lba_isa::Instruction;
 use lba_lifeguard::DispatchEngine;
 use lba_lifeguards::{LockSet, TaintCheck};
 use lba_mem::{layout, HeapAllocator, Memory};
-use lba_record::{EventKind, EventRecord};
+use lba_record::{EventKind, EventRecord, RAW_RECORD_BYTES};
 use lba_transport::{LogBufferModel, TimedFrame};
 
 fn arb_operand() -> impl Strategy<Value = Option<u8>> {
@@ -84,6 +84,33 @@ fn arb_stream() -> impl Strategy<Value = Vec<EventRecord>> {
         }
         records
     })
+}
+
+/// Corrupts a sealed frame's wire image. `kind` picks the mutation and
+/// `at`/`byte` are raw draws, reduced to this frame.
+fn mutate(frame: &mut Vec<u8>, (kind, at, byte): (u8, u64, u8), compress: bool) {
+    let len = frame.len() as u64;
+    match kind {
+        // Flip one bit anywhere in the frame.
+        0 => frame[(at / 8 % len) as usize] ^= 1 << (at % 8),
+        // Rewrite the record count, up to the most records the payload
+        // can hold, so decoding gets past the count check and runs the
+        // payload dry.
+        1 => {
+            let payload = u64::from(u32::from_le_bytes(frame[4..8].try_into().unwrap()));
+            let max = if compress {
+                payload * 8
+            } else {
+                payload / RAW_RECORD_BYTES as u64
+            };
+            let count = u32::try_from(at % (max + 1)).unwrap();
+            frame[0..4].copy_from_slice(&count.to_le_bytes());
+        }
+        // Truncate to a shorter line multiple.
+        2 => frame.truncate((at % (len / FRAME_LINE_BYTES as u64)) as usize * FRAME_LINE_BYTES),
+        // Overwrite one byte.
+        _ => frame[(at % len) as usize] = byte,
+    }
 }
 
 proptest! {
@@ -225,6 +252,39 @@ proptest! {
             dec.decode_frame(&frame.bytes, &mut out).expect("frame decodes");
         }
         prop_assert_eq!(out, records);
+    }
+
+    #[test]
+    fn mutated_frames_never_panic_the_decoder(
+        records in arb_stream(),
+        records_per_frame in 1usize..40,
+        compress in any::<bool>(),
+        trials in vec((any::<usize>(), (0u8..4, any::<u64>(), any::<u8>())), 1..16),
+    ) {
+        // Frames from outside the process are untrusted: whatever a
+        // mutation does to one sealed frame, decoding it and the clean
+        // frames after it yields records or an error, never a panic.
+        let config = FrameConfig { records_per_frame, compress };
+        let mut enc = FrameEncoder::new(config);
+        let mut clean = Vec::new();
+        for rec in &records {
+            clean.extend(enc.push(rec).map(|frame| frame.bytes));
+        }
+        clean.extend(enc.flush().map(|frame| frame.bytes));
+        for (target, mutation) in trials {
+            let target = target % clean.len();
+            let mut frames = clean.clone();
+            mutate(&mut frames[target], mutation, compress);
+            let mut dec = FrameDecoder::new(config);
+            let mut out = Vec::new();
+            for (i, frame) in frames.iter().enumerate() {
+                let decoded = dec.decode_frame(frame, &mut out);
+                prop_assert!(
+                    i >= target || decoded.is_ok(),
+                    "clean frame {} before the mutated one failed: {:?}", i, decoded
+                );
+            }
+        }
     }
 
     #[test]

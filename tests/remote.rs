@@ -5,8 +5,6 @@
 //! same per-shard wire accounting bit for bit, at every worker count.
 //! The socket is a transport, not a re-encode.
 
-use proptest::prelude::*;
-
 use lba::{run_live_parallel, run_remote, LifeguardKind, Run, RunMode, RunOutcome, SystemConfig};
 use lba_workloads::{bugs, Benchmark};
 
@@ -20,18 +18,14 @@ fn case(index: usize) -> (lba_isa::Program, LifeguardKind) {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(3))]
-
-    /// Remote ≡ live-parallel across worker counts: identical merged
-    /// findings, identical per-shard frame/record/wire accounting. The
-    /// shard topology is keyed by worker count alone, so each remote
-    /// worker's socket must carry exactly the stream the in-process
-    /// consumer thread would have drained.
-    #[test]
-    fn remote_workers_are_observationally_identical_to_in_process_shards(
-        case_index in 0usize..3
-    ) {
+/// Remote ≡ live-parallel across worker counts: identical merged
+/// findings, identical per-shard frame/record/wire accounting. The
+/// shard topology is keyed by worker count alone, so each remote
+/// worker's socket must carry exactly the stream the in-process
+/// consumer thread would have drained.
+#[test]
+fn remote_workers_are_observationally_identical_to_in_process_shards() {
+    for case_index in 0..3 {
         let (program, kind) = case(case_index);
         let config = SystemConfig::default();
         for workers in [1usize, 2, 4] {
@@ -40,23 +34,32 @@ proptest! {
             let remote = run_remote(&program, || kind.make_lba(), workers, &config)
                 .expect("remote runs clean");
             let what = format!("{}/{} at {workers} workers", program.name(), kind.name());
-            prop_assert_eq!(
+            assert_eq!(
                 &remote.findings, &live.findings,
-                "{}: findings diverge over the socket", &what
+                "{}: findings diverge over the socket",
+                &what
             );
-            prop_assert_eq!(
-                remote.shard_log.len(), live.shard_log.len(),
-                "{}: shard count diverges", &what
+            assert_eq!(
+                remote.shard_log.len(),
+                live.shard_log.len(),
+                "{}: shard count diverges",
+                &what
             );
             for (shard, (r, l)) in remote.shard_log.iter().zip(&live.shard_log).enumerate() {
-                prop_assert_eq!(
+                assert_eq!(
                     (r.records, r.frames, r.wire_bits, r.payload_bits),
                     (l.records, l.frames, l.wire_bits, l.payload_bits),
                     "{}: shard {} wire accounting diverges over the socket",
-                    &what, shard
+                    &what,
+                    shard
                 );
             }
-            prop_assert_eq!(remote.trace.instructions(), live.trace.instructions(), "{}", &what);
+            assert_eq!(
+                remote.trace.instructions(),
+                live.trace.instructions(),
+                "{}",
+                &what
+            );
         }
     }
 }
