@@ -4,7 +4,7 @@
 //! interleaving; plus the isolated `pop_frame`+`deliver_batch`
 //! consumption path.
 //!
-//! `cargo bench -p lba-bench --bench pipeline` prints a best-of-N summary
+//! `cargo bench -p lba-bench --bench pipeline` prints a median-of-N summary
 //! before the Criterion samples; `cargo bench -p lba-bench -- --test` runs
 //! everything once as a smoke check (see the vendored criterion's test
 //! mode).
@@ -18,7 +18,7 @@ use lba_workloads::Benchmark;
 fn bench_pipeline(c: &mut Criterion) {
     let samples = if criterion::is_test_mode() { 1 } else { 5 };
 
-    // Headline summary, printed before the Criterion samples: best-of-N
+    // Headline summary, printed before the Criterion samples: median-of-N
     // events/sec for every mode × lifeguard.
     let rows = pipeline::measure_pipeline(samples);
     println!("{}", pipeline::render_pipeline(&rows));

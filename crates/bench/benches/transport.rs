@@ -1,8 +1,12 @@
 //! Live-channel throughput: the framed, compressed transport at two frame
-//! sizes.
+//! sizes over the in-process queue, and at the default size over a
+//! Unix-domain socket pair.
 //!
 //! The framed channel amortises one queue operation over
-//! `records_per_frame` records and ships < 1 B/record on the wire.
+//! `records_per_frame` records and ships < 1 B/record on the wire. The
+//! socket case moves the same frames as `lbas/1` records under a credit
+//! window as deep as the queue, so its rate against `framed_compressed_x256`
+//! is the per-record cost of the socket's syscalls.
 
 use std::thread;
 
@@ -11,9 +15,20 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use lba_compress::FrameConfig;
 use lba_lifeguard::ShadowMemory;
 use lba_record::EventRecord;
-use lba_transport::live;
+use lba_transport::live::{self, FrameReceiver};
+use lba_transport::socket::{socket_pair, SocketSender};
 
 const RECORDS: u64 = 120_000;
+
+/// In-flight frames: the queue's capacity and the socket's credit window.
+const DEPTH: usize = 256;
+
+fn frame_config(records_per_frame: usize) -> FrameConfig {
+    FrameConfig {
+        records_per_frame,
+        compress: true,
+    }
+}
 
 fn synthetic_stream() -> Vec<EventRecord> {
     // The hot-loop pattern: alu, strided load, taken branch.
@@ -46,13 +61,7 @@ fn synthetic_stream() -> Vec<EventRecord> {
 /// Pumps the stream through the framed channel at `records_per_frame`;
 /// returns the consumer-side record count.
 fn pump_framed(records: &[EventRecord], records_per_frame: usize) -> u64 {
-    let (mut tx, mut rx) = live::frame_channel(
-        256,
-        FrameConfig {
-            records_per_frame,
-            compress: true,
-        },
-    );
+    let (mut tx, mut rx) = live::frame_channel(DEPTH, frame_config(records_per_frame));
     thread::scope(|scope| {
         scope.spawn(move || {
             for rec in records {
@@ -67,23 +76,49 @@ fn pump_framed(records: &[EventRecord], records_per_frame: usize) -> u64 {
     })
 }
 
+/// Pumps the stream through a socket pair at 256 records per frame, the
+/// sender on this thread and the receiver on a second; returns the
+/// consumer-side record count.
+fn pump_socket(records: &[EventRecord]) -> u64 {
+    let config = frame_config(256);
+    let window = u32::try_from(DEPTH).expect("window fits u32");
+    let (sink, source) = socket_pair(0, window).expect("socket pair opens");
+    let mut tx = SocketSender::new(sink, config);
+    thread::scope(|scope| {
+        let consumer = scope.spawn(move || {
+            let mut rx = FrameReceiver::new(source, 0, config);
+            let mut seen = 0u64;
+            while let Some(frame) = rx.recv_batch().expect("socket frames decode") {
+                seen += frame.records.len() as u64;
+            }
+            seen
+        });
+        for rec in records {
+            tx.push(rec);
+        }
+        tx.finish().expect("socket stream ends cleanly");
+        consumer.join().expect("consumer thread")
+    })
+}
+
 fn bench_transport(c: &mut Criterion) {
     let records = synthetic_stream();
 
     // Best-of-3 rates, printed alongside the samples (the min-time
     // estimator is robust to scheduler noise).
-    for records_per_frame in [64, 256] {
+    let cases: [(&str, &dyn Fn() -> u64); 3] = [
+        ("framed x 64", &|| pump_framed(&records, 64)),
+        ("framed x256", &|| pump_framed(&records, 256)),
+        ("socket x256", &|| pump_socket(&records)),
+    ];
+    for (name, pump) in cases {
         let mut best = f64::INFINITY;
         for _ in 0..if criterion::is_test_mode() { 1 } else { 3 } {
             let start = std::time::Instant::now();
-            let seen = pump_framed(&records, records_per_frame);
-            assert_eq!(seen, RECORDS);
+            assert_eq!(pump(), RECORDS);
             best = best.min(start.elapsed().as_secs_f64());
         }
-        println!(
-            "framed x{records_per_frame:>3}: {:.1} Mrecords/s",
-            RECORDS as f64 / best / 1e6
-        );
+        println!("{name}: {:.1} Mrecords/s", RECORDS as f64 / best / 1e6);
     }
 
     let mut group = c.benchmark_group("live_transport");
@@ -96,6 +131,7 @@ fn bench_transport(c: &mut Criterion) {
     group.bench_function("framed_compressed_x256", |b| {
         b.iter(|| pump_framed(&records, 256))
     });
+    group.bench_function("socket_x256", |b| b.iter(|| pump_socket(&records)));
     group.finish();
 
     bench_shadow_range(c);

@@ -395,7 +395,7 @@ fn main() {
 
     // Host throughput (wall clock, not modeled cycles): the bench
     // trajectory every future PR regenerates and diffs.
-    let rows = pipeline::measure_pipeline(5);
+    let rows = pipeline::measure_pipeline(pipeline::TRAJECTORY_ROUNDS);
     println!("{}", pipeline::render_pipeline(&rows));
     let json = pipeline::pipeline_json(&rows);
     if let Err(e) = pipeline::validate_trajectory(&json) {

@@ -70,7 +70,7 @@ pub fn idempotent_lifeguards() -> Vec<(&'static str, LifeguardFactory)> {
         .collect()
 }
 
-/// One throughput measurement.
+/// One throughput measurement: a row of the trajectory.
 #[derive(Debug, Clone)]
 pub struct PipelineRow {
     /// Execution mode: `"lba"` (deterministic co-simulation), `"live"`
@@ -91,10 +91,16 @@ pub struct PipelineRow {
     /// Bits on the wire, frame headers and padding included (summed over
     /// shards in the sharded mode).
     pub wire_bits: u64,
-    /// Best-of-N wall-clock seconds.
+    /// Median wall-clock seconds over the samples.
     pub wall_seconds: f64,
-    /// Records per wall-clock second.
+    /// Median events per wall-clock second over the samples.
     pub events_per_sec: f64,
+    /// First quartile of the samples' events per second.
+    pub events_per_sec_q1: f64,
+    /// Third quartile of the samples' events per second.
+    pub events_per_sec_q3: f64,
+    /// Samples behind the rates: one per measurement round.
+    pub samples: usize,
     /// Modeled end-to-end cycles, for the modes with a deterministic
     /// clock model (the `lba` series); 0 for the host-wall-clock-only
     /// modes.
@@ -104,90 +110,196 @@ pub struct PipelineRow {
     pub sampled_out_fraction: f64,
 }
 
-/// Best-of-`n` wall time of `body` (the min estimator is robust to
-/// scheduler noise on shared machines), with the `(records, wire_bits)`
-/// pair it reports.
-fn best_of<F: FnMut() -> (u64, u64)>(n: usize, mut body: F) -> (u64, u64, f64) {
-    let mut best = f64::INFINITY;
-    let mut volume = (0, 0);
-    for _ in 0..n {
-        let start = Instant::now();
-        volume = body();
-        best = best.min(start.elapsed().as_secs_f64());
+/// Measurement rounds behind the committed trajectory: every cell is
+/// sampled once per round.
+pub const TRAJECTORY_ROUNDS: usize = 9;
+
+/// What one run of a cell reports: the deterministic columns and the
+/// events its rate counts.
+#[derive(Debug, Clone, Copy, Default)]
+struct Sample {
+    records: u64,
+    wire_bits: u64,
+    /// The rate's numerator: retired events, the same work whatever the
+    /// mode filters, degrades or shards.
+    events: u64,
+    modeled_cycles: u64,
+    sampled_out_fraction: f64,
+}
+
+/// A trajectory row before it is measured: its identity and one run of
+/// its workload.
+struct Cell<'a> {
+    mode: &'static str,
+    lifeguard: &'static str,
+    shards: usize,
+    window: usize,
+    run: Box<dyn FnMut() -> Sample + 'a>,
+}
+
+impl<'a> Cell<'a> {
+    fn new(
+        mode: &'static str,
+        lifeguard: &'static str,
+        shards: usize,
+        window: usize,
+        run: impl FnMut() -> Sample + 'a,
+    ) -> Self {
+        Cell {
+            mode,
+            lifeguard,
+            shards,
+            window,
+            run: Box::new(run),
+        }
     }
-    (volume.0, volume.1, best)
-}
 
-fn windowed_config(window: usize) -> SystemConfig {
-    let mut config = SystemConfig::default();
-    config.log.idempotency_window = window;
-    config
-}
-
-/// Runs the full measurement matrix: both execution modes with all four
-/// lifeguards on gzip, the live-parallel series across shard counts, the
-/// filtered-vs-unfiltered idempotency series, plus the isolated
-/// consumption-path row. `samples` is the best-of-N count per cell.
-#[must_use]
-pub fn measure_pipeline(samples: usize) -> Vec<PipelineRow> {
-    let program = Benchmark::Gzip.build();
-    let cfg = SystemConfig::default();
-    let mut rows = measure_consume(samples);
-    for (name, make) in lifeguards() {
-        rows.push(measure_mode("lba", name, &make, &cfg, &program, samples));
-        rows.push(measure_mode("live", name, &make, &cfg, &program, samples));
-    }
-    rows.extend(measure_sharded_live(samples));
-    rows.extend(measure_idempotent(samples));
-    rows.extend(measure_replay(samples));
-    rows.extend(measure_degraded(samples));
-    rows
-}
-
-/// The offline-replay series: gzip's wire stream is recorded once through
-/// the flight recorder (`LogConfig::record_to`), then `run_replay`
-/// re-drives the recording through each lifeguard at host speed — decode
-/// and dispatch only, no application simulation. One recording, four
-/// analyses: the paper's retroactive-monitoring pitch as a throughput
-/// row. Every replay's wire-bit accounting is asserted byte-identical to
-/// the recorded run before the row is reported.
-#[must_use]
-pub fn measure_replay(samples: usize) -> Vec<PipelineRow> {
-    let program = Benchmark::Gzip.build();
-    let dir = std::env::temp_dir().join(format!("lba-bench-replay-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    let mut record_cfg = SystemConfig::default();
-    record_cfg.log.record_to = Some(RecordConfig::new(&dir));
-    let mut recorder = AddrCheck::new();
-    let recorded = run_lba(&program, &mut recorder, &record_cfg).expect("gzip runs clean");
-
-    let cfg = SystemConfig::default();
-    let mut rows = Vec::new();
-    for (name, make) in lifeguards() {
-        let (records, wire_bits, wall) = best_of(samples, || {
-            let replay = run_replay(&dir, make, &cfg).expect("recording replays clean");
-            assert_eq!(
-                replay.log.wire_bits, recorded.log.wire_bits,
-                "replay wire accounting must be byte-identical to the recording"
-            );
-            (replay.log.records, replay.log.wire_bits)
-        });
-        rows.push(PipelineRow {
-            mode: "replay",
-            lifeguard: name,
+    /// The row for `walls`, this cell's wall times, one per round, and the
+    /// last round's deterministic columns.
+    fn row(&self, sample: Sample, walls: &[f64]) -> PipelineRow {
+        let mut walls = walls.to_vec();
+        walls.sort_by(f64::total_cmp);
+        let mut rates: Vec<f64> = walls
+            .iter()
+            .map(|wall| sample.events as f64 / wall)
+            .collect();
+        rates.sort_by(f64::total_cmp);
+        PipelineRow {
+            mode: self.mode,
+            lifeguard: self.lifeguard,
             benchmark: "gzip",
-            shards: 1,
-            window: 0,
-            records,
-            wire_bits,
-            wall_seconds: wall,
-            events_per_sec: records as f64 / wall,
-            modeled_cycles: 0,
-            sampled_out_fraction: 0.0,
-        });
+            shards: self.shards,
+            window: self.window,
+            records: sample.records,
+            wire_bits: sample.wire_bits,
+            wall_seconds: quantile(&walls, 0.5),
+            events_per_sec: quantile(&rates, 0.5),
+            events_per_sec_q1: quantile(&rates, 0.25),
+            events_per_sec_q3: quantile(&rates, 0.75),
+            samples: walls.len(),
+            modeled_cycles: sample.modeled_cycles,
+            sampled_out_fraction: sample.sampled_out_fraction,
+        }
     }
-    std::fs::remove_dir_all(&dir).ok();
-    rows
+}
+
+/// The `q`-quantile of `sorted`, interpolated between neighbours.
+fn quantile(sorted: &[f64], q: f64) -> f64 {
+    let pos = (sorted.len() - 1) as f64 * q;
+    let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
+    sorted[lo] + (sorted[hi] - sorted[lo]) * (pos - lo as f64)
+}
+
+/// Runs the full measurement matrix on gzip: the isolated consumption
+/// path, both single-lifeguard modes with all four lifeguards, the
+/// sharded live series across shard counts, the filtered-vs-unfiltered
+/// idempotency series, the replay series and the adaptive-degradation
+/// series.
+///
+/// Every cell is sampled once per round, `rounds` rounds in all, so a
+/// drift in the host's speed hits every row alike; each row reports the
+/// median rate and its quartiles over its samples.
+///
+/// # Panics
+///
+/// Panics if `rounds` is zero, or if a cell's run fails or breaks its
+/// invariants (a replay whose wire bits differ from its recording, a
+/// controller that engages when not configured or not when configured).
+#[must_use]
+pub fn measure_pipeline(rounds: usize) -> Vec<PipelineRow> {
+    assert!(rounds > 0, "need at least one round");
+    let program = Benchmark::Gzip.build();
+    let stream = capture_stream();
+    let recording = Recording::new(&program);
+    let cfg = SystemConfig::default();
+    let mut cells = vec![consume_cell(&stream)];
+    for (name, make) in lifeguards() {
+        cells.push(mode_cell("lba", name, make, cfg.clone(), &program));
+        cells.push(mode_cell("live", name, make, cfg.clone(), &program));
+    }
+    cells.extend(sharded_live_cells(&program));
+    let mut windowed = cfg.clone();
+    windowed.log.idempotency_window = IDEMPOTENT_WINDOW;
+    for (name, make) in idempotent_lifeguards() {
+        cells.push(mode_cell("lba", name, make, windowed.clone(), &program));
+        cells.push(mode_cell("live", name, make, windowed.clone(), &program));
+    }
+    cells.extend(replay_cells(&recording));
+    cells.extend(degraded_cells(&program));
+
+    let mut walls = vec![Vec::with_capacity(rounds); cells.len()];
+    let mut last = vec![Sample::default(); cells.len()];
+    for _ in 0..rounds {
+        for ((cell, walls), last) in cells.iter_mut().zip(&mut walls).zip(&mut last) {
+            let start = Instant::now();
+            *last = (cell.run)();
+            walls.push(start.elapsed().as_secs_f64());
+        }
+    }
+    cells
+        .iter()
+        .zip(&walls)
+        .zip(last)
+        .map(|((cell, walls), sample)| cell.row(sample, walls))
+        .collect()
+}
+
+/// gzip's wire stream, recorded once through the flight recorder
+/// (`LogConfig::record_to`) for the replay cells. The directory goes when
+/// the recording does.
+struct Recording {
+    dir: std::path::PathBuf,
+    wire_bits: u64,
+}
+
+impl Recording {
+    fn new(program: &lba_isa::Program) -> Self {
+        let dir = std::env::temp_dir().join(format!("lba-bench-replay-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let mut record_cfg = SystemConfig::default();
+        record_cfg.log.record_to = Some(RecordConfig::new(&dir));
+        let mut recorder = AddrCheck::new();
+        let recorded = run_lba(program, &mut recorder, &record_cfg).expect("gzip runs clean");
+        Recording {
+            dir,
+            wire_bits: recorded.log.wire_bits,
+        }
+    }
+}
+
+impl Drop for Recording {
+    fn drop(&mut self) {
+        std::fs::remove_dir_all(&self.dir).ok();
+    }
+}
+
+/// The offline-replay series: `run_replay` re-drives the one recording
+/// through each lifeguard at host speed — decode and dispatch only, no
+/// application simulation. One recording, four analyses: the paper's
+/// retroactive-monitoring pitch as a throughput row. Every replay's
+/// wire-bit accounting is asserted byte-identical to the recorded run.
+fn replay_cells(recording: &Recording) -> Vec<Cell<'_>> {
+    let cfg = SystemConfig::default();
+    lifeguards()
+        .into_iter()
+        .map(|(name, make)| {
+            let cfg = cfg.clone();
+            Cell::new("replay", name, 1, 0, move || {
+                let replay =
+                    run_replay(&recording.dir, make, &cfg).expect("recording replays clean");
+                assert_eq!(
+                    replay.log.wire_bits, recording.wire_bits,
+                    "replay wire accounting must be byte-identical to the recording"
+                );
+                Sample {
+                    records: replay.log.records,
+                    wire_bits: replay.log.wire_bits,
+                    events: replay.log.records,
+                    ..Sample::default()
+                }
+            })
+        })
+        .collect()
 }
 
 /// The lifeguards whose declared `Lifeguard::degradation()` contract
@@ -244,64 +356,42 @@ pub fn fault_config(mode: &str, adaptive: bool) -> SystemConfig {
 /// degradation must buy throughput, not just bookkeep — and the
 /// `sampled_out_fraction` column records how much of the stream the
 /// controller thinned to do it.
-#[must_use]
-pub fn measure_degraded(samples: usize) -> Vec<PipelineRow> {
-    let program = Benchmark::Gzip.build();
-    let mut rows = Vec::new();
+fn degraded_cells(program: &lba_isa::Program) -> Vec<Cell<'_>> {
+    let mut cells = Vec::new();
     for (name, make) in degradable_lifeguards() {
-        for mode in ["lba", "live"] {
-            for adaptive in [false, true] {
+        for (mode, series) in [
+            ("lba", ["lba-faulted", "lba-degraded"]),
+            ("live", ["live-faulted", "live-degraded"]),
+        ] {
+            for (adaptive, series) in [false, true].into_iter().zip(series) {
                 let cfg = fault_config(mode, adaptive);
-                let mut captured = 0;
-                let mut sampled_out = 0;
-                let mut modeled_cycles = 0;
-                let (records, wire_bits, wall) = best_of(samples, || {
+                cells.push(Cell::new(series, name, 1, 0, move || {
                     let mut lg = make();
-                    let (log, degradation) = if mode == "lba" {
-                        let report = run_lba(&program, lg.as_mut(), &cfg).expect("gzip runs clean");
-                        modeled_cycles = report.total_cycles;
-                        (report.log, report.pipeline.degradation)
+                    let (log, degradation, modeled_cycles) = if mode == "lba" {
+                        let report = run_lba(program, lg.as_mut(), &cfg).expect("gzip runs clean");
+                        (report.log, report.pipeline.degradation, report.total_cycles)
                     } else {
-                        let report =
-                            run_live(&program, lg.as_mut(), &cfg).expect("gzip runs clean");
-                        (report.log, report.pipeline.degradation)
+                        let report = run_live(program, lg.as_mut(), &cfg).expect("gzip runs clean");
+                        (report.log, report.pipeline.degradation, 0)
                     };
                     assert_eq!(
                         degradation.is_empty(),
                         !adaptive,
                         "{mode}/{name}: the controller must engage exactly when configured"
                     );
-                    captured = log.captured + degradation.removed();
-                    sampled_out = degradation.sampled_out;
-                    (log.records, log.wire_bits)
-                });
-                rows.push(PipelineRow {
-                    mode: if adaptive {
-                        if mode == "lba" {
-                            "lba-degraded"
-                        } else {
-                            "live-degraded"
-                        }
-                    } else if mode == "lba" {
-                        "lba-faulted"
-                    } else {
-                        "live-faulted"
-                    },
-                    lifeguard: name,
-                    benchmark: "gzip",
-                    shards: 1,
-                    window: 0,
-                    records,
-                    wire_bits,
-                    wall_seconds: wall,
-                    events_per_sec: captured as f64 / wall,
-                    modeled_cycles,
-                    sampled_out_fraction: sampled_out as f64 / captured as f64,
-                });
+                    let captured = log.captured + degradation.removed();
+                    Sample {
+                        records: log.records,
+                        wire_bits: log.wire_bits,
+                        events: captured,
+                        modeled_cycles,
+                        sampled_out_fraction: degradation.sampled_out as f64 / captured as f64,
+                    }
+                }));
             }
         }
     }
-    rows
+    cells
 }
 
 /// The degradation payoff: a `{mode}-degraded` row's events/sec over the
@@ -323,61 +413,31 @@ pub fn degraded_speedup(rows: &[PipelineRow], mode: &str, lifeguard: &str) -> Op
 /// (retired) events, not shipped records: a capture filter shrinks the
 /// log, not the workload, so the rate stays comparable across filtered
 /// and unfiltered rows. With the window off the two counts coincide.
-fn measure_mode(
+fn mode_cell<'a>(
     mode: &'static str,
     name: &'static str,
-    make: &LifeguardFactory,
-    cfg: &SystemConfig,
-    program: &lba_isa::Program,
-    samples: usize,
-) -> PipelineRow {
-    let mut captured = 0;
-    let mut modeled_cycles = 0;
-    let (records, wire_bits, wall) = best_of(samples, || {
+    make: LifeguardFactory,
+    cfg: SystemConfig,
+    program: &'a lba_isa::Program,
+) -> Cell<'a> {
+    let window = cfg.log.idempotency_window;
+    Cell::new(mode, name, 1, window, move || {
         let mut lg = make();
-        let log = if mode == "lba" {
-            let report = run_lba(program, lg.as_mut(), cfg).expect("gzip runs clean");
-            modeled_cycles = report.total_cycles;
-            report.log
+        let (log, modeled_cycles) = if mode == "lba" {
+            let report = run_lba(program, lg.as_mut(), &cfg).expect("gzip runs clean");
+            (report.log, report.total_cycles)
         } else {
-            run_live(program, lg.as_mut(), cfg)
-                .expect("gzip runs clean")
-                .log
+            let report = run_live(program, lg.as_mut(), &cfg).expect("gzip runs clean");
+            (report.log, 0)
         };
-        captured = log.captured;
-        (log.records, log.wire_bits)
-    });
-    PipelineRow {
-        mode,
-        lifeguard: name,
-        benchmark: "gzip",
-        shards: 1,
-        window: cfg.log.idempotency_window,
-        records,
-        wire_bits,
-        wall_seconds: wall,
-        events_per_sec: captured as f64 / wall,
-        modeled_cycles,
-        sampled_out_fraction: 0.0,
-    }
-}
-
-/// The filtered-vs-unfiltered series: every dedup-participating lifeguard
-/// through both single-lifeguard modes with the capture-side idempotency
-/// window on. The unfiltered counterpart rows are the window-0 cells the
-/// main matrix already measures; these rows show the same workload
-/// shipping fewer records and wire bits (and, on real parallel hardware,
-/// spending less lifeguard time).
-#[must_use]
-pub fn measure_idempotent(samples: usize) -> Vec<PipelineRow> {
-    let program = Benchmark::Gzip.build();
-    let cfg = windowed_config(IDEMPOTENT_WINDOW);
-    let mut rows = Vec::new();
-    for (name, make) in idempotent_lifeguards() {
-        rows.push(measure_mode("lba", name, &make, &cfg, &program, samples));
-        rows.push(measure_mode("live", name, &make, &cfg, &program, samples));
-    }
-    rows
+        Sample {
+            records: log.records,
+            wire_bits: log.wire_bits,
+            events: log.captured,
+            modeled_cycles,
+            sampled_out_fraction: 0.0,
+        }
+    })
 }
 
 /// The two sharded live series, events/sec on gzip for every supported
@@ -389,8 +449,7 @@ pub fn measure_idempotent(samples: usize) -> Vec<PipelineRow> {
 /// duplication, and counting them would manufacture phantom speedup. The
 /// trajectory gate asserts each remote row's wire bits byte-identical to
 /// the matching live-parallel row: the socket moves the exact same stream.
-#[must_use]
-pub fn measure_sharded_live(samples: usize) -> Vec<PipelineRow> {
+fn sharded_live_cells(program: &lba_isa::Program) -> Vec<Cell<'_>> {
     type Runner = fn(
         &lba_isa::Program,
         LifeguardFactory,
@@ -403,33 +462,26 @@ pub fn measure_sharded_live(samples: usize) -> Vec<PipelineRow> {
         }),
         ("remote", |p, make, n, cfg| run_remote(p, make, n, cfg)),
     ];
-    let program = Benchmark::Gzip.build();
     let cfg = SystemConfig::default();
-    let mut rows = Vec::new();
+    let mut cells = Vec::new();
     for (mode, run) in runners {
         for (name, make) in sharded_lifeguards() {
             for shards in SHARD_COUNTS {
-                let (records, wire_bits, wall) = best_of(samples, || {
-                    let report = run(&program, make, shards, &cfg).expect("gzip runs clean");
-                    (report.trace.instructions(), report.log.wire_bits)
-                });
-                rows.push(PipelineRow {
-                    mode,
-                    lifeguard: name,
-                    benchmark: "gzip",
-                    shards,
-                    window: 0,
-                    records,
-                    wire_bits,
-                    wall_seconds: wall,
-                    events_per_sec: records as f64 / wall,
-                    modeled_cycles: 0,
-                    sampled_out_fraction: 0.0,
-                });
+                let cfg = cfg.clone();
+                cells.push(Cell::new(mode, name, shards, 0, move || {
+                    let report = run(program, make, shards, &cfg).expect("gzip runs clean");
+                    let retired = report.trace.instructions();
+                    Sample {
+                        records: retired,
+                        wire_bits: report.log.wire_bits,
+                        events: retired,
+                        ..Sample::default()
+                    }
+                }));
             }
         }
     }
-    rows
+    cells
 }
 
 /// Captures gzip's record stream once (for the consumption-path cells).
@@ -476,25 +528,18 @@ pub fn consume_frames(records: &[EventRecord]) -> u64 {
 /// The isolated consumption-path cell: a pre-captured stream through the
 /// channel fill and the frame-granular consume loop, with no machine
 /// stepping or capture in the timing.
-#[must_use]
-pub fn measure_consume(samples: usize) -> Vec<PipelineRow> {
-    let stream = capture_stream();
+fn consume_cell(stream: &[EventRecord]) -> Cell<'_> {
     let n = stream.len() as u64;
-    let wire_bits = fill_channel(&stream).stats().wire_bits;
-    let (_, _, wall) = best_of(samples, || (consume_frames(&stream), 0));
-    vec![PipelineRow {
-        mode: "consume",
-        lifeguard: "addrcheck",
-        benchmark: "gzip",
-        shards: 1,
-        window: 0,
-        records: n,
-        wire_bits,
-        wall_seconds: wall,
-        events_per_sec: n as f64 / wall,
-        modeled_cycles: 0,
-        sampled_out_fraction: 0.0,
-    }]
+    let wire_bits = fill_channel(stream).stats().wire_bits;
+    Cell::new("consume", "addrcheck", 1, 0, move || {
+        std::hint::black_box(consume_frames(stream));
+        Sample {
+            records: n,
+            wire_bits,
+            events: n,
+            ..Sample::default()
+        }
+    })
 }
 
 /// The filtered ratio: a windowed row's events/sec over the unfiltered
@@ -559,6 +604,7 @@ pub fn render_pipeline(rows: &[PipelineRow]) -> String {
         "window",
         "records",
         "Mevents/s",
+        "quartiles",
         "speedup",
     ]);
     for row in rows {
@@ -585,24 +631,42 @@ pub fn render_pipeline(rows: &[PipelineRow]) -> String {
             row.window.to_string(),
             row.records.to_string(),
             format!("{:.2}", row.events_per_sec / 1e6),
+            format!(
+                "{:.2}-{:.2}",
+                row.events_per_sec_q1 / 1e6,
+                row.events_per_sec_q3 / 1e6
+            ),
             speedup,
         ]);
     }
-    format!("Pipeline host throughput (wall clock, best-of-N)\n{t}")
+    let samples = rows.first().map_or(0, |row| row.samples);
+    format!("Pipeline host throughput (wall clock, median of {samples} interleaved rounds)\n{t}")
 }
 
 /// Serializes the rows as the `BENCH_pipeline.json` trajectory document.
+/// The header records the host the rates were measured on: its logical
+/// CPU count, the build profile, and the samples behind each rate.
 /// Hand-rolled JSON: the environment is air-gapped, so no serde.
 #[must_use]
 pub fn pipeline_json(rows: &[PipelineRow]) -> String {
-    let mut out = String::from(
-        "{\n  \"bench\": \"pipeline\",\n  \"unit\": \"events_per_sec\",\n  \"results\": [\n",
+    let nproc = std::thread::available_parallelism().map_or(0, std::num::NonZero::get);
+    let profile = if cfg!(debug_assertions) {
+        "debug"
+    } else {
+        "release"
+    };
+    let samples = rows.first().map_or(0, |row| row.samples);
+    let mut out = format!(
+        "{{\n  \"bench\": \"pipeline\",\n  \"unit\": \"events_per_sec\",\n  \
+         \"statistic\": \"median and quartiles over interleaved rounds\",\n  \
+         \"nproc\": {nproc},\n  \"profile\": \"{profile}\",\n  \"samples\": {samples},\n  \
+         \"results\": [\n"
     );
     for (i, row) in rows.iter().enumerate() {
         let sep = if i + 1 == rows.len() { "" } else { "," };
         out.push_str(&format!(
-            "    {{\"mode\": \"{}\", \"lifeguard\": \"{}\", \"benchmark\": \"{}\", \"shards\": {}, \"window\": {}, \"records\": {}, \"wire_bits\": {}, \"modeled_cycles\": {}, \"sampled_out_fraction\": {:.6}, \"wall_seconds\": {:.6}, \"events_per_sec\": {:.0}}}{sep}\n",
-            row.mode, row.lifeguard, row.benchmark, row.shards, row.window, row.records, row.wire_bits, row.modeled_cycles, row.sampled_out_fraction, row.wall_seconds, row.events_per_sec,
+            "    {{\"mode\": \"{}\", \"lifeguard\": \"{}\", \"benchmark\": \"{}\", \"shards\": {}, \"window\": {}, \"records\": {}, \"wire_bits\": {}, \"modeled_cycles\": {}, \"sampled_out_fraction\": {:.6}, \"wall_seconds\": {:.6}, \"events_per_sec\": {:.0}, \"events_per_sec_q1\": {:.0}, \"events_per_sec_q3\": {:.0}}}{sep}\n",
+            row.mode, row.lifeguard, row.benchmark, row.shards, row.window, row.records, row.wire_bits, row.modeled_cycles, row.sampled_out_fraction, row.wall_seconds, row.events_per_sec, row.events_per_sec_q1, row.events_per_sec_q3,
         ));
     }
     out.push_str("  ]\n}\n");
@@ -638,6 +702,26 @@ fn row_f64(line: &str, key: &str) -> Result<f64, String> {
 /// The result-row lines of a trajectory document.
 fn row_lines(json: &str) -> impl Iterator<Item = &str> {
     json.lines().filter(|l| l.contains("\"mode\""))
+}
+
+/// A value of the document header, e.g. `header_field(json, "nproc")`.
+fn header_field<'a>(json: &'a str, key: &str) -> Option<&'a str> {
+    json.lines()
+        .filter(|l| !l.contains("\"mode\""))
+        .find_map(|l| row_field(l, key))
+}
+
+/// The samples behind each rate of a trajectory document, from its
+/// header: the rounds it was measured in.
+///
+/// # Errors
+///
+/// A missing or malformed `samples` header.
+pub fn trajectory_samples(json: &str) -> Result<usize, String> {
+    header_field(json, "samples")
+        .ok_or("missing header samples")?
+        .parse()
+        .map_err(|e| format!("bad samples header: {e}"))
 }
 
 /// A row's identity: everything but the measurements.
@@ -742,6 +826,12 @@ pub fn validate_trajectory(json: &str) -> Result<(), String> {
             return Err(format!("missing header {header}"));
         }
     }
+    for header in ["nproc", "profile"] {
+        header_field(json, header).ok_or_else(|| format!("missing header {header}"))?;
+    }
+    if trajectory_samples(json)? == 0 {
+        return Err("no samples behind the rates".into());
+    }
 
     let rows = json.matches("\"mode\"").count();
     if rows == 0 {
@@ -757,10 +847,20 @@ pub fn validate_trajectory(json: &str) -> Result<(), String> {
         "\"modeled_cycles\":",
         "\"sampled_out_fraction\":",
         "\"events_per_sec\":",
+        "\"events_per_sec_q1\":",
+        "\"events_per_sec_q3\":",
     ] {
         let count = json.matches(key).count();
         if count != rows {
             return Err(format!("{count} of {rows} rows carry {key}"));
+        }
+    }
+    for line in row_lines(json) {
+        let q1 = row_f64(line, "events_per_sec_q1")?;
+        let median = row_f64(line, "events_per_sec")?;
+        let q3 = row_f64(line, "events_per_sec_q3")?;
+        if !(q1 <= median && median <= q3) {
+            return Err(format!("median outside its quartiles: {line}"));
         }
     }
 
@@ -1031,6 +1131,9 @@ mod tests {
             wire_bits: 800,
             wall_seconds: 10.0 / events_per_sec,
             events_per_sec,
+            events_per_sec_q1: events_per_sec * 0.9,
+            events_per_sec_q3: events_per_sec * 1.1,
+            samples: 5,
             modeled_cycles: 0,
             sampled_out_fraction: 0.0,
         }
@@ -1133,6 +1236,49 @@ mod tests {
         let rows = vec![row("lba", 1, 10.0)];
         let err = validate_trajectory(&pipeline_json(&rows)).unwrap_err();
         assert!(err.contains("missing series"), "got: {err}");
+        let mut skewed = rows.clone();
+        skewed[0].events_per_sec_q1 = 20.0;
+        let err = validate_trajectory(&pipeline_json(&skewed)).unwrap_err();
+        assert!(err.contains("median outside its quartiles"), "got: {err}");
+    }
+
+    #[test]
+    fn the_header_records_the_host_and_the_sample_count() {
+        let json = pipeline_json(&[row("lba", 1, 10.0)]);
+        assert_eq!(trajectory_samples(&json), Ok(5));
+        assert!(header_field(&json, "nproc").is_some_and(|n| n.parse::<usize>().is_ok()));
+        let profile = header_field(&json, "profile");
+        assert!(
+            matches!(profile, Some("debug" | "release")),
+            "got: {profile:?}"
+        );
+        assert!(trajectory_samples("{}").is_err());
+    }
+
+    #[test]
+    fn a_cell_reports_the_median_rate_and_its_quartiles() {
+        let cell = Cell::new("lba", "addrcheck", 1, 0, Sample::default);
+        let sample = Sample {
+            events: 100,
+            ..Sample::default()
+        };
+        // Walls in any order: 1, 2, 4, 5 and 10 seconds.
+        let row = cell.row(sample, &[10.0, 2.0, 5.0, 1.0, 4.0]);
+        assert_eq!(row.samples, 5);
+        assert_eq!(row.wall_seconds, 4.0);
+        assert_eq!(row.events_per_sec, 25.0);
+        assert_eq!(row.events_per_sec_q1, 20.0, "the 5 s sample");
+        assert_eq!(row.events_per_sec_q3, 50.0, "the 2 s sample");
+        // One sample is its own median and quartiles.
+        let one = cell.row(sample, &[4.0]);
+        assert_eq!(
+            (
+                one.events_per_sec_q1,
+                one.events_per_sec,
+                one.events_per_sec_q3
+            ),
+            (25.0, 25.0, 25.0)
+        );
     }
 
     #[test]

@@ -93,6 +93,11 @@ pub struct CoreCacheStats {
 /// that straddle a cache-line boundary touch both lines and sum their
 /// penalties.
 ///
+/// The model is timing only: the data lives in the machine's memory. So a
+/// runner that reports no modeled clock builds no `MemSystem` and passes
+/// `None` where one is asked for (`Machine::step`,
+/// `DispatchEngine::deliver_batch`), paying no cache simulation.
+///
 /// # Examples
 ///
 /// ```

@@ -23,6 +23,13 @@
 //! TaintCheck does not shard (its register state is a sequential
 //! dependence chain), so it runs live only under [`run_live`].
 //!
+//! The live modes report wire statistics and findings, never a modeled
+//! clock, so both threads run untimed: the machine and the dispatch engine
+//! get no cache model to charge ([`Machine::run`] and
+//! [`DispatchEngine::deliver_batch`] with `None`). The scheduler switches
+//! threads on retired-instruction quanta and no handler reads its cycles,
+//! so the records, frames and findings are the timed runs' exactly.
+//!
 //! # Thread layout
 //!
 //! The calling thread consumes shard 0 with the lifeguard it holds —
@@ -39,7 +46,6 @@ use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::thread;
 
-use lba_cache::MemSystem;
 use lba_cpu::{Machine, RunError};
 use lba_isa::Program;
 use lba_lifeguard::{DegradationRequest, DispatchEngine, Finding, Lifeguard};
@@ -52,10 +58,6 @@ use crate::error::LbaError;
 use crate::parallel::merge_shard_findings;
 use crate::pipeline::{Producer, ProducerLink};
 use crate::report::{LiveReport, LogStats, PipelineReport};
-
-/// The lifeguard-core MemSystem index of every consumer's private
-/// dual-core memory system (it only feeds shadow-cost accounting).
-const LG_CORE: usize = 1;
 
 /// What the consumers publish for the producer's capture controller.
 #[derive(Default)]
@@ -274,8 +276,7 @@ where
         let producer_thread = scope.spawn(move || -> Result<_, LbaError> {
             let mut link = ShardLink { senders, signals };
             let mut machine = Machine::new(program, config.machine);
-            let mut mem = MemSystem::new(config.mem_single());
-            machine.run(&mut mem, |r| producer.observe(&r.record, &mut link))?;
+            machine.run(None, |r| producer.observe(&r.record, &mut link))?;
             // A latched stall means frames were silently discarded past
             // the timeout: the run is no longer lossless and must fail.
             if link.senders.iter().any(FrameSender::stalled) {
@@ -367,9 +368,9 @@ fn settle<T>(
     }
 }
 
-/// One shard's consumer: a blocking receive, decode and batch dispatch
-/// per frame, publishing the lifeguard's findings count and dial requests,
-/// until the stream ends.
+/// One shard's consumer: a blocking receive, decode and untimed batch
+/// dispatch per frame, publishing the lifeguard's findings count and dial
+/// requests, until the stream ends.
 fn consume<S: FrameSource>(
     mut rx: FrameReceiver<S>,
     lifeguard: &mut dyn Lifeguard,
@@ -380,11 +381,11 @@ fn consume<S: FrameSource>(
         rx.set_drag(fault.drain_drag);
     }
     let engine = DispatchEngine::new(config.dispatch);
-    let mut mem = MemSystem::new(config.mem_dual());
     let mut findings = Vec::new();
     while let Some(frame) = rx.recv_batch()? {
         let before = findings.len();
-        engine.deliver_batch(lifeguard, frame.records, &mut mem, LG_CORE, &mut findings);
+        // Untimed: no memory system, so the core index is never read.
+        engine.deliver_batch(lifeguard, frame.records, None, 0, &mut findings);
         let found = (findings.len() - before) as u64;
         if found > 0 {
             signals.findings.fetch_add(found, Ordering::Relaxed);
@@ -397,7 +398,7 @@ fn consume<S: FrameSource>(
             signals.dial.store(slot, Ordering::Relaxed);
         }
     }
-    engine.finish(lifeguard, &mut mem, LG_CORE, &mut findings);
+    engine.finish(lifeguard, None, 0, &mut findings);
     Ok(findings)
 }
 

@@ -110,7 +110,7 @@ fn drain_shard(
 ) -> u64 {
     let mut cycles = 0u64;
     while let Some(frame) = channel.pop_frame() {
-        cycles += engine.deliver_batch(lifeguard, frame.records, mem, core, findings);
+        cycles += engine.deliver_batch(lifeguard, frame.records, &mut *mem, core, findings);
     }
     cycles
 }

@@ -26,11 +26,15 @@
 //! codec *version* is refused up front ([`ReplayError::CodecMismatch`]);
 //! damaged or truncated recordings surface as descriptive
 //! [`ReplayError::Stream`] errors, never panics.
+//!
+//! Replay reports no modeled clock, so it dispatches untimed, as the live
+//! modes do: the dispatch engine gets no cache model to charge shadow work
+//! to ([`DispatchEngine::deliver_batch`] with `None`), and the findings
+//! are the timed delivery's exactly.
 
 use std::fmt;
 use std::path::Path;
 
-use lba_cache::MemSystem;
 use lba_compress::{Frame, FrameDecodeError, FrameDecoder, CODEC_VERSION};
 use lba_lifeguard::{DispatchEngine, Lifeguard};
 use lba_record::{stream_ids, EventRecord, SegmentReader, StreamError};
@@ -38,10 +42,6 @@ use lba_record::{stream_ids, EventRecord, SegmentReader, StreamError};
 use crate::config::SystemConfig;
 use crate::parallel::merge_shard_findings;
 use crate::report::{ReplayReport, ReplayStreamStats, SalvagedTail};
-
-/// The lifeguard-core MemSystem index used for shadow-cost accounting
-/// (replay reports no modeled clocks, like the live modes).
-const LG_CORE: usize = 1;
 
 /// Everything that can go wrong replaying a recording.
 #[derive(Debug)]
@@ -208,7 +208,6 @@ pub fn run_replay_with(
         let mut decoder = FrameDecoder::new(config.log.frame_config());
         let mut lifeguard = make_lifeguard();
         let engine = DispatchEngine::new(config.dispatch);
-        let mut mem = MemSystem::new(config.mem_dual());
         let mut findings = Vec::new();
         let mut batch: Vec<EventRecord> = Vec::new();
         let mut stats = ReplayStreamStats {
@@ -246,7 +245,8 @@ pub fn run_replay_with(
                     frame: stats.frames,
                     source,
                 })?;
-            engine.deliver_batch(lifeguard.as_mut(), &batch, &mut mem, LG_CORE, &mut findings);
+            // Untimed: no memory system, so the core index is never read.
+            engine.deliver_batch(lifeguard.as_mut(), &batch, None, 0, &mut findings);
             stats.frames += 1;
             stats.records += batch.len() as u64;
             stats.wire_bits += frame.wire_bits();
@@ -256,7 +256,7 @@ pub fn run_replay_with(
                 stats.degraded_frames += 1;
             }
         }
-        engine.finish(lifeguard.as_mut(), &mut mem, LG_CORE, &mut findings);
+        engine.finish(lifeguard.as_mut(), None, 0, &mut findings);
         shard_findings.push(findings);
         streams.push(stats);
     }

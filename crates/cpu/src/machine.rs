@@ -56,8 +56,37 @@ pub struct Retired {
     /// The capture-hardware view of the instruction.
     pub record: EventRecord,
     /// Base cycles: 1 (CPI) + fetch and data-cache penalties + runtime-event
-    /// costs. Excludes any monitoring overhead.
+    /// costs. Excludes any monitoring overhead, and, in an untimed run
+    /// (see [`Machine::step`]), the cache penalties.
     pub cycles: u64,
+}
+
+/// Where a step charges its fetch and data accesses: the cache model, or
+/// nothing (`()`) in an untimed run. Each is its own instantiation of the
+/// stepping code, so the timed path tests no option per access.
+trait Charge {
+    fn inst_fetch(&mut self, core: usize, pc: u64) -> u64;
+    fn data_access(&mut self, core: usize, addr: u64, width: u32, write: bool) -> u64;
+}
+
+impl Charge for MemSystem {
+    fn inst_fetch(&mut self, core: usize, pc: u64) -> u64 {
+        MemSystem::inst_fetch(self, core, pc)
+    }
+
+    fn data_access(&mut self, core: usize, addr: u64, width: u32, write: bool) -> u64 {
+        MemSystem::data_access(self, core, addr, width, write)
+    }
+}
+
+impl Charge for () {
+    fn inst_fetch(&mut self, _: usize, _: u64) -> u64 {
+        0
+    }
+
+    fn data_access(&mut self, _: usize, _: u64, _: u32, _: bool) -> u64 {
+        0
+    }
 }
 
 /// Result of one [`Machine::step`] call.
@@ -83,7 +112,11 @@ struct LockInfo {
 /// Cache-cycle accounting is externalised: [`Machine::step`] charges its
 /// fetch and data accesses to the [`MemSystem`] core named in the
 /// configuration, so monitors sharing that core (DBI) or running on another
-/// core (LBA lifeguard) naturally interact through the cache model.
+/// core (LBA lifeguard) naturally interact through the cache model. A
+/// runner with no modeled clock passes no memory system at all and runs
+/// untimed: the scheduler switches threads on retired-instruction quanta,
+/// never on cycles, and the data lives in the machine's own memory, so the
+/// retired stream is the same either way.
 #[derive(Debug, Clone)]
 pub struct Machine<'p> {
     program: &'p Program,
@@ -191,13 +224,68 @@ impl<'p> Machine<'p> {
             .find(|&i| self.threads[i].state == ThreadState::Runnable)
     }
 
-    /// Executes until the next instruction retires.
+    /// Executes until the next instruction retires, charging its fetch and
+    /// data accesses to `mem`. `None` runs untimed: the same instruction
+    /// retires with the same record, and its [`Retired::cycles`] counts
+    /// only the base and runtime-event cycles, no cache penalties.
     ///
     /// # Errors
     ///
     /// Returns a [`RunError`] on invalid control flow, deadlock, call-depth
     /// overflow or when the instruction limit is reached.
-    pub fn step(&mut self, mem: &mut MemSystem) -> Result<StepOutcome, RunError> {
+    pub fn step<'m>(
+        &mut self,
+        mem: impl Into<Option<&'m mut MemSystem>>,
+    ) -> Result<StepOutcome, RunError> {
+        self.step_with(mem.into())
+    }
+
+    // Not generic, so both instantiations of the stepping code compile
+    // here, once, rather than into every caller's loop.
+    fn step_with(&mut self, mem: Option<&mut MemSystem>) -> Result<StepOutcome, RunError> {
+        match mem {
+            Some(mem) => self.step_charging(mem),
+            None => self.step_charging(&mut ()),
+        }
+    }
+
+    /// Runs to completion, passing every retired instruction to `sink`.
+    /// Returns the total base cycles (the unmonitored execution time);
+    /// untimed (`mem` is `None`, see [`step`](Self::step)) they exclude
+    /// cache penalties.
+    ///
+    /// # Errors
+    ///
+    /// Propagates any [`RunError`] from [`Machine::step`].
+    pub fn run<'m>(
+        &mut self,
+        mem: impl Into<Option<&'m mut MemSystem>>,
+        sink: impl FnMut(&Retired),
+    ) -> Result<u64, RunError> {
+        match mem.into() {
+            Some(mem) => self.run_charging(mem, sink),
+            None => self.run_charging(&mut (), sink),
+        }
+    }
+
+    fn run_charging(
+        &mut self,
+        mem: &mut impl Charge,
+        mut sink: impl FnMut(&Retired),
+    ) -> Result<u64, RunError> {
+        let mut cycles = 0;
+        loop {
+            match self.step_charging(mem)? {
+                StepOutcome::Retired(r) => {
+                    cycles += r.cycles;
+                    sink(&r);
+                }
+                StepOutcome::Finished => return Ok(cycles),
+            }
+        }
+    }
+
+    fn step_charging(&mut self, mem: &mut impl Charge) -> Result<StepOutcome, RunError> {
         if self.all_halted() {
             return Ok(StepOutcome::Finished);
         }
@@ -236,32 +324,9 @@ impl<'p> Machine<'p> {
         }
     }
 
-    /// Runs to completion, passing every retired instruction to `sink`.
-    /// Returns the total base cycles (the unmonitored execution time).
-    ///
-    /// # Errors
-    ///
-    /// Propagates any [`RunError`] from [`Machine::step`].
-    pub fn run(
-        &mut self,
-        mem: &mut MemSystem,
-        mut sink: impl FnMut(&Retired),
-    ) -> Result<u64, RunError> {
-        let mut cycles = 0;
-        loop {
-            match self.step(mem)? {
-                StepOutcome::Retired(r) => {
-                    cycles += r.cycles;
-                    sink(&r);
-                }
-                StepOutcome::Finished => return Ok(cycles),
-            }
-        }
-    }
-
     /// Executes one instruction on the current thread. Returns `None` when
     /// the thread blocked on a lock (no instruction retired).
-    fn try_execute(&mut self, mem: &mut MemSystem) -> Result<Option<Retired>, RunError> {
+    fn try_execute(&mut self, mem: &mut impl Charge) -> Result<Option<Retired>, RunError> {
         let core = self.config.core;
         let idx = self.current;
         let tid = self.threads[idx].tid;

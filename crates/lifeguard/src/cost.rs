@@ -15,10 +15,13 @@ use crate::finding::Finding;
 ///
 /// Under LBA the context is bound to the lifeguard core; under the DBI
 /// baseline it is bound to the application core, which is precisely the
-/// paper's "compete for cycles and cache space" effect.
+/// paper's "compete for cycles and cache space" effect. A runner with no
+/// modeled clock (the live modes and replay) binds it to no memory system
+/// at all: shadow accesses then cost their one instruction and no cache
+/// simulation, and findings are reported exactly as when timed.
 #[derive(Debug)]
 pub struct HandlerCtx<'a> {
-    mem: &'a mut MemSystem,
+    mem: Option<&'a mut MemSystem>,
     core: usize,
     findings: &'a mut Vec<Finding>,
     cycles: u64,
@@ -30,9 +33,14 @@ pub struct HandlerCtx<'a> {
 }
 
 impl<'a> HandlerCtx<'a> {
-    /// Creates a context charging work to `core` of `mem` at factor 1.0.
+    /// Creates a context charging work to `core` of `mem` at factor 1.0;
+    /// `None` for `mem` runs the handlers untimed.
     #[must_use]
-    pub fn new(mem: &'a mut MemSystem, core: usize, findings: &'a mut Vec<Finding>) -> Self {
+    pub fn new(
+        mem: impl Into<Option<&'a mut MemSystem>>,
+        core: usize,
+        findings: &'a mut Vec<Finding>,
+    ) -> Self {
         Self::with_work_factor(mem, core, findings, 100)
     }
 
@@ -43,14 +51,14 @@ impl<'a> HandlerCtx<'a> {
     /// Panics if `work_factor_pct` is zero.
     #[must_use]
     pub fn with_work_factor(
-        mem: &'a mut MemSystem,
+        mem: impl Into<Option<&'a mut MemSystem>>,
         core: usize,
         findings: &'a mut Vec<Finding>,
         work_factor_pct: u64,
     ) -> Self {
         assert!(work_factor_pct > 0, "work factor must be non-zero");
         HandlerCtx {
-            mem,
+            mem: mem.into(),
             core,
             findings,
             cycles: 0,
@@ -67,14 +75,19 @@ impl<'a> HandlerCtx<'a> {
     /// Reads `width` bytes of shadow state at `shadow_addr` through the
     /// monitoring core's caches (1 cycle + any miss penalty).
     pub fn shadow_read(&mut self, shadow_addr: u64, width: u32) {
-        self.pending_work += 1;
-        self.cycles += self.mem.data_access(self.core, shadow_addr, width, false);
+        self.shadow_access(shadow_addr, width, false);
     }
 
     /// Writes `width` bytes of shadow state at `shadow_addr`.
     pub fn shadow_write(&mut self, shadow_addr: u64, width: u32) {
+        self.shadow_access(shadow_addr, width, true);
+    }
+
+    fn shadow_access(&mut self, shadow_addr: u64, width: u32, write: bool) {
         self.pending_work += 1;
-        self.cycles += self.mem.data_access(self.core, shadow_addr, width, true);
+        if let Some(mem) = self.mem.as_deref_mut() {
+            self.cycles += mem.data_access(self.core, shadow_addr, width, write);
+        }
     }
 
     /// Reports a detected problem.
@@ -133,6 +146,17 @@ mod tests {
         assert!(cold > 1, "cold shadow read pays a miss: {cold}");
         ctx.shadow_read(0x1_0000_0000, 1);
         assert_eq!(ctx.cycles(), cold + 1, "warm shadow read costs one cycle");
+    }
+
+    #[test]
+    fn untimed_shadow_access_costs_its_instruction_only() {
+        let mut findings = Vec::new();
+        let mut ctx = HandlerCtx::new(None, 1, &mut findings);
+        ctx.shadow_read(0x1_0000_0000, 1);
+        ctx.shadow_write(0x1_0000_0000, 8);
+        ctx.report(finding());
+        assert_eq!(ctx.cycles(), 2, "no cache model, no miss penalty");
+        assert_eq!(ctx.findings_len(), 1);
     }
 
     #[test]

@@ -74,6 +74,38 @@ fn backoff(spins: &mut u32) {
     }
 }
 
+/// A producer's wait for room on its wire, [`backoff`] under the sender's
+/// stall clock. The clock starts at the first pause, so the fast path
+/// never reads it.
+pub(crate) struct Wait {
+    limit: Option<Duration>,
+    start: Option<Instant>,
+    spins: u32,
+}
+
+impl Wait {
+    /// A wait that gives up after `limit`; `None` waits as long as it
+    /// takes.
+    pub(crate) fn new(limit: Option<Duration>) -> Self {
+        Wait {
+            limit,
+            start: None,
+            spins: 0,
+        }
+    }
+
+    /// Backs off once; `false` when the wait has outlasted its limit.
+    pub(crate) fn pause(&mut self) -> bool {
+        if let Some(limit) = self.limit {
+            if self.start.get_or_insert_with(Instant::now).elapsed() >= limit {
+                return false;
+            }
+        }
+        backoff(&mut self.spins);
+        true
+    }
+}
+
 /// Where a [`FrameSender`] ships its sealed frames: the in-process queue
 /// ([`QueueSink`]) or a socket ([`SocketSink`]). A wire only moves frames
 /// and reports room; everything above it belongs to the sender.
@@ -189,23 +221,17 @@ impl FrameWire for QueueSink {
         // subtract first and underflow the counter.
         let inflight_bits = queue.inflight_bits.fetch_add(wire_bits, Ordering::Relaxed) + wire_bits;
         let mut bytes = frame.bytes;
-        let mut spins = 0;
-        // The stall clock starts at the first failed push, so the fast
-        // path never reads the OS clock.
-        let mut stall_start: Option<Instant> = None;
+        let mut wait = Wait::new(stall_timeout);
         loop {
             let Err(back) = queue.frames.push(bytes) else {
                 return Ok(Shipped::Sent { inflight_bits });
             };
             let outcome = if queue.consumer_gone.load(Ordering::Acquire) {
                 Shipped::Dropped
-            } else if stall_timeout.is_some_and(|limit| {
-                stall_start.get_or_insert_with(Instant::now).elapsed() >= limit
-            }) {
+            } else if !wait.pause() {
                 Shipped::Stalled
             } else {
                 bytes = back;
-                backoff(&mut spins);
                 continue;
             };
             // A dropped frame leaves nothing in flight.
@@ -443,7 +469,7 @@ impl FrameSender<SocketSink> {
     /// error.
     pub fn poll_credits(&mut self) {
         if self.error.is_none() {
-            if let Err(e) = self.wire.read_credits(None) {
+            if let Err(e) = self.wire.drain_credits() {
                 self.error = Some(e);
             }
         }

@@ -25,16 +25,29 @@
 //! credit:       one 0x06 byte per drained frame         (consumer→producer)
 //! ```
 //!
-//! All integers are little-endian. The wire is a plain byte stream; the
-//! credit protocol needs only a full-duplex [`UnixStream`] with read
-//! timeouts and non-blocking reads.
+//! All integers are little-endian. The wire is a plain byte stream over a
+//! full-duplex [`UnixStream`].
 //!
 //! Neither end trusts the other's bytes. The consumer checks each payload
 //! against its checksum and its record count against the frame image, and
 //! reserves at most 64 KiB for a payload before its bytes arrive, so a
 //! header claiming 4 GiB costs no more until 4 GiB do arrive. The producer
-//! treats any byte on the credit channel that is not a credit as
-//! corruption.
+//! treats any byte on the credit channel that is not a credit, and any
+//! credit for a frame it never sent, as corruption.
+//!
+//! # Syscalls per frame
+//!
+//! The producer stages each frame record, header and payload, in one
+//! reused buffer and ships it with one `write`. After the hello its end of
+//! the connection stays non-blocking, so one `read` per ship drains the
+//! credits already returned without toggling the socket's mode. The
+//! consumer reads through a buffer: one `read` usually brings a whole
+//! frame record, often several, and it writes one credit byte per frame.
+//! The consumer blocks; the producer never does. When the credit window is
+//! spent, or the kernel's socket buffer is full (a window of large frames
+//! can outgrow it), the producer waits with the in-process queue's
+//! spin-then-yield backoff under the same stall clock, re-reading credits
+//! as it goes, so a vanished consumer ends the wait in both cases.
 //!
 //! # Credit window: `buffer_bytes` semantics survive the wire
 //!
@@ -43,12 +56,14 @@
 //! kernel socket buffer would hide that bound, so the wire carries an
 //! explicit **credit window**: the producer may have at most `window`
 //! un-acknowledged frames outstanding; the consumer returns one credit per
-//! frame it drains; a producer out of credits waits, exactly like a push
-//! against a full queue. The sink's load sample is outstanding frames
-//! against the window, so [`crate::LoadSample`]-driven adaptive
-//! degradation keeps working across the socket, and a consumer that stops
-//! returning credits trips the sender's stall timeout like a full queue
-//! does.
+//! frame, only once the whole frame has arrived; a producer out of credits
+//! waits, exactly like a push against a full queue. A credit with no frame
+//! outstanding is [`SocketError::Corrupt`]: the peer is not speaking the
+//! protocol, and counting it would overrun the window's arithmetic. The
+//! sink's load sample is outstanding frames against the window, so
+//! [`crate::LoadSample`]-driven adaptive degradation keeps working across
+//! the socket, and a consumer that stops returning credits trips the
+//! sender's stall timeout like a full queue does.
 //!
 //! # Examples
 //!
@@ -77,9 +92,9 @@
 
 use std::collections::VecDeque;
 use std::fmt;
-use std::io::{self, Read, Write};
+use std::io::{self, BufReader, Read, Write};
 use std::os::unix::net::UnixStream;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use lba_compress::Frame;
 use lba_record::{
@@ -88,7 +103,7 @@ use lba_record::{
 };
 
 use crate::channel::LoadSample;
-use crate::live::{FrameSender, FrameWire, Shipped};
+use crate::live::{FrameSender, FrameWire, Shipped, Wait};
 use crate::sink::{FrameSource, SinkError};
 
 /// Size of the connection hello: the `lbas/1` stream header, with the
@@ -97,10 +112,6 @@ pub const SOCKET_HELLO_BYTES: usize = SEGMENT_HEADER_BYTES;
 
 /// The credit byte the consumer returns per drained frame (ASCII ACK).
 const CREDIT: u8 = 0x06;
-
-/// How long a credit wait blocks per read before re-checking the stall
-/// clock — the socket analogue of the queue's spin-then-yield.
-const CREDIT_POLL: Duration = Duration::from_millis(5);
 
 /// Payload bytes a frame record's claimed length may reserve before they
 /// arrive: sealed frames are a few cache lines, so this covers every real
@@ -156,8 +167,8 @@ pub enum SocketError {
         frames: u64,
     },
     /// The wire's bytes are internally inconsistent (bad tag, checksum or
-    /// record-count mismatch, End-count disagreement, a stray byte on the
-    /// credit channel).
+    /// record-count mismatch, End-count disagreement, a stray byte or a
+    /// surplus credit on the credit channel).
     Corrupt {
         /// Offending peer.
         endpoint: String,
@@ -226,8 +237,8 @@ impl SocketError {
 }
 
 /// Producer end of the socket wire: ships sealed frames as `lbas/1`
-/// records under the credit window. Drive it through a
-/// [`SocketSender`].
+/// records under the credit window, one `write` per frame record. Drive
+/// it through a [`SocketSender`].
 pub struct SocketSink {
     stream: UnixStream,
     endpoint: String,
@@ -237,19 +248,28 @@ pub struct SocketSink {
     sent: u64,
     acked: u64,
     /// Wire bits of each outstanding frame, oldest first — credits are
-    /// FIFO, so popping the front converts a credit back into bits.
+    /// FIFO, so popping the front converts a credit back into bits. Holds
+    /// exactly `sent - acked` entries.
     outstanding_bits: VecDeque<u64>,
     inflight_bits: u64,
     /// Latched when the peer disappears (EOF on the credit channel or a
     /// broken-pipe write).
     consumer_gone: bool,
+    /// Latched when a stall interrupted the write of a frame record, which
+    /// may then be partly on the wire: the stream can only end torn, never
+    /// with an End record.
+    record_cut: bool,
+    /// The frame record being written, header and payload, reused across
+    /// frames.
+    record: Vec<u8>,
     /// The last shipped frame's buffer, handed back to the encoder.
     spare: Option<Vec<u8>>,
 }
 
 impl SocketSink {
     /// Opens the producer side over `stream`: writes the connection hello
-    /// (stream id, codec version, credit window) and returns the sink.
+    /// (stream id, codec version, credit window), then puts the stream in
+    /// non-blocking mode for good, and returns the sink.
     ///
     /// `window` is the credit window in frames — derive it from the same
     /// budget as the in-process queue's capacity
@@ -258,20 +278,30 @@ impl SocketSink {
     ///
     /// # Errors
     ///
-    /// [`SocketError::Io`] when the hello cannot be written.
+    /// [`SocketError::Io`] when the hello cannot be written or the mode
+    /// not set.
     ///
     /// # Panics
     ///
     /// Panics if `window` is zero — a zero window could never ship.
     pub fn connect(
-        stream: UnixStream,
+        mut stream: UnixStream,
         stream_id: u32,
         codec_version: u32,
         window: u32,
     ) -> Result<Self, SocketError> {
         assert!(window > 0, "socket credit window must be non-zero");
         let endpoint = endpoint(&stream);
-        let mut sink = SocketSink {
+        let hello = StreamHeader {
+            codec_version,
+            stream: stream_id,
+            word: window,
+        };
+        stream
+            .write_all(&hello.encode())
+            .and_then(|()| stream.set_nonblocking(true))
+            .map_err(|e| SocketError::io(&endpoint, e))?;
+        Ok(SocketSink {
             stream,
             endpoint,
             window,
@@ -280,15 +310,10 @@ impl SocketSink {
             outstanding_bits: VecDeque::new(),
             inflight_bits: 0,
             consumer_gone: false,
+            record_cut: false,
+            record: Vec::new(),
             spare: None,
-        };
-        let hello = StreamHeader {
-            codec_version,
-            stream: stream_id,
-            word: window,
-        };
-        sink.write_wire(&hello.encode())?;
-        Ok(sink)
+        })
     }
 
     fn torn(&self) -> SocketError {
@@ -298,93 +323,86 @@ impl SocketSink {
         }
     }
 
-    fn write_wire(&mut self, bytes: &[u8]) -> Result<(), SocketError> {
-        match self.stream.write_all(bytes) {
-            Ok(()) => Ok(()),
-            Err(e) if e.kind() == io::ErrorKind::BrokenPipe => {
+    fn corrupt_credit(&self, detail: String) -> SocketError {
+        SocketError::Corrupt {
+            endpoint: self.endpoint.clone(),
+            frame: self.acked,
+            detail,
+        }
+    }
+
+    /// Consumes one credit per byte read. A byte that is not a credit, or
+    /// a credit with no frame outstanding, means the peer is not speaking
+    /// the credit protocol.
+    fn absorb_credits(&mut self, bytes: &[u8]) -> Result<(), SocketError> {
+        for &b in bytes {
+            if b != CREDIT {
+                return Err(self.corrupt_credit(format!(
+                    "byte {b:#04x} on the credit channel is not a credit"
+                )));
+            }
+            let Some(bits) = self.outstanding_bits.pop_front() else {
+                return Err(self.corrupt_credit(format!(
+                    "credit for a frame never sent ({} sent, all acknowledged)",
+                    self.sent
+                )));
+            };
+            self.acked += 1;
+            self.inflight_bits -= bits;
+        }
+        Ok(())
+    }
+
+    /// Absorbs the credits already on the wire with one non-blocking read.
+    /// EOF latches the consumer as gone.
+    pub(crate) fn drain_credits(&mut self) -> Result<(), SocketError> {
+        let mut buf = [0u8; 64];
+        match self.stream.read(&mut buf) {
+            Ok(0) => {
                 self.consumer_gone = true;
-                Err(self.torn())
+                Ok(())
+            }
+            Ok(n) => self.absorb_credits(&buf[..n]),
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::WouldBlock | io::ErrorKind::Interrupted
+                ) =>
+            {
+                Ok(())
             }
             Err(e) => Err(SocketError::io(&self.endpoint, e)),
         }
     }
 
-    /// Consumes one credit per byte read; any other byte means the peer
-    /// is not speaking the credit protocol.
-    fn absorb_credits(&mut self, bytes: &[u8]) -> Result<(), SocketError> {
-        for &b in bytes {
-            if b != CREDIT {
-                return Err(SocketError::Corrupt {
-                    endpoint: self.endpoint.clone(),
-                    frame: self.acked,
-                    detail: format!("byte {b:#04x} on the credit channel is not a credit"),
-                });
-            }
-            self.acked += 1;
-            if let Some(bits) = self.outstanding_bits.pop_front() {
-                self.inflight_bits -= bits;
-            }
-        }
-        Ok(())
-    }
-
-    /// Absorbs the credits on the wire: every one already there when
-    /// `wait` is `None` (a non-blocking drain, run before every ship), or
-    /// the next batch to arrive within `wait`.
-    pub(crate) fn read_credits(&mut self, wait: Option<Duration>) -> Result<(), SocketError> {
-        let mode = match wait {
-            None => self.stream.set_nonblocking(true),
-            Some(limit) => self.stream.set_read_timeout(Some(limit)),
-        };
-        mode.map_err(|e| SocketError::io(&self.endpoint, e))?;
-        let mut buf = [0u8; 64];
-        let outcome = loop {
-            match self.stream.read(&mut buf) {
+    /// Writes all of `bytes`, waiting under `wait` while the kernel buffer
+    /// is full. Returns `false` when the wait outlasted the stall timeout.
+    fn write_waiting(&mut self, mut bytes: &[u8], wait: &mut Wait) -> Result<bool, SocketError> {
+        while !bytes.is_empty() {
+            match self.stream.write(bytes) {
                 Ok(0) => {
-                    self.consumer_gone = true;
-                    break Ok(());
+                    let source = io::Error::from(io::ErrorKind::WriteZero);
+                    return Err(SocketError::io(&self.endpoint, source));
                 }
-                Ok(n) => {
-                    let absorbed = self.absorb_credits(&buf[..n]);
-                    if absorbed.is_err() || wait.is_some() {
-                        break absorbed;
+                Ok(n) => bytes = &bytes[n..],
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    // Credits keep arriving while the buffer drains, and
+                    // EOF on them means nobody will drain it.
+                    self.drain_credits()?;
+                    if self.consumer_gone {
+                        return Err(self.torn());
+                    }
+                    if !wait.pause() {
+                        return Ok(false);
                     }
                 }
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                    ) =>
-                {
-                    break Ok(())
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) if e.kind() == io::ErrorKind::BrokenPipe => {
+                    self.consumer_gone = true;
+                    return Err(self.torn());
                 }
-                Err(e) => break Err(SocketError::io(&self.endpoint, e)),
+                Err(e) => return Err(SocketError::io(&self.endpoint, e)),
             }
-        };
-        let restored = match wait {
-            None => self.stream.set_nonblocking(false),
-            Some(_) => self.stream.set_read_timeout(None),
-        };
-        outcome?;
-        restored.map_err(|e| SocketError::io(&self.endpoint, e))
-    }
-
-    /// Waits until at least one credit is free, honouring the stall
-    /// timeout. Returns `false` when the wait outlasted it.
-    fn wait_for_credit(&mut self, stall_timeout: Option<Duration>) -> Result<bool, SocketError> {
-        // The stall clock starts at the first exhausted-window check, so
-        // the fast path never reads the OS clock.
-        let mut stall_start: Option<Instant> = None;
-        while self.sent - self.acked >= u64::from(self.window) {
-            if self.consumer_gone {
-                return Err(self.torn());
-            }
-            if let Some(limit) = stall_timeout {
-                if stall_start.get_or_insert_with(Instant::now).elapsed() >= limit {
-                    return Ok(false);
-                }
-            }
-            self.read_credits(Some(CREDIT_POLL))?;
         }
         Ok(true)
     }
@@ -393,19 +411,34 @@ impl SocketSink {
 impl FrameWire for SocketSink {
     type Error = SocketError;
 
-    /// Waits for a credit, then writes the frame record.
+    /// Drains the returned credits, waits while the window is spent, then
+    /// writes the frame record.
     fn ship(
         &mut self,
         frame: Frame,
         stall_timeout: Option<Duration>,
     ) -> Result<Shipped, SocketError> {
-        self.read_credits(None)?;
-        if !self.wait_for_credit(stall_timeout)? {
+        self.drain_credits()?;
+        let mut wait = Wait::new(stall_timeout);
+        while self.sent - self.acked >= u64::from(self.window) {
+            if self.consumer_gone {
+                return Err(self.torn());
+            }
+            if !wait.pause() {
+                return Ok(Shipped::Stalled);
+            }
+            self.drain_credits()?;
+        }
+        let mut record = std::mem::take(&mut self.record);
+        record.clear();
+        record.extend_from_slice(&FrameRecordHeader::new(0, frame.records, &frame.bytes).encode());
+        record.extend_from_slice(&frame.bytes);
+        let written = self.write_waiting(&record, &mut wait);
+        self.record = record;
+        if !written? {
+            self.record_cut = true;
             return Ok(Shipped::Stalled);
         }
-        let header = FrameRecordHeader::new(0, frame.records, &frame.bytes);
-        self.write_wire(&header.encode())?;
-        self.write_wire(&frame.bytes)?;
         let wire_bits = frame.wire_bits();
         self.sent += 1;
         self.outstanding_bits.push_back(wire_bits);
@@ -429,17 +462,16 @@ impl FrameWire for SocketSink {
         self.spare.take()
     }
 
-    /// Writes the End record and flushes the wire; a consumer already
-    /// gone is owed nothing. The connection stays open for late credits;
-    /// dropping the sink closes it.
+    /// Writes the End record, waiting as long as the kernel buffer stays
+    /// full; a consumer already gone is owed nothing, and a stream cut
+    /// mid-record by a stall ends torn. The connection stays open for late
+    /// credits; dropping the sink closes it.
     fn close(&mut self) -> Result<(), SocketError> {
-        if self.consumer_gone {
+        if self.consumer_gone || self.record_cut {
             return Ok(());
         }
-        self.write_wire(&end_record(self.sent))?;
-        self.stream
-            .flush()
-            .map_err(|e| SocketError::io(&self.endpoint, e))
+        self.write_waiting(&end_record(self.sent), &mut Wait::new(None))
+            .map(drop)
     }
 }
 
@@ -451,12 +483,12 @@ impl FrameWire for SocketSink {
 pub type SocketSender = FrameSender<SocketSink>;
 
 /// Consumer end of the socket wire: validates the hello, drains frame
-/// records, and returns one credit per frame — a [`FrameSource`] that a
-/// [`FrameReceiver`](crate::live::FrameReceiver) decodes exactly like the
-/// in-process queue.
+/// records through a read buffer, and returns one credit per frame — a
+/// [`FrameSource`] that a [`FrameReceiver`](crate::live::FrameReceiver)
+/// decodes exactly like the in-process queue. Its reads block.
 #[derive(Debug)]
 pub struct SocketSource {
-    stream: UnixStream,
+    stream: BufReader<UnixStream>,
     endpoint: String,
     hello: StreamHeader,
     /// Complete frames drained so far.
@@ -477,7 +509,7 @@ impl SocketSource {
     pub fn accept(stream: UnixStream) -> Result<Self, SocketError> {
         let endpoint = endpoint(&stream);
         let mut source = SocketSource {
-            stream,
+            stream: BufReader::new(stream),
             endpoint,
             hello: StreamHeader::default(),
             frames: 0,
@@ -569,7 +601,7 @@ impl SocketSource {
                 // Return the credit *after* the frame is whole: a credit
                 // promises the producer this slot of the window is truly
                 // free.
-                if let Err(e) = self.stream.write_all(&[CREDIT]) {
+                if let Err(e) = self.stream.get_mut().write_all(&[CREDIT]) {
                     // A producer that already left does not need credits.
                     if e.kind() != io::ErrorKind::BrokenPipe {
                         return Err(SocketError::io(&self.endpoint, e));
@@ -621,6 +653,7 @@ mod tests {
     use lba_compress::{FrameConfig, FrameDecoder, FrameEncoder, CODEC_VERSION};
     use lba_record::EventRecord;
     use std::thread;
+    use std::time::Instant;
 
     fn record(i: u64) -> EventRecord {
         EventRecord::load(0x1000 + i * 8, 0, None, Some(1), 0x10_0000 + i * 8, 8)
@@ -726,6 +759,42 @@ mod tests {
         );
         let stats = tx.stats();
         assert_eq!(stats.frames, 2, "only windowed frames may ship");
+    }
+
+    #[test]
+    fn a_full_kernel_buffer_stalls_like_a_spent_window_and_ends_torn() {
+        // 200 raw frames of 6.4 KB each under a 1024-frame window outgrow
+        // the kernel's socket buffer long before the window is spent.
+        let config = FrameConfig {
+            records_per_frame: 256,
+            compress: false,
+        };
+        let (sink, source) = socket_pair(0, 1024).unwrap();
+        let mut tx = SocketSender::new(sink, config);
+        tx.set_stall_timeout(Some(Duration::from_millis(50)));
+        let start = Instant::now();
+        for i in 0..256 * 200 {
+            tx.push(&record(i));
+        }
+        assert!(tx.stalled(), "a buffer nobody drains must latch a stall");
+        assert!(
+            start.elapsed() < Duration::from_secs(5),
+            "stall must latch once, not re-pay the timeout per frame"
+        );
+        let shipped = tx.finish().expect("a stall is latched, not an error");
+        assert!(
+            (1..200).contains(&shipped.frames),
+            "{} frames shipped",
+            shipped.frames
+        );
+        // The frames before the stall arrive whole; the record the stall
+        // cut short ends the stream torn, with no End record after it.
+        let mut rx = FrameReceiver::new(source, 0, config);
+        for _ in 0..shipped.frames {
+            assert!(rx.recv_batch().unwrap().is_some());
+        }
+        let err = rx.recv_batch().unwrap_err();
+        assert!(err.to_string().contains("tore mid-stream"), "got: {err}");
     }
 
     #[test]
@@ -870,6 +939,34 @@ mod tests {
         let err = tx.finish().unwrap_err();
         assert!(matches!(err, SocketError::Corrupt { .. }), "got: {err}");
         assert!(err.to_string().contains("not a credit"), "got: {err}");
+        drop(b);
+    }
+
+    #[test]
+    fn a_credit_for_a_frame_never_sent_is_an_error() {
+        // Regression: surplus credits were counted, so `sent - acked`
+        // underflowed. Debug builds panicked; release builds read the
+        // window as full and stalled (or, with no stall timeout, hung).
+        let (a, mut b) = UnixStream::pair().unwrap();
+        let sink = SocketSink::connect(a, 0, CODEC_VERSION, 2).unwrap();
+        let mut hello = [0u8; SOCKET_HELLO_BYTES];
+        b.read_exact(&mut hello).unwrap();
+        b.write_all(&[CREDIT; 3]).unwrap();
+        let mut tx = SocketSender::new(sink, small_frames());
+        tx.set_stall_timeout(Some(Duration::from_millis(200)));
+        for i in 0..8 {
+            tx.push(&record(i));
+        }
+        assert!(!tx.stalled(), "a surplus credit is not a full window");
+        let err = tx.finish().unwrap_err();
+        assert!(
+            matches!(err, SocketError::Corrupt { frame: 0, .. }),
+            "got: {err}"
+        );
+        assert!(
+            err.to_string().contains("credit for a frame never sent"),
+            "got: {err}"
+        );
         drop(b);
     }
 

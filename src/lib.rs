@@ -120,7 +120,8 @@
 //!   pipeline over a real SPSC channel between OS threads instead of the
 //!   deterministic timing model, with [`run_lba`]'s syscall containment
 //!   and address-range filter; one queue operation per frame, real wire
-//!   bytes measured and reported;
+//!   bytes measured and reported, and no cache model on either thread,
+//!   since a live run reports no modeled clock;
 //! * [`run_live_parallel`] — the same runner N shards wide: load/store
 //!   records route to the shard owning their cache line, every shard is
 //!   its own compressed frame stream with its own predictor bank, and N

@@ -11,11 +11,52 @@ use lba::{
     run_dbi, run_lba, run_live, LifeguardKind, MonitorSpec, RecordConfig, Run, RunMode,
     RunModeSpec, RunOutcome, SystemConfig,
 };
+use lba_cache::MemSystem;
+use lba_cpu::Machine;
 use lba_isa::Program;
 use lba_workloads::{bugs, Benchmark};
 
 fn config() -> SystemConfig {
     SystemConfig::default()
+}
+
+#[test]
+fn the_untimed_machine_retires_the_timed_stream() {
+    // The live runners and replay run the machine with no cache model.
+    // Threads switch on retired-instruction quanta, never on cycles, and
+    // the data lives in the machine's own memory, so every program must
+    // retire the same record sequence either way.
+    let bug_programs = [
+        bugs::memory_bugs(),
+        bugs::exploit(),
+        bugs::data_race(),
+        bugs::tainted_syscall(),
+    ];
+    let programs = Benchmark::ALL.map(Benchmark::build);
+    for program in programs.iter().chain(&bug_programs) {
+        let retire = |mem: Option<&mut MemSystem>| {
+            let mut machine = Machine::new(program, config().machine);
+            let mut records = Vec::new();
+            let cycles = machine
+                .run(mem, |r| records.push(r.record))
+                .expect("runs clean");
+            (records, cycles)
+        };
+        let mut mem = MemSystem::new(config().mem_single());
+        let (timed, timed_cycles) = retire(Some(&mut mem));
+        let (untimed, untimed_cycles) = retire(None);
+        assert!(!timed.is_empty(), "{}: nothing retired", program.name());
+        assert!(
+            timed == untimed,
+            "{}: the untimed run retired a different stream",
+            program.name()
+        );
+        assert!(
+            untimed_cycles < timed_cycles,
+            "{}: untimed cycles carry no cache penalties",
+            program.name()
+        );
+    }
 }
 
 #[test]

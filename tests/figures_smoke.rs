@@ -129,6 +129,10 @@ fn bench_pipeline_trajectory_has_every_series() {
     lba_bench::pipeline::validate_trajectory(&json).expect("committed trajectory validates");
     let keys = lba_bench::pipeline::trajectory_keys(&json).expect("rows parse");
     assert!(keys.len() >= 30, "expected the full matrix, got {keys:?}");
+    // One sample per row cannot tell a change from scheduler jitter: the
+    // committed rates are medians of at least five interleaved rounds.
+    let samples = lba_bench::pipeline::trajectory_samples(&json).expect("samples header");
+    assert!(samples >= 5, "committed rates rest on {samples} sample(s)");
 }
 
 #[test]

@@ -12,8 +12,11 @@ use lba_isa::Instruction;
 use lba_lifeguard::DispatchEngine;
 use lba_lifeguards::{LockSet, TaintCheck};
 use lba_mem::{layout, HeapAllocator, Memory};
-use lba_record::{EventKind, EventRecord, RAW_RECORD_BYTES};
-use lba_transport::{LogBufferModel, TimedFrame};
+use lba_record::{
+    end_record, EventKind, EventRecord, FrameRecordHeader, StreamHeader, RAW_RECORD_BYTES,
+};
+use lba_transport::live::{FrameReceiver, RecvError};
+use lba_transport::{LogBufferModel, SocketError, SocketSource, TimedFrame};
 
 fn arb_operand() -> impl Strategy<Value = Option<u8>> {
     prop_oneof![Just(None), (0u8..16).prop_map(Some)]
@@ -110,6 +113,81 @@ fn mutate(frame: &mut Vec<u8>, (kind, at, byte): (u8, u64, u8), compress: bool) 
         2 => frame.truncate((at % (len / FRAME_LINE_BYTES as u64)) as usize * FRAME_LINE_BYTES),
         // Overwrite one byte.
         _ => frame[(at % len) as usize] = byte,
+    }
+}
+
+/// Damages a socket wire, given as its `lbas/1` records after the hello:
+/// one frame record per sealed frame, then the End record. `kind` picks
+/// the mutation and `at`/`byte` are raw draws, reduced to this wire.
+/// Returns the index of the first record that no longer arrives as sent;
+/// the records before it are the undamaged prefix.
+fn mutate_socket_wire(wire: &mut Vec<Vec<u8>>, (kind, at, byte): (u8, u64, u8)) -> usize {
+    let frames = wire.len() - 1;
+    let pick = |n: usize| (at % n as u64) as usize;
+    // The record holding byte `offset` of the wire, and where it starts.
+    let locate = |wire: &[Vec<u8>], mut offset: usize| {
+        for (i, record) in wire.iter().enumerate() {
+            if offset < record.len() {
+                return (i, offset);
+            }
+            offset -= record.len();
+        }
+        unreachable!("offset lies within the wire")
+    };
+    let total: usize = wire.iter().map(Vec::len).sum();
+    match kind {
+        // Flip one bit anywhere.
+        0 => {
+            let (i, offset) = locate(wire, pick(total * 8) / 8);
+            wire[i][offset] ^= 1 << (at % 8);
+            i
+        }
+        // Truncate the wire.
+        1 => {
+            let (i, offset) = locate(wire, pick(total));
+            wire[i].truncate(offset);
+            wire.truncate(i + 1);
+            i
+        }
+        // Rewrite a frame record's payload length or its record count,
+        // up to `u32::MAX`.
+        2 | 3 => {
+            let i = pick(frames);
+            let value = if byte < 64 {
+                u32::MAX
+            } else {
+                (at >> 32) as u32
+            };
+            let field = if kind == 2 { 13..17 } else { 9..13 };
+            wire[i][field].copy_from_slice(&value.to_le_bytes());
+            i
+        }
+        // Duplicate a frame record.
+        4 => {
+            let i = pick(frames);
+            let copy = wire[i].clone();
+            wire.insert(i + 1, copy);
+            i + 1
+        }
+        // Drop a frame record.
+        5 => {
+            let i = pick(frames);
+            wire.remove(i);
+            i
+        }
+        // Swap two records, the End record included.
+        6 => {
+            let i = pick(wire.len());
+            let j = (i + 1 + usize::from(byte) % (wire.len() - 1)) % wire.len();
+            wire.swap(i, j);
+            i.min(j)
+        }
+        // A stray byte where a record tag belongs.
+        _ => {
+            let i = pick(wire.len());
+            wire.insert(i, vec![byte]);
+            i
+        }
     }
 }
 
@@ -284,6 +362,66 @@ proptest! {
                     "clean frame {} before the mutated one failed: {:?}", i, decoded
                 );
             }
+        }
+    }
+
+    #[test]
+    fn mutated_socket_wires_never_panic_the_reader(
+        records in arb_stream(),
+        records_per_frame in 1usize..40,
+        compress in any::<bool>(),
+        mutation in (0u8..8, any::<u64>(), any::<u8>()),
+    ) {
+        // Socket bytes come from another process: whatever a mutation does
+        // to the records after a valid hello, the reader yields the
+        // undamaged prefix's records exactly, then records or a
+        // descriptive error (a tear, a corruption or a decode error),
+        // never a panic.
+        let config = FrameConfig { records_per_frame, compress };
+        let mut enc = FrameEncoder::new(config);
+        let mut frames: Vec<_> = records.iter().filter_map(|rec| enc.push(rec)).collect();
+        frames.extend(enc.flush());
+        let mut wire: Vec<Vec<u8>> = frames
+            .iter()
+            .map(|frame| {
+                let header = FrameRecordHeader::new(0, frame.records, &frame.bytes);
+                [&header.encode()[..], &frame.bytes].concat()
+            })
+            .collect();
+        wire.push(end_record(frames.len() as u64).to_vec());
+        let damaged = mutate_socket_wire(&mut wire, mutation);
+        let prefix: usize = frames[..damaged.min(frames.len())]
+            .iter()
+            .map(|frame| frame.records as usize)
+            .sum();
+
+        let (mut producer, consumer) = std::os::unix::net::UnixStream::pair().unwrap();
+        let hello = StreamHeader { codec_version: lba_compress::CODEC_VERSION, stream: 0, word: 4 };
+        // One write: the wire fits the socket buffer, so the producer can
+        // leave before the reader starts.
+        std::io::Write::write_all(&mut producer, &[&hello.encode()[..], &wire.concat()].concat())
+            .unwrap();
+        drop(producer);
+        let mut rx = FrameReceiver::new(SocketSource::accept(consumer).unwrap(), 0, config);
+        let mut out = Vec::new();
+        let ended = loop {
+            match rx.recv_batch() {
+                Ok(Some(frame)) => out.extend_from_slice(frame.records),
+                Ok(None) => break Ok(()),
+                Err(e) => break Err(e),
+            }
+        };
+        prop_assert!(out.len() >= prefix, "the undamaged prefix must arrive: {:?}", ended);
+        prop_assert_eq!(&out[..prefix], &records[..prefix]);
+        if let Err(e) = ended {
+            let descriptive = match &e {
+                RecvError::Decode { .. } => true,
+                RecvError::Wire(wire) => matches!(
+                    wire.downcast_ref::<SocketError>(),
+                    Some(SocketError::Torn { .. } | SocketError::Corrupt { .. })
+                ),
+            };
+            prop_assert!(descriptive, "not a tear, corruption or decode error: {}", e);
         }
     }
 
