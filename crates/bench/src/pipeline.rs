@@ -13,16 +13,17 @@
 
 use std::time::Instant;
 
+use lba::parallel::run_lba_parallel;
 use lba::{
     run_lba, run_live, run_live_parallel, run_remote, run_replay, AdaptiveConfig, FaultProfile,
-    LbaError, LiveReport, RecordConfig, SystemConfig,
+    RecordConfig, SystemConfig, TopologyKind,
 };
 use lba_cache::{MemSystem, MemSystemConfig};
 use lba_cpu::Machine;
 use lba_lifeguard::{DispatchEngine, Lifeguard};
 use lba_lifeguards::AddrCheck;
 use lba_record::EventRecord;
-use lba_transport::{LogChannel, ModeledFrameChannel};
+use lba_transport::ModeledFrameChannel;
 use lba_workloads::Benchmark;
 
 /// A lifeguard factory used by the measurement matrix.
@@ -51,7 +52,7 @@ pub fn sharded_lifeguards() -> Vec<(&'static str, LifeguardFactory)> {
         .collect()
 }
 
-/// Shard counts the live-parallel series measures.
+/// Shard counts the sharded series measure.
 pub const SHARD_COUNTS: [usize; 3] = [1, 2, 4];
 
 /// Idempotency-window size (entries) used by the filtered series.
@@ -73,10 +74,12 @@ pub fn idempotent_lifeguards() -> Vec<(&'static str, LifeguardFactory)> {
 /// One throughput measurement: a row of the trajectory.
 #[derive(Debug, Clone)]
 pub struct PipelineRow {
-    /// Execution mode: `"lba"` (deterministic co-simulation), `"live"`
+    /// Execution mode: `"lba"` (deterministic co-simulation),
+    /// `"lba-parallel"` (the co-simulation with N lifeguard cores), `"live"`
     /// (two OS threads), `"live-parallel"` (1 producer + N consumer
-    /// threads), `"consume"` (isolated consumption path), or `"replay"`
-    /// (offline replay of a flight-recorder stream).
+    /// threads), `"remote"` (the same over sockets), `"consume"` (isolated
+    /// consumption path), or `"replay"` (offline replay of a
+    /// flight-recorder stream), or a `-faulted`/`-degraded` series.
     pub mode: &'static str,
     /// Lifeguard name.
     pub lifeguard: &'static str,
@@ -102,8 +105,8 @@ pub struct PipelineRow {
     /// Samples behind the rates: one per measurement round.
     pub samples: usize,
     /// Modeled end-to-end cycles, for the modes with a deterministic
-    /// clock model (the `lba` series); 0 for the host-wall-clock-only
-    /// modes.
+    /// clock model (the `lba` and `lba-parallel` series); 0 for the
+    /// host-wall-clock-only modes.
     pub modeled_cycles: u64,
     /// Fraction of captured events the adaptive controller sampled out
     /// (the `*-degraded` series; 0 everywhere else).
@@ -192,7 +195,7 @@ fn quantile(sorted: &[f64], q: f64) -> f64 {
 
 /// Runs the full measurement matrix on gzip: the isolated consumption
 /// path, both single-lifeguard modes with all four lifeguards, the
-/// sharded live series across shard counts, the filtered-vs-unfiltered
+/// sharded series across shard counts, the filtered-vs-unfiltered
 /// idempotency series, the replay series and the adaptive-degradation
 /// series.
 ///
@@ -217,7 +220,7 @@ pub fn measure_pipeline(rounds: usize) -> Vec<PipelineRow> {
         cells.push(mode_cell("lba", name, make, cfg.clone(), &program));
         cells.push(mode_cell("live", name, make, cfg.clone(), &program));
     }
-    cells.extend(sharded_live_cells(&program));
+    cells.extend(sharded_cells(&program));
     let mut windowed = cfg.clone();
     windowed.log.idempotency_window = IDEMPOTENT_WINDOW;
     for (name, make) in idempotent_lifeguards() {
@@ -440,27 +443,42 @@ fn mode_cell<'a>(
     })
 }
 
-/// The two sharded live series, events/sec on gzip for every supported
-/// lifeguard at each shard count: `live-parallel` (`run_live_parallel`),
-/// then `remote` (`run_remote`, the same runner over Unix-domain sockets).
-/// Events are *retired records*, the same work whatever the shard count,
-/// so rates compare across shard counts and with the unsharded live
-/// series; broadcast records shipped once per shard are transport
-/// duplication, and counting them would manufacture phantom speedup. The
-/// trajectory gate asserts each remote row's wire bits byte-identical to
-/// the matching live-parallel row: the socket moves the exact same stream.
-fn sharded_live_cells(program: &lba_isa::Program) -> Vec<Cell<'_>> {
-    type Runner = fn(
-        &lba_isa::Program,
-        LifeguardFactory,
-        usize,
-        &SystemConfig,
-    ) -> Result<LiveReport, LbaError>;
-    let runners: [(&str, Runner); 2] = [
-        ("live-parallel", |p, make, n, cfg| {
-            run_live_parallel(p, make, n, cfg)
+/// The three sharded series, events/sec on gzip for every supported
+/// lifeguard at each shard count: `lba-parallel` (`run_lba_parallel`, whose
+/// rows also carry its modeled cycles), `live-parallel`
+/// (`run_live_parallel`), then `remote` (`run_remote`, the live runner over
+/// Unix-domain sockets). Events are *retired records*, the same work
+/// whatever the shard count, so rates compare across shard counts and with
+/// the unsharded series; broadcast records shipped once per shard are
+/// transport duplication, and counting them would manufacture phantom
+/// speedup. The trajectory gate asserts each `lba-parallel` and `remote`
+/// row's wire bits byte-identical to the matching live-parallel row: all
+/// three move the exact same per-shard streams.
+fn sharded_cells(program: &lba_isa::Program) -> Vec<Cell<'_>> {
+    type Runner = fn(&lba_isa::Program, LifeguardFactory, usize, &SystemConfig) -> Sample;
+    fn sample(retired: u64, wire_bits: u64, modeled_cycles: u64) -> Sample {
+        Sample {
+            records: retired,
+            wire_bits,
+            events: retired,
+            modeled_cycles,
+            sampled_out_fraction: 0.0,
+        }
+    }
+    let runners: [(&str, Runner); 3] = [
+        ("lba-parallel", |p, make, n, cfg| {
+            let report = run_lba_parallel(p, make, n, cfg).expect("gzip runs clean");
+            let retired = report.trace.instructions();
+            sample(retired, report.log.wire_bits, report.total_cycles)
         }),
-        ("remote", |p, make, n, cfg| run_remote(p, make, n, cfg)),
+        ("live-parallel", |p, make, n, cfg| {
+            let report = run_live_parallel(p, make, n, cfg).expect("gzip runs clean");
+            sample(report.trace.instructions(), report.log.wire_bits, 0)
+        }),
+        ("remote", |p, make, n, cfg| {
+            let report = run_remote(p, make, n, cfg).expect("gzip runs clean");
+            sample(report.trace.instructions(), report.log.wire_bits, 0)
+        }),
     ];
     let cfg = SystemConfig::default();
     let mut cells = Vec::new();
@@ -469,14 +487,7 @@ fn sharded_live_cells(program: &lba_isa::Program) -> Vec<Cell<'_>> {
             for shards in SHARD_COUNTS {
                 let cfg = cfg.clone();
                 cells.push(Cell::new(mode, name, shards, 0, move || {
-                    let report = run(program, make, shards, &cfg).expect("gzip runs clean");
-                    let retired = report.trace.instructions();
-                    Sample {
-                        records: retired,
-                        wire_bits: report.log.wire_bits,
-                        events: retired,
-                        ..Sample::default()
-                    }
+                    run(program, make, shards, &cfg)
                 }));
             }
         }
@@ -796,6 +807,16 @@ pub fn check_deterministic_columns(committed: &str, emitted: &str) -> Result<(),
     }
 }
 
+/// The series the registry's sharded modes own (`TopologyKind::Sharded`
+/// rows): the modeled `lba-parallel`, the in-process `live-parallel` and
+/// `remote` over Unix-domain sockets, which all ship the same per-shard
+/// streams.
+fn sharded_series() -> impl Iterator<Item = &'static str> {
+    (lba::RUN_MODES.iter())
+        .filter(|m| m.topology == TopologyKind::Sharded)
+        .flat_map(|m| m.bench_series.iter().copied())
+}
+
 /// Every series the trajectory holds: the consumption-only `consume`
 /// series plus the series each `lba::RUN_MODES` row owns.
 fn trajectory_series() -> Vec<&'static str> {
@@ -891,82 +912,58 @@ pub fn validate_trajectory(json: &str) -> Result<(), String> {
             return Err(format!("missing lba/{}", monitor.name));
         }
     }
-    // …the live-parallel series covers every registry-declared shardable
+    // …each sharded series covers every registry-declared shardable
     // lifeguard at every shard count, and nothing else (address
     // interleaving is unsound for the rest — TaintCheck's register state
-    // is a sequential dependence chain)…
-    for monitor in &lba::MONITORS {
-        if monitor.shardable {
+    // is a sequential dependence chain). Its wire bits must be
+    // *byte-identical* to the matching live-parallel row: the modeled and
+    // live producers route the same capture pass into the same per-shard
+    // streams, and the socket hop is a transport, not a re-encode, so the
+    // exact same sealed frames cross it. The modeled rows carry their
+    // cycles…
+    for mode in sharded_series() {
+        for monitor in &lba::MONITORS {
+            if !monitor.shardable {
+                if json.contains(&format!(
+                    "\"mode\": \"{mode}\", \"lifeguard\": \"{}\"",
+                    monitor.name
+                )) {
+                    return Err(format!(
+                        "{} must stay out of the {mode} series",
+                        monitor.name
+                    ));
+                }
+                continue;
+            }
             for shards in SHARD_COUNTS {
-                let row = format!(
-                    "\"mode\": \"live-parallel\", \"lifeguard\": \"{}\", \
-                     \"benchmark\": \"gzip\", \"shards\": {shards}",
-                    monitor.name
-                );
-                if !json.contains(&row) {
-                    return Err(format!(
-                        "missing live-parallel/{} at {shards} shards",
+                let find = |mode: &str| {
+                    let tag = format!(
+                        "\"mode\": \"{mode}\", \"lifeguard\": \"{}\", \
+                         \"benchmark\": \"gzip\", \"shards\": {shards}",
                         monitor.name
-                    ));
-                }
-            }
-        } else if json.contains(&format!(
-            "\"mode\": \"live-parallel\", \"lifeguard\": \"{}\"",
-            monitor.name
-        )) {
-            return Err(format!(
-                "{} must stay out of the sharded series",
-                monitor.name
-            ));
-        }
-    }
-
-    // …the remote series mirrors the live-parallel coverage (same
-    // shardable-only eligibility, same worker counts) and its wire bits
-    // must be *byte-identical* to the matching live-parallel row: the
-    // socket hop is a transport, not a re-encode, so the exact same
-    // sealed frames cross it…
-    for monitor in &lba::MONITORS {
-        if monitor.shardable {
-            for workers in SHARD_COUNTS {
-                let tag = format!(
-                    "\"mode\": \"remote\", \"lifeguard\": \"{}\", \
-                     \"benchmark\": \"gzip\", \"shards\": {workers}",
-                    monitor.name
-                );
-                let Some(remote_row) = json.lines().find(|l| l.contains(&tag)) else {
-                    return Err(format!(
-                        "missing remote/{} at {workers} workers",
-                        monitor.name
-                    ));
+                    );
+                    json.lines().find(|l| l.contains(&tag)).ok_or_else(|| {
+                        format!("missing {mode}/{} at {shards} shards", monitor.name)
+                    })
                 };
-                let lp_tag = format!(
-                    "\"mode\": \"live-parallel\", \"lifeguard\": \"{}\", \
-                     \"benchmark\": \"gzip\", \"shards\": {workers}",
-                    monitor.name
-                );
-                let lp_row = json.lines().find(|l| l.contains(&lp_tag)).ok_or_else(|| {
-                    format!("missing live-parallel twin for remote/{}", monitor.name)
-                })?;
-                let remote_wire = row_u64(remote_row, "wire_bits")?;
-                let lp_wire = row_u64(lp_row, "wire_bits")?;
-                if remote_wire != lp_wire {
+                let row = find(mode)?;
+                let wire = row_u64(row, "wire_bits")?;
+                let twin = row_u64(find("live-parallel")?, "wire_bits")?;
+                if wire != twin {
                     return Err(format!(
-                        "remote/{} at {workers} workers shipped {remote_wire} wire bits, \
-                         but live-parallel shipped {lp_wire}: the socket must carry the \
-                         identical sealed stream",
+                        "{mode}/{} at {shards} shards shipped {wire} wire bits, but \
+                         live-parallel shipped {twin}: the sharded modes must carry \
+                         identical per-shard streams",
+                        monitor.name
+                    ));
+                }
+                if mode == "lba-parallel" && row_u64(row, "modeled_cycles")? == 0 {
+                    return Err(format!(
+                        "lba-parallel/{} at {shards} shards carries no modeled cycles",
                         monitor.name
                     ));
                 }
             }
-        } else if json.contains(&format!(
-            "\"mode\": \"remote\", \"lifeguard\": \"{}\"",
-            monitor.name
-        )) {
-            return Err(format!(
-                "{} must stay out of the remote series",
-                monitor.name
-            ));
         }
     }
 
@@ -1293,6 +1290,52 @@ mod tests {
         rows.push(row("retired-series", 1, 10.0));
         let err = validate_trajectory(&pipeline_json(&rows)).unwrap_err();
         assert!(err.contains("stale series retired-series"), "got: {err}");
+    }
+
+    #[test]
+    fn validate_trajectory_holds_the_sharded_series_to_their_live_twin() {
+        // Every series and the sharded series in full: the sharded checks
+        // pass, and a later check fails.
+        let mut rows: Vec<PipelineRow> = (trajectory_series().into_iter())
+            .filter(|mode| !sharded_series().any(|sharded| sharded == *mode))
+            .map(|mode| row(mode, 1, 10.0))
+            .collect();
+        rows.extend(lba::MONITORS.iter().map(|m| PipelineRow {
+            lifeguard: m.name,
+            ..row("lba", 1, 10.0)
+        }));
+        for mode in sharded_series() {
+            for (lifeguard, _) in sharded_lifeguards() {
+                for shards in SHARD_COUNTS {
+                    rows.push(PipelineRow {
+                        lifeguard,
+                        modeled_cycles: 1,
+                        ..row(mode, shards, 10.0)
+                    });
+                }
+            }
+        }
+        let check = |rows: &[PipelineRow]| validate_trajectory(&pipeline_json(rows)).unwrap_err();
+        assert!(!check(&rows).contains("shards"), "got: {}", check(&rows));
+        // A modeled row shipping other bits than its live twin fails, and
+        // so does TaintCheck in a sharded series.
+        let modeled = rows.iter().position(|r| r.mode == "lba-parallel").unwrap();
+        rows[modeled].wire_bits += 1;
+        let err = check(&rows);
+        assert!(
+            err.contains("lba-parallel/addrcheck at 1 shards shipped 801"),
+            "{err}"
+        );
+        rows[modeled].wire_bits -= 1;
+        rows.push(PipelineRow {
+            lifeguard: "taintcheck",
+            ..row("lba-parallel", 2, 10.0)
+        });
+        let err = check(&rows);
+        assert!(
+            err.contains("taintcheck must stay out of the lba-parallel"),
+            "{err}"
+        );
     }
 
     #[test]

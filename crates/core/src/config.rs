@@ -70,7 +70,8 @@ pub const MAX_LIVE_CHANNEL_FRAMES: usize = 1024;
 #[derive(Debug, Clone)]
 pub struct LogConfig {
     /// Log buffer capacity in bytes (a region carried by the cache
-    /// hierarchy in the paper's design).
+    /// hierarchy in the paper's design), per lifeguard core: each shard of
+    /// a sharded run gets the whole budget.
     pub buffer_bytes: u64,
     /// Whether the VPC compression engine is enabled (ablation C turns it
     /// off to show the bandwidth pressure of a raw log).

@@ -1,21 +1,42 @@
-//! The LBA co-simulation: two decoupled cores coordinating through the
-//! framed log channel.
+//! The LBA co-simulation: the application core and its lifeguard cores
+//! on modeled clocks, coordinating only through framed log channels.
+//!
+//! The paper's single lifeguard core and a lifeguard "split across
+//! multiple cores" (§1, §3) are one design at two widths, so one
+//! co-simulation serves both: [`run_lba`] is its one-shard case, and
+//! [`run_lba_parallel`](crate::parallel::run_lba_parallel) shards the log
+//! N ways, as [`run_live`](crate::run_live) and
+//! [`run_live_parallel`](crate::run_live_parallel) share the live runner.
+//! Each shard is a lifeguard core of its own, with its own
+//! [`ModeledFrameChannel`] holding the full `buffer_bytes` budget, its own
+//! lifeguard, its own clock, and its own L1 in the shared [`MemSystem`]
+//! (the application is core 0, shard `i` is core `1 + i`).
+//!
+//! One timing model holds at every width:
+//!
+//! * a shard's clock catches up to each frame's `ready_at`, then adds the
+//!   frame's dispatch cost;
+//! * every cache line of log data shipped to a shard charges the
+//!   application and that shard the shared-L2 transfer;
+//! * a frame that does not fit its shard's buffer parks, and the
+//!   application stalls while that shard drains (back-pressure);
+//! * syscall containment and the lock-step ablation flush every shard,
+//!   drain every shard, and make the application wait for the slowest.
+//!
+//! End-to-end time is the later of the application clock and the slowest
+//! shard's.
 
-use lba_cache::MemSystem;
+use lba_cache::{MemSystem, MemSystemConfig};
 use lba_compress::FRAME_LINE_BYTES;
 use lba_cpu::{Machine, RunError, StepOutcome};
 use lba_isa::Program;
 use lba_lifeguard::{DegradationRequest, DispatchEngine, Finding, Lifeguard};
 use lba_record::EventRecord;
-use lba_transport::{LoadSample, LogChannel, ModeledFrameChannel, PushOutcome};
+use lba_transport::{shard_of, ChannelStats, LoadSample, ModeledFrameChannel, PushOutcome};
 
 use crate::config::SystemConfig;
 use crate::pipeline::{Producer, ProducerLink};
 use crate::report::{LogStats, Mode, PipelineReport, RunReport, StallBreakdown};
-
-/// The lifeguard core's MemSystem index (the application core is 0, which
-/// is the machine's default).
-const LG_CORE: usize = 1;
 
 /// Bits per transferred cache line of log data.
 const LINE_BITS: u64 = FRAME_LINE_BYTES as u64 * 8;
@@ -24,169 +45,224 @@ const LINE_BITS: u64 = FRAME_LINE_BYTES as u64 * 8;
 /// (written by the capture engine, read by the dispatch engine).
 const LINE_TRANSFER_CYCLES: u64 = 4;
 
-/// Generic over the channel so the hot loop devirtualises: `run_lba`
-/// instantiates it with [`ModeledFrameChannel`] and the codec inlines into
-/// the push/pop paths, while the `LogChannel` bound keeps the transport
-/// contract the single source of truth.
-struct Cosim<'a, C: LogChannel> {
-    mem: MemSystem,
-    channel: C,
-    engine: DispatchEngine,
+/// One lifeguard core: its log channel, its lifeguard, what the lifeguard
+/// found, and its clock.
+struct Shard<'a> {
+    channel: ModeledFrameChannel,
     lifeguard: &'a mut dyn Lifeguard,
     findings: Vec<Finding>,
-    /// Application-core clock (cycles).
-    t_app: u64,
     /// Lifeguard-core clock (cycles).
     t_lg: u64,
+}
+
+struct Cosim<'a> {
+    mem: MemSystem,
+    shards: Vec<Shard<'a>>,
+    engine: DispatchEngine,
+    /// Application-core clock (cycles).
+    t_app: u64,
     stalls: StallBreakdown,
-    /// The latest analysis-side degradation request polled off the
+    /// The latest analysis-side degradation request polled off a
     /// lifeguard after a delivery, awaiting pickup by the producer.
     pending_request: Option<DegradationRequest>,
 }
 
-impl<C: LogChannel> Cosim<'_, C> {
-    /// Charges both cores the shared-L2 occupancy of a shipped frame:
-    /// written line by line by the capture engine, later read by dispatch.
-    /// Returns the cycles charged to each clock.
-    fn charge_lines(&mut self, wire_bits: u64) -> u64 {
+impl Cosim<'_> {
+    /// Charges the application and shard `idx` the shared-L2 occupancy of
+    /// a shipped frame: written line by line by the capture engine, later
+    /// read by dispatch. Returns the cycles charged to each clock.
+    fn charge_lines(&mut self, idx: usize, wire_bits: u64) -> u64 {
         let cycles = (wire_bits / LINE_BITS) * LINE_TRANSFER_CYCLES;
         self.t_app += cycles;
-        self.t_lg += cycles;
+        self.shards[idx].t_lg += cycles;
         cycles
     }
 
-    /// Consumes one whole frame on the lifeguard core, advancing its clock.
-    /// Returns `false` when the channel is empty.
+    /// Consumes one whole frame on shard `idx`'s lifeguard core, advancing
+    /// its clock. Returns `false` when the channel is empty.
     ///
     /// Every record of a frame shares its `ready_at` (the frame ships as a
     /// unit), so the clock catches up once per frame; handler costs are
     /// additive, and the frame's buffer lines free when it is popped.
-    fn consume(&mut self) -> bool {
-        let Some(frame) = self.channel.pop_frame() else {
+    fn consume(&mut self, idx: usize) -> bool {
+        let shard = &mut self.shards[idx];
+        let Some(frame) = shard.channel.pop_frame() else {
             return false;
         };
-        self.t_lg = self.t_lg.max(frame.ready_at);
-        self.t_lg += self.engine.deliver_batch(
-            self.lifeguard,
+        shard.t_lg = shard.t_lg.max(frame.ready_at);
+        shard.t_lg += self.engine.deliver_batch(
+            shard.lifeguard,
             frame.records,
             &mut self.mem,
-            LG_CORE,
-            &mut self.findings,
+            1 + idx,
+            &mut shard.findings,
         );
-        if let Some(req) = self.engine.poll_degradation(self.lifeguard) {
+        if let Some(req) = self.engine.poll_degradation(shard.lifeguard) {
             self.pending_request = Some(req);
         }
         true
     }
 
-    /// Resolves producer back-pressure: the lifeguard drains frames until
-    /// the parked frame is admitted, and the application clock absorbs the
-    /// wait.
-    fn resolve_back_pressure(&mut self) {
+    /// Resolves back-pressure on shard `idx`: its lifeguard drains frames
+    /// until the parked frame is admitted, and the application clock
+    /// absorbs the wait. Out of line, so [`absorb`](Self::absorb) stays
+    /// small enough to inline into every push.
+    #[inline(never)]
+    fn resolve_back_pressure(&mut self, idx: usize) {
         let before = self.t_app;
         // Line-transfer cycles for the admitted frame are the ordinary
         // shipping cost every frame pays; keep them out of the stall
         // counter.
         let mut shipped_cycles = 0;
-        while self.channel.has_parked() {
-            let stamp = self.t_app.max(self.t_lg);
-            if let Some(wire_bits) = self.channel.retry_parked(stamp) {
-                shipped_cycles += self.charge_lines(wire_bits);
+        while self.shards[idx].channel.has_parked() {
+            let stamp = self.t_app.max(self.shards[idx].t_lg);
+            if let Some(wire_bits) = self.shards[idx].channel.retry_parked(stamp) {
+                shipped_cycles += self.charge_lines(idx, wire_bits);
                 continue;
             }
             assert!(
-                self.consume(),
+                self.consume(idx),
                 "a parked frame must be admitted once the buffer drains"
             );
         }
-        self.t_app = self.t_app.max(self.t_lg);
+        self.t_app = self.t_app.max(self.shards[idx].t_lg);
         self.stalls.buffer_full_cycles += (self.t_app - before).saturating_sub(shipped_cycles);
     }
 
-    /// Applies a producer-side push/flush outcome to the clocks.
-    fn absorb(&mut self, outcome: PushOutcome) {
+    /// Applies a producer-side push/flush outcome on shard `idx` to the
+    /// clocks.
+    fn absorb(&mut self, idx: usize, outcome: PushOutcome) {
         match outcome {
             PushOutcome::Buffered => {}
             PushOutcome::Sealed { wire_bits } => {
-                self.charge_lines(wire_bits);
+                self.charge_lines(idx, wire_bits);
             }
-            PushOutcome::BackPressure { .. } => self.resolve_back_pressure(),
+            PushOutcome::BackPressure { .. } => self.resolve_back_pressure(idx),
         }
     }
 
-    /// Drains the channel completely, parked frames included (syscall
+    /// Pushes one record into shard `idx`'s channel.
+    fn push(&mut self, idx: usize, rec: &EventRecord) {
+        let outcome = self.shards[idx].channel.push_record(rec, self.t_app);
+        self.absorb(idx, outcome);
+    }
+
+    /// Address-interleaved routing over several shards, shared with the
+    /// live runner ([`shard_of`]; `None` broadcasts to every shard). Kept
+    /// out of line so the one-shard path of [`ship`](ProducerLink::ship)
+    /// stays inlined in the run loop.
+    #[inline(never)]
+    fn route(&mut self, rec: &EventRecord) {
+        match shard_of(rec, self.shards.len()) {
+            Some(owner) => self.push(owner, rec),
+            None => (0..self.shards.len()).for_each(|idx| self.push(idx, rec)),
+        }
+    }
+
+    /// Seals every shard's open frame. Any back-pressure this hits is
+    /// buffer stall, kept disjoint from the containment stall measured by
+    /// [`wait_for_lifeguards`](Self::wait_for_lifeguards).
+    fn flush(&mut self) {
+        for idx in 0..self.shards.len() {
+            let outcome = self.shards[idx].channel.flush(self.t_app);
+            self.absorb(idx, outcome);
+        }
+    }
+
+    /// A degradation transition: seal every shard's open frame, then set
+    /// or clear the degraded mark on every shard's wire.
+    fn transition(&mut self, degraded: bool) {
+        self.flush();
+        for shard in &mut self.shards {
+            shard.channel.mark_degraded(degraded);
+        }
+    }
+
+    /// Drains shard `idx` completely, parked frames included (syscall
     /// stall and end-of-program). Loops until the channel reports
-    /// [`drained`](LogChannel::drained), not merely until one pop comes
-    /// back empty: under fault injection a pop refusal models a stalled
-    /// consumer, and mistaking it for emptiness would truncate the drain
-    /// and lose findings. Injected stall bursts are bounded, so the loop
-    /// always terminates.
-    fn drain(&mut self) {
+    /// [`drained`](ModeledFrameChannel::drained), not merely until one pop
+    /// comes back empty: under fault injection a pop refusal models a
+    /// stalled consumer, and mistaking it for emptiness would truncate the
+    /// drain and lose findings. Injected stall bursts are bounded, so the
+    /// loop always terminates.
+    fn drain(&mut self, idx: usize) {
         loop {
-            if self.consume() {
+            if self.consume(idx) {
                 continue;
             }
-            let stamp = self.t_app.max(self.t_lg);
-            if let Some(wire_bits) = self.channel.retry_parked(stamp) {
-                self.charge_lines(wire_bits);
+            let stamp = self.t_app.max(self.shards[idx].t_lg);
+            if let Some(wire_bits) = self.shards[idx].channel.retry_parked(stamp) {
+                self.charge_lines(idx, wire_bits);
                 continue;
             }
-            if self.channel.drained() {
+            if self.shards[idx].channel.drained() {
                 break;
             }
         }
+    }
+
+    fn drain_all(&mut self) {
+        (0..self.shards.len()).for_each(|idx| self.drain(idx));
+    }
+
+    /// Drains every shard, then holds the application until the slowest
+    /// lifeguard core has caught up. Returns the cycles it waited.
+    fn wait_for_lifeguards(&mut self) -> u64 {
+        let before = self.t_app;
+        self.drain_all();
+        let slowest = self.shards.iter().map(|s| s.t_lg).max().unwrap_or(0);
+        self.t_app = self.t_app.max(slowest);
+        self.t_app - before
     }
 }
 
 /// The co-simulation's transport plumbing under the shared [`Producer`]:
 /// pushes and flushes absorb modeled timing, syscall containment drains
 /// the log on the application clock, and the lock-step ablation
-/// synchronises the two clocks after every record.
-impl<C: LogChannel> ProducerLink for Cosim<'_, C> {
+/// synchronises the clocks after every record.
+impl ProducerLink for Cosim<'_> {
     fn ship(&mut self, rec: &EventRecord) {
-        let outcome = self.channel.push_record(rec, self.t_app);
-        self.absorb(outcome);
+        // One shard owns every record, as `shard_of` would route it.
+        if self.shards.len() == 1 {
+            self.push(0, rec);
+        } else {
+            self.route(rec);
+        }
     }
 
     fn on_engage(&mut self) {
-        let outcome = self.channel.flush(self.t_app);
-        self.absorb(outcome);
-        self.channel.mark_degraded(true);
+        self.transition(true);
     }
 
     fn on_disengage(&mut self) {
-        let outcome = self.channel.flush(self.t_app);
-        self.absorb(outcome);
-        self.channel.mark_degraded(false);
+        self.transition(false);
     }
 
     fn load_sample(&self) -> LoadSample {
-        self.channel.load_sample()
+        // The fullest shard's channel: one overloaded shard is what stalls
+        // the producer.
+        self.shards
+            .iter()
+            .map(|s| s.channel.load_sample())
+            .max_by_key(LoadSample::occupancy_permille)
+            .unwrap_or_default()
     }
 
     fn finding_count(&self) -> u64 {
-        self.findings.len() as u64
+        self.shards.iter().map(|s| s.findings.len() as u64).sum()
     }
 
     fn contain_syscall(&mut self) {
-        // Flush first: any back-pressure it hits is buffer stall, kept
-        // disjoint from the containment stall measured below.
-        let outcome = self.channel.flush(self.t_app);
-        self.absorb(outcome);
-        let before = self.t_app;
-        self.drain();
-        self.t_app = self.t_app.max(self.t_lg);
-        self.stalls.syscall_stall_cycles += self.t_app - before;
+        self.flush();
+        self.stalls.syscall_stall_cycles += self.wait_for_lifeguards();
         self.stalls.syscalls += 1;
     }
 
     fn lockstep(&mut self) {
         // Synchronise after every record, paying a one-record frame each
         // time.
-        let outcome = self.channel.flush(self.t_app);
-        self.absorb(outcome);
-        self.drain();
-        self.t_app = self.t_app.max(self.t_lg);
+        self.flush();
+        self.wait_for_lifeguards();
     }
 
     fn take_degradation_request(&mut self) -> Option<DegradationRequest> {
@@ -195,21 +271,24 @@ impl<C: LogChannel> ProducerLink for Cosim<'_, C> {
 }
 
 /// Runs `program` under LBA: the application executes on core 0 while the
-/// lifeguard consumes the compressed, framed log on core 1.
+/// lifeguard consumes the compressed, framed log on core 1. This is the
+/// one-shard case of the co-simulation that
+/// [`run_lba_parallel`](crate::parallel::run_lba_parallel) runs N shards
+/// wide, under one timing model.
 ///
 /// The two cores are decoupled (per §2 of the paper): the application only
 /// waits when (i) the log buffer is full — back-pressure — or (ii) it
 /// enters a syscall and the OS enforces the containment policy by flushing
 /// the open frame and draining the log first. End-to-end time is the later
-/// of the two core clocks. The transport is driven entirely through the
-/// [`LogChannel`] trait; this run plugs in the deterministic
-/// [`ModeledFrameChannel`](lba_transport::ModeledFrameChannel), which runs the real frame codec so the timing
+/// of the two core clocks. The transport is the deterministic
+/// [`ModeledFrameChannel`], which runs the real frame codec so the timing
 /// model ships the same wire bytes as the live mode.
 ///
 /// Consumption is frame-granular: the lifeguard takes each frame as one
-/// slice ([`LogChannel::pop_frame`]) and the dispatch engine delivers it as
-/// a batch, charging exactly what per-record delivery would (pinned by the
-/// `tests/batching.rs` proptest against `DispatchEngine::deliver`).
+/// slice ([`ModeledFrameChannel::pop_frame`]) and the dispatch engine
+/// delivers it as a batch, charging exactly what per-record delivery would
+/// (pinned by the `tests/batching.rs` proptest against
+/// `DispatchEngine::deliver`).
 ///
 /// Capture runs one filter pass per retired record
 /// ([`LogConfig::adaptive_capture_filter`](crate::LogConfig::adaptive_capture_filter)): the
@@ -235,6 +314,31 @@ pub fn run_lba(
     lifeguard: &mut dyn Lifeguard,
     config: &SystemConfig,
 ) -> Result<RunReport, RunError> {
+    // The shared producer stage chain: trace accounting, the capture-pass
+    // predicate (address-range filter composed with the per-lifeguard
+    // idempotency window, with a widen reserve under adaptive capture),
+    // the adaptive controller when configured, and syscall containment.
+    let producer = Producer::single(lifeguard, config);
+    run_modeled(program, vec![lifeguard], producer, config)
+}
+
+/// The co-simulation every modeled mode is (see the [module docs](self)):
+/// `lifeguards[i]` consumes shard `i` of the log on lifeguard core `1 + i`,
+/// and `producer` decides what ships. The report's findings are every
+/// shard's verbatim, in shard order: [`run_lba`] reports its one
+/// lifeguard's as they are, and
+/// [`run_lba_parallel`](crate::parallel::run_lba_parallel) merges them at
+/// every width, as the live runner's entry points decide.
+///
+/// # Errors
+///
+/// As [`run_lba`].
+pub(crate) fn run_modeled(
+    program: &Program,
+    lifeguards: Vec<&mut dyn Lifeguard>,
+    mut producer: Producer,
+    config: &SystemConfig,
+) -> Result<RunReport, RunError> {
     config.log.validate_framing()?;
     if config.log.buffer_bytes < FRAME_LINE_BYTES as u64 {
         return Err(RunError::LogBufferTooSmall {
@@ -243,42 +347,51 @@ pub fn run_lba(
         });
     }
     let mut machine = Machine::new(program, config.machine);
-    // The shared producer stage chain: trace accounting, the capture-pass
-    // predicate (address-range filter composed with the per-lifeguard
-    // idempotency window, with a widen reserve under adaptive capture),
-    // the adaptive controller when configured, and syscall containment.
-    let mut producer = Producer::single(lifeguard, config);
-
-    // The hardware decompressor's work is modeled, not re-run in host
-    // software; `verify_compression` decodes and cross-checks every frame.
-    let mut channel = ModeledFrameChannel::new(
-        config.log.buffer_bytes,
-        config.log.frame_config(),
-        config.log.verify_compression,
-    );
-    // Flight recorder: mirror every sealed frame into stream 0 of the
-    // configured recording directory.
-    if let Some(record) = &config.log.record_to {
-        channel.tee_into(crate::recorder::open_sink(record, 0)?);
-    }
-    if let Some(fault) = config.log.fault {
-        channel.set_fault(fault);
+    let mut shards = Vec::with_capacity(lifeguards.len());
+    for (idx, lifeguard) in lifeguards.into_iter().enumerate() {
+        // The hardware decompressor's work is modeled, not re-run in host
+        // software; `verify_compression` decodes and cross-checks every
+        // frame.
+        let mut channel = ModeledFrameChannel::new(
+            config.log.buffer_bytes,
+            config.log.frame_config(),
+            config.log.verify_compression,
+        );
+        // Flight recorder: one segmented stream per shard (stream 0
+        // unsharded), so replay can rebuild each shard's independent
+        // predictor stream.
+        if let Some(record) = &config.log.record_to {
+            let stream = u32::try_from(idx).expect("shard count fits u32");
+            channel.tee_into(crate::recorder::open_sink(record, stream)?);
+        }
+        // Fault injection: each shard gets its own deterministic stall
+        // schedule from the shared profile.
+        if let Some(fault) = config.log.fault {
+            channel.set_fault(fault);
+        }
+        shards.push(Shard {
+            channel,
+            lifeguard,
+            findings: Vec::new(),
+            t_lg: 0,
+        });
     }
     let mut sim = Cosim {
-        mem: MemSystem::new(config.mem_dual()),
-        channel,
+        // Core 0: application. Cores 1..=shards: lifeguard shards.
+        mem: MemSystem::new(MemSystemConfig {
+            cores: shards.len() + 1,
+            ..config.mem_dual()
+        }),
+        shards,
         engine: DispatchEngine::new(config.dispatch),
-        lifeguard,
-        findings: Vec::new(),
         t_app: 0,
-        t_lg: 0,
         stalls: StallBreakdown::default(),
         pending_request: None,
     };
 
-    // The run loop is now one stage-chain call per retired record: the
-    // shared producer decides what ships, when fidelity transitions and
-    // how syscalls contain; the Cosim link absorbs the modeled timing.
+    // One stage-chain call per retired record: the shared producer decides
+    // what ships, when fidelity transitions and how syscalls contain; the
+    // Cosim link absorbs the modeled timing.
     loop {
         match machine.step(&mut sim.mem)? {
             StepOutcome::Finished => break,
@@ -291,33 +404,40 @@ pub fn run_lba(
 
     // End of stream: the producer snaps back out of any open degraded
     // interval and settles outstanding fold counts; then flush the
-    // partial frame, let the lifeguard finish the remaining log, and run
-    // its final checks.
+    // partial frames, let the lifeguards finish the remaining log, and run
+    // their final checks.
     let finish = producer.finish(&mut sim);
-    let outcome = sim.channel.flush(sim.t_app);
-    sim.absorb(outcome);
-    sim.drain();
-    sim.t_lg += sim
-        .engine
-        .finish(sim.lifeguard, &mut sim.mem, LG_CORE, &mut sim.findings);
+    sim.flush();
+    sim.drain_all();
+    for (idx, shard) in sim.shards.iter_mut().enumerate() {
+        let core = 1 + idx;
+        shard.t_lg += sim
+            .engine
+            .finish(shard.lifeguard, &mut sim.mem, core, &mut shard.findings);
+        // Close the flight recording (End record + flush) and surface any
+        // mirror error the channel latched mid-run.
+        crate::recorder::finish_tee(shard.channel.take_tee())?;
+    }
 
-    // Close the flight recording (End record + flush) and surface any
-    // mirror error the channel latched mid-run.
-    crate::recorder::finish_tee(sim.channel.take_tee())?;
-
-    let stats = sim.channel.stats();
+    let shard_log: Vec<ChannelStats> = sim.shards.iter().map(|s| s.channel.stats()).collect();
+    let shard_cycles: Vec<u64> = sim.shards.iter().map(|s| s.t_lg).collect();
+    let lifeguard_cycles = shard_cycles.iter().copied().max().unwrap_or(0);
+    let findings = sim.shards.into_iter().flat_map(|s| s.findings).collect();
     Ok(RunReport {
         program: program.name().to_string(),
         mode: Mode::Lba,
-        total_cycles: sim.t_app.max(sim.t_lg),
+        total_cycles: sim.t_app.max(lifeguard_cycles),
         app_cycles: sim.t_app,
-        lifeguard_cycles: sim.t_lg,
+        lifeguard_cycles,
+        shards: shard_log.len(),
+        shard_cycles,
         pipeline: PipelineReport {
-            findings: sim.findings,
-            log: LogStats::from_channels(&[stats], finish.capture, finish.trace.instructions()),
+            findings,
+            log: LogStats::from_channels(&shard_log, finish.capture, finish.trace.instructions()),
             capture: finish.capture,
             degradation: finish.degradation,
         },
+        shard_log,
         trace: finish.trace,
         stalls: sim.stalls,
     })

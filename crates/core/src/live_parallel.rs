@@ -1,8 +1,8 @@
 //! The live runner: the application and its lifeguards on real OS
 //! threads, one compressed frame stream per shard.
 //!
-//! The timing results come from the deterministic co-simulation
-//! ([`run_lba`](crate::run_lba)) and its sharded model
+//! The timing results come from the deterministic co-simulation, one
+//! design at one shard ([`run_lba`](crate::run_lba)) or N
 //! ([`run_lba_parallel`](crate::parallel::run_lba_parallel)); this module
 //! runs the same pipeline with genuine parallelism. The paper's single
 //! lifeguard core and a lifeguard "split across multiple cores" are one
@@ -126,6 +126,10 @@ impl<W: FrameWire> ProducerLink for ShardLink<'_, W> {
         // that precedes the syscall.
         self.senders.iter_mut().for_each(FrameSender::flush);
     }
+
+    /// Real threads always run decoupled: only the co-simulation models
+    /// the lock-step ablation.
+    fn lockstep(&mut self) {}
 
     fn take_degradation_request(&mut self) -> Option<DegradationRequest> {
         match self.signals.dial.swap(0, Ordering::Relaxed) {

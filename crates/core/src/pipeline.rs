@@ -21,10 +21,11 @@
 //!   their mode and lifeguard enumerations from. Each `RUN_MODES` row's
 //!   `run` hook is the [`Run`] builder's dispatch for that mode.
 //!
-//! The runners (`cosim.rs`, `parallel.rs`, `live_parallel.rs`,
-//! `replay.rs`) are thin compositions over these pieces; the cross-mode
-//! equivalence proptests pin that the composition is bit-for-bit what
-//! the hand-rolled loops produced.
+//! The runners (`cosim.rs`, the modeled one behind `run_lba` and
+//! `run_lba_parallel`; `live_parallel.rs`, the live one; `replay.rs`) are
+//! thin compositions over these pieces; the cross-mode equivalence
+//! proptests pin that the composition is bit-for-bit what the hand-rolled
+//! loops produced.
 
 use lba_lifeguard::{
     CaptureFilter, CaptureStats, DegradationPolicy, DegradationRequest, DegradationStats, Lifeguard,
@@ -41,13 +42,8 @@ use crate::runner::{Run, RunMode, RunOutcome};
 /// half of the capture pipeline. The producer decides *what* ships and
 /// *when* fidelity transitions happen; the link owns the plumbing —
 /// pushing records, flushing frames, marking the wire degraded, absorbing
-/// modeled timing — because only the mode knows its transport.
-///
-/// The default methods are the signals a minimal link may not have: a
-/// transport with no occupancy signal reports an empty [`LoadSample`]
-/// (the controller then never engages on load), a producer that cannot
-/// see findings reports zero, and modes without syscall containment or
-/// lock-step synchronisation leave those hooks as no-ops.
+/// modeled timing — because only the mode knows its transport. The two
+/// runners are the two links: the co-simulation's and the live runner's.
 pub trait ProducerLink {
     /// Ships one captured record into the transport (absorbing any
     /// modeled back-pressure).
@@ -56,45 +52,35 @@ pub trait ProducerLink {
     /// Applies a degradation engagement to the transport: flush the open
     /// frame (so the degraded mark starts on a frame boundary) and set
     /// the wire's degraded mark. Only called when the mode runs a
-    /// [`CaptureController`]; the default is a no-op for modes that never
-    /// construct one.
-    fn on_engage(&mut self) {}
+    /// [`CaptureController`].
+    fn on_engage(&mut self);
 
     /// Applies a degradation disengagement: flush the open frame and
     /// clear the wire's degraded mark. The producer ships the tighten
-    /// summaries (if any) immediately after. Default: no-op.
-    fn on_disengage(&mut self) {}
+    /// summaries (if any) immediately after.
+    fn on_disengage(&mut self);
 
-    /// The transport occupancy the controller steers by. Defaults to an
-    /// empty sample (occupancy 0), so load-driven engagement never fires.
-    fn load_sample(&self) -> LoadSample {
-        LoadSample::default()
-    }
+    /// The transport occupancy the controller steers by.
+    fn load_sample(&self) -> LoadSample;
 
     /// The current finding count — growth snaps degraded capture back to
-    /// full fidelity. Defaults to zero (no snapback signal).
-    fn finding_count(&self) -> u64 {
-        0
-    }
+    /// full fidelity.
+    fn finding_count(&self) -> u64;
 
     /// Enforces the syscall containment policy (§2): flush the open
     /// frame and — where the mode models it — stall the application
-    /// until the lifeguard drains the preceding log. Default: no-op
-    /// (the sharded modes do not contain syscalls).
-    fn contain_syscall(&mut self) {}
+    /// until the lifeguards drain the preceding log. Only a producer
+    /// built with syscall containment calls it.
+    fn contain_syscall(&mut self);
 
     /// Synchronises the cores after one record (the lock-step ablation).
-    /// Only the co-simulation models this; default: no-op.
-    fn lockstep(&mut self) {}
+    fn lockstep(&mut self);
 
     /// Takes the pending analysis-side degradation request, if the
     /// mode's consumer polled one from its lifeguard
     /// ([`lba_lifeguard::Lifeguard::degradation_request`]). Take
-    /// semantics: returning `Some` consumes the request. Default: `None`
-    /// (modes that do not surface the dial).
-    fn take_degradation_request(&mut self) -> Option<DegradationRequest> {
-        None
-    }
+    /// semantics: returning `Some` consumes the request.
+    fn take_degradation_request(&mut self) -> Option<DegradationRequest>;
 }
 
 /// What the producer stage chain hands back when the stream ends.
@@ -155,8 +141,8 @@ impl Producer {
     /// ([`LogConfig::adaptive_capture_filter`](crate::LogConfig::adaptive_capture_filter)),
     /// the adaptive controller when configured, syscall containment per
     /// `config.log.syscall_stall`, and the lock-step ablation per
-    /// `config.log.decoupled` (a no-op on real threads, whose link keeps
-    /// the default [`ProducerLink::lockstep`]).
+    /// `config.log.decoupled` (a no-op on real threads, whose link's
+    /// [`ProducerLink::lockstep`] does nothing).
     #[must_use]
     pub fn single(lifeguard: &dyn Lifeguard, config: &SystemConfig) -> Self {
         let policy = lifeguard.degradation();
@@ -421,7 +407,7 @@ pub const RUN_MODES: [RunModeSpec; 6] = [
             )?;
             Ok(RunOutcome::Parallel(report))
         },
-        bench_series: &[],
+        bench_series: &["lba-parallel"],
     },
     RunModeSpec {
         name: "live-parallel",

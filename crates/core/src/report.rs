@@ -3,10 +3,12 @@
 //! Every run mode's report embeds the same [`PipelineReport`] core —
 //! findings, log accounting, capture-filter ledger and degradation
 //! ledger — and adds only what its execution model genuinely measures on
-//! top (modeled clocks, per-shard wire statistics, replay stream
-//! accounting). The mode reports deref to the core, so
-//! `report.findings`, `report.log` and `report.degradation` read the
-//! same way in all of them.
+//! top: modeled clocks and per-shard wire statistics ([`RunReport`], for
+//! the co-simulation at one shard or N and for the baselines), per-shard
+//! wire statistics alone ([`LiveReport`], for the live runner), or replay
+//! stream accounting ([`ReplayReport`]). The mode reports deref to the
+//! core, so `report.findings`, `report.log` and `report.degradation` read
+//! the same way in all of them.
 
 use std::fmt;
 
@@ -143,14 +145,13 @@ macro_rules! deref_pipeline {
         }
     };
 }
-pub(crate) use deref_pipeline;
 
 /// The result of the live runner behind [`run_live`](crate::run_live) (one
 /// shard), [`run_live_parallel`](crate::run_live_parallel) and
 /// [`run_remote`](crate::run_remote): functional findings plus real wire
 /// statistics, kept per shard because each shard is an independent wire
 /// stream with its own predictor state. No modeled clocks — for timing,
-/// see [`RunReport`] and [`ParallelReport`](crate::parallel::ParallelReport).
+/// see [`RunReport`], which the co-simulation reports at either width.
 #[derive(Debug, Clone)]
 pub struct LiveReport {
     /// Program name.
@@ -334,23 +335,39 @@ impl fmt::Display for ReplayReport {
     }
 }
 
-/// The result of one execution.
+/// The result of one execution on modeled clocks: the co-simulation
+/// ([`run_lba`](crate::run_lba) with one lifeguard core,
+/// [`run_lba_parallel`](crate::parallel::run_lba_parallel) with N) or a
+/// baseline.
 #[derive(Debug, Clone)]
 pub struct RunReport {
     /// Program name.
     pub program: String,
     /// Execution model.
     pub mode: Mode,
-    /// End-to-end time in cycles (for LBA: max of the two cores' clocks).
+    /// End-to-end time in cycles (for LBA: the later of the application
+    /// clock and the slowest lifeguard core's).
     pub total_cycles: u64,
     /// Application-core time including monitoring-induced stalls.
     pub app_cycles: u64,
-    /// Lifeguard-core time (zero for unmonitored; equals the inline
-    /// monitoring overhead for DBI).
+    /// Lifeguard-core time: the slowest shard's for LBA, zero for
+    /// unmonitored, the inline monitoring overhead for DBI.
     pub lifeguard_cycles: u64,
+    /// Lifeguard cores the log was sharded over: 1 for `run_lba`, N for
+    /// `run_lba_parallel`, 0 for the baselines, which run none.
+    pub shards: usize,
+    /// Per-shard lifeguard-core cycles, in shard order (empty for the
+    /// baselines).
+    pub shard_cycles: Vec<u64>,
+    /// Per-shard transport statistics (records, frames, wire bits), in
+    /// shard order (empty for the baselines).
+    pub shard_log: Vec<ChannelStats>,
     /// Retired-instruction statistics.
     pub trace: TraceStats,
-    /// The shared pipeline core: findings, log statistics (LBA only;
+    /// The shared pipeline core: findings (`run_lba`'s exactly as its
+    /// lifeguard reported them; `run_lba_parallel`'s merged over shards
+    /// and deduplicated at every shard count, as the live sharded modes
+    /// merge theirs), log statistics (LBA only, summed over the shards;
     /// default for the unmonitored and DBI baselines, which ship no log),
     /// capture ledger and degradation ledger.
     pub pipeline: PipelineReport,
@@ -426,6 +443,9 @@ mod tests {
             total_cycles: cycles,
             app_cycles: cycles,
             lifeguard_cycles: 0,
+            shards: 0,
+            shard_cycles: Vec::new(),
+            shard_log: Vec::new(),
             trace: TraceStats::new(),
             pipeline: PipelineReport::default(),
             stalls: StallBreakdown::default(),

@@ -27,6 +27,9 @@ pub fn run_unmonitored(program: &Program, config: &SystemConfig) -> Result<RunRe
         total_cycles: cycles,
         app_cycles: cycles,
         lifeguard_cycles: 0,
+        shards: 0,
+        shard_cycles: Vec::new(),
+        shard_log: Vec::new(),
         trace,
         pipeline: PipelineReport::default(),
         stalls: StallBreakdown::default(),
@@ -72,6 +75,9 @@ pub fn run_dbi(
         total_cycles: app_cycles + monitor_cycles,
         app_cycles,
         lifeguard_cycles: monitor_cycles,
+        shards: 0,
+        shard_cycles: Vec::new(),
+        shard_log: Vec::new(),
         trace,
         pipeline: PipelineReport {
             findings,

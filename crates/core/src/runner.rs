@@ -39,7 +39,6 @@ use lba_isa::Program;
 use crate::config::SystemConfig;
 use crate::error::LbaError;
 use crate::kind::LifeguardKind;
-use crate::parallel::ParallelReport;
 use crate::pipeline::{MonitorSpec, RunModeSpec, TopologyKind, MONITORS, RUN_MODES};
 use crate::replay::ReplayMode;
 use crate::report::{LiveReport, PipelineReport, ReplayReport, RunReport};
@@ -273,8 +272,8 @@ pub enum RunOutcome {
     Run(RunReport),
     /// [`RunMode::Live`].
     Live(LiveReport),
-    /// [`RunMode::LbaParallel`].
-    Parallel(ParallelReport),
+    /// [`RunMode::LbaParallel`]: the co-simulation N shards wide.
+    Parallel(RunReport),
     /// [`RunMode::LiveParallel`].
     LiveParallel(LiveReport),
     /// [`RunMode::Remote`].
@@ -288,9 +287,8 @@ impl Deref for RunOutcome {
 
     fn deref(&self) -> &PipelineReport {
         match self {
-            RunOutcome::Run(r) => r,
+            RunOutcome::Run(r) | RunOutcome::Parallel(r) => r,
             RunOutcome::Live(r) | RunOutcome::LiveParallel(r) | RunOutcome::Remote(r) => r,
-            RunOutcome::Parallel(r) => r,
             RunOutcome::Replay(r) => r,
         }
     }

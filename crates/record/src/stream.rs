@@ -882,8 +882,12 @@ impl SegmentReader {
                 ),
             ));
         }
-        if self.segment_frames == 0 && self.codec_version != 0 && codec != self.codec_version {
-            // Segments of one stream must agree on the codec.
+        // The first segment sets the stream's codec; every later one must
+        // agree with it, or its frames would reach a decoder of the wrong
+        // version.
+        if seq == 0 {
+            self.codec_version = codec;
+        } else if codec != self.codec_version {
             return Err(self.corrupt(
                 8,
                 format!(
@@ -892,7 +896,6 @@ impl SegmentReader {
                 ),
             ));
         }
-        self.codec_version = codec;
         self.bytes = bytes;
         self.cursor = SEGMENT_HEADER_BYTES;
         self.segment_frames = 0;
@@ -1123,6 +1126,36 @@ mod tests {
         fs::write(&path, b"totally not a stream").unwrap();
         let err = SegmentReader::open(&dir, 0).unwrap_err();
         assert!(matches!(err, StreamError::NotAStream { .. }), "got: {err}");
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_later_segment_with_another_codec_is_corrupt() {
+        let dir = temp_dir("codec-skew");
+        let config = StreamConfig {
+            segment_bytes: 128, // one frame per segment
+            retain_bytes: u64::MAX,
+        };
+        let mut writer = SegmentWriter::create(&dir, 0, 4, config).unwrap();
+        for i in 0..6u64 {
+            writer.append(i, 1, &frame_image(1, 1)).unwrap();
+        }
+        assert_eq!(writer.finish().unwrap().segments_retained, 6);
+        let path = dir.join(segment_file_name(0, 1));
+        let mut bytes = fs::read(&path).unwrap();
+        bytes[8..12].copy_from_slice(&999u32.to_le_bytes());
+        fs::write(&path, &bytes).unwrap();
+
+        let mut reader = SegmentReader::open(&dir, 0).unwrap();
+        assert_eq!(reader.codec_version(), 4);
+        reader.next_frame().unwrap().expect("segment 0 is intact");
+        let err = reader.next_frame().unwrap_err();
+        assert!(
+            matches!(&err, StreamError::Corrupt { path: p, offset: 8, .. } if *p == path),
+            "got: {err}"
+        );
+        assert!(err.to_string().contains("codec version 999"), "got: {err}");
+        assert_eq!(reader.codec_version(), 4, "the stream's codec stands");
         fs::remove_dir_all(&dir).ok();
     }
 

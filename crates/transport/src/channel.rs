@@ -1,23 +1,14 @@
-//! The `LogChannel` abstraction: one transport contract for both
-//! execution models.
+//! The transport vocabulary both execution models share: the
+//! address-interleaved router ([`shard_of`]), the producer-visible
+//! occupancy signal ([`LoadSample`]), per-channel wire statistics
+//! ([`ChannelStats`]), the frame shape consumers take ([`PoppedFrame`]),
+//! and what a push or flush did ([`PushOutcome`]).
 //!
-//! The paper's log transport is a stream of compressed cache-line-multiple
-//! frames flowing from the capture engine to the dispatch engine. This
-//! trait captures that contract — records pushed on the producer side,
-//! whole frames popped on the consumer side, statistics in wire bytes —
-//! for the deterministic co-simulation, whose
-//! [`ModeledFrameChannel`](crate::ModeledFrameChannel) timestamps frames and
-//! queues them against a byte budget, giving exact back-pressure and lag
-//! accounting. The live threads consume the same frame shape
-//! ([`PoppedFrame`]) from [`FrameReceiver::recv_batch`](crate::live::FrameReceiver::recv_batch).
-//!
-//! # Back-pressure protocol
-//!
-//! [`push_record`](LogChannel::push_record) returning
-//! [`PushOutcome::BackPressure`] means a sealed frame did not fit and is
-//! *parked*. The producer must free space — pop frames via
-//! [`pop_frame`](LogChannel::pop_frame) — and call
-//! [`retry_parked`](LogChannel::retry_parked) until it succeeds.
+//! The two transports built on it are separate types: the co-simulation's
+//! [`ModeledFrameChannel`](crate::ModeledFrameChannel) and the live
+//! [`FrameSender`](crate::live::FrameSender) /
+//! [`FrameReceiver`](crate::live::FrameReceiver) pair. Both hand the
+//! dispatch engine one [`PoppedFrame`] at a time.
 
 use lba_record::{EventKind, EventRecord};
 
@@ -133,51 +124,11 @@ pub enum PushOutcome {
         wire_bits: u64,
     },
     /// The record sealed a frame that does not fit: it is parked and the
-    /// producer is stalled until space frees (see the module docs).
+    /// producer is stalled until space frees (see
+    /// [`ModeledFrameChannel`](crate::ModeledFrameChannel)'s back-pressure
+    /// protocol).
     BackPressure {
         /// Wire bits of the parked frame.
         wire_bits: u64,
     },
-}
-
-/// The framed log transport contract (see the module docs).
-pub trait LogChannel {
-    /// Pushes one captured record. `now` is the producer-core cycle used to
-    /// timestamp the frame this record ends up in.
-    fn push_record(&mut self, record: &EventRecord, now: u64) -> PushOutcome;
-
-    /// Seals the open partial frame so every pushed record becomes visible
-    /// to the consumer — called at syscalls (containment) and end of
-    /// program.
-    fn flush(&mut self, now: u64) -> PushOutcome;
-
-    /// Pops the oldest available frame as one slice with a single
-    /// `ready_at` stamp, consuming the frame whole (its buffer space frees
-    /// immediately). `None` means no frame is currently available.
-    fn pop_frame(&mut self) -> Option<PoppedFrame<'_>>;
-
-    /// Whether a sealed frame is parked awaiting space.
-    fn has_parked(&self) -> bool;
-
-    /// Attempts to admit the oldest parked frame, timestamped `now`;
-    /// returns its wire bits on success.
-    fn retry_parked(&mut self, now: u64) -> Option<u64>;
-
-    /// Lifetime statistics over sealed frames.
-    fn stats(&self) -> ChannelStats;
-
-    /// Whether nothing remains for the consumer — no queued or parked
-    /// frame. Drain loops use this to tell a transient pop refusal (fault
-    /// injection modeling a stalled consumer) from a truly empty channel,
-    /// so injected stalls can never truncate an end-of-run drain.
-    fn drained(&self) -> bool;
-
-    /// A cheap occupancy snapshot for the adaptive capture controller.
-    fn load_sample(&self) -> LoadSample;
-
-    /// Sets or clears the degraded-capture mark carried by subsequently
-    /// sealed frames (`FrameEncoder::set_degraded`), so degraded spans
-    /// survive the flight recorder and replay. Callers flush before
-    /// toggling, keeping the mark frame-accurate.
-    fn mark_degraded(&mut self, on: bool);
 }

@@ -110,7 +110,6 @@ impl StallSchedule {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::channel::LogChannel;
     use crate::model::ModeledFrameChannel;
     use lba_compress::FrameConfig;
     use lba_record::EventRecord;

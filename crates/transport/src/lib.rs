@@ -7,12 +7,12 @@
 //! `lba_compress::FrameEncoder` — not individual records, and consumers
 //! take them a frame at a time:
 //!
-//! * [`ModeledFrameChannel`] — the deterministic timing model used by the
-//!   co-simulation, driven through the [`LogChannel`] trait: a real
-//!   encoder around [`LogBufferModel`], a bounded byte-budget frame queue
-//!   whose entries carry their production timestamps, giving exact
-//!   back-pressure (producer stalls on full) and lag (consumer waits on
-//!   empty) behaviour. [`LogChannel::pop_frame`] lends a whole frame out
+//! * [`ModeledFrameChannel`] — the deterministic timing model the
+//!   co-simulation gives each lifeguard core: a real encoder around
+//!   [`LogBufferModel`], a bounded byte-budget frame queue whose entries
+//!   carry their production timestamps, giving exact back-pressure
+//!   (producer stalls on full) and lag (consumer waits on empty)
+//!   behaviour. [`ModeledFrameChannel::pop_frame`] lends a whole frame out
 //!   as one slice with a single `ready_at` stamp.
 //! * [`live`] — the transport of the "live monitoring" modes, where
 //!   application and lifeguard genuinely run on different OS threads: one
@@ -34,7 +34,7 @@
 //! ```
 //! use lba_compress::FrameConfig;
 //! use lba_record::EventRecord;
-//! use lba_transport::{LogChannel, ModeledFrameChannel, PushOutcome};
+//! use lba_transport::{ModeledFrameChannel, PushOutcome};
 //!
 //! let mut ch = ModeledFrameChannel::new(4096, FrameConfig::default(), false);
 //! let rec = EventRecord::alu(0x1000, 0, None, None, Some(1));
@@ -52,7 +52,7 @@ mod model;
 pub mod sink;
 pub mod socket;
 
-pub use channel::{shard_of, ChannelStats, LoadSample, LogChannel, PoppedFrame, PushOutcome};
+pub use channel::{shard_of, ChannelStats, LoadSample, PoppedFrame, PushOutcome};
 pub use fault::FaultProfile;
 pub use model::{BufferFullError, LogBufferModel, ModeledFrameChannel, TimedFrame, TransportStats};
 pub use sink::{

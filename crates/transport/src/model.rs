@@ -1,4 +1,6 @@
-//! Deterministic timed log-buffer model, accounted in frames.
+//! The co-simulation's transport: a deterministic, timed log-buffer model
+//! accounted in frames ([`LogBufferModel`]) and the framed channel built on
+//! it ([`ModeledFrameChannel`]), one per modeled lifeguard core.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -6,7 +8,7 @@ use std::fmt;
 use lba_compress::{Frame, FrameConfig, FrameDecoder, FrameEncoder, FRAME_LINE_BYTES};
 use lba_record::EventRecord;
 
-use crate::channel::{ChannelStats, LoadSample, LogChannel, PoppedFrame, PushOutcome};
+use crate::channel::{ChannelStats, LoadSample, PoppedFrame, PushOutcome};
 use crate::fault::{FaultProfile, StallSchedule};
 use crate::sink::{ChannelTee, FrameSink, SealedFrame, SinkError};
 
@@ -185,10 +187,14 @@ impl LogBufferModel {
     }
 }
 
-/// The deterministic [`LogChannel`]: a real [`FrameEncoder`] feeding a
+/// The deterministic framed log channel: a real [`FrameEncoder`] feeding a
 /// [`LogBufferModel`], consumed frame-at-a-time by the dispatch engine.
 ///
-/// The co-simulation drives this channel. The paper's decompressor is a
+/// The co-simulation drives one per lifeguard core. Records are pushed on
+/// the producer side, whole frames are popped on the consumer side with
+/// their production timestamps, and statistics are kept in wire bytes, so
+/// back-pressure (the producer stalls on a full buffer) and lag (the
+/// consumer waits on an empty one) are exact. The paper's decompressor is a
 /// *hardware* engine on the lifeguard core — its cost is part of the
 /// dispatch cycle model, not host work — so popping a frame hands back the
 /// pushed records instead of re-running the decoder in software: sealed
@@ -198,6 +204,14 @@ impl LogBufferModel {
 /// with the real codec and cross-checked against the pushed records;
 /// losslessness is further enforced by the live channel (which always
 /// decodes for real) and the round-trip suites.
+///
+/// # Back-pressure protocol
+///
+/// [`push_record`](Self::push_record) or [`flush`](Self::flush) returning
+/// [`PushOutcome::BackPressure`] means a sealed frame did not fit and is
+/// *parked*. The producer must free space — pop frames via
+/// [`pop_frame`](Self::pop_frame) — and call
+/// [`retry_parked`](Self::retry_parked) until it succeeds.
 #[derive(Debug)]
 pub struct ModeledFrameChannel {
     encoder: FrameEncoder,
@@ -208,7 +222,7 @@ pub struct ModeledFrameChannel {
     verify: bool,
     scratch: Vec<EventRecord>,
     /// The popped frame's records, lent out by
-    /// [`pop_frame`](LogChannel::pop_frame).
+    /// [`pop_frame`](Self::pop_frame).
     batch: Vec<EventRecord>,
     /// Records of the frame currently being staged (not yet sealed by the
     /// encoder).
@@ -292,6 +306,115 @@ impl ModeledFrameChannel {
         &self.buffer
     }
 
+    /// Pushes one captured record. `now` is the producer-core cycle used to
+    /// timestamp the frame this record ends up in.
+    pub fn push_record(&mut self, record: &EventRecord, now: u64) -> PushOutcome {
+        self.staging.push(*record);
+        match self.encoder.push(record) {
+            Some(frame) => self.seal(frame, now),
+            None => PushOutcome::Buffered,
+        }
+    }
+
+    /// Seals the open partial frame so every pushed record becomes visible
+    /// to the consumer — called at syscalls (containment) and end of
+    /// program.
+    pub fn flush(&mut self, now: u64) -> PushOutcome {
+        match self.encoder.flush() {
+            Some(frame) => self.seal(frame, now),
+            None => PushOutcome::Buffered,
+        }
+    }
+
+    /// Pops the oldest available frame as one slice with a single
+    /// `ready_at` stamp, consuming the frame whole (its buffer space frees
+    /// immediately). `None` means no frame is currently available: the
+    /// channel is empty, or the fault schedule refused the pop.
+    pub fn pop_frame(&mut self) -> Option<PoppedFrame<'_>> {
+        if self.stalls.refuse(!self.parked.is_empty()) {
+            return None;
+        }
+        // The whole frame is consumed in one step, so its lines free now.
+        let frame = self.buffer.pop()?;
+        let mut spent = self.take_frame_records(&frame);
+        std::mem::swap(&mut self.batch, &mut spent);
+        if self.batch_pool.len() < 4 {
+            spent.clear();
+            self.batch_pool.push(spent);
+        }
+        Some(PoppedFrame {
+            records: &self.batch,
+            ready_at: frame.ready_at,
+        })
+    }
+
+    /// Whether a sealed frame is parked awaiting space.
+    #[must_use]
+    pub fn has_parked(&self) -> bool {
+        !self.parked.is_empty()
+    }
+
+    /// Whether nothing remains for the consumer — no queued or parked
+    /// frame. Drain loops use this to tell a transient pop refusal (fault
+    /// injection modeling a stalled consumer) from a truly empty channel,
+    /// so injected stalls can never truncate an end-of-run drain.
+    #[must_use]
+    pub fn drained(&self) -> bool {
+        self.parked.is_empty() && self.buffer.is_empty()
+    }
+
+    /// Attempts to admit the oldest parked frame, timestamped `now`;
+    /// returns its wire bits on success.
+    pub fn retry_parked(&mut self, now: u64) -> Option<u64> {
+        let frame = self.parked.front()?;
+        if !self.buffer.fits(frame.wire_bits()) {
+            return None;
+        }
+        let frame = self.parked.pop_front().expect("checked above");
+        let wire_bits = frame.wire_bits();
+        let timed = TimedFrame {
+            bytes: frame.bytes,
+            records: frame.records,
+            ready_at: now,
+        };
+        self.buffer.try_push(timed).expect("fits was checked");
+        Some(wire_bits)
+    }
+
+    /// Lifetime statistics over sealed frames.
+    #[must_use]
+    pub fn stats(&self) -> ChannelStats {
+        let enc = self.encoder.stats();
+        ChannelStats {
+            records: enc.records,
+            frames: enc.frames,
+            payload_bits: enc.payload_bits,
+            wire_bits: enc.wire_bits,
+            high_water_bits: self.buffer.stats().high_water_bits,
+        }
+    }
+
+    /// A cheap occupancy snapshot for the adaptive capture controller.
+    #[must_use]
+    pub fn load_sample(&self) -> LoadSample {
+        // Parked frames count as in-flight: they are sealed wire traffic
+        // the consumer has not absorbed, and the clearest overload signal
+        // (occupancy reads over 1000 permille while anything is parked).
+        let parked_bits: u64 = self.parked.iter().map(Frame::wire_bits).sum();
+        LoadSample {
+            inflight: self.buffer.occupied_bits() + parked_bits,
+            capacity: self.buffer.capacity_bits(),
+        }
+    }
+
+    /// Sets or clears the degraded-capture mark carried by subsequently
+    /// sealed frames (`FrameEncoder::set_degraded`), so degraded spans
+    /// survive the flight recorder and replay. Callers flush before
+    /// toggling, keeping the mark frame-accurate.
+    pub fn mark_degraded(&mut self, on: bool) {
+        self.encoder.set_degraded(on);
+    }
+
     /// Frame-seal bookkeeping: the staged records become the sealed
     /// frame's batch (pop order equals seal order, parked or not), and the
     /// wire image is mirrored into the tee before admission.
@@ -346,91 +469,6 @@ impl ModeledFrameChannel {
         };
         self.buffer.try_push(timed).expect("fits was checked");
         PushOutcome::Sealed { wire_bits }
-    }
-}
-
-impl LogChannel for ModeledFrameChannel {
-    fn push_record(&mut self, record: &EventRecord, now: u64) -> PushOutcome {
-        self.staging.push(*record);
-        match self.encoder.push(record) {
-            Some(frame) => self.seal(frame, now),
-            None => PushOutcome::Buffered,
-        }
-    }
-
-    fn flush(&mut self, now: u64) -> PushOutcome {
-        match self.encoder.flush() {
-            Some(frame) => self.seal(frame, now),
-            None => PushOutcome::Buffered,
-        }
-    }
-
-    fn pop_frame(&mut self) -> Option<PoppedFrame<'_>> {
-        if self.stalls.refuse(!self.parked.is_empty()) {
-            return None;
-        }
-        // The whole frame is consumed in one step, so its lines free now.
-        let frame = self.buffer.pop()?;
-        let mut spent = self.take_frame_records(&frame);
-        std::mem::swap(&mut self.batch, &mut spent);
-        if self.batch_pool.len() < 4 {
-            spent.clear();
-            self.batch_pool.push(spent);
-        }
-        Some(PoppedFrame {
-            records: &self.batch,
-            ready_at: frame.ready_at,
-        })
-    }
-
-    fn has_parked(&self) -> bool {
-        !self.parked.is_empty()
-    }
-
-    fn drained(&self) -> bool {
-        self.parked.is_empty() && self.buffer.is_empty()
-    }
-
-    fn retry_parked(&mut self, now: u64) -> Option<u64> {
-        let frame = self.parked.front()?;
-        if !self.buffer.fits(frame.wire_bits()) {
-            return None;
-        }
-        let frame = self.parked.pop_front().expect("checked above");
-        let wire_bits = frame.wire_bits();
-        let timed = TimedFrame {
-            bytes: frame.bytes,
-            records: frame.records,
-            ready_at: now,
-        };
-        self.buffer.try_push(timed).expect("fits was checked");
-        Some(wire_bits)
-    }
-
-    fn stats(&self) -> ChannelStats {
-        let enc = self.encoder.stats();
-        ChannelStats {
-            records: enc.records,
-            frames: enc.frames,
-            payload_bits: enc.payload_bits,
-            wire_bits: enc.wire_bits,
-            high_water_bits: self.buffer.stats().high_water_bits,
-        }
-    }
-
-    fn load_sample(&self) -> LoadSample {
-        // Parked frames count as in-flight: they are sealed wire traffic
-        // the consumer has not absorbed, and the clearest overload signal
-        // (occupancy reads over 1000 permille while anything is parked).
-        let parked_bits: u64 = self.parked.iter().map(Frame::wire_bits).sum();
-        LoadSample {
-            inflight: self.buffer.occupied_bits() + parked_bits,
-            capacity: self.buffer.capacity_bits(),
-        }
-    }
-
-    fn mark_degraded(&mut self, on: bool) {
-        self.encoder.set_degraded(on);
     }
 }
 

@@ -557,12 +557,18 @@ impl SocketSource {
         }
     }
 
-    fn read_wire(&mut self, buf: &mut [u8]) -> Result<(), SocketError> {
-        match self.stream.read_exact(buf) {
-            Ok(()) => Ok(()),
-            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => Err(self.torn()),
-            Err(e) => Err(SocketError::io(&self.endpoint, e)),
+    /// The error for a failed read: a producer that left before its End
+    /// record tears the stream, whether the wire ended (EOF) or was reset
+    /// (the producer closed with credits unread).
+    fn read_error(&self, e: io::Error) -> SocketError {
+        match e.kind() {
+            io::ErrorKind::UnexpectedEof | io::ErrorKind::ConnectionReset => self.torn(),
+            _ => SocketError::io(&self.endpoint, e),
         }
+    }
+
+    fn read_wire(&mut self, buf: &mut [u8]) -> Result<(), SocketError> {
+        self.stream.read_exact(buf).map_err(|e| self.read_error(e))
     }
 
     fn corrupt(&self, detail: impl Into<String>) -> SocketError {
@@ -590,7 +596,7 @@ impl SocketSource {
                 (&mut self.stream)
                     .take(u64::from(header.len))
                     .read_to_end(&mut payload)
-                    .map_err(|e| SocketError::io(&self.endpoint, e))?;
+                    .map_err(|e| self.read_error(e))?;
                 if payload.len() < header.len as usize {
                     return Err(self.torn());
                 }
@@ -603,7 +609,13 @@ impl SocketSource {
                 // free.
                 if let Err(e) = self.stream.get_mut().write_all(&[CREDIT]) {
                     // A producer that already left does not need credits.
-                    if e.kind() != io::ErrorKind::BrokenPipe {
+                    // Its close shuts this end (a broken pipe), but a write
+                    // racing the close can meet the reset it leaves when
+                    // credits were still unread.
+                    if !matches!(
+                        e.kind(),
+                        io::ErrorKind::BrokenPipe | io::ErrorKind::ConnectionReset
+                    ) {
                         return Err(SocketError::io(&self.endpoint, e));
                     }
                 }
@@ -831,6 +843,37 @@ mod tests {
         }
         let err = source.next_frame_bytes().unwrap_err();
         assert!(err.to_string().contains("tore mid-stream"), "got: {err}");
+    }
+
+    #[test]
+    fn a_producer_gone_with_credits_unread_ends_the_stream_as_it_left_it() {
+        // The producer reads credits only while it ships, so it leaves with
+        // the last ones unread, and closing a Unix-domain socket with
+        // unread bytes resets the connection. The worker still behind must
+        // read on to what the producer wrote: an End record is a clean end,
+        // and a producer that died before writing one is a tear.
+        for finished in [true, false] {
+            let (sink, mut source) = socket_pair(0, 16).unwrap();
+            let mut tx = SocketSender::new(sink, small_frames());
+            for i in 0..8 {
+                tx.push(&record(i)); // 2 complete frames
+            }
+            assert!(source.next_frame_bytes().unwrap().is_some()); // 1 credit
+            if finished {
+                tx.finish().unwrap();
+            } else {
+                drop(tx);
+            }
+            assert!(source.next_frame_bytes().unwrap().is_some());
+            match source.next_frame_bytes() {
+                Ok(None) => assert!(finished, "a dead producer ended cleanly"),
+                Err(e) => assert!(
+                    !finished && e.to_string().contains("tore mid-stream"),
+                    "finished {finished}: {e}"
+                ),
+                Ok(Some(_)) => panic!("only two frames were sent"),
+            }
+        }
     }
 
     #[test]

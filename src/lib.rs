@@ -28,7 +28,7 @@
 //!  │  folds counts  │                            │  TaintCheck ·  │
 //!  │  into Repeat)  │                            │  LockSet ·     │
 //!  │       │        │                            │  MemProfile    │
-//!  │  FrameEncoder ─┼─▶ LogChannel: cache-line ──┼─▶ (each one    │
+//!  │  FrameEncoder ─┼─▶ log channel: cache-line ─┼─▶ (each one    │
 //!  │       │        │   frames through the       │  declares its  │
 //!  │  shard_of ─────┼─▶ hierarchy (lba-transport,│  capture-dedup │
 //!  │  fan-out: one  │   modelled or live SPSC;   │  soundness     │
@@ -93,12 +93,12 @@
 //! | `lba-cache`      | set-associative caches and the two-core memory system |
 //! | `lba-record`     | the typed event-record vocabulary the log carries (incl. `Repeat` fold summaries) + the segmented `lbas/1` flight-recorder stream format (rotation, retention, End records) |
 //! | `lba-compress`   | value-prediction log compression + chunked frame codec (< 1 byte/instr on the wire), `CODEC_VERSION` stamped into recordings |
-//! | `lba-transport`  | `LogChannel` trait over the framed buffer timing model; the live transport — one `FrameSender` (encoder, recording tee, degraded mark, stall latch, stats) and one `FrameReceiver` (decoder, drain drag) over two wires, the in-process SPSC queue or the `socket` module's `lbas/1` records over Unix-domain sockets with an explicit credit window so back-pressure survives the wire; both consumed a frame at a time (`pop_frame` / `recv_batch`); `shard_of` routing and per-shard channel fan-out; `FrameSink`/`FrameSource` seam with tee mirroring into recordings; the producer-visible `LoadSample` occupancy signal (the feedback arrow above) and the `FaultProfile` slow-consumer injection (the modeled channel's stall schedule, the live receivers' drain drag) |
+//! | `lba-transport`  | `ModeledFrameChannel`, the framed buffer timing model the co-simulation gives each lifeguard core; the live transport — one `FrameSender` (encoder, recording tee, degraded mark, stall latch, stats) and one `FrameReceiver` (decoder, drain drag) over two wires, the in-process SPSC queue or the `socket` module's `lbas/1` records over Unix-domain sockets with an explicit credit window so back-pressure survives the wire; both consumed a frame at a time (`pop_frame` / `recv_batch`); `shard_of` routing and per-shard channel fan-out; `FrameSink`/`FrameSource` seam with tee mirroring into recordings; the producer-visible `LoadSample` occupancy signal (the feedback arrow above) and the `FaultProfile` slow-consumer injection (the modeled channel's stall schedule, the live receivers' drain drag) |
 //! | `lba-lifeguard`  | dispatch engine (`deliver_batch` for the log, per-record `deliver` for DBI), capture filters (`AddrRangeFilter` + per-contract idempotency window in one `CaptureFilter` pass), findings, flat paged shadow memory, and the `DegradationPolicy`/`RegionClassifier` graceful-degradation contracts |
 //! | `lba-lifeguards` | the four lifeguards (the paper's three + `MemProfile`); each declares its degradation tolerance next to its idempotency story |
 //! | `lba-dbi`        | Valgrind-style inline instrumentation baseline        |
 //! | `lba-workloads`  | deterministic benchmark programs                      |
-//! | `lba-core`       | ties it together: the staged capture pipeline (`pipeline::Producer` driving each mode's `pipeline::ProducerLink`), the run-mode/monitor registry (`pipeline::RUN_MODES` / `pipeline::MONITORS`), the unified `Run` builder dispatching every mode through its `RUN_MODES` row behind one validated entry point (the `run_*` functions are the per-mode implementations), one live runner behind `run_live`, `run_live_parallel` and `run_remote` (one shard or N, queue or socket wires), the `LbaError` hierarchy folding every layer's failures (a panicking live thread included), experiments, the shared `PipelineReport` core every report derefs to, and the adaptive `CaptureController` closing the back-pressure feedback loop |
+//! | `lba-core`       | ties it together: the staged capture pipeline (`pipeline::Producer` driving each mode's `pipeline::ProducerLink`), the run-mode/monitor registry (`pipeline::RUN_MODES` / `pipeline::MONITORS`), the unified `Run` builder dispatching every mode through its `RUN_MODES` row behind one validated entry point (the `run_*` functions are the per-mode implementations), one co-simulation behind `run_lba` and `run_lba_parallel` (one lifeguard core or N, one timing model), one live runner behind `run_live`, `run_live_parallel` and `run_remote` (one shard or N, queue or socket wires), the `LbaError` hierarchy folding every layer's failures (a panicking live thread included), experiments, the shared `PipelineReport` core every report derefs to, and the adaptive `CaptureController` closing the back-pressure feedback loop |
 //! | `lba-bench`      | table rendering, Criterion benches, `figures` binary  |
 //!
 //! ## Execution models
@@ -168,7 +168,9 @@
 //! The [`experiment`] module regenerates every table and figure in the paper
 //! (`cargo run --release -p lba-bench --bin figures`), and the [`parallel`]
 //! module models the §3 future-work extension of sharding one log across
-//! several lifeguard cores ([`run_live_parallel`] runs it for real).
+//! several lifeguard cores: [`run_lba`]'s co-simulation N lifeguard cores
+//! wide, under the same timing model ([`run_live_parallel`] runs it for
+//! real).
 //!
 //! ## Quickstart
 //!

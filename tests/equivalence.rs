@@ -174,6 +174,40 @@ fn parallel_shards_agree_with_single_lifeguard() {
 }
 
 #[test]
+fn one_shard_of_the_sharded_model_is_run_lba() {
+    // One lifeguard core and a lifeguard split across cores are one design
+    // at two widths: with syscall containment off (the sharded producer
+    // never contains), the sharded co-simulation at one shard must be
+    // `run_lba` cycle for cycle, stall for stall and bit for bit.
+    let mut config = config();
+    config.log.syscall_stall = false;
+    let bug_programs = [
+        bugs::memory_bugs(),
+        bugs::exploit(),
+        bugs::data_race(),
+        bugs::tainted_syscall(),
+    ];
+    let programs = Benchmark::ALL.map(Benchmark::build);
+    for program in programs.iter().chain(&bug_programs) {
+        for kind in [LifeguardKind::AddrCheck, LifeguardKind::LockSet] {
+            let mut lg = kind.make_lba();
+            let single = run_lba(program, lg.as_mut(), &config).unwrap();
+            let sharded = run_lba_parallel(program, || kind.make_lba(), 1, &config).unwrap();
+            let what = format!("{} / {kind}", program.name());
+            assert_eq!(sharded.total_cycles, single.total_cycles, "total: {what}");
+            assert_eq!(sharded.app_cycles, single.app_cycles, "app: {what}");
+            assert_eq!(
+                sharded.lifeguard_cycles, single.lifeguard_cycles,
+                "lifeguard: {what}"
+            );
+            assert_eq!(sharded.stalls, single.stalls, "stalls: {what}");
+            assert_eq!(sharded.log, single.log, "log: {what}");
+            assert_eq!(sharded.findings, single.findings, "findings: {what}");
+        }
+    }
+}
+
+#[test]
 fn event_stream_is_identical_across_modes() {
     // LBA and DBI must observe the same retired-instruction stream: same
     // instruction counts, same kind mix.

@@ -3,17 +3,23 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 
+use std::path::Path;
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+use lba::{run_replay_with, ReplayMode, SystemConfig};
 use lba_cache::{Access, CacheConfig, MemSystem, MemSystemConfig, SetAssocCache};
 use lba_compress::{
-    BitReader, BitWriter, FrameConfig, FrameDecoder, FrameEncoder, LogCompressor, LogDecompressor,
-    FRAME_LINE_BYTES,
+    BitReader, BitWriter, Frame, FrameConfig, FrameDecoder, FrameEncoder, LogCompressor,
+    LogDecompressor, CODEC_VERSION, FRAME_LINE_BYTES,
 };
 use lba_isa::Instruction;
 use lba_lifeguard::DispatchEngine;
 use lba_lifeguards::{LockSet, TaintCheck};
 use lba_mem::{layout, HeapAllocator, Memory};
 use lba_record::{
-    end_record, EventKind, EventRecord, FrameRecordHeader, StreamHeader, RAW_RECORD_BYTES,
+    end_record, segment_file_name, EventKind, EventRecord, FrameRecordHeader, SegmentReader,
+    SegmentWriter, StreamConfig, StreamError, StreamHeader, END_RECORD_BYTES,
+    FRAME_RECORD_HEADER_BYTES, RAW_RECORD_BYTES, SEGMENT_HEADER_BYTES, TAG_FRAME,
 };
 use lba_transport::live::{FrameReceiver, RecvError};
 use lba_transport::{LogBufferModel, SocketError, SocketSource, TimedFrame};
@@ -189,6 +195,83 @@ fn mutate_socket_wire(wire: &mut Vec<Vec<u8>>, (kind, at, byte): (u8, u64, u8)) 
             i
         }
     }
+}
+
+/// One stream of an `lbas/1` recording: per segment file, its 24-byte
+/// header and then its records as a socket wire carries them (one frame
+/// record per sealed frame, then the End record).
+type Segments = Vec<(Vec<u8>, Vec<Vec<u8>>)>;
+
+/// Records `frames` as stream `stream` in `dir` through the segment
+/// writer, rotating past `segment_bytes`, and splits the files it wrote
+/// into [`Segments`].
+fn record_segments(dir: &Path, stream: u32, frames: &[Frame], segment_bytes: u64) -> Segments {
+    let config = StreamConfig {
+        segment_bytes,
+        retain_bytes: u64::MAX,
+    };
+    let mut writer = SegmentWriter::create(dir, stream, CODEC_VERSION, config).unwrap();
+    for (i, frame) in frames.iter().enumerate() {
+        writer
+            .append(i as u64, frame.records, &frame.bytes)
+            .unwrap();
+    }
+    let files = writer.finish().unwrap().segments_retained as u32;
+    (0..files)
+        .map(|seq| {
+            let file = std::fs::read(dir.join(segment_file_name(stream, seq))).unwrap();
+            let (header, mut rest) = file.split_at(SEGMENT_HEADER_BYTES);
+            let mut records = Vec::new();
+            while let [tag, fields @ ..] = rest {
+                let len = match *tag {
+                    TAG_FRAME => {
+                        let payload = u32::from_le_bytes(fields[12..16].try_into().unwrap());
+                        FRAME_RECORD_HEADER_BYTES + payload as usize
+                    }
+                    _ => END_RECORD_BYTES,
+                };
+                let (record, tail) = rest.split_at(len);
+                records.push(record.to_vec());
+                rest = tail;
+            }
+            (header.to_vec(), records)
+        })
+        .collect()
+}
+
+/// Damages segment `seg` (reduced to the recording) of a recorded
+/// stream: kinds 0–7 are [`mutate_socket_wire`]'s on its records, 8–10
+/// rewrite a header word (the codec version, the stream id, the sequence
+/// number) and 11 splices in `other`'s segment of that sequence number.
+/// Returns the index of the first frame that may no longer read back as
+/// written; the frames before it are the undamaged prefix.
+fn mutate_segments(
+    segments: &mut Segments,
+    other: &Segments,
+    seg: usize,
+    (kind, at, byte): (u8, u64, u8),
+) -> usize {
+    let seg = seg % segments.len();
+    let before: usize = (segments[..seg].iter())
+        .map(|(_, records)| records.len() - 1)
+        .sum();
+    match kind {
+        8..=10 => {
+            let word = 8 + 4 * usize::from(kind - 8);
+            let header = &mut segments[seg].0[word..word + 4];
+            let value = u32::from_le_bytes((&*header).try_into().unwrap()) ^ (at as u32 | 1);
+            header.copy_from_slice(&value.to_le_bytes());
+        }
+        11 => segments[seg] = other[seg.min(other.len() - 1)].clone(),
+        _ => {
+            // A tear loses every later segment too.
+            if kind == 1 {
+                segments.truncate(seg + 1);
+            }
+            return before + mutate_socket_wire(&mut segments[seg].1, (kind, at, byte));
+        }
+    }
+    before
 }
 
 proptest! {
@@ -423,6 +506,87 @@ proptest! {
             };
             prop_assert!(descriptive, "not a tear, corruption or decode error: {}", e);
         }
+    }
+
+    #[test]
+    fn mutated_segments_never_panic_the_reader(
+        records in arb_stream(),
+        records_per_frame in 1usize..40,
+        compress in any::<bool>(),
+        segment_bytes in 128u64..512,
+        (seg, mutation) in (any::<usize>(), (0u8..12, any::<u64>(), any::<u8>())),
+    ) {
+        // Recordings come back from disk, where anything can happen to
+        // them: whatever a mutation does to the segment files, the reader
+        // yields the undamaged prefix's frames exactly, then frames or a
+        // `StreamError` naming the recording, never a panic.
+        static CASE: AtomicUsize = AtomicUsize::new(0);
+        let case = CASE.fetch_add(1, Ordering::Relaxed);
+        let dir = std::env::temp_dir().join(format!("lba-segments-{}-{case}", std::process::id()));
+        let config = FrameConfig { records_per_frame, compress };
+        let seal = |records: &mut dyn Iterator<Item = &EventRecord>| {
+            let mut enc = FrameEncoder::new(config);
+            let mut frames: Vec<_> = records.filter_map(|rec| enc.push(rec)).collect();
+            frames.extend(enc.flush());
+            frames
+        };
+        let frames = seal(&mut records.iter());
+        let mut segments = record_segments(&dir.join("clean"), 0, &frames, segment_bytes);
+        // The splice source: the records sealed backwards, as stream 0 or 1.
+        let backwards = seal(&mut records.iter().rev());
+        let stream = u32::from(mutation.2 % 2);
+        let other = record_segments(&dir.join("other"), stream, &backwards, segment_bytes);
+        let damaged = mutate_segments(&mut segments, &other, seg, mutation);
+        let recording = dir.join("damaged");
+        std::fs::create_dir_all(&recording).unwrap();
+        for (seq, (header, records)) in segments.iter().enumerate() {
+            let file = [header.clone(), records.concat()].concat();
+            std::fs::write(recording.join(segment_file_name(0, seq as u32)), file).unwrap();
+        }
+
+        let (mut read, mut codec) = (Vec::new(), None);
+        let ended = SegmentReader::open(&recording, 0).and_then(|mut reader| {
+            codec = Some(reader.codec_version());
+            while let Some(frame) = reader.next_frame()? {
+                read.push(frame);
+            }
+            Ok(())
+        });
+        prop_assert!(read.len() >= damaged, "the undamaged prefix must arrive: {:?}", ended);
+        for (i, (got, sealed)) in read.iter().zip(&frames[..damaged]).enumerate() {
+            prop_assert_eq!((got.timestamp, got.records), (i as u64, sealed.records));
+            prop_assert_eq!(&got.bytes, &sealed.bytes, "frame {}", i);
+        }
+        if let Err(e) = &ended {
+            let named = e.to_string().contains(recording.to_str().unwrap());
+            prop_assert!(named, "the error must name the recording: {}", e);
+        }
+        // A rewritten header word is caught at its own segment. The first
+        // segment's codec is the stream's, which replay checks on open;
+        // every later segment must agree with it.
+        if (8..=10).contains(&mutation.0) {
+            if damaged == 0 && mutation.0 == 8 {
+                prop_assert_ne!(codec, Some(CODEC_VERSION));
+            } else {
+                prop_assert_eq!(read.len(), damaged, "read past a rewritten header: {:?}", ended);
+                prop_assert!(matches!(ended, Err(StreamError::Corrupt { .. })), "{:?}", ended);
+            }
+        }
+        // A torn tail is what salvage replay is for: it replays exactly the
+        // undamaged prefix and reports the tear.
+        if mutation.0 == 1 {
+            let mut replay = SystemConfig::default();
+            replay.log.records_per_frame = records_per_frame;
+            replay.log.compression = compress;
+            let make = || -> Box<dyn lba_lifeguard::Lifeguard> { Box::new(LockSet::new()) };
+            let report = run_replay_with(&recording, make, &replay, ReplayMode::SalvagePrefix)
+                .unwrap_or_else(|e| panic!("salvage replay failed: {e}"));
+            prop_assert_eq!(report.salvaged.len(), 1);
+            prop_assert_eq!(report.salvaged[0].frames_salvaged, damaged as u64);
+            let prefix: u64 = frames[..damaged].iter().map(|f| u64::from(f.records)).sum();
+            prop_assert_eq!(report.log.records, prefix);
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
