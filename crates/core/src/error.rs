@@ -1,27 +1,25 @@
-//! One error surface for every way a monitored run can fail.
+//! One error type for every way a monitored run or a replay can fail.
 //!
-//! The execution modes grew up with mode-shaped errors: the machine and
-//! live channels report [`RunError`], replay reports [`ReplayError`]
-//! (wrapping the stream layer's [`StreamError`]), and the socket
-//! transport reports [`SocketError`]. [`LbaError`] folds them into one
-//! hierarchy with `From` conversions in every direction that occurs, so
-//! the unified [`Run`](crate::Run) entry point — and anything driving
-//! several modes, like the bench harness — propagates failures with `?`
-//! and reports them uniformly, whichever layer they started in.
+//! The machine and live channels report [`RunError`], the stream layer
+//! [`StreamError`], and the socket transport [`SocketError`]. [`LbaError`]
+//! wraps them, with `From` conversions for each, beside what only a run
+//! can hit: a panicking thread, an undecodable frame (live, remote or
+//! replayed alike), a recording with no streams or another codec. So the
+//! unified [`Run`](crate::Run) entry point, and anything driving several
+//! modes like the bench harness, propagates every failure with `?`.
 
 use std::convert::Infallible;
 use std::fmt;
 
+use lba_compress::FrameDecodeError;
 use lba_cpu::RunError;
 use lba_record::StreamError;
 use lba_transport::live::RecvError;
 use lba_transport::{SinkError, SocketError};
 
-use crate::replay::ReplayError;
-
 /// Any failure of a monitored run, replay, or remote deployment.
 ///
-/// Every variant `Display`s the underlying layer's descriptive message
+/// A variant wrapping a layer's error `Display`s its descriptive message
 /// unchanged — the unification adds no indirection to what went wrong,
 /// only one type to match on.
 #[derive(Debug)]
@@ -29,16 +27,38 @@ pub enum LbaError {
     /// The machine, its configuration, or an in-process live channel
     /// failed (bad PC, deadlock, stalled consumer, recording I/O, ...).
     Run(RunError),
-    /// An offline replay failed (damaged recording, codec mismatch,
-    /// undecodable frame).
-    Replay(ReplayError),
-    /// The durable stream layer failed outside a replay (creating or
-    /// finishing a flight-recorder stream).
+    /// The durable stream layer failed: writing a flight recording, or
+    /// reading a damaged, truncated or aged-out one back.
     Stream(StreamError),
+    /// A replay's recording directory holds no streams at all.
+    NoStreams {
+        /// The directory inspected.
+        dir: String,
+    },
+    /// A recording was sealed under a codec version this build does not
+    /// decode, so replay refuses it before reading any frame.
+    CodecMismatch {
+        /// The stream with the mismatched codec.
+        stream: u32,
+        /// Codec version stamped in the recording.
+        recorded: u32,
+        /// Codec version of the running build.
+        running: u32,
+    },
+    /// A frame arrived whole but does not decode (the reader's codec
+    /// settings differ from the sender's, or a codec bug).
+    Decode {
+        /// The stream (shard) the frame belongs to.
+        stream: u32,
+        /// Zero-based index of the frame within its stream.
+        frame: u64,
+        /// The decoder's error.
+        source: FrameDecodeError,
+    },
     /// The socket transport failed (torn wire, protocol violation).
     Socket(SocketError),
-    /// A thread of a live run panicked (a lifeguard bug on a consumer, or
-    /// a bug on the producer); the run's other threads still ended.
+    /// A thread of a live run or a replay panicked (a lifeguard bug on a
+    /// consumer, or a bug on the producer); the other threads still ended.
     Panicked {
         /// The producer thread, or a shard's consumer and its lifeguard.
         thread: String,
@@ -66,8 +86,26 @@ impl fmt::Display for LbaError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             LbaError::Run(e) => write!(f, "{e}"),
-            LbaError::Replay(e) => write!(f, "{e}"),
             LbaError::Stream(e) => write!(f, "{e}"),
+            LbaError::NoStreams { dir } => write!(f, "no recorded streams in {dir}"),
+            LbaError::CodecMismatch {
+                stream,
+                recorded,
+                running,
+            } => write!(
+                f,
+                "stream {stream} was recorded under codec version {recorded}, \
+                 but this build decodes version {running}"
+            ),
+            LbaError::Decode {
+                stream,
+                frame,
+                source,
+            } => write!(
+                f,
+                "frame {frame} of stream {stream} failed to decode \
+                 (were the recording's compression settings used?): {source}"
+            ),
             LbaError::Socket(e) => write!(f, "{e}"),
             LbaError::Panicked { thread, message } => write!(f, "{thread} panicked: {message}"),
             LbaError::Unsupported { mode, monitor } => write!(
@@ -86,10 +124,12 @@ impl std::error::Error for LbaError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             LbaError::Run(e) => Some(e),
-            LbaError::Replay(e) => Some(e),
             LbaError::Stream(e) => Some(e),
+            LbaError::Decode { source, .. } => Some(source),
             LbaError::Socket(e) => Some(e),
-            LbaError::Panicked { .. }
+            LbaError::NoStreams { .. }
+            | LbaError::CodecMismatch { .. }
+            | LbaError::Panicked { .. }
             | LbaError::Unsupported { .. }
             | LbaError::InvalidRequest { .. } => None,
         }
@@ -99,12 +139,6 @@ impl std::error::Error for LbaError {
 impl From<RunError> for LbaError {
     fn from(e: RunError) -> Self {
         LbaError::Run(e)
-    }
-}
-
-impl From<ReplayError> for LbaError {
-    fn from(e: ReplayError) -> Self {
-        LbaError::Replay(e)
     }
 }
 
@@ -120,8 +154,8 @@ impl From<SocketError> for LbaError {
     }
 }
 
-/// A live receiver's failure: a wire error keeps its own layer, and an
-/// undecodable frame names its stream and frame as a replayed one does.
+/// A receiver's failure: a wire error keeps its own layer, and an
+/// undecodable frame names its stream and frame.
 impl From<RecvError> for LbaError {
     fn from(e: RecvError) -> Self {
         match e {
@@ -130,11 +164,11 @@ impl From<RecvError> for LbaError {
                 stream,
                 frame,
                 source,
-            } => LbaError::Replay(ReplayError::Decode {
+            } => LbaError::Decode {
                 stream,
                 frame,
                 source,
-            }),
+            },
         }
     }
 }
@@ -184,10 +218,9 @@ mod tests {
         let stream: LbaError = stream_err.into();
         assert_eq!(stream.to_string(), expect);
 
-        let replay: LbaError = ReplayError::NoStreams {
+        let replay: LbaError = LbaError::NoStreams {
             dir: "/tmp/none".to_string(),
-        }
-        .into();
+        };
         assert!(replay.to_string().contains("no recorded streams"));
 
         let socket: LbaError = SocketError::Torn {

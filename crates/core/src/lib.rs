@@ -76,7 +76,7 @@ pub use pipeline::{
     RUN_MODES,
 };
 pub use remote::run_remote;
-pub use replay::{run_replay, run_replay_with, ReplayError, ReplayMode};
+pub use replay::{run_replay, run_replay_with, ReplayMode};
 pub use report::{
     LiveReport, LogStats, Mode, PipelineReport, ReplayReport, ReplayStreamStats, RunReport,
     SalvagedTail, StallBreakdown,

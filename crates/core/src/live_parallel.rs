@@ -40,6 +40,8 @@
 //! A panic on any thread becomes [`LbaError::Panicked`], and the other
 //! threads still end: a dead consumer's wire tells the producer nobody
 //! drains it, and the producer's wires close when it returns or unwinds.
+//! Replay ([`run_replay`](crate::run_replay)) runs these consumer threads
+//! with no producer thread, one receiver per recorded stream.
 
 use std::any::Any;
 use std::panic::{self, AssertUnwindSafe};
@@ -61,7 +63,7 @@ use crate::report::{LiveReport, LogStats, PipelineReport};
 
 /// What the consumers publish for the producer's capture controller.
 #[derive(Default)]
-struct Signals {
+pub(crate) struct Signals {
     /// Findings so far, over all shards: growth snaps capture back.
     findings: AtomicU64,
     /// The analysis-side dial: the latest lifeguard request the producer
@@ -241,10 +243,8 @@ where
 
 /// The live runner every live mode is (see the [module docs](self)):
 /// `producer` fans the log out over each shard's sender on a spawned
-/// thread, the calling thread consumes shard 0 with `lifeguard`, and each
-/// further shard gets a spawned consumer whose lifeguard `make_lifeguard`
-/// builds. `None` there is `run_live`: one shard, whose findings are
-/// reported verbatim rather than merged.
+/// thread while [`consume_shards`] drains them. A `make_lifeguard` of
+/// `None` is `run_live`: one shard, its findings reported verbatim.
 fn run_sharded<W, S>(
     program: &Program,
     lifeguard: &mut dyn Lifeguard,
@@ -270,8 +270,6 @@ where
         // draining surfaces as `RunError::ChannelStalled`, not a livelock.
         tx.set_stall_timeout(config.log.channel_stall_timeout);
     }
-    let mut receivers = receivers.into_iter();
-    let name = lifeguard.name();
     let signals = &Signals::default();
 
     let (produced, consumed) = thread::scope(|scope| {
@@ -301,27 +299,13 @@ where
             }
             Ok((finish, shard_log))
         });
-        let first = receivers.next().expect("every live run has a shard");
-        let others: Vec<_> = receivers
-            .map(|rx| {
-                let make = make_lifeguard.expect("only the sharded modes run more shards");
-                scope.spawn(move || consume(rx, make().as_mut(), signals, config))
-            })
-            .collect();
-        let mut consumed = vec![panic::catch_unwind(AssertUnwindSafe(|| {
-            consume(first, lifeguard, signals, config)
-        }))];
-        let produced = producer_thread.join();
-        consumed.extend(others.into_iter().map(|handle| handle.join()));
-        (produced, consumed)
+        let consumed = consume_shards(receivers, lifeguard, make_lifeguard, signals, config);
+        (producer_thread.join(), consumed)
     });
 
     let produced = produced.unwrap_or_else(|payload| Err(panicked("the producer thread", payload)));
-    let consumed = (consumed.into_iter().enumerate())
-        .map(|(shard, consumed)| {
-            let thread = || format!("shard {shard} consumer (lifeguard `{name}`)");
-            consumed.unwrap_or_else(|payload| Err(panicked(&thread(), payload)))
-        })
+    let consumed = (consumed.into_iter())
+        .map(|consumed| consumed.map(|(findings, _)| findings))
         .collect();
     let ((finish, shard_log), shard_findings) = settle(produced, consumed)?;
     let findings = match make_lifeguard {
@@ -372,15 +356,55 @@ fn settle<T>(
     }
 }
 
+/// A consumer's findings and its spent receiver.
+type Consumed<S> = (Vec<Finding>, FrameReceiver<S>);
+
+/// The consumer threads of every live run and of a replay: shard 0 on
+/// the calling thread with `lifeguard`, and each further shard on a
+/// spawned thread with a lifeguard `make_lifeguard` builds there. Returns
+/// each shard's findings and spent receiver in shard order; a consumer's
+/// panic is [`LbaError::Panicked`] naming its shard and lifeguard.
+pub(crate) fn consume_shards<S: FrameSource + Send>(
+    receivers: Vec<FrameReceiver<S>>,
+    lifeguard: &mut dyn Lifeguard,
+    make_lifeguard: Option<&(dyn Fn() -> Box<dyn Lifeguard> + Sync)>,
+    signals: &Signals,
+    config: &SystemConfig,
+) -> Vec<Result<Consumed<S>, LbaError>> {
+    let name = lifeguard.name();
+    let mut receivers = receivers.into_iter();
+    let first = receivers.next().expect("every run has a shard");
+    let consumed = thread::scope(|scope| {
+        let others: Vec<_> = receivers
+            .map(|rx| {
+                let make = make_lifeguard.expect("more than one shard comes with a factory");
+                scope.spawn(move || consume(rx, make().as_mut(), signals, config))
+            })
+            .collect();
+        let mut consumed = vec![panic::catch_unwind(AssertUnwindSafe(|| {
+            consume(first, lifeguard, signals, config)
+        }))];
+        consumed.extend(others.into_iter().map(|handle| handle.join()));
+        consumed
+    });
+    (consumed.into_iter().enumerate())
+        .map(|(shard, consumed)| {
+            let thread = || format!("shard {shard} consumer (lifeguard `{name}`)");
+            consumed.unwrap_or_else(|payload| Err(panicked(&thread(), payload)))
+        })
+        .collect()
+}
+
 /// One shard's consumer: a blocking receive, decode and untimed batch
 /// dispatch per frame, publishing the lifeguard's findings count and dial
-/// requests, until the stream ends.
+/// requests, until the stream ends. A failed consumer drops its receiver
+/// at once, so a producer waiting on the wire sees the consumer gone.
 fn consume<S: FrameSource>(
     mut rx: FrameReceiver<S>,
     lifeguard: &mut dyn Lifeguard,
     signals: &Signals,
     config: &SystemConfig,
-) -> Result<Vec<Finding>, LbaError> {
+) -> Result<Consumed<S>, LbaError> {
     if let Some(fault) = &config.log.fault {
         rx.set_drag(fault.drain_drag);
     }
@@ -403,7 +427,7 @@ fn consume<S: FrameSource>(
         }
     }
     engine.finish(lifeguard, None, 0, &mut findings);
-    Ok(findings)
+    Ok((findings, rx))
 }
 
 /// The error for a `thread` that panicked, carrying the panic message

@@ -45,7 +45,7 @@ use crate::report::LiveReport;
 /// [`LbaError::Run`] for machine/config failures and a stalled credit
 /// window ([`RunError::ChannelStalled`](lba_cpu::RunError::ChannelStalled));
 /// [`LbaError::Socket`] when a wire tears or carries inconsistent bytes;
-/// [`LbaError::Replay`] when a frame that crossed the wire intact fails to
+/// [`LbaError::Decode`] when a frame that crossed the wire intact fails to
 /// decode; [`LbaError::Panicked`] when a lifeguard or the producer panics.
 /// A worker's own error wins over the tear its death leaves on the
 /// producer's side of the wire.

@@ -12,6 +12,7 @@
 
 use std::fmt;
 
+use lba_compress::CODEC_VERSION;
 use lba_lifeguard::{CaptureStats, DegradationStats, Finding};
 use lba_record::TraceStats;
 use lba_transport::ChannelStats;
@@ -241,13 +242,12 @@ pub struct SalvagedTail {
 }
 
 /// The result of replaying a recorded flight-recorder stream set through
-/// a lifeguard ([`run_replay`](crate::run_replay)).
+/// a lifeguard ([`run_replay`](crate::run_replay)). The recording was
+/// sealed under this build's [`CODEC_VERSION`]: replay refuses any other.
 #[derive(Debug, Clone)]
 pub struct ReplayReport {
     /// Recording directory the replay consumed.
     pub dir: String,
-    /// Codec version the recording was sealed under.
-    pub codec_version: u32,
     /// Per-stream accounting, ascending by stream id.
     pub streams: Vec<ReplayStreamStats>,
     /// Torn tails a [`SalvagePrefix`](crate::ReplayMode::SalvagePrefix)
@@ -266,29 +266,6 @@ pub struct ReplayReport {
 deref_pipeline!(ReplayReport);
 
 impl ReplayReport {
-    /// The stream-aggregated pipeline core of a replay: every decoded
-    /// record was "captured" as far as the replay can know, and payload
-    /// bits are unknowable (only sealed wire frames were recorded).
-    #[must_use]
-    pub fn stream_pipeline(
-        streams: &[ReplayStreamStats],
-        findings: Vec<Finding>,
-    ) -> PipelineReport {
-        let records: u64 = streams.iter().map(|s| s.records).sum();
-        PipelineReport {
-            findings,
-            log: LogStats {
-                records,
-                captured: records,
-                frames: streams.iter().map(|s| s.frames).sum(),
-                wire_bits: streams.iter().map(|s| s.wire_bits).sum(),
-                ..LogStats::default()
-            },
-            capture: CaptureStats::default(),
-            degradation: DegradationStats::default(),
-        }
-    }
-
     /// Frames that sealed while the recording run was degraded, across
     /// all streams.
     #[must_use]
@@ -307,9 +284,8 @@ impl fmt::Display for ReplayReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
-            "replay of {} [codec v{}]: {} stream(s), {} records, {} wire bits",
+            "replay of {} [codec v{CODEC_VERSION}]: {} stream(s), {} records, {} wire bits",
             self.dir,
-            self.codec_version,
             self.streams.len(),
             self.log.records,
             self.log.wire_bits,

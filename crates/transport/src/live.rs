@@ -525,7 +525,8 @@ impl std::error::Error for RecvError {
 
 /// The consumer half of the live transport: takes one sealed frame at a
 /// time from its source `S` — the in-process queue by default, a
-/// [`SocketSource`](crate::SocketSource) for a socket — and decodes it.
+/// [`SocketSource`](crate::SocketSource) for a socket, a
+/// [`StreamSource`](crate::StreamSource) for a recording — and decodes it.
 pub struct FrameReceiver<S: FrameSource = QueueSource> {
     source: S,
     /// The stream id decode errors name: the shard index, 0 unsharded.
@@ -602,6 +603,13 @@ impl<S: FrameSource> FrameReceiver<S> {
     #[must_use]
     pub fn stats(&self) -> ChannelStats {
         self.stats
+    }
+
+    /// The source the frames come from, for what only it knows (a
+    /// recording's degraded frames and tear point, say).
+    #[must_use]
+    pub fn source(&self) -> &S {
+        &self.source
     }
 
     fn next_bytes(&mut self) -> Result<Option<Vec<u8>>, SinkError> {

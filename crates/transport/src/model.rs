@@ -130,12 +130,6 @@ impl LogBufferModel {
         self.occupied_bits + bits <= self.capacity_bits || self.queue.is_empty()
     }
 
-    /// Number of queued frames.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.queue.len()
-    }
-
     /// Whether the buffer is empty.
     #[must_use]
     pub fn is_empty(&self) -> bool {
@@ -178,12 +172,6 @@ impl LogBufferModel {
         let frame = self.queue.pop_front()?;
         self.occupied_bits -= frame.wire_bits();
         Some(frame)
-    }
-
-    /// Peeks at the oldest frame without removing it.
-    #[must_use]
-    pub fn front(&self) -> Option<&TimedFrame> {
-        self.queue.front()
     }
 }
 
@@ -298,12 +286,6 @@ impl ModeledFrameChannel {
     /// The first error a mirror write hit.
     pub fn take_tee(&mut self) -> Result<Option<Box<dyn FrameSink + Send>>, SinkError> {
         self.tee.take()
-    }
-
-    /// The underlying buffer, for occupancy inspection.
-    #[must_use]
-    pub fn buffer(&self) -> &LogBufferModel {
-        &self.buffer
     }
 
     /// Pushes one captured record. `now` is the producer-core cycle used to
@@ -544,14 +526,6 @@ mod tests {
     #[should_panic(expected = "non-zero")]
     fn zero_capacity_rejected() {
         let _ = LogBufferModel::new(0);
-    }
-
-    #[test]
-    fn front_peeks_without_removing() {
-        let mut buf = LogBufferModel::new(256);
-        buf.try_push(frame(64, 3)).unwrap();
-        assert_eq!(buf.front().unwrap().ready_at, 3);
-        assert_eq!(buf.len(), 1);
     }
 
     mod channel {

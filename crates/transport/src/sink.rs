@@ -10,14 +10,17 @@
 //! in-process queue, a socket, or a recording — a
 //! [`FrameReceiver`](crate::live::FrameReceiver) decodes any of them.
 //! [`StreamSink`] / [`StreamSource`] adapt `lba_record`'s segmented
-//! `lbas/1` stream writer/reader to the seam, making any run durable.
+//! `lbas/1` stream writer/reader to the seam, making any run durable. A
+//! replay is a `FrameReceiver` over a [`StreamSource`], which also counts
+//! the degraded frames and keeps where a damaged recording tore.
 //!
 //! Sink failures (disk full, permissions) must not take down the
 //! monitored application: the channels latch the *first* sink error, stop
 //! mirroring, and surface the error when the tee is taken back — the
 //! run's own transport is never disturbed.
 
-use lba_record::{SegmentReader, SegmentWriter, StreamSummary};
+use lba_compress::Frame;
+use lba_record::{SegmentReader, SegmentWriter, StreamError, StreamSummary};
 
 /// A sealed compressed frame, borrowed at the moment of sealing.
 #[derive(Debug, Clone, Copy)]
@@ -183,13 +186,43 @@ impl FrameSink for StreamSink {
 #[derive(Debug)]
 pub struct StreamSource {
     reader: SegmentReader,
+    salvage: bool,
+    tear: Option<StreamError>,
+    degraded_frames: u64,
 }
 
 impl StreamSource {
     /// Wraps a segment reader as a frame source.
     #[must_use]
     pub fn new(reader: SegmentReader) -> Self {
-        StreamSource { reader }
+        StreamSource {
+            reader,
+            salvage: false,
+            tear: None,
+            degraded_frames: 0,
+        }
+    }
+
+    /// The salvage switch. On, damage met after the stream opened (a torn
+    /// tail, a checksum mismatch) ends the source cleanly after the last
+    /// intact frame and is kept as its [`tear`](Self::tear); off (the
+    /// default), it is the source's error.
+    pub fn set_salvage(&mut self, on: bool) {
+        self.salvage = on;
+    }
+
+    /// Where a salvaging source tore: the damage it ended at, if any.
+    #[must_use]
+    pub fn tear(&self) -> Option<&StreamError> {
+        self.tear.as_ref()
+    }
+
+    /// Frames read so far whose header carries the degraded-capture mark
+    /// ([`Frame::header_degraded`]): the recording run's adaptive
+    /// controller was engaged while they sealed.
+    #[must_use]
+    pub fn degraded_frames(&self) -> u64 {
+        self.degraded_frames
     }
 
     /// The codec version the recorded frames were sealed under.
@@ -201,8 +234,19 @@ impl StreamSource {
 
 impl FrameSource for StreamSource {
     fn next_frame_bytes(&mut self) -> Result<Option<Vec<u8>>, SinkError> {
+        if self.tear.is_some() {
+            return Ok(None);
+        }
         match self.reader.next_frame() {
-            Ok(frame) => Ok(frame.map(|f| f.bytes)),
+            Ok(Some(frame)) => {
+                self.degraded_frames += u64::from(Frame::header_degraded(&frame.bytes));
+                Ok(Some(frame.bytes))
+            }
+            Ok(None) => Ok(None),
+            Err(e) if self.salvage => {
+                self.tear = Some(e);
+                Ok(None)
+            }
             Err(e) => Err(SinkError::from(e)),
         }
     }
@@ -265,6 +309,50 @@ mod tests {
             assert_eq!(source.next_frame_bytes().unwrap().as_ref(), Some(img));
         }
         assert!(source.next_frame_bytes().unwrap().is_none());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_salvaging_source_ends_at_the_tear_and_counts_degraded_frames() {
+        let dir = temp_dir("salvage");
+        let writer = SegmentWriter::create(&dir, 0, 7, StreamConfig::default()).unwrap();
+        let mut sink = StreamSink::new(writer);
+        // Frames 1 and 3 carry the degraded mark (bit 30 of the count word).
+        for records in [1u32, 2 | 1 << 30, 3, 4 | 1 << 30] {
+            let img = image(records);
+            sink.put_frame(&SealedFrame {
+                bytes: &img,
+                records: records & 0xff,
+                sealed_at: 0,
+            })
+            .unwrap();
+        }
+        sink.finish_sink().unwrap();
+        // Tear the End record off: the four frames stay intact.
+        let segment = std::fs::read_dir(&dir).unwrap().next().unwrap().unwrap();
+        let bytes = std::fs::read(segment.path()).unwrap();
+        std::fs::write(segment.path(), &bytes[..bytes.len() - 9]).unwrap();
+
+        for salvage in [false, true] {
+            let mut source = StreamSource::new(SegmentReader::open(&dir, 0).unwrap());
+            source.set_salvage(salvage);
+            for _ in 0..4 {
+                assert!(source.next_frame_bytes().unwrap().is_some());
+            }
+            assert_eq!(source.degraded_frames(), 2);
+            let end = source.next_frame_bytes();
+            if salvage {
+                assert!(end.unwrap().is_none(), "a salvaging source ends cleanly");
+                assert!(matches!(
+                    source.tear(),
+                    Some(StreamError::MissingEnd { .. })
+                ));
+                assert!(source.next_frame_bytes().unwrap().is_none());
+            } else {
+                assert!(end.unwrap_err().to_string().contains("End"));
+                assert!(source.tear().is_none());
+            }
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 }

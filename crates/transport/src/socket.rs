@@ -252,8 +252,8 @@ pub struct SocketSink {
     /// exactly `sent - acked` entries.
     outstanding_bits: VecDeque<u64>,
     inflight_bits: u64,
-    /// Latched when the peer disappears (EOF on the credit channel or a
-    /// broken-pipe write).
+    /// Latched when the peer disappears (EOF or a reset on the credit
+    /// channel, a broken-pipe or reset write).
     consumer_gone: bool,
     /// Latched when a stall interrupted the write of a frame record, which
     /// may then be partly on the wire: the stream can only end torn, never
@@ -354,7 +354,8 @@ impl SocketSink {
     }
 
     /// Absorbs the credits already on the wire with one non-blocking read.
-    /// EOF latches the consumer as gone.
+    /// EOF latches the consumer as gone, and so does a reset: a consumer
+    /// that closes with frames unread resets the connection.
     pub(crate) fn drain_credits(&mut self) -> Result<(), SocketError> {
         let mut buf = [0u8; 64];
         match self.stream.read(&mut buf) {
@@ -363,15 +364,14 @@ impl SocketSink {
                 Ok(())
             }
             Ok(n) => self.absorb_credits(&buf[..n]),
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::Interrupted
-                ) =>
-            {
-                Ok(())
-            }
-            Err(e) => Err(SocketError::io(&self.endpoint, e)),
+            Err(e) => match e.kind() {
+                io::ErrorKind::WouldBlock | io::ErrorKind::Interrupted => Ok(()),
+                io::ErrorKind::ConnectionReset => {
+                    self.consumer_gone = true;
+                    Ok(())
+                }
+                _ => Err(SocketError::io(&self.endpoint, e)),
+            },
         }
     }
 
@@ -385,23 +385,25 @@ impl SocketSink {
                     return Err(SocketError::io(&self.endpoint, source));
                 }
                 Ok(n) => bytes = &bytes[n..],
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    // Credits keep arriving while the buffer drains, and
-                    // EOF on them means nobody will drain it.
-                    self.drain_credits()?;
-                    if self.consumer_gone {
+                Err(e) => match e.kind() {
+                    io::ErrorKind::WouldBlock => {
+                        // Credits keep arriving while the buffer drains, and
+                        // EOF or a reset on them means nobody will drain it.
+                        self.drain_credits()?;
+                        if self.consumer_gone {
+                            return Err(self.torn());
+                        }
+                        if !wait.pause() {
+                            return Ok(false);
+                        }
+                    }
+                    io::ErrorKind::Interrupted => {}
+                    io::ErrorKind::BrokenPipe | io::ErrorKind::ConnectionReset => {
+                        self.consumer_gone = true;
                         return Err(self.torn());
                     }
-                    if !wait.pause() {
-                        return Ok(false);
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) if e.kind() == io::ErrorKind::BrokenPipe => {
-                    self.consumer_gone = true;
-                    return Err(self.torn());
-                }
-                Err(e) => return Err(SocketError::io(&self.endpoint, e)),
+                    _ => return Err(SocketError::io(&self.endpoint, e)),
+                },
             }
         }
         Ok(true)
@@ -826,6 +828,27 @@ mod tests {
         assert!(matches!(err, SocketError::Torn { .. }), "got: {err}");
         let msg = err.to_string();
         assert!(msg.contains("tore mid-stream"), "got: {msg}");
+    }
+
+    #[test]
+    fn a_consumer_gone_with_frames_unread_is_a_tear() {
+        // Closing a Unix-domain socket with bytes still unread resets the
+        // connection, so the producer's next credit read meets a reset
+        // rather than EOF. It still means the worker left.
+        let (sink, source) = socket_pair(0, 16).unwrap();
+        let mut tx = SocketSender::new(sink, small_frames());
+        for i in 0..4 {
+            tx.push(&record(i)); // one frame, never read
+        }
+        drop(source);
+        for i in 4..8 {
+            tx.push(&record(i));
+        }
+        let err = tx.finish().unwrap_err();
+        assert!(
+            matches!(err, SocketError::Torn { frames: 1, .. }),
+            "got: {err}"
+        );
     }
 
     #[test]

@@ -52,9 +52,10 @@
 //!                 │  sealed frames → segmented  │
 //!                 │  on-disk stream, rotation + │
 //!                 │  retention (lba-record);    │
-//!                 │  run_replay re-decodes the  │
-//!                 │  recording through any      │
-//!                 │  lifeguard, byte-identical  │
+//!                 │  run_replay reads it back   │
+//!                 │  through the live consumer  │
+//!                 │  threads into any lifeguard,│
+//!                 │  byte-identical             │
 //!                 │  (LogConfig::record_to)     │
 //!                 ├─────────────────────────────┤
 //!                 │  socket wire (lbas/1 records│
@@ -93,12 +94,12 @@
 //! | `lba-cache`      | set-associative caches and the two-core memory system |
 //! | `lba-record`     | the typed event-record vocabulary the log carries (incl. `Repeat` fold summaries) + the segmented `lbas/1` flight-recorder stream format (rotation, retention, End records) |
 //! | `lba-compress`   | value-prediction log compression + chunked frame codec (< 1 byte/instr on the wire), `CODEC_VERSION` stamped into recordings |
-//! | `lba-transport`  | `ModeledFrameChannel`, the framed buffer timing model the co-simulation gives each lifeguard core; the live transport — one `FrameSender` (encoder, recording tee, degraded mark, stall latch, stats) and one `FrameReceiver` (decoder, drain drag) over two wires, the in-process SPSC queue or the `socket` module's `lbas/1` records over Unix-domain sockets with an explicit credit window so back-pressure survives the wire; both consumed a frame at a time (`pop_frame` / `recv_batch`); `shard_of` routing and per-shard channel fan-out; `FrameSink`/`FrameSource` seam with tee mirroring into recordings; the producer-visible `LoadSample` occupancy signal (the feedback arrow above) and the `FaultProfile` slow-consumer injection (the modeled channel's stall schedule, the live receivers' drain drag) |
+//! | `lba-transport`  | `ModeledFrameChannel`, the framed buffer timing model the co-simulation gives each lifeguard core; the live transport — one `FrameSender` (encoder, recording tee, degraded mark, stall latch, stats) and one `FrameReceiver` (decoder, drain drag) over two wires, the in-process SPSC queue or the `socket` module's `lbas/1` records over Unix-domain sockets with an explicit credit window so back-pressure survives the wire; both consumed a frame at a time (`pop_frame` / `recv_batch`); `shard_of` routing and per-shard channel fan-out; `FrameSink`/`FrameSource` seam with tee mirroring into recordings and `StreamSource` reading them back (degraded-frame count, salvage switch for torn tails); the producer-visible `LoadSample` occupancy signal (the feedback arrow above) and the `FaultProfile` slow-consumer injection (the modeled channel's stall schedule, the live receivers' drain drag) |
 //! | `lba-lifeguard`  | dispatch engine (`deliver_batch` for the log, per-record `deliver` for DBI), capture filters (`AddrRangeFilter` + per-contract idempotency window in one `CaptureFilter` pass), findings, flat paged shadow memory, and the `DegradationPolicy`/`RegionClassifier` graceful-degradation contracts |
 //! | `lba-lifeguards` | the four lifeguards (the paper's three + `MemProfile`); each declares its degradation tolerance next to its idempotency story |
 //! | `lba-dbi`        | Valgrind-style inline instrumentation baseline        |
 //! | `lba-workloads`  | deterministic benchmark programs                      |
-//! | `lba-core`       | ties it together: the staged capture pipeline (`pipeline::Producer` driving each mode's `pipeline::ProducerLink`), the run-mode/monitor registry (`pipeline::RUN_MODES` / `pipeline::MONITORS`), the unified `Run` builder dispatching every mode through its `RUN_MODES` row behind one validated entry point (the `run_*` functions are the per-mode implementations), one co-simulation behind `run_lba` and `run_lba_parallel` (one lifeguard core or N, one timing model), one live runner behind `run_live`, `run_live_parallel` and `run_remote` (one shard or N, queue or socket wires), the `LbaError` hierarchy folding every layer's failures (a panicking live thread included), experiments, the shared `PipelineReport` core every report derefs to, and the adaptive `CaptureController` closing the back-pressure feedback loop |
+//! | `lba-core`       | ties it together: the staged capture pipeline (`pipeline::Producer` driving each mode's `pipeline::ProducerLink`), the run-mode/monitor registry (`pipeline::RUN_MODES` / `pipeline::MONITORS`), the unified `Run` builder dispatching every mode through its `RUN_MODES` row behind one validated entry point (the `run_*` functions are the per-mode implementations), one co-simulation behind `run_lba` and `run_lba_parallel` (one lifeguard core or N, one timing model), one live runner behind `run_live`, `run_live_parallel` and `run_remote` (one shard or N, queue or socket wires) whose consumer threads also run `run_replay` (one receiver per recorded stream), the one `LbaError` type for every layer's failures (a panicking live or replay thread, an undecodable frame, a recording under another codec), experiments, the shared `PipelineReport` core every report derefs to, and the adaptive `CaptureController` closing the back-pressure feedback loop |
 //! | `lba-bench`      | table rendering, Criterion benches, `figures` binary  |
 //!
 //! ## Execution models
@@ -137,8 +138,9 @@
 //! * [`run_replay`] — offline replay: any of the modes above records its
 //!   sealed wire frames to a segmented on-disk stream
 //!   ([`LogConfig::record_to`]), and replay re-decodes the recording
-//!   through any lifeguard — findings and wire-bit accounting
-//!   byte-identical to the original run, no re-simulation
+//!   through any lifeguard on the live runner's consumer threads, one per
+//!   recorded stream — findings and wire-bit accounting byte-identical to
+//!   the original run, no re-simulation
 //!   ([`run_replay_with`] in [`ReplayMode::SalvagePrefix`] additionally
 //!   survives a torn tail segment, replaying the checksummed prefix and
 //!   reporting exactly what was lost).
@@ -204,8 +206,8 @@
 pub use lba_core::{
     experiment, live_parallel, parallel, pipeline, remote, replay, report, runner, table,
     CaptureFilter, CaptureStats, ChannelStats, IdempotencyClass, LifeguardKind, LiveReport,
-    LogConfig, LogStats, Mode, PipelineReport, RecordConfig, ReplayError, ReplayReport,
-    ReplayStreamStats, RunError, RunReport, StallBreakdown, SystemConfig, WindowSpec,
+    LogConfig, LogStats, Mode, PipelineReport, RecordConfig, ReplayReport, ReplayStreamStats,
+    RunError, RunReport, StallBreakdown, SystemConfig, WindowSpec,
 };
 // The unified entry point: one builder for every execution model, the
 // outcome type every mode-shaped report folds into, and the error

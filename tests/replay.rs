@@ -3,16 +3,20 @@
 //! byte-identical to the original run; damaged recordings produce
 //! descriptive errors, never panics; retention bounds disk.
 
+use std::collections::HashSet;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
+use std::thread::{self, ThreadId};
 
 use proptest::prelude::*;
 
 use lba::{
     run_lba, run_live, run_live_parallel, run_replay, run_replay_with, AdaptiveConfig,
-    FaultProfile, LifeguardKind, RecordConfig, ReplayError, ReplayMode, SystemConfig,
+    FaultProfile, LbaError, LifeguardKind, RecordConfig, ReplayMode, SystemConfig,
 };
-use lba_record::{segment_file_name, StreamError};
+use lba_lifeguard::{HandlerCtx, Lifeguard};
+use lba_record::{segment_file_name, EventMask, EventRecord, StreamError};
 use lba_workloads::{bugs, Benchmark};
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -104,6 +108,59 @@ fn live_parallel_recording_replays_byte_identical_per_shard() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A lifeguard that notes which thread consumed it.
+struct ThreadNoting {
+    inner: Box<dyn Lifeguard>,
+    threads: Arc<Mutex<HashSet<ThreadId>>>,
+}
+
+impl Lifeguard for ThreadNoting {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+
+    fn subscriptions(&self) -> EventMask {
+        self.inner.subscriptions()
+    }
+
+    fn on_event(&mut self, record: &EventRecord, ctx: &mut HandlerCtx<'_>) {
+        self.inner.on_event(record, ctx);
+    }
+
+    fn on_finish(&mut self, ctx: &mut HandlerCtx<'_>) {
+        self.threads.lock().unwrap().insert(thread::current().id());
+        self.inner.on_finish(ctx);
+    }
+}
+
+#[test]
+fn a_sharded_recording_replays_n_wide() {
+    // A replay is the live consumer reading a recording: each recorded
+    // stream gets its own consumer thread, as each shard did live.
+    let program = bugs::memory_bugs();
+    let dir = temp_dir("n-wide");
+    let config = recording_config(&dir);
+    let kind = LifeguardKind::AddrCheck;
+    let original = run_live_parallel(&program, || kind.make_lba(), 3, &config).unwrap();
+
+    let threads = Arc::new(Mutex::new(HashSet::new()));
+    let make = || -> Box<dyn Lifeguard> {
+        Box::new(ThreadNoting {
+            inner: kind.make_lba(),
+            threads: Arc::clone(&threads),
+        })
+    };
+    let replay = run_replay(&dir, make, &config).unwrap();
+    assert_eq!(threads.lock().unwrap().len(), 3, "one thread per stream");
+    assert_eq!(replay.findings, original.findings);
+    assert_eq!(replay.streams.len(), 3, "one recorded stream per shard");
+    for (stream, shard) in replay.streams.iter().zip(&original.shard_log) {
+        assert_eq!(stream.records, shard.records, "shard {}", stream.stream);
+        assert_eq!(stream.wire_bits, shard.wire_bits, "shard {}", stream.stream);
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn replay_through_a_different_lifeguard_works() {
     // The retroactive-monitoring story: AddrCheck ran live; MemProfile-
@@ -155,7 +212,7 @@ fn retention_cap_bounds_disk_and_replay_reports_aged_out() {
     assert!(
         matches!(
             &err,
-            ReplayError::Stream(StreamError::MissingSegments {
+            LbaError::Stream(StreamError::MissingSegments {
                 expected_seq: 0,
                 ..
             })
@@ -181,7 +238,7 @@ fn damaged_recordings_error_descriptively() {
     std::fs::write(&segment, &pristine[..pristine.len() - 11]).unwrap();
     let err = run_replay(&dir, || kind.make_lba(), &config).unwrap_err();
     assert!(
-        matches!(&err, ReplayError::Stream(StreamError::Truncated { .. })),
+        matches!(&err, LbaError::Stream(StreamError::Truncated { .. })),
         "got: {err}"
     );
 
@@ -189,7 +246,7 @@ fn damaged_recordings_error_descriptively() {
     std::fs::write(&segment, &pristine[..pristine.len() - 9]).unwrap();
     let err = run_replay(&dir, || kind.make_lba(), &config).unwrap_err();
     assert!(
-        matches!(&err, ReplayError::Stream(StreamError::MissingEnd { .. })),
+        matches!(&err, LbaError::Stream(StreamError::MissingEnd { .. })),
         "got: {err}"
     );
 
@@ -199,7 +256,7 @@ fn damaged_recordings_error_descriptively() {
     std::fs::write(&segment, &bytes).unwrap();
     let err = run_replay(&dir, || kind.make_lba(), &config).unwrap_err();
     assert!(
-        matches!(&err, ReplayError::Stream(StreamError::UnknownVersion { version, .. }) if version == "7"),
+        matches!(&err, LbaError::Stream(StreamError::UnknownVersion { version, .. }) if version == "7"),
         "got: {err}"
     );
 
@@ -210,7 +267,7 @@ fn damaged_recordings_error_descriptively() {
     std::fs::write(&segment, &bytes).unwrap();
     let err = run_replay(&dir, || kind.make_lba(), &config).unwrap_err();
     assert!(
-        matches!(&err, ReplayError::Stream(StreamError::Corrupt { .. })),
+        matches!(&err, LbaError::Stream(StreamError::Corrupt { .. })),
         "got: {err}"
     );
     assert!(err.to_string().contains("checksum mismatch"), "got: {err}");
@@ -221,14 +278,14 @@ fn damaged_recordings_error_descriptively() {
     std::fs::write(&segment, &bytes).unwrap();
     let err = run_replay(&dir, || kind.make_lba(), &config).unwrap_err();
     assert!(
-        matches!(&err, ReplayError::CodecMismatch { recorded: 999, .. }),
+        matches!(&err, LbaError::CodecMismatch { recorded: 999, .. }),
         "got: {err}"
     );
 
     // An empty recording directory is its own descriptive error.
     std::fs::remove_file(&segment).unwrap();
     let err = run_replay(&dir, || kind.make_lba(), &config).unwrap_err();
-    assert!(matches!(&err, ReplayError::NoStreams { .. }), "got: {err}");
+    assert!(matches!(&err, LbaError::NoStreams { .. }), "got: {err}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -341,7 +398,7 @@ fn salvage_prefix_keeps_pre_frame_damage_fatal() {
     let err =
         run_replay_with(&dir, || kind.make_lba(), &config, ReplayMode::SalvagePrefix).unwrap_err();
     assert!(
-        matches!(&err, ReplayError::CodecMismatch { recorded: 999, .. }),
+        matches!(&err, LbaError::CodecMismatch { recorded: 999, .. }),
         "got: {err}"
     );
 
@@ -351,17 +408,14 @@ fn salvage_prefix_keeps_pre_frame_damage_fatal() {
     let err =
         run_replay_with(&dir, || kind.make_lba(), &config, ReplayMode::SalvagePrefix).unwrap_err();
     assert!(
-        matches!(
-            &err,
-            ReplayError::Stream(StreamError::UnknownVersion { .. })
-        ),
+        matches!(&err, LbaError::Stream(StreamError::UnknownVersion { .. })),
         "got: {err}"
     );
 
     std::fs::remove_file(&segment).unwrap();
     let err =
         run_replay_with(&dir, || kind.make_lba(), &config, ReplayMode::SalvagePrefix).unwrap_err();
-    assert!(matches!(&err, ReplayError::NoStreams { .. }), "got: {err}");
+    assert!(matches!(&err, LbaError::NoStreams { .. }), "got: {err}");
     std::fs::remove_dir_all(&dir).ok();
 }
 

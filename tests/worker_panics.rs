@@ -1,12 +1,15 @@
-//! Failure containment in the live modes: a panic on any thread of a live
-//! run comes back as `LbaError::Panicked` naming the thread, not as a
-//! harness panic, and not as the socket tear it leaves under `run_remote`.
+//! Failure containment in the live modes and replay: a panic on any thread
+//! of a live run or a replay comes back as `LbaError::Panicked` naming the
+//! thread, not as a harness panic, and not as the socket tear it leaves
+//! under `run_remote`.
 
+use std::fmt::Debug;
 use std::time::{Duration, Instant};
 
 use lba::{
-    run_live, run_live_parallel, run_remote, AdaptiveConfig, DegradationPolicy, LbaError,
-    LiveReport, RegionClassifier, SystemConfig,
+    run_live, run_live_parallel, run_remote, run_replay, AdaptiveConfig, DegradationPolicy,
+    LbaError, LifeguardKind, MonitorSpec, RecordConfig, RegionClassifier, Run, RunMode,
+    SystemConfig,
 };
 use lba_isa::Program;
 use lba_lifeguard::{HandlerCtx, Lifeguard};
@@ -77,8 +80,15 @@ impl RegionClassifier for BuggyClassifier {
     }
 }
 
+/// The buggy lifeguard as a registry row, for the `Run` builder.
+static BUGGY: MonitorSpec = MonitorSpec {
+    name: "buggy-addrcheck",
+    make: || buggy(false),
+    shardable: true,
+};
+
 /// Runs `run` on gzip, which must fail within 30 s (its threads all end).
-fn failure(run: impl FnOnce(&Program) -> Result<LiveReport, LbaError>) -> LbaError {
+fn failure<T: Debug>(run: impl FnOnce(&Program) -> Result<T, LbaError>) -> LbaError {
     let started = Instant::now();
     let err = run(&Benchmark::Gzip.build()).unwrap_err();
     assert!(started.elapsed() < Duration::from_secs(30), "{err}");
@@ -88,12 +98,28 @@ fn failure(run: impl FnOnce(&Program) -> Result<LiveReport, LbaError>) -> LbaErr
 #[test]
 fn a_lifeguard_panic_is_an_error_naming_the_shard_and_lifeguard() {
     let config = SystemConfig::default();
+    // A clean two-shard recording, replayed below through the buggy one.
+    let dir = std::env::temp_dir().join(format!("lba-worker-panics-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let mut recording = SystemConfig::default();
+    recording.log.record_to = Some(RecordConfig::new(&dir));
+    let make = || LifeguardKind::AddrCheck.make_lba();
+    run_live_parallel(&Benchmark::Gzip.build(), make, 2, &recording).unwrap();
     let errors = [
         failure(|program| run_live(program, buggy(false).as_mut(), &config)),
         failure(|program| run_live_parallel(program, || buggy(false), 2, &config)),
         // The worker's panic, not the tear it leaves on the producer's side.
         failure(|program| run_remote(program, || buggy(false), 1, &config)),
+        // A replay's lifeguards run on the live consumer threads too.
+        failure(|_| run_replay(&dir, || buggy(false), &config)),
+        failure(|program| {
+            (Run::new(program).mode(RunMode::Replay).monitor(&BUGGY))
+                .config(&config)
+                .replay_from(&dir)
+                .run()
+        }),
     ];
+    std::fs::remove_dir_all(&dir).ok();
     for err in errors {
         assert!(matches!(err, LbaError::Panicked { .. }), "got: {err}");
         let msg = err.to_string();
