@@ -10,7 +10,7 @@ use lba_dbi::DbiConfig;
 use lba_lifeguard::{
     AddrRangeFilter, CaptureFilter, DegradationPolicy, DispatchConfig, IdempotencyClass,
 };
-use lba_record::StreamConfig;
+use lba_record::{FrameCountWord, StreamConfig};
 use lba_transport::FaultProfile;
 
 use crate::controller::AdaptiveConfig;
@@ -103,8 +103,10 @@ pub struct LogConfig {
     /// [`IdempotencyClass::None`](lba_lifeguard::IdempotencyClass::None)
     /// is never filtered regardless of this setting.
     pub idempotency_window: usize,
-    /// Validate compressor/decompressor round-trip at end of run
-    /// (test/debug aid; costs memory proportional to the trace).
+    /// Decode each frame with the real codec as it passes and check it
+    /// against the records pushed into it (test/debug aid; one frame of
+    /// scratch memory). The co-simulation checks each frame as it seals;
+    /// the live modes decode every frame anyway and ignore this flag.
     pub verify_compression: bool,
     /// When set, the run mirrors every sealed wire frame into a durable
     /// segmented stream under this recording configuration (the flight
@@ -229,10 +231,19 @@ impl LogConfig {
     /// # Errors
     ///
     /// [`RunError::ZeroRecordsPerFrame`](lba_cpu::RunError::ZeroRecordsPerFrame)
-    /// when `records_per_frame` is zero.
+    /// when `records_per_frame` is zero, and
+    /// [`RunError::RecordsPerFrameTooLarge`](lba_cpu::RunError::RecordsPerFrameTooLarge)
+    /// when it exceeds [`FrameCountWord::MAX_RECORDS`].
     pub fn validate_framing(&self) -> Result<(), lba_cpu::RunError> {
         if self.records_per_frame == 0 {
             return Err(lba_cpu::RunError::ZeroRecordsPerFrame);
+        }
+        let max = FrameCountWord::MAX_RECORDS as usize;
+        if self.records_per_frame > max {
+            return Err(lba_cpu::RunError::RecordsPerFrameTooLarge {
+                records_per_frame: self.records_per_frame,
+                max,
+            });
         }
         Ok(())
     }

@@ -39,8 +39,9 @@ use lba_transport::LoadSample;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AdaptiveConfig {
     /// Transport occupancy (permille) at or above which degradation
-    /// engages. Parked frames push occupancy past 1000, so a threshold
-    /// above 1000 engages only under genuine back-pressure.
+    /// engages. Occupancy tops out at 1000 (full) except when the modeled
+    /// channel admits a frame larger than its whole budget, so a
+    /// threshold above 1000 engages only on such an oversized frame.
     pub engage_permille: u32,
     /// Occupancy (permille) at or below which degradation disengages.
     /// Must sit well under `engage_permille` or the controller flaps.

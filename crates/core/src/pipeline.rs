@@ -315,24 +315,22 @@ pub enum TopologyKind {
     Replay,
 }
 
-/// One run mode in the registry: what topology it instantiates, which lifeguards it supports, how its outcome relates
-/// to the sequential `run_lba` baseline, which benchmark trajectory
-/// series it owns, and how the [`Run`] builder dispatches it.
+/// One run mode in the registry: what topology it instantiates (and so
+/// how its outcome relates to the sequential `run_lba` baseline), which
+/// lifeguards it supports, which benchmark trajectory series it owns, and
+/// how the [`Run`] builder dispatches it.
 #[derive(Debug, Clone, Copy)]
 pub struct RunModeSpec {
     /// Stable mode name.
     pub name: &'static str,
     /// The builder mode this row dispatches.
     pub mode: RunMode,
-    /// Consumer topology shape.
+    /// Consumer topology shape. It also fixes the mode's contract with
+    /// the `run_lba` baseline: a [`Sharded`](TopologyKind::Sharded) mode
+    /// merges its consumers' findings (equal to the baseline's as a set)
+    /// and ships its own record and wire counts; every other mode matches
+    /// the baseline's findings, records and wire bits exactly.
     pub topology: TopologyKind,
-    /// Whether the mode's findings are a dedup-merge over consumers
-    /// (compare as sets against the baseline) rather than byte-identical.
-    pub merged_findings: bool,
-    /// Whether the mode ships exactly the baseline's record count.
-    pub exact_records: bool,
-    /// Whether the mode ships exactly the baseline's wire bits.
-    pub exact_wire: bool,
     /// Whether this lifeguard can run under this mode.
     pub supports: fn(&MonitorSpec) -> bool,
     /// Runs a request for this mode. [`Run::run`] checks the `supports`
@@ -352,20 +350,18 @@ fn supports_shardable(spec: &MonitorSpec) -> bool {
     spec.shardable
 }
 
-/// Every run mode the harnesses drive, with its topology, support
-/// predicate, baseline-equivalence contract and dispatch hook. The [`Run`]
-/// builder dispatches through this table, and `lba_bench::pipeline` and
-/// `tests/equivalence.rs` derive their mode enumerations from it; the
-/// union of `bench_series` (plus the consumption-only `"consume"` series)
-/// is exactly the committed `BENCH_pipeline.json` trajectory.
+/// Every run mode the harnesses drive, with its topology (which fixes its
+/// baseline-equivalence contract), support predicate and dispatch hook.
+/// The [`Run`] builder dispatches through this table, and
+/// `lba_bench::pipeline` and `tests/equivalence.rs` derive their mode
+/// enumerations from it; the union of `bench_series` (plus the
+/// consumption-only `"consume"` series) is exactly the committed
+/// `BENCH_pipeline.json` trajectory.
 pub const RUN_MODES: [RunModeSpec; 6] = [
     RunModeSpec {
         name: "lba",
         mode: RunMode::Lba,
         topology: TopologyKind::Single,
-        merged_findings: false,
-        exact_records: true,
-        exact_wire: true,
         supports: supports_all,
         run: |run| {
             let mut lifeguard = (run.monitor.make)();
@@ -378,9 +374,6 @@ pub const RUN_MODES: [RunModeSpec; 6] = [
         name: "live",
         mode: RunMode::Live,
         topology: TopologyKind::Single,
-        merged_findings: false,
-        exact_records: true,
-        exact_wire: true,
         supports: supports_all,
         run: |run| {
             let mut lifeguard = (run.monitor.make)();
@@ -394,9 +387,6 @@ pub const RUN_MODES: [RunModeSpec; 6] = [
         name: "lba-parallel",
         mode: RunMode::LbaParallel,
         topology: TopologyKind::Sharded,
-        merged_findings: true,
-        exact_records: false,
-        exact_wire: false,
         supports: supports_shardable,
         run: |run| {
             let report = crate::parallel::run_lba_parallel(
@@ -413,9 +403,6 @@ pub const RUN_MODES: [RunModeSpec; 6] = [
         name: "live-parallel",
         mode: RunMode::LiveParallel,
         topology: TopologyKind::Sharded,
-        merged_findings: true,
-        exact_records: false,
-        exact_wire: false,
         supports: supports_shardable,
         run: |run| {
             let report = crate::live_parallel::run_live_parallel(
@@ -432,9 +419,6 @@ pub const RUN_MODES: [RunModeSpec; 6] = [
         name: "remote",
         mode: RunMode::Remote,
         topology: TopologyKind::Sharded,
-        merged_findings: true,
-        exact_records: false,
-        exact_wire: false,
         supports: supports_shardable,
         run: |run| {
             let report =
@@ -447,9 +431,6 @@ pub const RUN_MODES: [RunModeSpec; 6] = [
         name: "replay",
         mode: RunMode::Replay,
         topology: TopologyKind::Replay,
-        merged_findings: false,
-        exact_records: true,
-        exact_wire: true,
         supports: supports_all,
         run: |run| {
             let report = crate::replay::run_replay_with(
@@ -523,15 +504,6 @@ mod tests {
                     ),
                     TopologyKind::Single | TopologyKind::Replay => {}
                 }
-            }
-            // Wire-exactness is only claimable on top of record-exactness:
-            // the same records are a precondition for the same bits.
-            if mode.exact_wire {
-                assert!(
-                    mode.exact_records,
-                    "{}: exact wire bits imply exact records",
-                    mode.name
-                );
             }
         }
     }

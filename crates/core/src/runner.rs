@@ -321,6 +321,7 @@ impl fmt::Display for RunOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lba_cpu::RunError;
     use lba_lifeguard::FindingKind;
     use lba_workloads::bugs;
 
@@ -418,6 +419,34 @@ mod tests {
             .run()
             .unwrap_err();
         assert!(matches!(err, LbaError::InvalidRequest { .. }));
+    }
+
+    #[test]
+    fn an_oversized_frame_is_a_config_error_not_a_panic() {
+        let program = bugs::memory_bugs();
+        let max = lba_record::FrameCountWord::MAX_RECORDS as usize;
+        let mut config = SystemConfig::default();
+        config.log.records_per_frame = max + 1;
+        let expected = RunError::RecordsPerFrameTooLarge {
+            records_per_frame: max + 1,
+            max,
+        };
+        let message = expected.to_string();
+        assert!(
+            message.contains(&(max + 1).to_string()) && message.contains(&max.to_string()),
+            "the message names the value and the limit: {message}"
+        );
+        for mode in RUN_MODES.iter().filter(|m| m.mode != RunMode::Replay) {
+            let outcome = Run::new(&program)
+                .mode(mode.mode)
+                .monitor(LifeguardKind::AddrCheck)
+                .config(&config)
+                .run();
+            match outcome {
+                Err(LbaError::Run(err)) => assert_eq!(err, expected, "{}", mode.name),
+                other => panic!("{}: expected a config error, got {other:?}", mode.name),
+            }
+        }
     }
 
     #[test]

@@ -44,6 +44,14 @@ pub enum RunError {
     /// `records_per_frame` was configured to zero: no frame could ever
     /// seal, so no record would reach the lifeguard.
     ZeroRecordsPerFrame,
+    /// `records_per_frame` was configured above what a frame's record
+    /// count can express, so no frame of that size could ever seal.
+    RecordsPerFrameTooLarge {
+        /// The configured `records_per_frame`.
+        records_per_frame: usize,
+        /// The most records one frame can carry.
+        max: usize,
+    },
     /// The live log channel's consumer stopped draining for longer than
     /// the configured stall timeout
     /// (`LogConfig::channel_stall_timeout`): the producer latched the
@@ -83,6 +91,13 @@ impl fmt::Display for RunError {
             RunError::ZeroRecordsPerFrame => {
                 write!(f, "log records_per_frame must be non-zero")
             }
+            RunError::RecordsPerFrameTooLarge {
+                records_per_frame,
+                max,
+            } => write!(
+                f,
+                "log records_per_frame of {records_per_frame} exceeds the {max} records one frame can carry"
+            ),
             RunError::ChannelStalled => write!(
                 f,
                 "log channel stalled: the consumer stopped draining past the configured timeout"

@@ -25,7 +25,6 @@ mod event;
 mod mask;
 mod stats;
 mod stream;
-mod trace;
 
 pub use event::{DecodeRecordError, EventKind, EventRecord, RAW_RECORD_BYTES};
 pub use mask::EventMask;
@@ -36,4 +35,3 @@ pub use stream::{
     StreamFrame, StreamHeader, StreamSummary, END_RECORD_BYTES, FRAME_RECORD_HEADER_BYTES,
     SEGMENT_HEADER_BYTES, STREAM_FORMAT, TAG_END, TAG_FRAME,
 };
-pub use trace::{TraceError, TraceReader, TraceWriter};

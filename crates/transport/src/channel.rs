@@ -42,14 +42,15 @@ pub fn shard_of(record: &EventRecord, shards: usize) -> Option<usize> {
 /// signal the adaptive capture controller steers by.
 ///
 /// Units are transport-specific: bits for the modeled byte-budget buffer,
-/// queue slots for the live frame queue. Only the *ratio* matters, which
-/// is what [`occupancy_permille`](Self::occupancy_permille) exposes; the
-/// controller's hysteresis thresholds are expressed in permille so they
-/// apply uniformly to both transports.
+/// frames for the live queue and the socket window. Only the *ratio*
+/// matters, which is what [`occupancy_permille`](Self::occupancy_permille)
+/// exposes; the controller's hysteresis thresholds are expressed in
+/// permille so they apply uniformly to every transport.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LoadSample {
-    /// Occupied transport units currently in flight toward the consumer
-    /// (parked frames included — they are the clearest overload signal).
+    /// Occupied transport units currently in flight toward the consumer:
+    /// the admitted frames' bits in the modeled buffer, the queued frames
+    /// of the live queue, the uncredited frames of the socket window.
     pub inflight: u64,
     /// The transport's capacity in the same units.
     pub capacity: u64,
@@ -57,8 +58,9 @@ pub struct LoadSample {
 
 impl LoadSample {
     /// Occupancy as a permille ratio (0 = empty, 1000 = full). Exceeds
-    /// 1000 when parked frames or an oversized admission leave the
-    /// transport over-committed.
+    /// 1000 only when the modeled channel admits a frame larger than its
+    /// whole budget into an empty buffer; the live queue and the socket
+    /// window never exceed it.
     #[must_use]
     pub fn occupancy_permille(&self) -> u32 {
         if self.capacity == 0 {

@@ -6,9 +6,10 @@
 //! slowness for both execution models:
 //!
 //! * [`ModeledFrameChannel::set_fault`](crate::ModeledFrameChannel::set_fault)
-//!   stalls the modeled consumer on a deterministic schedule (every
-//!   `stall_period` pops, the next `stall_burst` pops yield nothing),
-//!   modelling a lifeguard core that falls behind. The injection is
+//!   stalls the modeled consumer on a deterministic schedule (after every
+//!   `stall_period` pops it lets through, a pop of an empty channel
+//!   included, the next `stall_burst` pops yield nothing), modelling a
+//!   lifeguard core that falls behind. The injection is
 //!   *liveness-preserving*: while the producer has a parked frame the
 //!   channel is already under real back-pressure and the run loop must
 //!   drain to make progress, so those pops pass through untouched.
@@ -27,8 +28,9 @@
 /// experiment.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultProfile {
-    /// Modeled consumer stall: after every `stall_period` successful
-    /// pops, the next [`stall_burst`](Self::stall_burst) pops yield
+    /// Modeled consumer stall: after every `stall_period` pops the
+    /// schedule lets through (a pop that finds the channel empty counts
+    /// too), the next [`stall_burst`](Self::stall_burst) pops yield
     /// nothing. Zero disables the stall schedule.
     pub stall_period: u32,
     /// Consecutive pops refused per stall episode.
@@ -68,7 +70,8 @@ impl FaultProfile {
 #[derive(Debug, Default)]
 pub(crate) struct StallSchedule {
     profile: FaultProfile,
-    /// Successful pops since the last stall episode.
+    /// Pops let through since the last stall episode, empty pops
+    /// included.
     pops: u64,
     /// Pops still to refuse in the current stall episode.
     stall_left: u32,
@@ -99,7 +102,7 @@ impl StallSchedule {
             .pops
             .is_multiple_of(u64::from(self.profile.stall_period))
         {
-            // The period-th successful pop arms the episode: the *next*
+            // The period-th pop let through arms the episode: the *next*
             // `stall_burst` pops are refused.
             self.stall_left = self.profile.stall_burst;
         }
@@ -157,6 +160,25 @@ mod tests {
         assert!(a.contains(&false), "the schedule must actually fire");
         // Every 4 successful pops are followed by 2 refusals.
         assert_eq!(&a[0..6], &[true, true, true, true, false, false]);
+    }
+
+    #[test]
+    fn an_empty_pop_counts_toward_the_stall_period() {
+        let profile = FaultProfile {
+            stall_period: 2,
+            stall_burst: 1,
+            ..FaultProfile::default()
+        };
+        let mut ch = ModeledFrameChannel::new(1 << 16, config(2), false);
+        ch.set_fault(profile);
+        // Two pops of an empty channel complete the period…
+        assert!(ch.pop_frame().is_none());
+        assert!(ch.pop_frame().is_none());
+        ch.push_record(&rec(0), 0);
+        ch.push_record(&rec(1), 1);
+        // …so the pop of the queued frame is refused, and the next succeeds.
+        assert!(ch.pop_frame().is_none(), "the armed episode refuses it");
+        assert_eq!(ch.pop_frame().unwrap().records, [rec(0), rec(1)]);
     }
 
     #[test]

@@ -8,12 +8,12 @@
 //! take them a frame at a time:
 //!
 //! * [`ModeledFrameChannel`] — the deterministic timing model the
-//!   co-simulation gives each lifeguard core: a real encoder around
-//!   [`LogBufferModel`], a bounded byte-budget frame queue whose entries
-//!   carry their production timestamps, giving exact back-pressure
-//!   (producer stalls on full) and lag (consumer waits on empty)
-//!   behaviour. [`ModeledFrameChannel::pop_frame`] lends a whole frame out
-//!   as one slice with a single `ready_at` stamp.
+//!   co-simulation gives each lifeguard core: a real encoder feeding one
+//!   bounded byte-budget queue of sealed frames, each carrying its records
+//!   and its production timestamp, giving exact back-pressure (producer
+//!   stalls on full) and lag (consumer waits on empty) behaviour.
+//!   [`ModeledFrameChannel::pop_frame`] lends a whole frame out as one
+//!   slice with a single `ready_at` stamp.
 //! * [`live`] — the transport of the "live monitoring" modes, where
 //!   application and lifeguard genuinely run on different OS threads: one
 //!   [`live::FrameSender`] and one [`live::FrameReceiver`] over either of
@@ -54,7 +54,7 @@ pub mod socket;
 
 pub use channel::{shard_of, ChannelStats, LoadSample, PoppedFrame, PushOutcome};
 pub use fault::FaultProfile;
-pub use model::{BufferFullError, LogBufferModel, ModeledFrameChannel, TimedFrame, TransportStats};
+pub use model::ModeledFrameChannel;
 pub use sink::{
     ChannelTee, FrameSink, FrameSource, SealedFrame, SinkError, StreamSink, StreamSource,
 };

@@ -1,9 +1,8 @@
-//! The co-simulation's transport: a deterministic, timed log-buffer model
-//! accounted in frames ([`LogBufferModel`]) and the framed channel built on
-//! it ([`ModeledFrameChannel`]), one per modeled lifeguard core.
+//! The co-simulation's transport: [`ModeledFrameChannel`], the
+//! deterministic, timed log buffer one modeled lifeguard core drains a
+//! frame at a time.
 
 use std::collections::VecDeque;
-use std::fmt;
 
 use lba_compress::{Frame, FrameConfig, FrameDecoder, FrameEncoder, FRAME_LINE_BYTES};
 use lba_record::EventRecord;
@@ -12,184 +11,41 @@ use crate::channel::{ChannelStats, LoadSample, PoppedFrame, PushOutcome};
 use crate::fault::{FaultProfile, StallSchedule};
 use crate::sink::{ChannelTee, FrameSink, SealedFrame, SinkError};
 
-/// A sealed log frame annotated with its production time.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TimedFrame {
-    /// The frame's wire image (header + payload + padding).
-    pub bytes: Vec<u8>,
-    /// Records carried.
-    pub records: u32,
-    /// Producer-core cycle at which the frame became available.
-    pub ready_at: u64,
-}
-
-impl TimedFrame {
-    /// Wire bits this frame occupies in the buffer.
-    #[must_use]
-    pub fn wire_bits(&self) -> u64 {
-        self.bytes.len() as u64 * 8
-    }
-}
-
-/// Error returned by [`LogBufferModel::try_push`] when the buffer cannot
-/// accept the frame.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BufferFullError {
-    /// The frame that was rejected, handed back to the caller.
-    pub frame: TimedFrame,
-    /// Bits currently free.
-    pub free_bits: u64,
-}
-
-impl fmt::Display for BufferFullError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "log buffer full: need {} bits, {} free",
-            self.frame.wire_bits(),
-            self.free_bits
-        )
-    }
-}
-
-impl std::error::Error for BufferFullError {}
-
-/// Occupancy statistics for a [`LogBufferModel`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TransportStats {
-    /// Frames pushed over the buffer's lifetime.
-    pub frames: u64,
-    /// Total wire bits pushed.
-    pub wire_bits: u64,
-    /// High-water mark of occupancy, in bits.
-    pub high_water_bits: u64,
-}
-
-/// The bounded log buffer connecting the two cores, with timestamped
-/// frames for exact back-pressure simulation.
-///
-/// Capacity is a *byte* budget: the paper sizes the buffer as a memory
-/// region in the cache hierarchy. Occupancy is accounted in whole frames —
-/// the transport unit is a cache-line multiple, not a record.
-///
-/// # Examples
-///
-/// ```
-/// use lba_transport::{LogBufferModel, TimedFrame};
-///
-/// let mut buf = LogBufferModel::new(256); // 256-byte budget: four lines
-/// let frame = TimedFrame { bytes: vec![0; 64], records: 10, ready_at: 100 };
-/// assert!(buf.try_push(frame).is_ok());
-/// let frame = buf.pop().expect("one frame queued");
-/// assert_eq!(frame.ready_at, 100);
-/// ```
-#[derive(Debug, Clone)]
-pub struct LogBufferModel {
-    capacity_bits: u64,
-    queue: VecDeque<TimedFrame>,
-    occupied_bits: u64,
-    stats: TransportStats,
-}
-
-impl LogBufferModel {
-    /// Creates a buffer with a capacity of `capacity_bytes` bytes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity_bytes` is zero.
-    #[must_use]
-    pub fn new(capacity_bytes: u64) -> Self {
-        assert!(capacity_bytes > 0, "log buffer capacity must be non-zero");
-        LogBufferModel {
-            capacity_bits: capacity_bytes * 8,
-            queue: VecDeque::new(),
-            occupied_bits: 0,
-            stats: TransportStats::default(),
-        }
-    }
-
-    /// Capacity in bits.
-    #[must_use]
-    pub fn capacity_bits(&self) -> u64 {
-        self.capacity_bits
-    }
-
-    /// Occupied bits.
-    #[must_use]
-    pub fn occupied_bits(&self) -> u64 {
-        self.occupied_bits
-    }
-
-    /// Whether a frame of `bits` fits right now.
-    ///
-    /// Oversized frames (larger than the whole buffer) are admitted when
-    /// the buffer is empty, so a single huge frame cannot wedge the
-    /// pipeline.
-    #[must_use]
-    pub fn fits(&self, bits: u64) -> bool {
-        self.occupied_bits + bits <= self.capacity_bits || self.queue.is_empty()
-    }
-
-    /// Whether the buffer is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.queue.is_empty()
-    }
-
-    /// Lifetime statistics.
-    #[must_use]
-    pub fn stats(&self) -> TransportStats {
-        self.stats
-    }
-
-    /// Pushes a sealed frame.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BufferFullError`] (carrying the frame back) when it does
-    /// not fit; the caller must drain frames and retry, charging the
-    /// producer core the stall time.
-    pub fn try_push(&mut self, frame: TimedFrame) -> Result<(), BufferFullError> {
-        let bits = frame.wire_bits();
-        if !self.fits(bits) {
-            return Err(BufferFullError {
-                frame,
-                // Saturating: an admitted oversized frame can leave the
-                // buffer over-full.
-                free_bits: self.capacity_bits.saturating_sub(self.occupied_bits),
-            });
-        }
-        self.occupied_bits += bits;
-        self.stats.frames += 1;
-        self.stats.wire_bits += bits;
-        self.stats.high_water_bits = self.stats.high_water_bits.max(self.occupied_bits);
-        self.queue.push_back(frame);
-        Ok(())
-    }
-
-    /// Removes and returns the oldest frame, freeing its bits.
-    pub fn pop(&mut self) -> Option<TimedFrame> {
-        let frame = self.queue.pop_front()?;
-        self.occupied_bits -= frame.wire_bits();
-        Some(frame)
-    }
+/// One sealed frame in the channel's queue.
+#[derive(Debug)]
+struct QueuedFrame {
+    /// The records the frame carries, in capture order.
+    records: Vec<EventRecord>,
+    /// Bits the frame's wire image occupies in the buffer.
+    wire_bits: u64,
+    /// Producer-core cycle at which the frame entered the buffer (its seal
+    /// stamp while it is parked).
+    ready_at: u64,
 }
 
 /// The deterministic framed log channel: a real [`FrameEncoder`] feeding a
-/// [`LogBufferModel`], consumed frame-at-a-time by the dispatch engine.
+/// bounded byte-budget buffer, consumed frame-at-a-time by the dispatch
+/// engine.
 ///
 /// The co-simulation drives one per lifeguard core. Records are pushed on
 /// the producer side, whole frames are popped on the consumer side with
-/// their production timestamps, and statistics are kept in wire bytes, so
-/// back-pressure (the producer stalls on a full buffer) and lag (the
-/// consumer waits on an empty one) are exact. The paper's decompressor is a
-/// *hardware* engine on the lifeguard core — its cost is part of the
-/// dispatch cycle model, not host work — so popping a frame hands back the
-/// pushed records instead of re-running the decoder in software: sealed
-/// frames carry their records alongside the wire bytes, while the wire
-/// accounting (and back-pressure timing) comes from the genuinely encoded
-/// frames. With `verify` set, every popped frame is additionally decoded
-/// with the real codec and cross-checked against the pushed records;
+/// their production timestamps, and the buffer is accounted in wire bits,
+/// so back-pressure (the producer stalls on a full buffer) and lag (the
+/// consumer waits on an empty one) are exact. Capacity is a *byte* budget,
+/// as the paper sizes the buffer as a region of the cache hierarchy, and
+/// occupancy moves in whole frames: the transport unit is a cache-line
+/// multiple, not a record. A frame larger than the whole budget is
+/// admitted into an empty buffer, so one huge frame cannot wedge the
+/// pipeline.
+///
+/// The paper's decompressor is a *hardware* engine on the lifeguard core —
+/// its cost is part of the dispatch cycle model, not host work — so popping
+/// a frame hands back the pushed records instead of re-running the decoder
+/// in software, while the wire accounting (and back-pressure timing) comes
+/// from the genuinely encoded frames. No wire image outlives its seal: the
+/// tee mirrors it, then its buffer goes back to the encoder. With `verify`
+/// set, each frame is decoded with the real codec as it seals, in the
+/// order it will be popped, and cross-checked against the pushed records;
 /// losslessness is further enforced by the live channel (which always
 /// decodes for real) and the round-trip suites.
 ///
@@ -203,23 +59,26 @@ impl LogBufferModel {
 #[derive(Debug)]
 pub struct ModeledFrameChannel {
     encoder: FrameEncoder,
-    decoder: FrameDecoder,
-    buffer: LogBufferModel,
-    /// Sealed frames awaiting space, oldest first.
-    parked: VecDeque<Frame>,
-    verify: bool,
-    scratch: Vec<EventRecord>,
-    /// The popped frame's records, lent out by
-    /// [`pop_frame`](Self::pop_frame).
-    batch: Vec<EventRecord>,
+    /// The real decoder, present only under `verify`.
+    verifier: Option<FrameDecoder>,
+    capacity_bits: u64,
+    /// Sealed frames in seal order, which is also pop order. The first
+    /// `admitted` occupy the buffer; the rest are parked awaiting space.
+    queue: VecDeque<QueuedFrame>,
+    admitted: usize,
+    /// Wire bits of the admitted frames.
+    occupied_bits: u64,
+    high_water_bits: u64,
     /// Records of the frame currently being staged (not yet sealed by the
     /// encoder).
     staging: Vec<EventRecord>,
-    /// Sealed frames' record batches in seal order, which is also pop
-    /// order (parked frames preserve FIFO).
-    ready: VecDeque<Vec<EventRecord>>,
+    /// The popped frame's records, lent out by
+    /// [`pop_frame`](Self::pop_frame).
+    batch: Vec<EventRecord>,
     /// Spent record batches recycled to avoid per-frame allocations.
     batch_pool: Vec<Vec<EventRecord>>,
+    /// The verifier's decode buffer: one frame's records.
+    scratch: Vec<EventRecord>,
     /// Optional mirror of every sealed frame into a [`FrameSink`] (the
     /// flight recorder); see [`tee_into`](Self::tee_into).
     tee: ChannelTee,
@@ -229,7 +88,7 @@ pub struct ModeledFrameChannel {
 
 impl ModeledFrameChannel {
     /// Creates a channel with a `capacity_bytes` buffer budget. With
-    /// `verify` set, every popped frame is decoded with the real codec and
+    /// `verify` set, every sealed frame is decoded with the real codec and
     /// cross-checked against the pushed records.
     ///
     /// # Panics
@@ -245,15 +104,18 @@ impl ModeledFrameChannel {
         );
         ModeledFrameChannel {
             encoder: FrameEncoder::new(config),
-            decoder: FrameDecoder::new(config),
-            buffer: LogBufferModel::new(capacity_bytes),
-            parked: VecDeque::new(),
-            verify,
-            scratch: Vec::new(),
-            batch: Vec::new(),
+            verifier: verify.then(|| FrameDecoder::new(config)),
+            // Saturating: a budget of 2^61 bytes or more would wrap to a
+            // near-zero bit count that parks every frame behind the first.
+            capacity_bits: capacity_bytes.saturating_mul(8),
+            queue: VecDeque::new(),
+            admitted: 0,
+            occupied_bits: 0,
+            high_water_bits: 0,
             staging: Vec::new(),
-            ready: VecDeque::new(),
+            batch: Vec::new(),
             batch_pool: Vec::new(),
+            scratch: Vec::new(),
             tee: ChannelTee::default(),
             stalls: StallSchedule::default(),
         }
@@ -308,18 +170,19 @@ impl ModeledFrameChannel {
         }
     }
 
-    /// Pops the oldest available frame as one slice with a single
+    /// Pops the oldest admitted frame as one slice with a single
     /// `ready_at` stamp, consuming the frame whole (its buffer space frees
     /// immediately). `None` means no frame is currently available: the
-    /// channel is empty, or the fault schedule refused the pop.
+    /// fault schedule refused the pop, or no frame is admitted. The
+    /// schedule is asked first, so an empty pop counts toward its period.
     pub fn pop_frame(&mut self) -> Option<PoppedFrame<'_>> {
-        if self.stalls.refuse(!self.parked.is_empty()) {
+        if self.stalls.refuse(self.has_parked()) || self.admitted == 0 {
             return None;
         }
-        // The whole frame is consumed in one step, so its lines free now.
-        let frame = self.buffer.pop()?;
-        let mut spent = self.take_frame_records(&frame);
-        std::mem::swap(&mut self.batch, &mut spent);
+        let frame = self.queue.pop_front()?;
+        self.admitted -= 1;
+        self.occupied_bits -= frame.wire_bits;
+        let mut spent = std::mem::replace(&mut self.batch, frame.records);
         if self.batch_pool.len() < 4 {
             spent.clear();
             self.batch_pool.push(spent);
@@ -333,7 +196,7 @@ impl ModeledFrameChannel {
     /// Whether a sealed frame is parked awaiting space.
     #[must_use]
     pub fn has_parked(&self) -> bool {
-        !self.parked.is_empty()
+        self.queue.len() > self.admitted
     }
 
     /// Whether nothing remains for the consumer — no queued or parked
@@ -342,25 +205,23 @@ impl ModeledFrameChannel {
     /// so injected stalls can never truncate an end-of-run drain.
     #[must_use]
     pub fn drained(&self) -> bool {
-        self.parked.is_empty() && self.buffer.is_empty()
+        self.queue.is_empty()
     }
 
     /// Attempts to admit the oldest parked frame, timestamped `now`;
     /// returns its wire bits on success.
     pub fn retry_parked(&mut self, now: u64) -> Option<u64> {
-        let frame = self.parked.front()?;
-        if !self.buffer.fits(frame.wire_bits()) {
+        let frame = self.queue.get_mut(self.admitted)?;
+        // A frame larger than the whole budget still enters an empty
+        // buffer, so it cannot wedge the pipeline.
+        if self.admitted > 0 && self.occupied_bits + frame.wire_bits > self.capacity_bits {
             return None;
         }
-        let frame = self.parked.pop_front().expect("checked above");
-        let wire_bits = frame.wire_bits();
-        let timed = TimedFrame {
-            bytes: frame.bytes,
-            records: frame.records,
-            ready_at: now,
-        };
-        self.buffer.try_push(timed).expect("fits was checked");
-        Some(wire_bits)
+        frame.ready_at = now;
+        self.admitted += 1;
+        self.occupied_bits += frame.wire_bits;
+        self.high_water_bits = self.high_water_bits.max(self.occupied_bits);
+        Some(frame.wire_bits)
     }
 
     /// Lifetime statistics over sealed frames.
@@ -372,20 +233,19 @@ impl ModeledFrameChannel {
             frames: enc.frames,
             payload_bits: enc.payload_bits,
             wire_bits: enc.wire_bits,
-            high_water_bits: self.buffer.stats().high_water_bits,
+            high_water_bits: self.high_water_bits,
         }
     }
 
-    /// A cheap occupancy snapshot for the adaptive capture controller.
+    /// A cheap occupancy snapshot for the adaptive capture controller:
+    /// the admitted frames' bits. Parked frames are left out, as the
+    /// co-simulation resolves back-pressure before any call on its link
+    /// returns, so the controller never samples while one is parked.
     #[must_use]
     pub fn load_sample(&self) -> LoadSample {
-        // Parked frames count as in-flight: they are sealed wire traffic
-        // the consumer has not absorbed, and the clearest overload signal
-        // (occupancy reads over 1000 permille while anything is parked).
-        let parked_bits: u64 = self.parked.iter().map(Frame::wire_bits).sum();
         LoadSample {
-            inflight: self.buffer.occupied_bits() + parked_bits,
-            capacity: self.buffer.capacity_bits(),
+            inflight: self.occupied_bits,
+            capacity: self.capacity_bits,
         }
     }
 
@@ -397,36 +257,21 @@ impl ModeledFrameChannel {
         self.encoder.set_degraded(on);
     }
 
-    /// Frame-seal bookkeeping: the staged records become the sealed
-    /// frame's batch (pop order equals seal order, parked or not), and the
-    /// wire image is mirrored into the tee before admission.
+    /// Frame-seal bookkeeping: the wire image is mirrored into the tee,
+    /// checked under `verify` and handed back to the encoder; the staged
+    /// records join the queue behind every earlier frame, admitted if
+    /// nothing is parked and the frame fits.
     fn seal(&mut self, frame: Frame, now: u64) -> PushOutcome {
-        let empty = self.batch_pool.pop().unwrap_or_default();
-        let batch = std::mem::replace(&mut self.staging, empty);
-        self.ready.push_back(batch);
         self.tee.mirror(&SealedFrame {
             bytes: &frame.bytes,
             records: frame.records,
             sealed_at: now,
         });
-        self.admit_or_park(frame, now)
-    }
-
-    /// The records of a just-popped frame: the pushed originals, decoded
-    /// and cross-checked under `verify`.
-    fn take_frame_records(&mut self, frame: &TimedFrame) -> Vec<EventRecord> {
-        let records = self
-            .ready
-            .pop_front()
-            .expect("a popped frame has a staged record batch");
-        assert_eq!(
-            records.len(),
-            frame.records as usize,
-            "staged batch must match the frame's record count"
-        );
-        if self.verify {
+        let empty = self.batch_pool.pop().unwrap_or_default();
+        let records = std::mem::replace(&mut self.staging, empty);
+        if let Some(decoder) = &mut self.verifier {
             self.scratch.clear();
-            self.decoder
+            decoder
                 .decode_frame(&frame.bytes, &mut self.scratch)
                 .unwrap_or_else(|e| panic!("modeled frame failed to decode: {e}"));
             assert_eq!(
@@ -434,23 +279,19 @@ impl ModeledFrameChannel {
                 "frame round-trip mismatch between decoded and pushed records"
             );
         }
-        records
-    }
-
-    fn admit_or_park(&mut self, frame: Frame, now: u64) -> PushOutcome {
         let wire_bits = frame.wire_bits();
-        // Preserve frame order behind earlier parked frames.
-        if !self.parked.is_empty() || !self.buffer.fits(wire_bits) {
-            self.parked.push_back(frame);
-            return PushOutcome::BackPressure { wire_bits };
-        }
-        let timed = TimedFrame {
-            bytes: frame.bytes,
-            records: frame.records,
+        self.encoder.recycle(frame.bytes);
+        let behind_parked = self.has_parked();
+        self.queue.push_back(QueuedFrame {
+            records,
+            wire_bits,
             ready_at: now,
-        };
-        self.buffer.try_push(timed).expect("fits was checked");
-        PushOutcome::Sealed { wire_bits }
+        });
+        if !behind_parked && self.retry_parked(now).is_some() {
+            PushOutcome::Sealed { wire_bits }
+        } else {
+            PushOutcome::BackPressure { wire_bits }
+        }
     }
 }
 
@@ -458,167 +299,171 @@ impl ModeledFrameChannel {
 mod tests {
     use super::*;
 
-    fn frame(bytes: usize, ready_at: u64) -> TimedFrame {
-        TimedFrame {
-            bytes: vec![0; bytes],
-            records: 1,
-            ready_at,
+    fn rec(i: u64) -> EventRecord {
+        EventRecord::load(0x1000, 0, Some(1), None, 0x4000_0000 + i * 8, 8)
+    }
+
+    fn config(records_per_frame: usize) -> FrameConfig {
+        FrameConfig {
+            records_per_frame,
+            compress: true,
         }
     }
 
+    /// Raw one-record frames: 8 header + 25 record bytes, one line each.
+    fn one_line_frames() -> FrameConfig {
+        FrameConfig {
+            records_per_frame: 1,
+            compress: false,
+        }
+    }
+
+    /// Pops every available frame, returning `(records, ready_at)` per
+    /// frame.
+    fn drain(ch: &mut ModeledFrameChannel) -> Vec<(Vec<EventRecord>, u64)> {
+        let mut frames = Vec::new();
+        while let Some(frame) = ch.pop_frame() {
+            frames.push((frame.records.to_vec(), frame.ready_at));
+        }
+        frames
+    }
+
     #[test]
-    fn fifo_order_preserved() {
-        let mut buf = LogBufferModel::new(1024);
+    fn push_pop_round_trips_with_frame_timestamps() {
+        let mut ch = ModeledFrameChannel::new(1 << 16, config(4), true);
         for i in 0..10 {
-            let mut f = frame(64, i);
-            f.records = i as u32;
-            buf.try_push(f).unwrap();
+            ch.push_record(&rec(i), 100 + i);
         }
-        for i in 0..10 {
-            let f = buf.pop().unwrap();
-            assert_eq!(f.records, i as u32);
-            assert_eq!(f.ready_at, i);
-        }
-        assert!(buf.pop().is_none());
+        assert!(matches!(ch.flush(200), PushOutcome::Sealed { .. }));
+        // Records 0..3 sealed when record 3 was pushed (t=103), etc.
+        let frames = drain(&mut ch);
+        let stamps: Vec<u64> = frames.iter().map(|(_, t)| *t).collect();
+        assert_eq!(stamps, [103, 107, 200]);
+        let records: Vec<EventRecord> = frames.into_iter().flat_map(|(r, _)| r).collect();
+        assert_eq!(records, (0..10).map(rec).collect::<Vec<_>>());
+        let stats = ch.stats();
+        assert_eq!(stats.records, 10);
+        assert_eq!(stats.frames, 3);
+        assert!(stats.wire_bits >= stats.payload_bits);
     }
 
     #[test]
-    fn occupancy_tracks_wire_bits() {
-        let mut buf = LogBufferModel::new(128); // two lines
-        buf.try_push(frame(64, 0)).unwrap();
-        assert_eq!(buf.occupied_bits(), 512);
-        buf.try_push(frame(64, 1)).unwrap();
-        let err = buf.try_push(frame(64, 2)).unwrap_err();
-        assert_eq!(err.free_bits, 0);
-        assert_eq!(err.frame.ready_at, 2, "rejected frame is handed back");
-        buf.pop().unwrap();
-        assert_eq!(buf.occupied_bits(), 512);
-        buf.try_push(frame(64, 2)).unwrap();
-    }
-
-    #[test]
-    fn oversized_frame_admitted_when_empty() {
-        let mut buf = LogBufferModel::new(64);
-        assert!(
-            buf.try_push(frame(192, 0)).is_ok(),
-            "oversized frame must not wedge"
+    fn popping_frees_the_frames_bits() {
+        let mut ch = ModeledFrameChannel::new(128, one_line_frames(), false); // two lines
+        ch.push_record(&rec(0), 0);
+        assert_eq!(ch.load_sample().inflight, 512);
+        ch.push_record(&rec(1), 1);
+        assert_eq!(ch.load_sample().occupancy_permille(), 1000);
+        assert_eq!(
+            ch.push_record(&rec(2), 2),
+            PushOutcome::BackPressure { wire_bits: 512 }
         );
+        assert!(ch.retry_parked(3).is_none(), "no space freed yet");
+        assert_eq!(ch.pop_frame().unwrap().records, [rec(0)]);
+        assert_eq!(ch.load_sample().inflight, 512);
+        assert_eq!(ch.retry_parked(3), Some(512));
+        assert_eq!(ch.load_sample().inflight, 1024);
+    }
+
+    #[test]
+    fn an_oversized_frame_is_admitted_into_an_empty_buffer() {
+        // Four raw records make a two-line frame; the budget is one line.
+        let raw = FrameConfig {
+            records_per_frame: 4,
+            compress: false,
+        };
+        let mut ch = ModeledFrameChannel::new(64, raw, false);
+        for i in 0..3 {
+            ch.push_record(&rec(i), i);
+        }
+        assert_eq!(
+            ch.push_record(&rec(3), 3),
+            PushOutcome::Sealed { wire_bits: 1024 },
+            "an oversized frame must not wedge"
+        );
+        assert_eq!(ch.load_sample().occupancy_permille(), 2000);
+        ch.push_record(&rec(4), 4);
         assert!(
-            buf.try_push(frame(64, 0)).is_err(),
+            matches!(ch.flush(5), PushOutcome::BackPressure { .. }),
             "but the buffer is now over-full"
         );
-        buf.pop().unwrap();
-        assert!(buf.try_push(frame(64, 0)).is_ok());
+        assert_eq!(ch.pop_frame().unwrap().records.len(), 4);
+        assert!(ch.retry_parked(6).is_some());
     }
 
     #[test]
-    fn high_water_mark_recorded() {
-        let mut buf = LogBufferModel::new(256);
-        buf.try_push(frame(64, 0)).unwrap();
-        buf.try_push(frame(128, 0)).unwrap();
-        buf.pop().unwrap();
-        assert_eq!(buf.stats().high_water_bits, 192 * 8);
-        assert_eq!(buf.stats().frames, 2);
-        assert_eq!(buf.stats().wire_bits, 192 * 8);
+    fn the_high_water_mark_is_recorded() {
+        let mut ch = ModeledFrameChannel::new(256, one_line_frames(), false);
+        for i in 0..3 {
+            ch.push_record(&rec(i), i);
+        }
+        ch.pop_frame().unwrap();
+        ch.push_record(&rec(3), 3);
+        let stats = ch.stats();
+        assert_eq!(stats.high_water_bits, 3 * 512);
+        assert_eq!(stats.frames, 4);
+        assert_eq!(stats.wire_bits, 4 * 512);
     }
 
     #[test]
-    #[should_panic(expected = "non-zero")]
-    fn zero_capacity_rejected() {
-        let _ = LogBufferModel::new(0);
-    }
-
-    mod channel {
-        use super::*;
-
-        fn rec(i: u64) -> EventRecord {
-            EventRecord::load(0x1000, 0, Some(1), None, 0x4000_0000 + i * 8, 8)
-        }
-
-        fn config(records_per_frame: usize) -> FrameConfig {
-            FrameConfig {
-                records_per_frame,
-                compress: true,
-            }
-        }
-
-        /// Pops every available frame, returning `(records, ready_at)`
-        /// per frame.
-        fn drain(ch: &mut ModeledFrameChannel) -> Vec<(Vec<EventRecord>, u64)> {
-            let mut frames = Vec::new();
-            while let Some(frame) = ch.pop_frame() {
-                frames.push((frame.records.to_vec(), frame.ready_at));
-            }
-            frames
-        }
-
-        #[test]
-        fn push_pop_round_trips_with_frame_timestamps() {
-            let mut ch = ModeledFrameChannel::new(1 << 16, config(4), true);
-            for i in 0..10 {
-                ch.push_record(&rec(i), 100 + i);
-            }
-            assert!(matches!(ch.flush(200), PushOutcome::Sealed { .. }));
-            // Records 0..3 sealed when record 3 was pushed (t=103), etc.
-            let frames = drain(&mut ch);
-            let stamps: Vec<u64> = frames.iter().map(|(_, t)| *t).collect();
-            assert_eq!(stamps, [103, 107, 200]);
-            let records: Vec<EventRecord> = frames.into_iter().flat_map(|(r, _)| r).collect();
-            assert_eq!(records, (0..10).map(rec).collect::<Vec<_>>());
-            let stats = ch.stats();
-            assert_eq!(stats.records, 10);
-            assert_eq!(stats.frames, 3);
-            assert!(stats.wire_bits >= stats.payload_bits);
-        }
-
-        #[test]
-        fn back_pressure_parks_and_retries_in_order() {
-            // One-line budget: the second frame must park.
-            let mut ch = ModeledFrameChannel::new(64, config(2), false);
-            ch.push_record(&rec(0), 0);
-            assert!(matches!(
-                ch.push_record(&rec(1), 1),
-                PushOutcome::Sealed { .. }
-            ));
-            ch.push_record(&rec(2), 2);
-            let outcome = ch.push_record(&rec(3), 3);
-            assert!(matches!(outcome, PushOutcome::BackPressure { .. }));
-            assert!(ch.has_parked());
-            assert!(!ch.drained());
-            assert!(ch.retry_parked(4).is_none(), "no space freed yet");
-            // Popping the first frame frees its lines.
-            assert_eq!(ch.pop_frame().unwrap().records, [rec(0), rec(1)]);
-            assert!(ch.retry_parked(4).is_some());
-            assert!(!ch.has_parked());
-            let frame = ch.pop_frame().unwrap();
-            assert_eq!(frame.records, [rec(2), rec(3)]);
-            assert_eq!(frame.ready_at, 4, "stamped when admitted");
-            assert!(ch.pop_frame().is_none());
-            assert!(ch.drained());
-        }
-
-        #[test]
-        fn raw_mode_round_trips() {
-            let mut ch = ModeledFrameChannel::new(
-                1 << 16,
-                FrameConfig {
-                    records_per_frame: 3,
-                    compress: false,
-                },
-                true,
+    fn a_budget_past_the_bit_range_saturates_instead_of_wrapping() {
+        let mut ch = ModeledFrameChannel::new(1 << 61, one_line_frames(), false);
+        for i in 0..3 {
+            assert_eq!(
+                ch.push_record(&rec(i), i),
+                PushOutcome::Sealed { wire_bits: 512 }
             );
-            for i in 0..7 {
-                ch.push_record(&rec(i), i);
-            }
-            ch.flush(7);
-            let records: usize = drain(&mut ch).iter().map(|(r, _)| r.len()).sum();
-            assert_eq!(records, 7);
         }
+        assert_eq!(ch.load_sample().capacity, u64::MAX);
+    }
 
-        #[test]
-        #[should_panic(expected = "cannot hold a single")]
-        fn sub_line_budget_rejected() {
-            let _ = ModeledFrameChannel::new(1, config(4), false);
+    #[test]
+    fn back_pressure_parks_and_retries_in_order() {
+        // One-line budget: the second frame must park.
+        let mut ch = ModeledFrameChannel::new(64, config(2), false);
+        ch.push_record(&rec(0), 0);
+        assert!(matches!(
+            ch.push_record(&rec(1), 1),
+            PushOutcome::Sealed { .. }
+        ));
+        ch.push_record(&rec(2), 2);
+        let outcome = ch.push_record(&rec(3), 3);
+        assert!(matches!(outcome, PushOutcome::BackPressure { .. }));
+        assert!(ch.has_parked());
+        assert!(!ch.drained());
+        assert!(ch.retry_parked(4).is_none(), "no space freed yet");
+        // Popping the first frame frees its lines.
+        assert_eq!(ch.pop_frame().unwrap().records, [rec(0), rec(1)]);
+        assert!(ch.retry_parked(4).is_some());
+        assert!(!ch.has_parked());
+        let frame = ch.pop_frame().unwrap();
+        assert_eq!(frame.records, [rec(2), rec(3)]);
+        assert_eq!(frame.ready_at, 4, "stamped when admitted");
+        assert!(ch.pop_frame().is_none());
+        assert!(ch.drained());
+    }
+
+    #[test]
+    fn raw_mode_round_trips() {
+        let mut ch = ModeledFrameChannel::new(
+            1 << 16,
+            FrameConfig {
+                records_per_frame: 3,
+                compress: false,
+            },
+            true,
+        );
+        for i in 0..7 {
+            ch.push_record(&rec(i), i);
         }
+        ch.flush(7);
+        let records: usize = drain(&mut ch).iter().map(|(r, _)| r.len()).sum();
+        assert_eq!(records, 7);
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot hold a single")]
+    fn sub_line_budget_rejected() {
+        let _ = ModeledFrameChannel::new(1, config(4), false);
     }
 }

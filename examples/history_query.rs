@@ -1,50 +1,60 @@
 //! "How did I get here?" — the §1 history capability plus the
-//! performance-profiling lifeguard and the raw-trace workflow.
+//! performance-profiling lifeguard, both read off a flight recording.
 //!
-//! The program captures a buggy run's log to a trace, replays it through
-//! (i) a history index that answers *who last wrote the freed block* and
-//! *what path led to the bad access*, and (ii) the MemProfile lifeguard
-//! for an always-on memory profile.
+//! The program runs a buggy program once under LBA with the flight
+//! recorder on, then reads the recorded frames back through (i) a history
+//! index that answers *who last wrote the freed block* and *what path led
+//! to the bad access*, and (ii) the MemProfile lifeguard for an always-on
+//! memory profile.
 //!
 //! ```sh
 //! cargo run --release --example history_query
 //! ```
 
+use lba::{run_lba, RecordConfig, SystemConfig};
 use lba_cache::{MemSystem, MemSystemConfig};
-use lba_cpu::{Machine, MachineConfig};
 use lba_lifeguard::history::HistoryIndex;
 use lba_lifeguard::DispatchEngine;
 use lba_lifeguards::{AddrCheck, MemProfile};
-use lba_record::{TraceReader, TraceWriter};
+use lba_record::SegmentReader;
+use lba_transport::live::FrameReceiver;
+use lba_transport::StreamSource;
 use lba_workloads::bugs;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // 1. Capture: run the buggy program once, writing the raw trace.
+    let dir = std::env::temp_dir().join(format!("lba-history-query-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+
+    // 1. Capture: run the buggy program once under LBA, recording every
+    //    sealed frame of its log.
     let program = bugs::memory_bugs();
-    let mut machine = Machine::new(&program, MachineConfig::default());
-    let mut mem = MemSystem::new(MemSystemConfig::single_core());
-    let mut writer = TraceWriter::new();
-    machine.run(&mut mem, |r| writer.push(&r.record))?;
-    let trace = writer.into_bytes();
+    let mut config = SystemConfig::default();
+    config.log.record_to = Some(RecordConfig::new(&dir));
+    let recorded = run_lba(&program, &mut AddrCheck::new(), &config)?;
     println!(
-        "captured {} records ({} bytes raw trace)",
-        TraceReader::new(&trace)?.remaining(),
-        trace.len()
+        "captured {} records ({} wire bytes of recorded frames)",
+        recorded.log.records,
+        recorded.log.wire_bits / 8
     );
 
-    // 2. Replay through AddrCheck + a history index in one pass.
+    // 2. Read the recording back through AddrCheck + a history index in
+    //    one pass.
     let mut lg_mem = MemSystem::new(MemSystemConfig::dual_core());
     let engine = DispatchEngine::default();
     let mut addrcheck = AddrCheck::new();
     let mut history = HistoryIndex::new(8);
     let mut profiler = MemProfile::new();
     let mut findings = Vec::new();
-    for record in TraceReader::new(&trace)? {
-        let record = record?;
-        history.observe(&record);
-        engine.deliver(&mut addrcheck, &record, &mut lg_mem, 1, &mut findings);
-        engine.deliver(&mut profiler, &record, &mut lg_mem, 1, &mut findings);
+    let source = StreamSource::new(SegmentReader::open(&dir, 0)?);
+    let mut recording = FrameReceiver::new(source, 0, config.log.frame_config());
+    while let Some(frame) = recording.recv_batch()? {
+        for record in frame.records {
+            history.observe(record);
+            engine.deliver(&mut addrcheck, record, &mut lg_mem, 1, &mut findings);
+            engine.deliver(&mut profiler, record, &mut lg_mem, 1, &mut findings);
+        }
     }
+    std::fs::remove_dir_all(&dir).ok();
 
     // 3. For the use-after-free finding, ask the history two questions.
     let uaf = findings

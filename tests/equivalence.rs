@@ -9,7 +9,7 @@ use proptest::prelude::*;
 use lba::parallel::run_lba_parallel;
 use lba::{
     run_dbi, run_lba, run_live, LifeguardKind, MonitorSpec, RecordConfig, Run, RunMode,
-    RunModeSpec, RunOutcome, SystemConfig,
+    RunModeSpec, RunOutcome, SystemConfig, TopologyKind,
 };
 use lba_cache::MemSystem;
 use lba_cpu::Machine;
@@ -313,11 +313,11 @@ proptest! {
     /// The registry grid: every run mode in `lba::RUN_MODES`, over every
     /// lifeguard in `lba::MONITORS` its `supports` predicate admits, must
     /// honour its declared equivalence contract against the sequential
-    /// `run_lba` baseline — findings byte-identical (or dedup-set equal
-    /// for the merged fan-out modes), record counts exact where
-    /// `exact_records` promises it, and wire bits exact where
-    /// `exact_wire` does. A mode added to the registry is held to its
-    /// contract here with no new test code.
+    /// `run_lba` baseline, as its topology declares it: a sharded mode's
+    /// merged findings equal the baseline's as a dedup set, and every
+    /// other mode matches the baseline's findings byte for byte and its
+    /// record and wire counts exactly. A mode added to the registry is
+    /// held to its contract here with no new test code.
     #[test]
     fn registry_grid_agrees_with_the_sequential_baseline(case in 0usize..4) {
         let program = match case {
@@ -340,7 +340,7 @@ proptest! {
                 }
                 let outcome = run_row(&program, mode, monitor, &config);
                 let what = format!("{}/{} on {}", mode.name, monitor.name, program.name());
-                if mode.merged_findings {
+                if mode.topology == TopologyKind::Sharded {
                     prop_assert_eq!(
                         finding_keys(&outcome.findings),
                         finding_keys(&baseline.findings),
@@ -354,15 +354,11 @@ proptest! {
                         "{}: findings diverge from the baseline",
                         what
                     );
-                }
-                if mode.exact_records {
                     prop_assert_eq!(
                         outcome.log.records, baseline.log.records,
                         "{}: record accounting diverges from the baseline",
                         what
                     );
-                }
-                if mode.exact_wire {
                     prop_assert_eq!(
                         outcome.log.wire_bits, baseline.log.wire_bits,
                         "{}: wire accounting diverges from the baseline",

@@ -22,7 +22,7 @@ use lba_record::{
     FRAME_RECORD_HEADER_BYTES, RAW_RECORD_BYTES, SEGMENT_HEADER_BYTES, TAG_FRAME,
 };
 use lba_transport::live::{FrameReceiver, RecvError};
-use lba_transport::{LogBufferModel, SocketError, SocketSource, TimedFrame};
+use lba_transport::{ModeledFrameChannel, PushOutcome, SocketError, SocketSource};
 
 fn arb_operand() -> impl Strategy<Value = Option<u8>> {
     prop_oneof![Just(None), (0u8..16).prop_map(Some)]
@@ -93,6 +93,45 @@ fn arb_stream() -> impl Strategy<Value = Vec<EventRecord>> {
         }
         records
     })
+}
+
+/// Pops one frame off a modeled channel, noting each record with the
+/// frame's `ready_at`; `false` when no frame is admitted.
+fn pop_one(ch: &mut ModeledFrameChannel, popped: &mut Vec<(EventRecord, u64)>) -> bool {
+    let Some(frame) = ch.pop_frame() else {
+        return false;
+    };
+    popped.extend(frame.records.iter().map(|rec| (*rec, frame.ready_at)));
+    true
+}
+
+/// Applies a push or flush outcome as the co-simulation does: a parked
+/// frame is admitted before anything else happens, popping frames until
+/// it fits. Returns the wire bits the outcome shipped.
+fn absorb(
+    ch: &mut ModeledFrameChannel,
+    outcome: PushOutcome,
+    now: u64,
+    popped: &mut Vec<(EventRecord, u64)>,
+) -> u64 {
+    match outcome {
+        PushOutcome::Buffered => 0,
+        PushOutcome::Sealed { wire_bits } => wire_bits,
+        PushOutcome::BackPressure { wire_bits } => {
+            while ch.retry_parked(now).is_none() {
+                assert!(
+                    pop_one(ch, popped),
+                    "a parked frame waits behind admitted ones"
+                );
+            }
+            wire_bits
+        }
+    }
+}
+
+/// Pops a modeled channel dry.
+fn drain(ch: &mut ModeledFrameChannel, now: u64, popped: &mut Vec<(EventRecord, u64)>) {
+    while pop_one(ch, popped) || ch.retry_parked(now).is_some() {}
 }
 
 /// Corrupts a sealed frame's wire image. `kind` picks the mutation and
@@ -361,25 +400,54 @@ proptest! {
 
     #[test]
     fn log_buffer_is_fifo_and_conserves_bits(
-        frames in vec((1u32..500, 1usize..8), 1..100)
+        records in arb_stream(),
+        records_per_frame in 1usize..40,
+        compress in any::<bool>(),
+        budget_lines in 1u64..16,
+        flush_seed in any::<u64>(),
     ) {
-        let mut buffer = LogBufferModel::new(1 << 20);
-        for (i, (records, lines)) in frames.iter().enumerate() {
-            buffer.try_push(TimedFrame {
-                bytes: vec![0; lines * FRAME_LINE_BYTES],
-                records: *records,
-                ready_at: i as u64,
-            }).unwrap();
+        // Driven as the co-simulation drives a shard's channel: a parked
+        // frame is admitted at once by popping until it fits, a degradation
+        // transition seals the open frame, a contained syscall seals and
+        // drains, and the end of the run drains everything.
+        let config = FrameConfig { records_per_frame, compress };
+        let budget = budget_lines * FRAME_LINE_BYTES as u64;
+        let mut ch = ModeledFrameChannel::new(budget, config, true);
+        let mut popped = Vec::new();
+        // The wire bits of every push and flush outcome.
+        let mut shipped = Vec::new();
+        let mut lcg = flush_seed;
+        for (now, rec) in records.iter().enumerate() {
+            let now = now as u64;
+            let outcome = ch.push_record(rec, now);
+            shipped.push(absorb(&mut ch, outcome, now, &mut popped));
+            lcg = lcg.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            // A quarter of the records seal early: half of those at a
+            // degradation transition (flush), half at a contained syscall
+            // (flush, then drain).
+            if lcg >> 62 == 0 {
+                let outcome = ch.flush(now);
+                shipped.push(absorb(&mut ch, outcome, now, &mut popped));
+                if lcg >> 61 == 0 {
+                    drain(&mut ch, now, &mut popped);
+                }
+            }
         }
-        let total: u64 = frames.iter().map(|(_, l)| (l * FRAME_LINE_BYTES) as u64 * 8).sum();
-        prop_assert_eq!(buffer.occupied_bits(), total);
-        for (i, (records, lines)) in frames.iter().enumerate() {
-            let frame = buffer.pop().unwrap();
-            prop_assert_eq!(frame.records, *records);
-            prop_assert_eq!(frame.wire_bits(), (lines * FRAME_LINE_BYTES) as u64 * 8);
-            prop_assert_eq!(frame.ready_at, i as u64);
-        }
-        prop_assert_eq!(buffer.occupied_bits(), 0);
+        let end = records.len() as u64;
+        let outcome = ch.flush(end);
+        shipped.push(absorb(&mut ch, outcome, end, &mut popped));
+        drain(&mut ch, end, &mut popped);
+
+        let replayed: Vec<EventRecord> = popped.iter().map(|(rec, _)| *rec).collect();
+        prop_assert_eq!(&replayed, &records);
+        prop_assert!(popped.windows(2).all(|w| w[0].1 <= w[1].1), "ready_at went backwards");
+        let stats = ch.stats();
+        prop_assert_eq!(stats.wire_bits, shipped.iter().sum::<u64>());
+        // Only a frame larger than the whole budget overfills the buffer.
+        let largest = shipped.iter().copied().max().unwrap_or(0);
+        prop_assert!(stats.high_water_bits <= (budget * 8).max(largest));
+        prop_assert!(ch.drained());
+        prop_assert_eq!(ch.load_sample().inflight, 0);
     }
 
     #[test]
