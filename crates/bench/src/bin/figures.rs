@@ -1,7 +1,8 @@
 //! Regenerates every table and figure from the paper's evaluation, plus
 //! the host-throughput trajectory (`BENCH_pipeline.json` in the working
 //! directory — committed at the repo root so every PR shows where
-//! events/sec moved).
+//! events/sec moved — and written only when it passes the shape check
+//! the committed file is held to).
 //!
 //! Usage: `cargo run --release -p lba-bench --bin figures [scale]`
 //!
@@ -26,7 +27,7 @@
 //! regenerating the trajectory.
 
 use lba::experiment;
-use lba::{LifeguardKind, RecordConfig, ReplayMode, Run, RunMode, RunOutcome, SystemConfig};
+use lba::{LifeguardKind, RecordConfig, ReplayMode, Run, RunMode, RunReport, SystemConfig};
 use lba_bench as render;
 use lba_bench::pipeline;
 use lba_workloads::{bugs, Benchmark};
@@ -88,12 +89,18 @@ fn record_replay_smoke() -> Result<(), String> {
     Ok(())
 }
 
+/// Frames that sealed degraded, over all of a run's streams.
+fn degraded_frames(report: &RunReport) -> u64 {
+    report.shard_log.iter().map(|s| s.degraded_frames).sum()
+}
+
 /// The `--bench-smoke` fault-injection gate: under the same injected
 /// slow-drain the degraded trajectory rows are measured with, the
 /// adaptive controller must engage, the degraded findings must equal the
 /// undegraded run's byte for byte, a recording made while degraded must
-/// carry its spans into replay, and a torn recording tail must salvage
-/// under `ReplayMode::SalvagePrefix` where strict replay refuses.
+/// carry its spans into replay (the same count of degraded frames the
+/// recording run sealed), and a torn recording tail must salvage under
+/// `ReplayMode::SalvagePrefix` where strict replay refuses.
 fn fault_injection_smoke() -> Result<(), String> {
     let program = Benchmark::Gzip.build();
     let clean_config = SystemConfig::default();
@@ -124,21 +131,24 @@ fn fault_injection_smoke() -> Result<(), String> {
         ));
     }
 
-    let outcome = Run::new(&program)
+    let replay = Run::new(&program)
         .mode(RunMode::Replay)
         .monitor(LifeguardKind::AddrCheck)
         .config(&config)
         .replay_from(&dir)
         .run()
         .map_err(|e| format!("replay: {e}"))?;
-    if outcome.findings != degraded.findings {
+    if replay.findings != degraded.findings {
         return Err("replay of the degraded recording diverges from the degraded run".into());
     }
-    let RunOutcome::Replay(replay) = &outcome else {
-        return Err("RunMode::Replay produced a non-replay outcome".into());
-    };
-    if replay.total_degraded_frames() == 0 {
+    let (sealed, replayed) = (degraded_frames(&degraded), degraded_frames(&replay));
+    if replayed == 0 {
         return Err("degraded spans did not ride the flight-recorder stream".into());
+    }
+    if replayed != sealed {
+        return Err(format!(
+            "{replayed} degraded frame(s) replayed, but the recording run sealed {sealed}"
+        ));
     }
 
     // Tear the newest segment's tail: strict replay must refuse, salvage
@@ -167,19 +177,16 @@ fn fault_injection_smoke() -> Result<(), String> {
         .replay_mode(ReplayMode::SalvagePrefix)
         .run()
         .map_err(|e| format!("salvage replay: {e}"))?;
-    let RunOutcome::Replay(salvaged) = &salvage else {
-        return Err("RunMode::Replay produced a non-replay outcome".into());
-    };
-    if !salvaged.is_lossy() {
+    let Some(tail) = salvage.salvaged.first() else {
         return Err("salvage replay of a torn recording reported no loss".into());
-    }
+    };
     std::fs::remove_dir_all(&dir).ok();
     println!(
         "fault-injection smoke: controller engaged ({} records removed), findings \
-         identical, {} degraded frame(s) replayed, torn tail salvaged at frame {}",
+         identical, {replayed} degraded frame(s) replayed as sealed, torn tail salvaged \
+         at frame {}",
         degraded.degradation.removed(),
-        replay.total_degraded_frames(),
-        salvaged.salvaged[0].frames_salvaged,
+        tail.frames_salvaged,
     );
     Ok(())
 }
@@ -210,9 +217,6 @@ fn socket_transport_smoke() -> Result<(), String> {
     if remote.findings != live.findings {
         return Err("remote findings diverge from live-parallel".into());
     }
-    let (RunOutcome::Remote(remote), RunOutcome::LiveParallel(live)) = (&remote, &live) else {
-        return Err("builder returned unexpected outcome variants".into());
-    };
     if remote.shard_log.len() != live.shard_log.len() {
         return Err(format!(
             "remote ran {} shard streams, live-parallel {}",
@@ -398,16 +402,16 @@ fn main() {
     let rows = pipeline::measure_pipeline(pipeline::TRAJECTORY_ROUNDS);
     println!("{}", pipeline::render_pipeline(&rows));
     let json = pipeline::pipeline_json(&rows);
+    // A trajectory that fails its own gates is reported, never written
+    // over the committed one.
     if let Err(e) = pipeline::validate_trajectory(&json) {
         failed.set(true);
-        eprintln!("emitted trajectory is malformed: {e}");
-    }
-    match std::fs::write(TRAJECTORY, &json) {
-        Ok(()) => println!("wrote {TRAJECTORY}"),
-        Err(e) => {
-            failed.set(true);
-            eprintln!("{TRAJECTORY}: {e}");
-        }
+        eprintln!("emitted trajectory is malformed, {TRAJECTORY} left as it was: {e}");
+    } else if let Err(e) = std::fs::write(TRAJECTORY, &json) {
+        failed.set(true);
+        eprintln!("{TRAJECTORY}: {e}");
+    } else {
+        println!("wrote {TRAJECTORY}");
     }
 
     if failed.get() {

@@ -2,73 +2,71 @@
 //!
 //! Everything else in the reproduction reports *modeled* cycles; this
 //! module measures how fast the simulator itself moves events, which is
-//! the ROADMAP's "as fast as the hardware allows" axis. The same rows feed
-//! three places:
+//! the ROADMAP's "as fast as the hardware allows" axis. The `figures`
+//! binary measures the rows and feeds them to two places:
 //!
-//! * the `pipeline` Criterion bench (`cargo bench -p lba-bench --bench
-//!   pipeline`);
-//! * the `figures` binary, which appends the rows to its report;
+//! * its report, which ends with the throughput table;
 //! * `BENCH_pipeline.json`, the committed trajectory file every future PR
-//!   re-generates to show where host throughput moved.
+//!   re-generates to show where host throughput moved (`figures
+//!   --bench-smoke` measures every cell once and checks the committed
+//!   file's schema and deterministic columns against it).
 
 use std::time::Instant;
 
-use lba::parallel::run_lba_parallel;
 use lba::{
-    run_lba, run_live, run_live_parallel, run_remote, run_replay, AdaptiveConfig, FaultProfile,
-    RecordConfig, SystemConfig, TopologyKind,
+    run_lba, run_replay, AdaptiveConfig, FaultProfile, MonitorSpec, RecordConfig, Run, RunMode,
+    RunOutcome, SystemConfig, TopologyKind,
 };
 use lba_cache::{MemSystem, MemSystemConfig};
 use lba_cpu::Machine;
-use lba_lifeguard::{DispatchEngine, Lifeguard};
+use lba_lifeguard::DispatchEngine;
 use lba_lifeguards::AddrCheck;
 use lba_record::EventRecord;
 use lba_transport::ModeledFrameChannel;
 use lba_workloads::Benchmark;
 
-/// A lifeguard factory used by the measurement matrix.
-pub type LifeguardFactory = fn() -> Box<dyn Lifeguard>;
-
-/// Every lifeguard as (name, factory) pairs, derived from the
-/// [`lba::MONITORS`] registry so a new lifeguard lands in the bench
-/// matrix by adding its registry row — `LifeguardKind` covers the
-/// paper's three; the pipeline bench also drives MemProfile.
-#[must_use]
-pub fn lifeguards() -> Vec<(&'static str, LifeguardFactory)> {
-    lba::MONITORS.iter().map(|m| (m.name, m.make)).collect()
+/// The [`lba::MONITORS`] rows that pass `keep`, in table order, so a new
+/// lifeguard lands in the bench matrix by adding its registry row —
+/// `LifeguardKind` covers the paper's three; the matrix also drives
+/// MemProfile.
+fn monitors(keep: fn(&MonitorSpec) -> bool) -> impl Iterator<Item = &'static MonitorSpec> {
+    lba::MONITORS.iter().filter(move |m| keep(m))
 }
 
-/// The lifeguards the sharded (parallel) modes support — those whose
-/// registry row declares address-interleaved sharding sound (per-address
-/// state only). TaintCheck is excluded: its register state forms a
-/// sequential dependence chain through every instruction (same soundness
-/// note as the modeled `run_lba_parallel`).
-#[must_use]
-pub fn sharded_lifeguards() -> Vec<(&'static str, LifeguardFactory)> {
-    lba::MONITORS
-        .iter()
-        .filter(|m| m.shardable)
-        .map(|m| (m.name, m.make))
-        .collect()
+/// Whether `m`'s declared `Lifeguard::idempotency()` contract takes part
+/// in capture-side dedup (today AddrCheck, LockSet and MemProfile;
+/// TaintCheck declares `IdempotencyClass::None`).
+fn dedupes(m: &MonitorSpec) -> bool {
+    (m.make)().idempotency().dedupes()
+}
+
+/// Whether `m`'s declared `Lifeguard::degradation()` contract tolerates
+/// anything (today AddrCheck, LockSet and MemProfile; TaintCheck declares
+/// `DegradationPolicy::none()`).
+fn degrades(m: &MonitorSpec) -> bool {
+    !(m.make)().degradation().is_none()
 }
 
 /// Shard counts the sharded series measure.
-pub const SHARD_COUNTS: [usize; 3] = [1, 2, 4];
+const SHARD_COUNTS: [usize; 3] = [1, 2, 4];
 
 /// Idempotency-window size (entries) used by the filtered series.
-pub const IDEMPOTENT_WINDOW: usize = 4096;
+const IDEMPOTENT_WINDOW: usize = 4096;
 
-/// The lifeguards whose soundness contract participates in capture-side
-/// dedup — derived from each lifeguard's declared
-/// `Lifeguard::idempotency()` so the filtered series can never drift
-/// from the contracts (today: AddrCheck, LockSet, MemProfile; TaintCheck
-/// declares `IdempotencyClass::None` and stays out).
-#[must_use]
-pub fn idempotent_lifeguards() -> Vec<(&'static str, LifeguardFactory)> {
-    lifeguards()
-        .into_iter()
-        .filter(|(_, make)| make().idempotency().dedupes())
-        .collect()
+/// One run of `monitor` under `mode` (`workers` wide where it shards)
+/// through the [`Run`] builder.
+fn run_mode(
+    program: &lba_isa::Program,
+    mode: RunMode,
+    monitor: &'static MonitorSpec,
+    workers: usize,
+    cfg: &SystemConfig,
+) -> RunOutcome {
+    (Run::new(program).mode(mode).monitor(monitor))
+        .workers(workers)
+        .config(cfg)
+        .run()
+        .expect("gzip runs clean")
 }
 
 /// One throughput measurement: a row of the trajectory.
@@ -215,17 +213,19 @@ pub fn measure_pipeline(rounds: usize) -> Vec<PipelineRow> {
     let stream = capture_stream();
     let recording = Recording::new(&program);
     let cfg = SystemConfig::default();
-    let mut cells = vec![consume_cell(&stream)];
-    for (name, make) in lifeguards() {
-        cells.push(mode_cell("lba", name, make, cfg.clone(), &program));
-        cells.push(mode_cell("live", name, make, cfg.clone(), &program));
-    }
-    cells.extend(sharded_cells(&program));
     let mut windowed = cfg.clone();
     windowed.log.idempotency_window = IDEMPOTENT_WINDOW;
-    for (name, make) in idempotent_lifeguards() {
-        cells.push(mode_cell("lba", name, make, windowed.clone(), &program));
-        cells.push(mode_cell("live", name, make, windowed.clone(), &program));
+    let mut cells = vec![consume_cell(&stream)];
+    for monitor in monitors(|_| true) {
+        for mode in [RunMode::Lba, RunMode::Live] {
+            cells.push(mode_cell(mode, monitor, cfg.clone(), &program));
+        }
+    }
+    cells.extend(sharded_cells(&program));
+    for monitor in monitors(dedupes) {
+        for mode in [RunMode::Lba, RunMode::Live] {
+            cells.push(mode_cell(mode, monitor, windowed.clone(), &program));
+        }
     }
     cells.extend(replay_cells(&recording));
     cells.extend(degraded_cells(&program));
@@ -283,13 +283,12 @@ impl Drop for Recording {
 /// wire-bit accounting is asserted byte-identical to the recorded run.
 fn replay_cells(recording: &Recording) -> Vec<Cell<'_>> {
     let cfg = SystemConfig::default();
-    lifeguards()
-        .into_iter()
-        .map(|(name, make)| {
+    monitors(|_| true)
+        .map(|monitor| {
             let cfg = cfg.clone();
-            Cell::new("replay", name, 1, 0, move || {
-                let replay =
-                    run_replay(&recording.dir, make, &cfg).expect("recording replays clean");
+            Cell::new("replay", monitor.name, 1, 0, move || {
+                let replay = run_replay(&recording.dir, monitor.make, &cfg)
+                    .expect("recording replays clean");
                 assert_eq!(
                     replay.log.wire_bits, recording.wire_bits,
                     "replay wire accounting must be byte-identical to the recording"
@@ -302,19 +301,6 @@ fn replay_cells(recording: &Recording) -> Vec<Cell<'_>> {
                 }
             })
         })
-        .collect()
-}
-
-/// The lifeguards whose declared `Lifeguard::degradation()` contract
-/// tolerates anything — derived from the contracts so the degraded
-/// series can never drift from them (today: AddrCheck, LockSet,
-/// MemProfile; TaintCheck declares `DegradationPolicy::none()` and
-/// stays out).
-#[must_use]
-pub fn degradable_lifeguards() -> Vec<(&'static str, LifeguardFactory)> {
-    lifeguards()
-        .into_iter()
-        .filter(|(_, make)| !make().degradation().is_none())
         .collect()
 }
 
@@ -361,33 +347,28 @@ pub fn fault_config(mode: &str, adaptive: bool) -> SystemConfig {
 /// controller thinned to do it.
 fn degraded_cells(program: &lba_isa::Program) -> Vec<Cell<'_>> {
     let mut cells = Vec::new();
-    for (name, make) in degradable_lifeguards() {
+    for monitor in monitors(degrades) {
         for (mode, series) in [
-            ("lba", ["lba-faulted", "lba-degraded"]),
-            ("live", ["live-faulted", "live-degraded"]),
+            (RunMode::Lba, ["lba-faulted", "lba-degraded"]),
+            (RunMode::Live, ["live-faulted", "live-degraded"]),
         ] {
             for (adaptive, series) in [false, true].into_iter().zip(series) {
-                let cfg = fault_config(mode, adaptive);
-                cells.push(Cell::new(series, name, 1, 0, move || {
-                    let mut lg = make();
-                    let (log, degradation, modeled_cycles) = if mode == "lba" {
-                        let report = run_lba(program, lg.as_mut(), &cfg).expect("gzip runs clean");
-                        (report.log, report.pipeline.degradation, report.total_cycles)
-                    } else {
-                        let report = run_live(program, lg.as_mut(), &cfg).expect("gzip runs clean");
-                        (report.log, report.pipeline.degradation, 0)
-                    };
+                let cfg = fault_config(mode.name(), adaptive);
+                cells.push(Cell::new(series, monitor.name, 1, 0, move || {
+                    let report = run_mode(program, mode, monitor, 1, &cfg);
+                    let (log, degradation) = (report.log, &report.degradation);
                     assert_eq!(
                         degradation.is_empty(),
                         !adaptive,
-                        "{mode}/{name}: the controller must engage exactly when configured"
+                        "{mode}/{}: the controller must engage exactly when configured",
+                        monitor.name
                     );
                     let captured = log.captured + degradation.removed();
                     Sample {
                         records: log.records,
                         wire_bits: log.wire_bits,
                         events: captured,
-                        modeled_cycles,
+                        modeled_cycles: report.total_cycles,
                         sampled_out_fraction: degradation.sampled_out as f64 / captured as f64,
                     }
                 }));
@@ -412,42 +393,34 @@ pub fn degraded_speedup(rows: &[PipelineRow], mode: &str, lifeguard: &str) -> Op
     Some(degraded.events_per_sec / faulted.events_per_sec)
 }
 
-/// One `run_lba`/`run_live` cell. The events/sec numerator is *captured*
+/// One `lba`/`live` cell. The events/sec numerator is *captured*
 /// (retired) events, not shipped records: a capture filter shrinks the
 /// log, not the workload, so the rate stays comparable across filtered
 /// and unfiltered rows. With the window off the two counts coincide.
 fn mode_cell<'a>(
-    mode: &'static str,
-    name: &'static str,
-    make: LifeguardFactory,
+    mode: RunMode,
+    monitor: &'static MonitorSpec,
     cfg: SystemConfig,
     program: &'a lba_isa::Program,
 ) -> Cell<'a> {
     let window = cfg.log.idempotency_window;
-    Cell::new(mode, name, 1, window, move || {
-        let mut lg = make();
-        let (log, modeled_cycles) = if mode == "lba" {
-            let report = run_lba(program, lg.as_mut(), &cfg).expect("gzip runs clean");
-            (report.log, report.total_cycles)
-        } else {
-            let report = run_live(program, lg.as_mut(), &cfg).expect("gzip runs clean");
-            (report.log, 0)
-        };
+    Cell::new(mode.name(), monitor.name, 1, window, move || {
+        let report = run_mode(program, mode, monitor, 1, &cfg);
         Sample {
-            records: log.records,
-            wire_bits: log.wire_bits,
-            events: log.captured,
-            modeled_cycles,
+            records: report.log.records,
+            wire_bits: report.log.wire_bits,
+            events: report.log.captured,
+            modeled_cycles: report.total_cycles,
             sampled_out_fraction: 0.0,
         }
     })
 }
 
-/// The three sharded series, events/sec on gzip for every supported
-/// lifeguard at each shard count: `lba-parallel` (`run_lba_parallel`, whose
-/// rows also carry its modeled cycles), `live-parallel`
-/// (`run_live_parallel`), then `remote` (`run_remote`, the live runner over
-/// Unix-domain sockets). Events are *retired records*, the same work
+/// The sharded series, one per `Sharded` registry row in table order,
+/// events/sec on gzip for every supported lifeguard at each shard count:
+/// `lba-parallel` (`run_lba_parallel`, whose rows also carry its modeled
+/// cycles), `live-parallel` (`run_live_parallel`), then `remote`
+/// (`run_remote`, the live runner over Unix-domain sockets). Events are *retired records*, the same work
 /// whatever the shard count, so rates compare across shard counts and with
 /// the unsharded series; broadcast records shipped once per shard are
 /// transport duplication, and counting them would manufacture phantom
@@ -455,39 +428,26 @@ fn mode_cell<'a>(
 /// row's wire bits byte-identical to the matching live-parallel row: all
 /// three move the exact same per-shard streams.
 fn sharded_cells(program: &lba_isa::Program) -> Vec<Cell<'_>> {
-    type Runner = fn(&lba_isa::Program, LifeguardFactory, usize, &SystemConfig) -> Sample;
-    fn sample(retired: u64, wire_bits: u64, modeled_cycles: u64) -> Sample {
-        Sample {
-            records: retired,
-            wire_bits,
-            events: retired,
-            modeled_cycles,
-            sampled_out_fraction: 0.0,
-        }
-    }
-    let runners: [(&str, Runner); 3] = [
-        ("lba-parallel", |p, make, n, cfg| {
-            let report = run_lba_parallel(p, make, n, cfg).expect("gzip runs clean");
-            let retired = report.trace.instructions();
-            sample(retired, report.log.wire_bits, report.total_cycles)
-        }),
-        ("live-parallel", |p, make, n, cfg| {
-            let report = run_live_parallel(p, make, n, cfg).expect("gzip runs clean");
-            sample(report.trace.instructions(), report.log.wire_bits, 0)
-        }),
-        ("remote", |p, make, n, cfg| {
-            let report = run_remote(p, make, n, cfg).expect("gzip runs clean");
-            sample(report.trace.instructions(), report.log.wire_bits, 0)
-        }),
-    ];
     let cfg = SystemConfig::default();
     let mut cells = Vec::new();
-    for (mode, run) in runners {
-        for (name, make) in sharded_lifeguards() {
+    let sharded = (lba::RUN_MODES.iter()).filter(|m| m.topology == TopologyKind::Sharded);
+    for mode in sharded.map(|m| m.mode) {
+        // The lifeguards whose registry row declares address-interleaved
+        // sharding sound; TaintCheck's register state is a sequential
+        // dependence chain through every instruction.
+        for monitor in monitors(|m| m.shardable) {
             for shards in SHARD_COUNTS {
                 let cfg = cfg.clone();
-                cells.push(Cell::new(mode, name, shards, 0, move || {
-                    run(program, make, shards, &cfg)
+                cells.push(Cell::new(mode.name(), monitor.name, shards, 0, move || {
+                    let report = run_mode(program, mode, monitor, shards, &cfg);
+                    let retired = report.trace.instructions();
+                    Sample {
+                        records: retired,
+                        wire_bits: report.log.wire_bits,
+                        events: retired,
+                        modeled_cycles: report.total_cycles,
+                        sampled_out_fraction: 0.0,
+                    }
                 }));
             }
         }
@@ -496,8 +456,7 @@ fn sharded_cells(program: &lba_isa::Program) -> Vec<Cell<'_>> {
 }
 
 /// Captures gzip's record stream once (for the consumption-path cells).
-#[must_use]
-pub fn capture_stream() -> Vec<EventRecord> {
+fn capture_stream() -> Vec<EventRecord> {
     let program = Benchmark::Gzip.build();
     let cfg = SystemConfig::default();
     let mut machine = Machine::new(&program, cfg.machine);
@@ -522,8 +481,7 @@ fn fill_channel(records: &[EventRecord]) -> ModeledFrameChannel {
 
 /// Pushes the stream and consumes it frame-at-a-time (`pop_frame` +
 /// `deliver_batch`); returns the lifeguard cycles charged.
-#[must_use]
-pub fn consume_frames(records: &[EventRecord]) -> u64 {
+fn consume_frames(records: &[EventRecord]) -> u64 {
     let mut ch = fill_channel(records);
     let engine = DispatchEngine::default();
     let mut mem = MemSystem::new(MemSystemConfig::dual_core());
@@ -979,12 +937,8 @@ pub fn validate_trajectory(json: &str) -> Result<(), String> {
             .find(|l| l.contains(&tag))
             .ok_or_else(|| format!("missing {mode}/{lifeguard} row at window {window}"))
     };
-    let idempotent: Vec<&'static str> = idempotent_lifeguards()
-        .into_iter()
-        .map(|(name, _)| name)
-        .collect();
     for mode in ["lba", "live"] {
-        for &lifeguard in &idempotent {
+        for lifeguard in monitors(dedupes).map(|m| m.name) {
             let filtered = find_row(mode, lifeguard, IDEMPOTENT_WINDOW)?;
             let unfiltered = find_row(mode, lifeguard, 0)?;
             let what = format!("{mode}/{lifeguard}");
@@ -1005,10 +959,7 @@ pub fn validate_trajectory(json: &str) -> Result<(), String> {
             }
         }
     }
-    for (name, _) in lifeguards() {
-        if idempotent.contains(&name) {
-            continue;
-        }
+    for name in monitors(|m| !dedupes(m)).map(|m| m.name) {
         let windowed = json
             .lines()
             .filter(|l| l.contains(&format!("\"lifeguard\": \"{name}\"")))
@@ -1043,12 +994,9 @@ pub fn validate_trajectory(json: &str) -> Result<(), String> {
             .find(|l| l.contains(&tag))
             .ok_or_else(|| format!("missing {mode}-{suffix}/{lifeguard} row"))
     };
-    let degradable: Vec<&'static str> = degradable_lifeguards()
-        .into_iter()
-        .map(|(name, _)| name)
-        .collect();
     for mode in ["lba", "live"] {
-        for &lifeguard in &degradable {
+        for monitor in monitors(degrades) {
+            let lifeguard = monitor.name;
             let degraded = degraded_row(mode, "degraded", lifeguard)?;
             let faulted = degraded_row(mode, "faulted", lifeguard)?;
             let what = format!("{mode}/{lifeguard}");
@@ -1062,11 +1010,7 @@ pub fn validate_trajectory(json: &str) -> Result<(), String> {
             // A contract that declares no sampling (LockSet: a
             // sampled-out access could be a fresh word's first touch)
             // must show none; the rest must actually thin the stream.
-            let samples = lifeguards()
-                .into_iter()
-                .find(|(name, _)| *name == lifeguard)
-                .is_some_and(|(_, make)| make().degradation().sampling.is_some());
-            if !samples {
+            if (monitor.make)().degradation().sampling.is_none() {
                 if fraction != 0.0 {
                     return Err(format!("{what}: {lifeguard} declares no sampling"));
                 }
@@ -1098,10 +1042,7 @@ pub fn validate_trajectory(json: &str) -> Result<(), String> {
             }
         }
     }
-    for (name, _) in lifeguards() {
-        if degradable.contains(&name) {
-            continue;
-        }
+    for name in monitors(|m| !degrades(m)).map(|m| m.name) {
         for suffix in ["degraded", "faulted"] {
             if json.contains(&format!("-{suffix}\", \"lifeguard\": \"{name}\"")) {
                 return Err(format!(
@@ -1305,7 +1246,7 @@ mod tests {
             ..row("lba", 1, 10.0)
         }));
         for mode in sharded_series() {
-            for (lifeguard, _) in sharded_lifeguards() {
+            for lifeguard in monitors(|m| m.shardable).map(|m| m.name) {
                 for shards in SHARD_COUNTS {
                     rows.push(PipelineRow {
                         lifeguard,

@@ -118,8 +118,9 @@ impl Frame {
     }
 
     /// Reads the degraded-capture mark straight from a frame's wire
-    /// image, without decoding the payload — offline replay uses this to
-    /// reconstruct degraded spans from the flight-recorder stream.
+    /// image, without decoding the payload (false for an image too short
+    /// to hold the count) — what a receiver counts as a degraded frame,
+    /// so a replay reports the degraded spans its recording carries.
     #[must_use]
     pub fn header_degraded(bytes: &[u8]) -> bool {
         FrameCountWord::read(bytes).is_some_and(|word| word.degraded)
@@ -197,6 +198,8 @@ pub struct FrameStats {
     pub payload_bits: u64,
     /// Wire bits across sealed frames (headers and padding included).
     pub wire_bits: u64,
+    /// Sealed frames that carry the degraded-capture mark.
+    pub degraded_frames: u64,
 }
 
 impl FrameStats {
@@ -393,6 +396,7 @@ impl FrameEncoder {
         self.stats.frames += 1;
         self.stats.payload_bits += payload_bits;
         self.stats.wire_bits += frame.wire_bits();
+        self.stats.degraded_frames += u64::from(frame.degraded);
         frame
     }
 }
@@ -637,6 +641,7 @@ mod tests {
         frames.extend(enc.flush());
         let marks: Vec<bool> = frames.iter().map(|f| f.degraded).collect();
         assert_eq!(marks, [false, true, false]);
+        assert_eq!(enc.stats().degraded_frames, 1);
         // The mark is readable off the wire image, and decoding masks it
         // out of the record count.
         let mut dec = FrameDecoder::new(config);

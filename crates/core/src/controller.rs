@@ -328,7 +328,6 @@ mod tests {
                 repromote_on: EventMask::of(&[EventKind::Alloc, EventKind::Free]),
                 make_classifier: || Box::new(AlwaysSettled),
             }),
-            findings_sound: true,
         }
     }
 

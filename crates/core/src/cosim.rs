@@ -36,7 +36,8 @@ use lba_transport::{shard_of, ChannelStats, LoadSample, ModeledFrameChannel, Pus
 
 use crate::config::SystemConfig;
 use crate::pipeline::{Producer, ProducerLink};
-use crate::report::{LogStats, Mode, PipelineReport, RunReport, StallBreakdown};
+use crate::report::{LogStats, PipelineReport, RunReport, StallBreakdown};
+use crate::runner::RunMode;
 
 /// Bits per transferred cache line of log data.
 const LINE_BITS: u64 = FRAME_LINE_BYTES as u64 * 8;
@@ -319,14 +320,14 @@ pub fn run_lba(
     // idempotency window, with a widen reserve under adaptive capture),
     // the adaptive controller when configured, and syscall containment.
     let producer = Producer::single(lifeguard, config);
-    run_modeled(program, vec![lifeguard], producer, config)
+    run_modeled(program, vec![lifeguard], producer, RunMode::Lba, config)
 }
 
 /// The co-simulation every modeled mode is (see the [module docs](self)):
 /// `lifeguards[i]` consumes shard `i` of the log on lifeguard core `1 + i`,
-/// and `producer` decides what ships. The report's findings are every
-/// shard's verbatim, in shard order: [`run_lba`] reports its one
-/// lifeguard's as they are, and
+/// and `producer` decides what ships; the report names `mode`. Its
+/// findings are every shard's verbatim, in shard order: [`run_lba`]
+/// reports its one lifeguard's as they are, and
 /// [`run_lba_parallel`](crate::parallel::run_lba_parallel) merges them at
 /// every width, as the live runner's entry points decide.
 ///
@@ -337,6 +338,7 @@ pub(crate) fn run_modeled(
     program: &Program,
     lifeguards: Vec<&mut dyn Lifeguard>,
     mut producer: Producer,
+    mode: RunMode,
     config: &SystemConfig,
 ) -> Result<RunReport, RunError> {
     config.log.validate_framing()?;
@@ -425,7 +427,7 @@ pub(crate) fn run_modeled(
     let findings = sim.shards.into_iter().flat_map(|s| s.findings).collect();
     Ok(RunReport {
         program: program.name().to_string(),
-        mode: Mode::Lba,
+        mode,
         total_cycles: sim.t_app.max(lifeguard_cycles),
         app_cycles: sim.t_app,
         lifeguard_cycles,
@@ -440,6 +442,7 @@ pub(crate) fn run_modeled(
         shard_log,
         trace: finish.trace,
         stalls: sim.stalls,
+        salvaged: Vec::new(),
     })
 }
 

@@ -77,14 +77,11 @@ pub use pipeline::{
 };
 pub use remote::run_remote;
 pub use replay::{run_replay, run_replay_with, ReplayMode};
-pub use report::{
-    LiveReport, LogStats, Mode, PipelineReport, ReplayReport, ReplayStreamStats, RunReport,
-    SalvagedTail, StallBreakdown,
-};
+pub use report::{LogStats, PipelineReport, RunReport, SalvagedTail, StallBreakdown};
 pub use run::{run_dbi, run_unmonitored};
 pub use runner::{MonitorChoice, Run, RunMode, RunOutcome};
 
-// Per-shard transport statistics appear in the parallel and live reports;
+// Per-stream transport statistics appear in every report's `shard_log`;
 // re-export the type so downstream code can name it without a direct
 // lba-transport dependency. The load/fault types parameterize `LogConfig`
 // and the degradation experiments.

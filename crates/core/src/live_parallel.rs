@@ -23,7 +23,8 @@
 //! TaintCheck does not shard (its register state is a sequential
 //! dependence chain), so it runs live only under [`run_live`].
 //!
-//! The live modes report wire statistics and findings, never a modeled
+//! The live modes report wire statistics and findings in a
+//! [`RunReport`] whose cycle fields stay zero: they have no modeled
 //! clock, so both threads run untimed: the machine and the dispatch engine
 //! get no cache model to charge ([`Machine::run`] and
 //! [`DispatchEngine::deliver_batch`] with `None`). The scheduler switches
@@ -59,7 +60,8 @@ use crate::config::SystemConfig;
 use crate::error::LbaError;
 use crate::parallel::merge_shard_findings;
 use crate::pipeline::{Producer, ProducerLink};
-use crate::report::{LiveReport, LogStats, PipelineReport};
+use crate::report::{LogStats, PipelineReport, RunReport};
+use crate::runner::RunMode;
 
 /// What the consumers publish for the producer's capture controller.
 #[derive(Default)]
@@ -158,12 +160,13 @@ pub fn run_live(
     program: &Program,
     lifeguard: &mut dyn Lifeguard,
     config: &SystemConfig,
-) -> Result<LiveReport, LbaError> {
+) -> Result<RunReport, LbaError> {
     config.log.validate_framing()?;
     let depth = config.log.live_channel_frames();
     let wires = shard_frame_channels(1, depth, config.log.frame_config());
     let producer = Producer::single(lifeguard, config);
-    run_sharded(program, lifeguard, None, producer, wires, config)
+    let mode = RunMode::Live;
+    run_sharded(program, mode, lifeguard, None, producer, wires, config)
 }
 
 /// Runs `program` on one thread with the lifeguard sharded `shards` ways
@@ -205,12 +208,13 @@ pub fn run_live_parallel(
     make_lifeguard: impl Fn() -> Box<dyn Lifeguard> + Sync,
     shards: usize,
     config: &SystemConfig,
-) -> Result<LiveReport, LbaError> {
+) -> Result<RunReport, LbaError> {
     assert!(shards > 0, "need at least one shard");
     config.log.validate_framing()?;
     let depth = config.log.live_channel_frames();
     let wires = shard_frame_channels(shards, depth, config.log.frame_config());
-    run_sharded_from(program, &make_lifeguard, wires, config)
+    let mode = RunMode::LiveParallel;
+    run_sharded_from(program, mode, &make_lifeguard, wires, config)
 }
 
 /// The sharded modes' entry to [`run_sharded`] (`run_live_parallel` over
@@ -220,10 +224,11 @@ pub fn run_live_parallel(
 /// gives shards 1..N their lifeguards and merges the shards' findings.
 pub(crate) fn run_sharded_from<W, S>(
     program: &Program,
+    mode: RunMode,
     make_lifeguard: &(dyn Fn() -> Box<dyn Lifeguard> + Sync),
     wires: (Vec<FrameSender<W>>, Vec<FrameReceiver<S>>),
     config: &SystemConfig,
-) -> Result<LiveReport, LbaError>
+) -> Result<RunReport, LbaError>
 where
     W: FrameWire + Send,
     S: FrameSource + Send,
@@ -233,6 +238,7 @@ where
     let producer = Producer::sharded(first.as_ref(), config);
     run_sharded(
         program,
+        mode,
         first.as_mut(),
         Some(make_lifeguard),
         producer,
@@ -243,16 +249,18 @@ where
 
 /// The live runner every live mode is (see the [module docs](self)):
 /// `producer` fans the log out over each shard's sender on a spawned
-/// thread while [`consume_shards`] drains them. A `make_lifeguard` of
-/// `None` is `run_live`: one shard, its findings reported verbatim.
+/// thread while [`consume_shards`] drains them, and the report names
+/// `mode`. A `make_lifeguard` of `None` is `run_live`: one shard, its
+/// findings reported verbatim.
 fn run_sharded<W, S>(
     program: &Program,
+    mode: RunMode,
     lifeguard: &mut dyn Lifeguard,
     make_lifeguard: Option<&(dyn Fn() -> Box<dyn Lifeguard> + Sync)>,
     mut producer: Producer,
     (mut senders, receivers): (Vec<FrameSender<W>>, Vec<FrameReceiver<S>>),
     config: &SystemConfig,
-) -> Result<LiveReport, LbaError>
+) -> Result<RunReport, LbaError>
 where
     W: FrameWire + Send,
     S: FrameSource + Send,
@@ -312,8 +320,10 @@ where
         Some(_) => merge_shard_findings(shard_findings),
         None => shard_findings.into_iter().flatten().collect(),
     };
-    Ok(LiveReport {
+    // No modeled clock runs: the cycle fields stay zero.
+    Ok(RunReport {
         program: program.name().to_string(),
+        mode,
         shards,
         pipeline: PipelineReport {
             findings,
@@ -323,6 +333,7 @@ where
         },
         trace: finish.trace,
         shard_log,
+        ..RunReport::default()
     })
 }
 

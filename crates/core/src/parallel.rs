@@ -39,6 +39,7 @@ use crate::config::SystemConfig;
 use crate::cosim::run_modeled;
 use crate::pipeline::Producer;
 use crate::report::RunReport;
+use crate::runner::RunMode;
 
 /// Merges per-shard finding lists in shard order, deduplicating on the
 /// identifying fields — broadcast events surface the same finding on every
@@ -96,7 +97,8 @@ pub fn run_lba_parallel(
     let lifeguards = lifeguards
         .iter_mut()
         .map(|lg| lg.as_mut() as &mut dyn Lifeguard);
-    let mut report = run_modeled(program, lifeguards.collect(), producer, config)?;
+    let mode = RunMode::LbaParallel;
+    let mut report = run_modeled(program, lifeguards.collect(), producer, mode, config)?;
     // The runner lists every shard's findings in shard order; merging that
     // list is merging the shards.
     let findings = std::mem::take(&mut report.pipeline.findings);

@@ -6,10 +6,13 @@
 //! queue replaced by a Unix-domain socket speaking the `lbas/1` wire
 //! protocol ([`lba_transport::socket`]) — the shape where capture and
 //! lifeguards run in different *processes*. Everything else is the live
-//! runner's: routing, capture, frame boundaries, threads and the findings
-//! merge, so each shard's wire stream is byte-identical to
-//! [`run_live_parallel`]'s and the merged findings are equal
-//! (`tests/remote.rs` pins both). Back-pressure crosses the wire as an
+//! runner's: routing, capture, frame boundaries, threads, the findings
+//! merge and the report (a [`RunReport`] naming [`RunMode::Remote`], one
+//! `ChannelStats` per worker), so each shard's wire stream is
+//! byte-identical to [`run_live_parallel`]'s and the merged findings are
+//! equal (`tests/remote.rs` pins both). A worker refuses a hello that
+//! announces another codec than its own
+//! ([`SocketError::CodecMismatch`](lba_transport::SocketError::CodecMismatch)). Back-pressure crosses the wire as an
 //! explicit credit window sized like the in-process queue
 //! ([`LogConfig::live_channel_frames`](crate::LogConfig::live_channel_frames)),
 //! so `buffer_bytes`, adaptive degradation and the stall timeout all
@@ -24,7 +27,8 @@ use lba_transport::socket::{socket_pair, SocketSender};
 
 use crate::config::SystemConfig;
 use crate::error::LbaError;
-use crate::report::LiveReport;
+use crate::report::RunReport;
+use crate::runner::RunMode;
 
 /// Runs `program` on one thread with the lifeguard sharded `workers` ways
 /// by address, each shard's sealed frames crossing a Unix-domain socket
@@ -58,7 +62,7 @@ pub fn run_remote(
     make_lifeguard: impl Fn() -> Box<dyn Lifeguard> + Sync,
     workers: usize,
     config: &SystemConfig,
-) -> Result<LiveReport, LbaError> {
+) -> Result<RunReport, LbaError> {
     assert!(workers > 0, "need at least one remote worker");
     config.log.validate_framing()?;
     let window = u32::try_from(config.log.live_channel_frames()).expect("window fits u32");
@@ -70,7 +74,8 @@ pub fn run_remote(
         wires.0.push(SocketSender::new(sink, frames));
         wires.1.push(FrameReceiver::new(source, stream, frames));
     }
-    crate::live_parallel::run_sharded_from(program, &make_lifeguard, wires, config)
+    let mode = RunMode::Remote;
+    crate::live_parallel::run_sharded_from(program, mode, &make_lifeguard, wires, config)
 }
 
 #[cfg(test)]

@@ -20,6 +20,13 @@
 //! run's (merged across streams exactly as the sharded modes merge
 //! theirs). Integration tests pin both for all four run modes.
 //!
+//! A replay reports in the [`RunReport`] every mode returns, with `mode`
+//! [`RunMode::Replay`] and `program` the recording directory. Stream `i`
+//! is `shard_log[i]`, the receiver's count of what it read back, so its
+//! records, frames, wire bits and degraded frames compare directly with
+//! the recording run's own `shard_log[i]`. No modeled clock runs, so the
+//! cycle fields stay zero.
+//!
 //! Replay decodes with the codec parameters in the caller's
 //! [`SystemConfig`] — use the same `compression` / `records_per_frame`
 //! settings the recording run used. A stream sealed under a different
@@ -35,13 +42,14 @@ use lba_compress::CODEC_VERSION;
 use lba_lifeguard::Lifeguard;
 use lba_record::{stream_ids, SegmentReader};
 use lba_transport::live::FrameReceiver;
-use lba_transport::StreamSource;
+use lba_transport::{ChannelStats, StreamSource};
 
 use crate::config::SystemConfig;
 use crate::error::LbaError;
 use crate::live_parallel::{consume_shards, Signals};
 use crate::parallel::merge_shard_findings;
-use crate::report::{LogStats, PipelineReport, ReplayReport, ReplayStreamStats, SalvagedTail};
+use crate::report::{LogStats, PipelineReport, RunReport, SalvagedTail};
+use crate::runner::RunMode;
 
 /// How a replay treats a damaged recording.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -77,14 +85,17 @@ pub enum ReplayMode {
 ///
 /// # Errors
 ///
-/// [`LbaError::Stream`] for stream-layer damage, [`LbaError::NoStreams`],
+/// [`LbaError::Stream`] for stream-layer damage, including
+/// [`StreamError::NoSuchStream`](lba_record::StreamError::NoSuchStream)
+/// for a stream missing below the highest one recorded (a lost shard),
+/// [`LbaError::NoStreams`],
 /// [`LbaError::CodecMismatch`], [`LbaError::Decode`] for a frame that
 /// fails to decode, and [`LbaError::Panicked`] when a lifeguard panics.
 pub fn run_replay(
     dir: impl AsRef<Path>,
     make_lifeguard: impl Fn() -> Box<dyn Lifeguard> + Sync,
     config: &SystemConfig,
-) -> Result<ReplayReport, LbaError> {
+) -> Result<RunReport, LbaError> {
     run_replay_with(dir, make_lifeguard, config, ReplayMode::Strict)
 }
 
@@ -95,7 +106,7 @@ pub fn run_replay(
 /// As [`run_replay`] under [`ReplayMode::Strict`]. Under
 /// [`ReplayMode::SalvagePrefix`] a mid-stream tear is *not* an error:
 /// the damaged stream's checksummed prefix is delivered and the loss is
-/// reported in [`ReplayReport::salvaged`]. Errors that precede any frame
+/// reported in [`RunReport::salvaged`]. Errors that precede any frame
 /// (unopenable stream, codec mismatch, no streams at all) and decode
 /// failures of *intact* frames remain fatal in both modes.
 pub fn run_replay_with(
@@ -103,20 +114,20 @@ pub fn run_replay_with(
     make_lifeguard: impl Fn() -> Box<dyn Lifeguard> + Sync,
     config: &SystemConfig,
     mode: ReplayMode,
-) -> Result<ReplayReport, LbaError> {
+) -> Result<RunReport, LbaError> {
     let dir = dir.as_ref();
-    let ids = stream_ids(dir)?;
-    if ids.is_empty() {
+    let Some(&last) = stream_ids(dir)?.last() else {
         return Err(LbaError::NoStreams {
             dir: dir.display().to_string(),
         });
-    }
+    };
     // Every stream opens and passes the codec check before any consumer
-    // starts. Each receiver has its own decoder, as each shard had its own
-    // encoder.
+    // starts. A run records streams 0..N, so a gap is a lost shard: the
+    // first missing stream fails to open. Each receiver has its own
+    // decoder, as each shard had its own encoder.
     let frames = config.log.frame_config();
-    let mut receivers = Vec::with_capacity(ids.len());
-    for &stream in &ids {
+    let mut receivers = Vec::new();
+    for stream in 0..=last {
         let mut source = StreamSource::new(SegmentReader::open(dir, stream)?);
         if source.codec_version() != CODEC_VERSION {
             return Err(LbaError::CodecMismatch {
@@ -137,8 +148,8 @@ pub fn run_replay_with(
         &Signals::default(),
         config,
     );
-    let (mut shard_findings, mut streams, mut salvaged) = (Vec::new(), Vec::new(), Vec::new());
-    for (stream, consumed) in ids.into_iter().zip(consumed) {
+    let (mut shard_findings, mut shard_log, mut salvaged) = (Vec::new(), Vec::new(), Vec::new());
+    for (stream, consumed) in (0..).zip(consumed) {
         let (findings, rx) = consumed?;
         let stats = rx.stats();
         if let Some(tear) = rx.source().tear() {
@@ -148,13 +159,7 @@ pub fn run_replay_with(
                 detail: tear.to_string(),
             });
         }
-        streams.push(ReplayStreamStats {
-            stream,
-            frames: stats.frames,
-            records: stats.records,
-            wire_bits: stats.wire_bits,
-            degraded_frames: rx.source().degraded_frames(),
-        });
+        shard_log.push(stats);
         shard_findings.push(findings);
     }
 
@@ -167,22 +172,26 @@ pub fn run_replay_with(
     };
     // Every replayed record was "captured" as far as the replay can know;
     // payload bits are unknowable, as only sealed wire frames are recorded.
-    let records = streams.iter().map(|s| s.records).sum();
+    let sum = |count: fn(&ChannelStats) -> u64| shard_log.iter().map(count).sum();
+    let records = sum(|s| s.records);
     let log = LogStats {
         records,
         captured: records,
-        frames: streams.iter().map(|s| s.frames).sum(),
-        wire_bits: streams.iter().map(|s| s.wire_bits).sum(),
+        frames: sum(|s| s.frames),
+        wire_bits: sum(|s| s.wire_bits),
         ..LogStats::default()
     };
-    Ok(ReplayReport {
-        dir: dir.display().to_string(),
-        streams,
-        salvaged,
+    Ok(RunReport {
+        program: dir.display().to_string(),
+        mode: RunMode::Replay,
+        shards: shard_log.len(),
+        shard_log,
         pipeline: PipelineReport {
             findings,
             log,
             ..PipelineReport::default()
         },
+        salvaged,
+        ..RunReport::default()
     })
 }

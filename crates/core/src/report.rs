@@ -1,42 +1,28 @@
 //! Execution reports.
 //!
-//! Every run mode's report embeds the same [`PipelineReport`] core —
-//! findings, log accounting, capture-filter ledger and degradation
-//! ledger — and adds only what its execution model genuinely measures on
-//! top: modeled clocks and per-shard wire statistics ([`RunReport`], for
-//! the co-simulation at one shard or N and for the baselines), per-shard
-//! wire statistics alone ([`LiveReport`], for the live runner), or replay
-//! stream accounting ([`ReplayReport`]). The mode reports deref to the
-//! core, so `report.findings`, `report.log` and `report.degradation` read
-//! the same way in all of them.
+//! Every run mode returns one [`RunReport`]: the co-simulation at one
+//! lifeguard core or N, the two baselines, the live runner over queues or
+//! sockets, and a replay of a recording. Each mode is the same pipeline
+//! over another carrier, so the modes differ only in which fields their
+//! carrier can fill. The cycle fields, `shard_cycles` and `stalls` stay
+//! zero where no modeled clock runs (the live modes and replay),
+//! `shard_log` holds one [`ChannelStats`] per stream wherever a log ships
+//! or is read back, and `salvaged` is empty except after a
+//! [`SalvagePrefix`](crate::ReplayMode::SalvagePrefix) replay. The
+//! mode-independent core (findings, log accounting, capture ledger and
+//! degradation ledger) is the embedded [`PipelineReport`], which
+//! `RunReport` derefs to, so `report.findings`, `report.log` and
+//! `report.degradation` read the same way for every mode.
 
 use std::fmt;
+use std::ops::{Deref, DerefMut};
 
 use lba_compress::CODEC_VERSION;
 use lba_lifeguard::{CaptureStats, DegradationStats, Finding};
 use lba_record::TraceStats;
 use lba_transport::ChannelStats;
 
-/// Which execution model produced a report.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Mode {
-    /// No monitoring.
-    Unmonitored,
-    /// LBA: lifeguard on a second core fed by the hardware log.
-    Lba,
-    /// Valgrind-style DBI: lifeguard inline on the application core.
-    Dbi,
-}
-
-impl fmt::Display for Mode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            Mode::Unmonitored => "unmonitored",
-            Mode::Lba => "lba",
-            Mode::Dbi => "dbi",
-        })
-    }
-}
+use crate::runner::RunMode;
 
 /// Where the application core lost time to monitoring.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -108,17 +94,16 @@ impl LogStats {
     }
 }
 
-/// The mode-independent core every run report embeds: what the pipeline
-/// shipped, what capture did to it, how it degraded, and what the
-/// lifeguard(s) found. The mode reports deref here, so these fields read
-/// identically across all of them.
+/// The mode-independent core every [`RunReport`] embeds and derefs to:
+/// what the pipeline shipped, what capture did to it, how it degraded,
+/// and what the lifeguard(s) found.
 #[derive(Debug, Clone, Default)]
 pub struct PipelineReport {
     /// Problems the lifeguard(s) reported (merged and deduplicated in the
     /// fan-out modes).
     pub findings: Vec<Finding>,
-    /// Log-pipeline statistics (aggregated over channels in the fan-out
-    /// modes; see the mode report for per-channel detail).
+    /// Log-pipeline statistics, summed over the streams (see
+    /// [`RunReport::shard_log`] for each stream's).
     pub log: LogStats,
     /// What the producer-side capture pass did (records captured vs.
     /// shipped, range-filtered, deduped, folded).
@@ -127,104 +112,6 @@ pub struct PipelineReport {
     /// `LogConfig::adaptive` is unset, the lifeguard's policy tolerates
     /// nothing, or the mode never runs a controller).
     pub degradation: DegradationStats,
-}
-
-/// Implements `Deref`/`DerefMut` from a mode report to its embedded
-/// [`PipelineReport`] core (field name `pipeline`).
-macro_rules! deref_pipeline {
-    ($ty:ty) => {
-        impl std::ops::Deref for $ty {
-            type Target = crate::report::PipelineReport;
-            fn deref(&self) -> &crate::report::PipelineReport {
-                &self.pipeline
-            }
-        }
-        impl std::ops::DerefMut for $ty {
-            fn deref_mut(&mut self) -> &mut crate::report::PipelineReport {
-                &mut self.pipeline
-            }
-        }
-    };
-}
-
-/// The result of the live runner behind [`run_live`](crate::run_live) (one
-/// shard), [`run_live_parallel`](crate::run_live_parallel) and
-/// [`run_remote`](crate::run_remote): functional findings plus real wire
-/// statistics, kept per shard because each shard is an independent wire
-/// stream with its own predictor state. No modeled clocks — for timing,
-/// see [`RunReport`], which the co-simulation reports at either width.
-#[derive(Debug, Clone)]
-pub struct LiveReport {
-    /// Program name.
-    pub program: String,
-    /// Shard count: 1 for `run_live`, else consumer threads or socket
-    /// workers.
-    pub shards: usize,
-    /// Retired-instruction statistics, gathered on the producer thread.
-    pub trace: TraceStats,
-    /// Per-shard transport statistics (records, frames, wire bits), in
-    /// shard order, from the producer side of each stream.
-    pub shard_log: Vec<ChannelStats>,
-    /// The shared pipeline core: the findings (`run_live`'s exactly as its
-    /// lifeguard reported them; the sharded modes' merged over shards and
-    /// deduplicated on `(kind, pc, addr, tid)`, since broadcast events
-    /// surface the same finding on every shard), log statistics summed
-    /// over the shards (broadcast records count once per shard), the
-    /// producer-side capture ledger, and the degradation ledger.
-    pub pipeline: PipelineReport,
-}
-
-deref_pipeline!(LiveReport);
-
-impl fmt::Display for LiveReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "{} [live]: {} instructions; log: {} records in {} frames, {:.3} B/inst on the wire",
-            self.program,
-            self.trace.instructions(),
-            self.log.records,
-            self.log.frames,
-            self.log.wire_bytes_per_instruction,
-        )?;
-        write_degradation(f, &self.degradation)?;
-        for finding in &self.findings {
-            writeln!(f, "  {finding}")?;
-        }
-        Ok(())
-    }
-}
-
-/// Shared one-line degradation summary for report `Display` impls;
-/// silent when the controller never engaged.
-fn write_degradation(f: &mut fmt::Formatter<'_>, d: &DegradationStats) -> fmt::Result {
-    if d.is_empty() {
-        return Ok(());
-    }
-    writeln!(
-        f,
-        "  degraded: {} interval(s), {} records sampled out, {} kind-dropped, {} snapback(s)",
-        d.engagements, d.sampled_out, d.kind_dropped, d.snapbacks,
-    )
-}
-
-/// Per-stream accounting of an offline replay
-/// ([`run_replay`](crate::run_replay)).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReplayStreamStats {
-    /// The stream id (shard index of the recording run; 0 unsharded).
-    pub stream: u32,
-    /// Frames replayed from the recording.
-    pub frames: u64,
-    /// Records decoded and delivered.
-    pub records: u64,
-    /// Wire bits of the replayed frames — byte-identical to what the
-    /// recording run's transport shipped on this stream.
-    pub wire_bits: u64,
-    /// Frames whose header carried the degraded mark — the recording
-    /// run's adaptive controller was engaged while they sealed, so the
-    /// degraded spans ride the flight-recorder stream into replay.
-    pub degraded_frames: u64,
 }
 
 /// A torn or truncated tail a
@@ -241,117 +128,70 @@ pub struct SalvagedTail {
     pub detail: String,
 }
 
-/// The result of replaying a recorded flight-recorder stream set through
-/// a lifeguard ([`run_replay`](crate::run_replay)). The recording was
-/// sealed under this build's [`CODEC_VERSION`]: replay refuses any other.
-#[derive(Debug, Clone)]
-pub struct ReplayReport {
-    /// Recording directory the replay consumed.
-    pub dir: String,
-    /// Per-stream accounting, ascending by stream id.
-    pub streams: Vec<ReplayStreamStats>,
-    /// Torn tails a [`SalvagePrefix`](crate::ReplayMode::SalvagePrefix)
-    /// replay cut away, one entry per damaged stream. Always empty under
-    /// [`Strict`](crate::ReplayMode::Strict), which fails instead.
-    pub salvaged: Vec<SalvagedTail>,
-    /// The shared pipeline core. Findings of the replayed lifeguard(s) —
-    /// for a multi-stream (sharded) recording, merged exactly as the
-    /// sharded run modes merge theirs, so equality with the original run
-    /// holds per mode. The log statistics aggregate the replayed streams
-    /// (no payload-bit or capture detail: the recording carries sealed
-    /// wire frames, not the capture pass that produced them).
-    pub pipeline: PipelineReport,
-}
-
-deref_pipeline!(ReplayReport);
-
-impl ReplayReport {
-    /// Frames that sealed while the recording run was degraded, across
-    /// all streams.
-    #[must_use]
-    pub fn total_degraded_frames(&self) -> u64 {
-        self.streams.iter().map(|s| s.degraded_frames).sum()
-    }
-
-    /// Whether the replay lost anything to a torn tail.
-    #[must_use]
-    pub fn is_lossy(&self) -> bool {
-        !self.salvaged.is_empty()
-    }
-}
-
-impl fmt::Display for ReplayReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "replay of {} [codec v{CODEC_VERSION}]: {} stream(s), {} records, {} wire bits",
-            self.dir,
-            self.streams.len(),
-            self.log.records,
-            self.log.wire_bits,
-        )?;
-        if self.total_degraded_frames() > 0 {
-            writeln!(
-                f,
-                "  degraded frames replayed: {}",
-                self.total_degraded_frames()
-            )?;
-        }
-        for tail in &self.salvaged {
-            writeln!(
-                f,
-                "  stream {}: salvaged {} frame(s), tail lost ({})",
-                tail.stream, tail.frames_salvaged, tail.detail
-            )?;
-        }
-        for finding in &self.findings {
-            writeln!(f, "  {finding}")?;
-        }
-        Ok(())
-    }
-}
-
-/// The result of one execution on modeled clocks: the co-simulation
-/// ([`run_lba`](crate::run_lba) with one lifeguard core,
-/// [`run_lba_parallel`](crate::parallel::run_lba_parallel) with N) or a
-/// baseline.
-#[derive(Debug, Clone)]
+/// The result of one run, whatever the mode ([`RunMode`]).
+#[derive(Debug, Clone, Default)]
 pub struct RunReport {
-    /// Program name.
+    /// What ran: the program's name, or the recording directory a replay
+    /// read.
     pub program: String,
-    /// Execution model.
-    pub mode: Mode,
+    /// The execution model that produced this report.
+    pub mode: RunMode,
     /// End-to-end time in cycles (for LBA: the later of the application
-    /// clock and the slowest lifeguard core's).
+    /// clock and the slowest lifeguard core's); zero where no modeled
+    /// clock runs.
     pub total_cycles: u64,
     /// Application-core time including monitoring-induced stalls.
     pub app_cycles: u64,
     /// Lifeguard-core time: the slowest shard's for LBA, zero for
     /// unmonitored, the inline monitoring overhead for DBI.
     pub lifeguard_cycles: u64,
-    /// Lifeguard cores the log was sharded over: 1 for `run_lba`, N for
-    /// `run_lba_parallel`, 0 for the baselines, which run none.
+    /// Log streams the run shipped or read back: 1 for `lba` and `live`,
+    /// the shard or worker count for the sharded modes, the recorded
+    /// stream count for a replay, 0 for the baselines, which ship none.
     pub shards: usize,
-    /// Per-shard lifeguard-core cycles, in shard order (empty for the
-    /// baselines).
+    /// Per-shard lifeguard-core cycles, in shard order (modeled modes
+    /// only; empty elsewhere).
     pub shard_cycles: Vec<u64>,
-    /// Per-shard transport statistics (records, frames, wire bits), in
-    /// shard order (empty for the baselines).
+    /// Per-stream transport statistics (records, frames, wire bits,
+    /// degraded frames), in stream order: stream `i` is `shard_log[i]`.
+    /// The modeled and live modes count what their producer shipped, a
+    /// replay what its receivers read back; payload bits and the
+    /// high-water mark are producer-side figures, zero for a replay.
     pub shard_log: Vec<ChannelStats>,
-    /// Retired-instruction statistics.
+    /// Retired-instruction statistics (empty for a replay, which retires
+    /// none).
     pub trace: TraceStats,
-    /// The shared pipeline core: findings (`run_lba`'s exactly as its
-    /// lifeguard reported them; `run_lba_parallel`'s merged over shards
-    /// and deduplicated at every shard count, as the live sharded modes
-    /// merge theirs), log statistics (LBA only, summed over the shards;
-    /// default for the unmonitored and DBI baselines, which ship no log),
-    /// capture ledger and degradation ledger.
+    /// The shared pipeline core: findings (`run_lba`'s and `run_live`'s
+    /// exactly as their lifeguard reported them; the sharded modes'
+    /// merged over shards and deduplicated on `(kind, pc, addr, tid)`,
+    /// since broadcast events surface the same finding on every shard; a
+    /// replay's merged like that for a multi-stream recording), log
+    /// statistics summed over the streams (broadcast records count once
+    /// per shard; default for the baselines, which ship no log; a replay
+    /// counts every record it read as captured and knows no payload
+    /// bits), capture ledger and degradation ledger.
     pub pipeline: PipelineReport,
-    /// Application stall breakdown (LBA only; default elsewhere).
+    /// Application stall breakdown (the modeled modes only; default
+    /// elsewhere).
     pub stalls: StallBreakdown,
+    /// Torn tails a [`SalvagePrefix`](crate::ReplayMode::SalvagePrefix)
+    /// replay cut away, one per damaged stream; empty for every other run.
+    pub salvaged: Vec<SalvagedTail>,
 }
 
-deref_pipeline!(RunReport);
+impl Deref for RunReport {
+    type Target = PipelineReport;
+
+    fn deref(&self) -> &PipelineReport {
+        &self.pipeline
+    }
+}
+
+impl DerefMut for RunReport {
+    fn deref_mut(&mut self) -> &mut PipelineReport {
+        &mut self.pipeline
+    }
+}
 
 impl RunReport {
     /// Slowdown of this run relative to a baseline (usually the
@@ -377,30 +217,72 @@ impl RunReport {
 
 impl fmt::Display for RunReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "{} [{}]: {} cycles ({} instructions, CPI {:.2})",
-            self.program,
-            self.mode,
-            self.total_cycles,
-            self.trace.instructions(),
-            self.total_cycles as f64 / self.trace.instructions().max(1) as f64,
-        )?;
-        if self.mode == Mode::Lba {
+        write!(f, "{} [{}]: ", self.program, self.mode)?;
+        let instructions = self.trace.instructions();
+        if self.total_cycles > 0 {
             writeln!(
                 f,
-                "  log: {} records in {} frames, {:.3} B/inst ({:.3} on the wire); \
-                 stalls: buffer {} cy, syscall {} cy ({} syscalls)",
+                "{} cycles ({instructions} instructions, CPI {:.2})",
+                self.total_cycles,
+                self.total_cycles as f64 / instructions.max(1) as f64,
+            )?;
+        } else if instructions > 0 {
+            writeln!(f, "{instructions} instructions")?;
+        } else {
+            // A replay retires nothing; it read frames of this codec only.
+            writeln!(f, "frames sealed under codec v{CODEC_VERSION}")?;
+        }
+        if !self.shard_log.is_empty() {
+            write!(
+                f,
+                "  log: {} records in {} frames over {} stream(s), {} wire bits",
                 self.log.records,
                 self.log.frames,
-                self.log.bytes_per_instruction,
-                self.log.wire_bytes_per_instruction,
+                self.shard_log.len(),
+                self.log.wire_bits,
+            )?;
+            if instructions > 0 {
+                write!(
+                    f,
+                    ", {:.3} B/inst ({:.3} on the wire)",
+                    self.log.bytes_per_instruction, self.log.wire_bytes_per_instruction,
+                )?;
+            }
+            writeln!(f)?;
+        }
+        if self.stalls != StallBreakdown::default() {
+            writeln!(
+                f,
+                "  stalls: buffer {} cy, syscall {} cy ({} syscalls)",
                 self.stalls.buffer_full_cycles,
                 self.stalls.syscall_stall_cycles,
                 self.stalls.syscalls,
             )?;
         }
-        write_degradation(f, &self.degradation)?;
+        let degraded: u64 = self.shard_log.iter().map(|s| s.degraded_frames).sum();
+        if degraded > 0 {
+            let verb = if self.mode == RunMode::Replay {
+                "replayed"
+            } else {
+                "shipped"
+            };
+            writeln!(f, "  degraded frames {verb}: {degraded}")?;
+        }
+        let d = &self.degradation;
+        if !d.is_empty() {
+            writeln!(
+                f,
+                "  degraded: {} interval(s), {} records sampled out, {} kind-dropped, {} snapback(s)",
+                d.engagements, d.sampled_out, d.kind_dropped, d.snapbacks,
+            )?;
+        }
+        for tail in &self.salvaged {
+            writeln!(
+                f,
+                "  stream {}: salvaged {} frame(s), tail lost ({})",
+                tail.stream, tail.frames_salvaged, tail.detail
+            )?;
+        }
         for finding in &self.findings {
             writeln!(f, "  {finding}")?;
         }
@@ -412,25 +294,19 @@ impl fmt::Display for RunReport {
 mod tests {
     use super::*;
 
-    fn report(mode: Mode, cycles: u64) -> RunReport {
+    fn report(mode: RunMode, cycles: u64) -> RunReport {
         RunReport {
             program: "t".into(),
             mode,
             total_cycles: cycles,
             app_cycles: cycles,
-            lifeguard_cycles: 0,
-            shards: 0,
-            shard_cycles: Vec::new(),
-            shard_log: Vec::new(),
-            trace: TraceStats::new(),
-            pipeline: PipelineReport::default(),
-            stalls: StallBreakdown::default(),
+            ..RunReport::default()
         }
     }
 
     #[test]
     fn reports_deref_to_the_pipeline_core() {
-        let mut r = report(Mode::Lba, 1);
+        let mut r = report(RunMode::Lba, 1);
         r.pipeline.log.records = 7;
         assert_eq!(r.log.records, 7, "field reads go through the core");
         r.log.frames = 3; // DerefMut: writes do too
@@ -439,22 +315,22 @@ mod tests {
 
     #[test]
     fn slowdown_is_a_ratio() {
-        let base = report(Mode::Unmonitored, 100);
-        let lba = report(Mode::Lba, 390);
+        let base = report(RunMode::Unmonitored, 100);
+        let lba = report(RunMode::Lba, 390);
         assert!((lba.slowdown_vs(&base) - 3.9).abs() < 1e-9);
     }
 
     #[test]
     #[should_panic(expected = "baseline")]
     fn zero_baseline_panics() {
-        let base = report(Mode::Unmonitored, 0);
-        let lba = report(Mode::Lba, 10);
+        let base = report(RunMode::Unmonitored, 0);
+        let lba = report(RunMode::Lba, 10);
         let _ = lba.slowdown_vs(&base);
     }
 
     #[test]
     fn display_includes_mode_and_cycles() {
-        let r = report(Mode::Dbi, 1234);
+        let r = report(RunMode::Dbi, 1234);
         let s = r.to_string();
         assert!(s.contains("dbi"));
         assert!(s.contains("1234"));

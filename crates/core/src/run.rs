@@ -8,7 +8,8 @@ use lba_lifeguard::Lifeguard;
 use lba_record::TraceStats;
 
 use crate::config::SystemConfig;
-use crate::report::{Mode, PipelineReport, RunReport, StallBreakdown};
+use crate::report::{PipelineReport, RunReport};
+use crate::runner::RunMode;
 
 /// Runs `program` with no monitoring: the paper's normalisation baseline
 /// (the denominator of every bar in Figure 2).
@@ -23,16 +24,11 @@ pub fn run_unmonitored(program: &Program, config: &SystemConfig) -> Result<RunRe
     let cycles = machine.run(&mut mem, |r| trace.observe(&r.record))?;
     Ok(RunReport {
         program: program.name().to_string(),
-        mode: Mode::Unmonitored,
+        mode: RunMode::Unmonitored,
         total_cycles: cycles,
         app_cycles: cycles,
-        lifeguard_cycles: 0,
-        shards: 0,
-        shard_cycles: Vec::new(),
-        shard_log: Vec::new(),
         trace,
-        pipeline: PipelineReport::default(),
-        stalls: StallBreakdown::default(),
+        ..RunReport::default()
     })
 }
 
@@ -71,19 +67,16 @@ pub fn run_dbi(
 
     Ok(RunReport {
         program: program.name().to_string(),
-        mode: Mode::Dbi,
+        mode: RunMode::Dbi,
         total_cycles: app_cycles + monitor_cycles,
         app_cycles,
         lifeguard_cycles: monitor_cycles,
-        shards: 0,
-        shard_cycles: Vec::new(),
-        shard_log: Vec::new(),
         trace,
         pipeline: PipelineReport {
             findings,
             ..PipelineReport::default()
         },
-        stalls: StallBreakdown::default(),
+        ..RunReport::default()
     })
 }
 
@@ -98,7 +91,7 @@ mod tests {
         let program = Benchmark::Bc.build();
         let report = run_unmonitored(&program, &SystemConfig::default()).unwrap();
         assert!(report.total_cycles >= report.trace.instructions());
-        assert_eq!(report.mode, Mode::Unmonitored);
+        assert_eq!(report.mode, RunMode::Unmonitored);
         assert!(report.findings.is_empty());
     }
 

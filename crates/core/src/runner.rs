@@ -9,7 +9,7 @@
 //!     .mode(RunMode::Live)
 //!     .monitor(LifeguardKind::AddrCheck)
 //!     .run()?;
-//! assert!(!outcome.findings.is_empty()); // Derefs to PipelineReport
+//! assert!(!outcome.findings.is_empty()); // Derefs to the RunReport
 //! # Ok::<(), lba::LbaError>(())
 //! ```
 //!
@@ -24,10 +24,10 @@
 //! degradation suite's dial-requesting lifeguard) or a caller-owned
 //! lifeguard whose final state is inspected afterwards.
 //!
-//! The mode-shaped reports survive unchanged inside [`RunOutcome`], which
-//! [`Deref`]s to the shared [`PipelineReport`] so mode-generic callers
-//! (the bench harness, the equivalence grid) read findings and log
-//! statistics without matching on the shape.
+//! Every mode returns the one [`RunReport`], and [`RunOutcome`] holds it
+//! in a variant per mode and [`Deref`]s to it, so mode-generic callers
+//! (the bench harness, the equivalence grid) read findings, per-stream
+//! statistics and clocks without matching on the variant.
 
 use std::borrow::Cow;
 use std::fmt;
@@ -41,14 +41,16 @@ use crate::error::LbaError;
 use crate::kind::LifeguardKind;
 use crate::pipeline::{MonitorSpec, RunModeSpec, TopologyKind, MONITORS, RUN_MODES};
 use crate::replay::ReplayMode;
-use crate::report::{LiveReport, PipelineReport, ReplayReport, RunReport};
+use crate::report::RunReport;
 
 /// Every execution model the builder can drive: the six registry modes
 /// (see [`RUN_MODES`]) plus the two unmonitored/inline baselines, which
 /// stand outside the registry because they ship no log.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum RunMode {
-    /// Modeled co-simulation with exact clocks ([`crate::run_lba`]).
+    /// Modeled co-simulation with exact clocks ([`crate::run_lba`]), the
+    /// builder's default.
+    #[default]
     Lba,
     /// Real threads over an in-process framed channel
     /// ([`crate::run_live`]).
@@ -155,7 +157,7 @@ impl<'a> Run<'a> {
     pub fn new(program: &'a Program) -> Self {
         Run {
             program,
-            mode: RunMode::Lba,
+            mode: RunMode::default(),
             monitor: MonitorChoice::from(LifeguardKind::AddrCheck).0,
             workers: 2,
             config: Cow::Owned(SystemConfig::default()),
@@ -259,62 +261,47 @@ impl<'a> Run<'a> {
     }
 }
 
-/// The mode-shaped report a [`Run`] produced, behind one type.
+/// The [`RunReport`] a [`Run`] produced, in a variant per mode.
 ///
-/// Every variant [`Deref`]s to the shared [`PipelineReport`], so
-/// mode-generic code reads `outcome.findings` / `outcome.log` directly;
-/// match on the variant when the mode-specific fields (clocks, shard
-/// logs, salvage ledger) matter.
+/// Every variant holds the same report and the outcome [`Deref`]s to it,
+/// so mode-generic code reads `outcome.findings`, `outcome.shard_log` or
+/// `outcome.total_cycles` directly; the report's `mode` names the mode
+/// that ran.
 #[derive(Debug)]
 pub enum RunOutcome {
     /// Modeled co-simulation or baseline ([`RunMode::Lba`],
     /// [`RunMode::Unmonitored`], [`RunMode::Dbi`]).
     Run(RunReport),
     /// [`RunMode::Live`].
-    Live(LiveReport),
+    Live(RunReport),
     /// [`RunMode::LbaParallel`]: the co-simulation N shards wide.
     Parallel(RunReport),
     /// [`RunMode::LiveParallel`].
-    LiveParallel(LiveReport),
+    LiveParallel(RunReport),
     /// [`RunMode::Remote`].
-    Remote(LiveReport),
+    Remote(RunReport),
     /// [`RunMode::Replay`].
-    Replay(ReplayReport),
+    Replay(RunReport),
 }
 
 impl Deref for RunOutcome {
-    type Target = PipelineReport;
+    type Target = RunReport;
 
-    fn deref(&self) -> &PipelineReport {
+    fn deref(&self) -> &RunReport {
         match self {
-            RunOutcome::Run(r) | RunOutcome::Parallel(r) => r,
-            RunOutcome::Live(r) | RunOutcome::LiveParallel(r) | RunOutcome::Remote(r) => r,
-            RunOutcome::Replay(r) => r,
+            RunOutcome::Run(r)
+            | RunOutcome::Live(r)
+            | RunOutcome::Parallel(r)
+            | RunOutcome::LiveParallel(r)
+            | RunOutcome::Remote(r)
+            | RunOutcome::Replay(r) => r,
         }
     }
 }
 
 impl fmt::Display for RunOutcome {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        // The fan-out modes are summarised from the shared pipeline
-        // fields under their own mode name.
-        let summary = |f: &mut fmt::Formatter<'_>, mode: &str, report: &PipelineReport| {
-            writeln!(
-                f,
-                "[{mode}] {} finding(s); {} records in {} frames",
-                report.findings.len(),
-                report.log.records,
-                report.log.frames,
-            )
-        };
-        match self {
-            RunOutcome::Run(r) => r.fmt(f),
-            RunOutcome::Live(r) => r.fmt(f),
-            RunOutcome::Parallel(r) => summary(f, "lba-parallel", r),
-            RunOutcome::LiveParallel(r) => summary(f, "live-parallel", r),
-            RunOutcome::Remote(r) => summary(f, "remote", r),
-            RunOutcome::Replay(r) => r.fmt(f),
-        }
+        RunReport::fmt(self, f)
     }
 }
 
@@ -371,6 +358,20 @@ mod tests {
                 request = request.replay_from(&recording);
             }
             let outcome = request.run().unwrap_or_else(|e| panic!("{mode}: {e}"));
+            assert_eq!(outcome.mode, mode, "the report names the mode that ran");
+            assert_eq!(
+                outcome.shard_log.len(),
+                outcome.shards,
+                "{mode}: one ChannelStats per stream"
+            );
+            // The builder's default is two workers; the replayed recording
+            // is one `lba` stream.
+            let streams = match mode {
+                RunMode::Unmonitored | RunMode::Dbi => 0,
+                RunMode::LbaParallel | RunMode::LiveParallel | RunMode::Remote => 2,
+                RunMode::Lba | RunMode::Live | RunMode::Replay => 1,
+            };
+            assert_eq!(outcome.shards, streams, "{mode}");
             if mode != RunMode::Unmonitored {
                 assert!(
                     !outcome.findings.is_empty(),

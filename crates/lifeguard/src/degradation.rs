@@ -90,6 +90,11 @@ pub struct SamplingSpec {
 /// back-pressure — its soundness contract with the
 /// `CaptureController`, in the same spirit as
 /// [`IdempotencyClass`](crate::IdempotencyClass).
+///
+/// The contract has no exceptions: every degradation a policy permits
+/// leaves the lifeguard's findings byte-identical to an undegraded
+/// run's. What may degrade is only what findings never read (MemProfile
+/// has none; its *profile* becomes a sampled estimate).
 #[derive(Debug, Clone, Copy)]
 pub struct DegradationPolicy {
     /// Whether the dedup window may widen (or switch on, if the run was
@@ -110,12 +115,6 @@ pub struct DegradationPolicy {
     /// sampled-out access could be a fresh word's first touch, whose
     /// Virgin → Exclusive initialisation later race checks depend on).
     pub sampling: Option<SamplingSpec>,
-    /// Whether this policy promises that degraded-run findings are
-    /// identical to undegraded-run findings. Every shipped policy
-    /// promises it (MemProfile has no findings; its *profile* is what
-    /// degrades); the flag exists so the test grid knows which
-    /// lifeguards to hold to byte-identical findings.
-    pub findings_sound: bool,
 }
 
 impl DegradationPolicy {
@@ -127,7 +126,6 @@ impl DegradationPolicy {
             widen_window: false,
             droppable: EventMask::EMPTY,
             sampling: None,
-            findings_sound: true,
         }
     }
 

@@ -287,8 +287,8 @@ impl Lifeguard for AddrCheck {
     ///   allocation state it was proven against.
     ///
     /// Findings under any mix of these are therefore byte-identical to
-    /// an undegraded run (`findings_sound`), which the degradation test
-    /// grid pins.
+    /// an undegraded run, as the policy contract demands and the
+    /// degradation test grid pins.
     fn degradation(&self) -> DegradationPolicy {
         DegradationPolicy {
             widen_window: true,
@@ -303,7 +303,6 @@ impl Lifeguard for AddrCheck {
                 repromote_on: EventMask::of(&[EventKind::Alloc, EventKind::Free]),
                 make_classifier: || Box::new(AllocSettled::default()),
             }),
-            findings_sound: true,
         }
     }
 
@@ -538,7 +537,6 @@ mod tests {
         assert!(!policy.droppable.contains(EventKind::Free));
         assert!(!policy.droppable.contains(EventKind::Load));
         assert!(!policy.droppable.contains(EventKind::Store));
-        assert!(policy.findings_sound);
         assert!(!policy.is_none());
     }
 

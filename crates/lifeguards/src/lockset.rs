@@ -415,7 +415,6 @@ impl Lifeguard for LockSet {
             widen_window: true,
             droppable: EventMask::EMPTY,
             sampling: None,
-            findings_sound: true,
         }
     }
 }

@@ -156,7 +156,7 @@ impl Lifeguard for MemProfile {
     }
 
     /// Degradation-soundness contract: MemProfile has no findings to
-    /// protect (`findings_sound` is trivially kept — the degraded and
+    /// protect (identical findings are trivially kept — the degraded and
     /// undegraded finding sets are both empty); what degrades is the
     /// *profile*, from exact counts to a sampled estimate, and only
     /// while the load signal is past threshold.
@@ -197,7 +197,6 @@ impl Lifeguard for MemProfile {
                 repromote_on: EventMask::EMPTY,
                 make_classifier: || Box::new(AlwaysSettled),
             }),
-            findings_sound: true,
         }
     }
 

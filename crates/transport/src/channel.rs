@@ -85,6 +85,9 @@ pub struct ChannelStats {
     pub wire_bits: u64,
     /// High-water mark of in-flight wire bits (how full the buffer got).
     pub high_water_bits: u64,
+    /// Frames carrying the degraded-capture mark: they sealed while the
+    /// adaptive controller was engaged.
+    pub degraded_frames: u64,
 }
 
 impl ChannelStats {

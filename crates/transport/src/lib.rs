@@ -25,9 +25,14 @@
 //!   back-pressure across it. [`live::FrameReceiver::recv_batch`] hands
 //!   out the same [`PoppedFrame`] shape on both.
 //!
-//! Either way the dispatch engine delivers each frame as a batch. The
-//! [`sink`] seam mirrors sealed frames into flight recordings, and
-//! [`fault`] injects a slow consumer on demand.
+//! Either way the dispatch engine delivers each frame as a batch. Every
+//! channel end counts what passes it in one [`ChannelStats`] (records,
+//! frames, wire bits and the frames carrying the degraded-capture mark):
+//! the modeled channel and a sender count what they ship, a receiver what
+//! it reads off a live wire or a recording, so a replay's counts check
+//! against the run that recorded it. The [`sink`] seam mirrors sealed
+//! frames into flight recordings, and [`fault`] injects a slow consumer on
+//! demand.
 //!
 //! # Examples
 //!

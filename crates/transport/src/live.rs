@@ -444,6 +444,7 @@ impl<W: FrameWire> FrameSender<W> {
         }
         let (records, payload_bits, wire_bits) =
             (frame.records, frame.payload_bits, frame.wire_bits());
+        let degraded = frame.degraded;
         match self.wire.ship(frame, self.stall_timeout) {
             Ok(Shipped::Sent { inflight_bits }) => {
                 self.stats.records += u64::from(records);
@@ -451,6 +452,7 @@ impl<W: FrameWire> FrameSender<W> {
                 self.stats.payload_bits += payload_bits;
                 self.stats.wire_bits += wire_bits;
                 self.stats.high_water_bits = self.stats.high_water_bits.max(inflight_bits);
+                self.stats.degraded_frames += u64::from(degraded);
             }
             Ok(Shipped::Dropped) => {}
             Ok(Shipped::Stalled) => self.stalled = true,
@@ -597,16 +599,16 @@ impl<S: FrameSource> FrameReceiver<S> {
     }
 
     /// Consumer-side statistics over the frames received so far: records
-    /// (as their headers count them), frames and wire bits. Payload bits
-    /// and the high-water mark are producer-side figures; see
-    /// [`FrameSender::stats`].
+    /// and degraded frames (as their headers count them), frames and wire
+    /// bits. Payload bits and the high-water mark are producer-side
+    /// figures; see [`FrameSender::stats`].
     #[must_use]
     pub fn stats(&self) -> ChannelStats {
         self.stats
     }
 
-    /// The source the frames come from, for what only it knows (a
-    /// recording's degraded frames and tear point, say).
+    /// The source the frames come from, for what only it knows (where a
+    /// recording tore, say).
     #[must_use]
     pub fn source(&self) -> &S {
         &self.source
@@ -619,6 +621,7 @@ impl<S: FrameSource> FrameReceiver<S> {
         let bytes = self.source.next_frame_bytes()?;
         if let Some(bytes) = &bytes {
             self.stats.records += u64::from(Frame::header_records(bytes));
+            self.stats.degraded_frames += u64::from(Frame::header_degraded(bytes));
             self.stats.frames += 1;
             self.stats.wire_bits += bytes.len() as u64 * 8;
         }
@@ -809,6 +812,22 @@ mod tests {
         tx.push(&rec(0x3000));
         tx.flush();
         assert_eq!(tx.stats(), queued);
+    }
+
+    #[test]
+    fn both_ends_count_the_degraded_frames() {
+        let (mut tx, mut rx) = frame_channel(8, config(4, true));
+        // Flush, then toggle, as the capture controller does: frames 1
+        // and 3 of 5 seal degraded.
+        for (i, degraded) in [false, true, false, true, false].into_iter().enumerate() {
+            tx.flush();
+            tx.set_degraded(degraded);
+            tx.push(&rec(0x1000 + i as u64 * 8));
+        }
+        let sent = tx.finish().unwrap();
+        assert_eq!((sent.frames, sent.degraded_frames), (5, 2));
+        assert_eq!(drain_pcs(&mut rx).len(), 5);
+        assert_eq!(rx.stats().degraded_frames, sent.degraded_frames);
     }
 
     #[test]

@@ -234,6 +234,7 @@ impl ModeledFrameChannel {
             payload_bits: enc.payload_bits,
             wire_bits: enc.wire_bits,
             high_water_bits: self.high_water_bits,
+            degraded_frames: enc.degraded_frames,
         }
     }
 

@@ -11,15 +11,15 @@
 //! [`FrameReceiver`](crate::live::FrameReceiver) decodes any of them.
 //! [`StreamSink`] / [`StreamSource`] adapt `lba_record`'s segmented
 //! `lbas/1` stream writer/reader to the seam, making any run durable. A
-//! replay is a `FrameReceiver` over a [`StreamSource`], which also counts
-//! the degraded frames and keeps where a damaged recording tore.
+//! replay is a `FrameReceiver` over a [`StreamSource`]: the receiver counts
+//! the frames (degraded ones included) as it does on a live wire, and the
+//! source keeps where a damaged recording tore.
 //!
 //! Sink failures (disk full, permissions) must not take down the
 //! monitored application: the channels latch the *first* sink error, stop
 //! mirroring, and surface the error when the tee is taken back — the
 //! run's own transport is never disturbed.
 
-use lba_compress::Frame;
 use lba_record::{SegmentReader, SegmentWriter, StreamError, StreamSummary};
 
 /// A sealed compressed frame, borrowed at the moment of sealing.
@@ -188,7 +188,6 @@ pub struct StreamSource {
     reader: SegmentReader,
     salvage: bool,
     tear: Option<StreamError>,
-    degraded_frames: u64,
 }
 
 impl StreamSource {
@@ -199,7 +198,6 @@ impl StreamSource {
             reader,
             salvage: false,
             tear: None,
-            degraded_frames: 0,
         }
     }
 
@@ -217,14 +215,6 @@ impl StreamSource {
         self.tear.as_ref()
     }
 
-    /// Frames read so far whose header carries the degraded-capture mark
-    /// ([`Frame::header_degraded`]): the recording run's adaptive
-    /// controller was engaged while they sealed.
-    #[must_use]
-    pub fn degraded_frames(&self) -> u64 {
-        self.degraded_frames
-    }
-
     /// The codec version the recorded frames were sealed under.
     #[must_use]
     pub fn codec_version(&self) -> u32 {
@@ -238,10 +228,7 @@ impl FrameSource for StreamSource {
             return Ok(None);
         }
         match self.reader.next_frame() {
-            Ok(Some(frame)) => {
-                self.degraded_frames += u64::from(Frame::header_degraded(&frame.bytes));
-                Ok(Some(frame.bytes))
-            }
+            Ok(Some(frame)) => Ok(Some(frame.bytes)),
             Ok(None) => Ok(None),
             Err(e) if self.salvage => {
                 self.tear = Some(e);
@@ -255,6 +242,8 @@ impl FrameSource for StreamSource {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::live::FrameReceiver;
+    use lba_compress::FrameConfig;
     use lba_record::StreamConfig;
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -336,21 +325,24 @@ mod tests {
         for salvage in [false, true] {
             let mut source = StreamSource::new(SegmentReader::open(&dir, 0).unwrap());
             source.set_salvage(salvage);
+            // The receiver counts the degraded frames as it reads them;
+            // its raw drain skips the decode these images would fail.
+            let mut rx = FrameReceiver::new(source, 0, FrameConfig::default());
             for _ in 0..4 {
-                assert!(source.next_frame_bytes().unwrap().is_some());
+                assert!(rx.next_frame_bytes().unwrap().is_some());
             }
-            assert_eq!(source.degraded_frames(), 2);
-            let end = source.next_frame_bytes();
+            assert_eq!(rx.stats().degraded_frames, 2);
+            let end = rx.next_frame_bytes();
             if salvage {
                 assert!(end.unwrap().is_none(), "a salvaging source ends cleanly");
                 assert!(matches!(
-                    source.tear(),
+                    rx.source().tear(),
                     Some(StreamError::MissingEnd { .. })
                 ));
-                assert!(source.next_frame_bytes().unwrap().is_none());
+                assert!(rx.next_frame_bytes().unwrap().is_none());
             } else {
                 assert!(end.unwrap_err().to_string().contains("End"));
-                assert!(source.tear().is_none());
+                assert!(rx.source().tear().is_none());
             }
         }
         std::fs::remove_dir_all(&dir).ok();

@@ -28,8 +28,10 @@
 //! All integers are little-endian. The wire is a plain byte stream over a
 //! full-duplex [`UnixStream`].
 //!
-//! Neither end trusts the other's bytes. The consumer checks each payload
-//! against its checksum and its record count against the frame image, and
+//! Neither end trusts the other's bytes. The consumer refuses a hello that
+//! announces another codec version than the one it decodes
+//! ([`SocketError::CodecMismatch`]), checks each payload against its
+//! checksum and its record count against the frame image, and
 //! reserves at most 64 KiB for a payload before its bytes arrive, so a
 //! header claiming 4 GiB costs no more until 4 GiB do arrive. The producer
 //! treats any byte on the credit channel that is not a credit, and any
@@ -96,7 +98,7 @@ use std::io::{self, BufReader, Read, Write};
 use std::os::unix::net::UnixStream;
 use std::time::Duration;
 
-use lba_compress::Frame;
+use lba_compress::{Frame, CODEC_VERSION};
 use lba_record::{
     check_ident, end_record, verify_end, FrameRecordHeader, IdentError, StreamHeader,
     FRAME_RECORD_HEADER_BYTES, SEGMENT_HEADER_BYTES, TAG_END, TAG_FRAME,
@@ -157,6 +159,17 @@ pub enum SocketError {
         /// The version string found after `lbas/`.
         version: String,
     },
+    /// The hello announces frames sealed under another codec version than
+    /// the one this build decodes: decoding them would yield garbage.
+    CodecMismatch {
+        /// Offending peer.
+        endpoint: String,
+        /// The codec version the hello announced.
+        announced: u32,
+        /// The codec version this build decodes
+        /// (`lba_compress::CODEC_VERSION`).
+        running: u32,
+    },
     /// The connection tore mid-record — the peer died or the wire dropped
     /// before the stream's End record.
     Torn {
@@ -195,6 +208,17 @@ impl fmt::Display for SocketError {
                 write!(
                     f,
                     "{endpoint} speaks lbas/{version}; this side understands lbas/1"
+                )
+            }
+            SocketError::CodecMismatch {
+                endpoint,
+                announced,
+                running,
+            } => {
+                write!(
+                    f,
+                    "{endpoint} announces frames sealed under codec v{announced}; \
+                     this build decodes v{running}"
                 )
             }
             SocketError::Torn { endpoint, frames } => {
@@ -506,8 +530,9 @@ impl SocketSource {
     ///
     /// [`SocketError::NotAStream`] when the peer does not open with the
     /// `lbas/` identifier, [`SocketError::UnknownVersion`] for a protocol
-    /// version this side does not speak, [`SocketError::Io`] when the
-    /// hello cannot be read.
+    /// version this side does not speak, [`SocketError::CodecMismatch`]
+    /// for frames sealed under another codec than this build's,
+    /// [`SocketError::Io`] when the hello cannot be read.
     pub fn accept(stream: UnixStream) -> Result<Self, SocketError> {
         let endpoint = endpoint(&stream);
         let mut source = SocketSource {
@@ -529,11 +554,18 @@ impl SocketSource {
             });
         }
         source.hello = StreamHeader::decode(&hello);
+        if source.hello.codec_version != CODEC_VERSION {
+            return Err(SocketError::CodecMismatch {
+                endpoint: source.endpoint,
+                announced: source.hello.codec_version,
+                running: CODEC_VERSION,
+            });
+        }
         Ok(source)
     }
 
-    /// The codec version the producer announced in the hello — check it
-    /// against the running decoder's, as replay does.
+    /// The codec version the producer announced in the hello: always this
+    /// build's, since [`accept`](Self::accept) refuses any other.
     #[must_use]
     pub fn codec_version(&self) -> u32 {
         self.hello.codec_version
@@ -655,7 +687,7 @@ impl FrameSource for SocketSource {
 /// hello exchange error.
 pub fn socket_pair(stream_id: u32, window: u32) -> Result<(SocketSink, SocketSource), SocketError> {
     let (a, b) = UnixStream::pair().map_err(|e| SocketError::io("uds:<socketpair>", e))?;
-    let sink = SocketSink::connect(a, stream_id, lba_compress::CODEC_VERSION, window)?;
+    let sink = SocketSink::connect(a, stream_id, CODEC_VERSION, window)?;
     let source = SocketSource::accept(b)?;
     Ok((sink, source))
 }
@@ -664,7 +696,7 @@ pub fn socket_pair(stream_id: u32, window: u32) -> Result<(SocketSink, SocketSou
 mod tests {
     use super::*;
     use crate::live::{FrameReceiver, RecvError};
-    use lba_compress::{FrameConfig, FrameDecoder, FrameEncoder, CODEC_VERSION};
+    use lba_compress::{FrameConfig, FrameDecoder, FrameEncoder};
     use lba_record::EventRecord;
     use std::thread;
     use std::time::Instant;
@@ -1097,6 +1129,34 @@ mod tests {
             "got: {err}"
         );
         assert!(err.to_string().contains("lbas/9"));
+    }
+
+    #[test]
+    fn a_hello_under_another_codec_is_refused() {
+        let (mut a, b) = UnixStream::pair().unwrap();
+        let announced = CODEC_VERSION + 7;
+        let hello = StreamHeader {
+            codec_version: announced,
+            stream: 0,
+            word: 4,
+        };
+        a.write_all(&hello.encode()).unwrap();
+        let err = SocketSource::accept(b).unwrap_err();
+        assert!(
+            matches!(
+                &err,
+                SocketError::CodecMismatch { announced: a, running: r, .. }
+                    if (*a, *r) == (announced, CODEC_VERSION)
+            ),
+            "got: {err}"
+        );
+        let message = err.to_string();
+        assert!(
+            message.contains("uds:")
+                && message.contains(&format!("v{announced}"))
+                && message.contains(&format!("v{CODEC_VERSION}")),
+            "the message names the endpoint and both versions: {message}"
+        );
     }
 
     #[test]

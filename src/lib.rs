@@ -94,12 +94,12 @@
 //! | `lba-cache`      | set-associative caches and the two-core memory system |
 //! | `lba-record`     | the typed event-record vocabulary the log carries (incl. `Repeat` fold summaries) + the segmented `lbas/1` flight-recorder stream format (rotation, retention, End records), the one on-disk record format |
 //! | `lba-compress`   | value-prediction log compression + chunked frame codec (< 1 byte/instr on the wire), `CODEC_VERSION` stamped into recordings |
-//! | `lba-transport`  | `ModeledFrameChannel`, the framed buffer timing model the co-simulation gives each lifeguard core (one queue of sealed frames in seal order, admitted or parked, each holding its records, wire bits and `ready_at`); the live transport — one `FrameSender` (encoder, recording tee, degraded mark, stall latch, stats) and one `FrameReceiver` (decoder, drain drag) over two wires, the in-process SPSC queue or the `socket` module's `lbas/1` records over Unix-domain sockets with an explicit credit window so back-pressure survives the wire; both consumed a frame at a time (`pop_frame` / `recv_batch`); `shard_of` routing and per-shard channel fan-out; `FrameSink`/`FrameSource` seam with tee mirroring into recordings and `StreamSource` reading them back (degraded-frame count, salvage switch for torn tails); the producer-visible `LoadSample` occupancy signal (the feedback arrow above) and the `FaultProfile` slow-consumer injection (the modeled channel's stall schedule, the live receivers' drain drag) |
+//! | `lba-transport`  | `ModeledFrameChannel`, the framed buffer timing model the co-simulation gives each lifeguard core (one queue of sealed frames in seal order, admitted or parked, each holding its records, wire bits and `ready_at`); the live transport — one `FrameSender` (encoder, recording tee, degraded mark, stall latch, stats) and one `FrameReceiver` (decoder, drain drag) over two wires, the in-process SPSC queue or the `socket` module's `lbas/1` records over Unix-domain sockets with an explicit credit window so back-pressure survives the wire, whose consumer refuses a hello announcing another codec; both consumed a frame at a time (`pop_frame` / `recv_batch`); `shard_of` routing and per-shard channel fan-out; `FrameSink`/`FrameSource` seam with tee mirroring into recordings and `StreamSource` reading them back (salvage switch for torn tails); per-stream `ChannelStats` (records, frames, wire bits, degraded frames) counted alike by the modeled channel, the live sender and the receiver, so a replay's counts check against the recording run's; the producer-visible `LoadSample` occupancy signal (the feedback arrow above) and the `FaultProfile` slow-consumer injection (the modeled channel's stall schedule, the live receivers' drain drag) |
 //! | `lba-lifeguard`  | dispatch engine (`deliver_batch` for the log, per-record `deliver` for DBI), capture filters (`AddrRangeFilter` + per-contract idempotency window in one `CaptureFilter` pass), findings, flat paged shadow memory, and the `DegradationPolicy`/`RegionClassifier` graceful-degradation contracts |
 //! | `lba-lifeguards` | the four lifeguards (the paper's three + `MemProfile`); each declares its degradation tolerance next to its idempotency story |
 //! | `lba-dbi`        | Valgrind-style inline instrumentation baseline        |
 //! | `lba-workloads`  | deterministic benchmark programs                      |
-//! | `lba-core`       | ties it together: the staged capture pipeline (`pipeline::Producer` driving each mode's `pipeline::ProducerLink`), the run-mode/monitor registry (`pipeline::RUN_MODES` / `pipeline::MONITORS`), the unified `Run` builder dispatching every mode through its `RUN_MODES` row behind one validated entry point (the `run_*` functions are the per-mode implementations), one co-simulation behind `run_lba` and `run_lba_parallel` (one lifeguard core or N, one timing model), one live runner behind `run_live`, `run_live_parallel` and `run_remote` (one shard or N, queue or socket wires) whose consumer threads also run `run_replay` (one receiver per recorded stream), the one `LbaError` type for every layer's failures (a panicking live or replay thread, an undecodable frame, a recording under another codec), experiments, the shared `PipelineReport` core every report derefs to, and the adaptive `CaptureController` closing the back-pressure feedback loop |
+//! | `lba-core`       | ties it together: the staged capture pipeline (`pipeline::Producer` driving each mode's `pipeline::ProducerLink`), the run-mode/monitor registry (`pipeline::RUN_MODES` / `pipeline::MONITORS`), the unified `Run` builder dispatching every mode through its `RUN_MODES` row behind one validated entry point (the `run_*` functions are the per-mode implementations), one co-simulation behind `run_lba` and `run_lba_parallel` (one lifeguard core or N, one timing model), one live runner behind `run_live`, `run_live_parallel` and `run_remote` (one shard or N, queue or socket wires) whose consumer threads also run `run_replay` (one receiver per recorded stream), the one `LbaError` type for every layer's failures (a panicking live or replay thread, an undecodable frame, a recording under another codec), experiments, the one `RunReport` every mode returns (clocks where a modeled clock runs, one `ChannelStats` per stream, salvaged tails after a salvaging replay; it derefs to its `PipelineReport` core), and the adaptive `CaptureController` closing the back-pressure feedback loop |
 //! | `lba-bench`      | table rendering, Criterion benches, `figures` binary  |
 //!
 //! ## Execution models
@@ -108,7 +108,10 @@
 //! `Run::new(&program).mode(RunMode::Live).monitor(LifeguardKind::AddrCheck).run()`
 //! — which validates the mode/monitor pairing against the registry
 //! capability flags, dispatches through the mode's [`RUN_MODES`] row and
-//! returns a [`RunOutcome`] that derefs to the shared [`PipelineReport`].
+//! returns a [`RunOutcome`] that derefs to the one [`RunReport`] every
+//! mode reports: its `mode` names the mode that ran, its `shard_log`
+//! holds one [`ChannelStats`] per stream, and its cycle fields stay zero
+//! where no modeled clock runs.
 //! The rows call the per-mode implementations below, which stay public
 //! for what the builder does not express — a custom lifeguard instance,
 //! or a lifeguard whose final state the caller inspects:
@@ -140,7 +143,8 @@
 //!   ([`LogConfig::record_to`]), and replay re-decodes the recording
 //!   through any lifeguard on the live runner's consumer threads, one per
 //!   recorded stream — findings and wire-bit accounting byte-identical to
-//!   the original run, no re-simulation
+//!   the original run, no re-simulation, and a recording that lost a
+//!   stream below its highest is refused before any consumer starts
 //!   ([`run_replay_with`] in [`ReplayMode::SalvagePrefix`] additionally
 //!   survives a torn tail segment, replaying the checksummed prefix and
 //!   reporting exactly what was lost).
@@ -163,7 +167,9 @@
 //! strictly within each lifeguard's declared [`DegradationPolicy`] —
 //! and snapping back to full fidelity on any finding or syscall. Every
 //! degraded span is accounted in the report's [`DegradationStats`] and
-//! marked on the wire, so replays see it too. The deterministic
+//! marked on the wire, and every stream counts its marked frames
+//! (`ChannelStats::degraded_frames`), so a replay reports the same count
+//! as the run that recorded it. The deterministic
 //! [`FaultProfile`] injectors ([`LogConfig::fault`]) exist to prove all
 //! of this in `tests/degradation.rs`.
 //!
@@ -177,7 +183,7 @@
 //! ## Quickstart
 //!
 //! ```
-//! use lba::{LifeguardKind, Run, RunMode, RunOutcome, SystemConfig};
+//! use lba::{LifeguardKind, Run, RunMode, SystemConfig};
 //! use lba_workloads::bugs;
 //!
 //! let program = bugs::memory_bugs();
@@ -193,24 +199,20 @@
 //!     .config(&config)
 //!     .run()?;
 //!
-//! // RunOutcome derefs to the shared PipelineReport...
+//! // A RunOutcome derefs to its RunReport: findings, clocks and all.
 //! assert!(!monitored.findings.is_empty(), "the planted bugs are caught");
-//! // ...and the mode-shaped report (with its clocks) is inside the variant.
-//! let (RunOutcome::Run(base), RunOutcome::Run(mon)) = (&baseline, &monitored) else {
-//!     unreachable!("Unmonitored and Lba produce RunReports");
-//! };
-//! assert!(mon.slowdown_vs(base) > 1.0);
+//! assert!(monitored.slowdown_vs(&baseline) > 1.0);
 //! # Ok::<(), lba::LbaError>(())
 //! ```
 
 pub use lba_core::{
     experiment, live_parallel, parallel, pipeline, remote, replay, report, runner, table,
-    CaptureFilter, CaptureStats, ChannelStats, IdempotencyClass, LifeguardKind, LiveReport,
-    LogConfig, LogStats, Mode, PipelineReport, RecordConfig, ReplayReport, ReplayStreamStats,
-    RunError, RunReport, StallBreakdown, SystemConfig, WindowSpec,
+    CaptureFilter, CaptureStats, ChannelStats, IdempotencyClass, LifeguardKind, LogConfig,
+    LogStats, PipelineReport, RecordConfig, RunError, RunReport, StallBreakdown, SystemConfig,
+    WindowSpec,
 };
 // The unified entry point: one builder for every execution model, the
-// outcome type every mode-shaped report folds into, and the error
+// outcome that holds the one report every mode returns, and the error
 // hierarchy every layer's failures convert into.
 pub use lba_core::{LbaError, MonitorChoice, Run, RunMode, RunOutcome};
 // The per-mode implementations the builder dispatches to, the staged
@@ -317,7 +319,7 @@ mod facade_smoke {
         let mut lifeguard = kind.make_lba();
         let recorded =
             crate::run_lba(&program, lifeguard.as_mut(), &recording).expect("recorded run");
-        let replay: crate::ReplayReport =
+        let replay: crate::RunReport =
             crate::run_replay(&dir, || kind.make_lba(), &config).expect("replay runs");
         assert_eq!(replay.findings, recorded.findings);
         assert_eq!(replay.log.wire_bits, recorded.log.wire_bits);

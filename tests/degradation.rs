@@ -255,8 +255,8 @@ fn make_kind(idx: usize) -> Box<dyn Lifeguard> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// (b) of the acceptance grid: for every lifeguard whose policy
-    /// promises `findings_sound`, findings under injected slow-drain
+    /// (b) of the acceptance grid: for every lifeguard, as its
+    /// degradation policy promises, findings under injected slow-drain
     /// degradation are identical to the undegraded run's, in all four
     /// run modes; and (c) the stats ledgers stay exactly covering.
     #[test]

@@ -47,7 +47,7 @@ fn cosim_recording_replays_byte_identical() {
 
     let replay = run_replay(&dir, || kind.make_lba(), &config).unwrap();
     assert_eq!(replay.findings, original.findings);
-    assert_eq!(replay.streams.len(), 1, "cosim records one stream");
+    assert_eq!(replay.shard_log.len(), 1, "cosim records one stream");
     assert_eq!(replay.log.wire_bits, original.log.wire_bits);
     assert_eq!(replay.log.records, original.log.records);
     std::fs::remove_dir_all(&dir).ok();
@@ -64,7 +64,7 @@ fn live_recording_replays_byte_identical() {
 
     let replay = run_replay(&dir, || kind.make_lba(), &config).unwrap();
     assert_eq!(replay.findings, original.findings);
-    assert_eq!(replay.streams.len(), 1, "live records one stream");
+    assert_eq!(replay.shard_log.len(), 1, "live records one stream");
     assert_eq!(replay.log.wire_bits, original.log.wire_bits);
     assert_eq!(replay.log.records, original.log.records);
     std::fs::remove_dir_all(&dir).ok();
@@ -81,11 +81,11 @@ fn modeled_parallel_recording_replays_byte_identical_per_shard() {
 
     let replay = run_replay(&dir, || kind.make_lba(), &config).unwrap();
     assert_eq!(replay.findings, original.findings);
-    assert_eq!(replay.streams.len(), 3, "one recorded stream per shard");
-    for (stream, shard) in replay.streams.iter().zip(&original.shard_log) {
-        assert_eq!(stream.wire_bits, shard.wire_bits, "shard {}", stream.stream);
-        assert_eq!(stream.records, shard.records, "shard {}", stream.stream);
-        assert_eq!(stream.frames, shard.frames, "shard {}", stream.stream);
+    assert_eq!(replay.shard_log.len(), 3, "one recorded stream per shard");
+    for (i, (stream, shard)) in replay.shard_log.iter().zip(&original.shard_log).enumerate() {
+        assert_eq!(stream.wire_bits, shard.wire_bits, "shard {i}");
+        assert_eq!(stream.records, shard.records, "shard {i}");
+        assert_eq!(stream.frames, shard.frames, "shard {i}");
     }
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -100,10 +100,10 @@ fn live_parallel_recording_replays_byte_identical_per_shard() {
 
     let replay = run_replay(&dir, || kind.make_lba(), &config).unwrap();
     assert_eq!(replay.findings, original.findings);
-    assert_eq!(replay.streams.len(), 3, "one recorded stream per shard");
-    for (stream, shard) in replay.streams.iter().zip(&original.shard_log) {
-        assert_eq!(stream.wire_bits, shard.wire_bits, "shard {}", stream.stream);
-        assert_eq!(stream.records, shard.records, "shard {}", stream.stream);
+    assert_eq!(replay.shard_log.len(), 3, "one recorded stream per shard");
+    for (i, (stream, shard)) in replay.shard_log.iter().zip(&original.shard_log).enumerate() {
+        assert_eq!(stream.wire_bits, shard.wire_bits, "shard {i}");
+        assert_eq!(stream.records, shard.records, "shard {i}");
     }
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -153,10 +153,35 @@ fn a_sharded_recording_replays_n_wide() {
     let replay = run_replay(&dir, make, &config).unwrap();
     assert_eq!(threads.lock().unwrap().len(), 3, "one thread per stream");
     assert_eq!(replay.findings, original.findings);
-    assert_eq!(replay.streams.len(), 3, "one recorded stream per shard");
-    for (stream, shard) in replay.streams.iter().zip(&original.shard_log) {
-        assert_eq!(stream.records, shard.records, "shard {}", stream.stream);
-        assert_eq!(stream.wire_bits, shard.wire_bits, "shard {}", stream.stream);
+    assert_eq!(replay.shard_log.len(), 3, "one recorded stream per shard");
+    for (i, (stream, shard)) in replay.shard_log.iter().zip(&original.shard_log).enumerate() {
+        assert_eq!(stream.records, shard.records, "shard {i}");
+        assert_eq!(stream.wire_bits, shard.wire_bits, "shard {i}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_recording_missing_a_stream_is_refused() {
+    // A run records streams 0..N, so a gap below the highest stream is a
+    // lost shard: the replay refuses before any consumer starts instead
+    // of reporting the surviving shards as the whole run.
+    let program = bugs::memory_bugs();
+    let dir = temp_dir("missing-stream");
+    let config = recording_config(&dir);
+    let kind = LifeguardKind::AddrCheck;
+    run_live_parallel(&program, || kind.make_lba(), 3, &config).unwrap();
+    std::fs::remove_file(dir.join(segment_file_name(1, 0))).unwrap();
+
+    for mode in [ReplayMode::Strict, ReplayMode::SalvagePrefix] {
+        let err = run_replay_with(&dir, || kind.make_lba(), &config, mode).unwrap_err();
+        assert!(
+            matches!(
+                &err,
+                LbaError::Stream(StreamError::NoSuchStream { stream: 1, dir: at }) if *at == dir
+            ),
+            "{mode:?}: got {err}"
+        );
     }
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -308,11 +333,11 @@ fn salvage_prefix_replays_checksummed_prefix_of_torn_tail() {
     run_replay(&dir, || kind.make_lba(), &config).unwrap_err();
     let report =
         run_replay_with(&dir, || kind.make_lba(), &config, ReplayMode::SalvagePrefix).unwrap();
-    assert!(report.is_lossy());
+    assert!(!report.salvaged.is_empty());
     assert_eq!(report.salvaged.len(), 1);
     let tail = &report.salvaged[0];
-    assert_eq!(tail.stream, report.streams[0].stream);
-    assert_eq!(tail.frames_salvaged, report.streams[0].frames);
+    assert_eq!(tail.stream, 0);
+    assert_eq!(tail.frames_salvaged, report.shard_log[0].frames);
     assert!(
         tail.frames_salvaged < original.log.frames,
         "the torn frame must not be delivered"
@@ -324,7 +349,7 @@ fn salvage_prefix_replays_checksummed_prefix_of_torn_tail() {
     std::fs::write(&segment, &pristine[..pristine.len() - 9]).unwrap();
     let report =
         run_replay_with(&dir, || kind.make_lba(), &config, ReplayMode::SalvagePrefix).unwrap();
-    assert!(report.is_lossy());
+    assert!(!report.salvaged.is_empty());
     assert!(report.salvaged[0].detail.contains("End"), "got: {report}");
 
     // Mid-frame checksum damage salvages everything before the bad frame.
@@ -333,7 +358,7 @@ fn salvage_prefix_replays_checksummed_prefix_of_torn_tail() {
     std::fs::write(&segment, &bytes).unwrap();
     let report =
         run_replay_with(&dir, || kind.make_lba(), &config, ReplayMode::SalvagePrefix).unwrap();
-    assert!(report.is_lossy());
+    assert!(!report.salvaged.is_empty());
     assert!(
         report.salvaged[0].detail.contains("checksum mismatch"),
         "got: {report}"
@@ -369,7 +394,7 @@ fn salvage_prefix_on_a_multi_segment_tear_keeps_earlier_segments() {
 
     let report =
         run_replay_with(&dir, || kind.make_lba(), &config, ReplayMode::SalvagePrefix).unwrap();
-    assert!(report.is_lossy());
+    assert!(!report.salvaged.is_empty());
     assert!(
         report.salvaged[0].frames_salvaged > 0,
         "frames from intact segments must survive the tear"
@@ -444,16 +469,21 @@ fn degraded_spans_ride_the_recording_into_replay() {
     );
 
     let replay = run_replay(&dir, || kind.make_lba(), &config).unwrap();
+    let degraded_frames = replay.shard_log[0].degraded_frames;
     assert!(
-        replay.total_degraded_frames() > 0,
+        degraded_frames > 0,
         "degraded spans must ride the flight-recorder stream"
     );
-    assert!(replay.total_degraded_frames() <= replay.streams[0].frames);
+    assert!(degraded_frames <= replay.shard_log[0].frames);
+    assert_eq!(
+        degraded_frames, original.shard_log[0].degraded_frames,
+        "the replay reads back every degraded frame the recording run sealed"
+    );
     assert_eq!(replay.findings, original.findings);
     assert_eq!(replay.log.records, original.log.records);
     assert_eq!(replay.log.wire_bits, original.log.wire_bits);
     assert!(
-        !replay.is_lossy(),
+        replay.salvaged.is_empty(),
         "degradation is not loss at the recorder"
     );
     assert!(
