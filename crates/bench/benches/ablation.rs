@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 
 use lba::experiment;
 use lba::parallel::run_lba_parallel;
-use lba::{run_lba, LifeguardKind, SystemConfig};
+use lba::{run_lba, SystemConfig, ADDRCHECK, LOCKSET};
 use lba_bench as render;
 use lba_workloads::Benchmark;
 
@@ -49,7 +49,7 @@ fn bench_ablations(c: &mut Criterion) {
         config.log.decoupled = decoupled;
         group.bench_function(format!("dispatch/{label}"), |b| {
             b.iter(|| {
-                let mut lg = LifeguardKind::AddrCheck.make_lba();
+                let mut lg = (ADDRCHECK.make)();
                 run_lba(&program, lg.as_mut(), &config).expect("runs")
             })
         });
@@ -59,15 +59,7 @@ fn bench_ablations(c: &mut Criterion) {
     for shards in [1usize, 4] {
         let config = SystemConfig::default();
         group.bench_function(format!("parallel/{shards}_shards"), |b| {
-            b.iter(|| {
-                run_lba_parallel(
-                    &zchaff,
-                    || LifeguardKind::LockSet.make_lba(),
-                    shards,
-                    &config,
-                )
-                .expect("runs")
-            })
+            b.iter(|| run_lba_parallel(&zchaff, LOCKSET.make, shards, &config).expect("runs"))
         });
     }
     group.finish();

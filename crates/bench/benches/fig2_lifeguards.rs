@@ -7,17 +7,19 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use lba::experiment;
-use lba::{run_dbi, run_lba, run_unmonitored, LifeguardKind, SystemConfig};
+use lba::{
+    run_dbi, run_lba, run_unmonitored, SystemConfig, ADDRCHECK, LOCKSET, MONITORS, TAINTCHECK,
+};
 use lba_bench::{render_fig2, render_summary};
 use lba_workloads::Benchmark;
 
 fn print_figures() {
     let config = SystemConfig::default();
     let mut summaries = Vec::new();
-    for kind in LifeguardKind::ALL {
-        let rows = experiment::figure2(kind, &config, 1).expect("figure 2 panel");
-        println!("{}", render_fig2(kind, &rows));
-        summaries.push(experiment::summarize(kind, &rows));
+    for monitor in MONITORS.iter().filter(|m| m.figure2.is_some()) {
+        let rows = experiment::figure2(monitor, &config, 1).expect("figure 2 panel");
+        println!("{}", render_fig2(monitor, &rows));
+        summaries.extend(experiment::summarize(monitor, &rows));
     }
     println!("{}", render_summary(&summaries));
 }
@@ -26,14 +28,14 @@ fn bench_modes(c: &mut Criterion) {
     print_figures();
     let config = SystemConfig::default();
     let pairs = [
-        (Benchmark::Gzip, LifeguardKind::AddrCheck),
-        (Benchmark::Gzip, LifeguardKind::TaintCheck),
-        (Benchmark::Water, LifeguardKind::LockSet),
+        (Benchmark::Gzip, ADDRCHECK),
+        (Benchmark::Gzip, TAINTCHECK),
+        (Benchmark::Water, LOCKSET),
     ];
     let mut group = c.benchmark_group("fig2_lifeguards");
     group.sample_size(10);
     let mut baselines_done = std::collections::HashSet::new();
-    for (benchmark, kind) in pairs {
+    for (benchmark, monitor) in pairs {
         let program = benchmark.build();
         // Benchmark IDs must be unique: gzip appears with two lifeguards,
         // but its unmonitored baseline only needs timing once.
@@ -42,15 +44,15 @@ fn bench_modes(c: &mut Criterion) {
                 b.iter(|| run_unmonitored(&program, &config).expect("runs"))
             });
         }
-        group.bench_function(format!("lba/{}/{benchmark}", kind.name()), |b| {
+        group.bench_function(format!("lba/{}/{benchmark}", monitor.name), |b| {
             b.iter(|| {
-                let mut lg = kind.make_lba();
+                let mut lg = (monitor.make)();
                 run_lba(&program, lg.as_mut(), &config).expect("runs")
             })
         });
-        group.bench_function(format!("dbi/{}/{benchmark}", kind.name()), |b| {
+        group.bench_function(format!("dbi/{}/{benchmark}", monitor.name), |b| {
             b.iter(|| {
-                let mut lg = kind.make_dbi();
+                let mut lg = (monitor.make_dbi)();
                 run_dbi(&program, lg.as_mut(), &config).expect("runs")
             })
         });

@@ -27,7 +27,7 @@
 //! regenerating the trajectory.
 
 use lba::experiment;
-use lba::{LifeguardKind, RecordConfig, ReplayMode, Run, RunMode, RunReport, SystemConfig};
+use lba::{RecordConfig, ReplayMode, Run, RunMode, RunReport, SystemConfig, ADDRCHECK, MONITORS};
 use lba_bench as render;
 use lba_bench::pipeline;
 use lba_workloads::{bugs, Benchmark};
@@ -54,14 +54,14 @@ fn record_replay_smoke() -> Result<(), String> {
     let mut config = SystemConfig::default();
     config.log.record_to = Some(RecordConfig::new(dir));
     let recorded = Run::new(&program)
-        .monitor(LifeguardKind::AddrCheck)
+        .monitor(&ADDRCHECK)
         .config(&config)
         .run()
         .map_err(|e| format!("recording run: {e}"))?;
 
     let outcome = Run::new(&program)
         .mode(RunMode::Replay)
-        .monitor(LifeguardKind::AddrCheck)
+        .monitor(&ADDRCHECK)
         .config(&config)
         .replay_from(dir)
         .run()
@@ -105,7 +105,7 @@ fn fault_injection_smoke() -> Result<(), String> {
     let program = Benchmark::Gzip.build();
     let clean_config = SystemConfig::default();
     let clean = Run::new(&program)
-        .monitor(LifeguardKind::AddrCheck)
+        .monitor(&ADDRCHECK)
         .config(&clean_config)
         .run()
         .map_err(|e| format!("clean run: {e}"))?;
@@ -115,7 +115,7 @@ fn fault_injection_smoke() -> Result<(), String> {
     let mut config = pipeline::fault_config("lba", true);
     config.log.record_to = Some(RecordConfig::new(&dir));
     let degraded = Run::new(&program)
-        .monitor(LifeguardKind::AddrCheck)
+        .monitor(&ADDRCHECK)
         .config(&config)
         .run()
         .map_err(|e| format!("degraded run: {e}"))?;
@@ -133,7 +133,7 @@ fn fault_injection_smoke() -> Result<(), String> {
 
     let replay = Run::new(&program)
         .mode(RunMode::Replay)
-        .monitor(LifeguardKind::AddrCheck)
+        .monitor(&ADDRCHECK)
         .config(&config)
         .replay_from(&dir)
         .run()
@@ -163,7 +163,7 @@ fn fault_injection_smoke() -> Result<(), String> {
     std::fs::write(last, &bytes[..bytes.len() - 11]).map_err(|e| e.to_string())?;
     let strict = Run::new(&program)
         .mode(RunMode::Replay)
-        .monitor(LifeguardKind::AddrCheck)
+        .monitor(&ADDRCHECK)
         .config(&config)
         .replay_from(&dir);
     if strict.run().is_ok() {
@@ -171,7 +171,7 @@ fn fault_injection_smoke() -> Result<(), String> {
     }
     let salvage = Run::new(&program)
         .mode(RunMode::Replay)
-        .monitor(LifeguardKind::AddrCheck)
+        .monitor(&ADDRCHECK)
         .config(&config)
         .replay_from(&dir)
         .replay_mode(ReplayMode::SalvagePrefix)
@@ -204,7 +204,7 @@ fn socket_transport_smoke() -> Result<(), String> {
     let request = |mode| {
         Run::new(&program)
             .mode(mode)
-            .monitor(LifeguardKind::AddrCheck)
+            .monitor(&ADDRCHECK)
             .workers(workers)
             .config(&config)
     };
@@ -352,11 +352,11 @@ fn main() {
     println!("== LBA reproduction: all paper tables and figures (scale {scale}) ==\n");
 
     let mut summaries = Vec::new();
-    for kind in LifeguardKind::ALL {
-        run(kind.name(), &mut || {
-            let rows = experiment::figure2(kind, &config, scale)?;
-            summaries.push(experiment::summarize(kind, &rows));
-            Ok(render::render_fig2(kind, &rows))
+    for monitor in MONITORS.iter().filter(|m| m.figure2.is_some()) {
+        run(monitor.name, &mut || {
+            let rows = experiment::figure2(monitor, &config, scale)?;
+            summaries.extend(experiment::summarize(monitor, &rows));
+            Ok(render::render_fig2(monitor, &rows))
         });
     }
     println!("{}", render::render_summary(&summaries));

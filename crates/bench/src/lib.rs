@@ -10,12 +10,12 @@ use lba::experiment::{
     ParallelRow, SummaryRow, WorkloadRow,
 };
 use lba::table::TextTable;
-use lba::LifeguardKind;
+use lba::MonitorSpec;
 
-/// Renders one Figure 2 panel (normalised execution times, `v` = the
-/// Valgrind-style DBI baseline, `l` = LBA).
+/// Renders `monitor`'s Figure 2 panel (normalised execution times, `v` =
+/// the Valgrind-style DBI baseline, `l` = LBA).
 #[must_use]
-pub fn render_fig2(kind: LifeguardKind, rows: &[Fig2Row]) -> String {
+pub fn render_fig2(monitor: &MonitorSpec, rows: &[Fig2Row]) -> String {
     let mut t = TextTable::new(["benchmark", "valgrind (v)", "lba (l)", "lba speedup"]);
     for row in rows {
         t.row([
@@ -25,7 +25,10 @@ pub fn render_fig2(kind: LifeguardKind, rows: &[Fig2Row]) -> String {
             format!("{:.1}x", row.speedup()),
         ]);
     }
-    format!("Figure 2 ({kind}): slowdown vs unmonitored execution\n{t}")
+    format!(
+        "Figure 2 ({}): slowdown vs unmonitored execution\n{t}",
+        monitor.name
+    )
 }
 
 /// Renders the §3 workload-characterisation table.
@@ -81,7 +84,7 @@ pub fn render_summary(rows: &[SummaryRow]) -> String {
     ]);
     for row in rows {
         t.row([
-            row.kind.name().to_string(),
+            row.monitor.name.to_string(),
             format!("{:.1}x", row.lba_avg),
             format!("{:.1}x", row.paper_lba_avg),
             format!("{:.1}x", row.valgrind_avg),
@@ -168,13 +171,12 @@ pub fn render_parallel(rows: &[ParallelRow]) -> String {
 mod tests {
     use super::*;
     use lba::experiment;
-    use lba::SystemConfig;
+    use lba::{SystemConfig, LOCKSET};
 
     #[test]
     fn lockset_panel_renders() {
-        let rows = experiment::figure2(LifeguardKind::LockSet, &SystemConfig::default(), 1)
-            .expect("panel runs");
-        let s = render_fig2(LifeguardKind::LockSet, &rows);
+        let rows = experiment::figure2(&LOCKSET, &SystemConfig::default(), 1).expect("panel runs");
+        let s = render_fig2(&LOCKSET, &rows);
         assert!(s.contains("water"));
         assert!(s.contains("zchaff"));
         assert!(s.contains("lba speedup"));

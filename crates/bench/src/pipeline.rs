@@ -25,10 +25,9 @@ use lba_record::EventRecord;
 use lba_transport::ModeledFrameChannel;
 use lba_workloads::Benchmark;
 
-/// The [`lba::MONITORS`] rows that pass `keep`, in table order, so a new
-/// lifeguard lands in the bench matrix by adding its registry row —
-/// `LifeguardKind` covers the paper's three; the matrix also drives
-/// MemProfile.
+/// The [`lba::MONITORS`] rows that pass `keep`, in table order. The
+/// registry row is the one lifeguard handle, so a new lifeguard lands in
+/// the bench matrix by adding its row; the matrix drives MemProfile too.
 fn monitors(keep: fn(&MonitorSpec) -> bool) -> impl Iterator<Item = &'static MonitorSpec> {
     lba::MONITORS.iter().filter(move |m| keep(m))
 }
@@ -363,7 +362,7 @@ fn degraded_cells(program: &lba_isa::Program) -> Vec<Cell<'_>> {
                         "{mode}/{}: the controller must engage exactly when configured",
                         monitor.name
                     );
-                    let captured = log.captured + degradation.removed();
+                    let captured = report.capture.captured + degradation.removed();
                     Sample {
                         records: log.records,
                         wire_bits: log.wire_bits,
@@ -409,7 +408,7 @@ fn mode_cell<'a>(
         Sample {
             records: report.log.records,
             wire_bits: report.log.wire_bits,
-            events: report.log.captured,
+            events: report.capture.captured,
             modeled_cycles: report.total_cycles,
             sampled_out_fraction: 0.0,
         }

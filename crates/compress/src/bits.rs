@@ -123,18 +123,6 @@ impl BitWriter {
         self.bytes
     }
 
-    /// Flushes the partial byte and exposes the backing bytes without
-    /// consuming the writer — pair with [`clear`](Self::clear) to reuse
-    /// the allocation for the next stream segment.
-    pub fn finish_bytes(&mut self) -> &[u8] {
-        if self.acc_bits > 0 {
-            self.bytes.push(self.acc as u8);
-            self.acc = 0;
-            self.acc_bits = 0;
-        }
-        &self.bytes
-    }
-
     /// Resets the writer to empty, keeping its allocation.
     pub fn clear(&mut self) {
         self.bytes.clear();

@@ -40,7 +40,7 @@ use std::fmt;
 use lba_record::{DecodeRecordError, EventRecord, FrameCountWord, RAW_RECORD_BYTES};
 
 use crate::bits::{BitReader, BitWriter};
-use crate::compressor::{CompressionStats, DecodeStreamError, LogCompressor, LogDecompressor};
+use crate::compressor::{DecodeStreamError, LogCompressor, LogDecompressor};
 
 /// Frame granularity: every frame is a multiple of one 64-byte cache line.
 pub const FRAME_LINE_BYTES: usize = 64;
@@ -202,19 +202,6 @@ pub struct FrameStats {
     pub degraded_frames: u64,
 }
 
-impl FrameStats {
-    /// Average wire bytes per record — the live analogue of the paper's
-    /// < 1 byte/instruction claim, now including framing overhead.
-    #[must_use]
-    pub fn wire_bytes_per_record(&self) -> f64 {
-        if self.records == 0 {
-            0.0
-        } else {
-            self.wire_bits as f64 / 8.0 / self.records as f64
-        }
-    }
-}
-
 /// Accumulates records into cache-line-multiple frames.
 ///
 /// Wraps [`LogCompressor`] + [`BitWriter`] (or the raw record encoding when
@@ -345,13 +332,6 @@ impl FrameEncoder {
     #[must_use]
     pub fn stats(&self) -> FrameStats {
         self.stats
-    }
-
-    /// The wrapped compressor's record-level statistics (compressed mode
-    /// only; zero in raw mode).
-    #[must_use]
-    pub fn compression_stats(&self) -> CompressionStats {
-        self.compressor.stats()
     }
 
     fn seal(&mut self) -> Frame {

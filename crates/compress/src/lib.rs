@@ -77,4 +77,4 @@ pub use frame::{
     Frame, FrameConfig, FrameDecodeError, FrameDecoder, FrameEncoder, FrameStats,
     FRAME_HEADER_BYTES, FRAME_LINE_BYTES,
 };
-pub use predictors::{FcmPredictor, LastValuePredictor, StridePredictor};
+pub use predictors::FcmPredictor;

@@ -4,70 +4,12 @@
 //! compressor and decompressor, which is what makes flag-bit encoding
 //! lossless.
 
-/// Predicts the last seen value.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LastValuePredictor {
-    last: u64,
-}
-
-impl LastValuePredictor {
-    /// Creates a predictor whose initial prediction is 0.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The current prediction.
-    #[must_use]
-    pub fn predict(&self) -> u64 {
-        self.last
-    }
-
-    /// Records the actual value.
-    pub fn update(&mut self, actual: u64) {
-        self.last = actual;
-    }
-}
-
-/// Predicts `last + stride`, tracking the most recent stride.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StridePredictor {
-    last: u64,
-    stride: u64,
-}
-
-impl StridePredictor {
-    /// Creates a predictor whose initial prediction is 0.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The current prediction.
-    #[must_use]
-    pub fn predict(&self) -> u64 {
-        self.last.wrapping_add(self.stride)
-    }
-
-    /// The last observed value.
-    #[must_use]
-    pub fn last(&self) -> u64 {
-        self.last
-    }
-
-    /// Records the actual value, updating the stride.
-    pub fn update(&mut self, actual: u64) {
-        self.stride = actual.wrapping_sub(self.last);
-        self.last = actual;
-    }
-}
-
 /// A finite-context-method predictor over value deltas.
 ///
 /// The context is a hash of the two most recent deltas (kept by the caller,
 /// per log source); the table maps contexts to the predicted next delta.
 /// This catches repeating non-constant stride patterns (e.g. struct-of-array
-/// walks) that defeat the plain stride predictor.
+/// walks) that defeat a plain stride predictor.
 #[derive(Debug, Clone)]
 pub struct FcmPredictor {
     table: Vec<u64>,
@@ -125,33 +67,6 @@ impl Default for FcmPredictor {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn last_value_predicts_repeats() {
-        let mut p = LastValuePredictor::new();
-        p.update(7);
-        assert_eq!(p.predict(), 7);
-        p.update(9);
-        assert_eq!(p.predict(), 9);
-    }
-
-    #[test]
-    fn stride_predicts_arithmetic_sequences() {
-        let mut p = StridePredictor::new();
-        p.update(100);
-        p.update(108);
-        assert_eq!(p.predict(), 116);
-        p.update(116);
-        assert_eq!(p.predict(), 124);
-    }
-
-    #[test]
-    fn stride_handles_negative_strides_via_wrapping() {
-        let mut p = StridePredictor::new();
-        p.update(100);
-        p.update(92);
-        assert_eq!(p.predict(), 84);
-    }
 
     #[test]
     fn fcm_learns_alternating_deltas() {

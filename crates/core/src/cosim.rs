@@ -98,7 +98,7 @@ impl Cosim<'_> {
             1 + idx,
             &mut shard.findings,
         );
-        if let Some(req) = self.engine.poll_degradation(shard.lifeguard) {
+        if let Some(req) = shard.lifeguard.degradation_request() {
             self.pending_request = Some(req);
         }
         true
@@ -431,11 +431,10 @@ pub(crate) fn run_modeled(
         total_cycles: sim.t_app.max(lifeguard_cycles),
         app_cycles: sim.t_app,
         lifeguard_cycles,
-        shards: shard_log.len(),
         shard_cycles,
         pipeline: PipelineReport {
             findings,
-            log: LogStats::from_channels(&shard_log, finish.capture, finish.trace.instructions()),
+            log: LogStats::from_channels(&shard_log, finish.trace.instructions()),
             capture: finish.capture,
             degradation: finish.degradation,
         },
@@ -650,7 +649,10 @@ mod tests {
         let mut lg = AddrCheck::new();
         let filtered = run_lba(&program, &mut lg, &filtered_cfg).unwrap();
 
-        assert!(filtered.log.filtered > 0, "filter must drop events");
+        assert!(
+            filtered.capture.range_filtered > 0,
+            "filter must drop events"
+        );
         assert!(
             filtered.lifeguard_cycles < unfiltered.lifeguard_cycles,
             "filtering must reduce lifeguard time"

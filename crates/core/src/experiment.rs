@@ -11,8 +11,8 @@ use lba_workloads::Benchmark;
 
 use crate::config::SystemConfig;
 use crate::cosim::run_lba;
-use crate::kind::LifeguardKind;
 use crate::parallel::run_lba_parallel;
+use crate::pipeline::{MonitorSpec, ADDRCHECK, LOCKSET, TAINTCHECK};
 use crate::report::RunReport;
 use crate::run::{run_dbi, run_unmonitored};
 use crate::RunError;
@@ -39,25 +39,27 @@ impl Fig2Row {
     }
 }
 
-/// Reproduces one panel of **Figure 2**: runs every benchmark of `kind`
-/// unmonitored, under DBI and under LBA, and reports normalised execution
-/// times.
+/// Reproduces one panel of **Figure 2**: runs every benchmark of
+/// `monitor`'s panel unmonitored, under DBI (its `make_dbi` instance) and
+/// under LBA (its `make` instance), and reports normalised execution
+/// times. A row without a panel has no benchmarks to run.
 ///
 /// # Errors
 ///
 /// Propagates any [`RunError`] from the runs.
 pub fn figure2(
-    kind: LifeguardKind,
+    monitor: &MonitorSpec,
     config: &SystemConfig,
     scale: u32,
 ) -> Result<Vec<Fig2Row>, RunError> {
     let mut rows = Vec::new();
-    for &benchmark in kind.benchmarks() {
+    let benchmarks = monitor.figure2.map_or(&[][..], |panel| panel.benchmarks);
+    for &benchmark in benchmarks {
         let program = benchmark.build_scaled(scale);
         let base = run_unmonitored(&program, config)?;
-        let mut dbi_lg = kind.make_dbi();
+        let mut dbi_lg = (monitor.make_dbi)();
         let dbi = run_dbi(&program, dbi_lg.as_mut(), config)?;
-        let mut lba_lg = kind.make_lba();
+        let mut lba_lg = (monitor.make)();
         let lba = run_lba(&program, lba_lg.as_mut(), config)?;
         rows.push(Fig2Row {
             benchmark,
@@ -132,7 +134,7 @@ pub fn compression_table(
         let program = benchmark.build_scaled(scale);
         // AddrCheck subscribes to few events, so the lifeguard never
         // back-pressures the compressor measurement.
-        let mut lg = LifeguardKind::AddrCheck.make_lba();
+        let mut lg = (ADDRCHECK.make)();
         let report = run_lba(&program, lg.as_mut(), config)?;
         let raw = report.log.records * RAW_RECORD_BYTES as u64;
         rows.push(CompressionRow {
@@ -149,8 +151,8 @@ pub fn compression_table(
 /// speedup range (paper: averages 3.9× / 4.8× / 9.7×; speedups 4–19×).
 #[derive(Debug, Clone, Copy)]
 pub struct SummaryRow {
-    /// The lifeguard.
-    pub kind: LifeguardKind,
+    /// The lifeguard's registry row.
+    pub monitor: &'static MonitorSpec,
     /// Mean LBA slowdown over its benchmarks.
     pub lba_avg: f64,
     /// Mean DBI slowdown over its benchmarks.
@@ -163,13 +165,17 @@ pub struct SummaryRow {
     pub paper_lba_avg: f64,
 }
 
-/// Summarises Figure 2 panels into the §3 headline numbers.
+/// Summarises `monitor`'s Figure 2 panel, `rows`, into the §3 headline
+/// numbers: `None` for a row without a panel or a panel with no rows.
 #[must_use]
-pub fn summarize(kind: LifeguardKind, rows: &[Fig2Row]) -> SummaryRow {
-    assert!(!rows.is_empty(), "summary of an empty panel");
+pub fn summarize(monitor: &'static MonitorSpec, rows: &[Fig2Row]) -> Option<SummaryRow> {
+    let panel = monitor.figure2?;
+    if rows.is_empty() {
+        return None;
+    }
     let n = rows.len() as f64;
-    SummaryRow {
-        kind,
+    Some(SummaryRow {
+        monitor,
         lba_avg: rows.iter().map(|r| r.lba).sum::<f64>() / n,
         valgrind_avg: rows.iter().map(|r| r.valgrind).sum::<f64>() / n,
         speedup_min: rows
@@ -177,8 +183,8 @@ pub fn summarize(kind: LifeguardKind, rows: &[Fig2Row]) -> SummaryRow {
             .map(Fig2Row::speedup)
             .fold(f64::INFINITY, f64::min),
         speedup_max: rows.iter().map(Fig2Row::speedup).fold(0.0, f64::max),
-        paper_lba_avg: kind.paper_avg_slowdown(),
-    }
+        paper_lba_avg: panel.paper_avg_slowdown,
+    })
 }
 
 /// One row of ablation A: decoupled versus lock-step dispatch.
@@ -207,11 +213,11 @@ pub fn ablation_decoupling(
     for benchmark in [Benchmark::Gzip, Benchmark::Mcf] {
         let program = benchmark.build_scaled(scale);
         let base = run_unmonitored(&program, config)?;
-        let mut lg = LifeguardKind::AddrCheck.make_lba();
+        let mut lg = (ADDRCHECK.make)();
         let decoupled = run_lba(&program, lg.as_mut(), config)?;
         let mut lockstep_cfg = config.clone();
         lockstep_cfg.log.decoupled = false;
-        let mut lg = LifeguardKind::AddrCheck.make_lba();
+        let mut lg = (ADDRCHECK.make)();
         let lockstep = run_lba(&program, lg.as_mut(), &lockstep_cfg)?;
         rows.push(DecouplingRow {
             benchmark,
@@ -245,7 +251,7 @@ pub fn ablation_buffer(config: &SystemConfig, scale: u32) -> Result<Vec<BufferRo
     for kib in [1u64, 4, 16, 64, 256, 1024] {
         let mut cfg = config.clone();
         cfg.log.buffer_bytes = kib << 10;
-        let mut lg = LifeguardKind::TaintCheck.make_lba();
+        let mut lg = (TAINTCHECK.make)();
         let report = run_lba(&program, lg.as_mut(), &cfg)?;
         rows.push(BufferRow {
             buffer_bytes: kib << 10,
@@ -282,11 +288,11 @@ pub fn ablation_compression(
     for benchmark in [Benchmark::Gzip, Benchmark::Mcf] {
         let program = benchmark.build_scaled(scale);
         let base = run_unmonitored(&program, config)?;
-        let mut lg = LifeguardKind::TaintCheck.make_lba();
+        let mut lg = (TAINTCHECK.make)();
         let compressed = run_lba(&program, lg.as_mut(), config)?;
         let mut raw_cfg = config.clone();
         raw_cfg.log.compression = false;
-        let mut lg = LifeguardKind::TaintCheck.make_lba();
+        let mut lg = (TAINTCHECK.make)();
         let raw = run_lba(&program, lg.as_mut(), &raw_cfg)?;
         rows.push(CompressionAblationRow {
             benchmark,
@@ -322,21 +328,22 @@ pub fn ext_filtering(config: &SystemConfig, scale: u32) -> Result<Vec<FilterRow>
     for benchmark in [Benchmark::Bc, Benchmark::Gzip, Benchmark::Tidy] {
         let program = benchmark.build_scaled(scale);
         let base = run_unmonitored(&program, config)?;
-        let mut lg = LifeguardKind::AddrCheck.make_lba();
+        let mut lg = (ADDRCHECK.make)();
         let plain = run_lba(&program, lg.as_mut(), config)?;
         let mut cfg = config.clone();
         cfg.log.filter = Some(AddrRangeFilter::new(vec![(
             layout::HEAP_BASE,
             layout::HEAP_END,
         )]));
-        let mut lg = LifeguardKind::AddrCheck.make_lba();
+        let mut lg = (ADDRCHECK.make)();
         let filtered = run_lba(&program, lg.as_mut(), &cfg)?;
-        let total = (filtered.log.records + filtered.log.filtered).max(1);
+        let dropped = filtered.capture.range_filtered;
+        let total = (filtered.log.records + dropped).max(1);
         rows.push(FilterRow {
             benchmark,
             unfiltered: plain.slowdown_vs(&base),
             filtered: filtered.slowdown_vs(&base),
-            dropped_fraction: filtered.log.filtered as f64 / total as f64,
+            dropped_fraction: dropped as f64 / total as f64,
         });
     }
     Ok(rows)
@@ -362,12 +369,7 @@ pub fn ext_parallel(config: &SystemConfig, scale: u32) -> Result<Vec<ParallelRow
     let base = run_unmonitored(&program, config)?;
     let mut rows = Vec::new();
     for shards in [1usize, 2, 4] {
-        let report = run_lba_parallel(
-            &program,
-            || LifeguardKind::LockSet.make_lba(),
-            shards,
-            config,
-        )?;
+        let report = run_lba_parallel(&program, LOCKSET.make, shards, config)?;
         rows.push(ParallelRow {
             shards,
             slowdown: report.total_cycles as f64 / base.total_cycles as f64,
@@ -386,7 +388,7 @@ mod tests {
 
     #[test]
     fn figure2_lockset_panel_has_expected_shape() {
-        let rows = figure2(LifeguardKind::LockSet, &cfg(), 1).unwrap();
+        let rows = figure2(&LOCKSET, &cfg(), 1).unwrap();
         assert_eq!(rows.len(), 2);
         for row in &rows {
             assert!(
@@ -428,11 +430,12 @@ mod tests {
 
     #[test]
     fn summarize_computes_means_and_ranges() {
-        let rows = figure2(LifeguardKind::LockSet, &cfg(), 1).unwrap();
-        let s = summarize(LifeguardKind::LockSet, &rows);
+        let rows = figure2(&LOCKSET, &cfg(), 1).unwrap();
+        let s = summarize(&LOCKSET, &rows).expect("lockset has a panel");
         assert!(s.valgrind_avg > s.lba_avg);
         assert!(s.speedup_max >= s.speedup_min);
         assert!((s.paper_lba_avg - 9.7).abs() < 1e-9);
+        assert!(summarize(&crate::MEMPROFILE, &rows).is_none());
     }
 
     #[test]

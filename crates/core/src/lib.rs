@@ -53,7 +53,6 @@ pub mod controller;
 mod cosim;
 mod error;
 pub mod experiment;
-mod kind;
 pub mod live_parallel;
 pub mod parallel;
 pub mod pipeline;
@@ -69,17 +68,16 @@ pub use config::{LogConfig, RecordConfig, SystemConfig, MAX_LIVE_CHANNEL_FRAMES}
 pub use controller::{AdaptiveConfig, CaptureController, Transition, Verdict};
 pub use cosim::run_lba;
 pub use error::LbaError;
-pub use kind::LifeguardKind;
 pub use live_parallel::{run_live, run_live_parallel};
 pub use pipeline::{
-    MonitorSpec, Producer, ProducerFinish, ProducerLink, RunModeSpec, TopologyKind, MONITORS,
-    RUN_MODES,
+    Figure2Panel, MonitorSpec, Producer, ProducerFinish, ProducerLink, RunModeSpec, TopologyKind,
+    ADDRCHECK, LOCKSET, MEMPROFILE, MONITORS, RUN_MODES, TAINTCHECK,
 };
 pub use remote::run_remote;
 pub use replay::{run_replay, run_replay_with, ReplayMode};
 pub use report::{LogStats, PipelineReport, RunReport, SalvagedTail, StallBreakdown};
 pub use run::{run_dbi, run_unmonitored};
-pub use runner::{MonitorChoice, Run, RunMode, RunOutcome};
+pub use runner::{Run, RunMode, RunOutcome};
 
 // Per-stream transport statistics appear in every report's `shard_log`;
 // re-export the type so downstream code can name it without a direct

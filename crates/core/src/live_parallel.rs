@@ -324,10 +324,9 @@ where
     Ok(RunReport {
         program: program.name().to_string(),
         mode,
-        shards,
         pipeline: PipelineReport {
             findings,
-            log: LogStats::from_channels(&shard_log, finish.capture, finish.trace.instructions()),
+            log: LogStats::from_channels(&shard_log, finish.trace.instructions()),
             capture: finish.capture,
             degradation: finish.degradation,
         },
@@ -429,7 +428,7 @@ fn consume<S: FrameSource>(
         if found > 0 {
             signals.findings.fetch_add(found, Ordering::Relaxed);
         }
-        if let Some(request) = engine.poll_degradation(lifeguard) {
+        if let Some(request) = lifeguard.degradation_request() {
             let slot = match request {
                 DegradationRequest::Engage => 1,
                 DegradationRequest::Disengage => 2,
@@ -457,7 +456,7 @@ fn panicked(thread: &str, payload: Box<dyn Any + Send>) -> LbaError {
 mod tests {
     use super::*;
     use crate::cosim::run_lba;
-    use crate::kind::LifeguardKind;
+    use crate::pipeline::{ADDRCHECK, LOCKSET};
     use lba_lifeguard::FindingKind;
     use lba_lifeguards::{AddrCheck, TaintCheck};
     use lba_workloads::{bugs, Benchmark};
@@ -467,7 +466,7 @@ mod tests {
         let program = bugs::memory_bugs();
         let mut lg = AddrCheck::new();
         let report = run_live(&program, &mut lg, &SystemConfig::default()).unwrap();
-        assert_eq!(report.shards, 1);
+        assert_eq!(report.shard_log.len(), 1);
         assert!(report
             .findings
             .iter()
@@ -542,22 +541,20 @@ mod tests {
         let mut lg = AddrCheck::new();
         let live = run_live(&program, &mut lg, &config).unwrap();
         assert!(
-            live.log.filtered > 0,
+            live.capture.range_filtered > 0,
             "filter must drop events in live mode too"
         );
         let mut lg = AddrCheck::new();
         let cosim = run_lba(&program, &mut lg, &config).unwrap();
         assert_eq!(live.findings, cosim.findings);
-        assert_eq!(live.log.filtered, cosim.log.filtered);
+        assert_eq!(live.capture.range_filtered, cosim.capture.range_filtered);
     }
 
     #[test]
     fn sharded_live_addrcheck_detects_bugs_once() {
         let program = bugs::memory_bugs();
         let config = SystemConfig::default();
-        let report =
-            run_live_parallel(&program, || LifeguardKind::AddrCheck.make_lba(), 4, &config)
-                .unwrap();
+        let report = run_live_parallel(&program, ADDRCHECK.make, 4, &config).unwrap();
         use FindingKind::*;
         for kind in [UnallocatedAccess, DoubleFree, InvalidFree, Leak] {
             assert!(
@@ -578,9 +575,7 @@ mod tests {
     fn every_shard_ships_real_compressed_frames() {
         let program = Benchmark::Gzip.build();
         let config = SystemConfig::default();
-        let report =
-            run_live_parallel(&program, || LifeguardKind::AddrCheck.make_lba(), 3, &config)
-                .unwrap();
+        let report = run_live_parallel(&program, ADDRCHECK.make, 3, &config).unwrap();
         assert_eq!(report.shard_log.len(), 3);
         // Broadcast records count once per shard, so together the shards
         // carry at least the retired event stream.
@@ -596,9 +591,8 @@ mod tests {
     fn one_shard_degenerates_to_the_whole_stream() {
         let program = bugs::data_race();
         let config = SystemConfig::default();
-        let report =
-            run_live_parallel(&program, || LifeguardKind::LockSet.make_lba(), 1, &config).unwrap();
-        assert_eq!(report.shards, 1);
+        let report = run_live_parallel(&program, LOCKSET.make, 1, &config).unwrap();
+        assert_eq!(report.shard_log.len(), 1);
         // A single shard owns every record: no routing, no broadcast dups.
         assert_eq!(report.shard_log[0].records, report.trace.instructions());
         assert!(report
@@ -615,9 +609,7 @@ mod tests {
         let mut config = SystemConfig::default();
         config.log.buffer_bytes = 64;
         assert_eq!(config.log.live_channel_frames(), 1);
-        let report =
-            run_live_parallel(&program, || LifeguardKind::AddrCheck.make_lba(), 2, &config)
-                .unwrap();
+        let report = run_live_parallel(&program, ADDRCHECK.make, 2, &config).unwrap();
         assert!(report
             .findings
             .iter()
@@ -628,12 +620,7 @@ mod tests {
     #[should_panic(expected = "at least one shard")]
     fn zero_shards_rejected() {
         let program = bugs::memory_bugs();
-        let _ = run_live_parallel(
-            &program,
-            || LifeguardKind::AddrCheck.make_lba(),
-            0,
-            &SystemConfig::default(),
-        );
+        let _ = run_live_parallel(&program, ADDRCHECK.make, 0, &SystemConfig::default());
     }
 
     #[test]
@@ -693,8 +680,7 @@ mod tests {
         let program = bugs::memory_bugs();
         let mut config = SystemConfig::default();
         config.log.records_per_frame = 0;
-        let err = run_live_parallel(&program, || LifeguardKind::AddrCheck.make_lba(), 2, &config)
-            .unwrap_err();
+        let err = run_live_parallel(&program, ADDRCHECK.make, 2, &config).unwrap_err();
         assert!(
             matches!(err, LbaError::Run(RunError::ZeroRecordsPerFrame)),
             "got: {err}"

@@ -110,8 +110,8 @@ pub fn run_lba_parallel(
 mod tests {
     use super::*;
     use crate::cosim::run_lba;
-    use crate::kind::LifeguardKind;
     use crate::live_parallel::run_live_parallel;
+    use crate::pipeline::{ADDRCHECK, LOCKSET};
     use crate::run::run_unmonitored;
     use lba_isa::{r, Assembler, Reg};
     use lba_lifeguard::FindingKind;
@@ -121,10 +121,8 @@ mod tests {
     fn sharded_lockset_scales() {
         let program = Benchmark::Zchaff.build();
         let config = SystemConfig::default();
-        let one =
-            run_lba_parallel(&program, || LifeguardKind::LockSet.make_lba(), 1, &config).unwrap();
-        let four =
-            run_lba_parallel(&program, || LifeguardKind::LockSet.make_lba(), 4, &config).unwrap();
+        let one = run_lba_parallel(&program, LOCKSET.make, 1, &config).unwrap();
+        let four = run_lba_parallel(&program, LOCKSET.make, 4, &config).unwrap();
         assert!(
             four.lifeguard_cycles * 2 < one.lifeguard_cycles,
             "4 shards ({}) should at least halve one shard ({})",
@@ -137,8 +135,7 @@ mod tests {
     fn sharded_addrcheck_still_detects_bugs() {
         let program = bugs::memory_bugs();
         let config = SystemConfig::default();
-        let report =
-            run_lba_parallel(&program, || LifeguardKind::AddrCheck.make_lba(), 4, &config).unwrap();
+        let report = run_lba_parallel(&program, ADDRCHECK.make, 4, &config).unwrap();
         use FindingKind::*;
         for kind in [UnallocatedAccess, DoubleFree, InvalidFree, Leak] {
             assert!(
@@ -173,7 +170,7 @@ mod tests {
         asm.halt();
         let program = asm.finish().unwrap();
         let config = SystemConfig::default();
-        let addrcheck = || LifeguardKind::AddrCheck.make_lba();
+        let addrcheck = ADDRCHECK.make;
         let double_frees = |findings: &[Finding]| {
             (findings.iter())
                 .filter(|f| f.kind == FindingKind::DoubleFree)
@@ -196,8 +193,7 @@ mod tests {
     fn shards_ship_real_frames() {
         let program = bugs::memory_bugs();
         let config = SystemConfig::default();
-        let report =
-            run_lba_parallel(&program, || LifeguardKind::AddrCheck.make_lba(), 3, &config).unwrap();
+        let report = run_lba_parallel(&program, ADDRCHECK.make, 3, &config).unwrap();
         assert_eq!(report.shard_log.len(), 3);
         let records: u64 = report.shard_log.iter().map(|s| s.records).sum();
         // Broadcast events are counted once per shard, so the shards
@@ -218,7 +214,7 @@ mod tests {
         // application on back-pressure, but the shards receive the same
         // streams and report the same findings as under the default.
         let program = Benchmark::Bc.build();
-        let lockset = || LifeguardKind::LockSet.make_lba();
+        let lockset = LOCKSET.make;
         let roomy = run_lba_parallel(&program, lockset, 2, &SystemConfig::default()).unwrap();
         let mut tight = SystemConfig::default();
         tight.log.buffer_bytes = 64;
@@ -256,11 +252,9 @@ mod tests {
         let program = Benchmark::Water.build();
         let config = SystemConfig::default();
         let base = run_unmonitored(&program, &config).unwrap();
-        let eight =
-            run_lba_parallel(&program, || LifeguardKind::LockSet.make_lba(), 8, &config).unwrap();
+        let eight = run_lba_parallel(&program, LOCKSET.make, 8, &config).unwrap();
         let slowdown = eight.total_cycles as f64 / base.total_cycles as f64;
-        let single =
-            run_lba_parallel(&program, || LifeguardKind::LockSet.make_lba(), 1, &config).unwrap();
+        let single = run_lba_parallel(&program, LOCKSET.make, 1, &config).unwrap();
         let single_slowdown = single.total_cycles as f64 / base.total_cycles as f64;
         assert!(
             slowdown < single_slowdown / 2.0,
@@ -272,11 +266,6 @@ mod tests {
     #[should_panic(expected = "at least one shard")]
     fn zero_shards_rejected() {
         let program = bugs::memory_bugs();
-        let _ = run_lba_parallel(
-            &program,
-            || LifeguardKind::AddrCheck.make_lba(),
-            0,
-            &SystemConfig::default(),
-        );
+        let _ = run_lba_parallel(&program, ADDRCHECK.make, 0, &SystemConfig::default());
     }
 }

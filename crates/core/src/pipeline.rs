@@ -16,9 +16,13 @@
 //!   consumer, address-interleaved shards ([`lba_transport::shard_of`]),
 //!   or recorded streams; each runner's link routes with `shard_of`
 //!   directly;
-//! * [`MONITORS`] / [`RUN_MODES`] — the single registry the experiment
-//!   layer, the benchmarks and the cross-mode equivalence suite derive
-//!   their mode and lifeguard enumerations from. Each `RUN_MODES` row's
+//! * [`MONITORS`] / [`RUN_MODES`] — the one registry of lifeguards and
+//!   modes. A [`MonitorSpec`] row ([`ADDRCHECK`], [`TAINTCHECK`],
+//!   [`LOCKSET`], [`MEMPROFILE`]) is the one lifeguard handle: it builds
+//!   the instance each execution model runs (the DBI baseline's LockSet
+//!   recomputes its locksets) and carries the lifeguard's Figure 2 panel,
+//!   so the [`Run`] builder, the experiment layer, the benchmarks and the
+//!   equivalence suites all name lifeguards by it. Each `RUN_MODES` row's
 //!   `run` hook is the [`Run`] builder's dispatch for that mode.
 //!
 //! The runners (`cosim.rs`, the modeled one behind `run_lba` and
@@ -30,8 +34,10 @@
 use lba_lifeguard::{
     CaptureFilter, CaptureStats, DegradationPolicy, DegradationRequest, DegradationStats, Lifeguard,
 };
+use lba_lifeguards::{AddrCheck, LockSet, LockSetConfig, MemProfile, TaintCheck};
 use lba_record::{EventKind, EventRecord, TraceStats};
 use lba_transport::LoadSample;
+use lba_workloads::Benchmark;
 
 use crate::config::SystemConfig;
 use crate::controller::{AdaptiveConfig, CaptureController, Transition, Verdict};
@@ -255,47 +261,98 @@ impl Producer {
     }
 }
 
-/// One lifeguard in the mode/monitor registry: its stable name, a
-/// factory, and which consumer topologies are sound for it. The
-/// experiment layer, the benchmarks (`lba_bench::pipeline::lifeguards`)
-/// and the cross-mode equivalence suite all derive their enumerations
-/// from [`MONITORS`], so a new lifeguard lands in every harness by
-/// adding one row here.
+/// One lifeguard in the registry, and the one handle every harness names
+/// it by: its stable name, the instance each execution model runs, which
+/// consumer topologies are sound for it, and its Figure 2 panel. The
+/// [`Run`] builder takes a row, the experiment layer runs Figure 2 from
+/// the rows that have a panel, and the benchmarks and the cross-mode
+/// equivalence suite iterate [`MONITORS`], so a new lifeguard lands in
+/// every harness by adding one row here.
 #[derive(Debug, Clone, Copy)]
 pub struct MonitorSpec {
     /// Stable lowercase name (matches `Lifeguard::name`).
     pub name: &'static str,
-    /// Builds a fresh instance.
+    /// Builds a fresh instance for the log-based modes, configured for the
+    /// lifeguard core (hardware-assisted: LockSet memoises its lockset
+    /// operations).
     pub make: fn() -> Box<dyn Lifeguard>,
+    /// Builds a fresh instance for the DBI baseline ([`RunMode::Dbi`] and
+    /// Figure 2's Valgrind bars): software-only, so LockSet recomputes its
+    /// locksets as the paper-era software race detectors did. The other
+    /// lifeguards run the same instance as `make`.
+    pub make_dbi: fn() -> Box<dyn Lifeguard>,
     /// Whether address-interleaved sharding ([`TopologyKind::Sharded`]) is
     /// sound and benchmarked for this lifeguard (per-address state only).
     pub shardable: bool,
+    /// The lifeguard's panel of the paper's Figure 2; `None` for the
+    /// extensions the paper does not evaluate.
+    pub figure2: Option<Figure2Panel>,
 }
+
+/// One panel of the paper's Figure 2: the programs a lifeguard is
+/// evaluated on and the average LBA slowdown the paper reports for it.
+#[derive(Debug, Clone, Copy)]
+pub struct Figure2Panel {
+    /// The panel's benchmarks: the seven single-threaded programs for
+    /// AddrCheck and TaintCheck, the two multi-threaded ones for LockSet.
+    pub benchmarks: &'static [Benchmark],
+    /// The paper's average LBA slowdown (§3: 3.9×, 4.8×, 9.7×).
+    pub paper_avg_slowdown: f64,
+}
+
+/// Memory-allocation checking (Figure 2(a)).
+pub const ADDRCHECK: MonitorSpec = MonitorSpec {
+    name: "addrcheck",
+    make: || Box::new(AddrCheck::new()),
+    make_dbi: || Box::new(AddrCheck::new()),
+    shardable: true,
+    figure2: Some(Figure2Panel {
+        benchmarks: &Benchmark::SINGLE_THREADED,
+        paper_avg_slowdown: 3.9,
+    }),
+};
+
+/// Dynamic information-flow tracking (Figure 2(b)).
+pub const TAINTCHECK: MonitorSpec = MonitorSpec {
+    name: "taintcheck",
+    make: || Box::new(TaintCheck::new()),
+    make_dbi: || Box::new(TaintCheck::new()),
+    shardable: false,
+    figure2: Some(Figure2Panel {
+        benchmarks: &Benchmark::SINGLE_THREADED,
+        paper_avg_slowdown: 4.8,
+    }),
+};
+
+/// Eraser-style race detection (Figure 2(c)).
+pub const LOCKSET: MonitorSpec = MonitorSpec {
+    name: "lockset",
+    make: || Box::new(LockSet::new()),
+    make_dbi: || {
+        Box::new(LockSet::with_config(LockSetConfig {
+            memoize: false,
+            call_overhead: 20,
+        }))
+    },
+    shardable: true,
+    figure2: Some(Figure2Panel {
+        benchmarks: &Benchmark::MULTI_THREADED,
+        paper_avg_slowdown: 9.7,
+    }),
+};
+
+/// Memory-access profiling, the extension lifeguard outside Figure 2.
+pub const MEMPROFILE: MonitorSpec = MonitorSpec {
+    name: "memprofile",
+    make: || Box::new(MemProfile::new()),
+    make_dbi: || Box::new(MemProfile::new()),
+    shardable: false,
+    figure2: None,
+};
 
 /// Every lifeguard the harnesses drive, in figure order: the paper's
 /// three plus the MemProfile extension.
-pub const MONITORS: [MonitorSpec; 4] = [
-    MonitorSpec {
-        name: "addrcheck",
-        make: || Box::new(lba_lifeguards::AddrCheck::new()),
-        shardable: true,
-    },
-    MonitorSpec {
-        name: "taintcheck",
-        make: || Box::new(lba_lifeguards::TaintCheck::new()),
-        shardable: false,
-    },
-    MonitorSpec {
-        name: "lockset",
-        make: || Box::new(lba_lifeguards::LockSet::new()),
-        shardable: true,
-    },
-    MonitorSpec {
-        name: "memprofile",
-        make: || Box::new(lba_lifeguards::MemProfile::new()),
-        shardable: false,
-    },
-];
+pub const MONITORS: [MonitorSpec; 4] = [ADDRCHECK, TAINTCHECK, LOCKSET, MEMPROFILE];
 
 /// How a run mode maps shipped records onto its consumers. The modeled
 /// runners simulate their consumers' clocks on one thread; the live
@@ -460,21 +517,32 @@ mod tests {
                 "duplicate monitor {}",
                 monitor.name
             );
-            assert_eq!(
-                (monitor.make)().name(),
-                monitor.name,
-                "factory must build the lifeguard the row names"
-            );
+            for make in [monitor.make, monitor.make_dbi] {
+                assert_eq!(
+                    make().name(),
+                    monitor.name,
+                    "both factories must build the lifeguard the row names"
+                );
+            }
         }
-        // The experiment layer's LifeguardKind enumerates a subset of the
-        // registry; a kind without a registry row would dodge the bench
-        // matrix and the equivalence grid.
-        for kind in crate::kind::LifeguardKind::ALL {
-            assert!(
-                MONITORS.iter().any(|m| m.name == kind.name()),
-                "{kind} has no registry row"
-            );
-        }
+        // Figure 2 has the paper's three panels, in figure order: the
+        // seven single-threaded programs for AddrCheck and TaintCheck, the
+        // two multi-threaded ones for LockSet, and §3's average slowdowns.
+        // The experiment layer runs exactly the rows that carry one.
+        let panels: Vec<_> = (MONITORS.iter())
+            .filter_map(|m| {
+                let panel = m.figure2?;
+                Some((m.name, panel.benchmarks.len(), panel.paper_avg_slowdown))
+            })
+            .collect();
+        assert_eq!(
+            panels,
+            [
+                ("addrcheck", 7, 3.9),
+                ("taintcheck", 7, 4.8),
+                ("lockset", 2, 9.7)
+            ]
+        );
     }
 
     #[test]

@@ -81,7 +81,7 @@ pub fn run_remote(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kind::LifeguardKind;
+    use crate::pipeline::ADDRCHECK;
     use lba_cpu::RunError;
     use lba_lifeguard::FindingKind;
     use lba_workloads::bugs;
@@ -90,8 +90,7 @@ mod tests {
     fn remote_addrcheck_detects_bugs_once() {
         let program = bugs::memory_bugs();
         let config = SystemConfig::default();
-        let report =
-            run_remote(&program, || LifeguardKind::AddrCheck.make_lba(), 4, &config).unwrap();
+        let report = run_remote(&program, ADDRCHECK.make, 4, &config).unwrap();
         use FindingKind::*;
         for kind in [UnallocatedAccess, DoubleFree, InvalidFree, Leak] {
             assert!(
@@ -121,8 +120,7 @@ mod tests {
             ..lba_transport::FaultProfile::default()
         });
         let start = std::time::Instant::now();
-        let err =
-            run_remote(&program, || LifeguardKind::AddrCheck.make_lba(), 1, &config).unwrap_err();
+        let err = run_remote(&program, ADDRCHECK.make, 1, &config).unwrap_err();
         assert!(
             matches!(err, LbaError::Run(RunError::ChannelStalled)),
             "got: {err}"
@@ -137,11 +135,6 @@ mod tests {
     #[should_panic(expected = "at least one remote worker")]
     fn zero_workers_rejected() {
         let program = bugs::memory_bugs();
-        let _ = run_remote(
-            &program,
-            || LifeguardKind::AddrCheck.make_lba(),
-            0,
-            &SystemConfig::default(),
-        );
+        let _ = run_remote(&program, ADDRCHECK.make, 0, &SystemConfig::default());
     }
 }

@@ -42,7 +42,7 @@ use lba_compress::CODEC_VERSION;
 use lba_lifeguard::Lifeguard;
 use lba_record::{stream_ids, SegmentReader};
 use lba_transport::live::FrameReceiver;
-use lba_transport::{ChannelStats, StreamSource};
+use lba_transport::StreamSource;
 
 use crate::config::SystemConfig;
 use crate::error::LbaError;
@@ -170,21 +170,12 @@ pub fn run_replay_with(
     } else {
         merge_shard_findings(shard_findings)
     };
-    // Every replayed record was "captured" as far as the replay can know;
-    // payload bits are unknowable, as only sealed wire frames are recorded.
-    let sum = |count: fn(&ChannelStats) -> u64| shard_log.iter().map(count).sum();
-    let records = sum(|s| s.records);
-    let log = LogStats {
-        records,
-        captured: records,
-        frames: sum(|s| s.frames),
-        wire_bits: sum(|s| s.wire_bits),
-        ..LogStats::default()
-    };
+    // Nothing retires and nothing is captured in a replay, and payload bits
+    // are unknowable, as only sealed wire frames are recorded.
+    let log = LogStats::from_channels(&shard_log, 0);
     Ok(RunReport {
         program: dir.display().to_string(),
         mode: RunMode::Replay,
-        shards: shard_log.len(),
         shard_log,
         pipeline: PipelineReport {
             findings,

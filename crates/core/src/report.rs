@@ -36,24 +36,14 @@ pub struct StallBreakdown {
     pub syscalls: u64,
 }
 
-/// Log-pipeline statistics for an LBA run.
+/// Log-pipeline statistics for an LBA run: what the transport carried.
+/// What the capture pass did before it (records captured, range-filtered,
+/// deduped and folded) is the report's `capture` ledger.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct LogStats {
     /// Records that entered the log (after the capture pass — what the
     /// transport actually shipped, fold summaries included).
     pub records: u64,
-    /// Records observed at capture, before any filtering. `captured =
-    /// records + filtered + deduped − folded`.
-    pub captured: u64,
-    /// Records dropped by the capture-side address filter.
-    pub filtered: u64,
-    /// Duplicate records suppressed by the capture-side idempotency
-    /// window (zero when `LogConfig::idempotency_window` is 0 or the
-    /// lifeguard's contract is `IdempotencyClass::None`).
-    pub deduped: u64,
-    /// `Repeat` summary records synthesized for fold-class lifeguards
-    /// (already counted in `records`).
-    pub folded: u64,
     /// Transport frames shipped (cache-line-multiple wire units).
     pub frames: u64,
     /// Total payload bits written (compressed, or raw when compression is
@@ -62,34 +52,35 @@ pub struct LogStats {
     /// Total bits on the wire: payload plus frame headers and line padding.
     pub wire_bits: u64,
     /// Average payload bytes per retired instruction — the paper's
-    /// < 1 B/instruction claim.
+    /// < 1 B/instruction claim (zero when nothing retired, as in a
+    /// replay).
     pub bytes_per_instruction: f64,
     /// Average *wire* bytes per retired instruction, framing overhead
-    /// included — what the cache hierarchy actually carries.
+    /// included — what the cache hierarchy actually carries (zero when
+    /// nothing retired).
     pub wire_bytes_per_instruction: f64,
 }
 
 impl LogStats {
     /// The log accounting every mode reports: the shipped-record, frame
     /// and bit counters summed over its channels (one unsharded; broadcast
-    /// records count once per receiving channel), joined with the
-    /// producer-side capture ledger and normalised per retired instruction.
+    /// records count once per receiving channel), normalised per retired
+    /// instruction.
     #[must_use]
-    pub fn from_channels(stats: &[ChannelStats], capture: CaptureStats, instructions: u64) -> Self {
-        let instructions = instructions.max(1) as f64;
+    pub fn from_channels(stats: &[ChannelStats], instructions: u64) -> Self {
         let sum = |bits: fn(&ChannelStats) -> u64| stats.iter().map(bits).sum::<u64>();
         let (payload_bits, wire_bits) = (sum(|s| s.payload_bits), sum(|s| s.wire_bits));
+        let per_instruction = |bits: u64| match instructions {
+            0 => 0.0,
+            n => bits as f64 / 8.0 / n as f64,
+        };
         LogStats {
             records: sum(|s| s.records),
-            captured: capture.captured,
-            filtered: capture.range_filtered,
-            deduped: capture.deduped,
-            folded: capture.folded,
             frames: sum(|s| s.frames),
             compressed_bits: payload_bits,
             wire_bits,
-            bytes_per_instruction: payload_bits as f64 / 8.0 / instructions,
-            wire_bytes_per_instruction: wire_bits as f64 / 8.0 / instructions,
+            bytes_per_instruction: per_instruction(payload_bits),
+            wire_bytes_per_instruction: per_instruction(wire_bits),
         }
     }
 }
@@ -145,15 +136,14 @@ pub struct RunReport {
     /// Lifeguard-core time: the slowest shard's for LBA, zero for
     /// unmonitored, the inline monitoring overhead for DBI.
     pub lifeguard_cycles: u64,
-    /// Log streams the run shipped or read back: 1 for `lba` and `live`,
-    /// the shard or worker count for the sharded modes, the recorded
-    /// stream count for a replay, 0 for the baselines, which ship none.
-    pub shards: usize,
     /// Per-shard lifeguard-core cycles, in shard order (modeled modes
     /// only; empty elsewhere).
     pub shard_cycles: Vec<u64>,
     /// Per-stream transport statistics (records, frames, wire bits,
     /// degraded frames), in stream order: stream `i` is `shard_log[i]`.
+    /// One per log stream the run shipped or read back: one for `lba` and
+    /// `live`, the shard or worker count for the sharded modes, the
+    /// recorded stream count for a replay, none for the baselines.
     /// The modeled and live modes count what their producer shipped, a
     /// replay what its receivers read back; payload bits and the
     /// high-water mark are producer-side figures, zero for a replay.
@@ -168,8 +158,8 @@ pub struct RunReport {
     /// replay's merged like that for a multi-stream recording), log
     /// statistics summed over the streams (broadcast records count once
     /// per shard; default for the baselines, which ship no log; a replay
-    /// counts every record it read as captured and knows no payload
-    /// bits), capture ledger and degradation ledger.
+    /// knows no payload bits), capture ledger (zero for a replay, which
+    /// captures nothing) and degradation ledger.
     pub pipeline: PipelineReport,
     /// Application stall breakdown (the modeled modes only; default
     /// elsewhere).

@@ -1,20 +1,21 @@
 //! One entry point for every execution model: the [`Run`] builder.
 //!
 //! ```
-//! use lba::{LifeguardKind, Run, RunMode};
+//! use lba::{Run, RunMode, ADDRCHECK};
 //! use lba_workloads::bugs;
 //!
 //! let program = bugs::memory_bugs();
 //! let outcome = Run::new(&program)
 //!     .mode(RunMode::Live)
-//!     .monitor(LifeguardKind::AddrCheck)
+//!     .monitor(&ADDRCHECK)
 //!     .run()?;
 //! assert!(!outcome.findings.is_empty()); // Derefs to the RunReport
 //! # Ok::<(), lba::LbaError>(())
 //! ```
 //!
-//! The builder validates the mode/monitor pairing against the capability
-//! flags in [`pipeline::MONITORS`](crate::MONITORS) and
+//! The monitor is a [`pipeline::MONITORS`](crate::MONITORS) row, the one
+//! lifeguard handle. The builder validates the mode/monitor pairing
+//! against the capability flags in that row and
 //! [`pipeline::RUN_MODES`](crate::RUN_MODES) *before* running anything —
 //! sharding TaintCheck is an [`LbaError::Unsupported`] with the reason,
 //! not a wrong answer — then hands the request to the mode's `RUN_MODES`
@@ -38,8 +39,7 @@ use lba_isa::Program;
 
 use crate::config::SystemConfig;
 use crate::error::LbaError;
-use crate::kind::LifeguardKind;
-use crate::pipeline::{MonitorSpec, RunModeSpec, TopologyKind, MONITORS, RUN_MODES};
+use crate::pipeline::{MonitorSpec, RunModeSpec, TopologyKind, ADDRCHECK, RUN_MODES};
 use crate::replay::ReplayMode;
 use crate::report::RunReport;
 
@@ -67,7 +67,8 @@ pub enum RunMode {
     /// The program alone, no monitoring ([`crate::run_unmonitored`]).
     Unmonitored,
     /// The lifeguard inline via dynamic binary instrumentation
-    /// ([`crate::run_dbi`]).
+    /// ([`crate::run_dbi`]): the monitor row's `make_dbi` instance, so
+    /// this is Figure 2's DBI baseline.
     Dbi,
 }
 
@@ -114,29 +115,6 @@ impl fmt::Display for RunMode {
     }
 }
 
-/// A monitor selection: anything that resolves to a [`MONITORS`] row.
-/// [`LifeguardKind`] covers the paper's three; pass a
-/// [`&'static MonitorSpec`](MonitorSpec) directly for the extensions
-/// (MemProfile) or custom registry entries.
-#[derive(Debug, Clone, Copy)]
-pub struct MonitorChoice(&'static MonitorSpec);
-
-impl From<&'static MonitorSpec> for MonitorChoice {
-    fn from(spec: &'static MonitorSpec) -> Self {
-        MonitorChoice(spec)
-    }
-}
-
-impl From<LifeguardKind> for MonitorChoice {
-    fn from(kind: LifeguardKind) -> Self {
-        let spec = MONITORS
-            .iter()
-            .find(|m| m.name == kind.name())
-            .expect("every LifeguardKind has a MONITORS row");
-        MonitorChoice(spec)
-    }
-}
-
 /// Builder for one monitored run — see the [module docs](self) for the
 /// shape. Defaults: [`RunMode::Lba`], AddrCheck, 2 workers,
 /// [`SystemConfig::default`], [`ReplayMode::Strict`].
@@ -158,7 +136,7 @@ impl<'a> Run<'a> {
         Run {
             program,
             mode: RunMode::default(),
-            monitor: MonitorChoice::from(LifeguardKind::AddrCheck).0,
+            monitor: &ADDRCHECK,
             workers: 2,
             config: Cow::Owned(SystemConfig::default()),
             replay_from: None,
@@ -173,12 +151,13 @@ impl<'a> Run<'a> {
         self
     }
 
-    /// Selects the lifeguard: a [`LifeguardKind`] or a
-    /// [`&'static MonitorSpec`](MonitorSpec) row. Ignored by
-    /// [`RunMode::Unmonitored`].
+    /// Selects the lifeguard by its registry row, e.g. `&LOCKSET`
+    /// ([`crate::MONITORS`]). [`RunMode::Dbi`] runs the row's `make_dbi`
+    /// instance, every log-based mode its `make`; [`RunMode::Unmonitored`]
+    /// ignores it.
     #[must_use]
-    pub fn monitor(mut self, monitor: impl Into<MonitorChoice>) -> Self {
-        self.monitor = monitor.into().0;
+    pub fn monitor(mut self, monitor: &'static MonitorSpec) -> Self {
+        self.monitor = monitor;
         self
     }
 
@@ -229,7 +208,7 @@ impl<'a> Run<'a> {
             let report = if self.mode == RunMode::Unmonitored {
                 crate::run::run_unmonitored(self.program, &self.config)?
             } else {
-                let mut lifeguard = (self.monitor.make)();
+                let mut lifeguard = (self.monitor.make_dbi)();
                 crate::run::run_dbi(self.program, lifeguard.as_mut(), &self.config)?
             };
             return Ok(RunOutcome::Run(report));
@@ -342,7 +321,7 @@ mod tests {
         for mode in RunMode::ALL {
             let mut request = Run::new(&program)
                 .mode(mode)
-                .monitor(LifeguardKind::AddrCheck)
+                .monitor(&ADDRCHECK)
                 .config(&config);
             if mode == RunMode::Replay {
                 // Record first, then point the builder at the recording.
@@ -351,7 +330,7 @@ mod tests {
                 let _ = std::fs::remove_dir_all(&recording);
                 Run::new(&program)
                     .mode(RunMode::Lba)
-                    .monitor(LifeguardKind::AddrCheck)
+                    .monitor(&ADDRCHECK)
                     .config(&rec)
                     .run()
                     .expect("recording run");
@@ -359,19 +338,14 @@ mod tests {
             }
             let outcome = request.run().unwrap_or_else(|e| panic!("{mode}: {e}"));
             assert_eq!(outcome.mode, mode, "the report names the mode that ran");
-            assert_eq!(
-                outcome.shard_log.len(),
-                outcome.shards,
-                "{mode}: one ChannelStats per stream"
-            );
-            // The builder's default is two workers; the replayed recording
-            // is one `lba` stream.
+            // One ChannelStats per stream. The builder's default is two
+            // workers; the replayed recording is one `lba` stream.
             let streams = match mode {
                 RunMode::Unmonitored | RunMode::Dbi => 0,
                 RunMode::LbaParallel | RunMode::LiveParallel | RunMode::Remote => 2,
                 RunMode::Lba | RunMode::Live | RunMode::Replay => 1,
             };
-            assert_eq!(outcome.shards, streams, "{mode}");
+            assert_eq!(outcome.shard_log.len(), streams, "{mode}");
             if mode != RunMode::Unmonitored {
                 assert!(
                     !outcome.findings.is_empty(),
@@ -387,7 +361,7 @@ mod tests {
         let program = bugs::memory_bugs();
         let err = Run::new(&program)
             .mode(RunMode::LiveParallel)
-            .monitor(LifeguardKind::TaintCheck)
+            .monitor(&crate::TAINTCHECK)
             .run()
             .unwrap_err();
         assert!(
@@ -440,7 +414,7 @@ mod tests {
         for mode in RUN_MODES.iter().filter(|m| m.mode != RunMode::Replay) {
             let outcome = Run::new(&program)
                 .mode(mode.mode)
-                .monitor(LifeguardKind::AddrCheck)
+                .monitor(&ADDRCHECK)
                 .config(&config)
                 .run();
             match outcome {
@@ -455,7 +429,7 @@ mod tests {
         let program = bugs::memory_bugs();
         let outcome = Run::new(&program)
             .mode(RunMode::Remote)
-            .monitor(LifeguardKind::AddrCheck)
+            .monitor(&ADDRCHECK)
             .run()
             .unwrap();
         assert!(outcome

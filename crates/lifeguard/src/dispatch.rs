@@ -56,9 +56,9 @@ pub trait Lifeguard {
 
     /// The analysis-side degradation dial: a lifeguard that has decided —
     /// from what its handlers have seen — that capture fidelity should
-    /// change may return a [`DegradationRequest`] here. The dispatch
-    /// engine polls this after deliveries ([`DispatchEngine::poll_degradation`])
-    /// and the capture controller honours the request only within the
+    /// change may return a [`DegradationRequest`] here. The runners poll
+    /// this after each delivered frame and forward the request, and the
+    /// capture controller honours it only within the
     /// bounds of the lifeguard's own [`DegradationPolicy`]. Take
     /// semantics: a returned request is considered consumed, so
     /// implementations should clear their pending slot. The default never
@@ -178,14 +178,6 @@ impl DispatchEngine {
             }
         }
         fixed + ctx.cycles()
-    }
-
-    /// Polls the lifeguard's analysis-side degradation dial
-    /// ([`Lifeguard::degradation_request`]). Runners forward the returned
-    /// request to the capture controller, which ledgers it and applies it
-    /// within the lifeguard's declared [`DegradationPolicy`].
-    pub fn poll_degradation(&self, lifeguard: &mut dyn Lifeguard) -> Option<DegradationRequest> {
-        lifeguard.degradation_request()
     }
 
     /// Runs the lifeguard's end-of-log hook, returning its cycle cost.

@@ -90,18 +90,6 @@ pub struct ChannelStats {
     pub degraded_frames: u64,
 }
 
-impl ChannelStats {
-    /// Average wire bytes per record, framing overhead included.
-    #[must_use]
-    pub fn wire_bytes_per_record(&self) -> f64 {
-        if self.records == 0 {
-            0.0
-        } else {
-            self.wire_bits as f64 / 8.0 / self.records as f64
-        }
-    }
-}
-
 /// A frame's worth of decoded records handed to the consumer in one call,
 /// borrowed from the channel's decode buffer.
 ///

@@ -564,13 +564,6 @@ impl SocketSource {
         Ok(source)
     }
 
-    /// The codec version the producer announced in the hello: always this
-    /// build's, since [`accept`](Self::accept) refuses any other.
-    #[must_use]
-    pub fn codec_version(&self) -> u32 {
-        self.hello.codec_version
-    }
-
     /// The stream id the producer announced (the shard index in the
     /// remote-workers topology).
     #[must_use]
@@ -739,7 +732,6 @@ mod tests {
         let config = FrameConfig::default();
         let (sink, source) = socket_pair(3, 8).unwrap();
         assert_eq!(source.stream_id(), 3);
-        assert_eq!(source.codec_version(), CODEC_VERSION);
         assert_eq!(source.window(), 8);
 
         let mut tx = SocketSender::new(sink, config);

@@ -7,7 +7,7 @@
 //! cargo run --release --example flight_recorder
 //! ```
 
-use lba::{run_lba, run_replay, LifeguardKind, RecordConfig, SystemConfig};
+use lba::{run_lba, run_replay, RecordConfig, SystemConfig, ADDRCHECK, LOCKSET};
 use lba_workloads::bugs;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -19,7 +19,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let program = bugs::data_race();
     let mut config = SystemConfig::default();
     config.log.record_to = Some(RecordConfig::new(&dir));
-    let mut addrcheck = LifeguardKind::AddrCheck.make_lba();
+    let mut addrcheck = (ADDRCHECK.make)();
     let recorded = run_lba(&program, addrcheck.as_mut(), &config)?;
     println!(
         "live run under AddrCheck: {} findings, {} wire bits recorded",
@@ -36,7 +36,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 2. Yesterday's traffic, today's analysis: replay the same recording
     //    through LockSet. The data race AddrCheck could not see is in the
     //    log all along.
-    let replay = run_replay(&dir, || LifeguardKind::LockSet.make_lba(), &config)?;
+    let replay = run_replay(&dir, LOCKSET.make, &config)?;
     println!("\n{replay}");
     assert!(
         !replay.findings.is_empty(),

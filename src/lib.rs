@@ -99,15 +99,16 @@
 //! | `lba-lifeguards` | the four lifeguards (the paper's three + `MemProfile`); each declares its degradation tolerance next to its idempotency story |
 //! | `lba-dbi`        | Valgrind-style inline instrumentation baseline        |
 //! | `lba-workloads`  | deterministic benchmark programs                      |
-//! | `lba-core`       | ties it together: the staged capture pipeline (`pipeline::Producer` driving each mode's `pipeline::ProducerLink`), the run-mode/monitor registry (`pipeline::RUN_MODES` / `pipeline::MONITORS`), the unified `Run` builder dispatching every mode through its `RUN_MODES` row behind one validated entry point (the `run_*` functions are the per-mode implementations), one co-simulation behind `run_lba` and `run_lba_parallel` (one lifeguard core or N, one timing model), one live runner behind `run_live`, `run_live_parallel` and `run_remote` (one shard or N, queue or socket wires) whose consumer threads also run `run_replay` (one receiver per recorded stream), the one `LbaError` type for every layer's failures (a panicking live or replay thread, an undecodable frame, a recording under another codec), experiments, the one `RunReport` every mode returns (clocks where a modeled clock runs, one `ChannelStats` per stream, salvaged tails after a salvaging replay; it derefs to its `PipelineReport` core), and the adaptive `CaptureController` closing the back-pressure feedback loop |
+//! | `lba-core`       | ties it together: the staged capture pipeline (`pipeline::Producer` driving each mode's `pipeline::ProducerLink`), the run-mode/monitor registry (`pipeline::RUN_MODES` / `pipeline::MONITORS`, whose named rows `ADDRCHECK`, `TAINTCHECK`, `LOCKSET` and `MEMPROFILE` are the one lifeguard handle: the instance the log-based modes run, the instance the DBI baseline runs, shardability and the Figure 2 panel), the unified `Run` builder taking a monitor row and dispatching every mode through its `RUN_MODES` row behind one validated entry point (the `run_*` functions are the per-mode implementations), one co-simulation behind `run_lba` and `run_lba_parallel` (one lifeguard core or N, one timing model), one live runner behind `run_live`, `run_live_parallel` and `run_remote` (one shard or N, queue or socket wires) whose consumer threads also run `run_replay` (one receiver per recorded stream), the one `LbaError` type for every layer's failures (a panicking live or replay thread, an undecodable frame, a recording under another codec), the experiment layer (Figure 2 runs every monitor row with a panel), the one `RunReport` every mode returns (clocks where a modeled clock runs, one `ChannelStats` per stream, salvaged tails after a salvaging replay; it derefs to its `PipelineReport` core), and the adaptive `CaptureController` closing the back-pressure feedback loop |
 //! | `lba-bench`      | table rendering, Criterion benches, `figures` binary  |
 //!
 //! ## Execution models
 //!
 //! All of them drive through the unified [`Run`] builder —
-//! `Run::new(&program).mode(RunMode::Live).monitor(LifeguardKind::AddrCheck).run()`
-//! — which validates the mode/monitor pairing against the registry
-//! capability flags, dispatches through the mode's [`RUN_MODES`] row and
+//! `Run::new(&program).mode(RunMode::Live).monitor(&ADDRCHECK).run()`
+//! — which takes the lifeguard as its [`MONITORS`] row, validates the
+//! mode/monitor pairing against the registry capability flags,
+//! dispatches through the mode's [`RUN_MODES`] row and
 //! returns a [`RunOutcome`] that derefs to the one [`RunReport`] every
 //! mode reports: its `mode` names the mode that ran, its `shard_log`
 //! holds one [`ChannelStats`] per stream, and its cycle fields stay zero
@@ -137,7 +138,9 @@
 //!   the wire, and per-shard wire streams and merged findings are
 //!   byte-identical to [`run_live_parallel`]'s;
 //! * [`run_dbi`] — the comparison point: the lifeguard inlined via dynamic
-//!   binary instrumentation on the application core;
+//!   binary instrumentation on the application core (the builder's
+//!   [`RunMode::Dbi`] runs the row's `make_dbi` instance, so it is Figure
+//!   2's DBI baseline: LockSet recomputes its locksets in software);
 //! * [`run_replay`] — offline replay: any of the modes above records its
 //!   sealed wire frames to a segmented on-disk stream
 //!   ([`LogConfig::record_to`]), and replay re-decodes the recording
@@ -158,8 +161,13 @@
 //! single consumer, sharded-by-cache-line, or replay source — over
 //! either the modeled or the live transport. The [`MONITORS`]
 //! and [`RUN_MODES`] registries enumerate the
-//! lifeguards and modes once; the benchmark matrix, the experiment
-//! layer and the cross-mode equivalence suite all derive from them.
+//! lifeguards and modes once. A [`MonitorSpec`] row ([`ADDRCHECK`],
+//! [`TAINTCHECK`], [`LOCKSET`], [`MEMPROFILE`]) is the one lifeguard
+//! handle: it builds the instance each execution model runs (`make` for
+//! the log-based modes, `make_dbi` for the DBI baseline) and carries the
+//! lifeguard's [`Figure2Panel`]. The builder, the benchmark matrix, the
+//! experiment layer (Figure 2 runs every row with a panel) and the
+//! cross-mode equivalence suites all name lifeguards by these rows.
 //!
 //! Every producer mode can additionally run *adaptive*: set
 //! [`LogConfig::adaptive`] and the [`CaptureController`] watches the
@@ -183,7 +191,7 @@
 //! ## Quickstart
 //!
 //! ```
-//! use lba::{LifeguardKind, Run, RunMode, SystemConfig};
+//! use lba::{Run, RunMode, SystemConfig, ADDRCHECK};
 //! use lba_workloads::bugs;
 //!
 //! let program = bugs::memory_bugs();
@@ -195,7 +203,7 @@
 //!     .run()?;
 //! let monitored = Run::new(&program)
 //!     .mode(RunMode::Lba)
-//!     .monitor(LifeguardKind::AddrCheck)
+//!     .monitor(&ADDRCHECK)
 //!     .config(&config)
 //!     .run()?;
 //!
@@ -207,26 +215,26 @@
 
 pub use lba_core::{
     experiment, live_parallel, parallel, pipeline, remote, replay, report, runner, table,
-    CaptureFilter, CaptureStats, ChannelStats, IdempotencyClass, LifeguardKind, LogConfig,
-    LogStats, PipelineReport, RecordConfig, RunError, RunReport, StallBreakdown, SystemConfig,
-    WindowSpec,
+    CaptureFilter, CaptureStats, ChannelStats, IdempotencyClass, LogConfig, LogStats,
+    PipelineReport, RecordConfig, RunError, RunReport, StallBreakdown, SystemConfig, WindowSpec,
 };
 // The unified entry point: one builder for every execution model, the
 // outcome that holds the one report every mode returns, and the error
 // hierarchy every layer's failures convert into.
-pub use lba_core::{LbaError, MonitorChoice, Run, RunMode, RunOutcome};
+pub use lba_core::{LbaError, Run, RunMode, RunOutcome};
 // The per-mode implementations the builder dispatches to, the staged
 // capture pipeline they compose (a `Producer` driving a `ProducerLink`),
 // and the run-mode/monitor registry: MONITORS/RUN_MODES are the single
-// source the builder, the benchmarks and the equivalence suites derive
-// their enumerations from.
+// source the builder, the experiment layer, the benchmarks and the
+// equivalence suites derive their enumerations from, and a named
+// MONITORS row is how every one of them names a lifeguard.
 pub use lba_core::{
     run_dbi, run_lba, run_live, run_live_parallel, run_remote, run_replay, run_replay_with,
     run_unmonitored,
 };
 pub use lba_core::{
-    MonitorSpec, Producer, ProducerFinish, ProducerLink, RunModeSpec, TopologyKind, MONITORS,
-    RUN_MODES,
+    Figure2Panel, MonitorSpec, Producer, ProducerFinish, ProducerLink, RunModeSpec, TopologyKind,
+    ADDRCHECK, LOCKSET, MEMPROFILE, MONITORS, RUN_MODES, TAINTCHECK,
 };
 // Adaptive capture under back-pressure: the controller and its knobs, the
 // per-lifeguard degradation contracts, the transport load signal, the
@@ -266,29 +274,20 @@ mod facade_smoke {
         let config = crate::SystemConfig::default();
         let program = lba_workloads::bugs::memory_bugs();
 
-        let sharded = crate::parallel::run_lba_parallel(
-            &program,
-            || crate::LifeguardKind::AddrCheck.make_lba(),
-            2,
-            &config,
-        )
-        .expect("parallel run completes");
-        assert_eq!(sharded.shards, 2);
+        let sharded =
+            crate::parallel::run_lba_parallel(&program, crate::ADDRCHECK.make, 2, &config)
+                .expect("parallel run completes");
+        assert_eq!(sharded.shard_log.len(), 2);
 
-        let live_sharded = crate::run_live_parallel(
-            &program,
-            || crate::LifeguardKind::AddrCheck.make_lba(),
-            2,
-            &config,
-        )
-        .expect("live parallel run completes");
+        let live_sharded = crate::run_live_parallel(&program, crate::ADDRCHECK.make, 2, &config)
+            .expect("live parallel run completes");
         assert_eq!(live_sharded.findings, sharded.findings);
 
         // The socket transport behind the unified builder: same shards,
         // same findings, real wire.
         let remote = crate::Run::new(&program)
             .mode(crate::RunMode::Remote)
-            .monitor(crate::LifeguardKind::AddrCheck)
+            .monitor(&crate::ADDRCHECK)
             .workers(2)
             .config(&config)
             .run()
@@ -297,8 +296,8 @@ mod facade_smoke {
         assert!(matches!(remote, crate::RunOutcome::Remote(_)));
 
         let baseline = crate::run_unmonitored(&program, &config).expect("baseline runs");
-        let kind = crate::LifeguardKind::AddrCheck;
-        let mut lifeguard = kind.make_lba();
+        let monitor = &crate::ADDRCHECK;
+        let mut lifeguard = (monitor.make)();
         let monitored = crate::run_lba(&program, lifeguard.as_mut(), &config).expect("lba runs");
 
         assert!(
@@ -316,11 +315,11 @@ mod facade_smoke {
         std::fs::remove_dir_all(&dir).ok();
         let mut recording = config.clone();
         recording.log.record_to = Some(crate::RecordConfig::new(&dir));
-        let mut lifeguard = kind.make_lba();
+        let mut lifeguard = (monitor.make)();
         let recorded =
             crate::run_lba(&program, lifeguard.as_mut(), &recording).expect("recorded run");
         let replay: crate::RunReport =
-            crate::run_replay(&dir, || kind.make_lba(), &config).expect("replay runs");
+            crate::run_replay(&dir, monitor.make, &config).expect("replay runs");
         assert_eq!(replay.findings, recorded.findings);
         assert_eq!(replay.log.wire_bits, recorded.log.wire_bits);
         std::fs::remove_dir_all(&dir).ok();

@@ -3,7 +3,7 @@
 //! remaining log entries that executed prior to the syscall invocation",
 //! so errors cannot propagate beyond the process container.
 
-use lba::{run_lba, LifeguardKind, SystemConfig};
+use lba::{run_lba, SystemConfig, ADDRCHECK, TAINTCHECK};
 use lba_lifeguard::FindingKind;
 use lba_workloads::{bugs, Benchmark};
 
@@ -11,7 +11,7 @@ use lba_workloads::{bugs, Benchmark};
 fn every_syscall_is_stalled_when_containment_is_on() {
     let program = Benchmark::Gs.build();
     let config = SystemConfig::default();
-    let mut lg = LifeguardKind::AddrCheck.make_lba();
+    let mut lg = (ADDRCHECK.make)();
     let report = run_lba(&program, lg.as_mut(), &config).unwrap();
     assert_eq!(
         report.stalls.syscalls,
@@ -26,13 +26,13 @@ fn disabling_containment_removes_the_stalls_but_not_detection() {
     let program = bugs::tainted_syscall();
 
     let on = {
-        let mut lg = LifeguardKind::TaintCheck.make_lba();
+        let mut lg = (TAINTCHECK.make)();
         run_lba(&program, lg.as_mut(), &SystemConfig::default()).unwrap()
     };
     let off = {
         let mut config = SystemConfig::default();
         config.log.syscall_stall = false;
-        let mut lg = LifeguardKind::TaintCheck.make_lba();
+        let mut lg = (TAINTCHECK.make)();
         run_lba(&program, lg.as_mut(), &config).unwrap()
     };
 
@@ -55,7 +55,7 @@ fn containment_makes_the_application_wait_for_the_lagging_lifeguard() {
     // syscall arrives; with containment on, the app clock must absorb it.
     let program = bugs::tainted_syscall();
     let config = SystemConfig::default();
-    let mut lg = LifeguardKind::TaintCheck.make_lba();
+    let mut lg = (TAINTCHECK.make)();
     let report = run_lba(&program, lg.as_mut(), &config).unwrap();
     assert!(
         report.stalls.syscall_stall_cycles > 1000,
@@ -77,7 +77,7 @@ fn containment_bounds_error_propagation_in_the_timeline() {
     // the post-syscall tail).
     let program = bugs::tainted_syscall();
     let config = SystemConfig::default();
-    let mut lg = LifeguardKind::TaintCheck.make_lba();
+    let mut lg = (TAINTCHECK.make)();
     let report = run_lba(&program, lg.as_mut(), &config).unwrap();
     // tainted_syscall ends almost immediately after its syscall, so the
     // lifeguard tail is tiny relative to the stalled app clock.

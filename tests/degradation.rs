@@ -13,9 +13,10 @@ use proptest::prelude::*;
 use lba::{
     parallel::run_lba_parallel, run_lba, run_live, run_live_parallel, AdaptiveConfig,
     DegradationStats, FaultProfile, LbaError, RunError, SystemConfig, MAX_RECORDED_INTERVALS,
+    MONITORS,
 };
 use lba_lifeguard::Lifeguard;
-use lba_lifeguards::{AddrCheck, LockSet, MemProfile, TaintCheck};
+use lba_lifeguards::{AddrCheck, MemProfile, TaintCheck};
 use lba_workloads::{bugs, Benchmark};
 
 /// Thresholds low enough that the modeled slow-drain profile engages on
@@ -137,7 +138,7 @@ fn controller_engages_under_slow_drain_and_findings_are_identical() {
     // the default zero-entry one, so its dedup term is zero).
     assert_eq!(
         clean.log.records - degraded.log.records,
-        degraded.degradation.removed() + degraded.log.deduped - clean.log.deduped,
+        degraded.degradation.removed() + degraded.capture.deduped - clean.capture.deduped,
         "every missing wire record is accounted to degradation or widening"
     );
 }
@@ -241,15 +242,15 @@ fn live_runs_without_timeout_still_complete_under_drag() {
     assert_eq!(dragged.log.records, clean.log.records);
 }
 
-/// The degradation grid's lifeguard axis: the three sound policies.
-/// (TaintCheck is pinned separately — its guarantee is the *absence* of
-/// the controller.)
+/// The degradation grid's lifeguard axis: the registry rows whose
+/// degradation policy tolerates something, in table order (AddrCheck,
+/// LockSet, MemProfile). TaintCheck is pinned separately — its guarantee
+/// is the *absence* of the controller.
 fn make_kind(idx: usize) -> Box<dyn Lifeguard> {
-    match idx {
-        0 => Box::new(AddrCheck::new()),
-        1 => Box::new(LockSet::new()),
-        _ => Box::new(MemProfile::new()),
-    }
+    let degradable: Vec<_> = (MONITORS.iter())
+        .filter(|m| !(m.make)().degradation().is_none())
+        .collect();
+    (degradable[idx].make)()
 }
 
 proptest! {

@@ -3,7 +3,7 @@
 //! clean.
 
 use lba::parallel::run_lba_parallel;
-use lba::{run_dbi, run_lba, run_live, LifeguardKind, SystemConfig};
+use lba::{run_dbi, run_lba, run_live, SystemConfig, ADDRCHECK, LOCKSET, TAINTCHECK};
 use lba_lifeguard::FindingKind;
 use lba_workloads::{bugs, Benchmark};
 
@@ -21,19 +21,13 @@ fn memory_bugs_caught_under_all_execution_models() {
         FindingKind::Leak,
     ];
 
-    let mut lg = LifeguardKind::AddrCheck.make_lba();
+    let mut lg = (ADDRCHECK.make)();
     let lba = run_lba(&program, lg.as_mut(), &config()).unwrap();
-    let mut lg = LifeguardKind::AddrCheck.make_dbi();
+    let mut lg = (ADDRCHECK.make_dbi)();
     let dbi = run_dbi(&program, lg.as_mut(), &config()).unwrap();
-    let mut lg = LifeguardKind::AddrCheck.make_lba();
+    let mut lg = (ADDRCHECK.make)();
     let live = run_live(&program, lg.as_mut(), &config()).unwrap();
-    let par = run_lba_parallel(
-        &program,
-        || LifeguardKind::AddrCheck.make_lba(),
-        4,
-        &config(),
-    )
-    .unwrap();
+    let par = run_lba_parallel(&program, ADDRCHECK.make, 4, &config()).unwrap();
 
     for kind in expected {
         assert!(
@@ -58,7 +52,7 @@ fn memory_bugs_caught_under_all_execution_models() {
 #[test]
 fn exploit_caught_and_attack_details_reported() {
     let program = bugs::exploit();
-    let mut lg = LifeguardKind::TaintCheck.make_lba();
+    let mut lg = (TAINTCHECK.make)();
     let report = run_lba(&program, lg.as_mut(), &config()).unwrap();
     let finding = report
         .findings_of(FindingKind::TaintedJump)
@@ -73,7 +67,7 @@ fn exploit_caught_and_attack_details_reported() {
 #[test]
 fn tainted_syscall_argument_caught() {
     let program = bugs::tainted_syscall();
-    let mut lg = LifeguardKind::TaintCheck.make_lba();
+    let mut lg = (TAINTCHECK.make)();
     let report = run_lba(&program, lg.as_mut(), &config()).unwrap();
     assert!(report
         .findings_of(FindingKind::TaintedSyscallArg)
@@ -84,27 +78,27 @@ fn tainted_syscall_argument_caught() {
 #[test]
 fn data_race_caught_in_lba_and_dbi() {
     let program = bugs::data_race();
-    let mut lg = LifeguardKind::LockSet.make_lba();
+    let mut lg = (LOCKSET.make)();
     let lba = run_lba(&program, lg.as_mut(), &config()).unwrap();
     assert!(lba.findings_of(FindingKind::DataRace).next().is_some());
 
-    let mut lg = LifeguardKind::LockSet.make_dbi();
+    let mut lg = (LOCKSET.make_dbi)();
     let dbi = run_dbi(&program, lg.as_mut(), &config()).unwrap();
     assert!(dbi.findings.iter().any(|f| f.kind == FindingKind::DataRace));
 }
 
 #[test]
 fn lba_and_dbi_produce_identical_findings_on_bug_programs() {
-    for (program, kind) in [
-        (bugs::memory_bugs(), LifeguardKind::AddrCheck),
-        (bugs::exploit(), LifeguardKind::TaintCheck),
-        (bugs::data_race(), LifeguardKind::LockSet),
+    for (program, monitor) in [
+        (bugs::memory_bugs(), ADDRCHECK),
+        (bugs::exploit(), TAINTCHECK),
+        (bugs::data_race(), LOCKSET),
     ] {
-        let mut lg = kind.make_lba();
+        let mut lg = (monitor.make)();
         let lba = run_lba(&program, lg.as_mut(), &config()).unwrap();
         // DBI runs the *same* analysis; the LockSet DBI variant differs
         // only in cost model, not semantics.
-        let mut lg = kind.make_dbi();
+        let mut lg = (monitor.make_dbi)();
         let dbi = run_dbi(&program, lg.as_mut(), &config()).unwrap();
         assert_eq!(
             lba.findings,
@@ -119,21 +113,21 @@ fn lba_and_dbi_produce_identical_findings_on_bug_programs() {
 fn clean_benchmarks_stay_clean_everywhere() {
     for benchmark in [Benchmark::Bc, Benchmark::Gs, Benchmark::W3m] {
         let program = benchmark.build();
-        for kind in [LifeguardKind::AddrCheck, LifeguardKind::TaintCheck] {
-            let mut lg = kind.make_lba();
+        for monitor in [ADDRCHECK, TAINTCHECK] {
+            let mut lg = (monitor.make)();
             let report = run_lba(&program, lg.as_mut(), &config()).unwrap();
             assert!(
                 report.findings.is_empty(),
                 "{}/{}: {:?}",
                 benchmark.name(),
-                kind.name(),
+                monitor.name,
                 report.findings
             );
         }
     }
     for benchmark in Benchmark::MULTI_THREADED {
         let program = benchmark.build();
-        let mut lg = LifeguardKind::LockSet.make_lba();
+        let mut lg = (LOCKSET.make)();
         let report = run_lba(&program, lg.as_mut(), &config()).unwrap();
         assert!(
             report.findings.is_empty(),

@@ -8,8 +8,8 @@ use proptest::prelude::*;
 
 use lba::parallel::run_lba_parallel;
 use lba::{
-    run_dbi, run_lba, run_live, LifeguardKind, MonitorSpec, RecordConfig, Run, RunMode,
-    RunModeSpec, RunOutcome, SystemConfig, TopologyKind,
+    run_dbi, run_lba, run_live, MonitorSpec, RecordConfig, Run, RunMode, RunModeSpec, RunOutcome,
+    SystemConfig, TopologyKind, ADDRCHECK, LOCKSET, MONITORS, TAINTCHECK,
 };
 use lba_cache::MemSystem;
 use lba_cpu::Machine;
@@ -61,15 +61,15 @@ fn the_untimed_machine_retires_the_timed_stream() {
 
 #[test]
 fn live_pipeline_matches_cosim_on_every_bug_program() {
-    for (program, kind) in [
-        (bugs::memory_bugs(), LifeguardKind::AddrCheck),
-        (bugs::exploit(), LifeguardKind::TaintCheck),
-        (bugs::tainted_syscall(), LifeguardKind::TaintCheck),
-        (bugs::data_race(), LifeguardKind::LockSet),
+    for (program, monitor) in [
+        (bugs::memory_bugs(), ADDRCHECK),
+        (bugs::exploit(), TAINTCHECK),
+        (bugs::tainted_syscall(), TAINTCHECK),
+        (bugs::data_race(), LOCKSET),
     ] {
-        let mut lg = kind.make_lba();
+        let mut lg = (monitor.make)();
         let cosim = run_lba(&program, lg.as_mut(), &config()).unwrap();
-        let mut lg = kind.make_lba();
+        let mut lg = (monitor.make)();
         let live = run_live(&program, lg.as_mut(), &config()).unwrap();
         assert_eq!(
             cosim.findings,
@@ -82,35 +82,26 @@ fn live_pipeline_matches_cosim_on_every_bug_program() {
 
 #[test]
 fn live_pipeline_matches_cosim_for_all_four_lifeguards() {
-    // One lifeguard of each kind, each on a program that exercises it;
+    // Every registry lifeguard, each on a program that exercises it;
     // modeled and live transports must agree finding-for-finding, and the
     // two channels must ship the identical framed byte stream.
-    type MakeLifeguard = fn() -> Box<dyn lba_lifeguard::Lifeguard>;
-    let cases: Vec<(_, MakeLifeguard)> = vec![
-        (bugs::memory_bugs(), || {
-            Box::new(lba_lifeguards::AddrCheck::new())
-        }),
-        (bugs::exploit(), || {
-            Box::new(lba_lifeguards::TaintCheck::new())
-        }),
-        (bugs::data_race(), || {
-            Box::new(lba_lifeguards::LockSet::new())
-        }),
-        (bugs::memory_bugs(), || {
-            Box::new(lba_lifeguards::MemProfile::new())
-        }),
+    let programs = [
+        bugs::memory_bugs(),
+        bugs::exploit(),
+        bugs::data_race(),
+        bugs::memory_bugs(),
     ];
-    for (program, make) in cases {
-        let mut lg = make();
-        let cosim = run_lba(&program, lg.as_mut(), &config()).unwrap();
-        let mut lg = make();
-        let live = run_live(&program, lg.as_mut(), &config()).unwrap();
+    for (program, monitor) in programs.iter().zip(&MONITORS) {
+        let mut lg = (monitor.make)();
+        let cosim = run_lba(program, lg.as_mut(), &config()).unwrap();
+        let mut lg = (monitor.make)();
+        let live = run_live(program, lg.as_mut(), &config()).unwrap();
         assert_eq!(
             cosim.findings,
             live.findings,
             "{}/{}: live/cosim mismatch",
             program.name(),
-            make().name()
+            monitor.name
         );
         assert_eq!(cosim.log.records, live.log.records, "{}", program.name());
         assert_eq!(cosim.log.frames, live.log.frames, "{}", program.name());
@@ -126,9 +117,9 @@ fn live_pipeline_matches_cosim_for_all_four_lifeguards() {
 #[test]
 fn live_pipeline_matches_cosim_on_a_real_benchmark() {
     let program = Benchmark::Tidy.build();
-    let mut lg = LifeguardKind::AddrCheck.make_lba();
+    let mut lg = (ADDRCHECK.make)();
     let cosim = run_lba(&program, lg.as_mut(), &config()).unwrap();
-    let mut lg = LifeguardKind::AddrCheck.make_lba();
+    let mut lg = (ADDRCHECK.make)();
     let live = run_live(&program, lg.as_mut(), &config()).unwrap();
     assert_eq!(cosim.findings, live.findings);
     // The live channel carries real wire bytes: under a byte per
@@ -141,20 +132,8 @@ fn live_pipeline_matches_cosim_on_a_real_benchmark() {
 fn parallel_shards_agree_with_single_lifeguard() {
     for shards in [2usize, 3, 4] {
         let program = bugs::memory_bugs();
-        let single = run_lba_parallel(
-            &program,
-            || LifeguardKind::AddrCheck.make_lba(),
-            1,
-            &config(),
-        )
-        .unwrap();
-        let sharded = run_lba_parallel(
-            &program,
-            || LifeguardKind::AddrCheck.make_lba(),
-            shards,
-            &config(),
-        )
-        .unwrap();
+        let single = run_lba_parallel(&program, ADDRCHECK.make, 1, &config()).unwrap();
+        let sharded = run_lba_parallel(&program, ADDRCHECK.make, shards, &config()).unwrap();
         // Same set of findings (order may differ across shard counts).
         assert_eq!(
             single.findings.len(),
@@ -189,11 +168,11 @@ fn one_shard_of_the_sharded_model_is_run_lba() {
     ];
     let programs = Benchmark::ALL.map(Benchmark::build);
     for program in programs.iter().chain(&bug_programs) {
-        for kind in [LifeguardKind::AddrCheck, LifeguardKind::LockSet] {
-            let mut lg = kind.make_lba();
+        for monitor in [ADDRCHECK, LOCKSET] {
+            let mut lg = (monitor.make)();
             let single = run_lba(program, lg.as_mut(), &config).unwrap();
-            let sharded = run_lba_parallel(program, || kind.make_lba(), 1, &config).unwrap();
-            let what = format!("{} / {kind}", program.name());
+            let sharded = run_lba_parallel(program, monitor.make, 1, &config).unwrap();
+            let what = format!("{} / {}", program.name(), monitor.name);
             assert_eq!(sharded.total_cycles, single.total_cycles, "total: {what}");
             assert_eq!(sharded.app_cycles, single.app_cycles, "app: {what}");
             assert_eq!(
@@ -202,6 +181,7 @@ fn one_shard_of_the_sharded_model_is_run_lba() {
             );
             assert_eq!(sharded.stalls, single.stalls, "stalls: {what}");
             assert_eq!(sharded.log, single.log, "log: {what}");
+            assert_eq!(sharded.capture, single.capture, "capture: {what}");
             assert_eq!(sharded.findings, single.findings, "findings: {what}");
         }
     }
@@ -212,9 +192,9 @@ fn event_stream_is_identical_across_modes() {
     // LBA and DBI must observe the same retired-instruction stream: same
     // instruction counts, same kind mix.
     let program = Benchmark::Gzip.build();
-    let mut lg = LifeguardKind::AddrCheck.make_lba();
+    let mut lg = (ADDRCHECK.make)();
     let lba = run_lba(&program, lg.as_mut(), &config()).unwrap();
-    let mut lg = LifeguardKind::AddrCheck.make_dbi();
+    let mut lg = (ADDRCHECK.make_dbi)();
     let dbi = run_dbi(&program, lg.as_mut(), &config()).unwrap();
     assert_eq!(lba.trace, dbi.trace);
 }
@@ -223,7 +203,7 @@ fn event_stream_is_identical_across_modes() {
 fn lba_runs_are_reproducible() {
     let program = Benchmark::Zchaff.build();
     let run = || {
-        let mut lg = LifeguardKind::LockSet.make_lba();
+        let mut lg = (LOCKSET.make)();
         let r = run_lba(&program, lg.as_mut(), &config()).unwrap();
         (r.total_cycles, r.log.compressed_bits, r.findings.len())
     };
@@ -238,13 +218,13 @@ fn lba_runs_are_reproducible() {
 fn compression_does_not_change_what_the_lifeguard_sees() {
     let program = bugs::memory_bugs();
     let compressed = {
-        let mut lg = LifeguardKind::AddrCheck.make_lba();
+        let mut lg = (ADDRCHECK.make)();
         run_lba(&program, lg.as_mut(), &config()).unwrap()
     };
     let raw = {
         let mut cfg = config();
         cfg.log.compression = false;
-        let mut lg = LifeguardKind::AddrCheck.make_lba();
+        let mut lg = (ADDRCHECK.make)();
         run_lba(&program, lg.as_mut(), &cfg).unwrap()
     };
     assert_eq!(compressed.findings, raw.findings);

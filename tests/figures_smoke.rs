@@ -4,7 +4,7 @@
 //! substrate (EXPERIMENTS.md).
 
 use lba::experiment::{self, summarize};
-use lba::{LifeguardKind, SystemConfig};
+use lba::{MonitorSpec, Run, RunMode, SystemConfig, ADDRCHECK, LOCKSET, MONITORS, TAINTCHECK};
 
 fn config() -> SystemConfig {
     SystemConfig::default()
@@ -12,7 +12,7 @@ fn config() -> SystemConfig {
 
 #[test]
 fn figure2_lockset_panel_shape() {
-    let rows = experiment::figure2(LifeguardKind::LockSet, &config(), 1).unwrap();
+    let rows = experiment::figure2(&LOCKSET, &config(), 1).unwrap();
     assert_eq!(rows.len(), 2, "water and zchaff");
     for row in &rows {
         // Valgrind lifeguards incur large slowdowns…
@@ -35,9 +35,9 @@ fn figure2_lockset_panel_shape() {
 
 #[test]
 fn figure2_addrcheck_panel_shape() {
-    let rows = experiment::figure2(LifeguardKind::AddrCheck, &config(), 1).unwrap();
+    let rows = experiment::figure2(&ADDRCHECK, &config(), 1).unwrap();
     assert_eq!(rows.len(), 7);
-    let summary = summarize(LifeguardKind::AddrCheck, &rows);
+    let summary = summarize(&ADDRCHECK, &rows).expect("addrcheck has a panel");
     // Paper: 3.9x average; we accept the band around it.
     assert!(
         (2.0..6.5).contains(&summary.lba_avg),
@@ -62,25 +62,47 @@ fn figure2_addrcheck_panel_shape() {
 #[test]
 fn lifeguard_cost_ordering_matches_paper() {
     // Paper §3: AddrCheck 3.9x < TaintCheck 4.8x < LockSet 9.7x.
-    let addr = summarize(
-        LifeguardKind::AddrCheck,
-        &experiment::figure2(LifeguardKind::AddrCheck, &config(), 1).unwrap(),
-    );
-    let taint = summarize(
-        LifeguardKind::TaintCheck,
-        &experiment::figure2(LifeguardKind::TaintCheck, &config(), 1).unwrap(),
-    );
-    let lock = summarize(
-        LifeguardKind::LockSet,
-        &experiment::figure2(LifeguardKind::LockSet, &config(), 1).unwrap(),
-    );
+    let lba_avg = |monitor: &'static MonitorSpec| {
+        let rows = experiment::figure2(monitor, &config(), 1).unwrap();
+        summarize(monitor, &rows).expect("a Figure 2 panel").lba_avg
+    };
+    let (addr, taint, lock) = (lba_avg(&ADDRCHECK), lba_avg(&TAINTCHECK), lba_avg(&LOCKSET));
     assert!(
-        addr.lba_avg < taint.lba_avg && taint.lba_avg < lock.lba_avg,
-        "ordering violated: {:.1} / {:.1} / {:.1}",
-        addr.lba_avg,
-        taint.lba_avg,
-        lock.lba_avg
+        addr < taint && taint < lock,
+        "ordering violated: {addr:.1} / {taint:.1} / {lock:.1}"
     );
+}
+
+#[test]
+fn builder_dbi_mode_is_the_figure2_dbi_baseline() {
+    // `Run`'s DBI mode and Figure 2's Valgrind bars run one instance, the
+    // registry row's `make_dbi` (LockSet recomputes its locksets in
+    // software), so they report the same cycles: over the same
+    // unmonitored run, the same slowdown to the bit, on every panel's
+    // every benchmark.
+    let config = config();
+    let mut diverged = Vec::new();
+    for monitor in MONITORS.iter().filter(|m| m.figure2.is_some()) {
+        for row in experiment::figure2(monitor, &config, 1).unwrap() {
+            let program = row.benchmark.build_scaled(1);
+            let run = |mode| {
+                Run::new(&program)
+                    .mode(mode)
+                    .monitor(monitor)
+                    .config(&config)
+                    .run()
+                    .unwrap()
+            };
+            let dbi = run(RunMode::Dbi).slowdown_vs(&run(RunMode::Unmonitored));
+            if dbi != row.valgrind {
+                diverged.push(format!(
+                    "{} on {}: builder {dbi:.2}x, figure 2 {:.2}x",
+                    monitor.name, row.benchmark, row.valgrind
+                ));
+            }
+        }
+    }
+    assert!(diverged.is_empty(), "DBI runs diverge: {diverged:?}");
 }
 
 #[test]

@@ -13,7 +13,8 @@
 //! * TaintCheck (no contract) must be provably untouched: its shipped
 //!   stream is bit-identical whatever the window size;
 //! * window size 0 must degenerate to the unfiltered pipeline bit for bit
-//!   (findings, cycle totals, stalls, and the full `LogStats`);
+//!   (findings, cycle totals, stalls, the full `LogStats` and the capture
+//!   ledger);
 //! * the co-simulated and live modes must still ship the identical wire
 //!   stream when the window is on, and the two sharded modes must still
 //!   match per shard.
@@ -21,19 +22,16 @@
 use proptest::prelude::*;
 
 use lba::parallel::run_lba_parallel;
-use lba::{run_lba, run_live, run_live_parallel, LogStats, SystemConfig};
+use lba::{run_lba, run_live, run_live_parallel, RunReport, SystemConfig, MONITORS};
 use lba_isa::Program;
 use lba_lifeguard::Lifeguard;
-use lba_lifeguards::{AddrCheck, LockSet, MemProfile, MemoryProfile, TaintCheck};
+use lba_lifeguards::{AddrCheck, MemProfile, MemoryProfile};
 use lba_workloads::{bugs, Benchmark};
 
+/// The registry's lifeguard `idx`, in table order: AddrCheck, TaintCheck,
+/// LockSet, MemProfile.
 fn make_lifeguard(idx: usize) -> Box<dyn Lifeguard> {
-    match idx {
-        0 => Box::new(AddrCheck::new()),
-        1 => Box::new(TaintCheck::new()),
-        2 => Box::new(LockSet::new()),
-        _ => Box::new(MemProfile::new()),
-    }
+    (MONITORS[idx].make)()
 }
 
 fn make_program(idx: usize) -> Program {
@@ -54,13 +52,17 @@ fn with_window(window: usize) -> SystemConfig {
 
 /// The capture ledger must always balance: what shipped is what was
 /// captured, minus the two kinds of drops, plus the fold summaries.
-fn assert_ledger(log: &LogStats, what: &str) {
+fn assert_ledger(report: &RunReport, what: &str) {
+    let capture = &report.capture;
     assert_eq!(
-        log.records,
-        log.captured - log.filtered - log.deduped + log.folded,
-        "capture ledger out of balance: {what} ({log:?})"
+        report.log.records,
+        capture.captured - capture.range_filtered - capture.deduped + capture.folded,
+        "capture ledger out of balance: {what} ({capture:?})"
     );
-    assert!(log.folded <= log.deduped, "{what}: summaries exceed drops");
+    assert!(
+        capture.folded <= capture.deduped,
+        "{what}: summaries exceed drops"
+    );
 }
 
 /// Findings equality between a windowed run and the unfiltered baseline,
@@ -77,35 +79,37 @@ fn assert_filtered_equivalent(program: &Program, lifeguard_idx: usize, window: u
     );
     assert_eq!(filtered.findings, base.findings, "findings: {what}");
     assert_eq!(
-        filtered.log.captured, base.log.captured,
+        filtered.capture.captured, base.capture.captured,
         "capture sees every retired record: {what}"
     );
     assert!(
         filtered.log.records <= base.log.records,
         "dedup cannot grow the log: {what}"
     );
-    assert_ledger(&base.log, &what);
-    assert_ledger(&filtered.log, &what);
+    assert_ledger(&base, &what);
+    assert_ledger(&filtered, &what);
     if window == 0 {
         // Degeneration: a zero-size window is bit-for-bit today's
         // pipeline (`base` is literally the same configuration, so this
         // pins that the refactored single capture pass added nothing).
         assert_eq!(filtered.log, base.log, "window 0 LogStats: {what}");
+        assert_eq!(filtered.capture, base.capture, "window 0 capture: {what}");
         assert_eq!(filtered.total_cycles, base.total_cycles, "cycles: {what}");
         assert_eq!(filtered.stalls, base.stalls, "stalls: {what}");
-        assert_eq!(filtered.log.deduped, 0, "{what}");
-        assert_eq!(filtered.log.folded, 0, "{what}");
+        assert_eq!(filtered.capture.deduped, 0, "{what}");
+        assert_eq!(filtered.capture.folded, 0, "{what}");
     }
     if lifeguard_idx == 1 {
         // TaintCheck declares IdempotencyClass::None: whatever the window
         // size, its stream is untouched — same records, same frames, same
         // wire bits, same cycle totals.
         assert_eq!(filtered.log, base.log, "taintcheck LogStats: {what}");
+        assert_eq!(filtered.capture, base.capture, "taintcheck capture: {what}");
         assert_eq!(
             filtered.total_cycles, base.total_cycles,
             "taintcheck cycles: {what}"
         );
-        assert_eq!(filtered.log.deduped, 0, "taintcheck deduped: {what}");
+        assert_eq!(filtered.capture.deduped, 0, "taintcheck deduped: {what}");
     }
 }
 
@@ -225,8 +229,12 @@ fn live_wire_stream_matches_cosim_with_window_on() {
     let cosim = run_lba(&program, &mut lg, &config).unwrap();
     let mut lg = AddrCheck::new();
     let live = run_live(&program, &mut lg, &config).unwrap();
-    assert!(cosim.log.deduped > 0, "gzip must have duplicates to drop");
+    assert!(
+        cosim.capture.deduped > 0,
+        "gzip must have duplicates to drop"
+    );
     assert_eq!(live.log, cosim.log, "filtered wire streams must agree");
+    assert_eq!(live.capture, cosim.capture, "one capture pass, both modes");
     assert_eq!(live.findings, cosim.findings);
 }
 
@@ -254,8 +262,16 @@ fn memprofile_totals_stay_exact_under_folding() {
         let mut folded = MemProfile::new();
         let filtered = run_lba(&program, &mut folded, &with_window(512)).unwrap();
 
-        assert!(filtered.log.deduped > 0, "{}: no folding", program.name());
-        assert!(filtered.log.folded > 0, "{}: no summaries", program.name());
+        assert!(
+            filtered.capture.deduped > 0,
+            "{}: no folding",
+            program.name()
+        );
+        assert!(
+            filtered.capture.folded > 0,
+            "{}: no summaries",
+            program.name()
+        );
         assert!(
             filtered.log.records < unfiltered.log.records,
             "{}: folding must shrink the log",
@@ -295,7 +311,7 @@ fn dedup_shrinks_records_wire_bits_and_lifeguard_time() {
     let mut lg = AddrCheck::new();
     let filtered = run_lba(&program, &mut lg, &with_window(4096)).unwrap();
 
-    assert!(filtered.log.deduped > 0);
+    assert!(filtered.capture.deduped > 0);
     assert!(
         filtered.log.records < base.log.records,
         "records: {} -> {}",
@@ -333,9 +349,10 @@ fn range_filter_and_window_compose_in_one_pass() {
     let mut lg = AddrCheck::new();
     let live = run_live(&program, &mut lg, &config).unwrap();
 
-    assert!(cosim.log.filtered > 0, "range filter must drop");
-    assert!(cosim.log.deduped > 0, "window must drop too");
+    assert!(cosim.capture.range_filtered > 0, "range filter must drop");
+    assert!(cosim.capture.deduped > 0, "window must drop too");
     assert_eq!(live.log, cosim.log, "one pass, both modes");
+    assert_eq!(live.capture, cosim.capture, "one pass, both modes");
 
     // Findings still match a fully unfiltered run: the heap range is
     // sound for AddrCheck, and the window is sound by contract.

@@ -6,7 +6,7 @@
 //! wire streams.
 
 use lba::parallel::run_lba_parallel;
-use lba::{run_live_parallel, ChannelStats, LifeguardKind, SystemConfig};
+use lba::{run_live_parallel, ChannelStats, SystemConfig, ADDRCHECK, LOCKSET};
 use lba_workloads::{bugs, Benchmark};
 
 /// The per-shard statistics that must be identical between the modeled
@@ -24,14 +24,14 @@ fn wire_view(stats: &ChannelStats) -> (u64, u64, u64, u64) {
 #[test]
 fn live_parallel_matches_modeled_parallel_on_bug_workloads() {
     let config = SystemConfig::default();
-    for (kind, program) in [
-        (LifeguardKind::AddrCheck, bugs::memory_bugs()),
-        (LifeguardKind::LockSet, bugs::data_race()),
+    for (monitor, program) in [
+        (ADDRCHECK, bugs::memory_bugs()),
+        (LOCKSET, bugs::data_race()),
     ] {
         for shards in [1, 2, 4] {
-            let live = run_live_parallel(&program, || kind.make_lba(), shards, &config).unwrap();
-            let modeled = run_lba_parallel(&program, || kind.make_lba(), shards, &config).unwrap();
-            let what = format!("{kind} / {} / {shards} shards", program.name());
+            let live = run_live_parallel(&program, monitor.make, shards, &config).unwrap();
+            let modeled = run_lba_parallel(&program, monitor.make, shards, &config).unwrap();
+            let what = format!("{} / {} / {shards} shards", monitor.name, program.name());
             assert_eq!(live.findings, modeled.findings, "findings: {what}");
             assert!(!live.findings.is_empty(), "bug workload finds bugs: {what}");
             assert_eq!(live.shard_log.len(), shards);
@@ -54,10 +54,8 @@ fn live_parallel_matches_modeled_parallel_on_a_clean_benchmark() {
     // equality is the whole assertion.
     let config = SystemConfig::default();
     let program = Benchmark::Gzip.build();
-    let live =
-        run_live_parallel(&program, || LifeguardKind::AddrCheck.make_lba(), 3, &config).unwrap();
-    let modeled =
-        run_lba_parallel(&program, || LifeguardKind::AddrCheck.make_lba(), 3, &config).unwrap();
+    let live = run_live_parallel(&program, ADDRCHECK.make, 3, &config).unwrap();
+    let modeled = run_lba_parallel(&program, ADDRCHECK.make, 3, &config).unwrap();
     assert!(live.findings.is_empty());
     assert_eq!(live.findings, modeled.findings);
     for (l, m) in live.shard_log.iter().zip(&modeled.shard_log) {

@@ -5,16 +5,19 @@
 //! same per-shard wire accounting bit for bit, at every worker count.
 //! The socket is a transport, not a re-encode.
 
-use lba::{run_live_parallel, run_remote, LifeguardKind, Run, RunMode, RunOutcome, SystemConfig};
+use lba::{
+    run_live_parallel, run_remote, MonitorSpec, Run, RunMode, RunOutcome, SystemConfig, ADDRCHECK,
+    LOCKSET,
+};
 use lba_workloads::{bugs, Benchmark};
 
 /// The shardable (program, lifeguard) grid the socket modes are exercised
 /// over — one case per sharding-eligible lifeguard, plus a real benchmark.
-fn case(index: usize) -> (lba_isa::Program, LifeguardKind) {
+fn case(index: usize) -> (lba_isa::Program, MonitorSpec) {
     match index {
-        0 => (bugs::memory_bugs(), LifeguardKind::AddrCheck),
-        1 => (bugs::data_race(), LifeguardKind::LockSet),
-        _ => (Benchmark::Gzip.build(), LifeguardKind::AddrCheck),
+        0 => (bugs::memory_bugs(), ADDRCHECK),
+        1 => (bugs::data_race(), LOCKSET),
+        _ => (Benchmark::Gzip.build(), ADDRCHECK),
     }
 }
 
@@ -26,14 +29,14 @@ fn case(index: usize) -> (lba_isa::Program, LifeguardKind) {
 #[test]
 fn remote_workers_are_observationally_identical_to_in_process_shards() {
     for case_index in 0..3 {
-        let (program, kind) = case(case_index);
+        let (program, monitor) = case(case_index);
         let config = SystemConfig::default();
         for workers in [1usize, 2, 4] {
-            let live = run_live_parallel(&program, || kind.make_lba(), workers, &config)
+            let live = run_live_parallel(&program, monitor.make, workers, &config)
                 .expect("live-parallel runs clean");
-            let remote = run_remote(&program, || kind.make_lba(), workers, &config)
-                .expect("remote runs clean");
-            let what = format!("{}/{} at {workers} workers", program.name(), kind.name());
+            let remote =
+                run_remote(&program, monitor.make, workers, &config).expect("remote runs clean");
+            let what = format!("{}/{} at {workers} workers", program.name(), monitor.name);
             assert_eq!(
                 &remote.findings, &live.findings,
                 "{}: findings diverge over the socket",
@@ -70,11 +73,10 @@ fn builder_remote_mode_is_the_same_run() {
     // free function — same findings, same wire accounting.
     let program = bugs::memory_bugs();
     let config = SystemConfig::default();
-    let direct = run_remote(&program, || LifeguardKind::AddrCheck.make_lba(), 2, &config)
-        .expect("direct call runs clean");
+    let direct = run_remote(&program, ADDRCHECK.make, 2, &config).expect("direct call runs clean");
     let built = Run::new(&program)
         .mode(RunMode::Remote)
-        .monitor(LifeguardKind::AddrCheck)
+        .monitor(&ADDRCHECK)
         .workers(2)
         .config(&config)
         .run()
@@ -84,5 +86,5 @@ fn builder_remote_mode_is_the_same_run() {
     let RunOutcome::Remote(report) = &built else {
         panic!("RunMode::Remote produced a non-remote outcome");
     };
-    assert_eq!(report.shards, 2);
+    assert_eq!(report.shard_log.len(), 2);
 }

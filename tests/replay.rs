@@ -13,7 +13,8 @@ use proptest::prelude::*;
 
 use lba::{
     run_lba, run_live, run_live_parallel, run_replay, run_replay_with, AdaptiveConfig,
-    FaultProfile, LbaError, LifeguardKind, RecordConfig, ReplayMode, SystemConfig,
+    FaultProfile, LbaError, RecordConfig, ReplayMode, SystemConfig, ADDRCHECK, LOCKSET, MONITORS,
+    TAINTCHECK,
 };
 use lba_lifeguard::{HandlerCtx, Lifeguard};
 use lba_record::{segment_file_name, EventMask, EventRecord, StreamError};
@@ -41,11 +42,11 @@ fn cosim_recording_replays_byte_identical() {
     let program = bugs::memory_bugs();
     let dir = temp_dir("cosim");
     let config = recording_config(&dir);
-    let kind = LifeguardKind::AddrCheck;
-    let mut lg = kind.make_lba();
+    let monitor = ADDRCHECK;
+    let mut lg = (monitor.make)();
     let original = run_lba(&program, lg.as_mut(), &config).unwrap();
 
-    let replay = run_replay(&dir, || kind.make_lba(), &config).unwrap();
+    let replay = run_replay(&dir, monitor.make, &config).unwrap();
     assert_eq!(replay.findings, original.findings);
     assert_eq!(replay.shard_log.len(), 1, "cosim records one stream");
     assert_eq!(replay.log.wire_bits, original.log.wire_bits);
@@ -58,11 +59,11 @@ fn live_recording_replays_byte_identical() {
     let program = bugs::exploit();
     let dir = temp_dir("live");
     let config = recording_config(&dir);
-    let kind = LifeguardKind::TaintCheck;
-    let mut lg = kind.make_lba();
+    let monitor = TAINTCHECK;
+    let mut lg = (monitor.make)();
     let original = run_live(&program, lg.as_mut(), &config).unwrap();
 
-    let replay = run_replay(&dir, || kind.make_lba(), &config).unwrap();
+    let replay = run_replay(&dir, monitor.make, &config).unwrap();
     assert_eq!(replay.findings, original.findings);
     assert_eq!(replay.shard_log.len(), 1, "live records one stream");
     assert_eq!(replay.log.wire_bits, original.log.wire_bits);
@@ -75,11 +76,10 @@ fn modeled_parallel_recording_replays_byte_identical_per_shard() {
     let program = bugs::memory_bugs();
     let dir = temp_dir("parallel");
     let config = recording_config(&dir);
-    let kind = LifeguardKind::AddrCheck;
-    let original =
-        lba::parallel::run_lba_parallel(&program, || kind.make_lba(), 3, &config).unwrap();
+    let monitor = ADDRCHECK;
+    let original = lba::parallel::run_lba_parallel(&program, monitor.make, 3, &config).unwrap();
 
-    let replay = run_replay(&dir, || kind.make_lba(), &config).unwrap();
+    let replay = run_replay(&dir, monitor.make, &config).unwrap();
     assert_eq!(replay.findings, original.findings);
     assert_eq!(replay.shard_log.len(), 3, "one recorded stream per shard");
     for (i, (stream, shard)) in replay.shard_log.iter().zip(&original.shard_log).enumerate() {
@@ -95,10 +95,10 @@ fn live_parallel_recording_replays_byte_identical_per_shard() {
     let program = bugs::memory_bugs();
     let dir = temp_dir("live-parallel");
     let config = recording_config(&dir);
-    let kind = LifeguardKind::AddrCheck;
-    let original = run_live_parallel(&program, || kind.make_lba(), 3, &config).unwrap();
+    let monitor = ADDRCHECK;
+    let original = run_live_parallel(&program, monitor.make, 3, &config).unwrap();
 
-    let replay = run_replay(&dir, || kind.make_lba(), &config).unwrap();
+    let replay = run_replay(&dir, monitor.make, &config).unwrap();
     assert_eq!(replay.findings, original.findings);
     assert_eq!(replay.shard_log.len(), 3, "one recorded stream per shard");
     for (i, (stream, shard)) in replay.shard_log.iter().zip(&original.shard_log).enumerate() {
@@ -140,13 +140,13 @@ fn a_sharded_recording_replays_n_wide() {
     let program = bugs::memory_bugs();
     let dir = temp_dir("n-wide");
     let config = recording_config(&dir);
-    let kind = LifeguardKind::AddrCheck;
-    let original = run_live_parallel(&program, || kind.make_lba(), 3, &config).unwrap();
+    let monitor = ADDRCHECK;
+    let original = run_live_parallel(&program, monitor.make, 3, &config).unwrap();
 
     let threads = Arc::new(Mutex::new(HashSet::new()));
     let make = || -> Box<dyn Lifeguard> {
         Box::new(ThreadNoting {
-            inner: kind.make_lba(),
+            inner: (monitor.make)(),
             threads: Arc::clone(&threads),
         })
     };
@@ -169,12 +169,12 @@ fn a_recording_missing_a_stream_is_refused() {
     let program = bugs::memory_bugs();
     let dir = temp_dir("missing-stream");
     let config = recording_config(&dir);
-    let kind = LifeguardKind::AddrCheck;
-    run_live_parallel(&program, || kind.make_lba(), 3, &config).unwrap();
+    let monitor = ADDRCHECK;
+    run_live_parallel(&program, monitor.make, 3, &config).unwrap();
     std::fs::remove_file(dir.join(segment_file_name(1, 0))).unwrap();
 
     for mode in [ReplayMode::Strict, ReplayMode::SalvagePrefix] {
-        let err = run_replay_with(&dir, || kind.make_lba(), &config, mode).unwrap_err();
+        let err = run_replay_with(&dir, monitor.make, &config, mode).unwrap_err();
         assert!(
             matches!(
                 &err,
@@ -193,12 +193,12 @@ fn replay_through_a_different_lifeguard_works() {
     let program = bugs::data_race();
     let dir = temp_dir("cross-lifeguard");
     let config = recording_config(&dir);
-    let mut lg = LifeguardKind::AddrCheck.make_lba();
+    let mut lg = (ADDRCHECK.make)();
     run_lba(&program, lg.as_mut(), &config).unwrap();
 
-    let replay = run_replay(&dir, || LifeguardKind::LockSet.make_lba(), &config).unwrap();
+    let replay = run_replay(&dir, LOCKSET.make, &config).unwrap();
     // LockSet over the recorded stream equals LockSet run live.
-    let mut lg = LifeguardKind::LockSet.make_lba();
+    let mut lg = (LOCKSET.make)();
     let direct = run_lba(&program, lg.as_mut(), &SystemConfig::default()).unwrap();
     assert_eq!(replay.findings, direct.findings);
     std::fs::remove_dir_all(&dir).ok();
@@ -214,8 +214,8 @@ fn retention_cap_bounds_disk_and_replay_reports_aged_out() {
         segment_bytes: 8 << 10,
         retain_bytes: 24 << 10,
     });
-    let kind = LifeguardKind::AddrCheck;
-    let mut lg = kind.make_lba();
+    let monitor = ADDRCHECK;
+    let mut lg = (monitor.make)();
     let original = run_lba(&program, lg.as_mut(), &config).unwrap();
     assert!(
         original.log.wire_bits / 8 > 24 << 10,
@@ -233,7 +233,7 @@ fn retention_cap_bounds_disk_and_replay_reports_aged_out() {
 
     // The aged-out stream cannot be replayed (predictor state starts at
     // segment 0) and says so descriptively.
-    let err = run_replay(&dir, || kind.make_lba(), &config).unwrap_err();
+    let err = run_replay(&dir, monitor.make, &config).unwrap_err();
     assert!(
         matches!(
             &err,
@@ -253,15 +253,15 @@ fn damaged_recordings_error_descriptively() {
     let program = bugs::memory_bugs();
     let dir = temp_dir("damage");
     let config = recording_config(&dir);
-    let kind = LifeguardKind::AddrCheck;
-    let mut lg = kind.make_lba();
+    let monitor = ADDRCHECK;
+    let mut lg = (monitor.make)();
     run_lba(&program, lg.as_mut(), &config).unwrap();
     let segment = dir.join(segment_file_name(0, 0));
     let pristine = std::fs::read(&segment).unwrap();
 
     // Truncated mid-record.
     std::fs::write(&segment, &pristine[..pristine.len() - 11]).unwrap();
-    let err = run_replay(&dir, || kind.make_lba(), &config).unwrap_err();
+    let err = run_replay(&dir, monitor.make, &config).unwrap_err();
     assert!(
         matches!(&err, LbaError::Stream(StreamError::Truncated { .. })),
         "got: {err}"
@@ -269,7 +269,7 @@ fn damaged_recordings_error_descriptively() {
 
     // Missing End record (cut exactly at the record boundary).
     std::fs::write(&segment, &pristine[..pristine.len() - 9]).unwrap();
-    let err = run_replay(&dir, || kind.make_lba(), &config).unwrap_err();
+    let err = run_replay(&dir, monitor.make, &config).unwrap_err();
     assert!(
         matches!(&err, LbaError::Stream(StreamError::MissingEnd { .. })),
         "got: {err}"
@@ -279,7 +279,7 @@ fn damaged_recordings_error_descriptively() {
     let mut bytes = pristine.clone();
     bytes[5] = b'7';
     std::fs::write(&segment, &bytes).unwrap();
-    let err = run_replay(&dir, || kind.make_lba(), &config).unwrap_err();
+    let err = run_replay(&dir, monitor.make, &config).unwrap_err();
     assert!(
         matches!(&err, LbaError::Stream(StreamError::UnknownVersion { version, .. }) if version == "7"),
         "got: {err}"
@@ -290,7 +290,7 @@ fn damaged_recordings_error_descriptively() {
     let flip = 24 + 21 + 40; // header + frame-record header + into payload
     bytes[flip] ^= 0x55;
     std::fs::write(&segment, &bytes).unwrap();
-    let err = run_replay(&dir, || kind.make_lba(), &config).unwrap_err();
+    let err = run_replay(&dir, monitor.make, &config).unwrap_err();
     assert!(
         matches!(&err, LbaError::Stream(StreamError::Corrupt { .. })),
         "got: {err}"
@@ -301,7 +301,7 @@ fn damaged_recordings_error_descriptively() {
     let mut bytes = pristine.clone();
     bytes[8..12].copy_from_slice(&999u32.to_le_bytes());
     std::fs::write(&segment, &bytes).unwrap();
-    let err = run_replay(&dir, || kind.make_lba(), &config).unwrap_err();
+    let err = run_replay(&dir, monitor.make, &config).unwrap_err();
     assert!(
         matches!(&err, LbaError::CodecMismatch { recorded: 999, .. }),
         "got: {err}"
@@ -309,7 +309,7 @@ fn damaged_recordings_error_descriptively() {
 
     // An empty recording directory is its own descriptive error.
     std::fs::remove_file(&segment).unwrap();
-    let err = run_replay(&dir, || kind.make_lba(), &config).unwrap_err();
+    let err = run_replay(&dir, monitor.make, &config).unwrap_err();
     assert!(matches!(&err, LbaError::NoStreams { .. }), "got: {err}");
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -322,17 +322,16 @@ fn salvage_prefix_replays_checksummed_prefix_of_torn_tail() {
     let program = bugs::memory_bugs();
     let dir = temp_dir("salvage");
     let config = recording_config(&dir);
-    let kind = LifeguardKind::AddrCheck;
-    let mut lg = kind.make_lba();
+    let monitor = ADDRCHECK;
+    let mut lg = (monitor.make)();
     let original = run_lba(&program, lg.as_mut(), &config).unwrap();
     let segment = dir.join(segment_file_name(0, 0));
     let pristine = std::fs::read(&segment).unwrap();
 
     // Truncated mid-record: strict refuses, salvage keeps the prefix.
     std::fs::write(&segment, &pristine[..pristine.len() - 11]).unwrap();
-    run_replay(&dir, || kind.make_lba(), &config).unwrap_err();
-    let report =
-        run_replay_with(&dir, || kind.make_lba(), &config, ReplayMode::SalvagePrefix).unwrap();
+    run_replay(&dir, monitor.make, &config).unwrap_err();
+    let report = run_replay_with(&dir, monitor.make, &config, ReplayMode::SalvagePrefix).unwrap();
     assert!(!report.salvaged.is_empty());
     assert_eq!(report.salvaged.len(), 1);
     let tail = &report.salvaged[0];
@@ -347,8 +346,7 @@ fn salvage_prefix_replays_checksummed_prefix_of_torn_tail() {
 
     // Missing End record (cut exactly at the record boundary).
     std::fs::write(&segment, &pristine[..pristine.len() - 9]).unwrap();
-    let report =
-        run_replay_with(&dir, || kind.make_lba(), &config, ReplayMode::SalvagePrefix).unwrap();
+    let report = run_replay_with(&dir, monitor.make, &config, ReplayMode::SalvagePrefix).unwrap();
     assert!(!report.salvaged.is_empty());
     assert!(report.salvaged[0].detail.contains("End"), "got: {report}");
 
@@ -356,8 +354,7 @@ fn salvage_prefix_replays_checksummed_prefix_of_torn_tail() {
     let mut bytes = pristine.clone();
     bytes[24 + 21 + 40] ^= 0x55;
     std::fs::write(&segment, &bytes).unwrap();
-    let report =
-        run_replay_with(&dir, || kind.make_lba(), &config, ReplayMode::SalvagePrefix).unwrap();
+    let report = run_replay_with(&dir, monitor.make, &config, ReplayMode::SalvagePrefix).unwrap();
     assert!(!report.salvaged.is_empty());
     assert!(
         report.salvaged[0].detail.contains("checksum mismatch"),
@@ -378,8 +375,8 @@ fn salvage_prefix_on_a_multi_segment_tear_keeps_earlier_segments() {
         segment_bytes: 8 << 10,
         retain_bytes: u64::MAX,
     });
-    let kind = LifeguardKind::AddrCheck;
-    let mut lg = kind.make_lba();
+    let monitor = ADDRCHECK;
+    let mut lg = (monitor.make)();
     let original = run_lba(&program, lg.as_mut(), &config).unwrap();
 
     let mut segments: Vec<_> = std::fs::read_dir(&dir)
@@ -392,8 +389,7 @@ fn salvage_prefix_on_a_multi_segment_tear_keeps_earlier_segments() {
     let bytes = std::fs::read(last).unwrap();
     std::fs::write(last, &bytes[..bytes.len() - 11]).unwrap();
 
-    let report =
-        run_replay_with(&dir, || kind.make_lba(), &config, ReplayMode::SalvagePrefix).unwrap();
+    let report = run_replay_with(&dir, monitor.make, &config, ReplayMode::SalvagePrefix).unwrap();
     assert!(!report.salvaged.is_empty());
     assert!(
         report.salvaged[0].frames_salvaged > 0,
@@ -411,8 +407,8 @@ fn salvage_prefix_keeps_pre_frame_damage_fatal() {
     let program = bugs::memory_bugs();
     let dir = temp_dir("salvage-fatal");
     let config = recording_config(&dir);
-    let kind = LifeguardKind::AddrCheck;
-    let mut lg = kind.make_lba();
+    let monitor = ADDRCHECK;
+    let mut lg = (monitor.make)();
     run_lba(&program, lg.as_mut(), &config).unwrap();
     let segment = dir.join(segment_file_name(0, 0));
     let pristine = std::fs::read(&segment).unwrap();
@@ -420,8 +416,7 @@ fn salvage_prefix_keeps_pre_frame_damage_fatal() {
     let mut bytes = pristine.clone();
     bytes[8..12].copy_from_slice(&999u32.to_le_bytes());
     std::fs::write(&segment, &bytes).unwrap();
-    let err =
-        run_replay_with(&dir, || kind.make_lba(), &config, ReplayMode::SalvagePrefix).unwrap_err();
+    let err = run_replay_with(&dir, monitor.make, &config, ReplayMode::SalvagePrefix).unwrap_err();
     assert!(
         matches!(&err, LbaError::CodecMismatch { recorded: 999, .. }),
         "got: {err}"
@@ -430,16 +425,14 @@ fn salvage_prefix_keeps_pre_frame_damage_fatal() {
     let mut bytes = pristine.clone();
     bytes[5] = b'7';
     std::fs::write(&segment, &bytes).unwrap();
-    let err =
-        run_replay_with(&dir, || kind.make_lba(), &config, ReplayMode::SalvagePrefix).unwrap_err();
+    let err = run_replay_with(&dir, monitor.make, &config, ReplayMode::SalvagePrefix).unwrap_err();
     assert!(
         matches!(&err, LbaError::Stream(StreamError::UnknownVersion { .. })),
         "got: {err}"
     );
 
     std::fs::remove_file(&segment).unwrap();
-    let err =
-        run_replay_with(&dir, || kind.make_lba(), &config, ReplayMode::SalvagePrefix).unwrap_err();
+    let err = run_replay_with(&dir, monitor.make, &config, ReplayMode::SalvagePrefix).unwrap_err();
     assert!(matches!(&err, LbaError::NoStreams { .. }), "got: {err}");
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -460,15 +453,15 @@ fn degraded_spans_ride_the_recording_into_replay() {
     });
     config.log.fault = Some(FaultProfile::slow_drain());
     config.log.buffer_bytes = 2 << 10;
-    let kind = LifeguardKind::AddrCheck;
-    let mut lg = kind.make_lba();
+    let monitor = ADDRCHECK;
+    let mut lg = (monitor.make)();
     let original = run_lba(&program, lg.as_mut(), &config).unwrap();
     assert!(
         !original.degradation.is_empty(),
         "precondition: the recording run must actually degrade"
     );
 
-    let replay = run_replay(&dir, || kind.make_lba(), &config).unwrap();
+    let replay = run_replay(&dir, monitor.make, &config).unwrap();
     let degraded_frames = replay.shard_log[0].degraded_frames;
     assert!(
         degraded_frames > 0,
@@ -510,7 +503,7 @@ proptest! {
             1 => bugs::data_race(),
             _ => bugs::exploit(),
         };
-        let kind = LifeguardKind::ALL[kind_idx];
+        let monitor = MONITORS[kind_idx];
         let dir = temp_dir("grid");
         let mut config = SystemConfig::default();
         config.log.record_to = Some(RecordConfig {
@@ -518,10 +511,10 @@ proptest! {
             segment_bytes,
             retain_bytes: u64::MAX,
         });
-        let mut lg = kind.make_lba();
+        let mut lg = (monitor.make)();
         let original = run_lba(&program, lg.as_mut(), &config).unwrap();
 
-        let replay = run_replay(&dir, || kind.make_lba(), &config).unwrap();
+        let replay = run_replay(&dir, monitor.make, &config).unwrap();
         prop_assert_eq!(&replay.findings, &original.findings);
         prop_assert_eq!(replay.log.wire_bits, original.log.wire_bits);
         prop_assert_eq!(replay.log.records, original.log.records);

@@ -8,8 +8,7 @@ use std::time::{Duration, Instant};
 
 use lba::{
     run_live, run_live_parallel, run_remote, run_replay, AdaptiveConfig, DegradationPolicy,
-    LbaError, LifeguardKind, MonitorSpec, RecordConfig, RegionClassifier, Run, RunMode,
-    SystemConfig,
+    LbaError, MonitorSpec, RecordConfig, RegionClassifier, Run, RunMode, SystemConfig, ADDRCHECK,
 };
 use lba_isa::Program;
 use lba_lifeguard::{HandlerCtx, Lifeguard};
@@ -84,7 +83,9 @@ impl RegionClassifier for BuggyClassifier {
 static BUGGY: MonitorSpec = MonitorSpec {
     name: "buggy-addrcheck",
     make: || buggy(false),
+    make_dbi: || buggy(false),
     shardable: true,
+    figure2: None,
 };
 
 /// Runs `run` on gzip, which must fail within 30 s (its threads all end).
@@ -103,8 +104,7 @@ fn a_lifeguard_panic_is_an_error_naming_the_shard_and_lifeguard() {
     std::fs::remove_dir_all(&dir).ok();
     let mut recording = SystemConfig::default();
     recording.log.record_to = Some(RecordConfig::new(&dir));
-    let make = || LifeguardKind::AddrCheck.make_lba();
-    run_live_parallel(&Benchmark::Gzip.build(), make, 2, &recording).unwrap();
+    run_live_parallel(&Benchmark::Gzip.build(), ADDRCHECK.make, 2, &recording).unwrap();
     let errors = [
         failure(|program| run_live(program, buggy(false).as_mut(), &config)),
         failure(|program| run_live_parallel(program, || buggy(false), 2, &config)),
