@@ -50,8 +50,10 @@ pub const FRAME_HEADER_BYTES: usize = 8;
 
 /// Configuration shared by [`FrameEncoder`] and [`FrameDecoder`].
 ///
-/// Both ends of a channel must agree on `compress`; `records_per_frame`
-/// only matters on the encoding side (the count travels in the header).
+/// Both ends of a channel must agree on `compress`. The count of each
+/// frame travels in its header, so `records_per_frame` is where the
+/// encoder seals and, for the decoder, the most records a frame may
+/// claim: a larger count is refused before anything is allocated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FrameConfig {
     /// Records per sealed frame (a frame seals early on [`FrameEncoder::flush`]).
@@ -148,13 +150,15 @@ pub enum FrameDecodeError {
         /// The offending length.
         len: usize,
     },
-    /// The header claims more records than its payload can hold: every
+    /// The header claims more records than its payload can hold (every
     /// compressed record costs at least one bit, every raw record
-    /// [`RAW_RECORD_BYTES`]. Rejected before anything is allocated.
+    /// [`RAW_RECORD_BYTES`]) or than the stream's
+    /// [`FrameConfig::records_per_frame`], past which no encoder seals.
+    /// Rejected before anything is allocated.
     TooManyRecords {
         /// Records the header claims.
         records: u32,
-        /// The most records the payload can hold.
+        /// The most records the frame can hold.
         max: usize,
     },
     /// The compressed payload failed to decode.
@@ -177,7 +181,7 @@ impl fmt::Display for FrameDecodeError {
             }
             FrameDecodeError::TooManyRecords { records, max } => write!(
                 f,
-                "frame header claims {records} records, but its payload holds at most {max}"
+                "frame header claims {records} records, but the frame holds at most {max}"
             ),
             FrameDecodeError::Codec(e) => write!(f, "frame payload: {e}"),
             FrameDecodeError::RawRecord(e) => write!(f, "raw frame payload: {e}"),
@@ -410,8 +414,8 @@ impl FrameDecoder {
     ///
     /// Returns [`FrameDecodeError`] on a truncated, misaligned, or corrupt
     /// frame, and on a header claiming more records than the payload can
-    /// hold (the count is untrusted input: it bounds the reservation only
-    /// after this check).
+    /// hold or than `records_per_frame` (the count is untrusted input: it
+    /// bounds the reservation only after this check).
     pub fn decode_frame(
         &mut self,
         bytes: &[u8],
@@ -436,11 +440,12 @@ impl FrameDecoder {
             });
         }
         let payload = &bytes[FRAME_HEADER_BYTES..need];
-        let max = if self.config.compress {
+        let payload_max = if self.config.compress {
             payload_len * 8
         } else {
             payload_len / RAW_RECORD_BYTES
         };
+        let max = payload_max.min(self.config.records_per_frame);
         if records as usize > max {
             return Err(FrameDecodeError::TooManyRecords { records, max });
         }
@@ -682,11 +687,16 @@ mod tests {
             size: 7,
         });
         let mut frame = enc.flush().expect("frame");
-        // Claim one record per payload bit — the most the decoder accepts:
-        // the real record takes several bits, so the stream runs dry.
+        // Claim one record per payload bit — the most a decoder that
+        // admits frames that long accepts: the real record takes several
+        // bits, so the stream runs dry.
         let payload_len = u32::from_le_bytes(frame.bytes[4..8].try_into().unwrap());
-        frame.bytes[0..4].copy_from_slice(&(payload_len * 8).to_le_bytes());
-        let mut dec = FrameDecoder::new(config);
+        let claim = payload_len * 8;
+        frame.bytes[0..4].copy_from_slice(&claim.to_le_bytes());
+        let mut dec = FrameDecoder::new(FrameConfig {
+            records_per_frame: claim as usize,
+            ..config
+        });
         let mut out = Vec::new();
         assert!(matches!(
             dec.decode_frame(&frame.bytes, &mut out),
@@ -705,14 +715,16 @@ mod tests {
         let err = FrameDecoder::new(FrameConfig::default())
             .decode_frame(&bytes, &mut out)
             .unwrap_err();
+        // The payload could hold 448 records, but no frame of the stream
+        // holds more than the default 256.
         assert_eq!(
             err,
             FrameDecodeError::TooManyRecords {
                 records: (1 << 30) - 1,
-                max: 56 * 8
+                max: 256
             }
         );
-        assert!(err.to_string().contains("holds at most 448"), "got: {err}");
+        assert!(err.to_string().contains("holds at most 256"), "got: {err}");
         // Raw mode caps at whole raw records: 56 bytes hold two.
         let raw = FrameConfig {
             records_per_frame: 4,
@@ -726,6 +738,31 @@ mod tests {
             FrameDecodeError::TooManyRecords { max: 2, .. }
         ));
         assert!(out.is_empty());
+    }
+
+    #[test]
+    fn a_count_above_records_per_frame_is_refused() {
+        // Every encoder seals at or below its `records_per_frame`, so a
+        // decoder configured for 4-record frames refuses an 8-record one,
+        // in either payload mode, before reserving room for it.
+        for compress in [true, false] {
+            let frames_of = |records_per_frame| FrameConfig {
+                records_per_frame,
+                compress,
+            };
+            let mut enc = FrameEncoder::new(frames_of(8));
+            let frame = (stream(4).iter())
+                .find_map(|rec| enc.push(rec))
+                .expect("the eighth record seals the frame");
+            let mut out = Vec::new();
+            let err = FrameDecoder::new(frames_of(4))
+                .decode_frame(&frame.bytes, &mut out)
+                .unwrap_err();
+            assert_eq!(err, FrameDecodeError::TooManyRecords { records: 8, max: 4 });
+            assert!(out.is_empty());
+            let decoded = FrameDecoder::new(frames_of(8)).decode_frame(&frame.bytes, &mut out);
+            assert_eq!(decoded, Ok(8), "the stream's own frame size decodes it");
+        }
     }
 
     #[test]

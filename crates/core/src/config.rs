@@ -112,10 +112,9 @@ pub struct LogConfig {
     /// segmented stream under this recording configuration (the flight
     /// recorder). `None` (the default) records nothing.
     pub record_to: Option<RecordConfig>,
-    /// When set, the producer runs the adaptive capture controller
-    /// ([`CaptureController`](crate::CaptureController)): transport
-    /// occupancy past the configured threshold degrades capture along
-    /// exactly the axes the lifeguard's
+    /// When set, the producer runs the adaptive capture controller, whose
+    /// one trigger is the transport's load: occupancy past the configured
+    /// threshold degrades capture along exactly the axes the lifeguard's
     /// [`DegradationPolicy`](lba_lifeguard::DegradationPolicy) permits,
     /// and every degraded span is accounted in the report's
     /// [`DegradationStats`](lba_lifeguard::DegradationStats). `None`

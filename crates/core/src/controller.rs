@@ -15,6 +15,15 @@
 //! finding, or a syscall phase change snaps capture back to full
 //! fidelity, flushing what the policy says must flush.
 //!
+//! Load is the one trigger that engages the controller; a finding or a
+//! syscall only snaps it back. The lifeguard shapes what degradation may
+//! do through its declared policy, but has no say at run time in when:
+//! the cores coordinate only through the log (§2), and the finding count
+//! is all that flows back. The controller is private to `lba-core`;
+//! outside code turns it on with
+//! [`LogConfig::adaptive`](crate::LogConfig::adaptive) and tunes it with
+//! [`AdaptiveConfig`].
+//!
 //! The controller is *not constructed* for a lifeguard whose policy is
 //! [`DegradationPolicy::none`] (TaintCheck): the degraded and undegraded
 //! pipelines are then the same code, which is the strongest possible
@@ -25,8 +34,8 @@
 //! flight recorder into replay.
 
 use lba_lifeguard::{
-    DegradationPolicy, DegradationRequest, DegradationStats, DegradedInterval, RegionClassifier,
-    RegionSampler, MAX_RECORDED_INTERVALS,
+    DegradationPolicy, DegradationStats, DegradedInterval, RegionClassifier, RegionSampler,
+    MAX_RECORDED_INTERVALS,
 };
 use lba_record::{EventKind, EventRecord};
 use lba_transport::LoadSample;
@@ -72,7 +81,7 @@ impl Default for AdaptiveConfig {
 /// plumbing, because only it can flush its channel (and absorb the
 /// modeled timing of that flush) and ship the tighten summaries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Transition {
+pub(crate) enum Transition {
     /// Degradation engaged. The caller must: flush the channel (so the
     /// degraded mark starts on a frame boundary), widen the capture
     /// filter's window if `widen`, and set the channel's degraded mark.
@@ -86,15 +95,12 @@ pub enum Transition {
     Disengage {
         /// Whether the window was widened and must tighten-and-flush.
         tighten: bool,
-        /// Whether this was a snapback (finding or syscall) rather than
-        /// load falling below the disengage threshold.
-        snapback: bool,
     },
 }
 
 /// What capture must do with one record while the controller is engaged.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Verdict {
+pub(crate) enum Verdict {
     /// Run the ordinary capture pass.
     Ship,
     /// Drop the record: a settled access sampled out, or a droppable
@@ -107,7 +113,7 @@ pub enum Verdict {
 /// [`tick`](Self::tick) + [`admit`](Self::admit) pair per retired record;
 /// close with [`finish`](Self::finish).
 #[derive(Debug)]
-pub struct CaptureController {
+pub(crate) struct CaptureController {
     config: AdaptiveConfig,
     policy: DegradationPolicy,
     sampler: Option<RegionSampler>,
@@ -119,9 +125,6 @@ pub struct CaptureController {
     since_sample: u32,
     /// A syscall arrived: snap back at the next tick.
     syscall_snap: bool,
-    /// A lifeguard-side dial change requested via [`Self::request`],
-    /// applied at the next tick.
-    pending_request: Option<DegradationRequest>,
     last_findings: u64,
     open: Option<DegradedInterval>,
     stats: DegradationStats,
@@ -132,7 +135,7 @@ impl CaptureController {
     /// tolerates nothing — the controller is then never constructed and
     /// the lifeguard's stream is provably untouched.
     #[must_use]
-    pub fn new(config: AdaptiveConfig, policy: DegradationPolicy) -> Option<Self> {
+    pub(crate) fn new(config: AdaptiveConfig, policy: DegradationPolicy) -> Option<Self> {
         if policy.is_none() {
             return None;
         }
@@ -147,7 +150,6 @@ impl CaptureController {
             records: 0,
             since_sample: 0,
             syscall_snap: false,
-            pending_request: None,
             last_findings: 0,
             open: None,
             stats: DegradationStats::default(),
@@ -156,21 +158,8 @@ impl CaptureController {
 
     /// Whether degradation is currently engaged.
     #[must_use]
-    pub fn engaged(&self) -> bool {
+    pub(crate) fn engaged(&self) -> bool {
         self.engaged
-    }
-
-    /// Latches a lifeguard-side degradation request
-    /// ([`lba_lifeguard::Lifeguard::degradation_request`], polled by the
-    /// runner after deliveries). The request is applied — and ledgered in
-    /// [`DegradationStats::lifeguard_requests`] — at the next
-    /// [`tick`](Self::tick), after snapback triggers but ahead of the
-    /// occupancy sample, so analysis-driven dial changes share the same
-    /// frame-boundary plumbing as load-driven ones. A request that asks
-    /// for the state the controller is already in is still counted but
-    /// produces no transition.
-    pub fn request(&mut self, request: DegradationRequest) {
-        self.pending_request = Some(request);
     }
 
     /// Decides whether capture fidelity changes at this record boundary.
@@ -180,22 +169,12 @@ impl CaptureController {
     /// `findings` the current finding count — any growth snaps capture
     /// back to full fidelity immediately, as does a syscall observed by
     /// the previous `admit`.
-    pub fn tick(&mut self, load: LoadSample, findings: u64) -> Option<Transition> {
+    pub(crate) fn tick(&mut self, load: LoadSample, findings: u64) -> Option<Transition> {
         let finding_snap = findings != self.last_findings;
         self.last_findings = findings;
         let syscall_snap = std::mem::take(&mut self.syscall_snap);
         if self.engaged && (finding_snap || syscall_snap) {
             return Some(self.disengage(true));
-        }
-        if let Some(request) = self.pending_request.take() {
-            self.stats.lifeguard_requests += 1;
-            match request {
-                DegradationRequest::Engage if !self.engaged => return Some(self.engage()),
-                DegradationRequest::Disengage if self.engaged => {
-                    return Some(self.disengage(false))
-                }
-                _ => {}
-            }
         }
         self.since_sample += 1;
         if self.since_sample < self.config.sample_stride {
@@ -216,7 +195,7 @@ impl CaptureController {
     /// Call for **every** record, engaged or not — the policy's
     /// classifier must see the full stream (in order, ahead of any drop
     /// decision) or its settled-verdict answers would lag reality.
-    pub fn admit(&mut self, rec: &EventRecord) -> Verdict {
+    pub(crate) fn admit(&mut self, rec: &EventRecord) -> Verdict {
         self.records += 1;
         if let Some(classifier) = &mut self.classifier {
             classifier.observe(rec);
@@ -257,7 +236,7 @@ impl CaptureController {
     /// Closes the run: ends any open degraded interval at the final
     /// record count and returns the full accounting.
     #[must_use]
-    pub fn finish(mut self) -> DegradationStats {
+    pub(crate) fn finish(mut self) -> DegradationStats {
         if self.engaged {
             self.close_interval(false);
         }
@@ -290,7 +269,7 @@ impl CaptureController {
 
     fn disengage(&mut self, snapback: bool) -> Transition {
         let tighten = self.close_interval(snapback);
-        Transition::Disengage { tighten, snapback }
+        Transition::Disengage { tighten }
     }
 
     /// Ends the open interval, recording it (up to the cap). Returns
@@ -372,10 +351,7 @@ mod tests {
         );
         assert_eq!(
             ctl.tick(sample(100), 0),
-            Some(Transition::Disengage {
-                tighten: true,
-                snapback: false
-            })
+            Some(Transition::Disengage { tighten: true })
         );
         assert!(!ctl.engaged());
         let stats = ctl.finish();
@@ -393,10 +369,7 @@ mod tests {
         // Occupancy is still sky-high, but a finding landed.
         assert_eq!(
             ctl.tick(sample(999), 1),
-            Some(Transition::Disengage {
-                tighten: true,
-                snapback: true
-            })
+            Some(Transition::Disengage { tighten: true })
         );
         assert_eq!(ctl.finish().snapbacks, 1);
     }
@@ -410,11 +383,9 @@ mod tests {
         assert_eq!(ctl.admit(&sys), Verdict::Ship, "the syscall itself ships");
         assert_eq!(
             ctl.tick(sample(999), 0),
-            Some(Transition::Disengage {
-                tighten: true,
-                snapback: true
-            })
+            Some(Transition::Disengage { tighten: true })
         );
+        assert_eq!(ctl.finish().snapbacks, 1);
     }
 
     #[test]
@@ -485,32 +456,6 @@ mod tests {
     }
 
     #[test]
-    fn lifeguard_requests_drive_and_ledger_transitions() {
-        let mut ctl = CaptureController::new(quick(), sampling_policy()).unwrap();
-        ctl.request(DegradationRequest::Engage);
-        assert_eq!(
-            ctl.tick(sample(0), 0),
-            Some(Transition::Engage { widen: true }),
-            "an analysis-side request engages even at zero load"
-        );
-        // Redundant request: counted, no transition.
-        ctl.request(DegradationRequest::Engage);
-        assert_eq!(ctl.tick(sample(500), 0), None);
-        ctl.request(DegradationRequest::Disengage);
-        assert_eq!(
-            ctl.tick(sample(999), 0),
-            Some(Transition::Disengage {
-                tighten: true,
-                snapback: false
-            }),
-            "a disengage request overrides high occupancy"
-        );
-        let stats = ctl.finish();
-        assert_eq!(stats.lifeguard_requests, 3);
-        assert_eq!(stats.engagements, 1);
-    }
-
-    #[test]
     fn stride_skips_load_samples_but_not_snapbacks() {
         let mut ctl = CaptureController::new(
             AdaptiveConfig {
@@ -530,7 +475,8 @@ mod tests {
         // A finding disengages on the very next tick, stride regardless.
         assert!(matches!(
             ctl.tick(sample(900), 7),
-            Some(Transition::Disengage { snapback: true, .. })
+            Some(Transition::Disengage { .. })
         ));
+        assert_eq!(ctl.finish().snapbacks, 1);
     }
 }

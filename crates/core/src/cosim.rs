@@ -30,7 +30,7 @@ use lba_cache::{MemSystem, MemSystemConfig};
 use lba_compress::FRAME_LINE_BYTES;
 use lba_cpu::{Machine, RunError, StepOutcome};
 use lba_isa::Program;
-use lba_lifeguard::{DegradationRequest, DispatchEngine, Finding, Lifeguard};
+use lba_lifeguard::{DispatchEngine, Finding, Lifeguard};
 use lba_record::EventRecord;
 use lba_transport::{shard_of, ChannelStats, LoadSample, ModeledFrameChannel, PushOutcome};
 
@@ -63,9 +63,6 @@ struct Cosim<'a> {
     /// Application-core clock (cycles).
     t_app: u64,
     stalls: StallBreakdown,
-    /// The latest analysis-side degradation request polled off a
-    /// lifeguard after a delivery, awaiting pickup by the producer.
-    pending_request: Option<DegradationRequest>,
 }
 
 impl Cosim<'_> {
@@ -98,9 +95,6 @@ impl Cosim<'_> {
             1 + idx,
             &mut shard.findings,
         );
-        if let Some(req) = shard.lifeguard.degradation_request() {
-            self.pending_request = Some(req);
-        }
         true
     }
 
@@ -170,15 +164,6 @@ impl Cosim<'_> {
         }
     }
 
-    /// A degradation transition: seal every shard's open frame, then set
-    /// or clear the degraded mark on every shard's wire.
-    fn transition(&mut self, degraded: bool) {
-        self.flush();
-        for shard in &mut self.shards {
-            shard.channel.mark_degraded(degraded);
-        }
-    }
-
     /// Drains shard `idx` completely, parked frames included (syscall
     /// stall and end-of-program). Loops until the channel reports
     /// [`drained`](ModeledFrameChannel::drained), not merely until one pop
@@ -231,12 +216,11 @@ impl ProducerLink for Cosim<'_> {
         }
     }
 
-    fn on_engage(&mut self) {
-        self.transition(true);
-    }
-
-    fn on_disengage(&mut self) {
-        self.transition(false);
+    fn mark_degraded(&mut self, on: bool) {
+        self.flush();
+        for shard in &mut self.shards {
+            shard.channel.mark_degraded(on);
+        }
     }
 
     fn load_sample(&self) -> LoadSample {
@@ -264,10 +248,6 @@ impl ProducerLink for Cosim<'_> {
         // time.
         self.flush();
         self.wait_for_lifeguards();
-    }
-
-    fn take_degradation_request(&mut self) -> Option<DegradationRequest> {
-        self.pending_request.take()
     }
 }
 
@@ -388,7 +368,6 @@ pub(crate) fn run_modeled(
         engine: DispatchEngine::new(config.dispatch),
         t_app: 0,
         stalls: StallBreakdown::default(),
-        pending_request: None,
     };
 
     // One stage-chain call per retired record: the shared producer decides

@@ -187,7 +187,7 @@ impl LbaError {
     /// keep their own variants (and their descriptive messages); anything
     /// else lands as a recording-layer [`RunError`].
     #[must_use]
-    pub fn from_sink(e: SinkError) -> Self {
+    fn from_sink(e: SinkError) -> Self {
         let e = match e.downcast::<SocketError>() {
             Ok(sock) => return LbaError::Socket(*sock),
             Err(e) => e,

@@ -2,7 +2,8 @@
 //!
 //! Each function returns plain data rows; the `figures` binary in
 //! `lba-bench` renders them as text tables, and the Criterion benches call
-//! the same functions. See DESIGN.md §4 for the experiment ↔ paper index.
+//! the same functions. Each function is named for the paper's figure or
+//! table, ablation or extension it regenerates.
 
 use lba_lifeguard::AddrRangeFilter;
 use lba_mem::layout;

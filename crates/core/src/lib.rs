@@ -26,6 +26,14 @@
 //! real, with one consumer thread per shard decoding its own compressed
 //! frame stream.
 //!
+//! Every mode captures through one producer stage chain, private to this
+//! crate, whose adaptive capture controller degrades capture under
+//! back-pressure. The controller has one trigger, the transport's load,
+//! and snaps back on a new finding or a syscall. Outside code turns it on
+//! with [`LogConfig::adaptive`] (an [`AdaptiveConfig`]), and each
+//! lifeguard bounds what it may do with its declared
+//! [`DegradationPolicy`].
+//!
 //! # Quickstart
 //!
 //! ```
@@ -49,7 +57,7 @@
 #![deny(missing_docs)]
 
 mod config;
-pub mod controller;
+mod controller;
 mod cosim;
 mod error;
 pub mod experiment;
@@ -65,13 +73,13 @@ pub mod runner;
 pub mod table;
 
 pub use config::{LogConfig, RecordConfig, SystemConfig, MAX_LIVE_CHANNEL_FRAMES};
-pub use controller::{AdaptiveConfig, CaptureController, Transition, Verdict};
+pub use controller::AdaptiveConfig;
 pub use cosim::run_lba;
 pub use error::LbaError;
 pub use live_parallel::{run_live, run_live_parallel};
 pub use pipeline::{
-    Figure2Panel, MonitorSpec, Producer, ProducerFinish, ProducerLink, RunModeSpec, TopologyKind,
-    ADDRCHECK, LOCKSET, MEMPROFILE, MONITORS, RUN_MODES, TAINTCHECK,
+    Figure2Panel, MonitorSpec, RunModeSpec, TopologyKind, ADDRCHECK, LOCKSET, MEMPROFILE, MONITORS,
+    RUN_MODES, TAINTCHECK,
 };
 pub use remote::run_remote;
 pub use replay::{run_replay, run_replay_with, ReplayMode};
@@ -89,9 +97,8 @@ pub use lba_transport::{ChannelStats, FaultProfile, LoadSample};
 // pair is what custom lifeguards implement `Lifeguard::idempotency` with.
 // The degradation set is the same story for `Lifeguard::degradation`.
 pub use lba_lifeguard::{
-    CaptureFilter, CaptureStats, DegradationPolicy, DegradationRequest, DegradationStats,
-    DegradedInterval, IdempotencyClass, RegionClassifier, SamplingSpec, WindowSpec,
-    MAX_RECORDED_INTERVALS,
+    CaptureFilter, CaptureStats, DegradationPolicy, DegradationStats, DegradedInterval,
+    IdempotencyClass, RegionClassifier, SamplingSpec, WindowSpec, MAX_RECORDED_INTERVALS,
 };
 
 // The execution error type comes from the CPU substrate.

@@ -18,8 +18,9 @@
 //! full compressor/decompressor pair, so the value predictors never thread
 //! state across shards and the consumers decode concurrently; findings
 //! merge, deduplicated. Routing, per-shard record order and frame
-//! boundaries are the modeled mode's — both drive [`Producer::sharded`] —
-//! so each shard's wire stream matches `run_lba_parallel`'s byte for byte.
+//! boundaries are the modeled mode's — both drive the one sharded
+//! producer — so each shard's wire stream matches `run_lba_parallel`'s
+//! byte for byte.
 //! TaintCheck does not shard (its register state is a sequential
 //! dependence chain), so it runs live only under [`run_live`].
 //!
@@ -46,12 +47,12 @@
 
 use std::any::Any;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::thread;
 
 use lba_cpu::{Machine, RunError};
 use lba_isa::Program;
-use lba_lifeguard::{DegradationRequest, DispatchEngine, Finding, Lifeguard};
+use lba_lifeguard::{DispatchEngine, Finding, Lifeguard};
 use lba_record::EventRecord;
 use lba_transport::live::{shard_frame_channels, FrameReceiver, FrameSender, FrameWire};
 use lba_transport::{shard_of, FrameSource, LoadSample, SocketError};
@@ -63,22 +64,13 @@ use crate::pipeline::{Producer, ProducerLink};
 use crate::report::{LogStats, PipelineReport, RunReport};
 use crate::runner::RunMode;
 
-/// What the consumers publish for the producer's capture controller.
-#[derive(Default)]
-pub(crate) struct Signals {
-    /// Findings so far, over all shards: growth snaps capture back.
-    findings: AtomicU64,
-    /// The analysis-side dial: the latest lifeguard request the producer
-    /// has not taken yet (0 none, 1 engage, 2 disengage).
-    dial: AtomicU8,
-}
-
 /// The live modes' [`ProducerLink`]: one frame sender per shard over
 /// either wire, [`shard_of`] deciding routed-vs-broadcast, and the
-/// consumers' [`Signals`] steering the controller.
+/// consumers' finding count, which snaps degraded capture back.
 struct ShardLink<'a, W: FrameWire> {
     senders: Vec<FrameSender<W>>,
-    signals: &'a Signals,
+    /// Findings so far over all shards, published by the consumers.
+    found: &'a AtomicU64,
 }
 
 impl<W: FrameWire> ProducerLink for ShardLink<'_, W> {
@@ -96,17 +88,10 @@ impl<W: FrameWire> ProducerLink for ShardLink<'_, W> {
         }
     }
 
-    fn on_engage(&mut self) {
+    fn mark_degraded(&mut self, on: bool) {
         for tx in &mut self.senders {
             tx.flush();
-            tx.set_degraded(true);
-        }
-    }
-
-    fn on_disengage(&mut self) {
-        for tx in &mut self.senders {
-            tx.flush();
-            tx.set_degraded(false);
+            tx.set_degraded(on);
         }
     }
 
@@ -121,7 +106,7 @@ impl<W: FrameWire> ProducerLink for ShardLink<'_, W> {
     }
 
     fn finding_count(&self) -> u64 {
-        self.signals.findings.load(Ordering::Relaxed)
+        self.found.load(Ordering::Relaxed)
     }
 
     fn contain_syscall(&mut self) {
@@ -134,14 +119,6 @@ impl<W: FrameWire> ProducerLink for ShardLink<'_, W> {
     /// Real threads always run decoupled: only the co-simulation models
     /// the lock-step ablation.
     fn lockstep(&mut self) {}
-
-    fn take_degradation_request(&mut self) -> Option<DegradationRequest> {
-        match self.signals.dial.swap(0, Ordering::Relaxed) {
-            1 => Some(DegradationRequest::Engage),
-            2 => Some(DegradationRequest::Disengage),
-            _ => None,
-        }
-    }
 }
 
 /// Runs `program` on one thread and the lifeguard on another (this one),
@@ -278,13 +255,13 @@ where
         // draining surfaces as `RunError::ChannelStalled`, not a livelock.
         tx.set_stall_timeout(config.log.channel_stall_timeout);
     }
-    let signals = &Signals::default();
+    let found = &AtomicU64::new(0);
 
     let (produced, consumed) = thread::scope(|scope| {
         // The producer ends every shard's stream, and its senders drop
         // when it returns, errs or unwinds, so the consumers always end.
         let producer_thread = scope.spawn(move || -> Result<_, LbaError> {
-            let mut link = ShardLink { senders, signals };
+            let mut link = ShardLink { senders, found };
             let mut machine = Machine::new(program, config.machine);
             machine.run(None, |r| producer.observe(&r.record, &mut link))?;
             // A latched stall means frames were silently discarded past
@@ -307,7 +284,7 @@ where
             }
             Ok((finish, shard_log))
         });
-        let consumed = consume_shards(receivers, lifeguard, make_lifeguard, signals, config);
+        let consumed = consume_shards(receivers, lifeguard, make_lifeguard, found, config);
         (producer_thread.join(), consumed)
     });
 
@@ -371,14 +348,15 @@ type Consumed<S> = (Vec<Finding>, FrameReceiver<S>);
 
 /// The consumer threads of every live run and of a replay: shard 0 on
 /// the calling thread with `lifeguard`, and each further shard on a
-/// spawned thread with a lifeguard `make_lifeguard` builds there. Returns
-/// each shard's findings and spent receiver in shard order; a consumer's
-/// panic is [`LbaError::Panicked`] naming its shard and lifeguard.
+/// spawned thread with a lifeguard `make_lifeguard` builds there. Every
+/// consumer adds its findings to `found` as it reports them. Returns each
+/// shard's findings and spent receiver in shard order; a consumer's panic
+/// is [`LbaError::Panicked`] naming its shard and lifeguard.
 pub(crate) fn consume_shards<S: FrameSource + Send>(
     receivers: Vec<FrameReceiver<S>>,
     lifeguard: &mut dyn Lifeguard,
     make_lifeguard: Option<&(dyn Fn() -> Box<dyn Lifeguard> + Sync)>,
-    signals: &Signals,
+    found: &AtomicU64,
     config: &SystemConfig,
 ) -> Vec<Result<Consumed<S>, LbaError>> {
     let name = lifeguard.name();
@@ -388,11 +366,11 @@ pub(crate) fn consume_shards<S: FrameSource + Send>(
         let others: Vec<_> = receivers
             .map(|rx| {
                 let make = make_lifeguard.expect("more than one shard comes with a factory");
-                scope.spawn(move || consume(rx, make().as_mut(), signals, config))
+                scope.spawn(move || consume(rx, make().as_mut(), found, config))
             })
             .collect();
         let mut consumed = vec![panic::catch_unwind(AssertUnwindSafe(|| {
-            consume(first, lifeguard, signals, config)
+            consume(first, lifeguard, found, config)
         }))];
         consumed.extend(others.into_iter().map(|handle| handle.join()));
         consumed
@@ -406,13 +384,13 @@ pub(crate) fn consume_shards<S: FrameSource + Send>(
 }
 
 /// One shard's consumer: a blocking receive, decode and untimed batch
-/// dispatch per frame, publishing the lifeguard's findings count and dial
-/// requests, until the stream ends. A failed consumer drops its receiver
-/// at once, so a producer waiting on the wire sees the consumer gone.
+/// dispatch per frame, publishing the lifeguard's findings count, until
+/// the stream ends. A failed consumer drops its receiver at once, so a
+/// producer waiting on the wire sees the consumer gone.
 fn consume<S: FrameSource>(
     mut rx: FrameReceiver<S>,
     lifeguard: &mut dyn Lifeguard,
-    signals: &Signals,
+    found: &AtomicU64,
     config: &SystemConfig,
 ) -> Result<Consumed<S>, LbaError> {
     if let Some(fault) = &config.log.fault {
@@ -424,16 +402,9 @@ fn consume<S: FrameSource>(
         let before = findings.len();
         // Untimed: no memory system, so the core index is never read.
         engine.deliver_batch(lifeguard, frame.records, None, 0, &mut findings);
-        let found = (findings.len() - before) as u64;
-        if found > 0 {
-            signals.findings.fetch_add(found, Ordering::Relaxed);
-        }
-        if let Some(request) = lifeguard.degradation_request() {
-            let slot = match request {
-                DegradationRequest::Engage => 1,
-                DegradationRequest::Disengage => 2,
-            };
-            signals.dial.store(slot, Ordering::Relaxed);
+        let added = (findings.len() - before) as u64;
+        if added > 0 {
+            found.fetch_add(added, Ordering::Relaxed);
         }
     }
     engine.finish(lifeguard, None, 0, &mut findings);

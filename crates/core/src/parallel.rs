@@ -21,9 +21,9 @@
 //! [`run_lba`](crate::run_lba) at N shards, with `run_lba`'s timing model:
 //! each shard's channel has the full `buffer_bytes` budget, back-pressure
 //! stalls the application, and shipped lines charge the L2 transfer. The
-//! producer side is [`Producer::sharded`]: the shared capture pass runs
-//! *before* routing, so the per-shard streams stay byte-identical with the
-//! live sharded mode.
+//! producer side is the sharded modes' one producer: the shared capture
+//! pass runs *before* routing, so the per-shard streams stay
+//! byte-identical with the live sharded mode.
 //!
 //! TaintCheck is deliberately not supported: its register state forms a
 //! sequential dependence chain through every instruction, so address
@@ -71,8 +71,9 @@ pub(crate) fn merge_shard_findings(
 /// one included, as in [`run_live_parallel`](crate::run_live_parallel).
 /// Three `LogConfig` fields are deliberately **ignored**: `filter` and
 /// `syscall_stall`, as in `run_live_parallel`, and `decoupled`, because
-/// [`Producer::sharded`] always runs decoupled, so the co-simulation's
-/// syscall containment and lock-step ablation never run here.
+/// the sharded modes' producer always runs decoupled, so the
+/// co-simulation's syscall containment and lock-step ablation never run
+/// here.
 ///
 /// # Errors
 ///

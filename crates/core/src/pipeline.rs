@@ -1,17 +1,17 @@
 //! The staged capture pipeline every run mode is a composition of.
 //!
-//! The `run_*` entry points used to each hand-roll the producer side
-//! of the pipeline — machine stepping, capture filtering, adaptive
-//! controller transitions, syscall containment — and its own consumer
-//! shape. The capture logic now lives here exactly once:
+//! The producer side of the pipeline — machine stepping, capture
+//! filtering, adaptive controller transitions, syscall containment — is
+//! written here exactly once, and is private to `lba-core`:
 //!
-//! * [`Producer`] — the per-record stage chain (trace accounting →
-//!   [`CaptureFilter`] → [`CaptureController`] verdicts and transitions →
-//!   ship), with the degradation ledger and syscall-flush containment
-//!   written once and driven through a mode-specific [`ProducerLink`];
-//! * [`ProducerLink`] — what a run mode must plug in: where shipped
-//!   records go, what a flush-and-mark transition does to its transport,
-//!   and which load/finding signals feed the controller;
+//! * `Producer` — the per-record stage chain (trace accounting →
+//!   [`CaptureFilter`] → the adaptive controller's verdicts and
+//!   transitions → ship), with the degradation ledger and syscall-flush
+//!   containment written once and driven through a mode-specific
+//!   `ProducerLink`;
+//! * `ProducerLink` — what a run mode must plug in: where shipped
+//!   records go, how a degradation transition flushes and marks its
+//!   transport, and which load/finding signals feed the controller;
 //! * [`TopologyKind`] — how shipped records map onto consumers: one
 //!   consumer, address-interleaved shards ([`lba_transport::shard_of`]),
 //!   or recorded streams; each runner's link routes with `shard_of`
@@ -25,15 +25,19 @@
 //!   equivalence suites all name lifeguards by it. Each `RUN_MODES` row's
 //!   `run` hook is the [`Run`] builder's dispatch for that mode.
 //!
+//! Adaptive capture has one trigger: the transport's load, which the
+//! link samples, with snapback on a new finding or a syscall. Outside
+//! code steers it only through
+//! [`LogConfig::adaptive`](crate::LogConfig::adaptive) and the
+//! lifeguard's [`DegradationPolicy`].
+//!
 //! The runners (`cosim.rs`, the modeled one behind `run_lba` and
 //! `run_lba_parallel`; `live_parallel.rs`, the live one; `replay.rs`) are
 //! thin compositions over these pieces; the cross-mode equivalence
 //! proptests pin that the composition is bit-for-bit what the hand-rolled
 //! loops produced.
 
-use lba_lifeguard::{
-    CaptureFilter, CaptureStats, DegradationPolicy, DegradationRequest, DegradationStats, Lifeguard,
-};
+use lba_lifeguard::{CaptureFilter, CaptureStats, DegradationPolicy, DegradationStats, Lifeguard};
 use lba_lifeguards::{AddrCheck, LockSet, LockSetConfig, MemProfile, TaintCheck};
 use lba_record::{EventKind, EventRecord, TraceStats};
 use lba_transport::LoadSample;
@@ -50,21 +54,17 @@ use crate::runner::{Run, RunMode, RunOutcome};
 /// pushing records, flushing frames, marking the wire degraded, absorbing
 /// modeled timing — because only the mode knows its transport. The two
 /// runners are the two links: the co-simulation's and the live runner's.
-pub trait ProducerLink {
+pub(crate) trait ProducerLink {
     /// Ships one captured record into the transport (absorbing any
     /// modeled back-pressure).
     fn ship(&mut self, rec: &EventRecord);
 
-    /// Applies a degradation engagement to the transport: flush the open
-    /// frame (so the degraded mark starts on a frame boundary) and set
-    /// the wire's degraded mark. Only called when the mode runs a
-    /// [`CaptureController`].
-    fn on_engage(&mut self);
-
-    /// Applies a degradation disengagement: flush the open frame and
-    /// clear the wire's degraded mark. The producer ships the tighten
-    /// summaries (if any) immediately after.
-    fn on_disengage(&mut self);
+    /// Applies a degradation transition to the transport: flush every
+    /// open frame (so the mark changes on a frame boundary), then set
+    /// (`on`) or clear the wire's degraded mark. After a disengagement
+    /// the producer ships the tighten summaries (if any). Only called
+    /// when the mode runs a [`CaptureController`].
+    fn mark_degraded(&mut self, on: bool);
 
     /// The transport occupancy the controller steers by.
     fn load_sample(&self) -> LoadSample;
@@ -81,17 +81,11 @@ pub trait ProducerLink {
 
     /// Synchronises the cores after one record (the lock-step ablation).
     fn lockstep(&mut self);
-
-    /// Takes the pending analysis-side degradation request, if the
-    /// mode's consumer polled one from its lifeguard
-    /// ([`lba_lifeguard::Lifeguard::degradation_request`]). Take
-    /// semantics: returning `Some` consumes the request.
-    fn take_degradation_request(&mut self) -> Option<DegradationRequest>;
 }
 
 /// What the producer stage chain hands back when the stream ends.
 #[derive(Debug)]
-pub struct ProducerFinish {
+pub(crate) struct ProducerFinish {
     /// Trace statistics over every retired record.
     pub trace: TraceStats,
     /// The capture filter's ledger (captured/filtered/deduped/folded).
@@ -111,7 +105,7 @@ pub struct ProducerFinish {
 /// shipped record and every transport-facing transition in exactly the
 /// order the pre-refactor hand-rolled loops produced them.
 #[derive(Debug)]
-pub struct Producer {
+pub(crate) struct Producer {
     trace: TraceStats,
     filter: CaptureFilter,
     shipping: Vec<EventRecord>,
@@ -150,7 +144,7 @@ impl Producer {
     /// `config.log.decoupled` (a no-op on real threads, whose link's
     /// [`ProducerLink::lockstep`] does nothing).
     #[must_use]
-    pub fn single(lifeguard: &dyn Lifeguard, config: &SystemConfig) -> Self {
+    pub(crate) fn single(lifeguard: &dyn Lifeguard, config: &SystemConfig) -> Self {
         let policy = lifeguard.degradation();
         let log = &config.log;
         let filter = log.adaptive_capture_filter(lifeguard.idempotency(), &policy);
@@ -171,39 +165,35 @@ impl Producer {
     /// the adaptive controller when configured, and no syscall
     /// containment (the sharded study measures steady-state capture).
     #[must_use]
-    pub fn sharded(lifeguard: &dyn Lifeguard, config: &SystemConfig) -> Self {
+    pub(crate) fn sharded(lifeguard: &dyn Lifeguard, config: &SystemConfig) -> Self {
         let policy = lifeguard.degradation();
         let log = &config.log;
         let filter = log.adaptive_shard_capture_filter(lifeguard.idempotency(), &policy);
         Producer::build(filter, policy, log.adaptive, false, true)
     }
 
-    /// Observes one retired record: trace accounting, any pending
-    /// analysis-side dial request, the controller's transition and
-    /// verdict, the capture-filter pass on shipped records, and syscall
-    /// containment — in exactly that order.
-    pub fn observe<L: ProducerLink + ?Sized>(&mut self, rec: &EventRecord, link: &mut L) {
+    /// Observes one retired record: trace accounting, the controller's
+    /// transition and verdict, the capture-filter pass on shipped
+    /// records, and syscall containment — in exactly that order.
+    pub(crate) fn observe<L: ProducerLink + ?Sized>(&mut self, rec: &EventRecord, link: &mut L) {
         self.trace.observe(rec);
 
         // Adaptive capture: the controller watches the link's load signal
         // and degrades (or restores) capture fidelity within the
         // lifeguard's declared policy. Transitions flush first (inside
-        // the link's on_engage/on_disengage) so the wire's degraded mark
-        // is frame-accurate.
+        // the link's mark_degraded) so the wire's degraded mark is
+        // frame-accurate.
         let mut admit = Verdict::Ship;
         if let Some(ctl) = self.controller.as_mut() {
-            if let Some(request) = link.take_degradation_request() {
-                ctl.request(request);
-            }
             match ctl.tick(link.load_sample(), link.finding_count()) {
                 Some(Transition::Engage { widen }) => {
-                    link.on_engage();
+                    link.mark_degraded(true);
                     if widen {
                         self.filter.widen_window();
                     }
                 }
-                Some(Transition::Disengage { tighten, .. }) => {
-                    link.on_disengage();
+                Some(Transition::Disengage { tighten }) => {
+                    link.mark_degraded(false);
                     if tighten {
                         self.filter
                             .tighten_window_into(&mut self.shipping, |rec| link.ship(rec));
@@ -237,11 +227,11 @@ impl Producer {
     /// closing fold summaries and final checks happen at full fidelity,
     /// and the open degraded interval closes in the stats), then
     /// outstanding fold counts settle into the link.
-    pub fn finish<L: ProducerLink + ?Sized>(mut self, link: &mut L) -> ProducerFinish {
+    pub(crate) fn finish<L: ProducerLink + ?Sized>(mut self, link: &mut L) -> ProducerFinish {
         let degradation = match self.controller.take() {
             Some(ctl) => {
                 if ctl.engaged() {
-                    link.on_disengage();
+                    link.mark_degraded(false);
                     if self.policy_widen {
                         self.filter
                             .tighten_window_into(&mut self.shipping, |rec| link.ship(rec));

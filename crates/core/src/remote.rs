@@ -16,7 +16,9 @@
 //! explicit credit window sized like the in-process queue
 //! ([`LogConfig::live_channel_frames`](crate::LogConfig::live_channel_frames)),
 //! so `buffer_bytes`, adaptive degradation and the stall timeout all
-//! survive the socket hop.
+//! survive the socket hop. The credit window's load sample is then the
+//! capture controller's one signal; a one-frame window and a dragged
+//! worker engage it (`tests/degradation.rs`).
 //!
 //! [`run_live_parallel`]: crate::run_live_parallel
 

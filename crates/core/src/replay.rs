@@ -37,6 +37,7 @@
 //! caller. Like the live modes, replay dispatches untimed.
 
 use std::path::Path;
+use std::sync::atomic::AtomicU64;
 
 use lba_compress::CODEC_VERSION;
 use lba_lifeguard::Lifeguard;
@@ -46,7 +47,7 @@ use lba_transport::StreamSource;
 
 use crate::config::SystemConfig;
 use crate::error::LbaError;
-use crate::live_parallel::{consume_shards, Signals};
+use crate::live_parallel::consume_shards;
 use crate::parallel::merge_shard_findings;
 use crate::report::{LogStats, PipelineReport, RunReport, SalvagedTail};
 use crate::runner::RunMode;
@@ -145,7 +146,7 @@ pub fn run_replay_with(
         receivers,
         first.as_mut(),
         Some(&make_lifeguard),
-        &Signals::default(),
+        &AtomicU64::new(0),
         config,
     );
     let (mut shard_findings, mut shard_log, mut salvaged) = (Vec::new(), Vec::new(), Vec::new());

@@ -22,8 +22,11 @@
 //! row, whose `run` hook calls the mode's `run_*` implementation and folds
 //! its failure into [`LbaError`]. The `run_*` functions stay public for
 //! what the builder cannot express: a custom lifeguard instance (the
-//! degradation suite's dial-requesting lifeguard) or a caller-owned
-//! lifeguard whose final state is inspected afterwards.
+//! containment suite's lifeguard with a planted panic) or a caller-owned
+//! lifeguard whose final state is inspected afterwards. Adaptive capture
+//! needs neither: the builder's [`config`](Run::config) carries
+//! [`LogConfig::adaptive`](crate::LogConfig::adaptive), and the monitor
+//! row's lifeguard declares its degradation policy.
 //!
 //! Every mode returns the one [`RunReport`], and [`RunOutcome`] holds it
 //! in a variant per mode and [`Deref`]s to it, so mode-generic callers

@@ -32,4 +32,3 @@ mod thread;
 
 pub use error::RunError;
 pub use machine::{Machine, MachineConfig, Retired, StepOutcome};
-pub use thread::ThreadState;

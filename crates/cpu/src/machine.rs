@@ -13,8 +13,8 @@ use crate::thread::{ThreadCtx, ThreadState, MAX_CALL_DEPTH};
 /// Configuration of a [`Machine`].
 ///
 /// The `*_cycles` fields model the library/kernel work behind runtime
-/// events; the paper's benchmarks pay the equivalent costs inside libc and
-/// the OS (DESIGN.md §5 documents the substitution).
+/// events: the paper's benchmarks pay the equivalent costs inside libc and
+/// the OS, whose instructions this machine does not execute.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MachineConfig {
     /// Round-robin timeslice in retired instructions.
@@ -191,16 +191,6 @@ impl<'p> Machine<'p> {
     #[must_use]
     pub fn retired(&self) -> u64 {
         self.retired
-    }
-
-    /// Scheduling state of thread `tid`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tid` is out of range.
-    #[must_use]
-    pub fn thread_state(&self, tid: u8) -> ThreadState {
-        self.threads[tid as usize].state
     }
 
     /// Reads an architectural register of thread `tid` (for tests/examples).

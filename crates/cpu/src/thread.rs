@@ -8,7 +8,7 @@ pub const MAX_CALL_DEPTH: usize = 4096;
 
 /// Scheduling state of one thread.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ThreadState {
+pub(crate) enum ThreadState {
     /// Eligible to run.
     Runnable,
     /// Waiting to acquire the lock at the given address.
@@ -25,7 +25,7 @@ pub(crate) struct ThreadCtx {
     pub regs: [u64; Reg::COUNT],
     pub state: ThreadState,
     /// Return-address stack (the core model keeps return addresses in a
-    /// link stack rather than simulated memory; DESIGN.md §2).
+    /// link stack rather than simulated memory).
     pub ras: Vec<u64>,
 }
 

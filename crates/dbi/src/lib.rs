@@ -47,7 +47,7 @@ use lba_record::{EventKind, EventRecord};
 ///
 /// Defaults are calibrated so the three lifeguards land in the paper's
 /// reported Valgrind band (10–85× slowdowns) with per-benchmark variation
-/// coming from the cache model; see DESIGN.md §2 and §5.
+/// coming from the cache model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DbiConfig {
     /// Amortised binary-translation and dispatch cycles per retired

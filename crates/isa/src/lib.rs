@@ -5,7 +5,7 @@
 //! first-class *runtime events* (`alloc`, `free`, `lock`, `unlock`, `recv`,
 //! `syscall`) so that the log capture hardware can observe the same event
 //! stream the paper's lifeguards consume (the paper obtained these events by
-//! instrumenting libc; see DESIGN.md §2).
+//! instrumenting libc).
 //!
 //! The crate contains:
 //!

@@ -11,7 +11,7 @@ use crate::finding::Finding;
 /// and each shadow-memory access goes through the monitoring core's cache
 /// hierarchy (its own L1D plus the shared L2), so shadow locality and cache
 /// pollution emerge from the simulation instead of being per-benchmark
-/// constants (DESIGN.md §5).
+/// constants.
 ///
 /// Under LBA the context is bound to the lifeguard core; under the DBI
 /// baseline it is bound to the application core, which is precisely the

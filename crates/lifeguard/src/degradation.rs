@@ -19,6 +19,12 @@
 //! its stream: the controller is not even constructed for an all-`none`
 //! policy, so the degraded and undegraded pipelines are the same code.
 //!
+//! The policy is all a lifeguard says about degradation. The controller
+//! has one trigger, the transport's load, and the lifeguard has no
+//! run-time say in when it engages: the application and lifeguard cores
+//! coordinate only through the log, and the findings the log carries
+//! back are what snap capture to full fidelity.
+//!
 //! Soundness of *sampling* is delegated to a per-lifeguard
 //! [`RegionClassifier`]: the policy ships a constructor for a small
 //! capture-side oracle that watches the record stream and answers, per
@@ -87,8 +93,8 @@ pub struct SamplingSpec {
 }
 
 /// A lifeguard's declared tolerance for capture-side degradation under
-/// back-pressure — its soundness contract with the
-/// `CaptureController`, in the same spirit as
+/// back-pressure — its soundness contract with `lba-core`'s capture
+/// controller, in the same spirit as
 /// [`IdempotencyClass`](crate::IdempotencyClass).
 ///
 /// The contract has no exceptions: every degradation a policy permits
@@ -140,26 +146,6 @@ impl Default for DegradationPolicy {
     fn default() -> Self {
         DegradationPolicy::none()
     }
-}
-
-/// A lifeguard-initiated capture-fidelity request, surfaced through the
-/// dispatch engine back to the capture controller.
-///
-/// The controller's own trigger is the *transport's* load signal; this is
-/// the complementary, analysis-side dial: a lifeguard that can tell its
-/// current workload is uninteresting (or suddenly critical) may ask the
-/// producer to degrade — or restore — capture. Requests stay bounded by
-/// the same [`DegradationPolicy`] contract as load-triggered degradation:
-/// a lifeguard whose policy is [`DegradationPolicy::none`] has no
-/// controller, so its requests are provably without effect. Every request
-/// the controller consumes is counted in
-/// [`DegradationStats::lifeguard_requests`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DegradationRequest {
-    /// Engage degraded capture (within the declared policy).
-    Engage,
-    /// Snap capture back to full fidelity.
-    Disengage,
 }
 
 /// One engage→disengage span of degraded capture, in units of records
@@ -214,10 +200,6 @@ pub struct DegradationStats {
     /// Records that passed capture while degradation was engaged
     /// (shipped or not).
     pub degraded_records: u64,
-    /// Lifeguard-initiated [`DegradationRequest`]s the controller
-    /// consumed (whether or not each one changed the dial — a request to
-    /// engage while already engaged still counts).
-    pub lifeguard_requests: u64,
 }
 
 impl DegradationStats {

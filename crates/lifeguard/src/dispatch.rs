@@ -4,7 +4,7 @@ use lba_cache::MemSystem;
 use lba_record::{EventMask, EventRecord};
 
 use crate::cost::HandlerCtx;
-use crate::degradation::{DegradationPolicy, DegradationRequest};
+use crate::degradation::DegradationPolicy;
 use crate::finding::Finding;
 use crate::idempotency::IdempotencyClass;
 
@@ -52,19 +52,6 @@ pub trait Lifeguard {
     /// never degraded — the controller is not even constructed for it.
     fn degradation(&self) -> DegradationPolicy {
         DegradationPolicy::none()
-    }
-
-    /// The analysis-side degradation dial: a lifeguard that has decided —
-    /// from what its handlers have seen — that capture fidelity should
-    /// change may return a [`DegradationRequest`] here. The runners poll
-    /// this after each delivered frame and forward the request, and the
-    /// capture controller honours it only within the
-    /// bounds of the lifeguard's own [`DegradationPolicy`]. Take
-    /// semantics: a returned request is considered consumed, so
-    /// implementations should clear their pending slot. The default never
-    /// requests anything.
-    fn degradation_request(&mut self) -> Option<DegradationRequest> {
-        None
     }
 }
 

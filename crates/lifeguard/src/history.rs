@@ -94,12 +94,6 @@ impl HistoryIndex {
         }
     }
 
-    /// Number of records observed.
-    #[must_use]
-    pub fn records_seen(&self) -> u64 {
-        self.seq
-    }
-
     /// Feeds one log record into the index.
     pub fn observe(&mut self, rec: &EventRecord) {
         let seq = self.seq;

@@ -72,8 +72,8 @@ mod shadow;
 
 pub use cost::HandlerCtx;
 pub use degradation::{
-    AlwaysSettled, DegradationPolicy, DegradationRequest, DegradationStats, DegradedInterval,
-    RegionClassifier, RegionSampler, SamplingSpec, MAX_RECORDED_INTERVALS,
+    AlwaysSettled, DegradationPolicy, DegradationStats, DegradedInterval, RegionClassifier,
+    RegionSampler, SamplingSpec, MAX_RECORDED_INTERVALS,
 };
 pub use dispatch::{DispatchConfig, DispatchEngine, Lifeguard};
 pub use filter::AddrRangeFilter;

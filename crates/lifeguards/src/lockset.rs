@@ -32,7 +32,7 @@ pub struct LockSetConfig {
     /// cheap table lookups in the common case. Disabling memoisation makes
     /// every operation recompute over the set elements, modelling the
     /// software-only race detectors of the paper's era (the DBI baseline
-    /// runs in this mode; DESIGN.md §5).
+    /// runs in this mode).
     pub memoize: bool,
     /// Extra instructions per monitored access for entering/leaving the
     /// checking routine. Zero under LBA, where the dispatch hardware jumps

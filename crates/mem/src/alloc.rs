@@ -3,7 +3,7 @@
 //!
 //! The allocator's bookkeeping lives outside simulated memory (the cycle
 //! model charges a fixed library cost per call instead of simulating
-//! allocator instructions; see DESIGN.md §5). It is deliberately *tolerant*:
+//! allocator instructions). It is deliberately *tolerant*:
 //! erroneous frees return an error but leave the heap intact, so that a
 //! buggy application can keep running while a lifeguard flags the bug — the
 //! paper's deployed-code scenario.

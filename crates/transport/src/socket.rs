@@ -516,7 +516,6 @@ pub type SocketSender = FrameSender<SocketSink>;
 pub struct SocketSource {
     stream: BufReader<UnixStream>,
     endpoint: String,
-    hello: StreamHeader,
     /// Complete frames drained so far.
     frames: u64,
     finished: bool,
@@ -538,7 +537,6 @@ impl SocketSource {
         let mut source = SocketSource {
             stream: BufReader::new(stream),
             endpoint,
-            hello: StreamHeader::default(),
             frames: 0,
             finished: false,
         };
@@ -553,28 +551,15 @@ impl SocketSource {
                 }
             });
         }
-        source.hello = StreamHeader::decode(&hello);
-        if source.hello.codec_version != CODEC_VERSION {
+        let announced = StreamHeader::decode(&hello).codec_version;
+        if announced != CODEC_VERSION {
             return Err(SocketError::CodecMismatch {
                 endpoint: source.endpoint,
-                announced: source.hello.codec_version,
+                announced,
                 running: CODEC_VERSION,
             });
         }
         Ok(source)
-    }
-
-    /// The stream id the producer announced (the shard index in the
-    /// remote-workers topology).
-    #[must_use]
-    pub fn stream_id(&self) -> u32 {
-        self.hello.stream
-    }
-
-    /// The credit window the producer announced.
-    #[must_use]
-    pub fn window(&self) -> u32 {
-        self.hello.word
     }
 
     fn torn(&self) -> SocketError {
@@ -731,8 +716,6 @@ mod tests {
     fn frames_round_trip_bit_identically_over_the_wire() {
         let config = FrameConfig::default();
         let (sink, source) = socket_pair(3, 8).unwrap();
-        assert_eq!(source.stream_id(), 3);
-        assert_eq!(source.window(), 8);
 
         let mut tx = SocketSender::new(sink, config);
         let mut reference = FrameEncoder::new(config);

@@ -1,6 +1,6 @@
 //! Workload characterisation probe: prints each benchmark's instruction
 //! count, memory-reference fraction, CPI and L1D miss ratio — the knobs
-//! the generators were tuned against (DESIGN.md §2).
+//! the generators were tuned against.
 //!
 //! ```sh
 //! cargo run --release -p lba-workloads --example probe

@@ -6,7 +6,7 @@
 //! million x86 instructions, of which 51% are memory references".
 //!
 //! We cannot ship those binaries, so each generator here reproduces the
-//! *drivers* of the paper's results for its namesake (DESIGN.md §2):
+//! properties that *shape* the paper's results for its namesake:
 //! instruction mix (the memory-reference fraction), working-set size and
 //! locality (cache behaviour), allocation churn (AddrCheck event rate),
 //! input consumption (TaintCheck sources) and locking discipline (LockSet

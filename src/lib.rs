@@ -99,7 +99,7 @@
 //! | `lba-lifeguards` | the four lifeguards (the paper's three + `MemProfile`); each declares its degradation tolerance next to its idempotency story |
 //! | `lba-dbi`        | Valgrind-style inline instrumentation baseline        |
 //! | `lba-workloads`  | deterministic benchmark programs                      |
-//! | `lba-core`       | ties it together: the staged capture pipeline (`pipeline::Producer` driving each mode's `pipeline::ProducerLink`), the run-mode/monitor registry (`pipeline::RUN_MODES` / `pipeline::MONITORS`, whose named rows `ADDRCHECK`, `TAINTCHECK`, `LOCKSET` and `MEMPROFILE` are the one lifeguard handle: the instance the log-based modes run, the instance the DBI baseline runs, shardability and the Figure 2 panel), the unified `Run` builder taking a monitor row and dispatching every mode through its `RUN_MODES` row behind one validated entry point (the `run_*` functions are the per-mode implementations), one co-simulation behind `run_lba` and `run_lba_parallel` (one lifeguard core or N, one timing model), one live runner behind `run_live`, `run_live_parallel` and `run_remote` (one shard or N, queue or socket wires) whose consumer threads also run `run_replay` (one receiver per recorded stream), the one `LbaError` type for every layer's failures (a panicking live or replay thread, an undecodable frame, a recording under another codec), the experiment layer (Figure 2 runs every monitor row with a panel), the one `RunReport` every mode returns (clocks where a modeled clock runs, one `ChannelStats` per stream, salvaged tails after a salvaging replay; it derefs to its `PipelineReport` core), and the adaptive `CaptureController` closing the back-pressure feedback loop |
+//! | `lba-core`       | ties it together: the staged capture pipeline (one crate-private producer stage chain, with the adaptive capture controller inside it, driving each mode's transport link), the run-mode/monitor registry (`pipeline::RUN_MODES` / `pipeline::MONITORS`, whose named rows `ADDRCHECK`, `TAINTCHECK`, `LOCKSET` and `MEMPROFILE` are the one lifeguard handle: the instance the log-based modes run, the instance the DBI baseline runs, shardability and the Figure 2 panel), the unified `Run` builder taking a monitor row and dispatching every mode through its `RUN_MODES` row behind one validated entry point (the `run_*` functions are the per-mode implementations), one co-simulation behind `run_lba` and `run_lba_parallel` (one lifeguard core or N, one timing model), one live runner behind `run_live`, `run_live_parallel` and `run_remote` (one shard or N, queue or socket wires) whose consumer threads also run `run_replay` (one receiver per recorded stream), `LbaError` (what the builder, `run_live`, `run_live_parallel`, `run_remote` and replay return, and what every layer's error converts into: a panicking live or replay thread, an undecodable frame, a recording under another codec; `run_lba`, `run_lba_parallel`, `run_unmonitored`, `run_dbi` and the `experiment` functions return the CPU substrate's `RunError`), the experiment layer (Figure 2 runs every monitor row with a panel), the one `RunReport` every mode returns (clocks where a modeled clock runs, one `ChannelStats` per stream, salvaged tails after a salvaging replay; it derefs to its `PipelineReport` core), and `AdaptiveConfig`, the knobs of the capture controller that closes the back-pressure feedback loop |
 //! | `lba-bench`      | table rendering, Criterion benches, `figures` binary  |
 //!
 //! ## Execution models
@@ -152,16 +152,15 @@
 //!   survives a torn tail segment, replaying the checksummed prefix and
 //!   reporting exactly what was lost).
 //!
-//! Every one of these modes is the *same* producer: a
-//! [`Producer`] stage chain (capture filter →
-//! adaptive [`CaptureController`] verdicts → recording tee → channel
-//! push, with degradation ledgering and syscall-flush containment
-//! written exactly once in `lba-core/src/pipeline.rs`) driving the
-//! mode's [`ProducerLink`] into one of three [`TopologyKind`] shapes —
-//! single consumer, sharded-by-cache-line, or replay source — over
-//! either the modeled or the live transport. The [`MONITORS`]
-//! and [`RUN_MODES`] registries enumerate the
-//! lifeguards and modes once. A [`MonitorSpec`] row ([`ADDRCHECK`],
+//! Every one of these modes is the *same* producer: one stage chain
+//! (capture filter → adaptive capture controller verdicts → recording
+//! tee → channel push, with degradation ledgering and syscall-flush
+//! containment written exactly once in `lba-core/src/pipeline.rs`,
+//! private to `lba-core`) driving the mode's transport link into one of
+//! three [`TopologyKind`] shapes — single consumer, sharded-by-cache-line,
+//! or replay source — over either the modeled or the live transport. The
+//! [`MONITORS`] and [`RUN_MODES`] registries enumerate the lifeguards and
+//! modes once. A [`MonitorSpec`] row ([`ADDRCHECK`],
 //! [`TAINTCHECK`], [`LOCKSET`], [`MEMPROFILE`]) is the one lifeguard
 //! handle: it builds the instance each execution model runs (`make` for
 //! the log-based modes, `make_dbi` for the DBI baseline) and carries the
@@ -170,10 +169,12 @@
 //! cross-mode equivalence suites all name lifeguards by these rows.
 //!
 //! Every producer mode can additionally run *adaptive*: set
-//! [`LogConfig::adaptive`] and the [`CaptureController`] watches the
-//! transport's [`LoadSample`], degrading capture under back-pressure
-//! strictly within each lifeguard's declared [`DegradationPolicy`] —
-//! and snapping back to full fidelity on any finding or syscall. Every
+//! [`LogConfig::adaptive`] to an [`AdaptiveConfig`] and the capture
+//! controller watches the transport's [`LoadSample`], degrading capture
+//! under back-pressure strictly within each lifeguard's declared
+//! [`DegradationPolicy`] — and snapping back to full fidelity on any
+//! finding or syscall. Load is its one trigger: the lifeguard shapes what
+//! degradation may do through its policy, not when it happens. Every
 //! degraded span is accounted in the report's [`DegradationStats`] and
 //! marked on the wire, and every stream counts its marked frames
 //! (`ChannelStats::degraded_frames`), so a replay reports the same count
@@ -222,9 +223,8 @@ pub use lba_core::{
 // outcome that holds the one report every mode returns, and the error
 // hierarchy every layer's failures convert into.
 pub use lba_core::{LbaError, Run, RunMode, RunOutcome};
-// The per-mode implementations the builder dispatches to, the staged
-// capture pipeline they compose (a `Producer` driving a `ProducerLink`),
-// and the run-mode/monitor registry: MONITORS/RUN_MODES are the single
+// The per-mode implementations the builder dispatches to and the
+// run-mode/monitor registry: MONITORS/RUN_MODES are the single
 // source the builder, the experiment layer, the benchmarks and the
 // equivalence suites derive their enumerations from, and a named
 // MONITORS row is how every one of them names a lifeguard.
@@ -233,17 +233,17 @@ pub use lba_core::{
     run_unmonitored,
 };
 pub use lba_core::{
-    Figure2Panel, MonitorSpec, Producer, ProducerFinish, ProducerLink, RunModeSpec, TopologyKind,
-    ADDRCHECK, LOCKSET, MEMPROFILE, MONITORS, RUN_MODES, TAINTCHECK,
+    Figure2Panel, MonitorSpec, RunModeSpec, TopologyKind, ADDRCHECK, LOCKSET, MEMPROFILE, MONITORS,
+    RUN_MODES, TAINTCHECK,
 };
-// Adaptive capture under back-pressure: the controller and its knobs, the
-// per-lifeguard degradation contracts, the transport load signal, the
-// deterministic fault profile that drives the acceptance tests, and the
-// replay salvage mode for torn recordings.
+// Adaptive capture under back-pressure: the controller's knobs (the
+// controller itself is private to lba-core), the per-lifeguard
+// degradation contracts, the transport load signal, the deterministic
+// fault profile that drives the acceptance tests, and the replay salvage
+// mode for torn recordings.
 pub use lba_core::{
-    AdaptiveConfig, CaptureController, DegradationPolicy, DegradationRequest, DegradationStats,
-    DegradedInterval, FaultProfile, LoadSample, RegionClassifier, ReplayMode, SalvagedTail,
-    SamplingSpec, Transition, Verdict, MAX_RECORDED_INTERVALS,
+    AdaptiveConfig, DegradationPolicy, DegradationStats, DegradedInterval, FaultProfile,
+    LoadSample, RegionClassifier, ReplayMode, SalvagedTail, SamplingSpec, MAX_RECORDED_INTERVALS,
 };
 
 #[cfg(test)]
@@ -262,14 +262,12 @@ mod facade_smoke {
         ) -> Result<crate::RunReport, crate::RunError> = crate::run_lba;
 
         // The pipeline registry survives under its advertised names: four
-        // monitors, six run modes, and the topology/producer types.
+        // monitors, six run modes, and the topology type.
         assert_eq!(crate::MONITORS.len(), 4);
         assert_eq!(crate::RUN_MODES.len(), 6);
         let _monitor: &crate::MonitorSpec = &crate::MONITORS[0];
         let _mode: &crate::RunModeSpec = &crate::RUN_MODES[0];
         let _topo: crate::TopologyKind = crate::RUN_MODES[0].topology;
-        let _producer: fn(&dyn lba_lifeguard::Lifeguard, &crate::SystemConfig) -> crate::Producer =
-            crate::Producer::single;
 
         let config = crate::SystemConfig::default();
         let program = lba_workloads::bugs::memory_bugs();

@@ -11,9 +11,9 @@ use std::time::Duration;
 use proptest::prelude::*;
 
 use lba::{
-    parallel::run_lba_parallel, run_lba, run_live, run_live_parallel, AdaptiveConfig,
-    DegradationStats, FaultProfile, LbaError, RunError, SystemConfig, MAX_RECORDED_INTERVALS,
-    MONITORS,
+    parallel::run_lba_parallel, run_lba, run_live, run_live_parallel, run_remote, AdaptiveConfig,
+    DegradationStats, FaultProfile, LbaError, RunError, SystemConfig, ADDRCHECK,
+    MAX_RECORDED_INTERVALS, MONITORS,
 };
 use lba_lifeguard::Lifeguard;
 use lba_lifeguards::{AddrCheck, MemProfile, TaintCheck};
@@ -201,6 +201,29 @@ fn live_mode_engages_and_findings_are_identical() {
 }
 
 #[test]
+fn remote_mode_engages_and_findings_are_identical() {
+    // Socket flavour: the controller's one signal is the credit window's
+    // load sample. A one-frame window and a dragged worker keep it
+    // spent, so the controller engages across the socket hop.
+    let program = Benchmark::Gzip.build();
+    let clean = run_remote(&program, ADDRCHECK.make, 1, &SystemConfig::default()).unwrap();
+    let mut config = degraded_config();
+    config.log.buffer_bytes = 64;
+    config.log.fault = Some(FaultProfile {
+        drain_drag: 20_000,
+        ..FaultProfile::default()
+    });
+    let degraded = run_remote(&program, ADDRCHECK.make, 1, &config).unwrap();
+    assert!(
+        !degraded.degradation.is_empty(),
+        "a dragged worker behind a one-frame credit window must engage: {:?}",
+        degraded.degradation
+    );
+    assert_eq!(degraded.findings, clean.findings);
+    assert_stats_consistent(&degraded.degradation);
+}
+
+#[test]
 fn stalled_live_consumer_surfaces_as_channel_stalled() {
     // Satellite regression: the producer used to spin unboundedly when
     // the consumer stopped draining. With a stall timeout configured,
@@ -258,13 +281,14 @@ proptest! {
 
     /// (b) of the acceptance grid: for every lifeguard, as its
     /// degradation policy promises, findings under injected slow-drain
-    /// degradation are identical to the undegraded run's, in all four
-    /// run modes; and (c) the stats ledgers stay exactly covering.
+    /// degradation are identical to the undegraded run's, in every run
+    /// mode with a producer; and (c) the stats ledgers stay exactly
+    /// covering.
     #[test]
     fn degraded_findings_match_undegraded_across_the_grid(
         program_idx in 0usize..3,
         kind_idx in 0usize..3,
-        mode_idx in 0usize..4,
+        mode_idx in 0usize..5,
     ) {
         let program = match program_idx {
             0 => bugs::memory_bugs(),
@@ -296,7 +320,7 @@ proptest! {
                         .unwrap();
                 (clean.pipeline.findings, degraded.pipeline.findings, degraded.pipeline.degradation)
             }
-            _ => {
+            3 => {
                 let clean =
                     run_live_parallel(&program, || make_kind(kind_idx), 3, &clean_config).unwrap();
                 let degraded =
@@ -304,145 +328,14 @@ proptest! {
                         .unwrap();
                 (clean.pipeline.findings, degraded.pipeline.findings, degraded.pipeline.degradation)
             }
+            _ => {
+                let clean = run_remote(&program, || make_kind(kind_idx), 3, &clean_config).unwrap();
+                let degraded =
+                    run_remote(&program, || make_kind(kind_idx), 3, &degraded_config).unwrap();
+                (clean.pipeline.findings, degraded.pipeline.findings, degraded.pipeline.degradation)
+            }
         };
         prop_assert_eq!(degraded_findings, clean_findings);
         assert_stats_consistent(&stats);
-    }
-}
-
-/// An AddrCheck that, after a fixed number of delivered events, asks the
-/// capture controller to engage degraded capture through the
-/// analysis-side dial (`Lifeguard::degradation_request`) — the
-/// lifeguard-driven counterpart of the load-driven engagements the rest
-/// of this suite exercises.
-struct DialAddrCheck {
-    inner: AddrCheck,
-    seen: u64,
-    trigger_at: u64,
-    pending: Option<lba::DegradationRequest>,
-}
-
-impl DialAddrCheck {
-    fn new(trigger_at: u64) -> Self {
-        DialAddrCheck {
-            inner: AddrCheck::new(),
-            seen: 0,
-            trigger_at,
-            pending: None,
-        }
-    }
-}
-
-impl Lifeguard for DialAddrCheck {
-    fn name(&self) -> &'static str {
-        self.inner.name()
-    }
-
-    fn subscriptions(&self) -> lba_record::EventMask {
-        self.inner.subscriptions()
-    }
-
-    fn on_event(
-        &mut self,
-        record: &lba_record::EventRecord,
-        ctx: &mut lba_lifeguard::HandlerCtx<'_>,
-    ) {
-        self.seen += 1;
-        if self.seen == self.trigger_at {
-            self.pending = Some(lba::DegradationRequest::Engage);
-        }
-        self.inner.on_event(record, ctx);
-    }
-
-    fn on_finish(&mut self, ctx: &mut lba_lifeguard::HandlerCtx<'_>) {
-        self.inner.on_finish(ctx);
-    }
-
-    fn idempotency(&self) -> lba::IdempotencyClass {
-        self.inner.idempotency()
-    }
-
-    fn degradation(&self) -> lba::DegradationPolicy {
-        self.inner.degradation()
-    }
-
-    fn degradation_request(&mut self) -> Option<lba::DegradationRequest> {
-        self.pending.take()
-    }
-}
-
-#[test]
-fn lifeguard_dial_request_engages_and_is_ledgered() {
-    // No injected fault, no load: the only path to an engagement is the
-    // lifeguard's own dial request surfacing from the dispatch engine
-    // back to the capture controller.
-    let program = Benchmark::Gzip.build();
-    let mut config = SystemConfig::default();
-    config.log.adaptive = Some(AdaptiveConfig::default());
-
-    let mut clean = AddrCheck::new();
-    let baseline = run_lba(&program, &mut clean, &SystemConfig::default()).unwrap();
-
-    let mut dialed = DialAddrCheck::new(1_000);
-    let report = run_lba(&program, &mut dialed, &config).unwrap();
-    let stats = &report.pipeline.degradation;
-    assert_eq!(
-        stats.lifeguard_requests, 1,
-        "exactly one dial request was made (take semantics): {stats:?}"
-    );
-    assert!(
-        stats.engagements >= 1,
-        "the dial request must engage even at zero load: {stats:?}"
-    );
-    assert_stats_consistent(stats);
-    // AddrCheck's policy promises degraded findings stay sound.
-    assert_eq!(
-        report.pipeline.findings, baseline.pipeline.findings,
-        "a dial-driven degradation span must not change findings"
-    );
-
-    // The same run without the dial never engages: the ledger entries
-    // above are attributable to the lifeguard's request alone.
-    let mut undialed = AddrCheck::new();
-    let quiet = run_lba(&program, &mut undialed, &config).unwrap();
-    assert_eq!(quiet.pipeline.degradation.lifeguard_requests, 0);
-    assert!(quiet.pipeline.degradation.is_empty());
-}
-
-#[test]
-fn live_dial_requests_engage_and_are_ledgered() {
-    // The live flavour of the dial: each consumer polls its lifeguard
-    // after every frame and publishes the request for the producer
-    // thread's controller. Sharded, every shard requests once, and a
-    // request the producer has not taken yet can be overwritten.
-    let program = Benchmark::Gzip.build();
-    let mut config = SystemConfig::default();
-    config.log.adaptive = Some(AdaptiveConfig::default());
-    let clean = SystemConfig::default();
-    let dialed = || -> Box<dyn Lifeguard> { Box::new(DialAddrCheck::new(1_000)) };
-    let cases = [
-        (
-            run_live(&program, dialed().as_mut(), &config).unwrap(),
-            run_live(&program, &mut AddrCheck::new(), &clean).unwrap(),
-            1..=1,
-        ),
-        (
-            run_live_parallel(&program, dialed, 2, &config).unwrap(),
-            run_live_parallel(&program, || Box::new(AddrCheck::new()), 2, &clean).unwrap(),
-            1..=2,
-        ),
-    ];
-    for (report, baseline, requests) in cases {
-        let stats = &report.pipeline.degradation;
-        assert!(
-            requests.contains(&stats.lifeguard_requests),
-            "one dial request per shard (take semantics): {stats:?}"
-        );
-        assert!(stats.engagements >= 1, "the request must engage: {stats:?}");
-        assert_stats_consistent(stats);
-        assert_eq!(
-            report.pipeline.findings, baseline.pipeline.findings,
-            "a dial-driven degradation span must not change findings"
-        );
     }
 }
