@@ -341,7 +341,7 @@ fn main() {
     };
     let config = SystemConfig::default();
     let failed = std::cell::Cell::new(false);
-    let run = |what: &str, body: &mut dyn FnMut() -> Result<String, lba::RunError>| match body() {
+    let run = |what: &str, body: &mut dyn FnMut() -> Result<String, lba::LbaError>| match body() {
         Ok(text) => println!("{text}"),
         Err(e) => {
             failed.set(true);

@@ -14,6 +14,7 @@ use lba_record::{FrameCountWord, StreamConfig};
 use lba_transport::FaultProfile;
 
 use crate::controller::AdaptiveConfig;
+use crate::error::LbaError;
 
 /// Where (and under what bounds) a run records its sealed wire frames as
 /// a durable `lbas/1` flight-recorder stream — set [`LogConfig::record_to`]
@@ -28,33 +29,25 @@ pub struct RecordConfig {
     /// Recording directory, created if missing. Segments are named
     /// `shard-SS.NNNNNN.lbas` inside it.
     pub dir: PathBuf,
-    /// Rotate to a new segment file past this many bytes.
-    pub segment_bytes: u64,
-    /// Delete the oldest closed segments once a stream's total on-disk
-    /// bytes exceed this cap (`u64::MAX` retains everything; replay needs
-    /// the full stream).
-    pub retain_bytes: u64,
+    /// Each stream's segment size and retention cap (`retain_bytes` of
+    /// `u64::MAX` retains everything; replay needs the full stream).
+    pub stream: StreamConfig,
 }
 
 impl RecordConfig {
     /// Records into `dir` with the default segment size and unbounded
     /// retention (everything kept, so the run stays replayable).
     pub fn new(dir: impl Into<PathBuf>) -> Self {
-        let stream = StreamConfig::default();
         RecordConfig {
             dir: dir.into(),
-            segment_bytes: stream.segment_bytes,
-            retain_bytes: stream.retain_bytes,
+            stream: StreamConfig::default(),
         }
     }
 
-    /// The stream-layer knobs this configuration implies.
+    /// Each stream's segment size and retention cap.
     #[must_use]
     pub fn stream_config(&self) -> StreamConfig {
-        StreamConfig {
-            segment_bytes: self.segment_bytes,
-            retain_bytes: self.retain_bytes,
-        }
+        self.stream
     }
 }
 
@@ -131,11 +124,10 @@ pub struct LogConfig {
     pub fault: Option<FaultProfile>,
     /// How long the live producer may wait on a full queue or an
     /// exhausted credit window before it latches a stall and the run
-    /// fails with
-    /// [`RunError::ChannelStalled`](lba_cpu::RunError::ChannelStalled)
-    /// instead of waiting forever on a wedged consumer. `None` (the
-    /// default) preserves the original unbounded wait. Only the live
-    /// modes consult it; the modeled transport has no wall clock.
+    /// fails with [`LbaError::ChannelStalled`] instead of waiting forever
+    /// on a wedged consumer. `None` (the default) preserves the original
+    /// unbounded wait. Only the live modes consult it; the modeled
+    /// transport has no wall clock.
     pub channel_stall_timeout: Option<Duration>,
 }
 
@@ -229,17 +221,16 @@ impl LogConfig {
     ///
     /// # Errors
     ///
-    /// [`RunError::ZeroRecordsPerFrame`](lba_cpu::RunError::ZeroRecordsPerFrame)
-    /// when `records_per_frame` is zero, and
-    /// [`RunError::RecordsPerFrameTooLarge`](lba_cpu::RunError::RecordsPerFrameTooLarge)
-    /// when it exceeds [`FrameCountWord::MAX_RECORDS`].
-    pub fn validate_framing(&self) -> Result<(), lba_cpu::RunError> {
+    /// [`LbaError::ZeroRecordsPerFrame`] when `records_per_frame` is zero,
+    /// and [`LbaError::RecordsPerFrameTooLarge`] when it exceeds
+    /// [`FrameCountWord::MAX_RECORDS`].
+    pub fn validate_framing(&self) -> Result<(), LbaError> {
         if self.records_per_frame == 0 {
-            return Err(lba_cpu::RunError::ZeroRecordsPerFrame);
+            return Err(LbaError::ZeroRecordsPerFrame);
         }
         let max = FrameCountWord::MAX_RECORDS as usize;
         if self.records_per_frame > max {
-            return Err(lba_cpu::RunError::RecordsPerFrameTooLarge {
+            return Err(LbaError::RecordsPerFrameTooLarge {
                 records_per_frame: self.records_per_frame,
                 max,
             });

@@ -246,10 +246,6 @@ impl CaptureController {
     fn engage(&mut self) -> Transition {
         self.engaged = true;
         self.stats.engagements += 1;
-        let widen = self.policy.widen_window;
-        if widen {
-            self.stats.window_widenings += 1;
-        }
         if let Some(sampler) = &mut self.sampler {
             // Each interval starts at full capture: regions must re-prove
             // themselves settled before demotion.
@@ -260,11 +256,10 @@ impl CaptureController {
             to_record: self.records,
             sampled_out: 0,
             kind_dropped: 0,
-            widened: widen,
-            sampled: self.sampler.is_some(),
-            dropped_kinds: !self.policy.droppable.is_empty(),
         });
-        Transition::Engage { widen }
+        Transition::Engage {
+            widen: self.policy.widen_window,
+        }
     }
 
     fn disengage(&mut self, snapback: bool) -> Transition {
@@ -273,20 +268,20 @@ impl CaptureController {
     }
 
     /// Ends the open interval, recording it (up to the cap). Returns
-    /// whether the interval had widened the window.
+    /// whether the interval widened the window, as every interval under
+    /// a widening policy does.
     fn close_interval(&mut self, snapback: bool) -> bool {
         self.engaged = false;
         if snapback {
             self.stats.snapbacks += 1;
         }
-        let Some(mut interval) = self.open.take() else {
-            return self.policy.widen_window;
-        };
-        interval.to_record = self.records;
-        if self.stats.intervals.len() < MAX_RECORDED_INTERVALS {
-            self.stats.intervals.push(interval);
+        if let Some(mut interval) = self.open.take() {
+            interval.to_record = self.records;
+            if self.stats.intervals.len() < MAX_RECORDED_INTERVALS {
+                self.stats.intervals.push(interval);
+            }
         }
-        interval.widened
+        self.policy.widen_window
     }
 }
 
@@ -357,7 +352,6 @@ mod tests {
         let stats = ctl.finish();
         assert_eq!(stats.engagements, 1);
         assert_eq!(stats.snapbacks, 0);
-        assert_eq!(stats.window_widenings, 1);
         assert_eq!(stats.intervals.len(), 1);
     }
 

@@ -28,15 +28,16 @@
 
 use lba_cache::{MemSystem, MemSystemConfig};
 use lba_compress::FRAME_LINE_BYTES;
-use lba_cpu::{Machine, RunError, StepOutcome};
+use lba_cpu::{Machine, StepOutcome};
 use lba_isa::Program;
 use lba_lifeguard::{DispatchEngine, Finding, Lifeguard};
 use lba_record::EventRecord;
 use lba_transport::{shard_of, ChannelStats, LoadSample, ModeledFrameChannel, PushOutcome};
 
 use crate::config::SystemConfig;
+use crate::error::LbaError;
 use crate::pipeline::{Producer, ProducerLink};
-use crate::report::{LogStats, PipelineReport, RunReport, StallBreakdown};
+use crate::report::{merge_shard_findings, LogStats, PipelineReport, RunReport, StallBreakdown};
 use crate::runner::RunMode;
 
 /// Bits per transferred cache line of log data.
@@ -282,9 +283,11 @@ impl ProducerLink for Cosim<'_> {
 ///
 /// # Errors
 ///
-/// Returns [`RunError::LogBufferTooSmall`] when `config.log.buffer_bytes`
-/// cannot hold even one cache-line frame, and propagates any [`RunError`]
-/// from the machine.
+/// [`LbaError::LogBufferTooSmall`] when `config.log.buffer_bytes` cannot
+/// hold even one cache-line frame, the framing errors of
+/// [`LogConfig::validate_framing`](crate::LogConfig::validate_framing),
+/// [`LbaError::Stream`] when a recording cannot be written, and
+/// [`LbaError::Run`] for a machine fault.
 ///
 /// # Panics
 ///
@@ -294,7 +297,7 @@ pub fn run_lba(
     program: &Program,
     lifeguard: &mut dyn Lifeguard,
     config: &SystemConfig,
-) -> Result<RunReport, RunError> {
+) -> Result<RunReport, LbaError> {
     // The shared producer stage chain: trace accounting, the capture-pass
     // predicate (address-range filter composed with the per-lifeguard
     // idempotency window, with a widen reserve under adaptive capture),
@@ -306,10 +309,8 @@ pub fn run_lba(
 /// The co-simulation every modeled mode is (see the [module docs](self)):
 /// `lifeguards[i]` consumes shard `i` of the log on lifeguard core `1 + i`,
 /// and `producer` decides what ships; the report names `mode`. Its
-/// findings are every shard's verbatim, in shard order: [`run_lba`]
-/// reports its one lifeguard's as they are, and
-/// [`run_lba_parallel`](crate::parallel::run_lba_parallel) merges them at
-/// every width, as the live runner's entry points decide.
+/// findings are the shards' merged in shard order, as every mode merges
+/// them ([`RunReport::pipeline`]).
 ///
 /// # Errors
 ///
@@ -320,10 +321,10 @@ pub(crate) fn run_modeled(
     mut producer: Producer,
     mode: RunMode,
     config: &SystemConfig,
-) -> Result<RunReport, RunError> {
+) -> Result<RunReport, LbaError> {
     config.log.validate_framing()?;
     if config.log.buffer_bytes < FRAME_LINE_BYTES as u64 {
-        return Err(RunError::LogBufferTooSmall {
+        return Err(LbaError::LogBufferTooSmall {
             buffer_bytes: config.log.buffer_bytes,
             frame_bytes: FRAME_LINE_BYTES as u64,
         });
@@ -403,7 +404,7 @@ pub(crate) fn run_modeled(
     let shard_log: Vec<ChannelStats> = sim.shards.iter().map(|s| s.channel.stats()).collect();
     let shard_cycles: Vec<u64> = sim.shards.iter().map(|s| s.t_lg).collect();
     let lifeguard_cycles = shard_cycles.iter().copied().max().unwrap_or(0);
-    let findings = sim.shards.into_iter().flat_map(|s| s.findings).collect();
+    let findings = merge_shard_findings(sim.shards.into_iter().map(|s| s.findings).collect());
     Ok(RunReport {
         program: program.name().to_string(),
         mode,
@@ -561,13 +562,15 @@ mod tests {
         config.log.buffer_bytes = 1;
         let mut lg = AddrCheck::new();
         let err = run_lba(&program, &mut lg, &config).unwrap_err();
-        assert_eq!(
-            err,
-            RunError::LogBufferTooSmall {
-                buffer_bytes: 1,
-                frame_bytes: 64
-            },
-            "expected a log-buffer config error"
+        assert!(
+            matches!(
+                err,
+                LbaError::LogBufferTooSmall {
+                    buffer_bytes: 1,
+                    frame_bytes: 64
+                }
+            ),
+            "expected a log-buffer config error, got: {err}"
         );
         assert!(
             err.to_string().contains("cannot hold"),
@@ -577,18 +580,19 @@ mod tests {
 
     #[test]
     fn zero_records_per_frame_is_a_config_error_not_a_panic() {
+        // One error from every entry point: the modeled and live runners
+        // and the builder.
         let program = Benchmark::Bc.build();
         let mut config = SystemConfig::default();
         config.log.records_per_frame = 0;
         let mut lg = AddrCheck::new();
-        let err = run_lba(&program, &mut lg, &config).unwrap_err();
-        assert_eq!(err, RunError::ZeroRecordsPerFrame);
+        let modeled = run_lba(&program, &mut lg, &config).unwrap_err();
         let mut lg = AddrCheck::new();
-        let err = crate::run_live(&program, &mut lg, &config).unwrap_err();
-        assert!(
-            matches!(err, crate::LbaError::Run(RunError::ZeroRecordsPerFrame)),
-            "got: {err}"
-        );
+        let live = crate::run_live(&program, &mut lg, &config).unwrap_err();
+        let built = crate::Run::new(&program).config(&config).run().unwrap_err();
+        for err in [modeled, live, built] {
+            assert!(matches!(err, LbaError::ZeroRecordsPerFrame), "got: {err}");
+        }
     }
 
     #[test]

@@ -1,12 +1,15 @@
 //! One error type for every way a monitored run or a replay can fail.
 //!
-//! The machine and live channels report [`RunError`], the stream layer
-//! [`StreamError`], and the socket transport [`SocketError`]. [`LbaError`]
-//! wraps them, with `From` conversions for each, beside what only a run
-//! can hit: a panicking thread, an undecodable frame (live, remote or
-//! replayed alike), a recording with no streams or another codec. So the
-//! unified [`Run`](crate::Run) entry point, and anything driving several
-//! modes like the bench harness, propagates every failure with `?`.
+//! Every entry point (the [`Run`](crate::Run) builder, each `run_*`
+//! function, [`LogConfig::validate_framing`](crate::LogConfig::validate_framing)
+//! and the experiment layer) returns [`LbaError`]. The machine reports
+//! [`RunError`], the stream layer [`StreamError`], and the socket
+//! transport [`SocketError`]; [`LbaError`] wraps each with a `From`
+//! conversion, beside what only a run can hit: a log configuration that
+//! cannot ship, a stalled channel, a panicking thread, an undecodable
+//! frame (live, remote or replayed alike), a recording with no streams or
+//! another codec. So anything driving several modes, like the bench
+//! harness, propagates every failure with `?`.
 
 use std::convert::Infallible;
 use std::fmt;
@@ -17,6 +20,8 @@ use lba_record::StreamError;
 use lba_transport::live::RecvError;
 use lba_transport::{SinkError, SocketError};
 
+use crate::runner::RunMode;
+
 /// Any failure of a monitored run, replay, or remote deployment.
 ///
 /// A variant wrapping a layer's error `Display`s its descriptive message
@@ -24,9 +29,33 @@ use lba_transport::{SinkError, SocketError};
 /// only one type to match on.
 #[derive(Debug)]
 pub enum LbaError {
-    /// The machine, its configuration, or an in-process live channel
-    /// failed (bad PC, deadlock, stalled consumer, recording I/O, ...).
+    /// The machine faulted (bad PC, bad jump target, deadlock, call
+    /// depth, instruction limit).
     Run(RunError),
+    /// The configured log buffer is smaller than a single transport frame,
+    /// so not even one record could ever be shipped to the lifeguard.
+    LogBufferTooSmall {
+        /// The configured buffer size in bytes.
+        buffer_bytes: u64,
+        /// The minimum frame size in bytes (one cache line).
+        frame_bytes: u64,
+    },
+    /// `records_per_frame` was configured to zero: no frame could ever
+    /// seal, so no record would reach the lifeguard.
+    ZeroRecordsPerFrame,
+    /// `records_per_frame` was configured above what a frame's record
+    /// count can express, so no frame of that size could ever seal.
+    RecordsPerFrameTooLarge {
+        /// The configured `records_per_frame`.
+        records_per_frame: usize,
+        /// The most records one frame can carry.
+        max: usize,
+    },
+    /// A live consumer stopped draining for longer than the configured
+    /// stall timeout (`LogConfig::channel_stall_timeout`): the producer
+    /// latched the stall and abandoned the run instead of waiting on the
+    /// full queue or the spent credit window forever.
+    ChannelStalled,
     /// The durable stream layer failed: writing a flight recording, or
     /// reading a damaged, truncated or aged-out one back.
     Stream(StreamError),
@@ -57,6 +86,12 @@ pub enum LbaError {
     },
     /// The socket transport failed (torn wire, protocol violation).
     Socket(SocketError),
+    /// A frame sink or source failed with an error of neither the stream
+    /// nor the socket layer, carried as its message.
+    Sink {
+        /// What the sink or source reported.
+        detail: String,
+    },
     /// A thread of a live run or a replay panicked (a lifeguard bug on a
     /// consumer, or a bug on the producer); the other threads still ended.
     Panicked {
@@ -86,6 +121,27 @@ impl fmt::Display for LbaError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             LbaError::Run(e) => write!(f, "{e}"),
+            LbaError::LogBufferTooSmall {
+                buffer_bytes,
+                frame_bytes,
+            } => write!(
+                f,
+                "log buffer of {buffer_bytes} B cannot hold a single {frame_bytes} B log frame"
+            ),
+            LbaError::ZeroRecordsPerFrame => {
+                write!(f, "log records_per_frame must be non-zero")
+            }
+            LbaError::RecordsPerFrameTooLarge {
+                records_per_frame,
+                max,
+            } => write!(
+                f,
+                "log records_per_frame of {records_per_frame} exceeds the {max} records one frame can carry"
+            ),
+            LbaError::ChannelStalled => write!(
+                f,
+                "log channel stalled: the consumer stopped draining past the configured timeout"
+            ),
             LbaError::Stream(e) => write!(f, "{e}"),
             LbaError::NoStreams { dir } => write!(f, "no recorded streams in {dir}"),
             LbaError::CodecMismatch {
@@ -107,6 +163,7 @@ impl fmt::Display for LbaError {
                  (were the recording's compression settings used?): {source}"
             ),
             LbaError::Socket(e) => write!(f, "{e}"),
+            LbaError::Sink { detail } => write!(f, "frame sink failed: {detail}"),
             LbaError::Panicked { thread, message } => write!(f, "{thread} panicked: {message}"),
             LbaError::Unsupported { mode, monitor } => write!(
                 f,
@@ -127,8 +184,13 @@ impl std::error::Error for LbaError {
             LbaError::Stream(e) => Some(e),
             LbaError::Decode { source, .. } => Some(source),
             LbaError::Socket(e) => Some(e),
-            LbaError::NoStreams { .. }
+            LbaError::LogBufferTooSmall { .. }
+            | LbaError::ZeroRecordsPerFrame
+            | LbaError::RecordsPerFrameTooLarge { .. }
+            | LbaError::ChannelStalled
+            | LbaError::NoStreams { .. }
             | LbaError::CodecMismatch { .. }
+            | LbaError::Sink { .. }
             | LbaError::Panicked { .. }
             | LbaError::Unsupported { .. }
             | LbaError::InvalidRequest { .. } => None,
@@ -185,19 +247,29 @@ impl LbaError {
     /// Folds a type-erased [`SinkError`] from the `FrameSink` /
     /// `FrameSource` seam into the hierarchy: socket and stream errors
     /// keep their own variants (and their descriptive messages); anything
-    /// else lands as a recording-layer [`RunError`].
+    /// else lands as [`LbaError::Sink`], carrying its message.
     #[must_use]
-    fn from_sink(e: SinkError) -> Self {
+    pub(crate) fn from_sink(e: SinkError) -> Self {
         let e = match e.downcast::<SocketError>() {
             Ok(sock) => return LbaError::Socket(*sock),
             Err(e) => e,
         };
         match e.downcast::<StreamError>() {
             Ok(stream) => LbaError::Stream(*stream),
-            Err(other) => LbaError::Run(RunError::Recording {
+            Err(other) => LbaError::Sink {
                 detail: other.to_string(),
-            }),
+            },
         }
+    }
+
+    /// Refuses a sharded `mode` asked to run zero shards wide.
+    pub(crate) fn check_shards(mode: RunMode, shards: usize) -> Result<(), Self> {
+        if shards > 0 {
+            return Ok(());
+        }
+        Err(LbaError::InvalidRequest {
+            detail: format!("mode `{mode}` needs at least one shard"),
+        })
     }
 }
 
@@ -207,8 +279,8 @@ mod tests {
 
     #[test]
     fn every_layer_converts_and_displays_unchanged() {
-        let run: LbaError = RunError::ChannelStalled.into();
-        assert_eq!(run.to_string(), RunError::ChannelStalled.to_string());
+        let run: LbaError = RunError::Deadlock.into();
+        assert_eq!(run.to_string(), RunError::Deadlock.to_string());
 
         let stream_err = StreamError::NoSuchStream {
             dir: "/tmp/none".into(),
@@ -246,7 +318,7 @@ mod tests {
 
         let sink: SinkError = Box::new(std::io::Error::other("disk gone"));
         let err = LbaError::from_sink(sink);
-        assert!(matches!(err, LbaError::Run(RunError::Recording { .. })));
+        assert!(matches!(err, LbaError::Sink { .. }));
         assert!(err.to_string().contains("disk gone"));
     }
 }

@@ -12,11 +12,11 @@ use lba_workloads::Benchmark;
 
 use crate::config::SystemConfig;
 use crate::cosim::run_lba;
+use crate::error::LbaError;
 use crate::parallel::run_lba_parallel;
 use crate::pipeline::{MonitorSpec, ADDRCHECK, LOCKSET, TAINTCHECK};
 use crate::report::RunReport;
 use crate::run::{run_dbi, run_unmonitored};
-use crate::RunError;
 
 /// One bar pair of Figure 2: a benchmark's Valgrind-style and LBA
 /// slowdowns, normalised to unmonitored execution.
@@ -47,12 +47,12 @@ impl Fig2Row {
 ///
 /// # Errors
 ///
-/// Propagates any [`RunError`] from the runs.
+/// Propagates any [`LbaError`] from the runs.
 pub fn figure2(
     monitor: &MonitorSpec,
     config: &SystemConfig,
     scale: u32,
-) -> Result<Vec<Fig2Row>, RunError> {
+) -> Result<Vec<Fig2Row>, LbaError> {
     let mut rows = Vec::new();
     let benchmarks = monitor.figure2.map_or(&[][..], |panel| panel.benchmarks);
     for &benchmark in benchmarks {
@@ -91,8 +91,8 @@ pub struct WorkloadRow {
 ///
 /// # Errors
 ///
-/// Propagates any [`RunError`] from the runs.
-pub fn workload_table(config: &SystemConfig, scale: u32) -> Result<Vec<WorkloadRow>, RunError> {
+/// Propagates any [`LbaError`] from the runs.
+pub fn workload_table(config: &SystemConfig, scale: u32) -> Result<Vec<WorkloadRow>, LbaError> {
     let mut rows = Vec::new();
     for benchmark in Benchmark::ALL {
         let program = benchmark.build_scaled(scale);
@@ -125,11 +125,11 @@ pub struct CompressionRow {
 ///
 /// # Errors
 ///
-/// Propagates any [`RunError`] from the runs.
+/// Propagates any [`LbaError`] from the runs.
 pub fn compression_table(
     config: &SystemConfig,
     scale: u32,
-) -> Result<Vec<CompressionRow>, RunError> {
+) -> Result<Vec<CompressionRow>, LbaError> {
     let mut rows = Vec::new();
     for benchmark in Benchmark::ALL {
         let program = benchmark.build_scaled(scale);
@@ -205,11 +205,11 @@ pub struct DecouplingRow {
 ///
 /// # Errors
 ///
-/// Propagates any [`RunError`] from the runs.
+/// Propagates any [`LbaError`] from the runs.
 pub fn ablation_decoupling(
     config: &SystemConfig,
     scale: u32,
-) -> Result<Vec<DecouplingRow>, RunError> {
+) -> Result<Vec<DecouplingRow>, LbaError> {
     let mut rows = Vec::new();
     for benchmark in [Benchmark::Gzip, Benchmark::Mcf] {
         let program = benchmark.build_scaled(scale);
@@ -244,8 +244,8 @@ pub struct BufferRow {
 ///
 /// # Errors
 ///
-/// Propagates any [`RunError`] from the runs.
-pub fn ablation_buffer(config: &SystemConfig, scale: u32) -> Result<Vec<BufferRow>, RunError> {
+/// Propagates any [`LbaError`] from the runs.
+pub fn ablation_buffer(config: &SystemConfig, scale: u32) -> Result<Vec<BufferRow>, LbaError> {
     let program = Benchmark::Gzip.build_scaled(scale);
     let base = run_unmonitored(&program, config)?;
     let mut rows = Vec::new();
@@ -280,11 +280,11 @@ pub struct CompressionAblationRow {
 ///
 /// # Errors
 ///
-/// Propagates any [`RunError`] from the runs.
+/// Propagates any [`LbaError`] from the runs.
 pub fn ablation_compression(
     config: &SystemConfig,
     scale: u32,
-) -> Result<Vec<CompressionAblationRow>, RunError> {
+) -> Result<Vec<CompressionAblationRow>, LbaError> {
     let mut rows = Vec::new();
     for benchmark in [Benchmark::Gzip, Benchmark::Mcf] {
         let program = benchmark.build_scaled(scale);
@@ -323,8 +323,8 @@ pub struct FilterRow {
 ///
 /// # Errors
 ///
-/// Propagates any [`RunError`] from the runs.
-pub fn ext_filtering(config: &SystemConfig, scale: u32) -> Result<Vec<FilterRow>, RunError> {
+/// Propagates any [`LbaError`] from the runs.
+pub fn ext_filtering(config: &SystemConfig, scale: u32) -> Result<Vec<FilterRow>, LbaError> {
     let mut rows = Vec::new();
     for benchmark in [Benchmark::Bc, Benchmark::Gzip, Benchmark::Tidy] {
         let program = benchmark.build_scaled(scale);
@@ -364,8 +364,8 @@ pub struct ParallelRow {
 ///
 /// # Errors
 ///
-/// Propagates any [`RunError`] from the runs.
-pub fn ext_parallel(config: &SystemConfig, scale: u32) -> Result<Vec<ParallelRow>, RunError> {
+/// Propagates any [`LbaError`] from the runs.
+pub fn ext_parallel(config: &SystemConfig, scale: u32) -> Result<Vec<ParallelRow>, LbaError> {
     let program = Benchmark::Zchaff.build_scaled(scale);
     let base = run_unmonitored(&program, config)?;
     let mut rows = Vec::new();

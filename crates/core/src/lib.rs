@@ -26,6 +26,12 @@
 //! real, with one consumer thread per shard decoding its own compressed
 //! frame stream.
 //!
+//! Every entry point keeps one contract: the [`Run`] builder and every
+//! `run_*` function return a [`RunReport`] whose findings are its
+//! consumers' merged on `(kind, pc, addr, tid)`, or an [`LbaError`]. So a
+//! replay of a recording reports the recording run's findings at any
+//! width, and code driving several modes handles one error type.
+//!
 //! Every mode captures through one producer stage chain, private to this
 //! crate, whose adaptive capture controller degrades capture under
 //! back-pressure. The controller has one trigger, the transport's load,
@@ -51,7 +57,7 @@
 //! assert!(!monitored.findings.is_empty(), "the planted bugs are caught");
 //! let slowdown = monitored.slowdown_vs(&baseline);
 //! assert!(slowdown > 1.0);
-//! # Ok::<(), lba::RunError>(())
+//! # Ok::<(), lba::LbaError>(())
 //! ```
 
 #![deny(missing_docs)]
@@ -101,5 +107,6 @@ pub use lba_lifeguard::{
     IdempotencyClass, RegionClassifier, SamplingSpec, WindowSpec, MAX_RECORDED_INTERVALS,
 };
 
-// The execution error type comes from the CPU substrate.
+// The machine's faults, which `LbaError::Run` wraps, come from the CPU
+// substrate.
 pub use lba_cpu::RunError;

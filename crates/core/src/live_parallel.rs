@@ -8,8 +8,8 @@
 //! lifeguard core and a lifeguard "split across multiple cores" are one
 //! design at two widths, so one runner serves every live mode:
 //! [`run_live`] is its one-shard case (with the co-simulation's capture
-//! pass and syscall containment, and the lifeguard's findings verbatim),
-//! [`run_live_parallel`] shards the log N ways, and
+//! pass and syscall containment), [`run_live_parallel`] shards the log N
+//! ways, and
 //! [`run_remote`](crate::run_remote) puts a Unix-domain socket under each
 //! shard instead of an in-process queue.
 //!
@@ -17,7 +17,8 @@
 //! line and broadcasts everything else ([`shard_of`]). Every shard owns a
 //! full compressor/decompressor pair, so the value predictors never thread
 //! state across shards and the consumers decode concurrently; findings
-//! merge, deduplicated. Routing, per-shard record order and frame
+//! merge in shard order, as every mode's do
+//! ([`RunReport::pipeline`]). Routing, per-shard record order and frame
 //! boundaries are the modeled mode's — both drive the one sharded
 //! producer — so each shard's wire stream matches `run_lba_parallel`'s
 //! byte for byte.
@@ -50,7 +51,7 @@ use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::thread;
 
-use lba_cpu::{Machine, RunError};
+use lba_cpu::Machine;
 use lba_isa::Program;
 use lba_lifeguard::{DispatchEngine, Finding, Lifeguard};
 use lba_record::EventRecord;
@@ -59,9 +60,8 @@ use lba_transport::{shard_of, FrameSource, LoadSample, SocketError};
 
 use crate::config::SystemConfig;
 use crate::error::LbaError;
-use crate::parallel::merge_shard_findings;
 use crate::pipeline::{Producer, ProducerLink};
-use crate::report::{LogStats, PipelineReport, RunReport};
+use crate::report::{merge_shard_findings, LogStats, PipelineReport, RunReport};
 use crate::runner::RunMode;
 
 /// The live modes' [`ProducerLink`]: one frame sender per shard over
@@ -130,9 +130,12 @@ impl<W: FrameWire> ProducerLink for ShardLink<'_, W> {
 ///
 /// # Errors
 ///
-/// [`LbaError::Run`] for machine/config failures and a stalled consumer
-/// ([`RunError::ChannelStalled`]); [`LbaError::Panicked`] when the
-/// lifeguard or the producer panics.
+/// The framing errors of
+/// [`LogConfig::validate_framing`](crate::LogConfig::validate_framing),
+/// [`LbaError::Stream`] when a recording cannot be written,
+/// [`LbaError::Run`] for a machine fault, [`LbaError::ChannelStalled`]
+/// for a stalled consumer, and [`LbaError::Panicked`] when the lifeguard
+/// or the producer panics.
 pub fn run_live(
     program: &Program,
     lifeguard: &mut dyn Lifeguard,
@@ -173,24 +176,19 @@ pub fn run_live(
 ///
 /// # Errors
 ///
-/// [`LbaError::Run`] for machine/config failures and a stalled shard
-/// ([`RunError::ChannelStalled`]); [`LbaError::Panicked`] when a
-/// lifeguard or the producer panics.
-///
-/// # Panics
-///
-/// Panics if `shards` is zero.
+/// [`LbaError::InvalidRequest`] when `shards` is zero, and otherwise as
+/// [`run_live`], a stalled shard included.
 pub fn run_live_parallel(
     program: &Program,
     make_lifeguard: impl Fn() -> Box<dyn Lifeguard> + Sync,
     shards: usize,
     config: &SystemConfig,
 ) -> Result<RunReport, LbaError> {
-    assert!(shards > 0, "need at least one shard");
+    let mode = RunMode::LiveParallel;
+    LbaError::check_shards(mode, shards)?;
     config.log.validate_framing()?;
     let depth = config.log.live_channel_frames();
     let wires = shard_frame_channels(shards, depth, config.log.frame_config());
-    let mode = RunMode::LiveParallel;
     run_sharded_from(program, mode, &make_lifeguard, wires, config)
 }
 
@@ -198,7 +196,7 @@ pub fn run_live_parallel(
 /// in-process queues, `run_remote` over sockets): shard 0's lifeguard is
 /// built here, on the calling thread that consumes it, and configures the
 /// [`Producer::sharded`] capture pass; handing the runner the factory too
-/// gives shards 1..N their lifeguards and merges the shards' findings.
+/// gives shards 1..N their lifeguards.
 pub(crate) fn run_sharded_from<W, S>(
     program: &Program,
     mode: RunMode,
@@ -227,8 +225,8 @@ where
 /// The live runner every live mode is (see the [module docs](self)):
 /// `producer` fans the log out over each shard's sender on a spawned
 /// thread while [`consume_shards`] drains them, and the report names
-/// `mode`. A `make_lifeguard` of `None` is `run_live`: one shard, its
-/// findings reported verbatim.
+/// `mode`. A `make_lifeguard` of `None` is `run_live`: one shard, whose
+/// lifeguard the caller holds.
 fn run_sharded<W, S>(
     program: &Program,
     mode: RunMode,
@@ -252,7 +250,7 @@ where
             tx.tee_into(crate::recorder::open_sink(record, stream)?);
         }
         // Bound the producer's wait on a full wire: a consumer that stops
-        // draining surfaces as `RunError::ChannelStalled`, not a livelock.
+        // draining surfaces as `LbaError::ChannelStalled`, not a livelock.
         tx.set_stall_timeout(config.log.channel_stall_timeout);
     }
     let found = &AtomicU64::new(0);
@@ -267,7 +265,7 @@ where
             // A latched stall means frames were silently discarded past
             // the timeout: the run is no longer lossless and must fail.
             if link.senders.iter().any(FrameSender::stalled) {
-                return Err(RunError::ChannelStalled.into());
+                return Err(LbaError::ChannelStalled);
             }
             // Snap back out of degradation, settle fold counts, ship the
             // tail, then seal each shard's final frame before taking the
@@ -278,7 +276,7 @@ where
                 tx.flush();
                 crate::recorder::finish_tee(tx.take_tee())?;
                 if tx.stalled() {
-                    return Err(RunError::ChannelStalled.into());
+                    return Err(LbaError::ChannelStalled);
                 }
                 shard_log.push(tx.finish()?);
             }
@@ -293,16 +291,12 @@ where
         .map(|consumed| consumed.map(|(findings, _)| findings))
         .collect();
     let ((finish, shard_log), shard_findings) = settle(produced, consumed)?;
-    let findings = match make_lifeguard {
-        Some(_) => merge_shard_findings(shard_findings),
-        None => shard_findings.into_iter().flatten().collect(),
-    };
     // No modeled clock runs: the cycle fields stay zero.
     Ok(RunReport {
         program: program.name().to_string(),
         mode,
         pipeline: PipelineReport {
-            findings,
+            findings: merge_shard_findings(shard_findings),
             log: LogStats::from_channels(&shard_log, finish.trace.instructions()),
             capture: finish.capture,
             degradation: finish.degradation,
@@ -588,10 +582,13 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least one shard")]
     fn zero_shards_rejected() {
         let program = bugs::memory_bugs();
-        let _ = run_live_parallel(&program, ADDRCHECK.make, 0, &SystemConfig::default());
+        let err = run_live_parallel(&program, ADDRCHECK.make, 0, &SystemConfig::default());
+        assert!(
+            matches!(err, Err(LbaError::InvalidRequest { .. })),
+            "got: {err:?}"
+        );
     }
 
     #[test]
@@ -623,7 +620,7 @@ mod tests {
                 Ok(_) => "none",
                 Err(LbaError::Socket(SocketError::Torn { .. })) => "tear",
                 Err(LbaError::Socket(_)) => "producer write",
-                Err(LbaError::Run(_)) => "producer stall",
+                Err(LbaError::ChannelStalled) => "producer stall",
                 Err(LbaError::Panicked { .. }) => "consumer panic",
                 Err(e) => panic!("unexpected error: {e}"),
             };
@@ -637,7 +634,7 @@ mod tests {
             "consumer panic"
         );
         // Any other producer error wins; a consumer error fails a finished run.
-        let stalled = Err(RunError::ChannelStalled.into());
+        let stalled = Err(LbaError::ChannelStalled);
         assert_eq!(winner(stalled, vec![panic()]), "producer stall");
         assert_eq!(
             winner(Ok(vec![]), vec![Ok(vec![]), panic()]),
@@ -652,9 +649,6 @@ mod tests {
         let mut config = SystemConfig::default();
         config.log.records_per_frame = 0;
         let err = run_live_parallel(&program, ADDRCHECK.make, 2, &config).unwrap_err();
-        assert!(
-            matches!(err, LbaError::Run(RunError::ZeroRecordsPerFrame)),
-            "got: {err}"
-        );
+        assert!(matches!(err, LbaError::ZeroRecordsPerFrame), "got: {err}");
     }
 }

@@ -29,37 +29,15 @@
 //! sequential dependence chain through every instruction, so address
 //! interleaving is unsound for it, and it runs on one lifeguard core.
 
-use std::collections::HashSet;
-
-use lba_cpu::RunError;
 use lba_isa::Program;
-use lba_lifeguard::{Finding, Lifeguard};
+use lba_lifeguard::Lifeguard;
 
 use crate::config::SystemConfig;
 use crate::cosim::run_modeled;
+use crate::error::LbaError;
 use crate::pipeline::Producer;
 use crate::report::RunReport;
 use crate::runner::RunMode;
-
-/// Merges per-shard finding lists in shard order, deduplicating on the
-/// identifying fields — broadcast events surface the same finding on every
-/// shard (e.g. each one sees the same double free). Shared by the modeled
-/// and live sharded modes so their merge semantics cannot drift apart (the
-/// integration tests pin their outputs equal).
-pub(crate) fn merge_shard_findings(
-    shard_findings: impl IntoIterator<Item = Vec<Finding>>,
-) -> Vec<Finding> {
-    let mut seen = HashSet::new();
-    let mut findings = Vec::new();
-    for shard in shard_findings {
-        for f in shard {
-            if seen.insert((f.kind, f.pc, f.addr, f.tid)) {
-                findings.push(f);
-            }
-        }
-    }
-    findings
-}
 
 /// Runs `program` with the lifeguard sharded `shards` ways by address, on
 /// modeled clocks. The report's `lifeguard_cycles` is the slowest shard's,
@@ -67,30 +45,25 @@ pub(crate) fn merge_shard_findings(
 /// `shard_log`.
 ///
 /// `make_lifeguard` builds one (identical) lifeguard instance per shard.
-/// The shards' findings merge, duplicates removed, at every shard count,
-/// one included, as in [`run_live_parallel`](crate::run_live_parallel).
-/// Three `LogConfig` fields are deliberately **ignored**: `filter` and
-/// `syscall_stall`, as in `run_live_parallel`, and `decoupled`, because
-/// the sharded modes' producer always runs decoupled, so the
-/// co-simulation's syscall containment and lock-step ablation never run
-/// here.
+/// The shards' findings merge in shard order, as every mode's do
+/// ([`RunReport::pipeline`]). Three `LogConfig` fields are deliberately
+/// **ignored**: `filter` and `syscall_stall`, as in `run_live_parallel`,
+/// and `decoupled`, because the sharded modes' producer always runs
+/// decoupled, so the co-simulation's syscall containment and lock-step
+/// ablation never run here.
 ///
 /// # Errors
 ///
-/// Returns [`RunError::LogBufferTooSmall`] when `config.log.buffer_bytes`
-/// cannot hold even one cache-line frame, and propagates any [`RunError`]
-/// from the machine.
-///
-/// # Panics
-///
-/// Panics if `shards` is zero.
+/// [`LbaError::InvalidRequest`] when `shards` is zero, and otherwise as
+/// [`run_lba`](crate::run_lba).
 pub fn run_lba_parallel(
     program: &Program,
     make_lifeguard: impl Fn() -> Box<dyn Lifeguard>,
     shards: usize,
     config: &SystemConfig,
-) -> Result<RunReport, RunError> {
-    assert!(shards > 0, "need at least one shard");
+) -> Result<RunReport, LbaError> {
+    let mode = RunMode::LbaParallel;
+    LbaError::check_shards(mode, shards)?;
     let mut lifeguards: Vec<Box<dyn Lifeguard>> = (0..shards).map(|_| make_lifeguard()).collect();
     // The shared capture pass (idempotency window, no range filter) plus
     // the adaptive controller, pre-routing on the producer.
@@ -98,23 +71,16 @@ pub fn run_lba_parallel(
     let lifeguards = lifeguards
         .iter_mut()
         .map(|lg| lg.as_mut() as &mut dyn Lifeguard);
-    let mode = RunMode::LbaParallel;
-    let mut report = run_modeled(program, lifeguards.collect(), producer, mode, config)?;
-    // The runner lists every shard's findings in shard order; merging that
-    // list is merging the shards.
-    let findings = std::mem::take(&mut report.pipeline.findings);
-    report.pipeline.findings = merge_shard_findings([findings]);
-    Ok(report)
+    run_modeled(program, lifeguards.collect(), producer, mode, config)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cosim::run_lba;
-    use crate::live_parallel::run_live_parallel;
+    use crate::live_parallel::{run_live, run_live_parallel};
     use crate::pipeline::{ADDRCHECK, LOCKSET};
-    use crate::run::run_unmonitored;
-    use lba_isa::{r, Assembler, Reg};
+    use crate::run::{run_dbi, run_unmonitored};
     use lba_lifeguard::FindingKind;
     use lba_workloads::{bugs, Benchmark};
 
@@ -154,40 +120,25 @@ mod tests {
     }
 
     #[test]
-    fn one_shard_merges_repeated_findings_as_the_live_runner_does() {
+    fn every_mode_reports_a_repeated_finding_once() {
         // The same double free at one pc, three times over: AddrCheck
-        // reports each, `run_lba` keeps all three, and the sharded modes
-        // merge them to one at every width, one shard included.
-        let mut asm = Assembler::new("repeated-double-free");
-        let (block, size, i) = (r(1), r(2), r(3));
-        asm.movi(size, 64);
-        asm.alloc(block, size);
-        asm.free(block);
-        asm.movi(i, 3);
-        let again = asm.here("again");
-        asm.free(block);
-        asm.subi(i, i, 1);
-        asm.bne(i, Reg::ZERO, again);
-        asm.halt();
-        let program = asm.finish().unwrap();
+        // reports each, and every mode merges them to one, the
+        // single-consumer modes and the sharded ones at one shard alike.
+        let program = bugs::repeated_double_free();
         let config = SystemConfig::default();
         let addrcheck = ADDRCHECK.make;
-        let double_frees = |findings: &[Finding]| {
-            (findings.iter())
-                .filter(|f| f.kind == FindingKind::DoubleFree)
-                .count()
-        };
+        let double_frees = |report: &RunReport| report.findings_of(FindingKind::DoubleFree).count();
 
         let single = run_lba(&program, addrcheck().as_mut(), &config).unwrap();
-        assert_eq!(double_frees(&single.findings), 3);
+        let live = run_live(&program, addrcheck().as_mut(), &config).unwrap();
+        let dbi = run_dbi(&program, addrcheck().as_mut(), &config).unwrap();
         let modeled = run_lba_parallel(&program, addrcheck, 1, &config).unwrap();
-        let live = run_live_parallel(&program, addrcheck, 1, &config).unwrap();
-        assert_eq!(double_frees(&modeled.findings), 1);
-        assert_eq!(modeled.findings, live.findings);
-        assert_eq!(
-            modeled.findings,
-            merge_shard_findings([single.pipeline.findings])
-        );
+        let live_sharded = run_live_parallel(&program, addrcheck, 1, &config).unwrap();
+        for report in [&live, &dbi, &modeled, &live_sharded] {
+            assert_eq!(double_frees(report), 1, "{}", report.mode);
+            assert_eq!(report.findings, single.findings, "{}", report.mode);
+        }
+        assert_eq!(double_frees(&single), 1);
     }
 
     #[test]
@@ -238,12 +189,15 @@ mod tests {
         // every width.
         tight.log.buffer_bytes = 1;
         let err = run_lba_parallel(&program, lockset, 2, &tight).unwrap_err();
-        assert_eq!(
-            err,
-            RunError::LogBufferTooSmall {
-                buffer_bytes: 1,
-                frame_bytes: 64
-            }
+        assert!(
+            matches!(
+                err,
+                LbaError::LogBufferTooSmall {
+                    buffer_bytes: 1,
+                    frame_bytes: 64
+                }
+            ),
+            "got: {err}"
         );
     }
 
@@ -264,9 +218,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least one shard")]
     fn zero_shards_rejected() {
         let program = bugs::memory_bugs();
-        let _ = run_lba_parallel(&program, ADDRCHECK.make, 0, &SystemConfig::default());
+        let err = run_lba_parallel(&program, ADDRCHECK.make, 0, &SystemConfig::default());
+        assert!(
+            matches!(err, Err(LbaError::InvalidRequest { .. })),
+            "got: {err:?}"
+        );
     }
 }

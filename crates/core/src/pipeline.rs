@@ -353,9 +353,9 @@ pub enum TopologyKind {
     /// design.
     Single,
     /// Memory records go to the shard owning their cache line
-    /// ([`lba_transport::shard_of`]), everything else broadcasts; findings
-    /// merge (deduplicated) at the end. Sound only for lifeguards whose
-    /// per-address state is independent.
+    /// ([`lba_transport::shard_of`]), everything else broadcasts; the
+    /// shards' findings merge in shard order at the end. Sound only for
+    /// lifeguards whose per-address state is independent.
     Sharded,
     /// The consumers' inputs are recorded streams, one per original
     /// channel, so routing was fixed when the recording was made.
@@ -373,10 +373,11 @@ pub struct RunModeSpec {
     /// The builder mode this row dispatches.
     pub mode: RunMode,
     /// Consumer topology shape. It also fixes the mode's contract with
-    /// the `run_lba` baseline: a [`Sharded`](TopologyKind::Sharded) mode
-    /// merges its consumers' findings (equal to the baseline's as a set)
-    /// and ships its own record and wire counts; every other mode matches
-    /// the baseline's findings, records and wire bits exactly.
+    /// the `run_lba` baseline: a [`Sharded`](TopologyKind::Sharded) mode's
+    /// findings equal the baseline's as a set (merged in shard order, as
+    /// every mode merges its consumers') and it ships its own record and
+    /// wire counts; every other mode matches the baseline's findings,
+    /// records and wire bits exactly.
     pub topology: TopologyKind,
     /// Whether this lifeguard can run under this mode.
     pub supports: fn(&MonitorSpec) -> bool,

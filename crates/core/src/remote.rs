@@ -48,24 +48,21 @@ use crate::runner::RunMode;
 ///
 /// # Errors
 ///
-/// [`LbaError::Run`] for machine/config failures and a stalled credit
-/// window ([`RunError::ChannelStalled`](lba_cpu::RunError::ChannelStalled));
-/// [`LbaError::Socket`] when a wire tears or carries inconsistent bytes;
-/// [`LbaError::Decode`] when a frame that crossed the wire intact fails to
-/// decode; [`LbaError::Panicked`] when a lifeguard or the producer panics.
-/// A worker's own error wins over the tear its death leaves on the
-/// producer's side of the wire.
-///
-/// # Panics
-///
-/// Panics if `workers` is zero.
+/// As [`run_live_parallel`](crate::run_live_parallel) (a zero `workers`
+/// is [`LbaError::InvalidRequest`], a spent credit window that outlasts
+/// the stall timeout [`LbaError::ChannelStalled`]), plus
+/// [`LbaError::Socket`] when a wire tears or carries inconsistent bytes
+/// and [`LbaError::Decode`] when a frame that crossed the wire intact
+/// fails to decode. A worker's own error wins over the tear its death
+/// leaves on the producer's side of the wire.
 pub fn run_remote(
     program: &Program,
     make_lifeguard: impl Fn() -> Box<dyn Lifeguard> + Sync,
     workers: usize,
     config: &SystemConfig,
 ) -> Result<RunReport, LbaError> {
-    assert!(workers > 0, "need at least one remote worker");
+    let mode = RunMode::Remote;
+    LbaError::check_shards(mode, workers)?;
     config.log.validate_framing()?;
     let window = u32::try_from(config.log.live_channel_frames()).expect("window fits u32");
     let frames = config.log.frame_config();
@@ -76,7 +73,6 @@ pub fn run_remote(
         wires.0.push(SocketSender::new(sink, frames));
         wires.1.push(FrameReceiver::new(source, stream, frames));
     }
-    let mode = RunMode::Remote;
     crate::live_parallel::run_sharded_from(program, mode, &make_lifeguard, wires, config)
 }
 
@@ -84,7 +80,6 @@ pub fn run_remote(
 mod tests {
     use super::*;
     use crate::pipeline::ADDRCHECK;
-    use lba_cpu::RunError;
     use lba_lifeguard::FindingKind;
     use lba_workloads::bugs;
 
@@ -123,10 +118,7 @@ mod tests {
         });
         let start = std::time::Instant::now();
         let err = run_remote(&program, ADDRCHECK.make, 1, &config).unwrap_err();
-        assert!(
-            matches!(err, LbaError::Run(RunError::ChannelStalled)),
-            "got: {err}"
-        );
+        assert!(matches!(err, LbaError::ChannelStalled), "got: {err}");
         assert!(
             start.elapsed() < std::time::Duration::from_secs(30),
             "the stall must latch once, not hang"
@@ -134,9 +126,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least one remote worker")]
     fn zero_workers_rejected() {
         let program = bugs::memory_bugs();
-        let _ = run_remote(&program, ADDRCHECK.make, 0, &SystemConfig::default());
+        let err = run_remote(&program, ADDRCHECK.make, 0, &SystemConfig::default());
+        assert!(
+            matches!(err, Err(LbaError::InvalidRequest { .. })),
+            "got: {err:?}"
+        );
     }
 }

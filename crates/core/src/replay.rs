@@ -17,8 +17,10 @@
 //! Fidelity contract: the recorded frames are the sealed wire images, so
 //! the replay's per-stream wire-bit totals equal the recording run's
 //! transport accounting bit for bit, and the findings equal the original
-//! run's (merged across streams exactly as the sharded modes merge
-//! theirs). Integration tests pin both for all four run modes.
+//! run's: every mode merges its consumers' findings one way
+//! ([`RunReport::pipeline`]), so the replay needs no guess at which rule
+//! the recording run used. Integration tests pin both for all four run
+//! modes.
 //!
 //! A replay reports in the [`RunReport`] every mode returns, with `mode`
 //! [`RunMode::Replay`] and `program` the recording directory. Stream `i`
@@ -48,8 +50,7 @@ use lba_transport::StreamSource;
 use crate::config::SystemConfig;
 use crate::error::LbaError;
 use crate::live_parallel::consume_shards;
-use crate::parallel::merge_shard_findings;
-use crate::report::{LogStats, PipelineReport, RunReport, SalvagedTail};
+use crate::report::{merge_shard_findings, LogStats, PipelineReport, RunReport, SalvagedTail};
 use crate::runner::RunMode;
 
 /// How a replay treats a damaged recording.
@@ -77,8 +78,7 @@ pub enum ReplayMode {
 /// the recorded stream works (recordings are unfiltered full streams
 /// unless the original run filtered at capture). For a sharded recording
 /// the streams replay in parallel, one consumer thread each, and the
-/// per-stream findings are merged exactly as the sharded run modes merge
-/// theirs.
+/// per-stream findings merge in stream order as every mode's do.
 ///
 /// Replay is functional, not timed: records are delivered frame-at-a-time
 /// at maximum speed, with no transport model in the loop.
@@ -164,13 +164,6 @@ pub fn run_replay_with(
         shard_findings.push(findings);
     }
 
-    // A single-stream recording reproduces the unsharded modes' findings
-    // verbatim; a sharded one merges like the sharded modes do.
-    let findings = if shard_findings.len() == 1 {
-        shard_findings.pop().expect("one stream")
-    } else {
-        merge_shard_findings(shard_findings)
-    };
     // Nothing retires and nothing is captured in a replay, and payload bits
     // are unknowable, as only sealed wire frames are recorded.
     let log = LogStats::from_channels(&shard_log, 0);
@@ -179,7 +172,7 @@ pub fn run_replay_with(
         mode: RunMode::Replay,
         shard_log,
         pipeline: PipelineReport {
-            findings,
+            findings: merge_shard_findings(shard_findings),
             log,
             ..PipelineReport::default()
         },

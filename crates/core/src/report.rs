@@ -13,7 +13,12 @@
 //! degradation ledger) is the embedded [`PipelineReport`], which
 //! `RunReport` derefs to, so `report.findings`, `report.log` and
 //! `report.degradation` read the same way for every mode.
+//!
+//! Every mode assembles its findings one way, too: its consumers' lists
+//! in consumer order, merged on `(kind, pc, addr, tid)`. So a run and a
+//! replay of its recording report the same list whatever their widths.
 
+use std::collections::HashSet;
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 
@@ -90,8 +95,9 @@ impl LogStats {
 /// and what the lifeguard(s) found.
 #[derive(Debug, Clone, Default)]
 pub struct PipelineReport {
-    /// Problems the lifeguard(s) reported (merged and deduplicated in the
-    /// fan-out modes).
+    /// Problems the lifeguard(s) reported, merged in every mode: each
+    /// `(kind, pc, addr, tid)` once, where first reported (see
+    /// [`RunReport::pipeline`]).
     pub findings: Vec<Finding>,
     /// Log-pipeline statistics, summed over the streams (see
     /// [`RunReport::shard_log`] for each stream's).
@@ -151,11 +157,11 @@ pub struct RunReport {
     /// Retired-instruction statistics (empty for a replay, which retires
     /// none).
     pub trace: TraceStats,
-    /// The shared pipeline core: findings (`run_lba`'s and `run_live`'s
-    /// exactly as their lifeguard reported them; the sharded modes'
-    /// merged over shards and deduplicated on `(kind, pc, addr, tid)`,
-    /// since broadcast events surface the same finding on every shard; a
-    /// replay's merged like that for a multi-stream recording), log
+    /// The shared pipeline core: findings (every mode's consumers' lists
+    /// in consumer order, merged on `(kind, pc, addr, tid)`: broadcast
+    /// events surface the same finding on every shard, and a lifeguard
+    /// that reports one finding again at the same place adds nothing, so
+    /// a replay reports its recording run's findings at any width), log
     /// statistics summed over the streams (broadcast records count once
     /// per shard; default for the baselines, which ship no log; a replay
     /// knows no payload bits), capture ledger (zero for a replay, which
@@ -167,6 +173,24 @@ pub struct RunReport {
     /// Torn tails a [`SalvagePrefix`](crate::ReplayMode::SalvagePrefix)
     /// replay cut away, one per damaged stream; empty for every other run.
     pub salvaged: Vec<SalvagedTail>,
+}
+
+/// Merges per-consumer finding lists in consumer order, keeping the first
+/// report of each `(kind, pc, addr, tid)`: the one findings rule of every
+/// mode, whatever its width. Out of line: it runs once per run, after the
+/// run loops, and inlined it would grow them.
+#[inline(never)]
+pub(crate) fn merge_shard_findings(shard_findings: Vec<Vec<Finding>>) -> Vec<Finding> {
+    let mut seen = HashSet::new();
+    let mut findings = Vec::new();
+    for shard in shard_findings {
+        for f in shard {
+            if seen.insert((f.kind, f.pc, f.addr, f.tid)) {
+                findings.push(f);
+            }
+        }
+    }
+    findings
 }
 
 impl Deref for RunReport {

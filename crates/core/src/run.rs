@@ -1,14 +1,15 @@
 //! The unmonitored baseline and the DBI comparison runs.
 
 use lba_cache::MemSystem;
-use lba_cpu::{Machine, RunError, StepOutcome};
+use lba_cpu::{Machine, StepOutcome};
 use lba_dbi::DbiEngine;
 use lba_isa::Program;
 use lba_lifeguard::Lifeguard;
 use lba_record::TraceStats;
 
 use crate::config::SystemConfig;
-use crate::report::{PipelineReport, RunReport};
+use crate::error::LbaError;
+use crate::report::{merge_shard_findings, PipelineReport, RunReport};
 use crate::runner::RunMode;
 
 /// Runs `program` with no monitoring: the paper's normalisation baseline
@@ -16,8 +17,8 @@ use crate::runner::RunMode;
 ///
 /// # Errors
 ///
-/// Propagates any [`RunError`] from the machine.
-pub fn run_unmonitored(program: &Program, config: &SystemConfig) -> Result<RunReport, RunError> {
+/// [`LbaError::Run`] for a machine fault.
+pub fn run_unmonitored(program: &Program, config: &SystemConfig) -> Result<RunReport, LbaError> {
     let mut machine = Machine::new(program, config.machine);
     let mut mem = MemSystem::new(config.mem_single());
     let mut trace = TraceStats::new();
@@ -34,16 +35,17 @@ pub fn run_unmonitored(program: &Program, config: &SystemConfig) -> Result<RunRe
 
 /// Runs `program` under the Valgrind-style DBI baseline: every retired
 /// instruction is instrumented inline on the application core, with the
-/// lifeguard's shadow traffic sharing the application's caches.
+/// lifeguard's shadow traffic sharing the application's caches. Its
+/// findings merge as every mode's do ([`RunReport::pipeline`]).
 ///
 /// # Errors
 ///
-/// Propagates any [`RunError`] from the machine.
+/// [`LbaError::Run`] for a machine fault.
 pub fn run_dbi(
     program: &Program,
     lifeguard: &mut dyn Lifeguard,
     config: &SystemConfig,
-) -> Result<RunReport, RunError> {
+) -> Result<RunReport, LbaError> {
     let mut machine = Machine::new(program, config.machine);
     let mut mem = MemSystem::new(config.mem_single());
     let engine = DbiEngine::new(config.dbi);
@@ -73,7 +75,7 @@ pub fn run_dbi(
         lifeguard_cycles: monitor_cycles,
         trace,
         pipeline: PipelineReport {
-            findings,
+            findings: merge_shard_findings(vec![findings]),
             ..PipelineReport::default()
         },
         ..RunReport::default()

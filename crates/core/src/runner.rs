@@ -19,8 +19,10 @@
 //! [`pipeline::RUN_MODES`](crate::RUN_MODES) *before* running anything —
 //! sharding TaintCheck is an [`LbaError::Unsupported`] with the reason,
 //! not a wrong answer — then hands the request to the mode's `RUN_MODES`
-//! row, whose `run` hook calls the mode's `run_*` implementation and folds
-//! its failure into [`LbaError`]. The `run_*` functions stay public for
+//! row, whose `run` hook calls the mode's `run_*` implementation. Those
+//! return the builder's own contract, a [`RunReport`] with merged
+//! findings or an [`LbaError`], so the hook only wraps the report. The
+//! `run_*` functions stay public for
 //! what the builder cannot express: a custom lifeguard instance (the
 //! containment suite's lifeguard with a planted panic) or a caller-owned
 //! lifeguard whose final state is inspected afterwards. Adaptive capture
@@ -42,7 +44,7 @@ use lba_isa::Program;
 
 use crate::config::SystemConfig;
 use crate::error::LbaError;
-use crate::pipeline::{MonitorSpec, RunModeSpec, TopologyKind, ADDRCHECK, RUN_MODES};
+use crate::pipeline::{MonitorSpec, RunModeSpec, ADDRCHECK, RUN_MODES};
 use crate::replay::ReplayMode;
 use crate::report::RunReport;
 
@@ -202,9 +204,9 @@ impl<'a> Run<'a> {
     /// [`LbaError::Unsupported`] when the mode's `supports` predicate
     /// rejects the monitor (before anything runs);
     /// [`LbaError::InvalidRequest`] for a replay with no
-    /// [`replay_from`](Self::replay_from) directory or a fan-out mode with
-    /// zero workers; otherwise whatever the underlying mode reports,
-    /// folded into [`LbaError`].
+    /// [`replay_from`](Self::replay_from) directory; otherwise whatever the
+    /// mode's `run_*` function returns, a fan-out mode's refusal of zero
+    /// workers included.
     pub fn run(self) -> Result<RunOutcome, LbaError> {
         let Some(spec) = self.mode.registry_spec() else {
             // The two baselines ship no log and stand outside the registry.
@@ -220,11 +222,6 @@ impl<'a> Run<'a> {
             return Err(LbaError::Unsupported {
                 mode: spec.name,
                 monitor: self.monitor.name.to_string(),
-            });
-        }
-        if spec.topology == TopologyKind::Sharded && self.workers == 0 {
-            return Err(LbaError::InvalidRequest {
-                detail: format!("mode `{}` needs at least one worker", spec.name),
             });
         }
         (spec.run)(&self)
@@ -290,7 +287,6 @@ impl fmt::Display for RunOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lba_cpu::RunError;
     use lba_lifeguard::FindingKind;
     use lba_workloads::bugs;
 
@@ -405,11 +401,11 @@ mod tests {
         let max = lba_record::FrameCountWord::MAX_RECORDS as usize;
         let mut config = SystemConfig::default();
         config.log.records_per_frame = max + 1;
-        let expected = RunError::RecordsPerFrameTooLarge {
+        let message = LbaError::RecordsPerFrameTooLarge {
             records_per_frame: max + 1,
             max,
-        };
-        let message = expected.to_string();
+        }
+        .to_string();
         assert!(
             message.contains(&(max + 1).to_string()) && message.contains(&max.to_string()),
             "the message names the value and the limit: {message}"
@@ -421,7 +417,9 @@ mod tests {
                 .config(&config)
                 .run();
             match outcome {
-                Err(LbaError::Run(err)) => assert_eq!(err, expected, "{}", mode.name),
+                Err(err @ LbaError::RecordsPerFrameTooLarge { .. }) => {
+                    assert_eq!(err.to_string(), message, "{}", mode.name);
+                }
                 other => panic!("{}: expected a config error, got {other:?}", mode.name),
             }
         }

@@ -2,7 +2,10 @@
 
 use std::fmt;
 
-/// Error terminating a [`Machine`](crate::Machine) run.
+/// Error terminating a [`Machine`](crate::Machine) run: the machine's own
+/// faults, and nothing else. What a monitored run adds on top of them (a
+/// log configuration that cannot ship, a stalled channel, a recording or
+/// a wire that fails) is `lba_core::LbaError`, which wraps this type.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RunError {
     /// The program counter left the code image.
@@ -33,37 +36,6 @@ pub enum RunError {
         /// The configured limit.
         limit: u64,
     },
-    /// The configured log buffer is smaller than a single transport frame,
-    /// so not even one record could ever be shipped to the lifeguard.
-    LogBufferTooSmall {
-        /// The configured buffer size in bytes.
-        buffer_bytes: u64,
-        /// The minimum frame size in bytes (one cache line).
-        frame_bytes: u64,
-    },
-    /// `records_per_frame` was configured to zero: no frame could ever
-    /// seal, so no record would reach the lifeguard.
-    ZeroRecordsPerFrame,
-    /// `records_per_frame` was configured above what a frame's record
-    /// count can express, so no frame of that size could ever seal.
-    RecordsPerFrameTooLarge {
-        /// The configured `records_per_frame`.
-        records_per_frame: usize,
-        /// The most records one frame can carry.
-        max: usize,
-    },
-    /// The live log channel's consumer stopped draining for longer than
-    /// the configured stall timeout
-    /// (`LogConfig::channel_stall_timeout`): the producer latched the
-    /// stall and abandoned the run instead of spinning on the full queue
-    /// forever.
-    ChannelStalled,
-    /// The run's flight recording could not be written or closed (disk
-    /// full, permissions, retention delete failure).
-    Recording {
-        /// What the stream layer reported.
-        detail: String,
-    },
 }
 
 impl fmt::Display for RunError {
@@ -80,30 +52,6 @@ impl fmt::Display for RunError {
             RunError::CallDepth { tid } => write!(f, "thread {tid} exceeded call depth"),
             RunError::InstructionLimit { limit } => {
                 write!(f, "instruction limit of {limit} reached")
-            }
-            RunError::LogBufferTooSmall {
-                buffer_bytes,
-                frame_bytes,
-            } => write!(
-                f,
-                "log buffer of {buffer_bytes} B cannot hold a single {frame_bytes} B log frame"
-            ),
-            RunError::ZeroRecordsPerFrame => {
-                write!(f, "log records_per_frame must be non-zero")
-            }
-            RunError::RecordsPerFrameTooLarge {
-                records_per_frame,
-                max,
-            } => write!(
-                f,
-                "log records_per_frame of {records_per_frame} exceeds the {max} records one frame can carry"
-            ),
-            RunError::ChannelStalled => write!(
-                f,
-                "log channel stalled: the consumer stopped draining past the configured timeout"
-            ),
-            RunError::Recording { detail } => {
-                write!(f, "flight recording failed: {detail}")
             }
         }
     }

@@ -164,12 +164,6 @@ pub struct DegradedInterval {
     pub sampled_out: u64,
     /// Droppable-kind records dropped inside this interval.
     pub kind_dropped: u64,
-    /// Which degradations the policy let this interval apply.
-    pub widened: bool,
-    /// Whether region sampling was armed in this interval.
-    pub sampled: bool,
-    /// Whether kind-dropping was armed in this interval.
-    pub dropped_kinds: bool,
 }
 
 /// Cap on individually-recorded intervals: hysteresis bounds flapping,
@@ -194,9 +188,6 @@ pub struct DegradationStats {
     pub sampled_out: u64,
     /// Droppable-kind records dropped.
     pub kind_dropped: u64,
-    /// Times the dedup window widened (once per engaged interval that
-    /// applied widening).
-    pub window_widenings: u64,
     /// Records that passed capture while degradation was engaged
     /// (shipped or not).
     pub degraded_records: u64,

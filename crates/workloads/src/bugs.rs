@@ -231,6 +231,25 @@ pub fn tainted_syscall() -> Program {
     asm.finish().expect("tainted-syscall assembles")
 }
 
+/// One block freed three more times at one pc: the same double free,
+/// reported by AddrCheck each time it happens, so a run's findings rule
+/// decides whether it is one finding or three.
+#[must_use]
+pub fn repeated_double_free() -> Program {
+    let mut asm = Assembler::new("repeated-double-free");
+    let (block, size, i) = (r(1), r(2), r(3));
+    asm.movi(size, 64);
+    asm.alloc(block, size);
+    asm.free(block);
+    asm.movi(i, 3);
+    let again = asm.here("again");
+    asm.free(block);
+    asm.subi(i, i, 1);
+    asm.bne(i, Reg::ZERO, again);
+    asm.halt();
+    asm.finish().expect("repeated-double-free assembles")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -241,6 +260,7 @@ mod tests {
         assert_eq!(exploit().name(), "exploit");
         assert_eq!(data_race().name(), "data-race");
         assert_eq!(tainted_syscall().name(), "tainted-syscall");
+        assert_eq!(repeated_double_free().name(), "repeated-double-free");
     }
 
     #[test]

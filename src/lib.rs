@@ -99,7 +99,7 @@
 //! | `lba-lifeguards` | the four lifeguards (the paper's three + `MemProfile`); each declares its degradation tolerance next to its idempotency story |
 //! | `lba-dbi`        | Valgrind-style inline instrumentation baseline        |
 //! | `lba-workloads`  | deterministic benchmark programs                      |
-//! | `lba-core`       | ties it together: the staged capture pipeline (one crate-private producer stage chain, with the adaptive capture controller inside it, driving each mode's transport link), the run-mode/monitor registry (`pipeline::RUN_MODES` / `pipeline::MONITORS`, whose named rows `ADDRCHECK`, `TAINTCHECK`, `LOCKSET` and `MEMPROFILE` are the one lifeguard handle: the instance the log-based modes run, the instance the DBI baseline runs, shardability and the Figure 2 panel), the unified `Run` builder taking a monitor row and dispatching every mode through its `RUN_MODES` row behind one validated entry point (the `run_*` functions are the per-mode implementations), one co-simulation behind `run_lba` and `run_lba_parallel` (one lifeguard core or N, one timing model), one live runner behind `run_live`, `run_live_parallel` and `run_remote` (one shard or N, queue or socket wires) whose consumer threads also run `run_replay` (one receiver per recorded stream), `LbaError` (what the builder, `run_live`, `run_live_parallel`, `run_remote` and replay return, and what every layer's error converts into: a panicking live or replay thread, an undecodable frame, a recording under another codec; `run_lba`, `run_lba_parallel`, `run_unmonitored`, `run_dbi` and the `experiment` functions return the CPU substrate's `RunError`), the experiment layer (Figure 2 runs every monitor row with a panel), the one `RunReport` every mode returns (clocks where a modeled clock runs, one `ChannelStats` per stream, salvaged tails after a salvaging replay; it derefs to its `PipelineReport` core), and `AdaptiveConfig`, the knobs of the capture controller that closes the back-pressure feedback loop |
+//! | `lba-core`       | ties it together: the staged capture pipeline (one crate-private producer stage chain, with the adaptive capture controller inside it, driving each mode's transport link), the run-mode/monitor registry (`pipeline::RUN_MODES` / `pipeline::MONITORS`, whose named rows `ADDRCHECK`, `TAINTCHECK`, `LOCKSET` and `MEMPROFILE` are the one lifeguard handle: the instance the log-based modes run, the instance the DBI baseline runs, shardability and the Figure 2 panel), the unified `Run` builder taking a monitor row and dispatching every mode through its `RUN_MODES` row behind one validated entry point (the `run_*` functions are the per-mode implementations), one co-simulation behind `run_lba` and `run_lba_parallel` (one lifeguard core or N, one timing model), one live runner behind `run_live`, `run_live_parallel` and `run_remote` (one shard or N, queue or socket wires) whose consumer threads also run `run_replay` (one receiver per recorded stream), one run contract for every entry point (the builder, each `run_*` function and the `experiment` functions return a `RunReport` whose findings are its consumers' merged on `(kind, pc, addr, tid)`, or an `LbaError`, which every layer's error converts into: a machine fault, a log configuration that cannot ship, a stalled channel, a panicking live or replay thread, an undecodable frame, a recording under another codec), the experiment layer (Figure 2 runs every monitor row with a panel), the one `RunReport` every mode returns (clocks where a modeled clock runs, one `ChannelStats` per stream, salvaged tails after a salvaging replay; it derefs to its `PipelineReport` core), and `AdaptiveConfig`, the knobs of the capture controller that closes the back-pressure feedback loop |
 //! | `lba-bench`      | table rendering, Criterion benches, `figures` binary  |
 //!
 //! ## Execution models
@@ -115,7 +115,10 @@
 //! where no modeled clock runs.
 //! The rows call the per-mode implementations below, which stay public
 //! for what the builder does not express — a custom lifeguard instance,
-//! or a lifeguard whose final state the caller inspects:
+//! or a lifeguard whose final state the caller inspects. They keep the
+//! builder's contract: each returns a [`RunReport`] whose findings are its
+//! consumers' merged on `(kind, pc, addr, tid)` (so a replay reports its
+//! recording run's findings whatever the width), or an [`LbaError`]:
 //!
 //! * [`run_unmonitored`] — the baseline: the program alone on one core;
 //! * [`run_lba`] — the proposed system: capture → compression → framed log
@@ -259,7 +262,7 @@ mod facade_smoke {
             &lba_isa::Program,
             &mut dyn lba_lifeguard::Lifeguard,
             &crate::SystemConfig,
-        ) -> Result<crate::RunReport, crate::RunError> = crate::run_lba;
+        ) -> Result<crate::RunReport, crate::LbaError> = crate::run_lba;
 
         // The pipeline registry survives under its advertised names: four
         // monitors, six run modes, and the topology type.

@@ -4,7 +4,7 @@
 //! it removes, and leaves TaintCheck's stream provably untouched. The
 //! fault-injection satellites ride along: quiet injection is
 //! transparent, and a genuinely stalled live consumer surfaces as
-//! `RunError::ChannelStalled` instead of a livelock.
+//! `LbaError::ChannelStalled` instead of a livelock.
 
 use std::time::Duration;
 
@@ -12,9 +12,10 @@ use proptest::prelude::*;
 
 use lba::{
     parallel::run_lba_parallel, run_lba, run_live, run_live_parallel, run_remote, AdaptiveConfig,
-    DegradationStats, FaultProfile, LbaError, RunError, SystemConfig, ADDRCHECK,
-    MAX_RECORDED_INTERVALS, MONITORS,
+    DegradationStats, FaultProfile, LbaError, SystemConfig, ADDRCHECK, MAX_RECORDED_INTERVALS,
+    MONITORS,
 };
+use lba_isa::Program;
 use lba_lifeguard::Lifeguard;
 use lba_lifeguards::{AddrCheck, MemProfile, TaintCheck};
 use lba_workloads::{bugs, Benchmark};
@@ -228,7 +229,7 @@ fn stalled_live_consumer_surfaces_as_channel_stalled() {
     // Satellite regression: the producer used to spin unboundedly when
     // the consumer stopped draining. With a stall timeout configured,
     // the injected near-dead consumer (a huge per-frame drag against a
-    // one-deep queue) must surface as `RunError::ChannelStalled`.
+    // one-deep queue) must surface as `LbaError::ChannelStalled`.
     let program = bugs::memory_bugs();
     let mut config = SystemConfig::default();
     config.log.buffer_bytes = 64;
@@ -239,10 +240,7 @@ fn stalled_live_consumer_surfaces_as_channel_stalled() {
     });
     let mut lg = AddrCheck::new();
     let err = run_live(&program, &mut lg, &config).unwrap_err();
-    assert!(
-        matches!(err, LbaError::Run(RunError::ChannelStalled)),
-        "got: {err:?}"
-    );
+    assert!(matches!(err, LbaError::ChannelStalled), "got: {err:?}");
     assert!(err.to_string().contains("stall"));
 }
 
@@ -265,6 +263,24 @@ fn live_runs_without_timeout_still_complete_under_drag() {
     assert_eq!(dragged.log.records, clean.log.records);
 }
 
+/// The degradation grid's program axis: the planted-bug programs.
+fn grid_program(idx: usize) -> Program {
+    match idx {
+        0 => bugs::memory_bugs(),
+        1 => bugs::data_race(),
+        _ => bugs::exploit(),
+    }
+}
+
+/// `config` with the degradation grid's frame size. The grid's programs
+/// retire 46 to 223 records, less than one default 256-record frame, so
+/// at the default no channel ever fills and nothing degrades; 8-record
+/// frames let the load build.
+fn grid_config(mut config: SystemConfig) -> SystemConfig {
+    config.log.records_per_frame = 8;
+    config
+}
+
 /// The degradation grid's lifeguard axis: the registry rows whose
 /// degradation policy tolerates something, in table order (AddrCheck,
 /// LockSet, MemProfile). TaintCheck is pinned separately — its guarantee
@@ -276,6 +292,35 @@ fn make_kind(idx: usize) -> Box<dyn Lifeguard> {
     (degradable[idx].make)()
 }
 
+#[test]
+fn the_degradation_grid_engages_both_modeled_modes() {
+    // The grid below compares degraded findings with undegraded ones, so
+    // it pins something only where the controller engages. The modeled
+    // modes are deterministic: each must engage on some program ×
+    // lifeguard cell of the grid.
+    let config = grid_config(degraded_config());
+    let cells = || (0..3).flat_map(|program| (0..3).map(move |kind| (program, kind)));
+    let lba = cells()
+        .filter(|&(program, kind)| {
+            let mut lg = make_kind(kind);
+            let report = run_lba(&grid_program(program), lg.as_mut(), &config).unwrap();
+            !report.degradation.is_empty()
+        })
+        .count();
+    let parallel = cells()
+        .filter(|&(program, kind)| {
+            let report =
+                run_lba_parallel(&grid_program(program), || make_kind(kind), 3, &config).unwrap();
+            !report.degradation.is_empty()
+        })
+        .count();
+    assert!(lba > 0, "run_lba engaged on none of the 9 cells");
+    assert!(
+        parallel > 0,
+        "run_lba_parallel engaged on none of the 9 cells"
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
@@ -283,20 +328,16 @@ proptest! {
     /// degradation policy promises, findings under injected slow-drain
     /// degradation are identical to the undegraded run's, in every run
     /// mode with a producer; and (c) the stats ledgers stay exactly
-    /// covering.
+    /// covering. Both sides ship the grid's 8-record frames.
     #[test]
     fn degraded_findings_match_undegraded_across_the_grid(
         program_idx in 0usize..3,
         kind_idx in 0usize..3,
         mode_idx in 0usize..5,
     ) {
-        let program = match program_idx {
-            0 => bugs::memory_bugs(),
-            1 => bugs::data_race(),
-            _ => bugs::exploit(),
-        };
-        let clean_config = SystemConfig::default();
-        let degraded_config = degraded_config();
+        let program = grid_program(program_idx);
+        let clean_config = grid_config(SystemConfig::default());
+        let degraded_config = grid_config(degraded_config());
         let (clean_findings, degraded_findings, stats) = match mode_idx {
             0 => {
                 let mut lg = make_kind(kind_idx);

@@ -17,7 +17,7 @@ use lba::{
     TAINTCHECK,
 };
 use lba_lifeguard::{HandlerCtx, Lifeguard};
-use lba_record::{segment_file_name, EventMask, EventRecord, StreamError};
+use lba_record::{segment_file_name, EventMask, EventRecord, StreamConfig, StreamError};
 use lba_workloads::{bugs, Benchmark};
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -106,6 +106,58 @@ fn live_parallel_recording_replays_byte_identical_per_shard() {
         assert_eq!(stream.records, shard.records, "shard {i}");
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_replay_merges_findings_as_its_recording_run_did() {
+    // One block freed three more times at one pc: AddrCheck reports the
+    // double free each time. A one-shard sharded run merges the repeats,
+    // and its one-stream recording must replay to exactly its findings.
+    let program = bugs::repeated_double_free();
+    let monitor = ADDRCHECK;
+    for name in ["lba-parallel", "live-parallel"] {
+        let dir = temp_dir(name);
+        let config = recording_config(&dir);
+        let original = if name == "lba-parallel" {
+            lba::parallel::run_lba_parallel(&program, monitor.make, 1, &config)
+        } else {
+            run_live_parallel(&program, monitor.make, 1, &config)
+        }
+        .unwrap();
+        let replay = run_replay(&dir, monitor.make, &SystemConfig::default()).unwrap();
+        assert_eq!(replay.findings, original.findings, "{name}");
+        assert_eq!(
+            original.findings.len(),
+            1,
+            "{name}: {:?}",
+            original.findings
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+#[test]
+fn a_recording_that_cannot_open_is_a_typed_stream_error() {
+    // The recording directory would sit under a regular file, so it
+    // cannot be created: the modeled and the live runner alike report the
+    // stream layer's own error, naming the path, before anything runs.
+    let file = temp_dir("not-a-dir");
+    std::fs::write(&file, b"a regular file").unwrap();
+    let config = recording_config(&file.join("recording"));
+    let program = bugs::memory_bugs();
+    let modeled = run_lba(&program, (ADDRCHECK.make)().as_mut(), &config).unwrap_err();
+    let live = run_live(&program, (ADDRCHECK.make)().as_mut(), &config).unwrap_err();
+    for err in [modeled, live] {
+        assert!(
+            matches!(&err, LbaError::Stream(StreamError::Io { path, .. }) if path.starts_with(&file)),
+            "got: {err:?}"
+        );
+        assert!(
+            err.to_string().contains(&*file.to_string_lossy()),
+            "got: {err}"
+        );
+    }
+    std::fs::remove_file(&file).ok();
 }
 
 /// A lifeguard that notes which thread consumed it.
@@ -211,8 +263,10 @@ fn retention_cap_bounds_disk_and_replay_reports_aged_out() {
     let mut config = SystemConfig::default();
     config.log.record_to = Some(RecordConfig {
         dir: dir.clone(),
-        segment_bytes: 8 << 10,
-        retain_bytes: 24 << 10,
+        stream: StreamConfig {
+            segment_bytes: 8 << 10,
+            retain_bytes: 24 << 10,
+        },
     });
     let monitor = ADDRCHECK;
     let mut lg = (monitor.make)();
@@ -372,8 +426,10 @@ fn salvage_prefix_on_a_multi_segment_tear_keeps_earlier_segments() {
     let mut config = SystemConfig::default();
     config.log.record_to = Some(RecordConfig {
         dir: dir.clone(),
-        segment_bytes: 8 << 10,
-        retain_bytes: u64::MAX,
+        stream: StreamConfig {
+            segment_bytes: 8 << 10,
+            retain_bytes: u64::MAX,
+        },
     });
     let monitor = ADDRCHECK;
     let mut lg = (monitor.make)();
@@ -508,8 +564,10 @@ proptest! {
         let mut config = SystemConfig::default();
         config.log.record_to = Some(RecordConfig {
             dir: dir.clone(),
-            segment_bytes,
-            retain_bytes: u64::MAX,
+            stream: StreamConfig {
+                segment_bytes,
+                retain_bytes: u64::MAX,
+            },
         });
         let mut lg = (monitor.make)();
         let original = run_lba(&program, lg.as_mut(), &config).unwrap();
