@@ -14,8 +14,8 @@
 use std::time::Instant;
 
 use lba::{
-    run_lba, run_replay, AdaptiveConfig, FaultProfile, MonitorSpec, RecordConfig, Run, RunMode,
-    RunOutcome, SystemConfig, TopologyKind,
+    run_lba, run_replay, FaultProfile, MonitorSpec, RecordConfig, Run, RunMode, RunOutcome,
+    SystemConfig, TopologyKind,
 };
 use lba_cache::{MemSystem, MemSystemConfig};
 use lba_cpu::Machine;
@@ -304,24 +304,18 @@ fn replay_cells(recording: &Recording) -> Vec<Cell<'_>> {
 }
 
 /// The injected-fault configs the degraded series runs under, per mode.
-/// `adaptive` toggles the controller; the fault profile and buffer budget
-/// are identical either way, so the degraded row and its uncontrolled
-/// counterpart face the *same* load (the trajectory gate compares the
-/// two). The cosim flavour shrinks the modeled buffer so the slow-drain
-/// back-pressure genuinely climbs past the engage threshold; the live
-/// flavour drags the real consumer against a one-frame queue — the same
-/// shapes `tests/degradation.rs` pins as reliably engaging.
+/// `adaptive` switches the controller on (`LogConfig::adaptive`); the
+/// fault profile and buffer budget are identical either way, so the
+/// degraded row and its uncontrolled counterpart face the *same* load
+/// (the trajectory gate compares the two). The cosim flavour shrinks the
+/// modeled buffer so the slow-drain back-pressure genuinely climbs past
+/// the controller's engage threshold; the live flavour drags the real
+/// consumer against a one-frame queue — the same shapes
+/// `tests/degradation.rs` pins as reliably engaging.
 #[must_use]
 pub fn fault_config(mode: &str, adaptive: bool) -> SystemConfig {
     let mut config = SystemConfig::default();
-    if adaptive {
-        config.log.adaptive = Some(AdaptiveConfig {
-            engage_permille: 300,
-            disengage_permille: 100,
-            sample_stride: 16,
-            ..AdaptiveConfig::default()
-        });
-    }
+    config.log.adaptive = adaptive;
     if mode == "lba" {
         config.log.fault = Some(FaultProfile::slow_drain());
         config.log.buffer_bytes = 2 << 10;

@@ -172,12 +172,6 @@ impl<'a> BitReader<'a> {
         }
     }
 
-    /// Bits consumed so far.
-    #[must_use]
-    pub fn bits_read(&self) -> u64 {
-        self.next as u64 * 8 - u64::from(self.avail)
-    }
-
     /// Bits left in the stream.
     #[inline]
     fn bits_left(&self) -> u64 {
@@ -375,12 +369,12 @@ mod tests {
     }
 
     #[test]
-    fn bits_read_tracks_position() {
+    fn reader_tracks_its_position() {
         let mut w = BitWriter::new();
         w.write_bits(0, 13);
         let bytes = w.into_bytes();
         let mut r = BitReader::new(&bytes);
         let _ = r.read_bits(5);
-        assert_eq!(r.bits_read(), 5);
+        assert_eq!(r.bits_left(), 16 - 5, "two bytes, five bits consumed");
     }
 }

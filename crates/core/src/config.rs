@@ -13,7 +13,7 @@ use lba_lifeguard::{
 use lba_record::{FrameCountWord, StreamConfig};
 use lba_transport::FaultProfile;
 
-use crate::controller::AdaptiveConfig;
+use crate::controller::WIDEN_ENTRIES;
 use crate::error::LbaError;
 
 /// Where (and under what bounds) a run records its sealed wire frames as
@@ -105,16 +105,17 @@ pub struct LogConfig {
     /// segmented stream under this recording configuration (the flight
     /// recorder). `None` (the default) records nothing.
     pub record_to: Option<RecordConfig>,
-    /// When set, the producer runs the adaptive capture controller, whose
-    /// one trigger is the transport's load: occupancy past the configured
-    /// threshold degrades capture along exactly the axes the lifeguard's
+    /// Whether the producer runs the adaptive capture controller, whose
+    /// one trigger is the transport's load: occupancy past the
+    /// controller's fixed engage threshold degrades capture along exactly
+    /// the axes the lifeguard's
     /// [`DegradationPolicy`](lba_lifeguard::DegradationPolicy) permits,
     /// and every degraded span is accounted in the report's
-    /// [`DegradationStats`](lba_lifeguard::DegradationStats). `None`
+    /// [`DegradationStats`](lba_lifeguard::DegradationStats). `false`
     /// (the default) keeps the pipeline bit-for-bit identical to a
-    /// controller-free build; so does any setting when the lifeguard's
-    /// policy is [`DegradationPolicy::none`](lba_lifeguard::DegradationPolicy::none).
-    pub adaptive: Option<AdaptiveConfig>,
+    /// controller-free build; so does `true` when the lifeguard's policy
+    /// is [`DegradationPolicy::none`](lba_lifeguard::DegradationPolicy::none).
+    pub adaptive: bool,
     /// When set, the run's consumers drain slowly on purpose: the modeled
     /// channels refuse pops on this profile's deterministic stall schedule
     /// ([`ModeledFrameChannel::set_fault`](lba_transport::ModeledFrameChannel::set_fault)),
@@ -167,13 +168,15 @@ impl LogConfig {
     }
 
     /// The reserve capacity the capture filter's window may widen to
-    /// under adaptive degradation: the configured `widen_entries` when
+    /// under adaptive degradation: the controller's reserve when
     /// `adaptive` is set *and* the lifeguard's policy permits widening,
-    /// zero (no reserve, bit-for-bit the plain filter) otherwise.
+    /// zero (no reserve, bit-for-bit the plain filter) otherwise. The
+    /// filter's reserve is then the one record of the widen decision.
     fn widen_entries(&self, policy: &DegradationPolicy) -> usize {
-        match &self.adaptive {
-            Some(adaptive) if policy.widen_window => adaptive.widen_entries,
-            _ => 0,
+        if self.adaptive && policy.widen_window {
+            WIDEN_ENTRIES
+        } else {
+            0
         }
     }
 
@@ -188,7 +191,7 @@ impl LogConfig {
         class: IdempotencyClass,
         policy: &DegradationPolicy,
     ) -> CaptureFilter {
-        CaptureFilter::with_widen(
+        CaptureFilter::new(
             self.filter.clone(),
             self.idempotency_window,
             self.widen_entries(policy),
@@ -208,7 +211,7 @@ impl LogConfig {
         class: IdempotencyClass,
         policy: &DegradationPolicy,
     ) -> CaptureFilter {
-        CaptureFilter::with_widen(
+        CaptureFilter::new(
             None,
             self.idempotency_window,
             self.widen_entries(policy),
@@ -251,7 +254,7 @@ impl Default for LogConfig {
             idempotency_window: 0,
             verify_compression: false,
             record_to: None,
-            adaptive: None,
+            adaptive: false,
             fault: None,
             channel_stall_timeout: None,
         }
@@ -309,7 +312,7 @@ mod tests {
         assert!(c.log.decoupled);
         assert_eq!(c.log.idempotency_window, 0, "capture-side dedup is opt-in");
         assert!(c.log.record_to.is_none(), "flight recording is opt-in");
-        assert!(c.log.adaptive.is_none(), "adaptive capture is opt-in");
+        assert!(!c.log.adaptive, "adaptive capture is opt-in");
         assert!(c.log.fault.is_none(), "fault injection is opt-in");
         assert!(
             c.log.channel_stall_timeout.is_none(),

@@ -19,10 +19,12 @@
 //! syscall only snaps it back. The lifeguard shapes what degradation may
 //! do through its declared policy, but has no say at run time in when:
 //! the cores coordinate only through the log (§2), and the finding count
-//! is all that flows back. The controller is private to `lba-core`;
-//! outside code turns it on with
-//! [`LogConfig::adaptive`](crate::LogConfig::adaptive) and tunes it with
-//! [`AdaptiveConfig`].
+//! is all that flows back. The controller is private to `lba-core`, and
+//! outside code only switches it on, with
+//! [`LogConfig::adaptive`](crate::LogConfig::adaptive). How hard it
+//! steers is fixed here, the same for every lifeguard and every mode:
+//! the engage and disengage thresholds, the sampling stride, the widen
+//! reserve and the demotion rule are this module's constants.
 //!
 //! The controller is *not constructed* for a lifeguard whose policy is
 //! [`DegradationPolicy::none`] (TaintCheck): the degraded and undegraded
@@ -34,47 +36,48 @@
 //! flight recorder into replay.
 
 use lba_lifeguard::{
-    DegradationPolicy, DegradationStats, DegradedInterval, RegionClassifier, RegionSampler,
+    DegradationPolicy, DegradationStats, DegradedInterval, RegionClassifier, SamplingSpec,
     MAX_RECORDED_INTERVALS,
 };
-use lba_record::{EventKind, EventRecord};
+use lba_record::{EventKind, EventMask, EventRecord};
 use lba_transport::LoadSample;
 
-/// Hysteresis thresholds and cadence of the adaptive capture controller.
-/// Setting [`LogConfig::adaptive`](crate::LogConfig::adaptive) to
-/// `Some(AdaptiveConfig::default())` turns adaptive capture on; `None`
-/// (the default) keeps the pipeline bit-for-bit identical to a build
-/// without the controller.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AdaptiveConfig {
-    /// Transport occupancy (permille) at or above which degradation
-    /// engages. Occupancy tops out at 1000 (full) except when the modeled
-    /// channel admits a frame larger than its whole budget, so a
-    /// threshold above 1000 engages only on such an oversized frame.
-    pub engage_permille: u32,
-    /// Occupancy (permille) at or below which degradation disengages.
-    /// Must sit well under `engage_permille` or the controller flaps.
-    pub disengage_permille: u32,
-    /// Records between occupancy samples. Sampling is a couple of atomic
-    /// or field reads, but once per record is still wasted work; snapback
-    /// triggers (findings, syscalls) are checked every record regardless.
-    pub sample_stride: u32,
-    /// Capacity the dedup window may widen to while degraded (clamped
-    /// like `idempotency_window`). Only meaningful for lifeguards whose
-    /// policy sets `widen_window`.
-    pub widen_entries: usize,
-}
+/// Transport occupancy (permille) at or above which degradation engages.
+/// Occupancy tops out at 1000 (full) except when the modeled channel
+/// admits a frame larger than its whole budget. Low enough that a short
+/// run under an injected slow drain builds the queue excursion.
+const ENGAGE_PERMILLE: u32 = 300;
 
-impl Default for AdaptiveConfig {
-    fn default() -> Self {
-        AdaptiveConfig {
-            engage_permille: 700,
-            disengage_permille: 350,
-            sample_stride: 64,
-            widen_entries: 4096,
-        }
-    }
-}
+/// Occupancy (permille) at or below which degradation disengages: well
+/// under [`ENGAGE_PERMILLE`], or the controller flaps.
+const DISENGAGE_PERMILLE: u32 = 100;
+
+/// Records between occupancy samples. Sampling is a couple of atomic or
+/// field reads, but once per record is still wasted work; snapback
+/// triggers (findings, syscalls) are checked every record regardless.
+const SAMPLE_STRIDE: u32 = 16;
+
+/// Capacity the dedup window widens to while degraded (clamped like
+/// `LogConfig::idempotency_window`). [`LogConfig`](crate::LogConfig)
+/// gives the capture filter this reserve when the lifeguard's policy sets
+/// `widen_window`, and none otherwise.
+pub(crate) const WIDEN_ENTRIES: usize = 4096;
+
+/// Settled accesses a region must accumulate since the last repromotion
+/// before it demotes to sampled capture: the "long-clean" criterion.
+/// Modest, because every repromotion (a finding, a syscall, or one of the
+/// policy's `repromote_on` kinds, AddrCheck's `alloc`/`free`) restarts
+/// the proof.
+const CLEAN_THRESHOLD: u32 = 8;
+
+/// A demoted region ships 1 record in this many; the rest are counted as
+/// sampled out.
+const SAMPLE_RATE: u32 = 8;
+
+/// Slot count of the sampler table. Direct-mapped like the idempotency
+/// window: a colliding region evicts the previous occupant, which only
+/// resets its progress toward demotion — never soundness.
+const SAMPLER_SLOTS: usize = 1 << 12;
 
 /// A capture-fidelity transition the run loop must apply to its filter
 /// and transport. The controller owns the *decision*; the caller owns the
@@ -83,19 +86,14 @@ impl Default for AdaptiveConfig {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Transition {
     /// Degradation engaged. The caller must: flush the channel (so the
-    /// degraded mark starts on a frame boundary), widen the capture
-    /// filter's window if `widen`, and set the channel's degraded mark.
-    Engage {
-        /// Whether the policy widens the dedup window.
-        widen: bool,
-    },
-    /// Degradation disengaged. The caller must: tighten the capture
-    /// filter's window (shipping the flushed summaries) if `tighten`,
-    /// flush the channel, and clear the degraded mark.
-    Disengage {
-        /// Whether the window was widened and must tighten-and-flush.
-        tighten: bool,
-    },
+    /// degraded mark starts on a frame boundary), set the channel's
+    /// degraded mark, and widen the capture filter's window (a no-op for
+    /// a filter built without a widen reserve).
+    Engage,
+    /// Degradation disengaged. The caller must: flush the channel, clear
+    /// the degraded mark, and tighten the capture filter's window,
+    /// shipping the summaries it flushes.
+    Disengage,
 }
 
 /// What capture must do with one record while the controller is engaged.
@@ -114,11 +112,10 @@ pub(crate) enum Verdict {
 /// close with [`finish`](Self::finish).
 #[derive(Debug)]
 pub(crate) struct CaptureController {
-    config: AdaptiveConfig,
-    policy: DegradationPolicy,
+    /// Event kinds the policy lets degraded capture drop outright.
+    droppable: EventMask,
+    /// Region demotion, when the policy permits sampling.
     sampler: Option<RegionSampler>,
-    classifier: Option<Box<dyn RegionClassifier>>,
-    engaged: bool,
     /// Records observed at capture (every retired record, shipped or
     /// dropped) — the unit degraded intervals are expressed in.
     records: u64,
@@ -126,6 +123,8 @@ pub(crate) struct CaptureController {
     /// A syscall arrived: snap back at the next tick.
     syscall_snap: bool,
     last_findings: u64,
+    /// The degraded interval in progress: `Some` exactly while
+    /// degradation is engaged.
     open: Option<DegradedInterval>,
     stats: DegradationStats,
 }
@@ -135,18 +134,13 @@ impl CaptureController {
     /// tolerates nothing — the controller is then never constructed and
     /// the lifeguard's stream is provably untouched.
     #[must_use]
-    pub(crate) fn new(config: AdaptiveConfig, policy: DegradationPolicy) -> Option<Self> {
+    pub(crate) fn new(policy: DegradationPolicy) -> Option<Self> {
         if policy.is_none() {
             return None;
         }
-        let sampler = policy.sampling.and_then(RegionSampler::new);
-        let classifier = policy.sampling.map(|s| (s.make_classifier)());
         Some(CaptureController {
-            config,
-            policy,
-            sampler,
-            classifier,
-            engaged: false,
+            droppable: policy.droppable,
+            sampler: policy.sampling.map(RegionSampler::new),
             records: 0,
             since_sample: 0,
             syscall_snap: false,
@@ -159,33 +153,38 @@ impl CaptureController {
     /// Whether degradation is currently engaged.
     #[must_use]
     pub(crate) fn engaged(&self) -> bool {
-        self.engaged
+        self.open.is_some()
     }
 
     /// Decides whether capture fidelity changes at this record boundary.
     /// Call once per retired record, *before* [`admit`](Self::admit):
     /// `load` is the transport's current occupancy (sampled every
-    /// `sample_stride` records; pass it unconditionally, it is cheap) and
-    /// `findings` the current finding count — any growth snaps capture
-    /// back to full fidelity immediately, as does a syscall observed by
-    /// the previous `admit`.
+    /// [`SAMPLE_STRIDE`] records; pass it unconditionally, it is cheap)
+    /// and `findings` the current finding count — any growth snaps
+    /// capture back to full fidelity immediately, as does a syscall
+    /// observed by the previous `admit`.
     pub(crate) fn tick(&mut self, load: LoadSample, findings: u64) -> Option<Transition> {
         let finding_snap = findings != self.last_findings;
         self.last_findings = findings;
         let syscall_snap = std::mem::take(&mut self.syscall_snap);
-        if self.engaged && (finding_snap || syscall_snap) {
-            return Some(self.disengage(true));
+        let engaged = self.engaged();
+        if engaged && (finding_snap || syscall_snap) {
+            self.stats.snapbacks += 1;
+            self.close_interval();
+            return Some(Transition::Disengage);
         }
         self.since_sample += 1;
-        if self.since_sample < self.config.sample_stride {
+        if self.since_sample < SAMPLE_STRIDE {
             return None;
         }
         self.since_sample = 0;
         let occupancy = load.occupancy_permille();
-        if !self.engaged && occupancy >= self.config.engage_permille {
-            Some(self.engage())
-        } else if self.engaged && occupancy <= self.config.disengage_permille {
-            Some(self.disengage(false))
+        if !engaged && occupancy >= ENGAGE_PERMILLE {
+            self.engage();
+            Some(Transition::Engage)
+        } else if engaged && occupancy <= DISENGAGE_PERMILLE {
+            self.close_interval();
+            Some(Transition::Disengage)
         } else {
             None
         }
@@ -197,36 +196,34 @@ impl CaptureController {
     /// decision) or its settled-verdict answers would lag reality.
     pub(crate) fn admit(&mut self, rec: &EventRecord) -> Verdict {
         self.records += 1;
-        if let Some(classifier) = &mut self.classifier {
-            classifier.observe(rec);
+        if let Some(sampler) = &mut self.sampler {
+            sampler.classifier.observe(rec);
         }
         if rec.kind == EventKind::Syscall {
             // Phase change: snap back at the next tick. The syscall
             // record itself always ships (containment flushes behind it).
             self.syscall_snap = true;
         }
-        if !self.engaged {
+        let Some(interval) = &mut self.open else {
             return Verdict::Ship;
-        }
+        };
         self.stats.degraded_records += 1;
-        if let Some(interval) = &mut self.open {
+        if let Some(sampler) = &mut self.sampler {
+            if sampler.spec.repromote_on.contains(rec.kind) {
+                sampler.repromote_all();
+            }
+        }
+        if self.droppable.contains(rec.kind) {
+            self.stats.kind_dropped += 1;
+            interval.kind_dropped += 1;
+            return Verdict::Drop;
+        }
+        if rec.is_memory() {
             if let Some(sampler) = &mut self.sampler {
-                if sampler.repromotes(rec) {
-                    sampler.repromote_all();
-                }
-            }
-            if self.policy.droppable.contains(rec.kind) {
-                self.stats.kind_dropped += 1;
-                interval.kind_dropped += 1;
-                return Verdict::Drop;
-            }
-            if rec.is_memory() {
-                if let (Some(sampler), Some(classifier)) = (&mut self.sampler, &self.classifier) {
-                    if classifier.verdict_settled(rec) && sampler.sample_out(rec) {
-                        self.stats.sampled_out += 1;
-                        interval.sampled_out += 1;
-                        return Verdict::Drop;
-                    }
+                if sampler.sample_out(rec) {
+                    self.stats.sampled_out += 1;
+                    interval.sampled_out += 1;
+                    return Verdict::Drop;
                 }
             }
         }
@@ -237,14 +234,11 @@ impl CaptureController {
     /// record count and returns the full accounting.
     #[must_use]
     pub(crate) fn finish(mut self) -> DegradationStats {
-        if self.engaged {
-            self.close_interval(false);
-        }
+        self.close_interval();
         self.stats
     }
 
-    fn engage(&mut self) -> Transition {
-        self.engaged = true;
+    fn engage(&mut self) {
         self.stats.engagements += 1;
         if let Some(sampler) = &mut self.sampler {
             // Each interval starts at full capture: regions must re-prove
@@ -257,39 +251,95 @@ impl CaptureController {
             sampled_out: 0,
             kind_dropped: 0,
         });
-        Transition::Engage {
-            widen: self.policy.widen_window,
-        }
     }
 
-    fn disengage(&mut self, snapback: bool) -> Transition {
-        let tighten = self.close_interval(snapback);
-        Transition::Disengage { tighten }
-    }
-
-    /// Ends the open interval, recording it (up to the cap). Returns
-    /// whether the interval widened the window, as every interval under
-    /// a widening policy does.
-    fn close_interval(&mut self, snapback: bool) -> bool {
-        self.engaged = false;
-        if snapback {
-            self.stats.snapbacks += 1;
-        }
+    /// Ends the open interval, if any, recording it (up to the cap).
+    fn close_interval(&mut self) {
         if let Some(mut interval) = self.open.take() {
             interval.to_record = self.records;
             if self.stats.intervals.len() < MAX_RECORDED_INTERVALS {
                 self.stats.intervals.push(interval);
             }
         }
-        self.policy.widen_window
+    }
+}
+
+/// Region demotion to 1-in-[`SAMPLE_RATE`] capture. The lifeguard-specific
+/// half is the policy's [`RegionClassifier`], which answers "is this
+/// access's verdict already settled?"; the generic half is a
+/// direct-mapped table of per-region hot counters, generation-cleared on
+/// repromotion, which answers "has this region been settled often
+/// enough, and is this record the 1-in-N survivor?".
+#[derive(Debug)]
+struct RegionSampler {
+    spec: SamplingSpec,
+    classifier: Box<dyn RegionClassifier>,
+    slots: Vec<SamplerSlot>,
+    generation: u32,
+}
+
+#[derive(Debug, Clone, Copy, Default)]
+struct SamplerSlot {
+    region: u64,
+    generation: u32,
+    settled: u32,
+    rotation: u32,
+}
+
+impl RegionSampler {
+    fn new(spec: SamplingSpec) -> Self {
+        RegionSampler {
+            spec,
+            classifier: (spec.make_classifier)(),
+            slots: vec![SamplerSlot::default(); SAMPLER_SLOTS],
+            generation: 1,
+        }
+    }
+
+    /// Repromotes every region to full capture (lazily, via generation).
+    fn repromote_all(&mut self) {
+        self.generation = self.generation.wrapping_add(1);
+    }
+
+    /// Decides one memory access: `true` means drop (sampled out). Only
+    /// an access whose verdict the classifier calls settled can drop,
+    /// and an access spanning two regions never does — the demotion
+    /// state of one region says nothing about the other.
+    fn sample_out(&mut self, rec: &EventRecord) -> bool {
+        if !self.classifier.verdict_settled(rec) {
+            return false;
+        }
+        let g = self.spec.region_granule_log2;
+        let first = rec.addr >> g;
+        let last = (rec.addr + u64::from(rec.size.max(1)) - 1) >> g;
+        if first != last {
+            return false;
+        }
+        let idx = (first.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 32) as usize & (SAMPLER_SLOTS - 1);
+        let slot = &mut self.slots[idx];
+        if slot.region != first || slot.generation != self.generation {
+            *slot = SamplerSlot {
+                region: first,
+                generation: self.generation,
+                settled: 1,
+                rotation: 0,
+            };
+            return false;
+        }
+        if slot.settled < CLEAN_THRESHOLD {
+            slot.settled += 1;
+            return false;
+        }
+        // Demoted: ship the 1-in-N survivor, drop the rest.
+        slot.rotation = (slot.rotation + 1) % SAMPLE_RATE;
+        slot.rotation != 0
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lba_lifeguard::{AlwaysSettled, SamplingSpec};
-    use lba_record::EventMask;
+    use lba_lifeguard::AlwaysSettled;
 
     fn sampling_policy() -> DegradationPolicy {
         DegradationPolicy {
@@ -297,8 +347,6 @@ mod tests {
             droppable: EventMask::of(&[EventKind::Lock, EventKind::Unlock]),
             sampling: Some(SamplingSpec {
                 region_granule_log2: 4,
-                clean_threshold: 2,
-                sample_rate: 2,
                 repromote_on: EventMask::of(&[EventKind::Alloc, EventKind::Free]),
                 make_classifier: || Box::new(AlwaysSettled),
             }),
@@ -309,44 +357,47 @@ mod tests {
         EventRecord::load(0x1000, 0, Some(1), Some(2), addr, 4)
     }
 
-    fn sample(permille: u64) -> LoadSample {
+    fn sample(permille: u32) -> LoadSample {
         LoadSample {
-            inflight: permille,
+            inflight: u64::from(permille),
             capacity: 1000,
         }
     }
 
-    fn quick() -> AdaptiveConfig {
-        AdaptiveConfig {
-            sample_stride: 1,
-            ..AdaptiveConfig::default()
-        }
+    /// Ticks one stride at a steady load and finding count, so the
+    /// controller samples the load exactly once.
+    fn at_load(ctl: &mut CaptureController, permille: u32) -> Option<Transition> {
+        (0..SAMPLE_STRIDE).find_map(|_| {
+            let findings = ctl.last_findings;
+            ctl.tick(sample(permille), findings)
+        })
+    }
+
+    fn engaged_controller() -> CaptureController {
+        let mut ctl = CaptureController::new(sampling_policy()).unwrap();
+        assert_eq!(at_load(&mut ctl, 900), Some(Transition::Engage));
+        ctl
     }
 
     #[test]
     fn none_policy_never_builds_a_controller() {
-        assert!(
-            CaptureController::new(AdaptiveConfig::default(), DegradationPolicy::none()).is_none()
-        );
+        assert!(CaptureController::new(DegradationPolicy::none()).is_none());
     }
 
     #[test]
     fn hysteresis_engages_high_and_disengages_low() {
-        let mut ctl = CaptureController::new(quick(), sampling_policy()).unwrap();
-        assert_eq!(ctl.tick(sample(500), 0), None, "below engage: nothing");
-        assert_eq!(
-            ctl.tick(sample(900), 0),
-            Some(Transition::Engage { widen: true })
-        );
+        let mut ctl = CaptureController::new(sampling_policy()).unwrap();
+        assert_eq!(at_load(&mut ctl, ENGAGE_PERMILLE - 1), None, "below engage");
+        assert_eq!(at_load(&mut ctl, ENGAGE_PERMILLE), Some(Transition::Engage));
         assert!(ctl.engaged());
         assert_eq!(
-            ctl.tick(sample(500), 0),
+            at_load(&mut ctl, DISENGAGE_PERMILLE + 1),
             None,
             "inside the hysteresis band: stays engaged"
         );
         assert_eq!(
-            ctl.tick(sample(100), 0),
-            Some(Transition::Disengage { tighten: true })
+            at_load(&mut ctl, DISENGAGE_PERMILLE),
+            Some(Transition::Disengage)
         );
         assert!(!ctl.engaged());
         let stats = ctl.finish();
@@ -357,38 +408,29 @@ mod tests {
 
     #[test]
     fn a_new_finding_snaps_back_immediately() {
-        let mut ctl = CaptureController::new(quick(), sampling_policy()).unwrap();
-        ctl.tick(sample(900), 0);
-        assert!(ctl.engaged());
+        let mut ctl = engaged_controller();
         // Occupancy is still sky-high, but a finding landed.
-        assert_eq!(
-            ctl.tick(sample(999), 1),
-            Some(Transition::Disengage { tighten: true })
-        );
+        assert_eq!(ctl.tick(sample(999), 1), Some(Transition::Disengage));
         assert_eq!(ctl.finish().snapbacks, 1);
     }
 
     #[test]
     fn a_syscall_snaps_back_at_the_next_tick() {
-        let mut ctl = CaptureController::new(quick(), sampling_policy()).unwrap();
-        ctl.tick(sample(900), 0);
+        let mut ctl = engaged_controller();
         let mut sys = load(0x40);
         sys.kind = EventKind::Syscall;
         assert_eq!(ctl.admit(&sys), Verdict::Ship, "the syscall itself ships");
-        assert_eq!(
-            ctl.tick(sample(999), 0),
-            Some(Transition::Disengage { tighten: true })
-        );
+        assert_eq!(ctl.tick(sample(999), 0), Some(Transition::Disengage));
         assert_eq!(ctl.finish().snapbacks, 1);
     }
 
     #[test]
     fn droppable_kinds_drop_only_while_engaged() {
-        let mut ctl = CaptureController::new(quick(), sampling_policy()).unwrap();
+        let mut ctl = CaptureController::new(sampling_policy()).unwrap();
         let mut lock = load(0x40);
         lock.kind = EventKind::Lock;
         assert_eq!(ctl.admit(&lock), Verdict::Ship, "not engaged: ships");
-        ctl.tick(sample(900), 0);
+        assert_eq!(at_load(&mut ctl, 900), Some(Transition::Engage));
         assert_eq!(ctl.admit(&lock), Verdict::Drop);
         let stats = ctl.finish();
         assert_eq!(stats.kind_dropped, 1);
@@ -397,37 +439,45 @@ mod tests {
 
     #[test]
     fn sampling_drops_settled_accesses_past_the_threshold() {
-        let mut ctl = CaptureController::new(quick(), sampling_policy()).unwrap();
-        ctl.tick(sample(900), 0);
-        let mut dropped = 0;
-        for _ in 0..10 {
-            if ctl.admit(&load(0x40)) == Verdict::Drop {
-                dropped += 1;
-            }
-        }
-        assert!(dropped > 0, "the hot settled region must demote");
+        let mut ctl = engaged_controller();
+        let n = CLEAN_THRESHOLD + SAMPLE_RATE;
+        let dropped = (0..n)
+            .filter(|_| ctl.admit(&load(0x40)) == Verdict::Drop)
+            .count() as u64;
+        // The first CLEAN_THRESHOLD accesses prove the region settled;
+        // of the next SAMPLE_RATE, only the last survives.
+        assert_eq!(dropped, u64::from(SAMPLE_RATE - 1));
         let stats = ctl.finish();
         assert_eq!(stats.sampled_out, dropped);
         assert_eq!(stats.intervals.len(), 1);
         assert_eq!(stats.intervals[0].sampled_out, dropped);
-        assert_eq!(stats.degraded_records, 10);
+        assert_eq!(stats.degraded_records, u64::from(n));
     }
 
     #[test]
     fn intervals_cover_the_removed_records() {
-        let mut ctl = CaptureController::new(quick(), sampling_policy()).unwrap();
+        let mut ctl = CaptureController::new(sampling_policy()).unwrap();
         for round in 0..3 {
-            ctl.tick(sample(900), 0);
+            assert_eq!(at_load(&mut ctl, 900), Some(Transition::Engage));
             for i in 0..20u64 {
                 let _ = ctl.admit(&load(0x40 + (i % 2) * 0x100));
             }
-            ctl.tick(sample(100), round); // disengage (round>0 also snapbacks)
+            // Round 0 disengages on load; later rounds on a finding's
+            // snapback, which must close and record its interval too.
+            let close = if round == 0 {
+                at_load(&mut ctl, DISENGAGE_PERMILLE)
+            } else {
+                ctl.tick(sample(900), round)
+            };
+            assert_eq!(close, Some(Transition::Disengage));
         }
         let stats = ctl.finish();
         assert_eq!(stats.engagements, 3);
+        assert_eq!(stats.snapbacks, 2);
         assert_eq!(stats.intervals.len(), 3);
         let by_interval: u64 = stats.intervals.iter().map(|i| i.sampled_out).sum();
         assert_eq!(by_interval, stats.sampled_out);
+        assert!(stats.sampled_out > 0, "the two hot regions demote");
         for interval in &stats.intervals {
             assert!(interval.from_record <= interval.to_record);
             assert!(
@@ -439,8 +489,7 @@ mod tests {
 
     #[test]
     fn run_ending_engaged_closes_the_interval() {
-        let mut ctl = CaptureController::new(quick(), sampling_policy()).unwrap();
-        ctl.tick(sample(900), 0);
+        let mut ctl = engaged_controller();
         for _ in 0..5 {
             let _ = ctl.admit(&load(0x40));
         }
@@ -451,26 +500,60 @@ mod tests {
 
     #[test]
     fn stride_skips_load_samples_but_not_snapbacks() {
-        let mut ctl = CaptureController::new(
-            AdaptiveConfig {
-                sample_stride: 4,
-                ..AdaptiveConfig::default()
-            },
-            sampling_policy(),
-        )
-        .unwrap();
-        assert_eq!(ctl.tick(sample(900), 0), None);
-        assert_eq!(ctl.tick(sample(900), 0), None);
-        assert_eq!(ctl.tick(sample(900), 0), None);
-        assert!(
-            matches!(ctl.tick(sample(900), 0), Some(Transition::Engage { .. })),
+        let mut ctl = CaptureController::new(sampling_policy()).unwrap();
+        for _ in 1..SAMPLE_STRIDE {
+            assert_eq!(ctl.tick(sample(900), 0), None, "between samples");
+        }
+        assert_eq!(
+            ctl.tick(sample(900), 0),
+            Some(Transition::Engage),
             "the stride-th tick samples"
         );
         // A finding disengages on the very next tick, stride regardless.
-        assert!(matches!(
-            ctl.tick(sample(900), 7),
-            Some(Transition::Disengage { .. })
-        ));
+        assert_eq!(ctl.tick(sample(900), 7), Some(Transition::Disengage));
         assert_eq!(ctl.finish().snapbacks, 1);
+    }
+
+    fn sampler() -> RegionSampler {
+        RegionSampler::new(sampling_policy().sampling.unwrap())
+    }
+
+    #[test]
+    fn sampler_demotes_only_past_the_threshold() {
+        let mut s = sampler();
+        // The threshold's worth of settled observations: all ship.
+        for _ in 0..CLEAN_THRESHOLD {
+            assert!(!s.sample_out(&load(0x40)));
+        }
+        // Demoted: of the next two rates' worth, exactly 2 survive.
+        let shipped = (0..2 * SAMPLE_RATE)
+            .filter(|_| !s.sample_out(&load(0x40)))
+            .count();
+        assert_eq!(shipped, 2);
+    }
+
+    #[test]
+    fn repromotion_resets_demotion() {
+        let mut s = sampler();
+        for _ in 0..CLEAN_THRESHOLD + 2 {
+            s.sample_out(&load(0x40));
+        }
+        s.repromote_all();
+        for _ in 0..CLEAN_THRESHOLD {
+            assert!(!s.sample_out(&load(0x40)), "re-proving after repromote");
+        }
+        assert!(
+            s.sample_out(&load(0x40)),
+            "demoted again past the threshold"
+        );
+    }
+
+    #[test]
+    fn straddling_accesses_never_drop() {
+        let mut s = sampler();
+        let wide = EventRecord::load(0x1000, 0, None, None, 0x4c, 8);
+        for _ in 0..2 * (CLEAN_THRESHOLD + SAMPLE_RATE) {
+            assert!(!s.sample_out(&wide), "16-byte-granule straddle ships");
+        }
     }
 }

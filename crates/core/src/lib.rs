@@ -35,10 +35,10 @@
 //! Every mode captures through one producer stage chain, private to this
 //! crate, whose adaptive capture controller degrades capture under
 //! back-pressure. The controller has one trigger, the transport's load,
-//! and snaps back on a new finding or a syscall. Outside code turns it on
-//! with [`LogConfig::adaptive`] (an [`AdaptiveConfig`]), and each
-//! lifeguard bounds what it may do with its declared
-//! [`DegradationPolicy`].
+//! and snaps back on a new finding or a syscall. Outside code switches it
+//! on with [`LogConfig::adaptive`]; its thresholds and sampling are the
+//! controller's own constants, and each lifeguard bounds what it may do
+//! with its declared [`DegradationPolicy`].
 //!
 //! # Quickstart
 //!
@@ -79,7 +79,6 @@ pub mod runner;
 pub mod table;
 
 pub use config::{LogConfig, RecordConfig, SystemConfig, MAX_LIVE_CHANNEL_FRAMES};
-pub use controller::AdaptiveConfig;
 pub use cosim::run_lba;
 pub use error::LbaError;
 pub use live_parallel::{run_live, run_live_parallel};

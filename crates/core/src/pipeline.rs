@@ -27,9 +27,13 @@
 //!
 //! Adaptive capture has one trigger: the transport's load, which the
 //! link samples, with snapback on a new finding or a syscall. Outside
-//! code steers it only through
-//! [`LogConfig::adaptive`](crate::LogConfig::adaptive) and the
-//! lifeguard's [`DegradationPolicy`].
+//! code steers it only through the
+//! [`LogConfig::adaptive`](crate::LogConfig::adaptive) switch and the
+//! lifeguard's [`DegradationPolicy`]. Whether the dedup window widens
+//! while degraded is decided once, when the capture filter is built with
+//! or without a widen reserve; the producer widens and tightens the
+//! filter at every transition, and a filter without a reserve never
+//! widens.
 //!
 //! The runners (`cosim.rs`, the modeled one behind `run_lba` and
 //! `run_lba_parallel`; `live_parallel.rs`, the live one; `replay.rs`) are
@@ -44,7 +48,7 @@ use lba_transport::LoadSample;
 use lba_workloads::Benchmark;
 
 use crate::config::SystemConfig;
-use crate::controller::{AdaptiveConfig, CaptureController, Transition, Verdict};
+use crate::controller::{CaptureController, Transition, Verdict};
 use crate::error::LbaError;
 use crate::runner::{Run, RunMode, RunOutcome};
 
@@ -110,7 +114,6 @@ pub(crate) struct Producer {
     filter: CaptureFilter,
     shipping: Vec<EventRecord>,
     controller: Option<CaptureController>,
-    policy_widen: bool,
     syscall_stall: bool,
     decoupled: bool,
 }
@@ -121,7 +124,7 @@ impl Producer {
     fn build(
         filter: CaptureFilter,
         policy: DegradationPolicy,
-        adaptive: Option<AdaptiveConfig>,
+        adaptive: bool,
         syscall_stall: bool,
         decoupled: bool,
     ) -> Self {
@@ -129,8 +132,7 @@ impl Producer {
             trace: TraceStats::new(),
             filter,
             shipping: Vec::new(),
-            controller: adaptive.and_then(|a| CaptureController::new(a, policy)),
-            policy_widen: policy.widen_window,
+            controller: adaptive.then(|| CaptureController::new(policy)).flatten(),
             syscall_stall,
             decoupled,
         }
@@ -186,18 +188,14 @@ impl Producer {
         let mut admit = Verdict::Ship;
         if let Some(ctl) = self.controller.as_mut() {
             match ctl.tick(link.load_sample(), link.finding_count()) {
-                Some(Transition::Engage { widen }) => {
+                Some(Transition::Engage) => {
                     link.mark_degraded(true);
-                    if widen {
-                        self.filter.widen_window();
-                    }
+                    self.filter.widen_window();
                 }
-                Some(Transition::Disengage { tighten }) => {
+                Some(Transition::Disengage) => {
                     link.mark_degraded(false);
-                    if tighten {
-                        self.filter
-                            .tighten_window_into(&mut self.shipping, |rec| link.ship(rec));
-                    }
+                    self.filter
+                        .tighten_window_into(&mut self.shipping, |rec| link.ship(rec));
                 }
                 None => {}
             }
@@ -232,10 +230,8 @@ impl Producer {
             Some(ctl) => {
                 if ctl.engaged() {
                     link.mark_degraded(false);
-                    if self.policy_widen {
-                        self.filter
-                            .tighten_window_into(&mut self.shipping, |rec| link.ship(rec));
-                    }
+                    self.filter
+                        .tighten_window_into(&mut self.shipping, |rec| link.ship(rec));
                 }
                 ctl.finish()
             }

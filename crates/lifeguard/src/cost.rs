@@ -101,12 +101,6 @@ impl<'a> HandlerCtx<'a> {
     pub fn cycles(&self) -> u64 {
         self.cycles + self.pending_work * self.work_factor_pct / 100
     }
-
-    /// Number of findings reported through any context sharing this sink.
-    #[must_use]
-    pub fn findings_len(&self) -> usize {
-        self.findings.len()
-    }
 }
 
 #[cfg(test)]
@@ -156,7 +150,6 @@ mod tests {
         ctx.shadow_write(0x1_0000_0000, 8);
         ctx.report(finding());
         assert_eq!(ctx.cycles(), 2, "no cache model, no miss penalty");
-        assert_eq!(ctx.findings_len(), 1);
     }
 
     #[test]
@@ -182,7 +175,6 @@ mod tests {
         {
             let mut ctx = HandlerCtx::new(&mut mem, 1, &mut findings);
             ctx.report(finding());
-            assert_eq!(ctx.findings_len(), 1);
         }
         assert_eq!(findings.len(), 1);
     }

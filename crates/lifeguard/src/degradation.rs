@@ -19,11 +19,15 @@
 //! its stream: the controller is not even constructed for an all-`none`
 //! policy, so the degraded and undegraded pipelines are the same code.
 //!
-//! The policy is all a lifeguard says about degradation. The controller
-//! has one trigger, the transport's load, and the lifeguard has no
-//! run-time say in when it engages: the application and lifeguard cores
-//! coordinate only through the log, and the findings the log carries
-//! back are what snap capture to full fidelity.
+//! The policy is all a lifeguard says about degradation: *which*
+//! reductions are sound. *How much* is the controller's, the same for
+//! every lifeguard: its load thresholds, its sampling cadence, the size
+//! the window widens to and the 1-in-N rate of a demoted region are
+//! constants of `lba-core`'s controller. The controller has one trigger,
+//! the transport's load, and the lifeguard has no run-time say in when it
+//! engages: the application and lifeguard cores coordinate only through
+//! the log, and the findings the log carries back are what snap capture
+//! to full fidelity.
 //!
 //! Soundness of *sampling* is delegated to a per-lifeguard
 //! [`RegionClassifier`]: the policy ships a constructor for a small
@@ -68,7 +72,9 @@ impl RegionClassifier for AlwaysSettled {
     }
 }
 
-/// Demotion of long-settled address regions to 1-in-N sampled capture.
+/// Demotion of long-settled address regions to 1-in-N sampled capture:
+/// what a region is and what proves it settled. How long it must stay
+/// settled and what N is are the controller's, alike for every lifeguard.
 #[derive(Debug, Clone, Copy)]
 pub struct SamplingSpec {
     /// log2 of the region granule the hot-counter tracks. Must not be
@@ -76,13 +82,6 @@ pub struct SamplingSpec {
     /// "settled" answer holds (AddrCheck: its 16-byte allocation
     /// granule).
     pub region_granule_log2: u8,
-    /// Settled accesses a region must accumulate (since the last
-    /// repromotion) before it is demoted to sampled capture — the
-    /// "long-clean" criterion.
-    pub clean_threshold: u32,
-    /// Once demoted, ship 1 record in this many; the rest are counted as
-    /// sampled-out. Values below 2 disable demotion.
-    pub sample_rate: u32,
     /// Event kinds whose arrival repromotes *every* region to full
     /// capture (AddrCheck: `alloc`/`free` move allocation state).
     /// Findings and syscalls always repromote, policy regardless.
@@ -108,6 +107,8 @@ pub struct DegradationPolicy {
     /// lifeguard that declares a window at all: a wider window only
     /// suppresses *more* duplicates under the same
     /// [`WindowSpec`](crate::WindowSpec), and re-tightening flushes it.
+    /// It sizes the capture filter's widen reserve: without one the
+    /// window never widens.
     pub widen_window: bool,
     /// Event kinds capture may drop outright while degraded. Must be
     /// kinds the lifeguard's verdicts never read — unsubscribed,
@@ -207,108 +208,9 @@ impl DegradationStats {
     }
 }
 
-/// The generic half of region demotion: a direct-mapped table of
-/// per-region hot counters, generation-cleared on repromotion. The
-/// lifeguard-specific half (soundness) lives in the
-/// [`RegionClassifier`] the policy supplies; this table only answers
-/// "has this region been settled often enough, and is this record the
-/// 1-in-N survivor?".
-#[derive(Debug)]
-pub struct RegionSampler {
-    spec: SamplingSpec,
-    slots: Vec<SamplerSlot>,
-    generation: u32,
-}
-
-#[derive(Debug, Clone, Copy, Default)]
-struct SamplerSlot {
-    region: u64,
-    generation: u32,
-    settled: u32,
-    rotation: u32,
-}
-
-/// Slot count of the sampler table. Direct-mapped like the idempotency
-/// window: a colliding region evicts the previous occupant, which only
-/// resets its progress toward demotion — never soundness.
-const SAMPLER_SLOTS: usize = 1 << 12;
-
-impl RegionSampler {
-    /// Builds the sampler for one spec. Returns `None` when the spec's
-    /// rate cannot drop anything.
-    #[must_use]
-    pub fn new(spec: SamplingSpec) -> Option<Self> {
-        if spec.sample_rate < 2 {
-            return None;
-        }
-        Some(RegionSampler {
-            spec,
-            slots: vec![SamplerSlot::default(); SAMPLER_SLOTS],
-            generation: 1,
-        })
-    }
-
-    /// Repromotes every region to full capture (lazily, via generation).
-    pub fn repromote_all(&mut self) {
-        self.generation = self.generation.wrapping_add(1);
-    }
-
-    /// Whether `kind`'s arrival must repromote everything.
-    #[must_use]
-    pub fn repromotes(&self, rec: &EventRecord) -> bool {
-        self.spec.repromote_on.contains(rec.kind)
-    }
-
-    /// Decides one settled access: `true` means drop (sampled out). Only
-    /// called for records whose classifier already answered
-    /// `verdict_settled`. An access spanning two regions never drops —
-    /// the demotion state of one region says nothing about the other.
-    pub fn sample_out(&mut self, rec: &EventRecord) -> bool {
-        let g = self.spec.region_granule_log2;
-        let first = rec.addr >> g;
-        let last = (rec.addr + u64::from(rec.size.max(1)) - 1) >> g;
-        if first != last {
-            return false;
-        }
-        let idx = (first.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 32) as usize & (SAMPLER_SLOTS - 1);
-        let slot = &mut self.slots[idx];
-        if slot.region != first || slot.generation != self.generation {
-            *slot = SamplerSlot {
-                region: first,
-                generation: self.generation,
-                settled: 1,
-                rotation: 0,
-            };
-            return false;
-        }
-        if slot.settled < self.spec.clean_threshold {
-            slot.settled += 1;
-            return false;
-        }
-        // Demoted: ship the 1-in-N survivor, drop the rest.
-        slot.rotation = (slot.rotation + 1) % self.spec.sample_rate;
-        slot.rotation != 0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lba_record::EventKind;
-
-    fn spec(threshold: u32, rate: u32) -> SamplingSpec {
-        SamplingSpec {
-            region_granule_log2: 4,
-            clean_threshold: threshold,
-            sample_rate: rate,
-            repromote_on: EventMask::of(&[EventKind::Alloc, EventKind::Free]),
-            make_classifier: || Box::new(AlwaysSettled),
-        }
-    }
-
-    fn load(addr: u64) -> EventRecord {
-        EventRecord::load(0x1000, 0, Some(1), Some(2), addr, 4)
-    }
 
     #[test]
     fn none_policy_is_none() {
@@ -316,46 +218,6 @@ mod tests {
         let mut p = DegradationPolicy::none();
         p.widen_window = true;
         assert!(!p.is_none());
-    }
-
-    #[test]
-    fn sampler_demotes_only_past_the_threshold() {
-        let mut s = RegionSampler::new(spec(3, 4)).unwrap();
-        // Three settled observations to reach the threshold: all ship.
-        for _ in 0..3 {
-            assert!(!s.sample_out(&load(0x40)));
-        }
-        // Demoted: of the next 8, exactly 2 survive (rotation hits 0
-        // every 4th).
-        let shipped = (0..8).filter(|_| !s.sample_out(&load(0x40))).count();
-        assert_eq!(shipped, 2);
-    }
-
-    #[test]
-    fn repromotion_resets_demotion() {
-        let mut s = RegionSampler::new(spec(2, 2)).unwrap();
-        for _ in 0..6 {
-            s.sample_out(&load(0x40));
-        }
-        s.repromote_all();
-        assert!(!s.sample_out(&load(0x40)), "first access after repromote");
-        assert!(!s.sample_out(&load(0x40)), "still under threshold");
-        assert!(s.sample_out(&load(0x40)), "demoted again past it");
-    }
-
-    #[test]
-    fn straddling_accesses_never_drop() {
-        let mut s = RegionSampler::new(spec(0, 2)).unwrap();
-        let wide = EventRecord::load(0x1000, 0, None, None, 0x4c, 8);
-        for _ in 0..16 {
-            assert!(!s.sample_out(&wide), "16-byte-granule straddle ships");
-        }
-    }
-
-    #[test]
-    fn rate_below_two_disables_sampling() {
-        assert!(RegionSampler::new(spec(0, 1)).is_none());
-        assert!(RegionSampler::new(spec(0, 0)).is_none());
     }
 
     #[test]

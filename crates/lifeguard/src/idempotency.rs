@@ -135,8 +135,8 @@ struct IdempotencyWindow {
     slots: Vec<Option<Entry>>,
     mask: usize,
     /// Logical mask and liveness to restore on
-    /// [`CaptureFilter::tighten_window`]. Equal to the current state for
-    /// windows built without a widen reserve.
+    /// [`CaptureFilter::tighten_window_into`]. Equal to the current state
+    /// for windows built without a widen reserve.
     base_mask: usize,
     base_live: bool,
     /// Mask covering the whole table — what widening switches to.
@@ -151,11 +151,7 @@ struct IdempotencyWindow {
 }
 
 impl IdempotencyWindow {
-    fn new(entries: usize, class: IdempotencyClass) -> Option<Self> {
-        Self::with_widen(entries, 0, class)
-    }
-
-    fn with_widen(entries: usize, widen_entries: usize, class: IdempotencyClass) -> Option<Self> {
+    fn new(entries: usize, widen_entries: usize, class: IdempotencyClass) -> Option<Self> {
         let spec = *class.spec()?;
         if entries == 0 && widen_entries == 0 {
             return None;
@@ -238,30 +234,9 @@ impl IdempotencyWindow {
 
 /// The single capture-pass predicate every producer runs: the optional
 /// address-range filter composed with the per-lifeguard idempotency
-/// window. One `capture` call per retired record decides what enters the
-/// log; the two filters cannot drift between execution modes because the
-/// modes share this code.
-///
-/// # Examples
-///
-/// ```
-/// use lba_lifeguard::{CaptureFilter, IdempotencyClass, WindowSpec};
-/// use lba_record::{EventMask, EventRecord};
-///
-/// let class = IdempotencyClass::Window(WindowSpec {
-///     addr_granule_log2: 4,
-///     invalidate_on: EventMask::of(&[lba_record::EventKind::Free]),
-///     flush_on_thread_switch: false,
-/// });
-/// let mut filter = CaptureFilter::new(None, 64, class);
-/// let mut out = Vec::new();
-/// let load = EventRecord::load(0x1000, 0, None, None, 0x4000_0000, 4);
-/// filter.capture(&load, &mut out);
-/// assert_eq!(out.len(), 1, "first occurrence ships");
-/// filter.capture(&load, &mut out);
-/// assert!(out.is_empty(), "duplicate suppressed");
-/// assert_eq!(filter.stats().deduped, 1);
-/// ```
+/// window. One [`capture_into`](Self::capture_into) call per retired
+/// record decides what enters the log; the two filters cannot drift
+/// between execution modes because the modes share this code.
 #[derive(Debug, Clone)]
 pub struct CaptureFilter {
     range: Option<AddrRangeFilter>,
@@ -275,38 +250,16 @@ impl CaptureFilter {
     /// [`MAX_WINDOW_ENTRIES`]); zero — or an [`IdempotencyClass::None`]
     /// contract — disables dedup entirely, and with no range filter
     /// either, the pass degenerates to shipping every record untouched.
-    #[must_use]
-    pub fn new(
-        range: Option<AddrRangeFilter>,
-        window_entries: usize,
-        class: IdempotencyClass,
-    ) -> Self {
-        CaptureFilter {
-            range,
-            window: IdempotencyWindow::new(window_entries, class),
-            stats: CaptureStats::default(),
-        }
-    }
-
-    /// Whether the pass is a no-op (no range filter, no active window).
-    /// Producers check this once and pair it with
-    /// [`tally_passthrough`](Self::tally_passthrough) to push records
-    /// directly, skipping the scratch-buffer plumbing on the default
-    /// (unfiltered) hot path.
-    #[must_use]
-    pub fn is_passthrough(&self) -> bool {
-        self.range.is_none() && !self.window.as_ref().is_some_and(|w| w.live)
-    }
-
-    /// Creates the composed filter with a widen reserve: the window's
-    /// table is allocated at `widen_entries` (clamped like everything
-    /// else) but runs at `window_entries` until
+    ///
+    /// `widen_entries` is the widen reserve adaptive degradation may
+    /// switch to: the window's table is allocated at that size (clamped
+    /// like everything else) but runs at `window_entries` until
     /// [`widen_window`](Self::widen_window) switches it over. With
     /// `window_entries == 0` the window starts dormant and only filters
     /// while widened — degradation can switch dedup *on*, not just make
-    /// it bigger.
+    /// it bigger. Zero means no reserve.
     #[must_use]
-    pub fn with_widen(
+    pub fn new(
         range: Option<AddrRangeFilter>,
         window_entries: usize,
         widen_entries: usize,
@@ -314,9 +267,17 @@ impl CaptureFilter {
     ) -> Self {
         CaptureFilter {
             range,
-            window: IdempotencyWindow::with_widen(window_entries, widen_entries, class),
+            window: IdempotencyWindow::new(window_entries, widen_entries, class),
             stats: CaptureStats::default(),
         }
+    }
+
+    /// Whether the pass is a no-op (no range filter, no active window):
+    /// [`capture_into`](Self::capture_into) then ships the record
+    /// directly, skipping the scratch-buffer plumbing on the default
+    /// (unfiltered) hot path.
+    fn is_passthrough(&self) -> bool {
+        self.range.is_none() && !self.window.as_ref().is_some_and(|w| w.live)
     }
 
     /// Switches the window to its full (widened) capacity. Sound for any
@@ -325,7 +286,8 @@ impl CaptureFilter {
     /// contract; entries keyed under the old mask merely stop being
     /// found, costing dedup efficiency, never soundness (their pending
     /// fold counts still settle at the next flush, which walks the whole
-    /// table). Returns whether anything changed.
+    /// table). Returns whether anything changed: nothing does without a
+    /// widen reserve.
     pub fn widen_window(&mut self) -> bool {
         match &mut self.window {
             Some(w) if !w.live || w.mask != w.wide_mask => {
@@ -337,13 +299,10 @@ impl CaptureFilter {
         }
     }
 
-    /// Restores the window to its configured capacity, flushing it first
-    /// — the "what must flush on re-tightening" half of the degradation
-    /// contract: every pending fold count settles and every cleared
-    /// verdict is forgotten, so post-tighten capture behaves as if the
-    /// widened interval never existed. `out` is cleared and refilled
-    /// with the summaries to ship.
-    pub fn tighten_window(&mut self, out: &mut Vec<EventRecord>) {
+    /// The scratch-buffer half of
+    /// [`tighten_window_into`](Self::tighten_window_into): `out` is
+    /// cleared and refilled with the summaries to ship.
+    fn tighten_window(&mut self, out: &mut Vec<EventRecord>) {
         out.clear();
         if let Some(w) = &mut self.window {
             w.flush(out, &mut self.stats.folded);
@@ -354,8 +313,13 @@ impl CaptureFilter {
         self.stats.shipped += out.len() as u64;
     }
 
-    /// The shipping counterpart of [`tighten_window`](Self::tighten_window),
-    /// mirroring [`finish_into`](Self::finish_into).
+    /// Ends a widened interval: restores the window to its configured
+    /// capacity, flushing it first, and hands the flushed fold summaries
+    /// to `ship`, mirroring [`finish_into`](Self::finish_into). The flush
+    /// is the "what must flush on re-tightening" half of the degradation
+    /// contract: every pending fold count settles and every cleared
+    /// verdict is forgotten, so post-tighten capture behaves as if the
+    /// widened interval never existed.
     pub fn tighten_window_into(
         &mut self,
         scratch: &mut Vec<EventRecord>,
@@ -367,22 +331,11 @@ impl CaptureFilter {
         }
     }
 
-    /// The fast-path ledger update paired with
-    /// [`is_passthrough`](Self::is_passthrough): the caller ships the
-    /// record itself; this keeps `captured`/`shipped` exact without
-    /// touching a scratch buffer. Equivalent to
-    /// [`capture`](Self::capture) returning the record unchanged — which
-    /// is what a passthrough filter always does.
-    pub fn tally_passthrough(&mut self) {
-        self.stats.captured += 1;
-        self.stats.shipped += 1;
-    }
-
     /// Runs the capture pass for one retired record. `out` is cleared and
     /// refilled with the records that must enter the log, in shipping
     /// order: any fold summaries this record's arrival flushed out of the
     /// window first, then the record itself unless it was filtered.
-    pub fn capture(&mut self, rec: &EventRecord, out: &mut Vec<EventRecord>) {
+    fn capture(&mut self, rec: &EventRecord, out: &mut Vec<EventRecord>) {
         out.clear();
         self.stats.captured += 1;
         if let Some(range) = &self.range {
@@ -437,7 +390,7 @@ impl CaptureFilter {
     /// Ends the capture stream: flushes the window so fold-class
     /// lifeguards receive every outstanding duplicate count. `out` is
     /// cleared and refilled with the summaries to ship.
-    pub fn finish(&mut self, out: &mut Vec<EventRecord>) {
+    fn finish(&mut self, out: &mut Vec<EventRecord>) {
         out.clear();
         if let Some(window) = &mut self.window {
             window.flush(out, &mut self.stats.folded);
@@ -451,6 +404,27 @@ impl CaptureFilter {
     /// call — no scratch-buffer traffic. Keeping the shipping protocol
     /// here (rather than copy-pasted into each run mode) is what makes
     /// "the modes cannot drift" true.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use lba_lifeguard::{CaptureFilter, IdempotencyClass, WindowSpec};
+    /// use lba_record::{EventMask, EventRecord};
+    ///
+    /// let class = IdempotencyClass::Window(WindowSpec {
+    ///     addr_granule_log2: 4,
+    ///     invalidate_on: EventMask::of(&[lba_record::EventKind::Free]),
+    ///     flush_on_thread_switch: false,
+    /// });
+    /// let mut filter = CaptureFilter::new(None, 64, 0, class);
+    /// let (mut scratch, mut shipped) = (Vec::new(), Vec::new());
+    /// let load = EventRecord::load(0x1000, 0, None, None, 0x4000_0000, 4);
+    /// filter.capture_into(&load, &mut scratch, |rec| shipped.push(*rec));
+    /// assert_eq!(shipped.len(), 1, "first occurrence ships");
+    /// filter.capture_into(&load, &mut scratch, |rec| shipped.push(*rec));
+    /// assert_eq!(shipped.len(), 1, "duplicate suppressed");
+    /// assert_eq!(filter.stats().deduped, 1);
+    /// ```
     pub fn capture_into(
         &mut self,
         rec: &EventRecord,
@@ -458,7 +432,8 @@ impl CaptureFilter {
         mut ship: impl FnMut(&EventRecord),
     ) {
         if self.is_passthrough() {
-            self.tally_passthrough();
+            self.stats.captured += 1;
+            self.stats.shipped += 1;
             ship(rec);
         } else {
             self.capture(rec, scratch);
@@ -529,7 +504,7 @@ mod tests {
 
     #[test]
     fn duplicates_within_the_window_are_suppressed() {
-        let mut f = CaptureFilter::new(None, 16, window_class(0, &[], false));
+        let mut f = CaptureFilter::new(None, 16, 0, window_class(0, &[], false));
         let shipped = drive(&mut f, &[load(0x1000, 0x40), load(0x1000, 0x40)]);
         assert_eq!(shipped.len(), 1);
         let stats = f.stats();
@@ -549,7 +524,7 @@ mod tests {
             EventRecord::load(0x1000, 0, Some(1), Some(2), 0x40, 8),  // size
         ];
         for variant in variants {
-            let mut f = CaptureFilter::new(None, 1024, window_class(0, &[], false));
+            let mut f = CaptureFilter::new(None, 1024, 0, window_class(0, &[], false));
             let shipped = drive(&mut f, &[base, variant]);
             assert_eq!(shipped.len(), 2, "{variant:?} must not be suppressed");
         }
@@ -557,20 +532,20 @@ mod tests {
 
     #[test]
     fn granule_groups_addresses() {
-        let mut f = CaptureFilter::new(None, 16, window_class(4, &[], false));
+        let mut f = CaptureFilter::new(None, 16, 0, window_class(4, &[], false));
         // Same 16-byte granule: the second is a duplicate despite a
         // different byte offset.
         let shipped = drive(&mut f, &[load(0x1000, 0x40), load(0x1000, 0x4c)]);
         assert_eq!(shipped.len(), 1);
         // Next granule: ships.
-        let mut f = CaptureFilter::new(None, 16, window_class(4, &[], false));
+        let mut f = CaptureFilter::new(None, 16, 0, window_class(4, &[], false));
         let shipped = drive(&mut f, &[load(0x1000, 0x40), load(0x1000, 0x50)]);
         assert_eq!(shipped.len(), 2);
     }
 
     #[test]
     fn invalidating_event_reopens_the_window() {
-        let mut f = CaptureFilter::new(None, 16, window_class(0, &[EventKind::Free], false));
+        let mut f = CaptureFilter::new(None, 16, 0, window_class(0, &[EventKind::Free], false));
         let free = EventRecord {
             pc: 0x2000,
             kind: EventKind::Free,
@@ -589,17 +564,17 @@ mod tests {
     fn thread_switch_flushes_when_requested() {
         let t0 = load(0x1000, 0x40);
         let t1 = EventRecord::load(0x1008, 1, Some(1), Some(2), 0x80, 4);
-        let mut f = CaptureFilter::new(None, 16, window_class(0, &[], true));
+        let mut f = CaptureFilter::new(None, 16, 0, window_class(0, &[], true));
         let shipped = drive(&mut f, &[t0, t1, t0]);
         assert_eq!(shipped.len(), 3, "t0's re-check after t1 ran must ship");
-        let mut f = CaptureFilter::new(None, 16, window_class(0, &[], false));
+        let mut f = CaptureFilter::new(None, 16, 0, window_class(0, &[], false));
         let shipped = drive(&mut f, &[t0, t1, t0]);
         assert_eq!(shipped.len(), 2, "without the trigger it deduplicates");
     }
 
     #[test]
     fn fold_contract_emits_exact_summaries() {
-        let mut f = CaptureFilter::new(None, 16, fold_class(6, &[]));
+        let mut f = CaptureFilter::new(None, 16, 0, fold_class(6, &[]));
         let shipped = drive(
             &mut f,
             &[load(0x1000, 0x40), load(0x1000, 0x44), load(0x1000, 0x78)],
@@ -624,7 +599,7 @@ mod tests {
     fn fold_eviction_settles_before_the_evictor_ships() {
         // A one-slot window: the second distinct access evicts the first,
         // whose pending count must surface as a summary ahead of it.
-        let mut f = CaptureFilter::new(None, 1, fold_class(0, &[]));
+        let mut f = CaptureFilter::new(None, 1, 0, fold_class(0, &[]));
         let a = load(0x1000, 0x40);
         let b = load(0x1008, 0x99);
         let mut out = Vec::new();
@@ -642,8 +617,8 @@ mod tests {
     #[test]
     fn none_class_and_zero_window_pass_everything() {
         for mut f in [
-            CaptureFilter::new(None, 1024, IdempotencyClass::None),
-            CaptureFilter::new(None, 0, window_class(0, &[], false)),
+            CaptureFilter::new(None, 1024, 0, IdempotencyClass::None),
+            CaptureFilter::new(None, 0, 0, window_class(0, &[], false)),
         ] {
             assert!(f.is_passthrough());
             let records = [load(0x1000, 0x40), load(0x1000, 0x40)];
@@ -654,27 +629,31 @@ mod tests {
             assert_eq!(f.stats().shipped, 2);
         }
         // A filtering configuration is not a passthrough.
-        assert!(!CaptureFilter::new(None, 8, window_class(0, &[], false)).is_passthrough());
+        assert!(!CaptureFilter::new(None, 8, 0, window_class(0, &[], false)).is_passthrough());
     }
 
     #[test]
     fn tally_passthrough_matches_capture_on_a_noop_filter() {
-        // The fast path's ledger must be indistinguishable from running
-        // the full pass on a passthrough filter.
-        let mut slow = CaptureFilter::new(None, 0, IdempotencyClass::None);
+        // `capture_into`'s fast path must ship and account exactly what
+        // the full pass does on a passthrough filter.
+        let mut slow = CaptureFilter::new(None, 0, 0, IdempotencyClass::None);
         let mut fast = slow.clone();
-        let mut out = Vec::new();
+        let (mut out, mut scratch) = (Vec::new(), Vec::new());
+        let (mut slow_shipped, mut fast_shipped) = (Vec::new(), Vec::new());
         for i in 0..5u64 {
-            slow.capture(&load(0x1000 + i, 0x40), &mut out);
-            fast.tally_passthrough();
+            let rec = load(0x1000 + i, 0x40);
+            slow.capture(&rec, &mut out);
+            slow_shipped.extend_from_slice(&out);
+            fast.capture_into(&rec, &mut scratch, |r| fast_shipped.push(*r));
         }
+        assert_eq!(fast_shipped, slow_shipped);
         assert_eq!(fast.stats(), slow.stats());
     }
 
     #[test]
     fn range_filter_composes_in_the_same_pass() {
         let range = AddrRangeFilter::new(vec![(0x40, 0x100)]);
-        let mut f = CaptureFilter::new(Some(range), 16, window_class(0, &[], false));
+        let mut f = CaptureFilter::new(Some(range), 16, 0, window_class(0, &[], false));
         let shipped = drive(
             &mut f,
             &[
@@ -693,7 +672,7 @@ mod tests {
 
     #[test]
     fn non_memory_events_always_ship() {
-        let mut f = CaptureFilter::new(None, 16, window_class(0, &[], false));
+        let mut f = CaptureFilter::new(None, 16, 0, window_class(0, &[], false));
         let alloc = EventRecord {
             pc: 0x1000,
             kind: EventKind::Alloc,
@@ -713,7 +692,7 @@ mod tests {
         // The window is allocated eagerly; a huge configured size must
         // clamp to the ceiling, not attempt a terabyte Vec (or overflow
         // next_power_of_two in debug builds).
-        let mut f = CaptureFilter::new(None, usize::MAX, window_class(0, &[], false));
+        let mut f = CaptureFilter::new(None, usize::MAX, 0, window_class(0, &[], false));
         assert!(!f.is_passthrough());
         let shipped = drive(&mut f, &[load(0x1000, 0x40), load(0x1000, 0x40)]);
         assert_eq!(shipped.len(), 1, "the clamped window still dedups");
@@ -721,7 +700,7 @@ mod tests {
 
     #[test]
     fn stats_balance() {
-        let mut f = CaptureFilter::new(None, 4, fold_class(0, &[EventKind::Syscall]));
+        let mut f = CaptureFilter::new(None, 4, 0, fold_class(0, &[EventKind::Syscall]));
         let mut records = Vec::new();
         for i in 0..200u64 {
             records.push(load(0x1000 + (i % 7) * 8, 0x40 + (i % 5) * 4));
@@ -750,7 +729,7 @@ mod tests {
 
     #[test]
     fn widen_only_window_starts_dormant() {
-        let mut f = CaptureFilter::with_widen(None, 0, 64, window_class(0, &[], false));
+        let mut f = CaptureFilter::new(None, 0, 64, window_class(0, &[], false));
         assert!(f.is_passthrough(), "dormant until widened");
         let mut out = Vec::new();
         f.capture(&load(0x1000, 0x40), &mut out);
@@ -770,7 +749,7 @@ mod tests {
 
     #[test]
     fn tighten_settles_fold_counts_exactly() {
-        let mut f = CaptureFilter::with_widen(None, 0, 16, fold_class(6, &[]));
+        let mut f = CaptureFilter::new(None, 0, 16, fold_class(6, &[]));
         assert!(f.widen_window());
         let mut out = Vec::new();
         let mut shipped = Vec::new();
@@ -793,7 +772,7 @@ mod tests {
 
     #[test]
     fn widening_a_live_window_keeps_the_ledger_balanced() {
-        let mut f = CaptureFilter::with_widen(None, 4, 256, fold_class(0, &[]));
+        let mut f = CaptureFilter::new(None, 4, 256, fold_class(0, &[]));
         assert!(!f.is_passthrough());
         let mut out = Vec::new();
         let mut shipped = 0u64;
@@ -820,9 +799,9 @@ mod tests {
 
     #[test]
     fn widen_without_reserve_is_a_noop() {
-        let mut f = CaptureFilter::new(None, 16, window_class(0, &[], false));
+        let mut f = CaptureFilter::new(None, 16, 0, window_class(0, &[], false));
         assert!(!f.widen_window(), "no reserve: already at full capacity");
-        let mut none = CaptureFilter::new(None, 0, IdempotencyClass::None);
+        let mut none = CaptureFilter::new(None, 0, 0, IdempotencyClass::None);
         assert!(!none.widen_window(), "None-class never grows a window");
     }
 }

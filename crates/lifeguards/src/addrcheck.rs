@@ -295,11 +295,6 @@ impl Lifeguard for AddrCheck {
             droppable: EventMask::of(&[EventKind::Lock, EventKind::Unlock]),
             sampling: Some(SamplingSpec {
                 region_granule_log2: GRANULE.trailing_zeros() as u8,
-                // Demote a granule after 8 consecutively-clean accesses;
-                // then ship 1 in 8. Modest, because every alloc/free
-                // restarts the proof.
-                clean_threshold: 8,
-                sample_rate: 8,
                 repromote_on: EventMask::of(&[EventKind::Alloc, EventKind::Free]),
                 make_classifier: || Box::new(AllocSettled::default()),
             }),

@@ -192,8 +192,6 @@ impl Lifeguard for MemProfile {
             ]),
             sampling: Some(SamplingSpec {
                 region_granule_log2: LINE_BYTES.trailing_zeros() as u8,
-                clean_threshold: 8,
-                sample_rate: 8,
                 repromote_on: EventMask::EMPTY,
                 make_classifier: || Box::new(AlwaysSettled),
             }),

@@ -56,12 +56,6 @@ impl FaultProfile {
             drain_drag: 2000,
         }
     }
-
-    /// Whether the profile injects any fault at all.
-    #[must_use]
-    pub fn is_quiet(&self) -> bool {
-        self.stall_period == 0 && self.drain_drag == 0
-    }
 }
 
 /// The modeled consumer's stall schedule under a [`FaultProfile`]
@@ -215,7 +209,6 @@ mod tests {
     fn quiet_profile_is_transparent() {
         let mut ch = ModeledFrameChannel::new(1 << 16, config(4), true);
         ch.set_fault(FaultProfile::default());
-        assert!(FaultProfile::default().is_quiet());
         for i in 0..16 {
             ch.push_record(&rec(i), i);
         }

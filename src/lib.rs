@@ -95,11 +95,11 @@
 //! | `lba-record`     | the typed event-record vocabulary the log carries (incl. `Repeat` fold summaries) + the segmented `lbas/1` flight-recorder stream format (rotation, retention, End records), the one on-disk record format |
 //! | `lba-compress`   | value-prediction log compression + chunked frame codec (< 1 byte/instr on the wire), `CODEC_VERSION` stamped into recordings |
 //! | `lba-transport`  | `ModeledFrameChannel`, the framed buffer timing model the co-simulation gives each lifeguard core (one queue of sealed frames in seal order, admitted or parked, each holding its records, wire bits and `ready_at`); the live transport — one `FrameSender` (encoder, recording tee, degraded mark, stall latch, stats) and one `FrameReceiver` (decoder, drain drag) over two wires, the in-process SPSC queue or the `socket` module's `lbas/1` records over Unix-domain sockets with an explicit credit window so back-pressure survives the wire, whose consumer refuses a hello announcing another codec; both consumed a frame at a time (`pop_frame` / `recv_batch`); `shard_of` routing and per-shard channel fan-out; `FrameSink`/`FrameSource` seam with tee mirroring into recordings and `StreamSource` reading them back (salvage switch for torn tails); per-stream `ChannelStats` (records, frames, wire bits, degraded frames) counted alike by the modeled channel, the live sender and the receiver, so a replay's counts check against the recording run's; the producer-visible `LoadSample` occupancy signal (the feedback arrow above) and the `FaultProfile` slow-consumer injection (the modeled channel's stall schedule, the live receivers' drain drag) |
-//! | `lba-lifeguard`  | dispatch engine (`deliver_batch` for the log, per-record `deliver` for DBI), capture filters (`AddrRangeFilter` + per-contract idempotency window in one `CaptureFilter` pass), findings, flat paged shadow memory, and the `DegradationPolicy`/`RegionClassifier` graceful-degradation contracts |
+//! | `lba-lifeguard`  | dispatch engine (`deliver_batch` for the log, per-record `deliver` for DBI), capture filters (`AddrRangeFilter` + per-contract idempotency window in one `CaptureFilter` pass, whose widen reserve is the one record of whether degradation widens it), findings, flat paged shadow memory, and the graceful-degradation contract a lifeguard declares (`DegradationPolicy`, its `SamplingSpec`, and the `RegionClassifier` oracle with `AlwaysSettled`) |
 //! | `lba-lifeguards` | the four lifeguards (the paper's three + `MemProfile`); each declares its degradation tolerance next to its idempotency story |
 //! | `lba-dbi`        | Valgrind-style inline instrumentation baseline        |
 //! | `lba-workloads`  | deterministic benchmark programs                      |
-//! | `lba-core`       | ties it together: the staged capture pipeline (one crate-private producer stage chain, with the adaptive capture controller inside it, driving each mode's transport link), the run-mode/monitor registry (`pipeline::RUN_MODES` / `pipeline::MONITORS`, whose named rows `ADDRCHECK`, `TAINTCHECK`, `LOCKSET` and `MEMPROFILE` are the one lifeguard handle: the instance the log-based modes run, the instance the DBI baseline runs, shardability and the Figure 2 panel), the unified `Run` builder taking a monitor row and dispatching every mode through its `RUN_MODES` row behind one validated entry point (the `run_*` functions are the per-mode implementations), one co-simulation behind `run_lba` and `run_lba_parallel` (one lifeguard core or N, one timing model), one live runner behind `run_live`, `run_live_parallel` and `run_remote` (one shard or N, queue or socket wires) whose consumer threads also run `run_replay` (one receiver per recorded stream), one run contract for every entry point (the builder, each `run_*` function and the `experiment` functions return a `RunReport` whose findings are its consumers' merged on `(kind, pc, addr, tid)`, or an `LbaError`, which every layer's error converts into: a machine fault, a log configuration that cannot ship, a stalled channel, a panicking live or replay thread, an undecodable frame, a recording under another codec), the experiment layer (Figure 2 runs every monitor row with a panel), the one `RunReport` every mode returns (clocks where a modeled clock runs, one `ChannelStats` per stream, salvaged tails after a salvaging replay; it derefs to its `PipelineReport` core), and `AdaptiveConfig`, the knobs of the capture controller that closes the back-pressure feedback loop |
+//! | `lba-core`       | ties it together: the staged capture pipeline (one crate-private producer stage chain, with the adaptive capture controller inside it, driving each mode's transport link), the run-mode/monitor registry (`pipeline::RUN_MODES` / `pipeline::MONITORS`, whose named rows `ADDRCHECK`, `TAINTCHECK`, `LOCKSET` and `MEMPROFILE` are the one lifeguard handle: the instance the log-based modes run, the instance the DBI baseline runs, shardability and the Figure 2 panel), the unified `Run` builder taking a monitor row and dispatching every mode through its `RUN_MODES` row behind one validated entry point (the `run_*` functions are the per-mode implementations), one co-simulation behind `run_lba` and `run_lba_parallel` (one lifeguard core or N, one timing model), one live runner behind `run_live`, `run_live_parallel` and `run_remote` (one shard or N, queue or socket wires) whose consumer threads also run `run_replay` (one receiver per recorded stream), one run contract for every entry point (the builder, each `run_*` function and the `experiment` functions return a `RunReport` whose findings are its consumers' merged on `(kind, pc, addr, tid)`, or an `LbaError`, which every layer's error converts into: a machine fault, a log configuration that cannot ship, a stalled channel, a panicking live or replay thread, an undecodable frame, a recording under another codec), the experiment layer (Figure 2 runs every monitor row with a panel), the one `RunReport` every mode returns (clocks where a modeled clock runs, one `ChannelStats` per stream, salvaged tails after a salvaging replay; it derefs to its `PipelineReport` core), and the `LogConfig::adaptive` switch of the capture controller that closes the back-pressure feedback loop, whose thresholds, sampling stride, widen reserve and demotion rate are its own constants |
 //! | `lba-bench`      | table rendering, Criterion benches, `figures` binary  |
 //!
 //! ## Execution models
@@ -172,8 +172,8 @@
 //! cross-mode equivalence suites all name lifeguards by these rows.
 //!
 //! Every producer mode can additionally run *adaptive*: set
-//! [`LogConfig::adaptive`] to an [`AdaptiveConfig`] and the capture
-//! controller watches the transport's [`LoadSample`], degrading capture
+//! [`LogConfig::adaptive`] and the capture controller watches the
+//! transport's [`LoadSample`], degrading capture
 //! under back-pressure strictly within each lifeguard's declared
 //! [`DegradationPolicy`] — and snapping back to full fidelity on any
 //! finding or syscall. Load is its one trigger: the lifeguard shapes what
@@ -239,14 +239,14 @@ pub use lba_core::{
     Figure2Panel, MonitorSpec, RunModeSpec, TopologyKind, ADDRCHECK, LOCKSET, MEMPROFILE, MONITORS,
     RUN_MODES, TAINTCHECK,
 };
-// Adaptive capture under back-pressure: the controller's knobs (the
-// controller itself is private to lba-core), the per-lifeguard
-// degradation contracts, the transport load signal, the deterministic
-// fault profile that drives the acceptance tests, and the replay salvage
-// mode for torn recordings.
+// Adaptive capture under back-pressure (one switch,
+// `LogConfig::adaptive`; the controller and its constants are private to
+// lba-core): the per-lifeguard degradation contracts, the transport load
+// signal, the deterministic fault profile that drives the acceptance
+// tests, and the replay salvage mode for torn recordings.
 pub use lba_core::{
-    AdaptiveConfig, DegradationPolicy, DegradationStats, DegradedInterval, FaultProfile,
-    LoadSample, RegionClassifier, ReplayMode, SalvagedTail, SamplingSpec, MAX_RECORDED_INTERVALS,
+    DegradationPolicy, DegradationStats, DegradedInterval, FaultProfile, LoadSample,
+    RegionClassifier, ReplayMode, SalvagedTail, SamplingSpec, MAX_RECORDED_INTERVALS,
 };
 
 #[cfg(test)]

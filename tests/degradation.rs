@@ -11,30 +11,17 @@ use std::time::Duration;
 use proptest::prelude::*;
 
 use lba::{
-    parallel::run_lba_parallel, run_lba, run_live, run_live_parallel, run_remote, AdaptiveConfig,
-    DegradationStats, FaultProfile, LbaError, SystemConfig, ADDRCHECK, MAX_RECORDED_INTERVALS,
-    MONITORS,
+    parallel::run_lba_parallel, run_lba, run_live, run_live_parallel, run_remote, DegradationStats,
+    FaultProfile, LbaError, SystemConfig, ADDRCHECK, MAX_RECORDED_INTERVALS, MONITORS,
 };
 use lba_isa::Program;
 use lba_lifeguard::Lifeguard;
 use lba_lifeguards::{AddrCheck, MemProfile, TaintCheck};
 use lba_workloads::{bugs, Benchmark};
 
-/// Thresholds low enough that the modeled slow-drain profile engages on
-/// the small bug workloads too (the default 700‰ needs a larger queue
-/// excursion than a short run can build).
-fn aggressive() -> AdaptiveConfig {
-    AdaptiveConfig {
-        engage_permille: 300,
-        disengage_permille: 100,
-        sample_stride: 16,
-        ..AdaptiveConfig::default()
-    }
-}
-
 fn degraded_config() -> SystemConfig {
     let mut config = SystemConfig::default();
-    config.log.adaptive = Some(aggressive());
+    config.log.adaptive = true;
     config.log.fault = Some(FaultProfile::slow_drain());
     // A small buffer makes back-pressure real: the modeled channel only
     // drains under pressure, so occupancy genuinely climbs past the
@@ -81,7 +68,6 @@ fn quiet_fault_injection_is_transparent() {
     let clean = run_lba(&program, &mut lg, &SystemConfig::default()).unwrap();
     let mut config = SystemConfig::default();
     config.log.fault = Some(FaultProfile::default());
-    assert!(config.log.fault.unwrap().is_quiet());
     let mut lg = AddrCheck::new();
     let quiet = run_lba(&program, &mut lg, &config).unwrap();
     assert_eq!(quiet.findings, clean.findings);

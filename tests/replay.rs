@@ -12,9 +12,8 @@ use std::thread::{self, ThreadId};
 use proptest::prelude::*;
 
 use lba::{
-    run_lba, run_live, run_live_parallel, run_replay, run_replay_with, AdaptiveConfig,
-    FaultProfile, LbaError, RecordConfig, ReplayMode, SystemConfig, ADDRCHECK, LOCKSET, MONITORS,
-    TAINTCHECK,
+    run_lba, run_live, run_live_parallel, run_replay, run_replay_with, FaultProfile, LbaError,
+    RecordConfig, ReplayMode, SystemConfig, ADDRCHECK, LOCKSET, MONITORS, TAINTCHECK,
 };
 use lba_lifeguard::{HandlerCtx, Lifeguard};
 use lba_record::{segment_file_name, EventMask, EventRecord, StreamConfig, StreamError};
@@ -501,12 +500,7 @@ fn degraded_spans_ride_the_recording_into_replay() {
     let program = Benchmark::Gzip.build();
     let dir = temp_dir("degraded-replay");
     let mut config = recording_config(&dir);
-    config.log.adaptive = Some(AdaptiveConfig {
-        engage_permille: 300,
-        disengage_permille: 100,
-        sample_stride: 16,
-        ..AdaptiveConfig::default()
-    });
+    config.log.adaptive = true;
     config.log.fault = Some(FaultProfile::slow_drain());
     config.log.buffer_bytes = 2 << 10;
     let monitor = ADDRCHECK;

@@ -7,8 +7,8 @@ use std::fmt::Debug;
 use std::time::{Duration, Instant};
 
 use lba::{
-    run_live, run_live_parallel, run_remote, run_replay, AdaptiveConfig, DegradationPolicy,
-    LbaError, MonitorSpec, RecordConfig, RegionClassifier, Run, RunMode, SystemConfig, ADDRCHECK,
+    run_live, run_live_parallel, run_remote, run_replay, DegradationPolicy, LbaError, MonitorSpec,
+    RecordConfig, RegionClassifier, Run, RunMode, SystemConfig, ADDRCHECK,
 };
 use lba_isa::Program;
 use lba_lifeguard::{HandlerCtx, Lifeguard};
@@ -134,7 +134,7 @@ fn a_producer_panic_is_reported_as_itself_not_as_the_tear_it_causes() {
     // The panicking producer drops its socket sender unfinished, so the
     // worker sees a torn wire; the producer's panic explains it and wins.
     let mut config = SystemConfig::default();
-    config.log.adaptive = Some(AdaptiveConfig::default());
+    config.log.adaptive = true;
     let err = failure(|program| run_remote(program, || buggy(true), 1, &config));
     assert!(
         matches!(&err, LbaError::Panicked { thread, .. } if thread.contains("producer")),

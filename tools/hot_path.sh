@@ -4,6 +4,8 @@
 # size in decimal bytes, then nm's symbol type and the demangled name):
 #
 #   lba_core::cosim and lba_core::live_parallel   the two runners
+#   lba_core::pipeline and lba_core::controller   the producer stage chain
+#                                                 and the capture controller
 #   ModeledFrameChannel                           the modeled log buffer
 #   FrameSender<_>::ship, SocketSink's ship       the live and socket sends
 #   FrameReceiver                                 the live receive
@@ -11,11 +13,12 @@
 #   CaptureFilter                                 the capture pass
 #
 # Drop glue is left out. A function that is missing here was inlined into
-# its caller; one that appears, or changes size, after a change that did
-# not touch it moved in the binary, so compare this output before and
-# after a change before attributing a throughput move to the code (an
-# out-of-line `Cosim::ship` or `absorb` has cost the modeled runner 4-12%).
-# It only prints: it gates nothing.
+# its caller (`Producer::observe`, which runs on every record in every
+# mode, should be); one that appears, or changes size, after a change
+# that did not touch it moved in the binary, so compare this output
+# before and after a change before attributing a throughput move to the
+# code (an out-of-line `Cosim::ship` or `absorb` has cost the modeled
+# runner 4-12%). It only prints: it gates nothing.
 #
 # Usage: tools/hot_path.sh [BINARY]
 #   BINARY defaults to perfbench/target/release/perfbench; build it with
@@ -30,7 +33,7 @@ if [[ ! -f $bin ]]; then
     exit 1
 fi
 
-hot='lba_core::(cosim|live_parallel)::|ModeledFrameChannel|FrameSender<[^>]*>::ship'
+hot='lba_core::(cosim|live_parallel|pipeline|controller)::|ModeledFrameChannel|FrameSender<[^>]*>::ship'
 hot+='|SocketSink as [^>]*>::ship|FrameReceiver|Machine::step_|CaptureFilter'
 
 nm --size-sort -C "$bin" | grep -E "$hot" | grep -v 'drop_in_place' |
