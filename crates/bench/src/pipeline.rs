@@ -36,14 +36,13 @@ fn monitors(keep: fn(&MonitorSpec) -> bool) -> impl Iterator<Item = &'static Mon
 /// in capture-side dedup (today AddrCheck, LockSet and MemProfile;
 /// TaintCheck declares `IdempotencyClass::None`).
 fn dedupes(m: &MonitorSpec) -> bool {
-    (m.make)().idempotency().dedupes()
+    (m.make)().idempotency().spec().is_some()
 }
 
-/// Whether `m`'s declared `Lifeguard::degradation()` contract tolerates
-/// anything (today AddrCheck, LockSet and MemProfile; TaintCheck declares
-/// `DegradationPolicy::none()`).
+/// Whether `m` declares a `Lifeguard::degradation()` contract (today
+/// AddrCheck, LockSet and MemProfile; TaintCheck declares none).
 fn degrades(m: &MonitorSpec) -> bool {
-    !(m.make)().degradation().is_none()
+    (m.make)().degradation().is_some()
 }
 
 /// Shard counts the sharded series measure.
@@ -1003,7 +1002,11 @@ pub fn validate_trajectory(json: &str) -> Result<(), String> {
             // A contract that declares no sampling (LockSet: a
             // sampled-out access could be a fresh word's first touch)
             // must show none; the rest must actually thin the stream.
-            if (monitor.make)().degradation().sampling.is_none() {
+            if (monitor.make)()
+                .degradation()
+                .and_then(|policy| policy.make_classifier)
+                .is_none()
+            {
                 if fraction != 0.0 {
                     return Err(format!("{what}: {lifeguard} declares no sampling"));
                 }
@@ -1039,7 +1042,7 @@ pub fn validate_trajectory(json: &str) -> Result<(), String> {
         for suffix in ["degraded", "faulted"] {
             if json.contains(&format!("-{suffix}\", \"lifeguard\": \"{name}\"")) {
                 return Err(format!(
-                    "{name} declares DegradationPolicy::none(); it has no degraded row"
+                    "{name} declares no DegradationPolicy; it has no degraded row"
                 ));
             }
         }

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use lba_record::{EventKind, EventRecord, RAW_RECORD_BYTES};
+use lba_record::{EventKind, EventRecord};
 
 use crate::bits::{BitReader, BitWriter};
 use crate::predictors::FcmPredictor;
@@ -141,56 +141,6 @@ const ADDR_GLOBAL: u64 = 1;
 const ADDR_FCM: u64 = 2;
 const ADDR_ESCAPE: u64 = 3;
 
-/// Aggregate compression statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CompressionStats {
-    /// Records encoded.
-    pub records: u64,
-    /// Total encoded bits.
-    pub bits: u64,
-}
-
-impl CompressionStats {
-    /// Encoded size in bytes (rounded up).
-    #[must_use]
-    pub fn bytes(&self) -> u64 {
-        self.bits.div_ceil(8)
-    }
-
-    /// Average bytes per record — the paper's headline metric
-    /// (< 1 byte/instruction).
-    #[must_use]
-    pub fn bytes_per_record(&self) -> f64 {
-        if self.records == 0 {
-            0.0
-        } else {
-            self.bits as f64 / 8.0 / self.records as f64
-        }
-    }
-
-    /// Compression ratio versus the raw 25-byte record encoding.
-    #[must_use]
-    pub fn ratio_vs_raw(&self) -> f64 {
-        if self.bits == 0 {
-            1.0
-        } else {
-            (self.records * RAW_RECORD_BYTES as u64) as f64 / self.bytes() as f64
-        }
-    }
-}
-
-impl fmt::Display for CompressionStats {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} records, {:.3} B/record ({:.1}x vs raw)",
-            self.records,
-            self.bytes_per_record(),
-            self.ratio_vs_raw()
-        )
-    }
-}
-
 /// Depth of the per-PC successor stack (see [`Successor`]).
 const SUCC_DEPTH: usize = 4;
 
@@ -291,12 +241,11 @@ fn fallthrough(pc: u64) -> u64 {
 /// The hardware log-compression engine model.
 ///
 /// Feed records in retirement order; [`LogCompressor::encode`] appends the
-/// compressed form to a [`BitWriter`] and returns the bit cost, which the
-/// transport layer uses for occupancy accounting.
+/// compressed form to a [`BitWriter`], whose
+/// [`len_bits`](BitWriter::len_bits) grows by the record's bit cost.
 #[derive(Debug)]
 pub struct LogCompressor {
     state: StreamState,
-    stats: CompressionStats,
 }
 
 impl Default for LogCompressor {
@@ -311,19 +260,11 @@ impl LogCompressor {
     pub fn new() -> Self {
         LogCompressor {
             state: StreamState::new(),
-            stats: CompressionStats::default(),
         }
     }
 
-    /// Accumulated statistics.
-    #[must_use]
-    pub fn stats(&self) -> CompressionStats {
-        self.stats
-    }
-
-    /// Encodes one record, returning the number of bits written.
-    pub fn encode(&mut self, rec: &EventRecord, w: &mut BitWriter) -> u64 {
-        let start = w.len_bits();
+    /// Encodes one record, appending its compressed form to `w`.
+    pub fn encode(&mut self, rec: &EventRecord, w: &mut BitWriter) {
         let s = &mut self.state;
 
         // 1-3. Header: thread id, program counter (MRU successor-stack
@@ -436,11 +377,6 @@ impl LogCompressor {
                 entry.last_size = rec.size;
             }
         }
-
-        let bits = w.len_bits() - start;
-        self.stats.records += 1;
-        self.stats.bits += bits;
-        bits
     }
 }
 
@@ -734,14 +670,17 @@ fn decode_addr(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lba_record::RAW_RECORD_BYTES;
 
-    fn round_trip(records: &[EventRecord]) -> CompressionStats {
+    /// Round-trips `records` through one compressor; returns the stream's
+    /// bytes per record.
+    fn round_trip(records: &[EventRecord]) -> f64 {
         let mut c = LogCompressor::new();
         let mut w = BitWriter::new();
         for rec in records {
             c.encode(rec, &mut w);
         }
-        let stats = c.stats();
+        let bytes_per_record = w.len_bits() as f64 / 8.0 / records.len() as f64;
         let bytes = w.into_bytes();
         let mut r = BitReader::new(&bytes);
         let mut d = LogDecompressor::new();
@@ -751,7 +690,7 @@ mod tests {
                 .unwrap_or_else(|e| panic!("record {i}: {e}"));
             assert_eq!(got, *rec, "record {i} mismatched");
         }
-        stats
+        bytes_per_record
     }
 
     #[test]
@@ -860,11 +799,10 @@ mod tests {
                 size: 1,
             });
         }
-        let stats = round_trip(&records);
+        let bytes_per_record = round_trip(&records);
         assert!(
-            stats.bytes_per_record() < 1.0,
-            "expected <1 B/record, got {:.3}",
-            stats.bytes_per_record()
+            bytes_per_record < 1.0,
+            "expected <1 B/record, got {bytes_per_record:.3}"
         );
     }
 
@@ -896,9 +834,8 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             records.push(EventRecord::load(0x1000, 0, Some(1), None, x, 1));
         }
-        let stats = round_trip(&records);
         assert!(
-            stats.bytes_per_record() < RAW_RECORD_BYTES as f64,
+            round_trip(&records) < RAW_RECORD_BYTES as f64,
             "never worse than raw + eps"
         );
     }
@@ -913,11 +850,10 @@ mod tests {
             records.push(EventRecord::load(0x1000, 0, Some(1), None, addr, 8));
             addr += if i % 2 == 0 { 8 } else { 56 };
         }
-        let stats = round_trip(&records);
+        let bytes_per_record = round_trip(&records);
         assert!(
-            stats.bytes_per_record() < 1.5,
-            "fcm should keep alternating strides cheap, got {:.3}",
-            stats.bytes_per_record()
+            bytes_per_record < 1.5,
+            "fcm should keep alternating strides cheap, got {bytes_per_record:.3}"
         );
     }
 
@@ -937,22 +873,6 @@ mod tests {
     }
 
     #[test]
-    fn stats_track_records_and_ratio() {
-        let mut c = LogCompressor::new();
-        let mut w = BitWriter::new();
-        for _ in 0..10 {
-            c.encode(
-                &EventRecord::alu(0x1000, 0, Some(1), Some(2), Some(3)),
-                &mut w,
-            );
-        }
-        let stats = c.stats();
-        assert_eq!(stats.records, 10);
-        assert!(stats.bits > 0);
-        assert!(stats.ratio_vs_raw() > 1.0);
-    }
-
-    #[test]
     fn alloc_sizes_use_last_value_prediction() {
         let mut records = Vec::new();
         for i in 0..100u64 {
@@ -967,7 +887,6 @@ mod tests {
                 size: 64,
             });
         }
-        let stats = round_trip(&records);
-        assert!(stats.bytes_per_record() < 1.5);
+        assert!(round_trip(&records) < 1.5);
     }
 }

@@ -191,21 +191,6 @@ impl fmt::Display for FrameDecodeError {
 
 impl std::error::Error for FrameDecodeError {}
 
-/// Aggregate framing statistics for one encoder.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FrameStats {
-    /// Records encoded (sealed frames only).
-    pub records: u64,
-    /// Frames sealed.
-    pub frames: u64,
-    /// Payload bits across sealed frames.
-    pub payload_bits: u64,
-    /// Wire bits across sealed frames (headers and padding included).
-    pub wire_bits: u64,
-    /// Sealed frames that carry the degraded-capture mark.
-    pub degraded_frames: u64,
-}
-
 /// Accumulates records into cache-line-multiple frames.
 ///
 /// Wraps [`LogCompressor`] + [`BitWriter`] (or the raw record encoding when
@@ -245,7 +230,6 @@ pub struct FrameEncoder {
     raw: Vec<u8>,
     pending: u32,
     degraded: bool,
-    stats: FrameStats,
     /// Spent wire buffer donated via [`recycle`](Self::recycle), reused by
     /// the next seal to avoid an allocation per frame.
     scratch: Vec<u8>,
@@ -271,7 +255,6 @@ impl FrameEncoder {
             raw: Vec::new(),
             pending: 0,
             degraded: false,
-            stats: FrameStats::default(),
             scratch: Vec::new(),
         };
         enc.begin_frame();
@@ -283,7 +266,7 @@ impl FrameEncoder {
     /// it.
     fn begin_frame(&mut self) {
         if self.config.compress {
-            self.writer.write_bits(0, 64);
+            self.writer.write_bits(0, FRAME_HEADER_BYTES as u32 * 8);
         } else {
             self.raw.extend_from_slice(&[0u8; FRAME_HEADER_BYTES]);
         }
@@ -312,30 +295,12 @@ impl FrameEncoder {
         (self.pending > 0).then(|| self.seal())
     }
 
-    /// Records buffered in the open (unsealed) frame.
-    #[must_use]
-    pub fn pending_records(&self) -> usize {
-        self.pending as usize
-    }
-
     /// Marks frames sealed from now on as carrying degraded capture (the
     /// wire-level [`Frame::header_degraded`] bit). Callers flush the open
     /// frame *before* toggling, so the mark is frame-accurate: a frame is
     /// marked iff every record in it was captured while degraded.
     pub fn set_degraded(&mut self, on: bool) {
         self.degraded = on;
-    }
-
-    /// Whether frames sealed now would carry the degraded mark.
-    #[must_use]
-    pub fn degraded(&self) -> bool {
-        self.degraded
-    }
-
-    /// Statistics over sealed frames.
-    #[must_use]
-    pub fn stats(&self) -> FrameStats {
-        self.stats
     }
 
     fn seal(&mut self) -> Frame {
@@ -345,21 +310,20 @@ impl FrameEncoder {
         // The buffer already holds [header placeholder | payload]: swap it
         // out whole (recycling the donated scratch buffer), patch the
         // header, and pad — the payload itself is never copied.
-        let mut bytes = if self.config.compress {
-            self.writer.swap_bytes(std::mem::take(&mut self.scratch))
+        let (mut bytes, payload_bits) = if self.config.compress {
+            // Swapping pads the payload to a byte: take its exact bit
+            // count, less the header placeholder, first.
+            let payload_bits = self.writer.len_bits() - FRAME_HEADER_BYTES as u64 * 8;
+            let bytes = self.writer.swap_bytes(std::mem::take(&mut self.scratch));
+            (bytes, payload_bits)
         } else {
             let mut next = std::mem::take(&mut self.scratch);
             next.clear();
-            std::mem::replace(&mut self.raw, next)
+            let bytes = std::mem::replace(&mut self.raw, next);
+            let payload_bits = (bytes.len() - FRAME_HEADER_BYTES) as u64 * 8;
+            (bytes, payload_bits)
         };
         let payload_len = bytes.len() - FRAME_HEADER_BYTES;
-        let payload_bits = if self.config.compress {
-            // The payload pads to a byte; recover the exact bit count
-            // from the compressor's running total.
-            self.compressor.stats().bits - self.stats.payload_bits
-        } else {
-            payload_len as u64 * 8
-        };
         let word = FrameCountWord {
             records,
             degraded: self.degraded,
@@ -370,18 +334,12 @@ impl FrameEncoder {
         bytes.resize(padded, 0);
         self.begin_frame();
 
-        let frame = Frame {
+        Frame {
             records,
             bytes,
             payload_bits,
             degraded: self.degraded,
-        };
-        self.stats.records += u64::from(records);
-        self.stats.frames += 1;
-        self.stats.payload_bits += payload_bits;
-        self.stats.wire_bits += frame.wire_bits();
-        self.stats.degraded_frames += u64::from(frame.degraded);
-        frame
+        }
     }
 }
 
@@ -507,7 +465,6 @@ mod tests {
             }
         }
         frames.extend(enc.flush());
-        assert_eq!(enc.pending_records(), 0);
 
         let mut dec = FrameDecoder::new(config);
         let mut out = Vec::new();
@@ -567,18 +524,16 @@ mod tests {
             records_per_frame: 8,
             compress: true,
         });
-        for rec in &records {
-            enc.push(rec);
-        }
-        enc.flush();
-        let stats = enc.stats();
-        assert_eq!(stats.records, 1000);
+        let mut frames: Vec<Frame> = records.iter().filter_map(|rec| enc.push(rec)).collect();
+        frames.extend(enc.flush());
+        let sealed: u64 = frames.iter().map(|f| u64::from(f.records)).sum();
+        assert_eq!(sealed, 1000);
         // Payload (not wire) cost must match the unframed compressor: well
         // under a byte per record on this stream.
+        let bits_per_record = frames.iter().map(|f| f.payload_bits).sum::<u64>() / sealed;
         assert!(
-            stats.payload_bits / stats.records < 8,
-            "carried predictors should keep the stream < 1 B/record, got {} bits/record",
-            stats.payload_bits / stats.records
+            bits_per_record < 8,
+            "carried predictors should keep the stream < 1 B/record, got {bits_per_record} bits/record"
         );
     }
 
@@ -600,9 +555,7 @@ mod tests {
         );
         assert_eq!(frame.lines(), 1);
         assert!(frame.payload_bits < frame.wire_bits());
-        let stats = enc.stats();
-        assert_eq!(stats.frames, 1);
-        assert_eq!(stats.wire_bits, FRAME_LINE_BYTES as u64 * 8);
+        assert_eq!(frame.wire_bits(), FRAME_LINE_BYTES as u64 * 8);
     }
 
     #[test]
@@ -626,7 +579,6 @@ mod tests {
         frames.extend(enc.flush());
         let marks: Vec<bool> = frames.iter().map(|f| f.degraded).collect();
         assert_eq!(marks, [false, true, false]);
-        assert_eq!(enc.stats().degraded_frames, 1);
         // The mark is readable off the wire image, and decoding masks it
         // out of the record count.
         let mut dec = FrameDecoder::new(config);
@@ -643,7 +595,10 @@ mod tests {
     fn empty_flush_is_a_no_op() {
         let mut enc = FrameEncoder::new(FrameConfig::default());
         assert!(enc.flush().is_none());
-        assert_eq!(enc.stats().frames, 0);
+        // Nothing was left behind: the next frame holds only its record.
+        let rec = EventRecord::alu(0x1000, 0, Some(1), Some(2), Some(1));
+        assert!(enc.push(&rec).is_none());
+        assert_eq!(enc.flush().map(|f| f.records), Some(1));
     }
 
     #[test]

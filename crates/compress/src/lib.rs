@@ -17,10 +17,13 @@
 //! * remaining dynamic fields (branch direction, allocation sizes) use a
 //!   flag bit plus varint escape.
 //!
-//! [`LogCompressor::encode`] returns the exact bit cost of each record,
-//! which the transport model uses for buffer occupancy and bandwidth
-//! accounting. [`LogDecompressor`] mirrors the predictor updates, so the
-//! stream round-trips losslessly.
+//! [`LogCompressor::encode`] appends each record to a [`BitWriter`], whose
+//! [`len_bits`](BitWriter::len_bits) is the stream's exact bit cost;
+//! [`FrameEncoder`] packs the stream into cache-line frames, and each
+//! sealed [`Frame`] carries its payload bits and wire size, which the
+//! transports count for buffer occupancy and bandwidth accounting.
+//! [`LogDecompressor`] mirrors the predictor updates, so the stream
+//! round-trips losslessly.
 //!
 //! # Examples
 //!
@@ -72,9 +75,9 @@ mod predictors;
 pub const CODEC_VERSION: u32 = 4;
 
 pub use bits::{BitReader, BitWriter};
-pub use compressor::{CompressionStats, DecodeStreamError, LogCompressor, LogDecompressor};
+pub use compressor::{DecodeStreamError, LogCompressor, LogDecompressor};
 pub use frame::{
-    Frame, FrameConfig, FrameDecodeError, FrameDecoder, FrameEncoder, FrameStats,
-    FRAME_HEADER_BYTES, FRAME_LINE_BYTES,
+    Frame, FrameConfig, FrameDecodeError, FrameDecoder, FrameEncoder, FRAME_HEADER_BYTES,
+    FRAME_LINE_BYTES,
 };
 pub use predictors::FcmPredictor;

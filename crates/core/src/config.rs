@@ -113,8 +113,10 @@ pub struct LogConfig {
     /// and every degraded span is accounted in the report's
     /// [`DegradationStats`](lba_lifeguard::DegradationStats). `false`
     /// (the default) keeps the pipeline bit-for-bit identical to a
-    /// controller-free build; so does `true` when the lifeguard's policy
-    /// is [`DegradationPolicy::none`](lba_lifeguard::DegradationPolicy::none).
+    /// controller-free build; so does `true` when the lifeguard declares
+    /// no policy
+    /// ([`Lifeguard::degradation`](lba_lifeguard::Lifeguard::degradation)
+    /// returns `None`).
     pub adaptive: bool,
     /// When set, the run's consumers drain slowly on purpose: the modeled
     /// channels refuse pops on this profile's deterministic stall schedule
@@ -169,11 +171,11 @@ impl LogConfig {
 
     /// The reserve capacity the capture filter's window may widen to
     /// under adaptive degradation: the controller's reserve when
-    /// `adaptive` is set *and* the lifeguard's policy permits widening,
-    /// zero (no reserve, bit-for-bit the plain filter) otherwise. The
-    /// filter's reserve is then the one record of the widen decision.
-    fn widen_entries(&self, policy: &DegradationPolicy) -> usize {
-        if self.adaptive && policy.widen_window {
+    /// `adaptive` is set *and* the lifeguard declares a policy, zero (no
+    /// reserve, bit-for-bit the plain filter) otherwise. The filter's
+    /// reserve is then the one record of the widen decision.
+    fn widen_entries(&self, policy: &Option<DegradationPolicy>) -> usize {
+        if self.adaptive && policy.is_some() {
             WIDEN_ENTRIES
         } else {
             0
@@ -183,13 +185,14 @@ impl LogConfig {
     /// The capture pass of the single-lifeguard modes (`run_lba` and
     /// `run_live` build it here, so the two cannot drift): the address-range
     /// filter and the idempotency window under the lifeguard's `class`,
-    /// with the widen reserve the adaptive controller needs for its
-    /// `policy` (none when `adaptive` is unset or the policy forbids it).
+    /// with the widen reserve the adaptive controller needs for the
+    /// lifeguard's `policy` (none when `adaptive` is unset or the
+    /// lifeguard declares no policy).
     #[must_use]
     pub fn adaptive_capture_filter(
         &self,
         class: IdempotencyClass,
-        policy: &DegradationPolicy,
+        policy: &Option<DegradationPolicy>,
     ) -> CaptureFilter {
         CaptureFilter::new(
             self.filter.clone(),
@@ -209,7 +212,7 @@ impl LogConfig {
     pub fn adaptive_shard_capture_filter(
         &self,
         class: IdempotencyClass,
-        policy: &DegradationPolicy,
+        policy: &Option<DegradationPolicy>,
     ) -> CaptureFilter {
         CaptureFilter::new(
             None,

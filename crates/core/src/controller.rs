@@ -11,9 +11,12 @@
 //! [`DegradationPolicy`] permits* — widening (or switching on) the dedup
 //! window, demoting long-settled address regions to 1-in-N sampled
 //! capture under the policy's [`RegionClassifier`] oracle, and dropping
-//! event kinds the lifeguard's verdicts never read. Falling load, a new
-//! finding, or a syscall phase change snaps capture back to full
-//! fidelity, flushing what the policy says must flush.
+//! event kinds the lifeguard's verdicts never read. A region is one
+//! granule of the lifeguard's dedup window ([`WindowSpec`]), and each of
+//! the window's invalidating kinds repromotes every region, so a
+//! lifeguard that declares no window is never sampled. Falling load, a
+//! new finding, or a syscall phase change snaps capture back to full
+//! fidelity, flushing the widened window.
 //!
 //! Load is the one trigger that engages the controller; a finding or a
 //! syscall only snaps it back. The lifeguard shapes what degradation may
@@ -26,9 +29,9 @@
 //! the engage and disengage thresholds, the sampling stride, the widen
 //! reserve and the demotion rule are this module's constants.
 //!
-//! The controller is *not constructed* for a lifeguard whose policy is
-//! [`DegradationPolicy::none`] (TaintCheck): the degraded and undegraded
-//! pipelines are then the same code, which is the strongest possible
+//! The controller is *not constructed* for a lifeguard that declares no
+//! policy (TaintCheck): the degraded and undegraded pipelines are then
+//! the same code, which is the strongest possible
 //! "provably untouched" argument. Every engage→disengage span is recorded
 //! in [`DegradationStats`], and the transition points are flushed to
 //! frame boundaries so the wire's degraded mark
@@ -36,7 +39,7 @@
 //! flight recorder into replay.
 
 use lba_lifeguard::{
-    DegradationPolicy, DegradationStats, DegradedInterval, RegionClassifier, SamplingSpec,
+    DegradationPolicy, DegradationStats, DegradedInterval, RegionClassifier, WindowSpec,
     MAX_RECORDED_INTERVALS,
 };
 use lba_record::{EventKind, EventMask, EventRecord};
@@ -59,15 +62,15 @@ const SAMPLE_STRIDE: u32 = 16;
 
 /// Capacity the dedup window widens to while degraded (clamped like
 /// `LogConfig::idempotency_window`). [`LogConfig`](crate::LogConfig)
-/// gives the capture filter this reserve when the lifeguard's policy sets
-/// `widen_window`, and none otherwise.
+/// gives the capture filter this reserve when `adaptive` is set and the
+/// lifeguard declares a policy, and none otherwise.
 pub(crate) const WIDEN_ENTRIES: usize = 4096;
 
 /// Settled accesses a region must accumulate since the last repromotion
 /// before it demotes to sampled capture: the "long-clean" criterion.
-/// Modest, because every repromotion (a finding, a syscall, or one of the
-/// policy's `repromote_on` kinds, AddrCheck's `alloc`/`free`) restarts
-/// the proof.
+/// Modest, because every repromotion (each engage, and each of the dedup
+/// window's invalidating kinds, AddrCheck's `alloc`/`free`) restarts the
+/// proof.
 const CLEAN_THRESHOLD: u32 = 8;
 
 /// A demoted region ships 1 record in this many; the rest are counted as
@@ -114,7 +117,8 @@ pub(crate) enum Verdict {
 pub(crate) struct CaptureController {
     /// Event kinds the policy lets degraded capture drop outright.
     droppable: EventMask,
-    /// Region demotion, when the policy permits sampling.
+    /// Region demotion, when the policy names a classifier and the
+    /// lifeguard declares a dedup window.
     sampler: Option<RegionSampler>,
     /// Records observed at capture (every retired record, shipped or
     /// dropped) — the unit degraded intervals are expressed in.
@@ -130,24 +134,22 @@ pub(crate) struct CaptureController {
 }
 
 impl CaptureController {
-    /// Builds the controller for one producer, or `None` when the policy
-    /// tolerates nothing — the controller is then never constructed and
-    /// the lifeguard's stream is provably untouched.
+    /// Builds the controller for one producer whose lifeguard declares
+    /// `policy` and, if it dedups, the dedup `window`. It samples only
+    /// when the policy names a classifier and a window gives the regions.
     #[must_use]
-    pub(crate) fn new(policy: DegradationPolicy) -> Option<Self> {
-        if policy.is_none() {
-            return None;
-        }
-        Some(CaptureController {
+    pub(crate) fn new(policy: DegradationPolicy, window: Option<&WindowSpec>) -> Self {
+        CaptureController {
             droppable: policy.droppable,
-            sampler: policy.sampling.map(RegionSampler::new),
+            sampler: (policy.make_classifier.zip(window))
+                .map(|(make, window)| RegionSampler::new(make(), *window)),
             records: 0,
             since_sample: 0,
             syscall_snap: false,
             last_findings: 0,
             open: None,
             stats: DegradationStats::default(),
-        })
+        }
     }
 
     /// Whether degradation is currently engaged.
@@ -209,7 +211,7 @@ impl CaptureController {
         };
         self.stats.degraded_records += 1;
         if let Some(sampler) = &mut self.sampler {
-            if sampler.spec.repromote_on.contains(rec.kind) {
+            if sampler.window.invalidate_on.contains(rec.kind) {
                 sampler.repromote_all();
             }
         }
@@ -272,7 +274,10 @@ impl CaptureController {
 /// enough, and is this record the 1-in-N survivor?".
 #[derive(Debug)]
 struct RegionSampler {
-    spec: SamplingSpec,
+    /// The lifeguard's dedup window: a region is one of its address
+    /// granules, and each of its invalidating kinds repromotes every
+    /// region.
+    window: WindowSpec,
     classifier: Box<dyn RegionClassifier>,
     slots: Vec<SamplerSlot>,
     generation: u32,
@@ -287,10 +292,10 @@ struct SamplerSlot {
 }
 
 impl RegionSampler {
-    fn new(spec: SamplingSpec) -> Self {
+    fn new(classifier: Box<dyn RegionClassifier>, window: WindowSpec) -> Self {
         RegionSampler {
-            spec,
-            classifier: (spec.make_classifier)(),
+            window,
+            classifier,
             slots: vec![SamplerSlot::default(); SAMPLER_SLOTS],
             generation: 1,
         }
@@ -309,7 +314,7 @@ impl RegionSampler {
         if !self.classifier.verdict_settled(rec) {
             return false;
         }
-        let g = self.spec.region_granule_log2;
+        let g = self.window.addr_granule_log2;
         let first = rec.addr >> g;
         let last = (rec.addr + u64::from(rec.size.max(1)) - 1) >> g;
         if first != last {
@@ -343,14 +348,24 @@ mod tests {
 
     fn sampling_policy() -> DegradationPolicy {
         DegradationPolicy {
-            widen_window: true,
             droppable: EventMask::of(&[EventKind::Lock, EventKind::Unlock]),
-            sampling: Some(SamplingSpec {
-                region_granule_log2: 4,
-                repromote_on: EventMask::of(&[EventKind::Alloc, EventKind::Free]),
-                make_classifier: || Box::new(AlwaysSettled),
-            }),
+            make_classifier: Some(|| Box::new(AlwaysSettled)),
         }
+    }
+
+    /// A dedup window of `2^granule_log2`-byte granules that invalidates
+    /// on `alloc`/`free` (AddrCheck's at granule 4).
+    fn window(granule_log2: u8) -> WindowSpec {
+        WindowSpec {
+            addr_granule_log2: granule_log2,
+            invalidate_on: EventMask::of(&[EventKind::Alloc, EventKind::Free]),
+            flush_on_thread_switch: false,
+        }
+    }
+
+    /// A controller under [`sampling_policy`] and AddrCheck's window.
+    fn controller() -> CaptureController {
+        CaptureController::new(sampling_policy(), Some(&window(4)))
     }
 
     fn load(addr: u64) -> EventRecord {
@@ -374,19 +389,14 @@ mod tests {
     }
 
     fn engaged_controller() -> CaptureController {
-        let mut ctl = CaptureController::new(sampling_policy()).unwrap();
+        let mut ctl = controller();
         assert_eq!(at_load(&mut ctl, 900), Some(Transition::Engage));
         ctl
     }
 
     #[test]
-    fn none_policy_never_builds_a_controller() {
-        assert!(CaptureController::new(DegradationPolicy::none()).is_none());
-    }
-
-    #[test]
     fn hysteresis_engages_high_and_disengages_low() {
-        let mut ctl = CaptureController::new(sampling_policy()).unwrap();
+        let mut ctl = controller();
         assert_eq!(at_load(&mut ctl, ENGAGE_PERMILLE - 1), None, "below engage");
         assert_eq!(at_load(&mut ctl, ENGAGE_PERMILLE), Some(Transition::Engage));
         assert!(ctl.engaged());
@@ -426,7 +436,7 @@ mod tests {
 
     #[test]
     fn droppable_kinds_drop_only_while_engaged() {
-        let mut ctl = CaptureController::new(sampling_policy()).unwrap();
+        let mut ctl = controller();
         let mut lock = load(0x40);
         lock.kind = EventKind::Lock;
         assert_eq!(ctl.admit(&lock), Verdict::Ship, "not engaged: ships");
@@ -456,7 +466,7 @@ mod tests {
 
     #[test]
     fn intervals_cover_the_removed_records() {
-        let mut ctl = CaptureController::new(sampling_policy()).unwrap();
+        let mut ctl = controller();
         for round in 0..3 {
             assert_eq!(at_load(&mut ctl, 900), Some(Transition::Engage));
             for i in 0..20u64 {
@@ -500,7 +510,7 @@ mod tests {
 
     #[test]
     fn stride_skips_load_samples_but_not_snapbacks() {
-        let mut ctl = CaptureController::new(sampling_policy()).unwrap();
+        let mut ctl = controller();
         for _ in 1..SAMPLE_STRIDE {
             assert_eq!(ctl.tick(sample(900), 0), None, "between samples");
         }
@@ -515,7 +525,7 @@ mod tests {
     }
 
     fn sampler() -> RegionSampler {
-        RegionSampler::new(sampling_policy().sampling.unwrap())
+        RegionSampler::new(Box::new(AlwaysSettled), window(4))
     }
 
     #[test]
@@ -555,5 +565,36 @@ mod tests {
         for _ in 0..2 * (CLEAN_THRESHOLD + SAMPLE_RATE) {
             assert!(!s.sample_out(&wide), "16-byte-granule straddle ships");
         }
+    }
+
+    #[test]
+    fn without_a_window_kinds_drop_but_nothing_samples() {
+        // The policy names a classifier, but no dedup window gives it
+        // regions: settled accesses always ship, droppable kinds still
+        // drop while engaged.
+        let mut ctl = CaptureController::new(sampling_policy(), None);
+        assert_eq!(at_load(&mut ctl, 900), Some(Transition::Engage));
+        for _ in 0..2 * (CLEAN_THRESHOLD + SAMPLE_RATE) {
+            assert_eq!(ctl.admit(&load(0x40)), Verdict::Ship);
+        }
+        let mut lock = load(0x40);
+        lock.kind = EventKind::Lock;
+        assert_eq!(ctl.admit(&lock), Verdict::Drop);
+        let stats = ctl.finish();
+        assert_eq!((stats.sampled_out, stats.kind_dropped), (0, 1));
+    }
+
+    #[test]
+    fn a_region_is_one_window_granule() {
+        // The access that straddles a 16-byte granule (see
+        // `straddling_accesses_never_drop`) lies inside one 64-byte line:
+        // under MemProfile's line-granule window it is one region and
+        // demotes.
+        let mut s = RegionSampler::new(Box::new(AlwaysSettled), window(6));
+        let wide = EventRecord::load(0x1000, 0, None, None, 0x4c, 8);
+        for _ in 0..CLEAN_THRESHOLD {
+            assert!(!s.sample_out(&wide), "proving the line settled");
+        }
+        assert!(s.sample_out(&wide), "demoted past the threshold");
     }
 }

@@ -103,7 +103,7 @@ pub use lba_transport::{ChannelStats, FaultProfile, LoadSample};
 // The degradation set is the same story for `Lifeguard::degradation`.
 pub use lba_lifeguard::{
     CaptureFilter, CaptureStats, DegradationPolicy, DegradationStats, DegradedInterval,
-    IdempotencyClass, RegionClassifier, SamplingSpec, WindowSpec, MAX_RECORDED_INTERVALS,
+    IdempotencyClass, RegionClassifier, WindowSpec, MAX_RECORDED_INTERVALS,
 };
 
 // The machine's faults, which `LbaError::Run` wraps, come from the CPU

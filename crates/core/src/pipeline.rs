@@ -29,11 +29,12 @@
 //! link samples, with snapback on a new finding or a syscall. Outside
 //! code steers it only through the
 //! [`LogConfig::adaptive`](crate::LogConfig::adaptive) switch and the
-//! lifeguard's [`DegradationPolicy`]. Whether the dedup window widens
-//! while degraded is decided once, when the capture filter is built with
-//! or without a widen reserve; the producer widens and tightens the
-//! filter at every transition, and a filter without a reserve never
-//! widens.
+//! lifeguard's two contracts, its [`IdempotencyClass`] and its
+//! [`DegradationPolicy`], which the producer reads once each. Whether the
+//! dedup window widens while degraded is decided once, when the capture
+//! filter is built with or without a widen reserve; the producer widens
+//! and tightens the filter at every transition, and a filter without a
+//! reserve never widens.
 //!
 //! The runners (`cosim.rs`, the modeled one behind `run_lba` and
 //! `run_lba_parallel`; `live_parallel.rs`, the live one; `replay.rs`) are
@@ -41,7 +42,9 @@
 //! proptests pin that the composition is bit-for-bit what the hand-rolled
 //! loops produced.
 
-use lba_lifeguard::{CaptureFilter, CaptureStats, DegradationPolicy, DegradationStats, Lifeguard};
+use lba_lifeguard::{
+    CaptureFilter, CaptureStats, DegradationPolicy, DegradationStats, IdempotencyClass, Lifeguard,
+};
 use lba_lifeguards::{AddrCheck, LockSet, LockSetConfig, MemProfile, TaintCheck};
 use lba_record::{EventKind, EventRecord, TraceStats};
 use lba_transport::LoadSample;
@@ -120,10 +123,12 @@ pub(crate) struct Producer {
 
 impl Producer {
     /// A producer shipping through `filter`, with the adaptive controller
-    /// (when `adaptive` is set) steering within `policy`.
+    /// (when `adaptive` is set and the lifeguard declares a `policy`)
+    /// steering within `policy` and the dedup window `class` declares.
     fn build(
         filter: CaptureFilter,
-        policy: DegradationPolicy,
+        class: IdempotencyClass,
+        policy: Option<DegradationPolicy>,
         adaptive: bool,
         syscall_stall: bool,
         decoupled: bool,
@@ -132,7 +137,8 @@ impl Producer {
             trace: TraceStats::new(),
             filter,
             shipping: Vec::new(),
-            controller: adaptive.then(|| CaptureController::new(policy)).flatten(),
+            controller: (policy.filter(|_| adaptive))
+                .map(|policy| CaptureController::new(policy, class.spec())),
             syscall_stall,
             decoupled,
         }
@@ -147,11 +153,12 @@ impl Producer {
     /// [`ProducerLink::lockstep`] does nothing).
     #[must_use]
     pub(crate) fn single(lifeguard: &dyn Lifeguard, config: &SystemConfig) -> Self {
-        let policy = lifeguard.degradation();
+        let (class, policy) = (lifeguard.idempotency(), lifeguard.degradation());
         let log = &config.log;
-        let filter = log.adaptive_capture_filter(lifeguard.idempotency(), &policy);
+        let filter = log.adaptive_capture_filter(class, &policy);
         Producer::build(
             filter,
+            class,
             policy,
             log.adaptive,
             log.syscall_stall,
@@ -168,10 +175,10 @@ impl Producer {
     /// containment (the sharded study measures steady-state capture).
     #[must_use]
     pub(crate) fn sharded(lifeguard: &dyn Lifeguard, config: &SystemConfig) -> Self {
-        let policy = lifeguard.degradation();
+        let (class, policy) = (lifeguard.idempotency(), lifeguard.degradation());
         let log = &config.log;
-        let filter = log.adaptive_shard_capture_filter(lifeguard.idempotency(), &policy);
-        Producer::build(filter, policy, log.adaptive, false, true)
+        let filter = log.adaptive_shard_capture_filter(class, &policy);
+        Producer::build(filter, class, policy, log.adaptive, false, true)
     }
 
     /// Observes one retired record: trace accounting, the controller's

@@ -5,19 +5,26 @@
 //! the application core or dropping events with no accounting. This
 //! module adds the third option: *declared* degradation. Following the
 //! same discipline as [`IdempotencyClass`](crate::IdempotencyClass), each
-//! lifeguard publishes a [`DegradationPolicy`] naming exactly which
-//! fidelity reductions it tolerates — dedup-window widening, demoting
-//! long-settled address regions to 1-in-N sampled capture, dropping
-//! profile-only event kinds — and the capture controller in `lba-core`
-//! may apply *only* those, only while the transport's load signal is past
-//! its engage threshold, and must undo them (flushing what the policy
-//! says must flush) the moment load falls, a finding lands, or a syscall
+//! lifeguard that tolerates degradation publishes a [`DegradationPolicy`]
+//! naming which fidelity reductions are sound for it — dropping
+//! profile-only event kinds, demoting long-settled address regions to
+//! 1-in-N sampled capture — and the capture controller in `lba-core` may
+//! apply *only* those, plus widening the lifeguard's dedup window, only
+//! while the transport's load signal is past its engage threshold, and
+//! must undo them the moment load falls, a finding lands, or a syscall
 //! phase-change arrives.
 //!
-//! A lifeguard that tolerates nothing (TaintCheck) declares
-//! [`DegradationPolicy::none`] and the controller provably never touches
-//! its stream: the controller is not even constructed for an all-`none`
-//! policy, so the degraded and undegraded pipelines are the same code.
+//! A lifeguard that tolerates nothing (TaintCheck) declares no policy,
+//! and the controller provably never touches its stream: it is not even
+//! constructed, so the degraded and undegraded pipelines are the same
+//! code.
+//!
+//! The policy restates nothing the lifeguard's dedup window
+//! ([`WindowSpec`](crate::WindowSpec)) declares. Widening the window is
+//! sound by its own contract, so any declared policy permits it. A
+//! sampled region is one window granule, and each of the window's
+//! invalidating kinds repromotes every region; a lifeguard with no window
+//! is never sampled.
 //!
 //! The policy is all a lifeguard says about degradation: *which*
 //! reductions are sound. *How much* is the controller's, the same for
@@ -43,10 +50,10 @@
 use lba_record::{EventMask, EventRecord};
 
 /// A capture-side oracle deciding, per access, whether dropping the
-/// record can change any finding — the soundness half of a
-/// [`SamplingSpec`]. Implementations live next to their lifeguards (the
-/// policy carries a constructor), because only the lifeguard knows which
-/// of its verdicts are settled by which stream prefix.
+/// record can change any finding — the soundness half of region
+/// sampling. Implementations live next to their lifeguards (the policy
+/// carries a constructor), because only the lifeguard knows which of its
+/// verdicts are settled by which stream prefix.
 pub trait RegionClassifier: std::fmt::Debug + Send {
     /// Observes one record of the capture stream (every record, shipped
     /// or not, in stream order) to keep the oracle's state current.
@@ -72,29 +79,12 @@ impl RegionClassifier for AlwaysSettled {
     }
 }
 
-/// Demotion of long-settled address regions to 1-in-N sampled capture:
-/// what a region is and what proves it settled. How long it must stay
-/// settled and what N is are the controller's, alike for every lifeguard.
-#[derive(Debug, Clone, Copy)]
-pub struct SamplingSpec {
-    /// log2 of the region granule the hot-counter tracks. Must not be
-    /// coarser than the granularity at which the classifier's
-    /// "settled" answer holds (AddrCheck: its 16-byte allocation
-    /// granule).
-    pub region_granule_log2: u8,
-    /// Event kinds whose arrival repromotes *every* region to full
-    /// capture (AddrCheck: `alloc`/`free` move allocation state).
-    /// Findings and syscalls always repromote, policy regardless.
-    pub repromote_on: EventMask,
-    /// Builds the capture-side soundness oracle (see
-    /// [`RegionClassifier`]).
-    pub make_classifier: fn() -> Box<dyn RegionClassifier>,
-}
-
 /// A lifeguard's declared tolerance for capture-side degradation under
 /// back-pressure — its soundness contract with `lba-core`'s capture
 /// controller, in the same spirit as
-/// [`IdempotencyClass`](crate::IdempotencyClass).
+/// [`IdempotencyClass`](crate::IdempotencyClass). Declaring one at all
+/// also lets the controller widen the lifeguard's dedup window while
+/// degraded, which the window's own contract already makes sound.
 ///
 /// The contract has no exceptions: every degradation a policy permits
 /// leaves the lifeguard's findings byte-identical to an undegraded
@@ -102,14 +92,6 @@ pub struct SamplingSpec {
 /// has none; its *profile* becomes a sampled estimate).
 #[derive(Debug, Clone, Copy)]
 pub struct DegradationPolicy {
-    /// Whether the dedup window may widen (or switch on, if the run was
-    /// configured without one) while degraded. Always sound for any
-    /// lifeguard that declares a window at all: a wider window only
-    /// suppresses *more* duplicates under the same
-    /// [`WindowSpec`](crate::WindowSpec), and re-tightening flushes it.
-    /// It sizes the capture filter's widen reserve: without one the
-    /// window never widens.
-    pub widen_window: bool,
     /// Event kinds capture may drop outright while degraded. Must be
     /// kinds the lifeguard's verdicts never read — unsubscribed,
     /// profile-only kinds, which the dispatch engine masks to a no-op
@@ -117,36 +99,14 @@ pub struct DegradationPolicy {
     /// [`WindowSpec`](crate::WindowSpec) invalidates on, so the window's
     /// flush triggers still reach it.
     pub droppable: EventMask,
-    /// Region demotion to sampled capture, with its soundness oracle.
-    /// `None` means the lifeguard tolerates no sampling (LockSet: a
-    /// sampled-out access could be a fresh word's first touch, whose
-    /// Virgin → Exclusive initialisation later race checks depend on).
-    pub sampling: Option<SamplingSpec>,
-}
-
-impl DegradationPolicy {
-    /// The policy that tolerates nothing: the controller is never
-    /// constructed, and the stream is provably untouched (TaintCheck).
-    #[must_use]
-    pub fn none() -> Self {
-        DegradationPolicy {
-            widen_window: false,
-            droppable: EventMask::EMPTY,
-            sampling: None,
-        }
-    }
-
-    /// Whether this policy permits no degradation at all.
-    #[must_use]
-    pub fn is_none(&self) -> bool {
-        !self.widen_window && self.droppable.is_empty() && self.sampling.is_none()
-    }
-}
-
-impl Default for DegradationPolicy {
-    fn default() -> Self {
-        DegradationPolicy::none()
-    }
+    /// Builds the soundness oracle under which long-settled regions
+    /// demote to sampled capture (see [`RegionClassifier`]); the regions
+    /// and what repromotes them are the lifeguard's dedup window's (see
+    /// the module docs). `None` means the lifeguard tolerates no sampling
+    /// (LockSet: a sampled-out access could be a fresh word's first
+    /// touch, whose Virgin → Exclusive initialisation later race checks
+    /// depend on).
+    pub make_classifier: Option<fn() -> Box<dyn RegionClassifier>>,
 }
 
 /// One engage→disengage span of degraded capture, in units of records
@@ -211,14 +171,6 @@ impl DegradationStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn none_policy_is_none() {
-        assert!(DegradationPolicy::none().is_none());
-        let mut p = DegradationPolicy::none();
-        p.widen_window = true;
-        assert!(!p.is_none());
-    }
 
     #[test]
     fn stats_removed_sums_drops() {

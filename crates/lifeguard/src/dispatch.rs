@@ -47,11 +47,11 @@ pub trait Lifeguard {
     /// The lifeguard's capture-side degradation contract: which fidelity
     /// reductions may the capture controller apply to this lifeguard's
     /// stream while the transport is under back-pressure (see
-    /// [`DegradationPolicy`])? The default is the conservative
-    /// [`DegradationPolicy::none`]: an undeclared lifeguard's stream is
-    /// never degraded — the controller is not even constructed for it.
-    fn degradation(&self) -> DegradationPolicy {
-        DegradationPolicy::none()
+    /// [`DegradationPolicy`])? The default is the conservative `None`: an
+    /// undeclared lifeguard's stream is never degraded — the controller
+    /// is not even constructed for it.
+    fn degradation(&self) -> Option<DegradationPolicy> {
+        None
     }
 }
 

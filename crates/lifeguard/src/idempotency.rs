@@ -52,12 +52,6 @@ pub enum IdempotencyClass {
 }
 
 impl IdempotencyClass {
-    /// Whether this class permits any suppression at all.
-    #[must_use]
-    pub fn dedupes(&self) -> bool {
-        !matches!(self, IdempotencyClass::None)
-    }
-
     /// The window parameters, when the class participates.
     #[must_use]
     pub fn spec(&self) -> Option<&WindowSpec> {
@@ -280,14 +274,13 @@ impl CaptureFilter {
         self.range.is_none() && !self.window.as_ref().is_some_and(|w| w.live)
     }
 
-    /// Switches the window to its full (widened) capacity. Sound for any
-    /// lifeguard whose policy allows it: the spec is unchanged, so a
-    /// wider window only suppresses more duplicates under the same
-    /// contract; entries keyed under the old mask merely stop being
-    /// found, costing dedup efficiency, never soundness (their pending
-    /// fold counts still settle at the next flush, which walks the whole
-    /// table). Returns whether anything changed: nothing does without a
-    /// widen reserve.
+    /// Switches the window to its full (widened) capacity. Sound under
+    /// any window contract: the spec is unchanged, so a wider window
+    /// only suppresses more duplicates under the same contract; entries
+    /// keyed under the old mask merely stop being found, costing dedup
+    /// efficiency, never soundness (their pending fold counts still
+    /// settle at the next flush, which walks the whole table). Returns
+    /// whether anything changed: nothing does without a widen reserve.
     pub fn widen_window(&mut self) -> bool {
         match &mut self.window {
             Some(w) if !w.live || w.mask != w.wide_mask => {

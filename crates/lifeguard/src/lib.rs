@@ -73,7 +73,7 @@ mod shadow;
 pub use cost::HandlerCtx;
 pub use degradation::{
     AlwaysSettled, DegradationPolicy, DegradationStats, DegradedInterval, RegionClassifier,
-    SamplingSpec, MAX_RECORDED_INTERVALS,
+    MAX_RECORDED_INTERVALS,
 };
 pub use dispatch::{DispatchConfig, DispatchEngine, Lifeguard};
 pub use filter::AddrRangeFilter;

@@ -5,7 +5,7 @@ use std::collections::{HashMap, HashSet};
 
 use lba_lifeguard::{
     DegradationPolicy, Finding, FindingKind, HandlerCtx, IdempotencyClass, Lifeguard,
-    RegionClassifier, SamplingSpec, ShadowMemory, WindowSpec,
+    RegionClassifier, ShadowMemory, WindowSpec,
 };
 use lba_mem::layout;
 use lba_record::{EventKind, EventMask, EventRecord};
@@ -282,23 +282,19 @@ impl Lifeguard for AddrCheck {
     ///   whose every granule is currently allocated (or lies outside the
     ///   heap) may be demoted, and those are exactly the accesses whose
     ///   shadow lookup is clean and whose dedup key adds nothing — no
-    ///   finding can appear, disappear, or change. Every `alloc`/`free`
-    ///   repromotes all regions, so demotion never outlives the
-    ///   allocation state it was proven against.
+    ///   finding can appear, disappear, or change. A region is one
+    ///   16-byte window granule, and every `alloc`/`free` (the window's
+    ///   invalidators) repromotes all regions, so demotion never outlives
+    ///   the allocation state it was proven against.
     ///
     /// Findings under any mix of these are therefore byte-identical to
     /// an undegraded run, as the policy contract demands and the
     /// degradation test grid pins.
-    fn degradation(&self) -> DegradationPolicy {
-        DegradationPolicy {
-            widen_window: true,
+    fn degradation(&self) -> Option<DegradationPolicy> {
+        Some(DegradationPolicy {
             droppable: EventMask::of(&[EventKind::Lock, EventKind::Unlock]),
-            sampling: Some(SamplingSpec {
-                region_granule_log2: GRANULE.trailing_zeros() as u8,
-                repromote_on: EventMask::of(&[EventKind::Alloc, EventKind::Free]),
-                make_classifier: || Box::new(AllocSettled::default()),
-            }),
-        }
+            make_classifier: Some(|| Box::new(AllocSettled::default())),
+        })
     }
 
     fn on_finish(&mut self, ctx: &mut HandlerCtx<'_>) {
@@ -524,15 +520,21 @@ mod tests {
     #[test]
     fn degradation_policy_excludes_window_invalidators() {
         // The contract: droppable kinds must never overlap what the
-        // idempotency window invalidates on, or the flush triggers would
-        // be dropped before reaching the filter.
+        // idempotency window invalidates on, or the flush triggers (which
+        // also repromote sampled regions) would be dropped before reaching
+        // the filter.
         let lg = AddrCheck::new();
-        let policy = lg.degradation();
-        assert!(!policy.droppable.contains(EventKind::Alloc));
-        assert!(!policy.droppable.contains(EventKind::Free));
+        let policy = lg.degradation().expect("AddrCheck degrades");
+        let window = lg.idempotency().spec().copied().expect("AddrCheck dedupes");
+        assert!(window.invalidate_on.contains(EventKind::Alloc));
+        assert!(window.invalidate_on.contains(EventKind::Free));
+        assert!(window
+            .invalidate_on
+            .iter()
+            .all(|k| !policy.droppable.contains(k)));
         assert!(!policy.droppable.contains(EventKind::Load));
         assert!(!policy.droppable.contains(EventKind::Store));
-        assert!(!policy.is_none());
+        assert!(policy.make_classifier.is_some(), "AddrCheck samples");
     }
 
     #[test]

@@ -51,16 +51,19 @@
 //! back-pressure ([`lba_lifeguard::Lifeguard::degradation`]), following
 //! the same contract discipline; the per-lifeguard soundness arguments
 //! sit next to the idempotency stories on each `degradation` impl, and
-//! `tests/degradation.rs` pins them:
+//! `tests/degradation.rs` pins them. Declaring a policy permits widening
+//! the dedup window, and a sampled region is one of that window's
+//! granules:
 //!
 //! * [`AddrCheck`] — widening, `lock`/`unlock` dropping, and sampling of
-//!   provably-allocated regions via its [`AllocSettled`] oracle;
+//!   provably-allocated 16-byte granules via its [`AllocSettled`]
+//!   oracle;
 //! * [`LockSet`] — widening only (an interleave or first touch must
 //!   never be masked);
 //! * [`MemProfile`] — widening, dropping of every profile-irrelevant
-//!   kind, and unconditional sampling (its profile, not any finding, is
-//!   what degrades);
-//! * [`TaintCheck`] — nothing: a none-policy means the capture
+//!   kind, and unconditional sampling of 64-byte lines (its profile, not
+//!   any finding, is what degrades);
+//! * [`TaintCheck`] — nothing: it declares no policy, so the capture
 //!   controller is never constructed and its stream is provably
 //!   untouched.
 //!

@@ -391,7 +391,8 @@ impl Lifeguard for LockSet {
     }
 
     /// Degradation-soundness contract: LockSet tolerates **window
-    /// widening only**.
+    /// widening only**, which declaring a policy permits by itself; the
+    /// policy names no droppable kind and no region classifier.
     ///
     /// * **Widening** is sound because each suppressed duplicate is
     ///   findings-idempotent under the window contract above, and the
@@ -410,12 +411,11 @@ impl Lifeguard for LockSet {
     ///   race verdict on that word) depends on. No capture-side oracle
     ///   can call a word's verdict "settled" while further accesses can
     ///   still empty its candidate lockset.
-    fn degradation(&self) -> DegradationPolicy {
-        DegradationPolicy {
-            widen_window: true,
+    fn degradation(&self) -> Option<DegradationPolicy> {
+        Some(DegradationPolicy {
             droppable: EventMask::EMPTY,
-            sampling: None,
-        }
+            make_classifier: None,
+        })
     }
 }
 

@@ -13,8 +13,7 @@
 use std::collections::HashMap;
 
 use lba_lifeguard::{
-    AlwaysSettled, DegradationPolicy, HandlerCtx, IdempotencyClass, Lifeguard, SamplingSpec,
-    WindowSpec,
+    AlwaysSettled, DegradationPolicy, HandlerCtx, IdempotencyClass, Lifeguard, WindowSpec,
 };
 use lba_record::{EventKind, EventMask, EventRecord};
 
@@ -171,13 +170,13 @@ impl Lifeguard for MemProfile {
     ///   keeps totals exact at syscall boundaries.
     /// * **Sampling** — [`AlwaysSettled`]: with no verdicts at stake,
     ///   every access is settled by definition, so long-hot 64-byte
-    ///   lines demote to 1-in-N capture and the histogram under-counts
-    ///   (by exactly the amount `DegradationStats::sampled_out`
-    ///   records) until load falls. Nothing repromotes regions except
-    ///   the always-on triggers (findings cannot occur; syscalls do).
-    fn degradation(&self) -> DegradationPolicy {
-        DegradationPolicy {
-            widen_window: true,
+    ///   lines (the fold window's granule) demote to 1-in-N capture and
+    ///   the histogram under-counts (by exactly the amount
+    ///   `DegradationStats::sampled_out` records) until load falls. A
+    ///   syscall, the window's one invalidator, repromotes every region
+    ///   and snaps capture back; findings cannot occur.
+    fn degradation(&self) -> Option<DegradationPolicy> {
+        Some(DegradationPolicy {
             droppable: EventMask::of(&[
                 EventKind::Alu,
                 EventKind::Branch,
@@ -190,12 +189,8 @@ impl Lifeguard for MemProfile {
                 EventKind::Recv,
                 EventKind::ThreadEnd,
             ]),
-            sampling: Some(SamplingSpec {
-                region_granule_log2: LINE_BYTES.trailing_zeros() as u8,
-                repromote_on: EventMask::EMPTY,
-                make_classifier: || Box::new(AlwaysSettled),
-            }),
-        }
+            make_classifier: Some(|| Box::new(AlwaysSettled)),
+        })
     }
 
     fn on_event(&mut self, rec: &EventRecord, ctx: &mut HandlerCtx<'_>) {

@@ -132,13 +132,13 @@ impl Lifeguard for TaintCheck {
     /// (the taint it copies may differ each time), so no window may
     /// widen; and no capture-side oracle can call an access "settled" —
     /// any load can pull taint into a register that later reaches an
-    /// indirect jump. Declaring [`DegradationPolicy::none`] makes the
+    /// indirect jump. Declaring no [`DegradationPolicy`] makes the
     /// guarantee structural: the capture controller is never even
-    /// constructed for a none-policy, so TaintCheck's degraded and
-    /// undegraded pipelines are the same code path and its stream is
-    /// provably untouched under any load.
-    fn degradation(&self) -> DegradationPolicy {
-        DegradationPolicy::none()
+    /// constructed without one, so TaintCheck's degraded and undegraded
+    /// pipelines are the same code path and its stream is provably
+    /// untouched under any load.
+    fn degradation(&self) -> Option<DegradationPolicy> {
+        None
     }
 
     fn on_event(&mut self, rec: &EventRecord, ctx: &mut HandlerCtx<'_>) {

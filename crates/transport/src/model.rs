@@ -68,7 +68,9 @@ pub struct ModeledFrameChannel {
     admitted: usize,
     /// Wire bits of the admitted frames.
     occupied_bits: u64,
-    high_water_bits: u64,
+    /// Counted as each frame seals; the high-water mark as each is
+    /// admitted.
+    stats: ChannelStats,
     /// Records of the frame currently being staged (not yet sealed by the
     /// encoder).
     staging: Vec<EventRecord>,
@@ -111,7 +113,7 @@ impl ModeledFrameChannel {
             queue: VecDeque::new(),
             admitted: 0,
             occupied_bits: 0,
-            high_water_bits: 0,
+            stats: ChannelStats::default(),
             staging: Vec::new(),
             batch: Vec::new(),
             batch_pool: Vec::new(),
@@ -220,22 +222,14 @@ impl ModeledFrameChannel {
         frame.ready_at = now;
         self.admitted += 1;
         self.occupied_bits += frame.wire_bits;
-        self.high_water_bits = self.high_water_bits.max(self.occupied_bits);
+        self.stats.high_water_bits = self.stats.high_water_bits.max(self.occupied_bits);
         Some(frame.wire_bits)
     }
 
     /// Lifetime statistics over sealed frames.
     #[must_use]
     pub fn stats(&self) -> ChannelStats {
-        let enc = self.encoder.stats();
-        ChannelStats {
-            records: enc.records,
-            frames: enc.frames,
-            payload_bits: enc.payload_bits,
-            wire_bits: enc.wire_bits,
-            high_water_bits: self.high_water_bits,
-            degraded_frames: enc.degraded_frames,
-        }
+        self.stats
     }
 
     /// A cheap occupancy snapshot for the adaptive capture controller:
@@ -258,10 +252,10 @@ impl ModeledFrameChannel {
         self.encoder.set_degraded(on);
     }
 
-    /// Frame-seal bookkeeping: the wire image is mirrored into the tee,
-    /// checked under `verify` and handed back to the encoder; the staged
-    /// records join the queue behind every earlier frame, admitted if
-    /// nothing is parked and the frame fits.
+    /// Frame-seal bookkeeping: the frame is counted, its wire image
+    /// mirrored into the tee, checked under `verify` and handed back to
+    /// the encoder; the staged records join the queue behind every
+    /// earlier frame, admitted if nothing is parked and the frame fits.
     fn seal(&mut self, frame: Frame, now: u64) -> PushOutcome {
         self.tee.mirror(&SealedFrame {
             bytes: &frame.bytes,
@@ -281,6 +275,11 @@ impl ModeledFrameChannel {
             );
         }
         let wire_bits = frame.wire_bits();
+        self.stats.records += u64::from(frame.records);
+        self.stats.frames += 1;
+        self.stats.payload_bits += frame.payload_bits;
+        self.stats.wire_bits += wire_bits;
+        self.stats.degraded_frames += u64::from(frame.degraded);
         self.encoder.recycle(frame.bytes);
         let behind_parked = self.has_parked();
         self.queue.push_back(QueuedFrame {

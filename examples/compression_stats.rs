@@ -37,25 +37,29 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut mem = MemSystem::new(MemSystemConfig::single_core());
     let mut compressor = LogCompressor::new();
     let mut writer = BitWriter::new();
+    let mut records = 0u64;
     let mut next_report = 10_000u64;
+    // The writer's length is the stream's exact bit count.
+    let bytes_per_record =
+        |writer: &BitWriter, records: u64| writer.len_bits() as f64 / 8.0 / records as f64;
     machine.run(&mut mem, |r| {
         compressor.encode(&r.record, &mut writer);
-        let stats = compressor.stats();
-        if stats.records == next_report {
+        records += 1;
+        if records == next_report {
+            let raw_bytes = records * RAW_RECORD_BYTES as u64;
             println!(
                 "  after {:>7} records: {:.3} B/record ({:.1}x)",
-                stats.records,
-                stats.bytes_per_record(),
-                stats.ratio_vs_raw()
+                records,
+                bytes_per_record(&writer, records),
+                raw_bytes as f64 / writer.len_bits().div_ceil(8) as f64
             );
             next_report *= 2;
         }
     })?;
-    let final_stats = compressor.stats();
     println!(
         "  final: {} records at {:.3} B/record",
-        final_stats.records,
-        final_stats.bytes_per_record()
+        records,
+        bytes_per_record(&writer, records)
     );
     Ok(())
 }

@@ -95,7 +95,7 @@
 //! | `lba-record`     | the typed event-record vocabulary the log carries (incl. `Repeat` fold summaries) + the segmented `lbas/1` flight-recorder stream format (rotation, retention, End records), the one on-disk record format |
 //! | `lba-compress`   | value-prediction log compression + chunked frame codec (< 1 byte/instr on the wire), `CODEC_VERSION` stamped into recordings |
 //! | `lba-transport`  | `ModeledFrameChannel`, the framed buffer timing model the co-simulation gives each lifeguard core (one queue of sealed frames in seal order, admitted or parked, each holding its records, wire bits and `ready_at`); the live transport — one `FrameSender` (encoder, recording tee, degraded mark, stall latch, stats) and one `FrameReceiver` (decoder, drain drag) over two wires, the in-process SPSC queue or the `socket` module's `lbas/1` records over Unix-domain sockets with an explicit credit window so back-pressure survives the wire, whose consumer refuses a hello announcing another codec; both consumed a frame at a time (`pop_frame` / `recv_batch`); `shard_of` routing and per-shard channel fan-out; `FrameSink`/`FrameSource` seam with tee mirroring into recordings and `StreamSource` reading them back (salvage switch for torn tails); per-stream `ChannelStats` (records, frames, wire bits, degraded frames) counted alike by the modeled channel, the live sender and the receiver, so a replay's counts check against the recording run's; the producer-visible `LoadSample` occupancy signal (the feedback arrow above) and the `FaultProfile` slow-consumer injection (the modeled channel's stall schedule, the live receivers' drain drag) |
-//! | `lba-lifeguard`  | dispatch engine (`deliver_batch` for the log, per-record `deliver` for DBI), capture filters (`AddrRangeFilter` + per-contract idempotency window in one `CaptureFilter` pass, whose widen reserve is the one record of whether degradation widens it), findings, flat paged shadow memory, and the graceful-degradation contract a lifeguard declares (`DegradationPolicy`, its `SamplingSpec`, and the `RegionClassifier` oracle with `AlwaysSettled`) |
+//! | `lba-lifeguard`  | dispatch engine (`deliver_batch` for the log; per-record `deliver`, the oracle `tests/batching.rs` and the lifeguards' unit rigs drive), capture filters (`AddrRangeFilter` + per-contract idempotency window in one `CaptureFilter` pass, whose widen reserve is the one record of whether degradation widens it), findings, flat paged shadow memory, and the graceful-degradation contract a lifeguard may declare (`DegradationPolicy`: droppable kinds and a `RegionClassifier` oracle, with `AlwaysSettled`, whose sampled regions are the lifeguard's dedup-window granules) |
 //! | `lba-lifeguards` | the four lifeguards (the paper's three + `MemProfile`); each declares its degradation tolerance next to its idempotency story |
 //! | `lba-dbi`        | Valgrind-style inline instrumentation baseline        |
 //! | `lba-workloads`  | deterministic benchmark programs                      |
@@ -246,7 +246,7 @@ pub use lba_core::{
 // tests, and the replay salvage mode for torn recordings.
 pub use lba_core::{
     DegradationPolicy, DegradationStats, DegradedInterval, FaultProfile, LoadSample,
-    RegionClassifier, ReplayMode, SalvagedTail, SamplingSpec, MAX_RECORDED_INTERVALS,
+    RegionClassifier, ReplayMode, SalvagedTail, MAX_RECORDED_INTERVALS,
 };
 
 #[cfg(test)]

@@ -147,7 +147,7 @@ fn memprofile_sampling_is_fully_accounted() {
 
 #[test]
 fn taintcheck_is_provably_untouched() {
-    // A none-policy means the controller is never constructed: same
+    // No declared policy means no controller is constructed: same
     // findings, same wire stream, empty stats — under the same injected
     // fault profile and adaptive config that degrade AddrCheck.
     let program = bugs::exploit();
@@ -268,12 +268,12 @@ fn grid_config(mut config: SystemConfig) -> SystemConfig {
 }
 
 /// The degradation grid's lifeguard axis: the registry rows whose
-/// degradation policy tolerates something, in table order (AddrCheck,
+/// lifeguard declares a degradation policy, in table order (AddrCheck,
 /// LockSet, MemProfile). TaintCheck is pinned separately — its guarantee
 /// is the *absence* of the controller.
 fn make_kind(idx: usize) -> Box<dyn Lifeguard> {
     let degradable: Vec<_> = (MONITORS.iter())
-        .filter(|m| !(m.make)().degradation().is_none())
+        .filter(|m| (m.make)().degradation().is_some())
         .collect();
     (degradable[idx].make)()
 }

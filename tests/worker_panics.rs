@@ -7,8 +7,8 @@ use std::fmt::Debug;
 use std::time::{Duration, Instant};
 
 use lba::{
-    run_live, run_live_parallel, run_remote, run_replay, DegradationPolicy, LbaError, MonitorSpec,
-    RecordConfig, RegionClassifier, Run, RunMode, SystemConfig, ADDRCHECK,
+    run_live, run_live_parallel, run_remote, run_replay, DegradationPolicy, IdempotencyClass,
+    LbaError, MonitorSpec, RecordConfig, RegionClassifier, Run, RunMode, SystemConfig, ADDRCHECK,
 };
 use lba_isa::Program;
 use lba_lifeguard::{HandlerCtx, Lifeguard};
@@ -18,7 +18,9 @@ use lba_workloads::Benchmark;
 
 /// An AddrCheck with a bug planted at its 1 000th event: in its handler,
 /// or, `in_capture`, in the region classifier its degradation policy puts
-/// into the producer's capture controller.
+/// into the producer's capture controller. It declares AddrCheck's two
+/// contracts, because the controller samples only within the dedup
+/// window the idempotency contract declares.
 struct Buggy {
     inner: AddrCheck,
     seen: u64,
@@ -55,11 +57,15 @@ impl Lifeguard for Buggy {
         self.inner.on_finish(ctx);
     }
 
-    fn degradation(&self) -> DegradationPolicy {
+    fn idempotency(&self) -> IdempotencyClass {
+        self.inner.idempotency()
+    }
+
+    fn degradation(&self) -> Option<DegradationPolicy> {
         let mut policy = self.inner.degradation();
         if self.in_capture {
-            let sampling = policy.sampling.as_mut().expect("AddrCheck samples");
-            sampling.make_classifier = || Box::new(BuggyClassifier(0));
+            let policy = policy.as_mut().expect("AddrCheck degrades");
+            policy.make_classifier = Some(|| Box::new(BuggyClassifier(0)));
         }
         policy
     }

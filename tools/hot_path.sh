@@ -4,13 +4,14 @@
 # size in decimal bytes, then nm's symbol type and the demangled name):
 #
 #   lba_core::cosim and lba_core::live_parallel   the two runners
-#   lba_core::pipeline and lba_core::controller   the producer stage chain
-#                                                 and the capture controller
+#   lba_core::pipeline::Producer                  the producer stage chain
+#   lba_core::controller                          the capture controller
 #   ModeledFrameChannel                           the modeled log buffer
 #   FrameSender<_>::ship, SocketSink's ship       the live and socket sends
 #   FrameReceiver                                 the live receive
 #   Machine::step_*                               the machine's step bodies
 #   CaptureFilter                                 the capture pass
+#   LogCompressor::encode, FrameEncoder           the codec's encode side
 #
 # Drop glue is left out. A function that is missing here was inlined into
 # its caller (`Producer::observe`, which runs on every record in every
@@ -33,8 +34,9 @@ if [[ ! -f $bin ]]; then
     exit 1
 fi
 
-hot='lba_core::(cosim|live_parallel|pipeline|controller)::|ModeledFrameChannel|FrameSender<[^>]*>::ship'
-hot+='|SocketSink as [^>]*>::ship|FrameReceiver|Machine::step_|CaptureFilter'
+hot='lba_core::(cosim|live_parallel|controller)::|lba_core::pipeline::Producer::'
+hot+='|ModeledFrameChannel|FrameSender<[^>]*>::ship|SocketSink as [^>]*>::ship|FrameReceiver'
+hot+='|Machine::step_|CaptureFilter|LogCompressor::encode|FrameEncoder::'
 
 nm --size-sort -C "$bin" | grep -E "$hot" | grep -v 'drop_in_place' |
     while read -r size kind name; do

@@ -1,13 +1,14 @@
 #!/usr/bin/env bash
-# Prints the size of the code base in the four measures a simplifying
-# change reports before and after:
+# Prints the size of the code base in the measures a simplifying change
+# reports before and after:
 #
 #   net Rust lines  every tracked .rs file outside vendor/ and perfbench/;
 #   non-test lines  crates/*/src (subdirectories included) and src/, each
 #                   file up to its first column-0 #[cfg(test)], so unit-test
 #                   modules, tests/ and benches/ are out;
 #   public items    `pub fn|struct|enum|trait|const|static|type|mod` lines in
-#                   lba-core and lba-transport;
+#                   lba-core and lba-transport, and the same lines across
+#                   every crate's src/ (subdirectories included);
 #   panic sites     non-test, non-comment lines of compress, record,
 #                   transport and core holding .unwrap(), .expect(, panic!(,
 #                   unreachable!( or assert!/assert_eq!/assert_ne! (the
@@ -25,8 +26,9 @@ non_test='FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1}'
 net=$(git ls-files '*.rs' | grep -v -e '^vendor/' -e '^perfbench/' | xargs cat | wc -l)
 code=$(git ls-files 'crates/*/src/*.rs' 'src/*.rs' \
     | xargs awk "$non_test !t{n++} END{print n}")
-public=$(cat crates/core/src/*.rs crates/transport/src/*.rs \
-    | grep -cE '^\s*pub (fn|struct|enum|trait|const|static|type|mod) ')
+pub_item='^\s*pub (fn|struct|enum|trait|const|static|type|mod) '
+public=$(cat crates/core/src/*.rs crates/transport/src/*.rs | grep -cE "$pub_item")
+public_all=$(git ls-files 'crates/*/src/*.rs' | xargs cat | grep -cE "$pub_item")
 
 panics=() total=0
 for crate in compress record transport core; do
@@ -41,4 +43,5 @@ done
 echo "net Rust lines:  $net"
 echo "non-test lines:  $code"
 echo "public items:    $public (lba-core + lba-transport)"
+echo "public items:    $public_all (every crate)"
 echo "panic sites:     $total ($(IFS=,; echo "${panics[*]}" | sed 's/,/, /g'))"
