@@ -1,17 +1,21 @@
 //! Regenerates every table and figure from the paper's evaluation, plus
-//! the host-throughput trajectory (`BENCH_pipeline.json` in the working
-//! directory — committed at the repo root so every PR shows where
-//! events/sec moved — and written only when it passes the shape check
-//! the committed file is held to).
+//! the host-throughput trajectory (`BENCH_pipeline.json` at the repo root,
+//! committed so every change shows where events/sec moved, and written
+//! only when it passes the shape check the committed file is held to).
+//! At scale 1, when every experiment ran, it also writes the tables it
+//! prints above the throughput table to `BENCH_paper.txt` at the repo
+//! root, committed as the reproduction's result.
 //!
 //! Usage: `cargo run --release -p lba-bench --bin figures [scale]`
 //!
 //! `scale` multiplies every benchmark's iteration counts (default 1).
 //!
-//! `figures --bench-smoke` is the CI gate: it records a run through the
-//! flight recorder and replays it (requiring byte-identical findings and
-//! wire accounting, recording left at `target/flight-recording` for the
-//! artifact upload), round-trips a sharded run over Unix-domain sockets
+//! `figures --bench-smoke` is the CI gate: it renders the paper tables at
+//! scale 1 and requires them byte for byte as committed in
+//! `BENCH_paper.txt`, records a run through the flight recorder and
+//! replays it (requiring byte-identical findings and wire accounting,
+//! recording left at `target/flight-recording` for the artifact upload),
+//! round-trips a sharded run over Unix-domain sockets
 //! (`RunMode::Remote`, requiring findings and per-shard wire accounting
 //! identical to the in-process `RunMode::LiveParallel`), measures the
 //! pipeline matrix once, writes
@@ -39,9 +43,108 @@ const SMOKE: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
     "/../../BENCH_pipeline.smoke.json"
 );
+/// The committed paper tables: what `figures` prints at scale 1 above the
+/// host-throughput table.
+const PAPER: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_paper.txt");
 /// Where `--bench-smoke` leaves its replay-verified flight recording —
 /// uploaded as a CI artifact so every run ships an actual `lbas/1` stream.
 const RECORDING: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../target/flight-recording");
+
+/// Renders every paper table and figure at `scale`, in print order: the
+/// text `figures` prints above the host-throughput table. An experiment
+/// that fails is reported on stderr and left out; the flag says whether
+/// every one ran.
+fn paper_tables(scale: u32) -> (String, bool) {
+    let config = SystemConfig::default();
+    let mut text =
+        format!("== LBA reproduction: all paper tables and figures (scale {scale}) ==\n\n");
+    let mut complete = true;
+    let mut run = |what: &str, body: &mut dyn FnMut() -> Result<String, lba::LbaError>| match body()
+    {
+        Ok(table) => text.push_str(&(table + "\n")),
+        Err(e) => {
+            complete = false;
+            eprintln!("{what} failed: {e}");
+        }
+    };
+
+    let mut summaries = Vec::new();
+    for monitor in MONITORS.iter().filter(|m| m.figure2.is_some()) {
+        run(monitor.name, &mut || {
+            let rows = experiment::figure2(monitor, &config, scale)?;
+            summaries.extend(experiment::summarize(monitor, &rows));
+            Ok(render::render_fig2(monitor, &rows))
+        });
+    }
+    run("summary", &mut || Ok(render::render_summary(&summaries)));
+
+    run("workloads", &mut || {
+        Ok(render::render_workloads(&experiment::workload_table(
+            &config, scale,
+        )?))
+    });
+    run("compression", &mut || {
+        Ok(render::render_compression(&experiment::compression_table(
+            &config, scale,
+        )?))
+    });
+    run("ablation A", &mut || {
+        Ok(render::render_decoupling(&experiment::ablation_decoupling(
+            &config, scale,
+        )?))
+    });
+    run("ablation B", &mut || {
+        Ok(render::render_buffer(&experiment::ablation_buffer(
+            &config, scale,
+        )?))
+    });
+    run("ablation C", &mut || {
+        Ok(render::render_compression_ablation(
+            &experiment::ablation_compression(&config, scale)?,
+        ))
+    });
+    run("filtering", &mut || {
+        Ok(render::render_filtering(&experiment::ext_filtering(
+            &config, scale,
+        )?))
+    });
+    run("parallel", &mut || {
+        Ok(render::render_parallel(&experiment::ext_parallel(
+            &config, scale,
+        )?))
+    });
+    (text, complete)
+}
+
+/// The `--bench-smoke` paper gate: the tables rendered at scale 1 must
+/// equal the committed [`PAPER`] byte for byte.
+fn paper_smoke() -> Result<(), String> {
+    let (tables, complete) = paper_tables(1);
+    if !complete {
+        return Err("an experiment failed".into());
+    }
+    let committed = std::fs::read_to_string(PAPER).map_err(|e| format!("{PAPER}: {e}"))?;
+    let (mut rendered, mut kept) = (
+        tables.split_inclusive('\n'),
+        committed.split_inclusive('\n'),
+    );
+    for line in 1.. {
+        match (rendered.next(), kept.next()) {
+            (None, None) => break,
+            (now, then) if now == then => {}
+            (now, then) => {
+                return Err(format!(
+                    "line {line} differs from {PAPER}: rendered {:?}, committed {:?}; \
+                     regenerate it with `cargo run --release -p lba-bench --bin figures`",
+                    now.unwrap_or("<end>"),
+                    then.unwrap_or("<end>"),
+                ))
+            }
+        }
+    }
+    println!("paper tables match {PAPER} byte for byte");
+    Ok(())
+}
 
 /// The `--bench-smoke` flight-recorder gate: record a run, replay the
 /// recording, and require findings and wire-bit accounting byte-identical
@@ -248,6 +351,10 @@ fn socket_transport_smoke() -> Result<(), String> {
 
 /// The `--bench-smoke` mode; returns the process exit code.
 fn bench_smoke() -> i32 {
+    if let Err(e) = paper_smoke() {
+        eprintln!("paper-tables smoke failed: {e}");
+        return 1;
+    }
     if let Err(e) = record_replay_smoke() {
         eprintln!("flight-recorder smoke failed: {e}");
         return 1;
@@ -280,7 +387,7 @@ fn bench_smoke() -> i32 {
         }
     };
     // The committed trajectory must itself satisfy the registry-derived
-    // shape check: every series a `RUN_MODES` entry owns is present, and
+    // shape check: every series named by a `RUN_MODES` entry is present, and
     // nothing the registry doesn't know about lingers. A registry change
     // therefore fails CI until the trajectory is regenerated.
     if let Err(e) = pipeline::validate_trajectory(&committed) {
@@ -339,63 +446,9 @@ fn main() {
             }
         },
     };
-    let config = SystemConfig::default();
-    let failed = std::cell::Cell::new(false);
-    let run = |what: &str, body: &mut dyn FnMut() -> Result<String, lba::LbaError>| match body() {
-        Ok(text) => println!("{text}"),
-        Err(e) => {
-            failed.set(true);
-            eprintln!("{what} failed: {e}");
-        }
-    };
-
-    println!("== LBA reproduction: all paper tables and figures (scale {scale}) ==\n");
-
-    let mut summaries = Vec::new();
-    for monitor in MONITORS.iter().filter(|m| m.figure2.is_some()) {
-        run(monitor.name, &mut || {
-            let rows = experiment::figure2(monitor, &config, scale)?;
-            summaries.extend(experiment::summarize(monitor, &rows));
-            Ok(render::render_fig2(monitor, &rows))
-        });
-    }
-    println!("{}", render::render_summary(&summaries));
-
-    run("workloads", &mut || {
-        Ok(render::render_workloads(&experiment::workload_table(
-            &config, scale,
-        )?))
-    });
-    run("compression", &mut || {
-        Ok(render::render_compression(&experiment::compression_table(
-            &config, scale,
-        )?))
-    });
-    run("ablation A", &mut || {
-        Ok(render::render_decoupling(&experiment::ablation_decoupling(
-            &config, scale,
-        )?))
-    });
-    run("ablation B", &mut || {
-        Ok(render::render_buffer(&experiment::ablation_buffer(
-            &config, scale,
-        )?))
-    });
-    run("ablation C", &mut || {
-        Ok(render::render_compression_ablation(
-            &experiment::ablation_compression(&config, scale)?,
-        ))
-    });
-    run("filtering", &mut || {
-        Ok(render::render_filtering(&experiment::ext_filtering(
-            &config, scale,
-        )?))
-    });
-    run("parallel", &mut || {
-        Ok(render::render_parallel(&experiment::ext_parallel(
-            &config, scale,
-        )?))
-    });
+    let (tables, complete) = paper_tables(scale);
+    print!("{tables}");
+    let mut failed = !complete;
 
     // Host throughput (wall clock, not modeled cycles): the bench
     // trajectory every future PR regenerates and diffs.
@@ -405,16 +458,26 @@ fn main() {
     // A trajectory that fails its own gates is reported, never written
     // over the committed one.
     if let Err(e) = pipeline::validate_trajectory(&json) {
-        failed.set(true);
+        failed = true;
         eprintln!("emitted trajectory is malformed, {TRAJECTORY} left as it was: {e}");
     } else if let Err(e) = std::fs::write(TRAJECTORY, &json) {
-        failed.set(true);
+        failed = true;
         eprintln!("{TRAJECTORY}: {e}");
     } else {
         println!("wrote {TRAJECTORY}");
     }
+    // The paper tables are committed as a scale-1 run of every experiment.
+    if scale == 1 && complete {
+        match std::fs::write(PAPER, &tables) {
+            Ok(()) => println!("wrote {PAPER}"),
+            Err(e) => {
+                failed = true;
+                eprintln!("{PAPER}: {e}");
+            }
+        }
+    }
 
-    if failed.get() {
+    if failed {
         std::process::exit(1);
     }
 }

@@ -328,6 +328,14 @@ pub fn fault_config(mode: &str, adaptive: bool) -> SystemConfig {
     config
 }
 
+/// The adaptive-degradation series [`degraded_cells`] measures, per
+/// single-lifeguard mode: controller off (`*-faulted`), then on
+/// (`*-degraded`).
+const DEGRADED_SERIES: [(RunMode, [&str; 2]); 2] = [
+    (RunMode::Lba, ["lba-faulted", "lba-degraded"]),
+    (RunMode::Live, ["live-faulted", "live-degraded"]),
+];
+
 /// The adaptive-degradation series: every contract-degradable lifeguard
 /// through both single-lifeguard modes under injected slow-drain, twice —
 /// once with the controller off (`*-faulted`: the uncontrolled baseline
@@ -340,10 +348,7 @@ pub fn fault_config(mode: &str, adaptive: bool) -> SystemConfig {
 fn degraded_cells(program: &lba_isa::Program) -> Vec<Cell<'_>> {
     let mut cells = Vec::new();
     for monitor in monitors(degrades) {
-        for (mode, series) in [
-            (RunMode::Lba, ["lba-faulted", "lba-degraded"]),
-            (RunMode::Live, ["live-faulted", "live-degraded"]),
-        ] {
+        for (mode, series) in DEGRADED_SERIES {
             for (adaptive, series) in [false, true].into_iter().zip(series) {
                 let cfg = fault_config(mode.name(), adaptive);
                 cells.push(Cell::new(series, monitor.name, 1, 0, move || {
@@ -757,25 +762,23 @@ pub fn check_deterministic_columns(committed: &str, emitted: &str) -> Result<(),
     }
 }
 
-/// The series the registry's sharded modes own (`TopologyKind::Sharded`
-/// rows): the modeled `lba-parallel`, the in-process `live-parallel` and
-/// `remote` over Unix-domain sockets, which all ship the same per-shard
-/// streams.
+/// The series of the registry's sharded modes (`TopologyKind::Sharded`
+/// rows, each named by its mode): the modeled `lba-parallel`, the
+/// in-process `live-parallel` and `remote` over Unix-domain sockets,
+/// which all ship the same per-shard streams.
 fn sharded_series() -> impl Iterator<Item = &'static str> {
     (lba::RUN_MODES.iter())
         .filter(|m| m.topology == TopologyKind::Sharded)
-        .flat_map(|m| m.bench_series.iter().copied())
+        .map(|m| m.name)
 }
 
 /// Every series the trajectory holds: the consumption-only `consume`
-/// series plus the series each `lba::RUN_MODES` row owns.
+/// series, one series per `lba::RUN_MODES` row, named by its mode, and
+/// the [`DEGRADED_SERIES`].
 fn trajectory_series() -> Vec<&'static str> {
     std::iter::once("consume")
-        .chain(
-            lba::RUN_MODES
-                .iter()
-                .flat_map(|m| m.bench_series.iter().copied()),
-        )
+        .chain(lba::RUN_MODES.iter().map(|m| m.name))
+        .chain(DEGRADED_SERIES.into_iter().flat_map(|(_, series)| series))
         .collect()
 }
 
@@ -835,11 +838,11 @@ pub fn validate_trajectory(json: &str) -> Result<(), String> {
         }
     }
 
-    // The series: the consumption-only pair plus every trajectory series
-    // a registry run mode owns — derived from `lba::RUN_MODES`, so the
-    // committed trajectory and the registry cannot drift apart (a mode
-    // added to or dropped from the registry fails this check until the
-    // trajectory is regenerated).
+    // The series: the consumption-only pair, one series per registry run
+    // mode and the degraded series — derived from `lba::RUN_MODES`'s
+    // names, so the committed trajectory and the registry cannot drift
+    // apart (a mode added to or dropped from the registry fails this
+    // check until the trajectory is regenerated).
     let series = trajectory_series();
     for mode in &series {
         if !json.contains(&format!("\"mode\": \"{mode}\"")) {

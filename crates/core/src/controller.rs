@@ -136,11 +136,14 @@ pub(crate) struct CaptureController {
 impl CaptureController {
     /// Builds the controller for one producer whose lifeguard declares
     /// `policy` and, if it dedups, the dedup `window`. It samples only
-    /// when the policy names a classifier and a window gives the regions.
+    /// when the policy names a classifier and a window gives the regions,
+    /// and it never drops a kind the window invalidates on, so the
+    /// capture filter still sees the window's flush triggers.
     #[must_use]
     pub(crate) fn new(policy: DegradationPolicy, window: Option<&WindowSpec>) -> Self {
+        let flushes = |kind| window.is_some_and(|w| w.invalidate_on.contains(kind));
         CaptureController {
-            droppable: policy.droppable,
+            droppable: policy.droppable.iter().filter(|&k| !flushes(k)).collect(),
             sampler: (policy.make_classifier.zip(window))
                 .map(|(make, window)| RegionSampler::new(make(), *window)),
             records: 0,
@@ -445,6 +448,22 @@ mod tests {
         let stats = ctl.finish();
         assert_eq!(stats.kind_dropped, 1);
         assert_eq!(stats.intervals[0].kind_dropped, 1);
+    }
+
+    #[test]
+    fn a_droppable_kind_the_window_invalidates_on_still_ships() {
+        let policy = DegradationPolicy {
+            droppable: EventMask::of(&[EventKind::Free, EventKind::Lock]),
+            make_classifier: None,
+        };
+        let mut ctl = CaptureController::new(policy, Some(&window(4)));
+        assert_eq!(at_load(&mut ctl, 900), Some(Transition::Engage));
+        let mut free = load(0x40);
+        free.kind = EventKind::Free;
+        assert_eq!(ctl.admit(&free), Verdict::Ship, "the window flushes on it");
+        let mut lock = load(0x40);
+        lock.kind = EventKind::Lock;
+        assert_eq!(ctl.admit(&lock), Verdict::Drop);
     }
 
     #[test]

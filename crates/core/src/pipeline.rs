@@ -367,8 +367,7 @@ pub enum TopologyKind {
 
 /// One run mode in the registry: what topology it instantiates (and so
 /// how its outcome relates to the sequential `run_lba` baseline), which
-/// lifeguards it supports, which benchmark trajectory series it owns, and
-/// how the [`Run`] builder dispatches it.
+/// lifeguards it supports, and how the [`Run`] builder dispatches it.
 #[derive(Debug, Clone, Copy)]
 pub struct RunModeSpec {
     /// Stable mode name.
@@ -388,9 +387,6 @@ pub struct RunModeSpec {
     /// predicate and the request's worker count first, then hands the
     /// request here.
     pub run: fn(&Run<'_>) -> Result<RunOutcome, LbaError>,
-    /// Benchmark trajectory series (`BENCH_pipeline.json`) this mode
-    /// owns, in committed order.
-    pub bench_series: &'static [&'static str],
 }
 
 fn supports_all(_spec: &MonitorSpec) -> bool {
@@ -405,8 +401,7 @@ fn supports_shardable(spec: &MonitorSpec) -> bool {
 /// baseline-equivalence contract), support predicate and dispatch hook.
 /// The [`Run`] builder dispatches through this table, and
 /// `lba_bench::pipeline` and `tests/equivalence.rs` derive their mode
-/// enumerations from it; the union of `bench_series` (plus the
-/// consumption-only `"consume"` series) is exactly the committed
+/// enumerations from it: each mode's name is a series of the committed
 /// `BENCH_pipeline.json` trajectory.
 pub const RUN_MODES: [RunModeSpec; 6] = [
     RunModeSpec {
@@ -419,7 +414,6 @@ pub const RUN_MODES: [RunModeSpec; 6] = [
             let report = crate::cosim::run_lba(run.program, lifeguard.as_mut(), &run.config)?;
             Ok(RunOutcome::Run(report))
         },
-        bench_series: &["lba", "lba-faulted", "lba-degraded"],
     },
     RunModeSpec {
         name: "live",
@@ -432,7 +426,6 @@ pub const RUN_MODES: [RunModeSpec; 6] = [
                 crate::live_parallel::run_live(run.program, lifeguard.as_mut(), &run.config)?;
             Ok(RunOutcome::Live(report))
         },
-        bench_series: &["live", "live-faulted", "live-degraded"],
     },
     RunModeSpec {
         name: "lba-parallel",
@@ -448,7 +441,6 @@ pub const RUN_MODES: [RunModeSpec; 6] = [
             )?;
             Ok(RunOutcome::Parallel(report))
         },
-        bench_series: &["lba-parallel"],
     },
     RunModeSpec {
         name: "live-parallel",
@@ -464,7 +456,6 @@ pub const RUN_MODES: [RunModeSpec; 6] = [
             )?;
             Ok(RunOutcome::LiveParallel(report))
         },
-        bench_series: &["live-parallel"],
     },
     RunModeSpec {
         name: "remote",
@@ -476,7 +467,6 @@ pub const RUN_MODES: [RunModeSpec; 6] = [
                 crate::remote::run_remote(run.program, run.monitor.make, run.workers, &run.config)?;
             Ok(RunOutcome::Remote(report))
         },
-        bench_series: &["remote"],
     },
     RunModeSpec {
         name: "replay",
@@ -492,7 +482,6 @@ pub const RUN_MODES: [RunModeSpec; 6] = [
             )?;
             Ok(RunOutcome::Replay(report))
         },
-        bench_series: &["replay"],
     },
 ];
 
@@ -566,23 +555,6 @@ mod tests {
                     ),
                     TopologyKind::Single | TopologyKind::Replay => {}
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn bench_series_are_owned_by_one_mode_each() {
-        let mut seen = HashSet::new();
-        for mode in &RUN_MODES {
-            for series in mode.bench_series {
-                assert!(
-                    seen.insert(*series),
-                    "trajectory series {series} owned by two modes"
-                );
-                assert_ne!(
-                    *series, "consume",
-                    "the consumption-only series belongs to no run mode"
-                );
             }
         }
     }

@@ -95,9 +95,9 @@ pub struct DegradationPolicy {
     /// Event kinds capture may drop outright while degraded. Must be
     /// kinds the lifeguard's verdicts never read — unsubscribed,
     /// profile-only kinds, which the dispatch engine masks to a no-op
-    /// handler anyway — and must exclude anything the
-    /// [`WindowSpec`](crate::WindowSpec) invalidates on, so the window's
-    /// flush triggers still reach it.
+    /// handler anyway. The controller never drops a kind the
+    /// [`WindowSpec`](crate::WindowSpec) invalidates on, even one listed
+    /// here, so the window's flush triggers still reach it.
     pub droppable: EventMask,
     /// Builds the soundness oracle under which long-settled regions
     /// demote to sampled capture (see [`RegionClassifier`]); the regions

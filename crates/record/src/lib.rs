@@ -30,8 +30,8 @@ pub use event::{DecodeRecordError, EventKind, EventRecord, RAW_RECORD_BYTES};
 pub use mask::EventMask;
 pub use stats::TraceStats;
 pub use stream::{
-    check_ident, end_record, segment_file_name, stream_ids, verify_end, FrameCountWord,
-    FrameRecordHeader, IdentError, SegmentReader, SegmentWriter, StreamConfig, StreamError,
-    StreamFrame, StreamHeader, StreamSummary, END_RECORD_BYTES, FRAME_RECORD_HEADER_BYTES,
-    SEGMENT_HEADER_BYTES, STREAM_FORMAT, TAG_END, TAG_FRAME,
+    end_record, segment_file_name, stream_ids, FrameCountWord, FrameRecordHeader, ReadError,
+    RecordReader, SegmentReader, SegmentWriter, StreamConfig, StreamError, StreamFrame,
+    StreamHeader, StreamSummary, END_RECORD_BYTES, FRAME_RECORD_HEADER_BYTES, SEGMENT_HEADER_BYTES,
+    STREAM_FORMAT, TAG_FRAME,
 };

@@ -39,10 +39,10 @@
 //! The socket transport (`lba_transport::socket`) speaks the same format
 //! over a connection — the same header (its word at offset 16 is the
 //! credit window instead of a sequence number), the same frame records and
-//! the same End record — and reads and writes it through the helpers here
-//! ([`check_ident`], [`StreamHeader`], [`FrameRecordHeader`],
-//! [`end_record`], [`verify_end`]), so a torn wire and a torn recording
-//! fail alike.
+//! the same End record. Both carriers read it through the one
+//! [`RecordReader`] and write it with the same encoders ([`StreamHeader`],
+//! [`FrameRecordHeader`], [`end_record`]), so a torn wire and a torn
+//! recording fail alike.
 //!
 //! # Segment naming, rotation, retention
 //!
@@ -60,7 +60,8 @@
 use std::collections::VecDeque;
 use std::fmt;
 use std::fs::{self, File};
-use std::io::{BufWriter, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
+use std::ops::RangeInclusive;
 use std::path::{Path, PathBuf};
 
 /// The stream format identifier, also the first line of every segment.
@@ -77,7 +78,7 @@ pub const SEGMENT_HEADER_BYTES: usize = 24;
 /// Tag of a frame record.
 pub const TAG_FRAME: u8 = 0x01;
 /// Tag of an End record.
-pub const TAG_END: u8 = 0x02;
+const TAG_END: u8 = 0x02;
 
 /// Size of a frame record's fixed part (tag + timestamp + record count +
 /// payload length + checksum).
@@ -92,8 +93,8 @@ pub const END_RECORD_BYTES: usize = 1 + 8;
 /// epoch-end mark; it is retired and no encoder sets it. Readers mask off
 /// only the degraded mark, so a set bit 31 reads as a count of at least
 /// 2^31 records, which no frame payload can hold: the frame decoder
-/// rejects it as too many records, and [`FrameRecordHeader::verify`] as a
-/// count mismatch.
+/// rejects it as too many records, and the [`RecordReader`] as a count
+/// mismatch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FrameCountWord {
     /// Records the frame carries.
@@ -148,26 +149,11 @@ fn payload_checksum(bytes: &[u8]) -> u32 {
     }
 }
 
-/// Why bytes that should open an `lbas/1` stream do not.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum IdentError {
-    /// The bytes do not open with the `lbas/` identifier.
-    NotAStream,
-    /// An `lbas/` stream of a format version this reader does not
-    /// understand; carries the version string found after `lbas/`.
-    UnknownVersion(String),
-}
-
 /// Checks that `head` opens with the `lbas/1` identifier, telling a
 /// foreign byte stream apart from a future format version.
-///
-/// # Errors
-///
-/// [`IdentError::NotAStream`] without the `lbas/` prefix,
-/// [`IdentError::UnknownVersion`] for any version but 1.
-pub fn check_ident(head: &[u8]) -> Result<(), IdentError> {
+fn check_ident(head: &[u8]) -> Result<(), ReadError> {
     if head.len() < IDENT.len() || head[0..5] != IDENT[0..5] {
-        return Err(IdentError::NotAStream);
+        return Err(ReadError::NotAStream);
     }
     let version_end = head[5..8]
         .iter()
@@ -175,7 +161,7 @@ pub fn check_ident(head: &[u8]) -> Result<(), IdentError> {
         .map_or(8, |p| 5 + p);
     let version = String::from_utf8_lossy(&head[5..version_end]).into_owned();
     if version != "1" {
-        return Err(IdentError::UnknownVersion(version));
+        return Err(ReadError::UnknownVersion(version));
     }
     Ok(())
 }
@@ -205,10 +191,9 @@ impl StreamHeader {
         bytes
     }
 
-    /// Decodes the words of a header whose identifier [`check_ident`]
+    /// Decodes the words of a header whose identifier `check_ident`
     /// accepted.
-    #[must_use]
-    pub fn decode(bytes: &[u8; SEGMENT_HEADER_BYTES]) -> Self {
+    fn decode(bytes: &[u8; SEGMENT_HEADER_BYTES]) -> Self {
         let word = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4 bytes"));
         StreamHeader {
             codec_version: word(8),
@@ -263,8 +248,7 @@ impl FrameRecordHeader {
     }
 
     /// Decodes the fields that follow a frame record's tag.
-    #[must_use]
-    pub fn decode(fields: &[u8; FRAME_RECORD_HEADER_BYTES - 1]) -> Self {
+    fn decode(fields: &[u8; FRAME_RECORD_HEADER_BYTES - 1]) -> Self {
         let word = |at: usize| u32::from_le_bytes(fields[at..at + 4].try_into().expect("4 bytes"));
         FrameRecordHeader {
             timestamp: u64::from_le_bytes(fields[0..8].try_into().expect("8 bytes")),
@@ -281,7 +265,7 @@ impl FrameRecordHeader {
     /// # Errors
     ///
     /// What disagreed, for the reader's corruption error.
-    pub fn verify(&self, payload: &[u8]) -> Result<(), String> {
+    fn verify(&self, payload: &[u8]) -> Result<(), String> {
         if payload_checksum(payload) != self.checksum {
             return Err("frame payload checksum mismatch".to_string());
         }
@@ -304,20 +288,6 @@ pub fn end_record(frames: u64) -> [u8; END_RECORD_BYTES] {
     bytes[0] = TAG_END;
     bytes[1..9].copy_from_slice(&frames.to_le_bytes());
     bytes
-}
-
-/// Checks an End record's frame count against the frame records the
-/// reader saw before it.
-///
-/// # Errors
-///
-/// The disagreement, for the reader's corruption error.
-pub fn verify_end(count: u64, seen: u64) -> Result<(), String> {
-    if count == seen {
-        Ok(())
-    } else {
-        Err(format!("End record says {count} frames, {seen} arrived"))
-    }
 }
 
 /// The canonical file name of a segment.
@@ -539,6 +509,26 @@ impl StreamError {
             source,
         }
     }
+
+    fn corrupt(path: PathBuf, offset: u64, detail: String) -> Self {
+        StreamError::Corrupt {
+            path,
+            offset,
+            detail,
+        }
+    }
+
+    /// The error for what the record reader met in segment `path`.
+    fn read(path: PathBuf, e: ReadError) -> Self {
+        match e {
+            ReadError::Cut(offset) => StreamError::Truncated { path, offset },
+            ReadError::Ended => StreamError::MissingEnd { path },
+            ReadError::NotAStream => StreamError::NotAStream { path },
+            ReadError::UnknownVersion(version) => StreamError::UnknownVersion { path, version },
+            ReadError::Corrupt { offset, detail } => StreamError::corrupt(path, offset, detail),
+            ReadError::Io(source) => StreamError::Io { path, source },
+        }
+    }
 }
 
 /// Writes one stream as a sequence of rotating, retained segment files.
@@ -738,40 +728,228 @@ impl SegmentWriter {
     }
 }
 
+/// Every segment file in `dir`, as sorted `(stream, seq)` pairs.
+fn segments_in(dir: &Path) -> Result<Vec<(u32, u32)>, StreamError> {
+    let mut found = Vec::new();
+    for entry in fs::read_dir(dir).map_err(|e| StreamError::io(dir, e))? {
+        let entry = entry.map_err(|e| StreamError::io(dir, e))?;
+        found.extend(entry.file_name().to_str().and_then(parse_segment_file_name));
+    }
+    found.sort_unstable();
+    Ok(found)
+}
+
 /// The stream ids with at least one segment in `dir`, ascending.
 ///
 /// # Errors
 ///
 /// [`StreamError::Io`] when the directory cannot be listed.
 pub fn stream_ids(dir: &Path) -> Result<Vec<u32>, StreamError> {
-    let mut ids: Vec<u32> = Vec::new();
-    for entry in fs::read_dir(dir).map_err(|e| StreamError::io(dir, e))? {
-        let entry = entry.map_err(|e| StreamError::io(dir, e))?;
-        if let Some((stream, _)) = entry.file_name().to_str().and_then(parse_segment_file_name) {
-            if !ids.contains(&stream) {
-                ids.push(stream);
-            }
-        }
-    }
-    ids.sort_unstable();
+    let mut ids: Vec<u32> = segments_in(dir)?.into_iter().map(|(s, _)| s).collect();
+    ids.dedup();
     Ok(ids)
 }
 
+/// Payload bytes a frame record's claimed length may reserve before they
+/// arrive: sealed frames are a few cache lines, so this covers every real
+/// one, and a hostile length buys no more than this.
+const PAYLOAD_RESERVE: usize = 64 << 10;
+
+/// How the bytes of an `lbas/1` stream failed to read. Each carrier maps
+/// it into its own error, which names the file or the peer.
+#[derive(Debug)]
+pub enum ReadError {
+    /// The bytes ended inside the record (the header counts as one) that
+    /// began at this byte offset.
+    Cut(u64),
+    /// The bytes ended between records, before an End record.
+    Ended,
+    /// The bytes do not open with the `lbas/` identifier.
+    NotAStream,
+    /// An `lbas/` stream of a format version this reader does not
+    /// understand; carries the version string found after `lbas/`.
+    UnknownVersion(String),
+    /// A record is inconsistent (bad tag, checksum or record-count
+    /// mismatch, End-count disagreement).
+    Corrupt {
+        /// Byte offset at which the record began.
+        offset: u64,
+        /// What exactly disagreed.
+        detail: String,
+    },
+    /// The underlying read failed.
+    Io(io::Error),
+}
+
+/// The one reader of `lbas/1` bytes, a segment file's or a socket
+/// connection's, over any [`Read`] (give it a buffered one). It trusts
+/// none of them: it checks every record, and a payload reserves at most
+/// 64 KiB before its bytes arrive, so a length claiming 4 GiB costs no
+/// more until 4 GiB do arrive.
+#[derive(Debug)]
+pub struct RecordReader<R> {
+    inner: R,
+    /// Bytes read so far: where the next record begins.
+    offset: u64,
+    /// Frame records read so far (checked against the End record).
+    frames: u64,
+    /// Whether the End record closed the stream.
+    ended: bool,
+}
+
+impl<R: Read> RecordReader<R> {
+    /// Reads and checks the 24-byte header opening the stream, and returns
+    /// it with the reader at the first record.
+    ///
+    /// # Errors
+    ///
+    /// [`ReadError::NotAStream`] or [`ReadError::UnknownVersion`] when the
+    /// bytes that arrived fail the identifier check (fewer than 8 always
+    /// do), [`ReadError::Cut`] when they pass it but end inside the
+    /// header, and [`ReadError::Io`] when the read fails.
+    pub fn open(mut inner: R) -> Result<(StreamHeader, Self), ReadError> {
+        let mut head = Vec::with_capacity(SEGMENT_HEADER_BYTES);
+        (&mut inner)
+            .take(SEGMENT_HEADER_BYTES as u64)
+            .read_to_end(&mut head)
+            .map_err(ReadError::Io)?;
+        check_ident(&head)?;
+        let head = head.first_chunk().ok_or(ReadError::Cut(0))?;
+        let reader = RecordReader {
+            inner,
+            offset: SEGMENT_HEADER_BYTES as u64,
+            frames: 0,
+            ended: false,
+        };
+        Ok((StreamHeader::decode(head), reader))
+    }
+
+    /// Frame records read so far.
+    #[must_use]
+    pub fn frames(&self) -> u64 {
+        self.frames
+    }
+
+    /// The underlying reader, for what a carrier does beside the records.
+    pub fn get_mut(&mut self) -> &mut R {
+        &mut self.inner
+    }
+
+    /// Fills `buf`, or fails with `short` when the bytes end first.
+    fn read_exact(&mut self, buf: &mut [u8], short: ReadError) -> Result<(), ReadError> {
+        self.inner.read_exact(buf).map_err(|e| match e.kind() {
+            io::ErrorKind::UnexpectedEof => short,
+            _ => ReadError::Io(e),
+        })?;
+        self.offset += buf.len() as u64;
+        Ok(())
+    }
+
+    /// The next frame record, checked against its checksum and its image's
+    /// count word, or `Ok(None)` once an End record whose count matches
+    /// the frames read has closed the stream.
+    ///
+    /// # Errors
+    ///
+    /// [`ReadError::Ended`] when the bytes end before an End record,
+    /// [`ReadError::Cut`] when they end inside a record,
+    /// [`ReadError::Corrupt`] for an inconsistent record, and
+    /// [`ReadError::Io`] when the read fails.
+    pub fn next_frame(&mut self) -> Result<Option<StreamFrame>, ReadError> {
+        if self.ended {
+            return Ok(None);
+        }
+        let start = self.offset;
+        let corrupt = |detail| ReadError::Corrupt {
+            offset: start,
+            detail,
+        };
+        let mut tag = [0u8; 1];
+        self.read_exact(&mut tag, ReadError::Ended)?;
+        match tag[0] {
+            TAG_FRAME => {
+                let mut fields = [0u8; FRAME_RECORD_HEADER_BYTES - 1];
+                self.read_exact(&mut fields, ReadError::Cut(start))?;
+                let header = FrameRecordHeader::decode(&fields);
+                // The length is the writer's claim: past the reserve, the
+                // buffer grows only as bytes arrive.
+                let mut payload = Vec::with_capacity((header.len as usize).min(PAYLOAD_RESERVE));
+                (&mut self.inner)
+                    .take(u64::from(header.len))
+                    .read_to_end(&mut payload)
+                    .map_err(ReadError::Io)?;
+                self.offset += payload.len() as u64;
+                if payload.len() < header.len as usize {
+                    return Err(ReadError::Cut(start));
+                }
+                header.verify(&payload).map_err(corrupt)?;
+                self.frames += 1;
+                Ok(Some(StreamFrame {
+                    timestamp: header.timestamp,
+                    records: header.records,
+                    bytes: payload,
+                }))
+            }
+            TAG_END => {
+                let mut count = [0u8; 8];
+                self.read_exact(&mut count, ReadError::Cut(start))?;
+                let (count, seen) = (u64::from_le_bytes(count), self.frames);
+                if count != seen {
+                    return Err(corrupt(format!(
+                        "End record says {count} frames, {seen} arrived"
+                    )));
+                }
+                self.ended = true;
+                Ok(None)
+            }
+            other => Err(corrupt(format!("unknown record tag {other:#04x}"))),
+        }
+    }
+}
+
+/// One segment file, opened and its header checked against its name.
+#[derive(Debug)]
+struct Segment {
+    path: PathBuf,
+    records: RecordReader<BufReader<File>>,
+    codec_version: u32,
+}
+
+impl Segment {
+    fn open(dir: &Path, stream: u32, seq: u32) -> Result<Self, StreamError> {
+        let path = dir.join(segment_file_name(stream, seq));
+        let file = File::open(&path).map_err(|e| StreamError::io(&path, e))?;
+        let (header, records) = match RecordReader::open(BufReader::new(file)) {
+            Ok(opened) => opened,
+            Err(e) => return Err(StreamError::read(path, e)),
+        };
+        if (header.stream, header.word) != (stream, seq) {
+            let detail = format!(
+                "header says stream {} segment {}, file name says stream {stream} segment {seq}",
+                header.stream, header.word
+            );
+            return Err(StreamError::corrupt(path, 8, detail));
+        }
+        Ok(Segment {
+            path,
+            records,
+            codec_version: header.codec_version,
+        })
+    }
+}
+
 /// Reads one stream's segments back in sequence order, yielding frames
-/// until the clean end of the final segment.
+/// until the clean end of the final segment. Each segment streams through
+/// a [`RecordReader`].
 #[derive(Debug)]
 pub struct SegmentReader {
     dir: PathBuf,
     stream: u32,
-    /// Remaining segment sequence numbers, ascending (current one first).
-    segments: VecDeque<u32>,
-    /// Current segment's bytes and read cursor.
-    path: PathBuf,
-    bytes: Vec<u8>,
-    cursor: usize,
-    codec_version: u32,
-    /// Frame records seen in the current segment (checked against End).
-    segment_frames: u64,
+    /// Sequence numbers of the segments still to open.
+    next_seqs: RangeInclusive<u32>,
+    /// The segment being read. Its codec is the stream's: the first
+    /// segment's, which every later one must repeat.
+    segment: Segment,
 }
 
 impl SegmentReader {
@@ -786,133 +964,34 @@ impl SegmentReader {
     /// start at sequence 0 or has a gap, plus any header-validation error
     /// from the first segment.
     pub fn open(dir: &Path, stream: u32) -> Result<Self, StreamError> {
-        let mut seqs: Vec<u32> = Vec::new();
-        for entry in fs::read_dir(dir).map_err(|e| StreamError::io(dir, e))? {
-            let entry = entry.map_err(|e| StreamError::io(dir, e))?;
-            if let Some((s, seq)) = entry.file_name().to_str().and_then(parse_segment_file_name) {
-                if s == stream {
-                    seqs.push(seq);
-                }
-            }
-        }
-        if seqs.is_empty() {
+        let seqs: Vec<u32> = (segments_in(dir)?.into_iter())
+            .filter_map(|(s, seq)| (s == stream).then_some(seq))
+            .collect();
+        let Some(&last) = seqs.last() else {
             return Err(StreamError::NoSuchStream {
                 dir: dir.to_path_buf(),
                 stream,
             });
+        };
+        if let Some((expected_seq, _)) = (0..).zip(&seqs).find(|(want, got)| want != *got) {
+            return Err(StreamError::MissingSegments {
+                dir: dir.to_path_buf(),
+                stream,
+                expected_seq,
+            });
         }
-        seqs.sort_unstable();
-        for (expected, &found) in seqs.iter().enumerate() {
-            let expected = u32::try_from(expected).expect("segment count fits u32");
-            if found != expected {
-                return Err(StreamError::MissingSegments {
-                    dir: dir.to_path_buf(),
-                    stream,
-                    expected_seq: expected,
-                });
-            }
-        }
-        let mut reader = SegmentReader {
+        Ok(SegmentReader {
             dir: dir.to_path_buf(),
             stream,
-            segments: seqs.into_iter().collect(),
-            path: PathBuf::new(),
-            bytes: Vec::new(),
-            cursor: 0,
-            codec_version: 0,
-            segment_frames: 0,
-        };
-        reader
-            .load_next_segment()?
-            .then_some(())
-            .expect("open checked the stream has at least one segment");
-        Ok(reader)
+            next_seqs: 1..=last,
+            segment: Segment::open(dir, stream, 0)?,
+        })
     }
 
     /// The codec version stamped in the stream's segment headers.
     #[must_use]
     pub fn codec_version(&self) -> u32 {
-        self.codec_version
-    }
-
-    fn corrupt(&self, offset: usize, detail: impl Into<String>) -> StreamError {
-        StreamError::Corrupt {
-            path: self.path.clone(),
-            offset: offset as u64,
-            detail: detail.into(),
-        }
-    }
-
-    /// Loads and header-validates the next segment; `false` when the
-    /// stream has no more segments.
-    fn load_next_segment(&mut self) -> Result<bool, StreamError> {
-        let Some(seq) = self.segments.pop_front() else {
-            return Ok(false);
-        };
-        let path = self.dir.join(segment_file_name(self.stream, seq));
-        let bytes = fs::read(&path).map_err(|e| StreamError::io(&path, e))?;
-        self.path = path;
-        check_ident(&bytes).map_err(|e| match e {
-            IdentError::NotAStream => StreamError::NotAStream {
-                path: self.path.clone(),
-            },
-            IdentError::UnknownVersion(version) => StreamError::UnknownVersion {
-                path: self.path.clone(),
-                version,
-            },
-        })?;
-        let Some(header) = bytes.first_chunk::<SEGMENT_HEADER_BYTES>() else {
-            return Err(StreamError::Truncated {
-                path: self.path.clone(),
-                offset: bytes.len() as u64,
-            });
-        };
-        let StreamHeader {
-            codec_version: codec,
-            stream: header_stream,
-            word: header_seq,
-        } = StreamHeader::decode(header);
-        if header_stream != self.stream || header_seq != seq {
-            return Err(self.corrupt(
-                8,
-                format!(
-                    "header says stream {header_stream} segment {header_seq}, \
-                     file name says stream {} segment {seq}",
-                    self.stream
-                ),
-            ));
-        }
-        // The first segment sets the stream's codec; every later one must
-        // agree with it, or its frames would reach a decoder of the wrong
-        // version.
-        if seq == 0 {
-            self.codec_version = codec;
-        } else if codec != self.codec_version {
-            return Err(self.corrupt(
-                8,
-                format!(
-                    "segment codec version {codec} differs from the stream's {}",
-                    self.codec_version
-                ),
-            ));
-        }
-        self.bytes = bytes;
-        self.cursor = SEGMENT_HEADER_BYTES;
-        self.segment_frames = 0;
-        Ok(true)
-    }
-
-    /// Reads `n` bytes of the current segment, or reports truncation.
-    fn take(&mut self, n: usize, record_start: usize) -> Result<&[u8], StreamError> {
-        if self.cursor + n > self.bytes.len() {
-            return Err(StreamError::Truncated {
-                path: self.path.clone(),
-                offset: record_start as u64,
-            });
-        }
-        let slice = &self.bytes[self.cursor..self.cursor + n];
-        self.cursor += n;
-        Ok(slice)
+        self.segment.codec_version
     }
 
     /// The next recorded frame, in seal order across segments, or
@@ -926,45 +1005,35 @@ impl SegmentReader {
     /// inconsistencies.
     pub fn next_frame(&mut self) -> Result<Option<StreamFrame>, StreamError> {
         loop {
-            let start = self.cursor;
-            if start >= self.bytes.len() {
-                return Err(StreamError::MissingEnd {
-                    path: self.path.clone(),
-                });
+            let Segment { path, records, .. } = &mut self.segment;
+            match records.next_frame() {
+                Ok(Some(frame)) => return Ok(Some(frame)),
+                Ok(None) => {}
+                Err(e) => return Err(StreamError::read(path.clone(), e)),
             }
-            let tag = self.bytes[start];
-            self.cursor += 1;
-            match tag {
-                TAG_FRAME => {
-                    let fields = self.take(FRAME_RECORD_HEADER_BYTES - 1, start)?;
-                    let header = FrameRecordHeader::decode(fields.try_into().expect("sized take"));
-                    let payload = self.take(header.len as usize, start)?.to_vec();
-                    header
-                        .verify(&payload)
-                        .map_err(|detail| self.corrupt(start, detail))?;
-                    self.segment_frames += 1;
-                    return Ok(Some(StreamFrame {
-                        timestamp: header.timestamp,
-                        records: header.records,
-                        bytes: payload,
-                    }));
-                }
-                TAG_END => {
-                    let count =
-                        u64::from_le_bytes(self.take(8, start)?.try_into().expect("8 bytes"));
-                    verify_end(count, self.segment_frames)
-                        .map_err(|detail| self.corrupt(start, detail))?;
-                    if self.cursor != self.bytes.len() {
-                        return Err(self.corrupt(start, "data after the End record"));
-                    }
-                    if !self.load_next_segment()? {
-                        return Ok(None);
-                    }
-                }
-                other => {
-                    return Err(self.corrupt(start, format!("unknown record tag {other:#04x}")));
-                }
+            // The End record closes its segment: nothing may follow it.
+            let end = records.offset - END_RECORD_BYTES as u64;
+            let after = records.get_mut().fill_buf();
+            if !after.map_err(|e| StreamError::io(path, e))?.is_empty() {
+                let detail = "data after the End record".to_string();
+                return Err(StreamError::corrupt(path.clone(), end, detail));
             }
+            let Some(seq) = self.next_seqs.next() else {
+                return Ok(None);
+            };
+            let segment = Segment::open(&self.dir, self.stream, seq)?;
+            // The first segment set the stream's codec; every later one
+            // must agree with it, or its frames would reach a decoder of
+            // the wrong version.
+            let codec = self.segment.codec_version;
+            if segment.codec_version != codec {
+                let detail = format!(
+                    "segment codec version {} differs from the stream's {codec}",
+                    segment.codec_version
+                );
+                return Err(StreamError::corrupt(segment.path, 8, detail));
+            }
+            self.segment = segment;
         }
     }
 }
@@ -1197,6 +1266,29 @@ mod tests {
         let err = reader.next_frame().unwrap_err();
         assert!(matches!(err, StreamError::Corrupt { .. }), "got: {err}");
         assert!(err.to_string().contains("End record says 9"));
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn data_after_the_end_record_is_corrupt() {
+        let dir = temp_dir("trailing");
+        let mut writer = SegmentWriter::create(&dir, 0, 1, StreamConfig::default()).unwrap();
+        writer.append(1, 1, &frame_image(1, 1)).unwrap();
+        writer.finish().unwrap();
+        let path = dir.join(segment_file_name(0, 0));
+        let mut bytes = fs::read(&path).unwrap();
+        let end_at = (bytes.len() - END_RECORD_BYTES) as u64;
+        bytes.push(0);
+        fs::write(&path, &bytes).unwrap();
+
+        let mut reader = SegmentReader::open(&dir, 0).unwrap();
+        reader.next_frame().unwrap().expect("the frame is intact");
+        let err = reader.next_frame().unwrap_err();
+        assert!(
+            matches!(err, StreamError::Corrupt { offset, .. } if offset == end_at),
+            "got: {err}"
+        );
+        assert!(err.to_string().contains("data after the End record"));
         fs::remove_dir_all(&dir).ok();
     }
 

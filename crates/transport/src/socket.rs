@@ -12,9 +12,10 @@
 //!
 //! # Wire protocol
 //!
-//! A connection is one frame stream in the durable `lbas/1` format, read
-//! and written with the codec in `lba_record` that the segment files use,
-//! so torn wires and torn recordings fail alike:
+//! A connection is one frame stream in the durable `lbas/1` format. The
+//! consumer reads it through `lba_record`'s [`RecordReader`], the one
+//! reader the segment files use too, and the producer writes it with the
+//! same encoders, so torn wires and torn recordings fail alike:
 //!
 //! ```text
 //! hello (24 B): b"lbas/1\n\0" | codec version u32 | stream id u32 |
@@ -100,8 +101,7 @@ use std::time::Duration;
 
 use lba_compress::{Frame, CODEC_VERSION};
 use lba_record::{
-    check_ident, end_record, verify_end, FrameRecordHeader, IdentError, StreamHeader,
-    FRAME_RECORD_HEADER_BYTES, SEGMENT_HEADER_BYTES, TAG_END, TAG_FRAME,
+    end_record, FrameRecordHeader, ReadError, RecordReader, StreamHeader, SEGMENT_HEADER_BYTES,
 };
 
 use crate::channel::LoadSample;
@@ -114,11 +114,6 @@ pub const SOCKET_HELLO_BYTES: usize = SEGMENT_HEADER_BYTES;
 
 /// The credit byte the consumer returns per drained frame (ASCII ACK).
 const CREDIT: u8 = 0x06;
-
-/// Payload bytes a frame record's claimed length may reserve before they
-/// arrive: sealed frames are a few cache lines, so this covers every real
-/// one in a single read, and a hostile length buys no more than this.
-const PAYLOAD_RESERVE: usize = 64 << 10;
 
 /// A human-readable name for the peer, used in error messages.
 fn endpoint(stream: &UnixStream) -> String {
@@ -508,17 +503,15 @@ impl FrameWire for SocketSink {
 /// consumer sees a torn stream.
 pub type SocketSender = FrameSender<SocketSink>;
 
-/// Consumer end of the socket wire: validates the hello, drains frame
-/// records through a read buffer, and returns one credit per frame — a
-/// [`FrameSource`] that a [`FrameReceiver`](crate::live::FrameReceiver)
-/// decodes exactly like the in-process queue. Its reads block.
+/// Consumer end of the socket wire: reads the stream through a
+/// [`RecordReader`] over a read buffer and returns one credit per whole
+/// frame — a [`FrameSource`] that a
+/// [`FrameReceiver`](crate::live::FrameReceiver) decodes exactly like the
+/// in-process queue. Its reads block.
 #[derive(Debug)]
 pub struct SocketSource {
-    stream: BufReader<UnixStream>,
+    records: RecordReader<BufReader<UnixStream>>,
     endpoint: String,
-    /// Complete frames drained so far.
-    frames: u64,
-    finished: bool,
 }
 
 impl SocketSource {
@@ -528,121 +521,72 @@ impl SocketSource {
     /// # Errors
     ///
     /// [`SocketError::NotAStream`] when the peer does not open with the
-    /// `lbas/` identifier, [`SocketError::UnknownVersion`] for a protocol
+    /// `lbas/` identifier (one that leaves before sending its 8 bytes does
+    /// not), [`SocketError::UnknownVersion`] for a protocol
     /// version this side does not speak, [`SocketError::CodecMismatch`]
     /// for frames sealed under another codec than this build's,
-    /// [`SocketError::Io`] when the hello cannot be read.
+    /// [`SocketError::Torn`] when the peer leaves inside the hello after
+    /// its identifier, and [`SocketError::Io`] when the hello cannot be
+    /// read.
     pub fn accept(stream: UnixStream) -> Result<Self, SocketError> {
         let endpoint = endpoint(&stream);
-        let mut source = SocketSource {
-            stream: BufReader::new(stream),
-            endpoint,
-            frames: 0,
-            finished: false,
+        let (hello, records) = match RecordReader::open(BufReader::new(stream)) {
+            Ok(opened) => opened,
+            Err(e) => return Err(wire_error(e, endpoint, 0)),
         };
-        let mut hello = [0u8; SOCKET_HELLO_BYTES];
-        source.read_wire(&mut hello)?;
-        if let Err(e) = check_ident(&hello) {
-            let endpoint = source.endpoint;
-            return Err(match e {
-                IdentError::NotAStream => SocketError::NotAStream { endpoint },
-                IdentError::UnknownVersion(version) => {
-                    SocketError::UnknownVersion { endpoint, version }
-                }
-            });
-        }
-        let announced = StreamHeader::decode(&hello).codec_version;
-        if announced != CODEC_VERSION {
+        if hello.codec_version != CODEC_VERSION {
             return Err(SocketError::CodecMismatch {
-                endpoint: source.endpoint,
-                announced,
+                endpoint,
+                announced: hello.codec_version,
                 running: CODEC_VERSION,
             });
         }
-        Ok(source)
-    }
-
-    fn torn(&self) -> SocketError {
-        SocketError::Torn {
-            endpoint: self.endpoint.clone(),
-            frames: self.frames,
-        }
-    }
-
-    /// The error for a failed read: a producer that left before its End
-    /// record tears the stream, whether the wire ended (EOF) or was reset
-    /// (the producer closed with credits unread).
-    fn read_error(&self, e: io::Error) -> SocketError {
-        match e.kind() {
-            io::ErrorKind::UnexpectedEof | io::ErrorKind::ConnectionReset => self.torn(),
-            _ => SocketError::io(&self.endpoint, e),
-        }
-    }
-
-    fn read_wire(&mut self, buf: &mut [u8]) -> Result<(), SocketError> {
-        self.stream.read_exact(buf).map_err(|e| self.read_error(e))
-    }
-
-    fn corrupt(&self, detail: impl Into<String>) -> SocketError {
-        SocketError::Corrupt {
-            endpoint: self.endpoint.clone(),
-            frame: self.frames,
-            detail: detail.into(),
-        }
+        Ok(SocketSource { records, endpoint })
     }
 
     fn next_wire_frame(&mut self) -> Result<Option<Vec<u8>>, SocketError> {
-        if self.finished {
-            return Ok(None);
-        }
-        let mut tag = [0u8; 1];
-        self.read_wire(&mut tag)?;
-        match tag[0] {
-            TAG_FRAME => {
-                let mut fields = [0u8; FRAME_RECORD_HEADER_BYTES - 1];
-                self.read_wire(&mut fields)?;
-                let header = FrameRecordHeader::decode(&fields);
-                // The length is the peer's claim: past the reserve, the
-                // buffer grows only as bytes arrive.
-                let mut payload = Vec::with_capacity((header.len as usize).min(PAYLOAD_RESERVE));
-                (&mut self.stream)
-                    .take(u64::from(header.len))
-                    .read_to_end(&mut payload)
-                    .map_err(|e| self.read_error(e))?;
-                if payload.len() < header.len as usize {
-                    return Err(self.torn());
-                }
-                header
-                    .verify(&payload)
-                    .map_err(|detail| self.corrupt(detail))?;
-                self.frames += 1;
-                // Return the credit *after* the frame is whole: a credit
-                // promises the producer this slot of the window is truly
-                // free.
-                if let Err(e) = self.stream.get_mut().write_all(&[CREDIT]) {
-                    // A producer that already left does not need credits.
-                    // Its close shuts this end (a broken pipe), but a write
-                    // racing the close can meet the reset it leaves when
-                    // credits were still unread.
-                    if !matches!(
-                        e.kind(),
-                        io::ErrorKind::BrokenPipe | io::ErrorKind::ConnectionReset
-                    ) {
-                        return Err(SocketError::io(&self.endpoint, e));
-                    }
-                }
-                Ok(Some(payload))
+        let frame = match self.records.next_frame() {
+            Ok(Some(frame)) => frame,
+            Ok(None) => return Ok(None),
+            Err(e) => return Err(wire_error(e, self.endpoint.clone(), self.records.frames())),
+        };
+        // Return the credit *after* the frame is whole: a credit promises
+        // the producer this slot of the window is truly free.
+        if let Err(e) = self.records.get_mut().get_mut().write_all(&[CREDIT]) {
+            // A producer that already left does not need credits. Its
+            // close shuts this end (a broken pipe), but a write racing the
+            // close can meet the reset it leaves when credits were still
+            // unread.
+            if !matches!(
+                e.kind(),
+                io::ErrorKind::BrokenPipe | io::ErrorKind::ConnectionReset
+            ) {
+                return Err(SocketError::io(&self.endpoint, e));
             }
-            TAG_END => {
-                let mut count = [0u8; 8];
-                self.read_wire(&mut count)?;
-                verify_end(u64::from_le_bytes(count), self.frames)
-                    .map_err(|detail| self.corrupt(detail))?;
-                self.finished = true;
-                Ok(None)
-            }
-            other => Err(self.corrupt(format!("unknown record tag {other:#04x}"))),
         }
+        Ok(Some(frame.bytes))
+    }
+}
+
+/// The socket's error for what the record reader met on the wire from
+/// `endpoint` after `frames` whole frames. A producer that left before
+/// its End record tears the stream, whether its bytes ended, mid-record
+/// or between records, or the connection was reset (the producer closed
+/// with credits unread).
+fn wire_error(e: ReadError, endpoint: String, frames: u64) -> SocketError {
+    match e {
+        ReadError::Cut(_) | ReadError::Ended => SocketError::Torn { endpoint, frames },
+        ReadError::Io(source) if source.kind() == io::ErrorKind::ConnectionReset => {
+            SocketError::Torn { endpoint, frames }
+        }
+        ReadError::Io(source) => SocketError::Io { endpoint, source },
+        ReadError::NotAStream => SocketError::NotAStream { endpoint },
+        ReadError::UnknownVersion(version) => SocketError::UnknownVersion { endpoint, version },
+        ReadError::Corrupt { detail, .. } => SocketError::Corrupt {
+            endpoint,
+            frame: frames,
+            detail,
+        },
     }
 }
 

@@ -158,6 +158,20 @@ fn bench_pipeline_trajectory_has_every_series() {
 }
 
 #[test]
+fn committed_paper_tables_are_a_scale_1_run() {
+    // `figures` writes `BENCH_paper.txt` at scale 1 only, and
+    // `figures --bench-smoke` compares a fresh scale-1 rendering with it
+    // byte for byte.
+    let text = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_paper.txt"))
+        .expect("committed BENCH_paper.txt at the repo root");
+    assert!(
+        text.starts_with("== LBA reproduction: all paper tables and figures (scale 1) ==\n"),
+        "not a scale-1 run: {:?}",
+        text.lines().next()
+    );
+}
+
+#[test]
 fn parallel_extension_scales_lockset() {
     let rows = experiment::ext_parallel(&config(), 1).unwrap();
     assert!(rows.len() >= 3);

@@ -22,7 +22,7 @@ use lba_record::{
     FRAME_RECORD_HEADER_BYTES, RAW_RECORD_BYTES, SEGMENT_HEADER_BYTES, TAG_FRAME,
 };
 use lba_transport::live::{FrameReceiver, RecvError};
-use lba_transport::{ModeledFrameChannel, PushOutcome, SocketError, SocketSource};
+use lba_transport::{FrameSource, ModeledFrameChannel, PushOutcome, SocketError, SocketSource};
 
 fn arb_operand() -> impl Strategy<Value = Option<u8>> {
     prop_oneof![Just(None), (0u8..16).prop_map(Some)]
@@ -654,6 +654,76 @@ proptest! {
             prop_assert_eq!(report.log.records, prefix);
         }
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn segment_files_and_sockets_read_damaged_records_alike(
+        records in arb_stream(),
+        records_per_frame in 1usize..40,
+        compress in any::<bool>(),
+        mutation in (0u8..8, any::<u64>(), any::<u8>()),
+    ) {
+        // Both carriers parse their bytes with one reader: the same
+        // damaged records, behind a socket's hello or behind a segment
+        // file's header, read back as the same frames and end alike.
+        static CASE: AtomicUsize = AtomicUsize::new(0);
+        let config = FrameConfig { records_per_frame, compress };
+        let mut enc = FrameEncoder::new(config);
+        let mut frames: Vec<_> = records.iter().filter_map(|rec| enc.push(rec)).collect();
+        frames.extend(enc.flush());
+        let mut wire: Vec<Vec<u8>> = frames
+            .iter()
+            .map(|frame| {
+                let header = FrameRecordHeader::new(0, frame.records, &frame.bytes);
+                [&header.encode()[..], &frame.bytes].concat()
+            })
+            .collect();
+        wire.push(end_record(frames.len() as u64).to_vec());
+        mutate_socket_wire(&mut wire, mutation);
+        let header = |word| {
+            StreamHeader { codec_version: CODEC_VERSION, stream: 0, word }.encode().to_vec()
+        };
+
+        let (mut producer, consumer) = std::os::unix::net::UnixStream::pair().unwrap();
+        // One write: the wire fits the socket buffer, so the producer can
+        // leave before the reader starts.
+        std::io::Write::write_all(&mut producer, &[header(4), wire.concat()].concat()).unwrap();
+        drop(producer);
+        let mut source = SocketSource::accept(consumer).unwrap();
+        let mut over_socket = Vec::new();
+        let socket_end = loop {
+            match source.next_frame_bytes() {
+                Ok(Some(bytes)) => over_socket.push(bytes),
+                Ok(None) => break None,
+                Err(e) => break Some(*e.downcast::<SocketError>().unwrap()),
+            }
+        };
+
+        let case = CASE.fetch_add(1, Ordering::Relaxed);
+        let dir = std::env::temp_dir().join(format!("lba-carriers-{}-{case}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let segment = [header(0), wire.concat()].concat();
+        std::fs::write(dir.join(segment_file_name(0, 0)), segment).unwrap();
+        let mut in_file = Vec::new();
+        let file_end = SegmentReader::open(&dir, 0).and_then(|mut reader| {
+            while let Some(frame) = reader.next_frame()? {
+                in_file.push(frame.bytes);
+            }
+            Ok(())
+        });
+        std::fs::remove_dir_all(&dir).ok();
+
+        prop_assert_eq!(&over_socket, &in_file);
+        let alike = match (&socket_end, &file_end) {
+            (None, Ok(())) | (Some(SocketError::Corrupt { .. }), Err(StreamError::Corrupt { .. })) => true,
+            (Some(SocketError::Torn { .. }), Err(e)) => {
+                matches!(e, StreamError::Truncated { .. } | StreamError::MissingEnd { .. })
+            }
+            // Only a file has an end to read past the End record to.
+            (None, Err(e)) => e.to_string().contains("data after the End record"),
+            _ => false,
+        };
+        prop_assert!(alike, "socket ended {:?}, segment file {:?}", socket_end, file_end);
     }
 
     #[test]
